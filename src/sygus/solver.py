@@ -3,7 +3,10 @@
 Grammar shorthands are expanded into concrete alternatives, candidate terms
 are enumerated per synthesis function in term-size order, and candidate
 tuples are screened against accumulated counterexamples before full
-verification (CEGIS-lite).
+verification (CEGIS-lite).  The term tables are hash-consed, so equal terms
+are one object and the screens memoize per term by identity; terms already
+known to fail a stored counterexample are dropped from the inner pools
+before the pools' product is walked.
 
 Verification is testing, not proof: candidates are checked on a finite grid
 over the universal variables, a batch of sampled models for uninterpreted
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Mapping, Optional, Union
 
@@ -92,9 +95,8 @@ class SolverConfig:
     ``constant_pool`` supplies the alternatives for integer ``(Constant _)``
     shorthands; bit-vector pools are exhaustive up to width 4 and otherwise
     use 0, 1, all-ones plus ``bv_sample_count`` seeded draws; enum pools are
-    all constructors.  ``observational_prune`` collapses candidate terms
-    that agree on a small seeded input sample; it speeds up large searches
-    but can in principle prune the only solution, so it is off by default.
+    all constructors.  ``timeout_seconds`` bounds the whole solve; ``None``
+    means no limit, and ``0`` is a limit that has already passed.
     """
 
     max_term_size: int = 12
@@ -107,7 +109,6 @@ class SolverConfig:
     constant_pool: tuple[int, ...] = (0, 1, -1, 2)
     bv_sample_count: int = 8
     timeout_seconds: Optional[float] = None
-    observational_prune: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +208,34 @@ def expand_shorthands(
 # ---------------------------------------------------------------------------
 # Term enumeration
 
-# A derivation witness: (non-terminal, production index, child witnesses).
-Witness = tuple
+
+class _Timeout(Exception):
+    pass
+
+
+class _Deadline:
+    """Wall-clock limit for one solve; ``None`` seconds means no limit.
+
+    Hot loops call ``tick`` once per unit of work; the clock is read every
+    256 ticks, so a loop pays for a counter rather than a clock read.
+    """
+
+    def __init__(self, seconds: Optional[float]):
+        self.at = None if seconds is None else time.monotonic() + seconds
+        self._ticks = 0
+
+    def tick(self) -> None:
+        self._ticks += 1
+        if self._ticks & 255 == 0:
+            self.check()
+
+    def check(self) -> None:
+        if self.at is not None and time.monotonic() > self.at:
+            raise _Timeout()
 
 
 @dataclass(frozen=True)
 class _Prod:
-    index: int
     template: GTerm
     holes: tuple[Symbol, ...]
     own_size: int
@@ -242,29 +264,11 @@ def _find_holes(template: GTerm, nt_names: frozenset[Symbol]) -> tuple[Symbol, .
     return tuple(out)
 
 
-def _fill(template: GTerm, fills: tuple[Term, ...], nt_names: frozenset[Symbol]) -> Term:
-    it = iter(fills)
-
-    def walk(node: GTerm) -> Term:
-        if isinstance(node, Ref):
-            return next(it) if node.name in nt_names else node
-        if isinstance(node, App):
-            return App(node.head, tuple(walk(a) for a in node.args), node.pos)
-        if isinstance(node, Let):
-            bindings = tuple(
-                Binding(b.name, b.sort, walk(b.value)) for b in node.bindings
-            )
-            return Let(bindings, walk(node.body), node.pos)
-        return node
-
-    return walk(template)
-
-
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     """k-tuples of positive integers summing to total, first part ascending."""
-    if k == 1:
-        if total >= 1:
-            yield (total,)
+    if k == 0:
+        if total == 0:
+            yield ()
         return
     for first in range(1, total - k + 2):
         for rest in _compositions(total - first, k - 1):
@@ -272,106 +276,119 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 class TermTable:
-    """Size-indexed memo of grammar derivations with witnesses.
+    """Size-indexed memo of grammar derivations, hash-consed.
 
     ``exact(nt, s)`` lists every derivable term of size exactly ``s`` once,
     in canonical order: production index, then leftmost argument varying
     slowest.  Unit productions (a production that is a bare reference to
     another non-terminal) are closed by fixpoint after the structural
     productions of each size level.
+
+    Every node the table builds is interned under its head (or, for a
+    leaf, its value) plus the identities of its children, so structurally
+    equal terms are one object: ``is`` decides equality, and a memo may be
+    keyed by ``id(term)`` while the table is alive.
     """
 
-    def __init__(self, g: ExpandedGrammar):
+    def __init__(self, g: ExpandedGrammar, deadline: Optional[_Deadline] = None):
         self.g = g
-        nt_names = frozenset(g.nts)
-        self._nt_names = nt_names
+        self._nt_names = frozenset(g.nts)
+        self._deadline = deadline if deadline is not None else _Deadline(None)
+        self._interned: dict[object, Term] = {}
         self.prods: dict[Symbol, list[_Prod]] = {}
         for name in g.order:
             compiled = []
-            for i, template in enumerate(g.nts[name].productions):
-                holes = _find_holes(template, nt_names)
-                compiled.append(
-                    _Prod(i, template, holes, term_size(template) - len(holes))
-                )
+            for template in g.nts[name].productions:
+                holes = _find_holes(template, self._nt_names)
+                compiled.append(_Prod(template, holes, term_size(template) - len(holes)))
             self.prods[name] = compiled
-        self.tables: dict[tuple[Symbol, int], list[tuple[Term, Witness]]] = {}
-        self._seen: dict[tuple[Symbol, int], set[Term]] = {}
+        self.tables: dict[tuple[Symbol, int], list[Term]] = {}
         self._built = 0
-        self._closed: dict[tuple[Symbol, int], list[tuple[Term, Witness]]] = {}
+        self._closed: dict[tuple[Symbol, int], list[Term]] = {}
 
-    def exact(self, nt: Symbol, size: int) -> list[tuple[Term, Witness]]:
+    def exact(self, nt: Symbol, size: int) -> list[Term]:
         while self._built < size:
             self._build_level(self._built + 1)
         return self.tables[(nt, size)]
 
-    def closed(self, nt: Symbol, size: int) -> list[tuple[Term, Witness]]:
+    def closed(self, nt: Symbol, size: int) -> list[Term]:
         """Like ``exact`` but without terms leaking a free let-bound name."""
+        lets = self.g.let_names
+        if not lets:
+            return self.exact(nt, size)
         key = (nt, size)
         if key not in self._closed:
-            lets = self.g.let_names
-            self._closed[key] = [
-                (t, w) for t, w in self.exact(nt, size) if not (free_refs(t) & lets)
-            ]
+            tick = self._deadline.tick
+            kept = []
+            for t in self.exact(nt, size):
+                tick()
+                if not (free_refs(t) & lets):
+                    kept.append(t)
+            self._closed[key] = kept
         return self._closed[key]
 
+    def _app(self, head: Symbol, args: tuple[Term, ...], pos) -> Term:
+        key = (head, *map(id, args))
+        term = self._interned.get(key)
+        if term is None:
+            term = self._interned[key] = App(head, args, pos)
+        return term
+
+    def _fill(self, template: GTerm, fills: Iterator[Term]) -> Term:
+        """Intern ``template`` with its holes replaced by ``fills`` in order."""
+        if isinstance(template, Ref) and template.name in self._nt_names:
+            return next(fills)
+        if isinstance(template, App):
+            args = tuple(self._fill(a, fills) for a in template.args)
+            return self._app(template.head, args, template.pos)
+        if isinstance(template, Let):
+            bindings = tuple(
+                Binding(b.name, b.sort, self._fill(b.value, fills))
+                for b in template.bindings
+            )
+            body = self._fill(template.body, fills)
+            key = [Let, id(body)]
+            for b in bindings:
+                key += (b.name, b.sort, id(b.value))
+            return self._interned.setdefault(tuple(key), Let(bindings, body, template.pos))
+        # A leaf is its own key; hashing one does not recurse.
+        return self._interned.setdefault(template, template)
+
     def _build_level(self, size: int) -> None:
+        tick = self._deadline.tick
+        # Ids of the terms listed per non-terminal at this level.
+        listed: dict[Symbol, set[int]] = {name: set() for name in self.g.order}
         for name in self.g.order:
-            key = (name, size)
-            out: list[tuple[Term, Witness]] = []
-            seen: set[Term] = set()
+            out = self.tables[(name, size)] = []
+            seen = listed[name]
             for prod in self.prods[name]:
-                if prod.is_unit:
-                    continue
                 k = len(prod.holes)
-                if k == 0:
-                    if prod.own_size == size:
-                        self._add(out, seen, prod.template, (name, prod.index, ()))
+                if prod.is_unit or size < prod.own_size + k:
                     continue
-                rest = size - prod.own_size
-                if rest < k:
-                    continue
-                for comp in _compositions(rest, k):
-                    pools = [
-                        self.tables[(h, c)] for h, c in zip(prod.holes, comp)
-                    ]
-                    if not all(pools):
-                        continue
+                for comp in _compositions(size - prod.own_size, k):
+                    pools = [self.tables[(h, c)] for h, c in zip(prod.holes, comp)]
                     for picks in product(*pools):
-                        term = _fill(
-                            prod.template,
-                            tuple(t for t, _ in picks),
-                            self._nt_names,
-                        )
-                        self._add(
-                            out,
-                            seen,
-                            term,
-                            (name, prod.index, tuple(w for _, w in picks)),
-                        )
-            self.tables[key] = out
-            self._seen[key] = seen
+                        tick()
+                        term = self._fill(prod.template, iter(picks))
+                        if id(term) not in seen:
+                            seen.add(id(term))
+                            out.append(term)
         # Close unit productions at this level until stable.
         changed = True
         while changed:
             changed = False
             for name in self.g.order:
-                key = (name, size)
+                out, seen = self.tables[(name, size)], listed[name]
                 for prod in self.prods[name]:
                     if not prod.is_unit:
                         continue
-                    target = prod.holes[0]
-                    for t, w in list(self.tables[(target, size)]):
-                        if t not in self._seen[key]:
-                            self.tables[key].append((t, (name, prod.index, (w,))))
-                            self._seen[key].add(t)
+                    for t in list(self.tables[(prod.holes[0], size)]):
+                        tick()
+                        if id(t) not in seen:
+                            seen.add(id(t))
+                            out.append(t)
                             changed = True
         self._built = size
-
-    @staticmethod
-    def _add(out: list, seen: set, term: Term, witness: Witness) -> None:
-        if term not in seen:
-            seen.add(term)
-            out.append((term, witness))
 
 
 def enumerate_terms(g: ExpandedGrammar, from_nt: Symbol, max_size: int) -> Iterator[Term]:
@@ -379,17 +396,7 @@ def enumerate_terms(g: ExpandedGrammar, from_nt: Symbol, max_size: int) -> Itera
     each exactly once, never with a free let-bound name."""
     table = TermTable(g)
     for size in range(1, max_size + 1):
-        for term, _ in table.closed(from_nt, size):
-            yield term
-
-
-def replay_witness(g: ExpandedGrammar, witness: Witness) -> Term:
-    """Rebuild the term a derivation witness denotes."""
-    nt, index, children = witness
-    nt_names = frozenset(g.nts)
-    template = g.nts[nt].productions[index]
-    fills = tuple(replay_witness(g, c) for c in children)
-    return _fill(template, fills, nt_names)
+        yield from table.closed(from_nt, size)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +420,6 @@ VerificationResult = Union[Valid, Counterexample]
 @dataclass(frozen=True)
 class Candidate:
     terms: dict[Symbol, Term]
-    witnesses: dict[Symbol, Witness] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -424,10 +430,6 @@ class Solved:
 @dataclass(frozen=True)
 class Fail:
     reason: str  # "exhausted" or "timeout"
-
-
-class _Timeout(Exception):
-    pass
 
 
 def _unsupported(sort: ResolvedSort) -> bool:
@@ -574,7 +576,8 @@ class _Screen:
 
     For each enumerated term we track how many stored counterexamples its
     single-function constraints survive; a term is revisited only when the
-    store has grown since it was last screened.
+    store has grown since it was last screened.  Terms come from a
+    hash-consed ``TermTable``, so the memo is keyed by identity.
     """
 
     def __init__(
@@ -585,19 +588,27 @@ class _Screen:
         store: list[tuple[Assignment, int]],
         model_for,
     ):
-        self.problem = problem
         self.constraints = constraints
         self.task_name = task_name
         self.store = store
         self.model_for = model_for
         self.env = EvalEnv(problem)
-        self.progress: dict[Term, int] = {}
+        self.progress: dict[int, int] = {}
+        #: How many terms this screen has found dead so far.
+        self.deaths = 0
+
+    def known_dead(self, term: Term) -> bool:
+        """Whether ``term`` already failed a stored counterexample; a lookup
+        that evaluates nothing."""
+        return self.progress.get(id(term), 0) < 0
 
     def alive(self, term: Term) -> bool:
-        done = self.progress.get(term, 0)
+        if not self.constraints:
+            return True
+        done = self.progress.get(id(term), 0)
         if done < 0:
             return False
-        if not self.constraints:
+        if done == len(self.store):
             return True
         self.env.set_candidate(self.task_name, term)
         while done < len(self.store):
@@ -605,18 +616,12 @@ class _Screen:
             self.env.model = self.model_for(uf_seed)
             for c in self.constraints:
                 if not eval_term(c, assignment, self.env).value:
-                    self.progress[term] = -1
+                    self.progress[id(term)] = -1
+                    self.deaths += 1
                     return False
             done += 1
-        self.progress[term] = done
+        self.progress[id(term)] = done
         return True
-
-
-def _signature_inputs(task: SynthTask, cfg: SolverConfig) -> list[Assignment]:
-    rng = random.Random(stable_u64(cfg.seed, "prune", task.name))
-    return [
-        {p: _random_value(s, rng, cfg) for p, s in task.params} for _ in range(16)
-    ]
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
@@ -625,15 +630,13 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     _theory_gate(problem)
     tasks = problem.synth_tasks
     cex_store: list[tuple[Assignment, int]] = []
-    deadline = (
-        time.monotonic() + cfg.timeout_seconds if cfg.timeout_seconds else None
-    )
+    deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:
         result = verify({}, problem, cfg, cex_store)
-        return Solved(Candidate({}, {})) if isinstance(result, Valid) else Fail("exhausted")
+        return Solved(Candidate({})) if isinstance(result, Valid) else Fail("exhausted")
 
     grammars = {t.name: expand_shorthands(t.grammar, t, problem, cfg) for t in tasks}
-    tables = {t.name: TermTable(grammars[t.name]) for t in tasks}
+    tables = {t.name: TermTable(grammars[t.name], deadline) for t in tasks}
     names = [t.name for t in tasks]
     name_set = frozenset(names)
 
@@ -654,44 +657,10 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             models[seed] = fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
         return models[seed]
 
-    screens = {
-        t.name: _Screen(problem, solo[t.name], t.name, cex_store, model_for)
-        for t in tasks
-    }
+    screens = [
+        _Screen(problem, solo[t.name], t.name, cex_store, model_for) for t in tasks
+    ]
     joint_env = EvalEnv(problem)
-    prune_inputs = (
-        {t.name: _signature_inputs(t, cfg) for t in tasks}
-        if cfg.observational_prune
-        else None
-    )
-    prune_seen: dict[Symbol, set] = {t.name: set() for t in tasks}
-    pool_cache: dict[tuple[Symbol, int], list[tuple[Term, Witness]]] = {}
-
-    def pool(task: SynthTask, size: int) -> list[tuple[Term, Witness]]:
-        key = (task.name, size)
-        if key in pool_cache:
-            return pool_cache[key]
-        entries = tables[task.name].closed("Start", size)
-        if prune_inputs is not None:
-            kept = []
-            env = EvalEnv(problem)
-            for term, witness in entries:
-                env.set_candidate(task.name, term)
-                sig = tuple(
-                    eval_term(
-                        App(task.name, tuple(Ref(p) for p, _ in task.params)),
-                        inputs,
-                        env,
-                    )
-                    for inputs in prune_inputs[task.name]
-                )
-                if sig in prune_seen[task.name]:
-                    continue
-                prune_seen[task.name].add(sig)
-                kept.append((term, witness))
-            entries = kept
-        pool_cache[key] = entries
-        return entries
 
     def joint_ok(assignment_terms: dict[Symbol, Term]) -> bool:
         if not joint or not cex_store:
@@ -704,9 +673,23 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                     return False
         return True
 
-    ticks = 0
+    def live(pools: list[list[Term]]) -> list[list[Term]]:
+        """The inner pools without the terms already known dead.  Nothing is
+        evaluated here: the product's own ``alive`` checks screen the rest,
+        in the order and against the store they always did."""
+        out = []
+        for screen, pool in zip(screens[1:], pools):
+            kept = []
+            for term in pool:
+                deadline.tick()
+                if not screen.known_dead(term):
+                    kept.append(term)
+            out.append(kept)
+        return out
+
     try:
         for budget in range(1, cfg.max_term_size + 1):
+            deadline.check()
             vectors = sorted(
                 (
                     v
@@ -716,25 +699,36 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 key=lambda v: (sum(v), v),
             )
             for vec in vectors:
-                pools = [pool(t, s) for t, s in zip(tasks, vec)]
+                pools = [tables[t.name].closed("Start", s) for t, s in zip(tasks, vec)]
                 if not all(pools):
                     continue
-                for picks in product(*pools):
-                    ticks += 1
-                    if deadline is not None and ticks % 256 == 0:
-                        if time.monotonic() > deadline:
-                            raise _Timeout()
-                    if not all(
-                        screens[n].alive(t) for n, (t, _) in zip(names, picks)
-                    ):
+                # Dead terms stay dead, so dropping them from the inner pools
+                # skips only tuples the product would reject by a lookup.
+                # The pools are refiltered once a row has found more of them.
+                inner, deaths = None, -1
+                for first in pools[0]:
+                    deadline.tick()
+                    if not screens[0].alive(first):
                         continue
-                    terms = {n: t for n, (t, _) in zip(names, picks)}
-                    if not joint_ok(terms):
-                        continue
-                    result = verify(terms, problem, cfg, cex_store, _deadline=deadline)
-                    if isinstance(result, Valid):
-                        witnesses = {n: w for n, (_, w) in zip(names, picks)}
-                        return Solved(Candidate(terms, witnesses))
+                    if deaths != sum(s.deaths for s in screens[1:]):
+                        deaths = sum(s.deaths for s in screens[1:])
+                        inner = live(pools[1:])
+                    for rest in product(*inner):
+                        deadline.tick()
+                        picks = (first, *rest)
+                        # Screens terms not yet checked against the whole
+                        # store, including terms killed by a counterexample
+                        # found earlier in this product.
+                        if not all(s.alive(t) for s, t in zip(screens, picks)):
+                            continue
+                        terms = dict(zip(names, picks))
+                        if not joint_ok(terms):
+                            continue
+                        result = verify(
+                            terms, problem, cfg, cex_store, _deadline=deadline.at
+                        )
+                        if isinstance(result, Valid):
+                            return Solved(Candidate(terms))
     except _Timeout:
         return Fail("timeout")
     return Fail("exhausted")

@@ -7,11 +7,41 @@ from sygus.parser import parse_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-EXPECTED_MAX2_MIN2 = """(define-fun max2 ((x Int) (y Int)) Int
-    (ite (<= x y) y x))
+# What ``print_solution`` prints: one line per define-fun.
+EXPECTED_MAX2_MIN2 = """\
+(define-fun max2 ((x Int) (y Int)) Int (ite (<= x y) y x))
+(define-fun min2 ((x Int) (y Int)) Int (ite (<= x y) x y))
+"""
 
-(define-fun min2 ((x Int) (y Int)) Int
-    (ite (<= x y) x y))
+FIXTURE_SOLUTIONS = {
+    "max2_min2": EXPECTED_MAX2_MIN2,
+    "uf_pair": "(define-fun f ((x Int) (y Int)) Bool true)\n",
+    "let_grammar": "(define-fun f ((x Int) (y Int)) Int x)\n",
+}
+
+# No term of this grammar equals x + 100 on the grid, so the search runs to
+# the size cap; size 9 takes several seconds.
+LIA_ITE_UNSOLVABLE = """
+(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int
+   ((Start Int (0 1 x y (+ Start Start) (- Start Start) (ite B Start Start)))
+    (B Bool ((and B B) (not B) (<= Start Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) (+ x 100)))
+(check-synth)
+"""
+
+# The same target over a let grammar: only odd sizes have terms, and every
+# level is filtered for terms that leak the let-bound z.
+LET_SUM_UNSOLVABLE = """
+(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int
+   ((Start Int (x y z (+ Start Start) (let ((z Int Start)) Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) (+ x 50)))
+(check-synth)
 """
 
 
