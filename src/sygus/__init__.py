@@ -5,7 +5,6 @@ from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program, parse_text
 from .printer import print_fail, print_program, print_solution, print_term
 from .solver import (
-    Candidate,
     Counterexample,
     Fail,
     Solved,
@@ -19,7 +18,6 @@ from .solver import (
 )
 
 __all__ = [
-    "Candidate",
     "CheckedProblem",
     "CheckError",
     "Counterexample",

@@ -39,7 +39,7 @@ E-NONLINEAR             integer multiplication without a literal operand
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
     App,
@@ -50,7 +50,6 @@ from .syntax import (
     BVConst,
     CheckSynth,
     Constraint,
-    ConstantOf,
     DeclareFun,
     DeclareVar,
     DefineFun,
@@ -58,12 +57,10 @@ from .syntax import (
     EnumConst,
     EnumSort,
     GTerm,
-    InputVariableOf,
     IntConst,
     IntSort,
     Let,
     Lit,
-    LocalVariableOf,
     NamedSort,
     NO_POS,
     NTDef,
@@ -74,12 +71,12 @@ from .syntax import (
     Ref,
     SetLogic,
     SetOptions,
+    SHORTHANDS,
     SortExpr,
     subterms,
     Symbol,
     SynthFun,
     Term,
-    VariableOf,
 )
 
 KNOWN_LOGICS = ("LIA", "BV", "Reals", "Arrays")
@@ -145,6 +142,12 @@ R_BOOL = RBool()
 R_REAL = RReal()
 
 
+def unsupported_sort(sort: ResolvedSort) -> bool:
+    """Whether ``sort`` is Real or an Array: the solver has no finite pools of
+    values for them and the evaluator samples no models over them."""
+    return isinstance(sort, (RReal, RArray))
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics
 
@@ -172,10 +175,22 @@ def _err(code: str, pos: Pos, message: str):
 # ---------------------------------------------------------------------------
 # Theory signatures
 
+_CORE_OPS = ("=", "distinct", "ite", "and", "or", "not", "=>", "xor")
 _COMPARISONS = ("<=", "<", ">=", ">")
+_LIA_ARITH = ("+", "-", "*")
+_REAL_ARITH = ("+", "-", "*", "/")
 _BV_BINOPS = ("bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvshl", "bvlshr")
 _BV_UNOPS = ("bvnot", "bvneg")
 _BV_PREDS = ("bvult", "bvule")
+_ARRAY_OPS = ("select", "store")
+
+#: The operator names of each logic-gated family.
+_FAMILIES = {
+    "LIA": _LIA_ARITH + _COMPARISONS,
+    "Reals": _REAL_ARITH + _COMPARISONS,
+    "BV": _BV_BINOPS + _BV_UNOPS + _BV_PREDS,
+    "Arrays": _ARRAY_OPS,
+}
 
 
 class TheorySignature:
@@ -208,12 +223,12 @@ class TheorySignature:
         if name in ("=>", "xor"):
             return R_BOOL if args == (R_BOOL, R_BOOL) else None
         if self._loaded("LIA"):
-            if name in ("+", "-", "*") and args == (R_INT, R_INT):
+            if name in _LIA_ARITH and args == (R_INT, R_INT):
                 return R_INT
             if name in _COMPARISONS and args == (R_INT, R_INT):
                 return R_BOOL
         if self._loaded("Reals"):
-            if name in ("+", "-", "*", "/") and args == (R_REAL, R_REAL):
+            if name in _REAL_ARITH and args == (R_REAL, R_REAL):
                 return R_REAL
             if name in _COMPARISONS and args == (R_REAL, R_REAL):
                 return R_BOOL
@@ -237,17 +252,9 @@ class TheorySignature:
     def knows(self, name: Symbol) -> bool:
         """Whether ``name`` is a built-in under the active logic (at any
         signature); used to distinguish E-APP-SIG from E-UNBOUND."""
-        if name in ("=", "distinct", "ite", "and", "or", "not", "=>", "xor"):
-            return True
-        if self._loaded("LIA") and name in ("+", "-", "*") + _COMPARISONS:
-            return True
-        if self._loaded("Reals") and name in ("+", "-", "*", "/") + _COMPARISONS:
-            return True
-        if self._loaded("BV") and name in _BV_BINOPS + _BV_UNOPS + _BV_PREDS:
-            return True
-        if self._loaded("Arrays") and name in ("select", "store"):
-            return True
-        return False
+        return name in _CORE_OPS or any(
+            name in ops and self._loaded(family) for family, ops in _FAMILIES.items()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +336,9 @@ class SynthTask:
     grammar: tuple[CheckedNT, ...]
     surface_params: tuple[tuple[Symbol, SortExpr], ...]
     surface_ret: SortExpr
+    #: Let-bound names of the grammar with their sorts, in first-occurrence
+    #: order; a name is bound at one sort throughout.
+    lets: tuple[tuple[Symbol, ResolvedSort], ...]
 
 
 @dataclass(frozen=True)
@@ -513,7 +523,7 @@ def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
             return type_of_term(t.body, scope)
         finally:
             scope.frames.pop()
-    if isinstance(t, (ConstantOf, VariableOf, InputVariableOf, LocalVariableOf)):
+    if isinstance(t, SHORTHANDS):
         return resolve_sort(t.sort, scope.sort_defs)
     raise AssertionError(f"unhandled term node {t!r}")
 
@@ -577,11 +587,12 @@ def _check_function_clashes(
         )
 
 
-def _collect_grammar_lets(
+def _let_table(
     nts: tuple[NTDef, ...],
     sort_defs: dict[Symbol, SortExpr],
     arg_names: frozenset[Symbol],
 ) -> dict[Symbol, ResolvedSort]:
+    """Sorts of the let-bound names of a grammar, in first-occurrence order."""
     lets: dict[Symbol, ResolvedSort] = {}
     for nt in nts:
         for prod in nt.productions:
@@ -606,8 +617,11 @@ def _collect_grammar_lets(
     return lets
 
 
-def check_grammar(sf: SynthFun, session: _Session) -> tuple[CheckedNT, ...]:
-    """Validate the grammar of a synth-fun and resolve non-terminal sorts."""
+def check_grammar(
+    sf: SynthFun, session: _Session
+) -> tuple[tuple[CheckedNT, ...], dict[Symbol, ResolvedSort]]:
+    """Validate the grammar of a synth-fun; resolve the sorts of its
+    non-terminals and of its let-bound names."""
     params = _resolve_params(sf.params, session.sort_defs, sf.pos)
     ret = resolve_sort(sf.ret, session.sort_defs)
     arg_names = frozenset(p for p, _ in params)
@@ -618,7 +632,7 @@ def check_grammar(sf: SynthFun, session: _Session) -> tuple[CheckedNT, ...]:
             _err("E-NT-DUP", nt.pos, f"repeated non-terminal '{nt.name}'")
         nt_sorts[nt.name] = resolve_sort(nt.sort, session.sort_defs)
 
-    lets = _collect_grammar_lets(sf.grammar, session.sort_defs, arg_names)
+    lets = _let_table(sf.grammar, session.sort_defs, arg_names)
 
     for nt in sf.grammar:
         if any(
@@ -677,7 +691,7 @@ def check_grammar(sf: SynthFun, session: _Session) -> tuple[CheckedNT, ...]:
                     f"production of '{nt.name}' has sort {actual}, expected {nt_sorts[nt.name]}",
                 )
         checked.append(CheckedNT(nt.name, nt_sorts[nt.name], nt.productions))
-    return tuple(checked)
+    return tuple(checked), lets
 
 
 def check_program(program: Program) -> CheckedProblem:
@@ -746,10 +760,13 @@ def check_program(program: Program) -> CheckedProblem:
             arg_sorts = tuple(s for _, s in params)
             ret = resolve_sort(cmd.ret, session.sort_defs)
             _check_function_clashes(session, cmd.name, arg_sorts, cmd.pos)
-            grammar = check_grammar(cmd, session)
+            grammar, lets = check_grammar(cmd, session)
             session.add_func(cmd.name, FuncEntry("synth", arg_sorts, ret))
             session.tasks.append(
-                SynthTask(cmd.name, params, ret, grammar, cmd.params, cmd.ret)
+                SynthTask(
+                    cmd.name, params, ret, grammar, cmd.params, cmd.ret,
+                    tuple(lets.items()),
+                )
             )
         elif isinstance(cmd, Constraint):
             scope = TermScope(

@@ -1,9 +1,10 @@
 """Command-line driver: parse, check, fmt, and solve pipelines.
 
 Exit codes: 0 success, 1 synthesis failure (``(fail)``), 2 lex/parse/check
-errors, 3 unsupported theory, 4 I/O errors.  Results (AST dumps, formatted
-programs, solutions, ``(fail)``) go to stdout; diagnostics and progress
-notes go to stderr.
+errors, bad option values (``E-OPT-VALUE``) and input nested too deeply to
+process (``E-DEPTH``), 3 unsupported theory, 4 I/O errors.  Input is read as
+bytes and must be ASCII.  Results (AST dumps, formatted programs, solutions,
+``(fail)``) go to stdout; diagnostics and progress notes go to stderr.
 """
 
 from __future__ import annotations
@@ -16,32 +17,16 @@ from typing import Optional, Sequence, TextIO
 from .checker import CheckedProblem, CheckError, Diagnostic, check_program
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program
-from .printer import print_program, print_fail, print_solution, print_sort, print_term
-from .solver import Fail, Solved, SolveError, SolverConfig, solve
-from .syntax import (
-    App,
-    CheckSynth,
-    Command,
-    Constraint,
-    ConstantOf,
-    DeclareFun,
-    DeclareVar,
-    DefineFun,
-    DefineSort,
-    InputVariableOf,
-    Let,
-    Lit,
-    LocalVariableOf,
-    NO_POS,
-    Pos,
-    Program,
-    Ref,
-    SetLogic,
-    SetOptions,
-    SynthFun,
-    Term,
-    VariableOf,
+from .printer import (
+    print_command,
+    print_fail,
+    print_program,
+    print_solution,
+    print_sort,
+    print_term,
 )
+from .solver import Fail, Solved, SolveError, SolverConfig, solve
+from .syntax import App, Let, Lit, NO_POS, Pos, Program, Ref, Term
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,14 +34,16 @@ EXIT_STATIC = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
-#: set-options keys recognized by the solver; everything else is ignored.
-_OPTION_PARSERS = {
-    "max-term-size": ("max_term_size", int),
-    "grid-radius": ("grid_radius", int),
-    "random-samples": ("random_samples", int),
-    "uf-model-count": ("uf_model_count", int),
-    "seed": ("seed", int),
-    "timeout-seconds": ("timeout_seconds", float),
+#: Solver options: name -> (``SolverConfig`` field, value type, least value).
+#: Each is a set-options key and, as ``--name``, a flag of ``solve``; a flag
+#: wins over the file.  Other set-options keys are ignored.
+_OPTIONS = {
+    "max-term-size": ("max_term_size", int, 1),
+    "grid-radius": ("grid_radius", int, 0),
+    "random-samples": ("random_samples", int, 0),
+    "uf-model-count": ("uf_model_count", int, 1),
+    "seed": ("seed", int, None),
+    "timeout-seconds": ("timeout_seconds", float, 0),
 }
 
 
@@ -66,7 +53,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Front-end and baseline solver for SyGuS problem files.",
         epilog=(
             "exit codes: 0 success; 1 no solution found ('(fail)'); "
-            "2 lex/parse/check error; 3 unsupported theory; 4 I/O error"
+            "2 lex/parse/check error or bad option value; 3 unsupported theory; "
+            "4 I/O error"
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -82,12 +70,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_input(sub.add_parser("fmt", help="print the canonical form"))
     solve_p = sub.add_parser("solve", help="synthesize function bodies")
     add_input(solve_p)
-    solve_p.add_argument("--max-term-size", type=int, metavar="N")
-    solve_p.add_argument("--grid-radius", type=int, metavar="N")
-    solve_p.add_argument("--random-samples", type=int, metavar="N")
-    solve_p.add_argument("--uf-model-count", type=int, metavar="N")
-    solve_p.add_argument("--seed", type=int, metavar="N")
-    solve_p.add_argument("--timeout-seconds", type=float, metavar="T")
+    for name, (_, kind, _) in _OPTIONS.items():
+        # Values are converted and range-checked with the set-options ones.
+        solve_p.add_argument(f"--{name}", metavar="N" if kind is int else "T")
     solve_p.add_argument(
         "--constant-pool",
         metavar="C1,C2,...",
@@ -96,29 +81,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_option(message: str):
+    raise CheckError(Diagnostic("E-OPT-VALUE", NO_POS, message))
+
+
 def apply_set_options(
     options: Sequence[tuple[str, str]],
     cfg: SolverConfig,
     verbose_out: Optional[TextIO] = None,
 ) -> SolverConfig:
-    """Fold recognized set-options values into the configuration."""
+    """Fold recognized option values into the configuration; a value that
+    does not convert or is out of range raises ``CheckError``."""
     for name, raw in options:
-        spec = _OPTION_PARSERS.get(name)
+        spec = _OPTIONS.get(name)
         if spec is None:
             if verbose_out is not None:
                 verbose_out.write(f"note: ignoring unrecognized option '{name}'\n")
             continue
-        fieldname, convert = spec
+        fieldname, kind, least = spec
         try:
-            value = convert(raw)
+            value = kind(raw)
         except ValueError:
-            raise CheckError(
-                Diagnostic(
-                    "E-OPT-VALUE",
-                    NO_POS,
-                    f"option '{name}' needs a {convert.__name__} value, got \"{raw}\"",
-                )
-            )
+            _bad_option(f"option '{name}' needs a {kind.__name__} value, got \"{raw}\"")
+        # ``not >=`` also rejects NaN.
+        if least is not None and not value >= least:
+            _bad_option(f"option '{name}' needs a value >= {least}, got \"{raw}\"")
         cfg = replace(cfg, **{fieldname: value})
     return cfg
 
@@ -137,59 +124,34 @@ def _dump_term(t: Term) -> str:
             for b in t.bindings
         )
         return f"(Let ({bindings}) {_dump_term(t.body)})"
-    if isinstance(t, ConstantOf):
-        return f"(Constant {print_sort(t.sort)})"
-    if isinstance(t, VariableOf):
-        return f"(Variable {print_sort(t.sort)})"
-    if isinstance(t, InputVariableOf):
-        return f"(InputVariable {print_sort(t.sort)})"
-    assert isinstance(t, LocalVariableOf)
-    return f"(LocalVariable {print_sort(t.sort)})"
-
-
-def _dump_command(cmd: Command) -> str:
-    if isinstance(cmd, SetLogic):
-        return f"(SetLogic {cmd.logic})"
-    if isinstance(cmd, DefineSort):
-        return f"(DefineSort {cmd.name} {print_sort(cmd.body)})"
-    if isinstance(cmd, DeclareVar):
-        return f"(DeclareVar {cmd.name} {print_sort(cmd.sort)})"
-    if isinstance(cmd, DeclareFun):
-        sorts = " ".join(print_sort(s) for s in cmd.arg_sorts)
-        return f"(DeclareFun {cmd.name} ({sorts}) {print_sort(cmd.ret)})"
-    if isinstance(cmd, DefineFun):
-        params = " ".join(f"({n} {print_sort(s)})" for n, s in cmd.params)
-        return (
-            f"(DefineFun {cmd.name} ({params}) {print_sort(cmd.ret)} "
-            f"{_dump_term(cmd.body)})"
-        )
-    if isinstance(cmd, SynthFun):
-        params = " ".join(f"({n} {print_sort(s)})" for n, s in cmd.params)
-        nts = " ".join(
-            f"({nt.name} {print_sort(nt.sort)} "
-            f"({' '.join(_dump_term(p) for p in nt.productions)}))"
-            for nt in cmd.grammar
-        )
-        return f"(SynthFun {cmd.name} ({params}) {print_sort(cmd.ret)} ({nts}))"
-    if isinstance(cmd, Constraint):
-        return f"(Constraint {_dump_term(cmd.body)})"
-    if isinstance(cmd, CheckSynth):
-        return "(CheckSynth)"
-    assert isinstance(cmd, SetOptions)
-    opts = " ".join(f'({n} "{v}")' for n, v in cmd.opts)
-    return f"(SetOptions ({opts}))"
+    # The four grammar shorthands dump as they print.
+    return print_term(t)
 
 
 def dump_program(p: Program) -> str:
-    """Structural AST dump, one command per line."""
-    return "".join(_dump_command(c) + "\n" for c in p.commands)
+    """Structural AST dump, one command per line: the printer's layout with
+    class names for keywords and every term node tagged with its kind."""
+    return "".join(
+        print_command(c, _dump_term, lambda cmd: type(cmd).__name__) + "\n"
+        for c in p.commands
+    )
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii", errors="strict") as f:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as f:
         return f.read()
+
+
+def _ascii(data: bytes) -> str:
+    """``data`` as text; the first byte outside ASCII is a lexical error."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        col = e.start - data.rfind(b"\n", 0, e.start)
+        raise LexError(line, col, f"non-ASCII byte 0x{data[e.start]:02x}") from None
 
 
 def _diag_line(path: str, pos: Pos, code: str, message: str) -> str:
@@ -197,9 +159,9 @@ def _diag_line(path: str, pos: Pos, code: str, message: str) -> str:
     return f"{shown}:{pos.line}:{pos.col}: {code}: {message}\n"
 
 
-def _front_end(path: str, text: str, stderr: TextIO) -> Optional[Program]:
+def _front_end(path: str, data: bytes, stderr: TextIO) -> Optional[Program]:
     try:
-        return parse_program(tokenize(text))
+        return parse_program(tokenize(_ascii(data)))
     except LexError as e:
         stderr.write(_diag_line(path, Pos(e.line, e.col), "E-LEX", e.message))
     except ParseError as e:
@@ -229,14 +191,23 @@ def run(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     args = build_arg_parser().parse_args(argv)
-
     try:
-        text = _read_input(args.input)
+        return _run(args, out, err)
+    except RecursionError:
+        # The parser, checker, printer and evaluator recurse once per level
+        # of term nesting.
+        err.write(_diag_line(args.input, NO_POS, "E-DEPTH", "input nests too deeply"))
+        return EXIT_STATIC
+
+
+def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    try:
+        data = _read_input(args.input)
     except OSError as e:
         err.write(f"error: cannot read {args.input}: {e.strerror}\n")
         return EXIT_IO
 
-    program = _front_end(args.input, text, err)
+    program = _front_end(args.input, data, err)
     if program is None:
         return EXIT_STATIC
 
@@ -253,26 +224,21 @@ def run(
     if args.subcommand == "check":
         return EXIT_OK
 
-    cfg = SolverConfig()
+    flags = [
+        (name, getattr(args, field))
+        for name, (field, _, _) in _OPTIONS.items()
+        if getattr(args, field) is not None
+    ]
     try:
         cfg = apply_set_options(
-            problem.options, cfg, verbose_out=err if args.verbose else None
+            problem.options, SolverConfig(), verbose_out=err if args.verbose else None
         )
+        # CLI flags win over set-options from the file.
+        cfg = apply_set_options(flags, cfg)
     except CheckError as e:
         d = e.diagnostic
         err.write(_diag_line(args.input, d.pos, d.code, d.message))
         return EXIT_STATIC
-
-    # CLI flags win over set-options from the file.
-    overrides = {
-        "max_term_size": args.max_term_size,
-        "grid_radius": args.grid_radius,
-        "random_samples": args.random_samples,
-        "uf_model_count": args.uf_model_count,
-        "seed": args.seed,
-        "timeout_seconds": args.timeout_seconds,
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     if args.constant_pool is not None:
         try:
             pool = tuple(int(c.strip()) for c in args.constant_pool.split(","))
@@ -288,7 +254,7 @@ def run(
         return EXIT_UNSUPPORTED if e.code == "E-THEORY-UNSUPPORTED" else EXIT_STATIC
 
     if isinstance(result, Solved):
-        out.write(print_solution(result.candidate.terms, problem.synth_tasks))
+        out.write(print_solution(result.terms, problem.synth_tasks))
         return EXIT_OK
     assert isinstance(result, Fail)
     out.write(print_fail())

@@ -17,21 +17,19 @@ from typing import Optional, Union
 
 from .checker import (
     CheckedProblem,
-    RArray,
     RBitVec,
     REnum,
     RInt,
     RBool,
-    RReal,
     R_BOOL,
     R_INT,
     R_REAL,
     ResolvedSort,
     UFDecl,
+    unsupported_sort,
 )
 from .syntax import (
     App,
-    Binding,
     BoolConst,
     BVConst,
     EnumConst,
@@ -42,7 +40,6 @@ from .syntax import (
     Ref,
     Symbol,
     Term,
-    free_refs,
 )
 
 # Sampled uninterpreted-function results: integers are drawn uniformly from
@@ -152,10 +149,6 @@ def _value_for_sort(sort: ResolvedSort, u: int) -> Value:
     raise AssertionError(f"no sampled values for sort {sort}")
 
 
-def _has_unsupported_sort(sorts: tuple[ResolvedSort, ...]) -> bool:
-    return any(isinstance(s, (RReal, RArray)) for s in sorts)
-
-
 class UFModel:
     """Memoized finite model of the declared uninterpreted functions.
 
@@ -190,7 +183,7 @@ class UFModel:
 def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
     """Deterministic sampled model for the given declarations and seed."""
     for d in decls:
-        if _has_unsupported_sort(d.arg_sorts + (d.ret,)):
+        if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
             raise EvalError(
                 "E-UF-UNSUPPORTED-SORT",
                 f"cannot sample models for '{d.name}' over Real or Array sorts",
@@ -213,17 +206,17 @@ class _Callable:
 class EvalEnv:
     """Function tables and enum registry shared across evaluations.
 
-    Candidate bodies for the synthesis functions are swappable, so one
-    environment can screen many candidates without rebuilding its tables.
+    The bodies of the synthesis functions are swappable, so one environment
+    can screen many candidates without rebuilding its tables.
     """
 
     def __init__(
         self,
         problem: CheckedProblem,
-        ufs: Optional[UFModel] = None,
         candidates: Optional[dict[Symbol, Term]] = None,
     ):
-        self.model = ufs
+        #: The sampled model that uninterpreted functions are evaluated in.
+        self.model: Optional[UFModel] = None
         self.enums = problem.enum_registry()
         self.funcs: dict[Symbol, list[_Callable]] = {}
         for m in problem.macros:
@@ -416,98 +409,3 @@ def _bv_op(name: Symbol, a: VBV, args: tuple[Value, ...]) -> Value:
     if name == "bvule":
         return VBool(a.value <= b.value)
     raise AssertionError(f"no semantics for '{name}'")
-
-
-# ---------------------------------------------------------------------------
-# Macro expansion
-
-
-def expand_macros(t: Term, macros) -> Term:
-    """Replace every macro application by its substituted body.
-
-    ``macros`` is an iterable of objects with name/params/body attributes
-    (``MacroDef`` works).  Overloaded macro names are not supported here;
-    evaluation handles those directly.
-    """
-    table: dict[Symbol, tuple[tuple[Symbol, ...], Term]] = {}
-    for m in macros:
-        if m.name in table:
-            raise ValueError(f"macro '{m.name}' is overloaded; cannot expand")
-        table[m.name] = (tuple(p for p, _ in m.params), m.body)
-    expanded: dict[Symbol, Term] = {}
-
-    def body_of(name: Symbol) -> Term:
-        if name not in expanded:
-            params, body = table[name]
-            expanded[name] = walk(body)
-        return expanded[name]
-
-    def walk(node: Term) -> Term:
-        if isinstance(node, App):
-            args = tuple(walk(a) for a in node.args)
-            if node.head in table:
-                params, _ = table[node.head]
-                return _substitute(body_of(node.head), dict(zip(params, args)))
-            return App(node.head, args, node.pos)
-        if isinstance(node, Ref):
-            if node.name in table:
-                params, _ = table[node.name]
-                if not params:
-                    return body_of(node.name)
-            return node
-        if isinstance(node, Let):
-            bindings = tuple(
-                Binding(b.name, b.sort, walk(b.value)) for b in node.bindings
-            )
-            return Let(bindings, walk(node.body), node.pos)
-        return node
-
-    return walk(t)
-
-
-def _substitute(t: Term, mapping: dict[Symbol, Term]) -> Term:
-    """Capture-avoiding substitution of terms for variable references."""
-    counter = [0]
-
-    def fresh(base: Symbol, avoid: set[Symbol]) -> Symbol:
-        while True:
-            counter[0] += 1
-            candidate = f"{base}!{counter[0]}"
-            if candidate not in avoid:
-                return candidate
-
-    def go(node: Term, m: dict[Symbol, Term]) -> Term:
-        if not m:
-            return node
-        if isinstance(node, Ref):
-            return m.get(node.name, node)
-        if isinstance(node, App):
-            return App(node.head, tuple(go(a, m) for a in node.args), node.pos)
-        if isinstance(node, Let):
-            values = [go(b.value, m) for b in node.bindings]
-            bound = {b.name for b in node.bindings}
-            inner = {k: v for k, v in m.items() if k not in bound}
-            captured: set[Symbol] = set()
-            for repl in inner.values():
-                captured |= free_refs(repl)
-            avoid = captured | set(free_refs(node.body)) | bound | set(inner)
-            renames: dict[Symbol, Term] = {}
-            new_names: list[Symbol] = []
-            for b in node.bindings:
-                if b.name in captured:
-                    nn = fresh(b.name, avoid)
-                    avoid.add(nn)
-                    renames[b.name] = Ref(nn)
-                    new_names.append(nn)
-                else:
-                    new_names.append(b.name)
-            body_map = dict(inner)
-            body_map.update(renames)
-            bindings = tuple(
-                Binding(nn, b.sort, v)
-                for nn, b, v in zip(new_names, node.bindings, values)
-            )
-            return Let(bindings, go(node.body, body_map), node.pos)
-        return node
-
-    return go(t, dict(mapping))

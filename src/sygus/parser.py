@@ -7,9 +7,7 @@ wherever a user identifier is required.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .lexer import RESERVED_WORDS, LexError, TokKind, Token, tokenize
+from .lexer import RESERVED_WORDS, TokKind, Token, tokenize
 from .syntax import (
     App,
     ArraySort,
@@ -104,9 +102,8 @@ class _Parser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
+    def peek(self) -> Token | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def pos(self) -> Pos:
         tok = self.peek()
@@ -129,17 +126,6 @@ class _Parser:
             self.fail(expected, tok)
         self.i += 1
         return tok
-
-    def take_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not TokKind.SYMBOL or tok.value != word:
-            self.fail(f"'{word}'", tok)
-        self.i += 1
-        return tok
-
-    def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok is not None and tok.kind is TokKind.SYMBOL and tok.value == word
 
     def identifier(self, what: str) -> tuple[Symbol, Pos]:
         tok = self.peek()

@@ -8,7 +8,9 @@ decimal expansion.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from typing import Callable
 
 from .checker import SynthTask
 from .syntax import (
@@ -36,7 +38,6 @@ from .syntax import (
     Literal,
     LocalVariableOf,
     NamedSort,
-    NTDef,
     Program,
     RealConst,
     RealSort,
@@ -136,39 +137,44 @@ def _print_params(params) -> str:
     return "(" + " ".join(f"({n} {print_sort(s)})" for n, s in params) + ")"
 
 
-def _print_nt(nt: NTDef) -> str:
-    prods = " ".join(print_term(p) for p in nt.productions)
-    return f"({nt.name} {print_sort(nt.sort)} ({prods}))"
+def _keyword(cmd: Command) -> str:
+    """The surface keyword: the command's class name in kebab case."""
+    return "-".join(re.findall("[A-Z][a-z]*", type(cmd).__name__)).lower()
 
 
-def print_command(cmd: Command) -> str:
+def print_command(
+    cmd: Command,
+    term: Callable[[Term], str] = print_term,
+    keyword: Callable[[Command], str] = _keyword,
+) -> str:
+    """One command on one line; ``term`` renders the terms inside it and
+    ``keyword`` names it."""
     if isinstance(cmd, SetLogic):
-        return f"(set-logic {cmd.logic})"
-    if isinstance(cmd, DefineSort):
-        return f"(define-sort {cmd.name} {print_sort(cmd.body)})"
-    if isinstance(cmd, DeclareVar):
-        return f"(declare-var {cmd.name} {print_sort(cmd.sort)})"
-    if isinstance(cmd, DeclareFun):
+        parts = [cmd.logic]
+    elif isinstance(cmd, DefineSort):
+        parts = [cmd.name, print_sort(cmd.body)]
+    elif isinstance(cmd, DeclareVar):
+        parts = [cmd.name, print_sort(cmd.sort)]
+    elif isinstance(cmd, DeclareFun):
         sorts = " ".join(print_sort(s) for s in cmd.arg_sorts)
-        return f"(declare-fun {cmd.name} ({sorts}) {print_sort(cmd.ret)})"
-    if isinstance(cmd, DefineFun):
-        return (
-            f"(define-fun {cmd.name} {_print_params(cmd.params)} "
-            f"{print_sort(cmd.ret)} {print_term(cmd.body)})"
+        parts = [cmd.name, f"({sorts})", print_sort(cmd.ret)]
+    elif isinstance(cmd, DefineFun):
+        parts = [cmd.name, _print_params(cmd.params), print_sort(cmd.ret), term(cmd.body)]
+    elif isinstance(cmd, SynthFun):
+        nts = " ".join(
+            f"({nt.name} {print_sort(nt.sort)} ({' '.join(map(term, nt.productions))}))"
+            for nt in cmd.grammar
         )
-    if isinstance(cmd, SynthFun):
-        nts = " ".join(_print_nt(nt) for nt in cmd.grammar)
-        return (
-            f"(synth-fun {cmd.name} {_print_params(cmd.params)} "
-            f"{print_sort(cmd.ret)} ({nts}))"
-        )
-    if isinstance(cmd, Constraint):
-        return f"(constraint {print_term(cmd.body)})"
-    if isinstance(cmd, CheckSynth):
-        return "(check-synth)"
-    assert isinstance(cmd, SetOptions)
-    opts = " ".join(f'({name} "{value}")' for name, value in cmd.opts)
-    return f"(set-options ({opts}))"
+        parts = [cmd.name, _print_params(cmd.params), print_sort(cmd.ret), f"({nts})"]
+    elif isinstance(cmd, Constraint):
+        parts = [term(cmd.body)]
+    elif isinstance(cmd, CheckSynth):
+        parts = []
+    else:
+        assert isinstance(cmd, SetOptions)
+        opts = " ".join(f'({name} "{value}")' for name, value in cmd.opts)
+        parts = [f"({opts})"]
+    return f"({' '.join([keyword(cmd), *parts])})"
 
 
 def print_program(p: Program) -> str:

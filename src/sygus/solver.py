@@ -31,14 +31,13 @@ from typing import Iterator, Mapping, Optional, Union
 from .checker import (
     CheckedNT,
     CheckedProblem,
-    RArray,
     RBitVec,
     RBool,
     REnum,
     RInt,
-    RReal,
     ResolvedSort,
     SynthTask,
+    unsupported_sort,
 )
 from .evaluator import (
     Assignment,
@@ -80,6 +79,13 @@ from .syntax import (
 
 _MASK64 = (1 << 64) - 1
 
+#: Grid points checked per sampled model; the grid is cut beyond this.
+GRID_POINT_CAP = 10_000
+#: Random Int samples are drawn from [-SAMPLE_RANGE, SAMPLE_RANGE].
+SAMPLE_RANGE = 1 << 16
+#: Seeded draws added to 0, 1 and all-ones for bit-vectors wider than 4.
+BV_SAMPLE_COUNT = 8
+
 
 class SolveError(Exception):
     def __init__(self, code: str, message: str):
@@ -94,20 +100,20 @@ class SolverConfig:
 
     ``constant_pool`` supplies the alternatives for integer ``(Constant _)``
     shorthands; bit-vector pools are exhaustive up to width 4 and otherwise
-    use 0, 1, all-ones plus ``bv_sample_count`` seeded draws; enum pools are
-    all constructors.  ``timeout_seconds`` bounds the whole solve; ``None``
-    means no limit, and ``0`` is a limit that has already passed.
+    use 0, 1, all-ones plus ``BV_SAMPLE_COUNT`` seeded draws; enum pools are
+    all constructors.  Verification checks the integer grid of radius
+    ``grid_radius`` (cut at ``GRID_POINT_CAP`` points) under each of
+    ``uf_model_count`` sampled models, then ``random_samples`` random points.
+    ``timeout_seconds`` bounds the whole solve; ``None`` means no limit, and
+    ``0`` is a limit that has already passed.
     """
 
     max_term_size: int = 12
     grid_radius: int = 5
-    grid_point_cap: int = 10_000
     random_samples: int = 256
-    sample_range: int = 1 << 16
     uf_model_count: int = 32
     seed: int = 0
     constant_pool: tuple[int, ...] = (0, 1, -1, 2)
-    bv_sample_count: int = 8
     timeout_seconds: Optional[float] = None
 
 
@@ -116,29 +122,26 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class ExpandedNT:
-    name: Symbol
-    sort: ResolvedSort
-    productions: tuple[GTerm, ...]
-
-
-@dataclass(frozen=True)
 class ExpandedGrammar:
-    nts: dict[Symbol, ExpandedNT]
+    """A grammar whose productions hold no shorthands."""
+
+    nts: dict[Symbol, CheckedNT]
     order: tuple[Symbol, ...]
     let_names: frozenset[Symbol]
 
 
-def _grammar_lets(grammar: tuple[CheckedNT, ...], problem: CheckedProblem):
-    """Let-bound names across all productions, in first-occurrence order."""
-    lets: dict[Symbol, ResolvedSort] = {}
-    for nt in grammar:
-        for prod in nt.productions:
-            for node in subterms(prod):
-                if isinstance(node, Let):
-                    for b in node.bindings:
-                        lets.setdefault(b.name, problem.resolve(b.sort))
-    return lets
+def _bv_values(width: int, seed: int, tag: str) -> list[int]:
+    """Every value up to width 4; beyond, 0, 1, all-ones and
+    ``BV_SAMPLE_COUNT`` draws seeded by ``tag``."""
+    if width <= 4:
+        return list(range(1 << width))
+    values = [0, 1, (1 << width) - 1]
+    rng = random.Random(stable_u64(seed, tag, width))
+    for _ in range(BV_SAMPLE_COUNT):
+        v = rng.randrange(1 << width)
+        if v not in values:
+            values.append(v)
+    return values
 
 
 def _constant_alternatives(
@@ -150,16 +153,7 @@ def _constant_alternatives(
         return [Lit(BoolConst(True)), Lit(BoolConst(False))]
     if isinstance(sort, RBitVec):
         w = sort.width
-        if w <= 4:
-            values = list(range(1 << w))
-        else:
-            values = [0, 1, (1 << w) - 1]
-            rng = random.Random(stable_u64(cfg.seed, "bv-pool", w))
-            for _ in range(cfg.bv_sample_count):
-                v = rng.randrange(1 << w)
-                if v not in values:
-                    values.append(v)
-        return [Lit(BVConst(w, v)) for v in values]
+        return [Lit(BVConst(w, v)) for v in _bv_values(w, cfg.seed, "bv-pool")]
     if isinstance(sort, REnum) and isinstance(surface, NamedSort):
         # Enum constants need a nameable sort; inline enums have none.
         return [Lit(EnumConst(surface.name, c)) for c in sort.constructors]
@@ -167,13 +161,12 @@ def _constant_alternatives(
 
 
 def expand_shorthands(
-    grammar: tuple[CheckedNT, ...],
-    task: SynthTask,
-    problem: CheckedProblem,
-    cfg: SolverConfig,
+    task: SynthTask, problem: CheckedProblem, cfg: SolverConfig
 ) -> ExpandedGrammar:
-    """Replace the four grammar shorthands by concrete alternatives."""
-    lets = _grammar_lets(grammar, problem)
+    """Replace the four grammar shorthands of ``task``'s grammar by concrete
+    alternatives: constants of the sort, and the task's parameters and the
+    grammar's let-bound names of the sort, in declaration and
+    first-occurrence order."""
 
     def expand(prod: GTerm) -> list[GTerm]:
         if isinstance(prod, ConstantOf):
@@ -183,16 +176,16 @@ def expand_shorthands(
             return [Ref(p) for p, s in task.params if s == want]
         if isinstance(prod, LocalVariableOf):
             want = problem.resolve(prod.sort)
-            return [Ref(n) for n, s in lets.items() if s == want]
+            return [Ref(n) for n, s in task.lets if s == want]
         if isinstance(prod, VariableOf):
             want = problem.resolve(prod.sort)
             out = [Ref(p) for p, s in task.params if s == want]
-            out.extend(Ref(n) for n, s in lets.items() if s == want)
+            out.extend(Ref(n) for n, s in task.lets if s == want)
             return out
         return [prod]
 
-    nts: dict[Symbol, ExpandedNT] = {}
-    for nt in grammar:
+    nts: dict[Symbol, CheckedNT] = {}
+    for nt in task.grammar:
         productions: list[GTerm] = []
         for prod in nt.productions:
             productions.extend(expand(prod))
@@ -201,8 +194,8 @@ def expand_shorthands(
                 "E-EMPTY-EXPANSION",
                 f"every production of non-terminal '{nt.name}' expanded to nothing",
             )
-        nts[nt.name] = ExpandedNT(nt.name, nt.sort, tuple(productions))
-    return ExpandedGrammar(nts, tuple(n.name for n in grammar), frozenset(lets))
+        nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
+    return ExpandedGrammar(nts, tuple(nts), frozenset(n for n, _ in task.lets))
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +411,16 @@ VerificationResult = Union[Valid, Counterexample]
 
 
 @dataclass(frozen=True)
-class Candidate:
-    terms: dict[Symbol, Term]
-
-
-@dataclass(frozen=True)
 class Solved:
-    candidate: Candidate
+    """A tuple of bodies that passed verification, by synthesis function
+    name; empty when the problem has no synthesis functions."""
+
+    terms: dict[Symbol, Term]
 
 
 @dataclass(frozen=True)
 class Fail:
     reason: str  # "exhausted" or "timeout"
-
-
-def _unsupported(sort: ResolvedSort) -> bool:
-    return isinstance(sort, (RReal, RArray))
 
 
 def _theory_gate(problem: CheckedProblem) -> None:
@@ -443,20 +430,20 @@ def _theory_gate(problem: CheckedProblem) -> None:
             f"solving over the {problem.sig.logic} theory is not supported",
         )
     for name, sort in problem.universal_vars:
-        if _unsupported(sort):
+        if unsupported_sort(sort):
             raise SolveError(
                 "E-THEORY-UNSUPPORTED",
                 f"universal variable '{name}' has unsupported sort {sort}",
             )
     for d in problem.uf_decls:
-        if any(_unsupported(s) for s in d.arg_sorts + (d.ret,)):
+        if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
             raise SolveError(
                 "E-THEORY-UNSUPPORTED",
                 f"uninterpreted function '{d.name}' has an unsupported sort",
             )
     for task in problem.synth_tasks:
         sorts = tuple(s for _, s in task.params) + (task.ret,)
-        if any(_unsupported(s) for s in sorts):
+        if any(map(unsupported_sort, sorts)):
             raise SolveError(
                 "E-THEORY-UNSUPPORTED",
                 f"synthesis function '{task.name}' has an unsupported sort",
@@ -479,22 +466,14 @@ def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> list[Value]:
         return [VBool(False), VBool(True)]
     if isinstance(sort, RBitVec):
         w = sort.width
-        if w <= 4:
-            return [VBV(w, v) for v in range(1 << w)]
-        values = [0, 1, (1 << w) - 1]
-        rng = random.Random(stable_u64(cfg.seed, "bv-grid", w))
-        for _ in range(cfg.bv_sample_count):
-            v = rng.randrange(1 << w)
-            if v not in values:
-                values.append(v)
-        return [VBV(w, v) for v in values]
+        return [VBV(w, v) for v in _bv_values(w, cfg.seed, "bv-grid")]
     assert isinstance(sort, REnum)
     return [VEnum(sort.identity, c) for c in sort.constructors]
 
 
-def _random_value(sort: ResolvedSort, rng: random.Random, cfg: SolverConfig) -> Value:
+def _random_value(sort: ResolvedSort, rng: random.Random) -> Value:
     if isinstance(sort, RInt):
-        return VInt(rng.randint(-cfg.sample_range, cfg.sample_range))
+        return VInt(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
     if isinstance(sort, RBool):
         return VBool(bool(rng.getrandbits(1)))
     if isinstance(sort, RBitVec):
@@ -503,10 +482,11 @@ def _random_value(sort: ResolvedSort, rng: random.Random, cfg: SolverConfig) -> 
     return VEnum(sort.identity, rng.choice(sort.constructors))
 
 
-def _falsifies(problem: CheckedProblem, env: EvalEnv, assignment: Assignment,
+def _falsifies(constraints, env: EvalEnv, assignment: Assignment,
                model: Optional[UFModel]) -> bool:
+    """Whether some constraint is false at ``assignment`` under ``model``."""
     env.model = model
-    for c in problem.constraints:
+    for c in constraints:
         if not eval_term(c, assignment, env).value:
             return True
     return False
@@ -519,20 +499,21 @@ def verify(
     cex_store: Optional[list[tuple[Assignment, int]]] = None,
     _deadline: Optional[float] = None,
 ) -> VerificationResult:
-    """Check a candidate against stored counterexamples, the grid, and
-    random samples; a novel counterexample is appended to ``cex_store``."""
+    """Check a candidate, given as a body per synthesis function name,
+    against stored counterexamples, the grid, and random samples; a novel
+    counterexample is appended to ``cex_store``."""
     _theory_gate(problem)
     if cex_store is None:
         cex_store = []
-    terms = candidate.terms if isinstance(candidate, Candidate) else dict(candidate)
-    env = EvalEnv(problem, candidates=terms)
+    env = EvalEnv(problem, candidates=dict(candidate))
+    constraints = problem.constraints
     has_ufs = bool(problem.uf_decls)
 
     def model_for(seed: int) -> Optional[UFModel]:
         return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
 
     for assignment, uf_seed in cex_store:
-        if _falsifies(problem, env, assignment, model_for(uf_seed)):
+        if _falsifies(constraints, env, assignment, model_for(uf_seed)):
             return Counterexample(assignment, uf_seed)
 
     names = [n for n, _ in problem.universal_vars]
@@ -543,9 +524,9 @@ def verify(
         model_seeds = [cfg.seed]
     for model_seed in model_seeds:
         model = model_for(model_seed)
-        for point in islice(product(*domains), cfg.grid_point_cap):
+        for point in islice(product(*domains), GRID_POINT_CAP):
             assignment = dict(zip(names, point))
-            if _falsifies(problem, env, assignment, model):
+            if _falsifies(constraints, env, assignment, model):
                 cex_store.append((assignment, model_seed))
                 return Counterexample(assignment, model_seed)
         if _deadline is not None and time.monotonic() > _deadline:
@@ -554,10 +535,10 @@ def verify(
     rng = random.Random(stable_u64(cfg.seed, "samples"))
     for _ in range(cfg.random_samples):
         assignment = {
-            n: _random_value(s, rng, cfg) for n, s in problem.universal_vars
+            n: _random_value(s, rng) for n, s in problem.universal_vars
         }
         sample_seed = rng.getrandbits(64) if has_ufs else cfg.seed
-        if _falsifies(problem, env, assignment, model_for(sample_seed)):
+        if _falsifies(constraints, env, assignment, model_for(sample_seed)):
             cex_store.append((assignment, sample_seed))
             return Counterexample(assignment, sample_seed)
     return Valid()
@@ -613,12 +594,11 @@ class _Screen:
         self.env.set_candidate(self.task_name, term)
         while done < len(self.store):
             assignment, uf_seed = self.store[done]
-            self.env.model = self.model_for(uf_seed)
-            for c in self.constraints:
-                if not eval_term(c, assignment, self.env).value:
-                    self.progress[id(term)] = -1
-                    self.deaths += 1
-                    return False
+            model = self.model_for(uf_seed)
+            if _falsifies(self.constraints, self.env, assignment, model):
+                self.progress[id(term)] = -1
+                self.deaths += 1
+                return False
             done += 1
         self.progress[id(term)] = done
         return True
@@ -633,9 +613,9 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:
         result = verify({}, problem, cfg, cex_store)
-        return Solved(Candidate({})) if isinstance(result, Valid) else Fail("exhausted")
+        return Solved({}) if isinstance(result, Valid) else Fail("exhausted")
 
-    grammars = {t.name: expand_shorthands(t.grammar, t, problem, cfg) for t in tasks}
+    grammars = {t.name: expand_shorthands(t, problem, cfg) for t in tasks}
     tables = {t.name: TermTable(grammars[t.name], deadline) for t in tasks}
     names = [t.name for t in tasks]
     name_set = frozenset(names)
@@ -666,12 +646,10 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         if not joint or not cex_store:
             return True
         joint_env.set_candidates(assignment_terms)
-        for assignment, uf_seed in cex_store:
-            joint_env.model = model_for(uf_seed)
-            for c in joint:
-                if not eval_term(c, assignment, joint_env).value:
-                    return False
-        return True
+        return not any(
+            _falsifies(joint, joint_env, assignment, model_for(uf_seed))
+            for assignment, uf_seed in cex_store
+        )
 
     def live(pools: list[list[Term]]) -> list[list[Term]]:
         """The inner pools without the terms already known dead.  Nothing is
@@ -728,7 +706,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                             terms, problem, cfg, cex_store, _deadline=deadline.at
                         )
                         if isinstance(result, Valid):
-                            return Solved(Candidate(terms))
+                            return Solved(terms)
     except _Timeout:
         return Fail("timeout")
     return Fail("exhausted")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 Symbol = str
 
@@ -319,11 +319,6 @@ def term_size(t: Term) -> int:
     if isinstance(t, Let):
         return 1 + sum(term_size(b.value) for b in t.bindings) + term_size(t.body)
     return 1
-
-
-def structural_eq(a: Term, b: Term) -> bool:
-    """True iff the trees are identical ignoring source positions."""
-    return a == b
 
 
 def subterms(t: Term) -> Iterator[Term]:

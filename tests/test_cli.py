@@ -1,8 +1,10 @@
+import io
+import sys
 from io import StringIO
 
 import pytest
 
-from sygus.cli import EXIT_FAIL, EXIT_OK, run
+from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, run
 
 from conftest import FIXTURE_SOLUTIONS, FIXTURES, LIA_ITE_UNSOLVABLE
 
@@ -36,3 +38,112 @@ def test_solve_timed_out(unsolvable_path):
     code, out, err = run_cli("solve", "--timeout-seconds", "0", unsolvable_path)
     assert (code, out) == (EXIT_FAIL, "(fail)\n")
     assert err == "note: search stopped by timeout\n"
+
+
+ONE_LINER = """\
+(set-logic LIA)
+{options}(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))
+(declare-var x Int)
+(constraint (= (f x) x))
+(check-synth)
+"""
+
+
+def spec_path(tmp_path, options=""):
+    path = tmp_path / "spec.sl"
+    path.write_text(ONE_LINER.format(options=options))
+    return str(path)
+
+
+def test_non_ascii_file_is_a_lex_error(tmp_path):
+    path = tmp_path / "accent.sl"
+    path.write_bytes(b"(set-logic LIA)\n; caf\xc3\xa9\n(check-synth)\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err == f"{path}:2:6: E-LEX: non-ASCII byte 0xc3\n"
+
+
+def test_non_ascii_stdin_is_a_lex_error(monkeypatch):
+    data = b"(set-logic LIA)\n; caf\xc3\xa9\n(check-synth)\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out, err = run_cli("check", "-")
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err == "<stdin>:2:6: E-LEX: non-ASCII byte 0xc3\n"
+
+
+def test_ascii_stdin_is_read(monkeypatch):
+    data = ONE_LINER.format(options="").encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run_cli("solve", "-") == (EXIT_OK, "(define-fun f ((x Int)) Int x)\n", "")
+
+
+@pytest.mark.parametrize("subcommand", ["parse", "check", "fmt", "solve"])
+def test_deep_nesting_is_a_diagnostic(tmp_path, subcommand):
+    path = tmp_path / "deep.sl"
+    path.write_text(
+        "(declare-var x Int)\n(constraint "
+        + "(not " * 3000 + "true" + ")" * 3000
+        + ")\n(check-synth)\n"
+    )
+    code, out, err = run_cli(subcommand, str(path))
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err == f"{path}:0:0: E-DEPTH: input nests too deeply\n"
+
+
+def opt_value_error(path, name, value):
+    least = {"max-term-size": 1, "uf-model-count": 1}.get(name, 0)
+    return f"{path}:0:0: E-OPT-VALUE: option '{name}' needs a value >= {least}, got \"{value}\"\n"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max-term-size", "0"),
+        ("uf-model-count", "0"),
+        ("grid-radius", "-1"),
+        ("random-samples", "-1"),
+        ("timeout-seconds", "-0.5"),
+        ("timeout-seconds", "nan"),
+    ],
+)
+def test_out_of_range_flag_is_rejected(tmp_path, name, value):
+    path = spec_path(tmp_path)
+    got = run_cli("solve", f"--{name}", value, path)
+    assert got == (EXIT_STATIC, "", opt_value_error(path, name, value))
+
+
+# A quoted option value holds only letters, digits and dots, so a file
+# cannot write a negative number.
+@pytest.mark.parametrize(
+    "name, value",
+    [("max-term-size", "0"), ("uf-model-count", "0"), ("timeout-seconds", "nan")],
+)
+def test_out_of_range_set_option_is_rejected(tmp_path, name, value):
+    path = spec_path(tmp_path, f'(set-options (({name} "{value}")))\n')
+    got = run_cli("solve", path)
+    assert got == (EXIT_STATIC, "", opt_value_error(path, name, value))
+
+
+def test_unconvertible_option_is_rejected(tmp_path):
+    code, out, err = run_cli("solve", "--seed", "x", spec_path(tmp_path))
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err.endswith("E-OPT-VALUE: option 'seed' needs a int value, got \"x\"\n")
+
+
+def test_flag_wins_over_the_file(tmp_path):
+    path = tmp_path / "spec.sl"
+    path.write_text(
+        ONE_LINER.format(options='(set-options ((max-term-size "3")))\n')
+        .replace("(= (f x) x)", "(= (f x) (+ x 5))")
+    )
+    code, out, err = run_cli("solve", "--max-term-size", "2", str(path))
+    assert (code, out, err) == (
+        EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 2\n"
+    )
+
+
+def test_smallest_legal_option_values_are_accepted(tmp_path):
+    flags = ["--max-term-size", "1", "--uf-model-count", "1", "--grid-radius", "0",
+             "--random-samples", "0"]
+    code, out, _ = run_cli("solve", *flags, spec_path(tmp_path))
+    assert (code, out) == (EXIT_OK, "(define-fun f ((x Int)) Int x)\n")

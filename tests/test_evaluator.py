@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sygus.checker import MacroDef, R_INT, UFDecl, check_program
+from sygus.checker import R_INT, UFDecl, check_program
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
@@ -14,12 +14,10 @@ from sygus.evaluator import (
     VInt,
     VReal,
     eval_term,
-    expand_macros,
     fresh_uf_model,
 )
 from sygus.lexer import tokenize
 from sygus.parser import parse_term, parse_text
-from sygus.syntax import App, Lit, IntConst, Ref
 
 from conftest import load_problem
 
@@ -185,59 +183,23 @@ def test_macro_application():
     assert eval_term(term("(double 21)"), {}, env) == VInt(42)
 
 
-def test_expand_single_macro():
-    got = expand_macros(term("(double x)"), MACRO_PROBLEM.macros[:1])
-    assert got == term("(+ x x)")
-
-
-def test_expand_nested_macro():
-    got = expand_macros(term("(double (double x))"), MACRO_PROBLEM.macros[:1])
-    assert got == term("(+ (+ x x) (+ x x))")
-
-
-def test_expand_macro_calling_macro():
-    got = expand_macros(term("(compose y)"), MACRO_PROBLEM.macros)
-    assert got == term("(+ (+ y y) (+ y y))")
-
-
-def test_expansion_avoids_capture():
-    shifty = MacroDef(
-        "shifty", (("m", R_INT),), R_INT, term("(let ((y Int 2)) (+ m y))")
-    )
-    expanded = expand_macros(term("(shifty y)"), (shifty,))
-    env = EvalEnv(EMPTY)
-    # With capture, the outer y would disappear and the result would be 4.
-    assert eval_term(expanded, {"y": VInt(10)}, env) == VInt(12)
-
-
-def _random_int_term(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice([Ref("a"), Ref("b"), Lit(IntConst(rng.randint(-4, 4)))])
-    roll = rng.random()
-    if roll < 0.25:
-        return App("double", (_random_int_term(rng, depth - 1),))
-    if roll < 0.35:
-        return App("compose", (_random_int_term(rng, depth - 1),))
-    if roll < 0.5:
-        return term("(let ((a Int 0)) a)")
-    return App(
-        rng.choice(["+", "-"]),
-        (_random_int_term(rng, depth - 1), _random_int_term(rng, depth - 1)),
-    )
-
-
-def test_macro_transparency_fuzzed():
-    # eval after expansion equals direct evaluation with macro dispatch.
-    rng = random.Random(101)
+def test_macro_calling_macro():
     env = EvalEnv(MACRO_PROBLEM)
-    for _ in range(1000):
-        t = _random_int_term(rng, 3)
-        expanded = expand_macros(t, MACRO_PROBLEM.macros)
-        assignment = {
-            "a": VInt(rng.randint(-50, 50)),
-            "b": VInt(rng.randint(-50, 50)),
-        }
-        assert eval_term(expanded, assignment, env) == eval_term(t, assignment, env)
+    assert eval_term(term("(compose y)"), {"y": VInt(3)}, env) == VInt(12)
+
+
+def test_macro_let_does_not_capture_the_argument():
+    problem = load_problem(
+        """
+(define-fun shifty ((m Int)) Int (let ((y Int 2)) (+ m y)))
+(declare-var y Int)
+(constraint (= (shifty y) y))
+(check-synth)
+"""
+    )
+    env = EvalEnv(problem)
+    # With capture, the caller's y would read as 2 and the result would be 4.
+    assert eval_term(term("(shifty y)"), {"y": VInt(10)}, env) == VInt(12)
 
 
 def test_enum_values_compare_by_sort_identity():

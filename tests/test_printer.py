@@ -1,0 +1,158 @@
+from fractions import Fraction
+from io import StringIO
+
+import pytest
+
+from sygus.cli import EXIT_OK, run
+from sygus.parser import parse_text
+from sygus.printer import (
+    PrintError,
+    decimal_str,
+    print_program,
+    print_solution,
+    print_term,
+)
+from sygus.syntax import BVConst, Lit
+
+from conftest import FIXTURES
+
+GOLDEN_DUMPS = {
+    "max2_min2": """\
+(SetLogic LIA)
+(SynthFun max2 ((x Int) (y Int)) Int ((Start Int ((Lit 0) (Lit 1) (Ref x) (Ref y) (App + (Ref Start) (Ref Start)) (App - (Ref Start) (Ref Start)) (App ite (Ref StartBool) (Ref Start) (Ref Start)))) (StartBool Bool ((App and (Ref StartBool) (Ref StartBool)) (App not (Ref StartBool)) (App <= (Ref Start) (Ref Start))))))
+(SynthFun min2 ((x Int) (y Int)) Int ((Start Int ((Constant Int) (Variable Int) (App + (Ref Start) (Ref Start)) (App - (Ref Start) (Ref Start)) (App ite (Ref StartBool) (Ref Start) (Ref Start)))) (StartBool Bool ((App and (Ref StartBool) (Ref StartBool)) (App not (Ref StartBool)) (App <= (Ref Start) (Ref Start))))))
+(DeclareVar x Int)
+(DeclareVar y Int)
+(Constraint (App >= (App max2 (Ref x) (Ref y)) (Ref x)))
+(Constraint (App >= (App max2 (Ref x) (Ref y)) (Ref y)))
+(Constraint (App or (App = (Ref x) (App max2 (Ref x) (Ref y))) (App or (App = (Ref y) (App max2 (Ref x) (Ref y))))))
+(Constraint (App = (App + (App max2 (Ref x) (Ref y)) (App min2 (Ref x) (Ref y))) (App + (Ref x) (Ref y))))
+(CheckSynth)
+""",
+    "uf_pair": """\
+(SetLogic LIA)
+(DeclareFun uf (Int) Int)
+(SynthFun f ((x Int) (y Int)) Bool ((Start Bool ((Lit true) (Lit false) (App <= (Ref IntExpr) (Ref IntExpr)) (App = (Ref IntExpr) (Ref IntExpr)) (App and (Ref Start) (Ref Start)) (App or (Ref Start) (Ref Start)) (App not (Ref Start)))) (IntExpr Int ((Lit 0) (Lit 1) (Ref x) (Ref y) (App + (Ref IntExpr) (Ref IntExpr)) (App - (Ref IntExpr) (Ref IntExpr))))))
+(DeclareVar x Int)
+(Constraint (App f (App uf (Ref x)) (App uf (Ref x))))
+(CheckSynth)
+""",
+    "let_grammar": """\
+(SynthFun f ((x Int) (y Int)) Int ((Start Int ((Ref x) (Ref y) (Ref z) (App + (Ref Start) (Ref Start)) (Let ((z Int (Ref Start))) (Ref Start))))))
+(DeclareVar a Int)
+(Constraint (App = (App f (Ref a) (Ref a)) (App f (Ref a) (Ref a))))
+(CheckSynth)
+""",
+}
+
+# Every command, every shorthand, a let with two bindings, a nullary
+# application, enum, bit-vector and real literals, and a command after
+# check-synth.
+EVERY_COMMAND = """\
+(set-logic LIA)
+(define-sort Color (Enum (Red Green)))
+(define-sort Word (BitVec 5))
+(declare-fun h ((Array Int Bool) Color) Bool)
+(define-fun pick ((c Color) (n Int)) Int (ite (= c Color::Red) n (- n 1)))
+(define-fun three () Int 3)
+(synth-fun f ((x Int) (w Word)) Int
+   ((Start Int ((Constant Int) (Variable Int) (InputVariable Int) (LocalVariable Int)
+                (let ((z Int Start) (b Bool true)) (+ z 1)) (pick Color::Green Start) (three)))))
+(declare-var x Int)
+(declare-var w Word)
+(constraint (= (f x w) (let ((y Int 2)) (+ x y))))
+(constraint (= w #x0a))
+(set-options ((seed "3") (max-term-size "4")))
+(check-synth)
+(constraint (= 2.5 -0.125))
+"""
+
+EVERY_COMMAND_DUMP = """\
+(SetLogic LIA)
+(DefineSort Color (Enum (Red Green)))
+(DefineSort Word (BitVec 5))
+(DeclareFun h ((Array Int Bool) Color) Bool)
+(DefineFun pick ((c Color) (n Int)) Int (App ite (App = (Ref c) (Lit Color::Red)) (Ref n) (App - (Ref n) (Lit 1))))
+(DefineFun three () Int (Lit 3))
+(SynthFun f ((x Int) (w Word)) Int ((Start Int ((Constant Int) (Variable Int) (InputVariable Int) (LocalVariable Int) (Let ((z Int (Ref Start)) (b Bool (Lit true))) (App + (Ref z) (Lit 1))) (App pick (Lit Color::Green) (Ref Start)) (App three)))))
+(DeclareVar x Int)
+(DeclareVar w Word)
+(Constraint (App = (App f (Ref x) (Ref w)) (Let ((y Int (Lit 2))) (App + (Ref x) (Ref y)))))
+(Constraint (App = (Ref w) (Lit #b00001010)))
+(SetOptions ((seed "3") (max-term-size "4")))
+(CheckSynth)
+(Constraint (App = (Lit 2.5) (Lit -0.125)))
+"""
+
+EVERY_COMMAND_FMT = """\
+(set-logic LIA)
+(define-sort Color (Enum (Red Green)))
+(define-sort Word (BitVec 5))
+(declare-fun h ((Array Int Bool) Color) Bool)
+(define-fun pick ((c Color) (n Int)) Int (ite (= c Color::Red) n (- n 1)))
+(define-fun three () Int 3)
+(synth-fun f ((x Int) (w Word)) Int ((Start Int ((Constant Int) (Variable Int) (InputVariable Int) (LocalVariable Int) (let ((z Int Start) (b Bool true)) (+ z 1)) (pick Color::Green Start) (three)))))
+(declare-var x Int)
+(declare-var w Word)
+(constraint (= (f x w) (let ((y Int 2)) (+ x y))))
+(constraint (= w #b00001010))
+(set-options ((seed "3") (max-term-size "4")))
+(check-synth)
+(constraint (= 2.5 -0.125))
+"""
+
+
+def run_cli(*argv):
+    out, err = StringIO(), StringIO()
+    code = run(list(argv), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_acceptance_c1_golden_parse_dump(name):
+    code, out, err = run_cli("parse", str(FIXTURES / f"{name}.sl"))
+    assert (code, out, err) == (EXIT_OK, GOLDEN_DUMPS[name], "")
+
+
+def test_parse_dump_of_every_command(tmp_path):
+    path = tmp_path / "every.sl"
+    path.write_text(EVERY_COMMAND)
+    assert run_cli("parse", str(path)) == (EXIT_OK, EVERY_COMMAND_DUMP, "")
+
+
+def test_fmt_of_every_command(tmp_path):
+    path = tmp_path / "every.sl"
+    path.write_text(EVERY_COMMAND)
+    assert run_cli("fmt", str(path)) == (EXIT_OK, EVERY_COMMAND_FMT, "")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_acceptance_c7_print_parse_round_trip(name):
+    program = parse_text((FIXTURES / f"{name}.sl").read_text())
+    assert parse_text(print_program(program)) == program
+
+
+def test_print_parse_round_trip_of_every_command():
+    program = parse_text(EVERY_COMMAND)
+    assert parse_text(print_program(program)) == program
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(Fraction(3), "3.0"), (Fraction(-5, 2), "-2.5"), (Fraction(1, 8), "0.125")],
+)
+def test_decimal_str(value, text):
+    assert decimal_str(value) == text
+
+
+def test_bit_vectors_print_in_binary_at_full_width():
+    assert print_term(Lit(BVConst(5, 5))) == "#b00101"
+    assert print_term(Lit(BVConst(8, 0x0F))) == "#b00001111"
+
+
+def test_print_solution_needs_a_body_for_every_task(max2_min2_problem):
+    [max2, _] = max2_min2_problem.synth_tasks
+    with pytest.raises(PrintError) as exc:
+        print_solution({"max2": max2.grammar[0].productions[0]},
+                       max2_min2_problem.synth_tasks)
+    assert exc.value.code == "E-INCOMPLETE-CANDIDATE"

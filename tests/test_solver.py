@@ -47,7 +47,7 @@ def fixture_problem(request, name):
 def grammars(problem):
     cfg = SolverConfig()
     return [
-        (task.name, expand_shorthands(task.grammar, task, problem, cfg))
+        (task.name, expand_shorthands(task, problem, cfg))
         for task in problem.synth_tasks
     ]
 
@@ -57,7 +57,7 @@ def test_acceptance_c2_golden_solution(request, name):
     problem = fixture_problem(request, name)
     result = solve(problem, SolverConfig())
     assert isinstance(result, Solved)
-    text = print_solution(result.candidate.terms, problem.synth_tasks)
+    text = print_solution(result.terms, problem.synth_tasks)
     assert text == FIXTURE_SOLUTIONS[name]
 
 
@@ -65,7 +65,7 @@ def test_acceptance_c8_two_solves_print_identical_bytes(max2_min2_problem):
     texts = []
     for _ in range(2):
         result = solve(max2_min2_problem, SolverConfig())
-        texts.append(print_solution(result.candidate.terms, max2_min2_problem.synth_tasks))
+        texts.append(print_solution(result.terms, max2_min2_problem.synth_tasks))
     assert texts[0] == texts[1]
 
 

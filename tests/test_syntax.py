@@ -15,7 +15,6 @@ from sygus.syntax import (
     RealConst,
     Ref,
     free_refs,
-    structural_eq,
     subterms,
     term_size,
 )
@@ -39,26 +38,26 @@ def test_term_size_let():
 def test_structural_eq_identical():
     a = App("+", (Ref("x"), Ref("y")))
     b = App("+", (Ref("x"), Ref("y")))
-    assert structural_eq(a, b)
+    assert a == b
 
 
 def test_structural_eq_argument_order():
     a = App("+", (Ref("x"), Ref("y")))
     b = App("+", (Ref("y"), Ref("x")))
-    assert not structural_eq(a, b)
+    assert a != b
 
 
 def test_structural_eq_is_name_sensitive():
     # No alpha-equivalence: differently named bindings are different terms.
     a = Let((Binding("z", IntSort(), Lit(IntConst(0))),), Ref("z"))
     b = Let((Binding("w", IntSort(), Lit(IntConst(0))),), Ref("w"))
-    assert not structural_eq(a, b)
+    assert a != b
 
 
 def test_structural_eq_ignores_positions():
     a = Ref("x", Pos(1, 1))
     b = Ref("x", Pos(99, 42))
-    assert structural_eq(a, b)
+    assert a == b
     assert hash(a) == hash(b)
 
 
@@ -82,14 +81,14 @@ def test_structural_eq_is_an_equivalence():
     rng = random.Random(11)
     terms = [_random_term(rng, 3) for _ in range(60)]
     for t in terms:
-        assert structural_eq(t, t)
+        assert t == t
     for a in terms:
         for b in terms:
-            assert structural_eq(a, b) == structural_eq(b, a)
-            if structural_eq(a, b):
+            assert (a == b) == (b == a)
+            if a == b:
                 for c in terms:
-                    if structural_eq(b, c):
-                        assert structural_eq(a, c)
+                    if b == c:
+                        assert a == c
 
 
 def test_term_size_exceeds_children():
