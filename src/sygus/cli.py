@@ -25,7 +25,7 @@ from .printer import (
     print_sort,
     print_term,
 )
-from .solver import Fail, Solved, SolveError, SolverConfig, solve
+from .solver import Fail, Solved, SolveError, SolverConfig, Valid, solve
 from .syntax import App, Let, Lit, NO_POS, Pos, Program, Ref, Term
 
 EXIT_OK = 0
@@ -134,6 +134,18 @@ def dump_program(p: Program) -> str:
     return "".join(
         print_command(c, _dump_term, lambda cmd: type(cmd).__name__) + "\n"
         for c in p.commands
+    )
+
+
+def _evidence(v: Valid) -> str:
+    """What a ``Valid`` verdict rests on, in one line."""
+    if v.exhaustive:
+        return f"valid at all {v.grid_size} points of a finite domain: proved"
+    cut = " (truncated)" if v.truncated else ""
+    models = f" under each of {v.uf_models} sampled UF models" if v.uf_models else ""
+    return (
+        f"no counterexample at {v.grid_points} of {v.grid_size} grid points{cut}"
+        f"{models}, nor at {v.random_samples} random samples: tested, not proved"
     )
 
 
@@ -255,6 +267,8 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     if isinstance(result, Solved):
         out.write(print_solution(result.terms, problem.synth_tasks))
+        if args.verbose:
+            err.write(f"note: {_evidence(result.evidence)}\n")
         return EXIT_OK
     assert isinstance(result, Fail)
     out.write(print_fail())

@@ -6,6 +6,26 @@ evaluated against finite sampled models: a model is a pure function of
 (declarations, seed), derived per query from a keyed blake2 digest, so the
 same tuple always maps to the same value regardless of query order or
 process.
+
+A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
+the meaning of every built-in operator, ``EvalEnv.resolve`` decides what an
+application calls, and both evaluators are call-by-value, so they make the
+same uninterpreted-function queries.
+
+- ``eval_term`` walks the term at every evaluation and resolves each
+  application by the sorts of its argument values.  It costs nothing up
+  front, which suits a term evaluated at a handful of points: the solver's
+  screens try each of thousands of enumerated terms on a few stored
+  counterexamples, and keeping a compiled form of every such term would
+  cost both time and memory.
+- ``compile_term`` resolves every application once, from the sorts of the
+  checked term, and returns one closure per node; macro and candidate
+  bodies are compiled once per environment.  Compiling costs more than one
+  walk, but each later evaluation skips the walk, the dispatch and the
+  operator lookup, which suits a term evaluated at thousands of points:
+  the solver verifies a candidate on compiled constraints.  The compiler
+  keeps its work on an explicit stack, so a deep term costs it no
+  interpreter stack; a compiled term then nests about one call per level.
 """
 
 from __future__ import annotations
@@ -13,7 +33,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Callable, Mapping, Optional, Union
 
 from .checker import (
     CheckedProblem,
@@ -25,6 +46,7 @@ from .checker import (
     R_INT,
     R_REAL,
     ResolvedSort,
+    TheorySignature,
     UFDecl,
     unsupported_sort,
 )
@@ -91,6 +113,8 @@ class VEnum(Value):
 
 
 Assignment = dict[Symbol, Value]
+#: A compiled term: its value at an assignment.
+Compiled = Callable[[Assignment], Value]
 
 
 def sort_of_value(v: Value) -> ResolvedSort:
@@ -199,6 +223,7 @@ def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
 class _Callable:
     kind: str  # "macro" | "cand" | "uf"
     arg_sorts: tuple[ResolvedSort, ...]
+    ret: ResolvedSort
     params: tuple[Symbol, ...]
     body: Optional[Term]
 
@@ -225,20 +250,25 @@ class EvalEnv:
                 _Callable(
                     "macro",
                     tuple(s for _, s in m.params),
+                    m.ret,
                     tuple(p for p, _ in m.params),
                     m.body,
                 ),
             )
         for d in problem.uf_decls:
-            self._add(d.name, _Callable("uf", d.arg_sorts, (), None))
-        self._task_info: dict[Symbol, tuple[tuple[Symbol, ...], tuple[ResolvedSort, ...]]] = {
+            self._add(d.name, _Callable("uf", d.arg_sorts, d.ret, (), None))
+        #: Parameters, argument sorts and result sort of each synthesis function.
+        self._task_info = {
             t.name: (
                 tuple(p for p, _ in t.params),
                 tuple(s for _, s in t.params),
+                t.ret,
             )
             for t in problem.synth_tasks
         }
         self._cands: dict[Symbol, _Callable] = {}
+        #: Compiled macro and candidate bodies, by the identity of the entry.
+        self._compiled: dict[int, tuple[_Callable, Compiled]] = {}
         if candidates:
             self.set_candidates(candidates)
 
@@ -246,27 +276,25 @@ class EvalEnv:
         self.funcs.setdefault(name, []).append(c)
 
     def set_candidate(self, name: Symbol, body: Term) -> None:
-        params, arg_sorts = self._task_info[name]
-        self._cands[name] = _Callable("cand", arg_sorts, params, body)
+        params, arg_sorts, ret = self._task_info[name]
+        self._cands[name] = _Callable("cand", arg_sorts, ret, params, body)
 
     def set_candidates(self, mapping: dict[Symbol, Term]) -> None:
         for name, body in mapping.items():
             self.set_candidate(name, body)
 
-    def dispatch(self, name: Symbol, args: tuple[Value, ...]) -> Optional[_Callable]:
-        arg_sorts = None
-        entries = self.funcs.get(name)
-        if entries:
-            arg_sorts = tuple(sort_of_value(a) for a in args)
-            for e in entries:
-                if e.arg_sorts == arg_sorts:
-                    return e
+    def resolve(
+        self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]
+    ) -> Optional[_Callable]:
+        """What an application of ``name`` at ``arg_sorts`` calls: a macro
+        or uninterpreted function of that signature, else the candidate of
+        that signature; ``None`` means the theory operator."""
+        for e in self.funcs.get(name, ()):
+            if e.arg_sorts == arg_sorts:
+                return e
         cand = self._cands.get(name)
-        if cand is not None:
-            if arg_sorts is None:
-                arg_sorts = tuple(sort_of_value(a) for a in args)
-            if cand.arg_sorts == arg_sorts:
-                return cand
+        if cand is not None and cand.arg_sorts == arg_sorts:
+            return cand
         return None
 
 
@@ -309,103 +337,236 @@ def eval_term(t: Term, assignment: Assignment, env: EvalEnv) -> Value:
 
 
 def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
-    entry = env.dispatch(name, args)
-    if entry is not None:
-        if entry.kind == "uf":
-            assert env.model is not None, "uninterpreted function without a model"
-            return env.model.query(name, args)
-        return eval_term(entry.body, dict(zip(entry.params, args)), env)
-    return _theory_op(name, args)
+    entry = None
+    if name in env.funcs or name in env._cands:
+        entry = env.resolve(name, tuple(map(sort_of_value, args)))
+    if entry is None:
+        op = THEORY_OPS.get(name)
+        if op is None:
+            raise AssertionError(f"no semantics for '{name}' at {args!r}")
+        return op(*args)
+    if entry.kind == "uf":
+        assert env.model is not None, "uninterpreted function without a model"
+        return env.model.query(name, args)
+    return eval_term(entry.body, dict(zip(entry.params, args)), env)
 
 
-def _theory_op(name: Symbol, args: tuple[Value, ...]) -> Value:
-    if name == "=":
-        return VBool(args[0] == args[1])
-    if name == "distinct":
-        return VBool(args[0] != args[1])
-    if name == "ite":
-        cond = args[0]
-        assert isinstance(cond, VBool)
-        return args[1] if cond.value else args[2]
-    if name == "and":
-        return VBool(all(a.value for a in args))
-    if name == "or":
-        return VBool(any(a.value for a in args))
-    if name == "not":
-        return VBool(not args[0].value)
-    if name == "=>":
-        return VBool(not args[0].value or args[1].value)
-    if name == "xor":
-        return VBool(args[0].value != args[1].value)
-    a = args[0]
-    if isinstance(a, VInt):
-        b = args[1]
-        if name == "+":
-            return VInt(a.value + b.value)
-        if name == "-":
-            return VInt(a.value - b.value)
-        if name == "*":
-            return VInt(a.value * b.value)
-        return _compare(name, a.value, b.value)
-    if isinstance(a, VReal):
-        b = args[1]
-        if name == "+":
-            return VReal(a.value + b.value)
-        if name == "-":
-            return VReal(a.value - b.value)
-        if name == "*":
-            return VReal(a.value * b.value)
-        if name == "/":
-            if b.value == 0:
-                raise EvalError("E-DIV-ZERO", "division by zero")
-            return VReal(a.value / b.value)
-        return _compare(name, a.value, b.value)
-    if isinstance(a, VBV):
-        return _bv_op(name, a, args)
-    raise AssertionError(f"no semantics for '{name}' at {args!r}")
+def _ite(cond: Value, then: Value, other: Value) -> Value:
+    assert isinstance(cond, VBool)
+    return then if cond.value else other
 
 
-def _compare(name: Symbol, a, b) -> VBool:
-    if name == "<=":
-        return VBool(a <= b)
-    if name == "<":
-        return VBool(a < b)
-    if name == ">=":
-        return VBool(a >= b)
-    if name == ">":
-        return VBool(a > b)
-    raise AssertionError(f"no semantics for '{name}'")
+def _div(a: VReal, b: VReal) -> VReal:
+    if b.value == 0:
+        raise EvalError("E-DIV-ZERO", "division by zero")
+    return VReal(a.value / b.value)
 
 
-def _bv_op(name: Symbol, a: VBV, args: tuple[Value, ...]) -> Value:
-    mask = (1 << a.width) - 1
-    if name == "bvnot":
-        return VBV(a.width, ~a.value & mask)
-    if name == "bvneg":
-        return VBV(a.width, -a.value & mask)
-    b = args[1]
-    assert isinstance(b, VBV)
-    if name == "bvadd":
-        return VBV(a.width, (a.value + b.value) & mask)
-    if name == "bvsub":
-        return VBV(a.width, (a.value - b.value) & mask)
-    if name == "bvand":
-        return VBV(a.width, a.value & b.value)
-    if name == "bvor":
-        return VBV(a.width, a.value | b.value)
-    if name == "bvxor":
-        return VBV(a.width, a.value ^ b.value)
-    if name == "bvshl":
-        # Shift amounts at or beyond the width yield the zero vector.
-        if b.value >= a.width:
-            return VBV(a.width, 0)
-        return VBV(a.width, (a.value << b.value) & mask)
-    if name == "bvlshr":
-        if b.value >= a.width:
-            return VBV(a.width, 0)
-        return VBV(a.width, a.value >> b.value)
-    if name == "bvult":
-        return VBool(a.value < b.value)
-    if name == "bvule":
-        return VBool(a.value <= b.value)
-    raise AssertionError(f"no semantics for '{name}'")
+def _mask(a: VBV) -> int:
+    return (1 << a.width) - 1
+
+
+def _bvshl(a: VBV, b: VBV) -> VBV:
+    # Shift amounts at or beyond the width yield the zero vector.
+    if b.value >= a.width:
+        return VBV(a.width, 0)
+    return VBV(a.width, (a.value << b.value) & _mask(a))
+
+
+def _bvlshr(a: VBV, b: VBV) -> VBV:
+    if b.value >= a.width:
+        return VBV(a.width, 0)
+    return VBV(a.width, a.value >> b.value)
+
+
+#: The two Bool values; an operator returns one of these rather than build
+#: a new one, which is safe because values are immutable.
+_TRUTH = (VBool(False), VBool(True))
+
+#: The semantics of every built-in operator, called with the operand values.
+#: Int and Real arithmetic keeps the value class of its operands.
+THEORY_OPS: dict[Symbol, Callable[..., Value]] = {
+    "=": lambda a, b: _TRUTH[a == b],
+    "distinct": lambda a, b: _TRUTH[a != b],
+    "ite": _ite,
+    "and": lambda *args: _TRUTH[all(a.value for a in args)],
+    "or": lambda *args: _TRUTH[any(a.value for a in args)],
+    "not": lambda a: _TRUTH[not a.value],
+    "=>": lambda a, b: _TRUTH[not a.value or b.value],
+    "xor": lambda a, b: _TRUTH[a.value != b.value],
+    "+": lambda a, b: type(a)(a.value + b.value),
+    "-": lambda a, b: type(a)(a.value - b.value),
+    "*": lambda a, b: type(a)(a.value * b.value),
+    "/": _div,
+    "<=": lambda a, b: _TRUTH[a.value <= b.value],
+    "<": lambda a, b: _TRUTH[a.value < b.value],
+    ">=": lambda a, b: _TRUTH[a.value >= b.value],
+    ">": lambda a, b: _TRUTH[a.value > b.value],
+    "bvnot": lambda a: VBV(a.width, ~a.value & _mask(a)),
+    "bvneg": lambda a: VBV(a.width, -a.value & _mask(a)),
+    "bvadd": lambda a, b: VBV(a.width, (a.value + b.value) & _mask(a)),
+    "bvsub": lambda a, b: VBV(a.width, (a.value - b.value) & _mask(a)),
+    "bvand": lambda a, b: VBV(a.width, a.value & b.value),
+    "bvor": lambda a, b: VBV(a.width, a.value | b.value),
+    "bvxor": lambda a, b: VBV(a.width, a.value ^ b.value),
+    "bvshl": _bvshl,
+    "bvlshr": _bvlshr,
+    "bvult": lambda a, b: _TRUTH[a.value < b.value],
+    "bvule": lambda a, b: _TRUTH[a.value <= b.value],
+}
+
+
+# ---------------------------------------------------------------------------
+# Compilation to closures
+
+#: Result sorts of the built-in operators.  Every family is loaded, because
+#: evaluation, unlike checking, is not gated on the logic.
+_THEORY = TheorySignature()
+
+# Steps of the compiler's explicit stack.
+_NODE, _APP, _LET_BODY, _LET = range(4)
+
+_Part = tuple[Compiled, Optional[ResolvedSort]]
+
+
+def compile_term(
+    t: Term, env: EvalEnv, variables: Mapping[Symbol, ResolvedSort]
+) -> Compiled:
+    """``t`` as a function of an assignment to ``variables``.
+
+    On a checked term whose free names are ``variables``, with their sorts,
+    the function gives what ``eval_term`` gives at any assignment of those
+    names, and queries the model that ``env.model`` holds at call time in
+    the same way.  Applications are resolved against the candidates that
+    ``env`` holds now.
+    """
+    return _compile(t, env, variables)[0]
+
+
+def _compile(
+    root: Term, env: EvalEnv, variables: Mapping[Symbol, ResolvedSort]
+) -> _Part:
+    """The closure of ``root`` and its sort; ``None`` for a sort that is
+    only known at run time, and then the closure dispatches like
+    ``eval_term``.  Nodes are compiled in post-order from an explicit stack;
+    ``done`` holds the compiled children waiting for their parent."""
+    done: list[_Part] = []
+    todo: list[tuple] = [(_NODE, root, variables)]
+    while todo:
+        step, node, scope = todo.pop()
+        if step == _NODE:
+            if isinstance(node, Lit):
+                value = _lit_value(node.value, env.enums)
+                done.append((lambda a, v=value: v, sort_of_value(value)))
+            elif isinstance(node, Ref):
+                sort = scope.get(node.name)
+                if sort is not None:
+                    done.append((itemgetter(node.name), sort))
+                else:
+                    done.append(_call(node.name, [], env))
+            elif isinstance(node, App):
+                todo.append((_APP, node, scope))
+                todo.extend((_NODE, a, scope) for a in reversed(node.args))
+            else:
+                assert isinstance(node, Let)
+                # Parallel semantics: the values are compiled in the outer
+                # scope, the body in the scope they extend.
+                todo.append((_LET_BODY, node, scope))
+                todo.extend((_NODE, b.value, scope) for b in reversed(node.bindings))
+        elif step == _APP:
+            cut = len(done) - len(node.args)
+            parts = done[cut:]
+            del done[cut:]
+            done.append(_call(node.head, parts, env))
+        elif step == _LET_BODY:
+            cut = len(done) - len(node.bindings)
+            parts = done[cut:]
+            del done[cut:]
+            inner = dict(scope)
+            inner.update((b.name, sort) for b, (_, sort) in zip(node.bindings, parts))
+            names = [b.name for b in node.bindings]
+            todo.append((_LET, (names, [f for f, _ in parts]), None))
+            todo.append((_NODE, node.body, inner))
+        else:
+            names, fns = node
+            body, sort = done.pop()
+            done.append((_let(names, fns, body), sort))
+    [result] = done
+    return result
+
+
+def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
+    """An application of ``head`` to compiled arguments, resolved now by
+    the rule ``eval_term`` applies at every call: ``EvalEnv.resolve``."""
+    fns = [f for f, _ in parts]
+    sorts = tuple(s for _, s in parts)
+    if None not in sorts:
+        entry = env.resolve(head, sorts)
+        if entry is not None and entry.kind == "uf":
+            return _uf_call(head, fns, env), entry.ret
+        if entry is not None:
+            return _body_call(_compiled_body(entry, env), entry.params, fns), entry.ret
+        op = THEORY_OPS.get(head)
+        ret = _THEORY.lookup(head, sorts)
+        if op is not None and ret is not None:
+            return _op_call(op, fns), ret
+    # Left to run time, as ``eval_term`` would: only an ill-sorted term or
+    # a call of a synthesis function with no candidate comes here.
+    return (lambda a: _apply(head, tuple([f(a) for f in fns]), env)), None
+
+
+def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
+    """The body of a macro or candidate, compiled once per environment."""
+    hit = env._compiled.get(id(entry))
+    if hit is None or hit[0] is not entry:
+        assert entry.body is not None
+        scope = dict(zip(entry.params, entry.arg_sorts))
+        hit = env._compiled[id(entry)] = (entry, _compile(entry.body, env, scope)[0])
+    return hit[1]
+
+
+def _op_call(op: Callable[..., Value], fns: list[Compiled]) -> Compiled:
+    if len(fns) == 1:
+        [f0] = fns
+        return lambda a: op(f0(a))
+    if len(fns) == 2:
+        f0, f1 = fns
+        return lambda a: op(f0(a), f1(a))
+    if len(fns) == 3:
+        f0, f1, f2 = fns
+        return lambda a: op(f0(a), f1(a), f2(a))
+    return lambda a: op(*[f(a) for f in fns])
+
+
+def _uf_call(name: Symbol, fns: list[Compiled], env: EvalEnv) -> Compiled:
+    if len(fns) == 1:
+        [f0] = fns
+        return lambda a: env.model.query(name, (f0(a),))
+    if len(fns) == 2:
+        f0, f1 = fns
+        return lambda a: env.model.query(name, (f0(a), f1(a)))
+    return lambda a: env.model.query(name, tuple([f(a) for f in fns]))
+
+
+def _body_call(body: Compiled, params: tuple[Symbol, ...], fns: list[Compiled]) -> Compiled:
+    """A call by value: the arguments fill a fresh parameter dict."""
+    pairs = tuple(zip(params, fns))
+    if len(pairs) == 1:
+        [(p0, f0)] = pairs
+        return lambda a: body({p0: f0(a)})
+    if len(pairs) == 2:
+        (p0, f0), (p1, f1) = pairs
+        return lambda a: body({p0: f0(a), p1: f1(a)})
+    return lambda a: body({p: f(a) for p, f in pairs})
+
+
+def _let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> Compiled:
+    pairs = tuple(zip(names, fns))
+
+    def let(a: Assignment) -> Value:
+        values = [(n, f(a)) for n, f in pairs]
+        inner = dict(a)
+        inner.update(values)
+        return body(inner)
+
+    return let

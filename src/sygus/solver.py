@@ -11,7 +11,15 @@ before the pools' product is walked.
 Verification is testing, not proof: candidates are checked on a finite grid
 over the universal variables, a batch of sampled models for uninterpreted
 functions, and a batch of random assignments.  A ``Valid`` verdict therefore
-means "no counterexample found within the configured budget".
+means "no counterexample found within the configured budget", and it records
+that budget; it is a proof only when it is ``exhaustive``.
+
+The two phases evaluate terms differently (see ``evaluator``).  ``verify``
+evaluates one candidate at up to ``GRID_POINT_CAP`` points per model, so it
+compiles the constraints, with the candidate inlined, into closures once per
+call.  The screens evaluate each of many enumerated terms at the few stored
+counterexamples, so they walk the terms with ``eval_term``, which they look
+up in this module at call time.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -22,11 +30,12 @@ instead of racing one function through ever-larger terms.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .checker import (
     CheckedNT,
@@ -48,6 +57,7 @@ from .evaluator import (
     VEnum,
     VInt,
     Value,
+    compile_term,
     eval_term,
     fresh_uf_model,
     stable_u64,
@@ -398,7 +408,23 @@ def enumerate_terms(g: ExpandedGrammar, from_nt: Symbol, max_size: int) -> Itera
 
 @dataclass(frozen=True)
 class Valid:
-    pass
+    """No counterexample was found; the fields say where none was looked
+    for."""
+
+    #: Grid points checked under each model, and the points of the whole
+    #: grid; ``GRID_POINT_CAP`` cuts the first.
+    grid_points: int
+    grid_size: int
+    #: Sampled models of the uninterpreted functions; 0 when there are none.
+    uf_models: int
+    random_samples: int
+    #: Every universal sort is finite and its whole domain was checked, and
+    #: there are no uninterpreted functions: the verdict is a proof.
+    exhaustive: bool
+
+    @property
+    def truncated(self) -> bool:
+        return self.grid_points < self.grid_size
 
 
 @dataclass(frozen=True)
@@ -413,9 +439,11 @@ VerificationResult = Union[Valid, Counterexample]
 @dataclass(frozen=True)
 class Solved:
     """A tuple of bodies that passed verification, by synthesis function
-    name; empty when the problem has no synthesis functions."""
+    name (empty when the problem has no synthesis functions), and the
+    verdict that passed them."""
 
     terms: dict[Symbol, Term]
+    evidence: Valid
 
 
 @dataclass(frozen=True)
@@ -482,12 +510,28 @@ def _random_value(sort: ResolvedSort, rng: random.Random) -> Value:
     return VEnum(sort.identity, rng.choice(sort.constructors))
 
 
-def _falsifies(constraints, env: EvalEnv, assignment: Assignment,
+def _whole_domain(sort: ResolvedSort, values: list[Value]) -> bool:
+    """Whether the grid ``values`` of ``sort`` are all of its values."""
+    if isinstance(sort, RBitVec):
+        return len(values) == 1 << sort.width
+    return isinstance(sort, (RBool, REnum))
+
+
+Check = Callable[[Assignment], Value]
+
+
+def _walkers(constraints, env: EvalEnv) -> list[Check]:
+    """Checks that walk each constraint with ``eval_term``, looked up in this
+    module at call time."""
+    return [lambda a, c=c: eval_term(c, a, env) for c in constraints]
+
+
+def _falsifies(checks: list[Check], env: EvalEnv, assignment: Assignment,
                model: Optional[UFModel]) -> bool:
-    """Whether some constraint is false at ``assignment`` under ``model``."""
+    """Whether some check is false at ``assignment`` under ``model``."""
     env.model = model
-    for c in constraints:
-        if not eval_term(c, assignment, env).value:
+    for check in checks:
+        if not check(assignment).value:
             return True
     return False
 
@@ -506,14 +550,15 @@ def verify(
     if cex_store is None:
         cex_store = []
     env = EvalEnv(problem, candidates=dict(candidate))
-    constraints = problem.constraints
+    variables = dict(problem.universal_vars)
+    checks = [compile_term(c, env, variables) for c in problem.constraints]
     has_ufs = bool(problem.uf_decls)
 
     def model_for(seed: int) -> Optional[UFModel]:
         return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
 
     for assignment, uf_seed in cex_store:
-        if _falsifies(constraints, env, assignment, model_for(uf_seed)):
+        if _falsifies(checks, env, assignment, model_for(uf_seed)):
             return Counterexample(assignment, uf_seed)
 
     names = [n for n, _ in problem.universal_vars]
@@ -526,7 +571,7 @@ def verify(
         model = model_for(model_seed)
         for point in islice(product(*domains), GRID_POINT_CAP):
             assignment = dict(zip(names, point))
-            if _falsifies(constraints, env, assignment, model):
+            if _falsifies(checks, env, assignment, model):
                 cex_store.append((assignment, model_seed))
                 return Counterexample(assignment, model_seed)
         if _deadline is not None and time.monotonic() > _deadline:
@@ -538,10 +583,21 @@ def verify(
             n: _random_value(s, rng) for n, s in problem.universal_vars
         }
         sample_seed = rng.getrandbits(64) if has_ufs else cfg.seed
-        if _falsifies(constraints, env, assignment, model_for(sample_seed)):
+        if _falsifies(checks, env, assignment, model_for(sample_seed)):
             cex_store.append((assignment, sample_seed))
             return Counterexample(assignment, sample_seed)
-    return Valid()
+
+    grid_size = math.prod(map(len, domains))
+    whole = all(
+        _whole_domain(s, d) for (_, s), d in zip(problem.universal_vars, domains)
+    )
+    return Valid(
+        grid_points=min(grid_size, GRID_POINT_CAP),
+        grid_size=grid_size,
+        uf_models=len(model_seeds) if has_ufs else 0,
+        random_samples=cfg.random_samples,
+        exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +625,11 @@ class _Screen:
         store: list[tuple[Assignment, int]],
         model_for,
     ):
-        self.constraints = constraints
         self.task_name = task_name
         self.store = store
         self.model_for = model_for
         self.env = EvalEnv(problem)
+        self.checks = _walkers(constraints, self.env)
         self.progress: dict[int, int] = {}
         #: How many terms this screen has found dead so far.
         self.deaths = 0
@@ -584,7 +640,7 @@ class _Screen:
         return self.progress.get(id(term), 0) < 0
 
     def alive(self, term: Term) -> bool:
-        if not self.constraints:
+        if not self.checks:
             return True
         done = self.progress.get(id(term), 0)
         if done < 0:
@@ -595,7 +651,7 @@ class _Screen:
         while done < len(self.store):
             assignment, uf_seed = self.store[done]
             model = self.model_for(uf_seed)
-            if _falsifies(self.constraints, self.env, assignment, model):
+            if _falsifies(self.checks, self.env, assignment, model):
                 self.progress[id(term)] = -1
                 self.deaths += 1
                 return False
@@ -613,7 +669,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:
         result = verify({}, problem, cfg, cex_store)
-        return Solved({}) if isinstance(result, Valid) else Fail("exhausted")
+        return Solved({}, result) if isinstance(result, Valid) else Fail("exhausted")
 
     grammars = {t.name: expand_shorthands(t, problem, cfg) for t in tasks}
     tables = {t.name: TermTable(grammars[t.name], deadline) for t in tasks}
@@ -641,13 +697,14 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         _Screen(problem, solo[t.name], t.name, cex_store, model_for) for t in tasks
     ]
     joint_env = EvalEnv(problem)
+    joint_checks = _walkers(joint, joint_env)
 
     def joint_ok(assignment_terms: dict[Symbol, Term]) -> bool:
-        if not joint or not cex_store:
+        if not joint_checks or not cex_store:
             return True
         joint_env.set_candidates(assignment_terms)
         return not any(
-            _falsifies(joint, joint_env, assignment, model_for(uf_seed))
+            _falsifies(joint_checks, joint_env, assignment, model_for(uf_seed))
             for assignment, uf_seed in cex_store
         )
 
@@ -706,7 +763,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                             terms, problem, cfg, cex_store, _deadline=deadline.at
                         )
                         if isinstance(result, Valid):
-                            return Solved(terms)
+                            return Solved(terms, result)
     except _Timeout:
         return Fail("timeout")
     return Fail("exhausted")

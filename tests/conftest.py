@@ -45,6 +45,65 @@ LET_SUM_UNSOLVABLE = """
 """
 
 
+# The base problems of the benchmark's solver workloads with fixed names.
+# Uninterpreted functions keep the benchmark's names, because a sampled
+# model is a hash of the function's name.
+MAX2_MIN2_BASE = """
+(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int
+   ((Start Int (0 1 x y (+ Start Start) (ite B Start Start)))
+    (B Bool ((and B B) (not B) (<= Start Start)))))
+(synth-fun g ((x Int) (y Int)) Int
+   ((Start Int ((Constant Int) (Variable Int) (+ Start Start) (ite B Start Start)))
+    (B Bool ((and B B) (not B) (<= Start Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (>= (f x y) x))
+(constraint (>= (f x y) y))
+(constraint (or (= x (f x y)) (= y (f x y))))
+(constraint (= (+ (f x y) (g x y)) (+ x y)))
+(check-synth)
+"""
+
+UF_SUM = """
+(set-logic LIA)
+(declare-fun uf (Int) Int)
+(synth-fun f ((a Int) (b Int) (c Int) (d Int)) Int
+   ((Start Int (a b c d (+ Start Start)))))
+(declare-var a Int)
+(declare-var b Int)
+(declare-var c Int)
+(declare-var d Int)
+(constraint (= (uf (f a b c d)) (uf (+ a b))))
+(check-synth)
+"""
+
+UF_DIFF = """
+(set-logic LIA)
+(declare-fun g (Int Int) Int)
+(synth-fun f ((a Int) (b Int) (c Int) (d Int)) Int
+   ((Start Int (a b c d (- Start Start)))))
+(declare-var a Int)
+(declare-var b Int)
+(declare-var c Int)
+(declare-var d Int)
+(constraint (= (g (f a b c d) d) (g (- a c) d)))
+(check-synth)
+"""
+
+# The Bool by (BitVec 4) grid is 2 * 16 points: all of the domain.
+BOOL_BV4 = """
+(set-logic BV)
+(synth-fun f ((p Bool) (v (BitVec 4))) (BitVec 4)
+   ((Start (BitVec 4) (v #x0 (bvadd Start Start) (ite B Start Start)))
+    (B Bool (p (not B)))))
+(declare-var p Bool)
+(declare-var v (BitVec 4))
+(constraint (= (f p v) (ite p (bvadd v v) v)))
+(check-synth)
+"""
+
+
 def load_problem(text: str):
     return check_program(parse_text(text))
 

@@ -1,12 +1,21 @@
 import io
+import os
+import subprocess
 import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
 from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, run
 
-from conftest import FIXTURE_SOLUTIONS, FIXTURES, LIA_ITE_UNSOLVABLE
+from conftest import (
+    BOOL_BV4,
+    FIXTURE_SOLUTIONS,
+    FIXTURES,
+    LIA_ITE_UNSOLVABLE,
+    UF_SUM,
+)
 
 
 def run_cli(*argv):
@@ -39,6 +48,28 @@ def test_solve_timed_out(unsolvable_path):
     assert (code, out) == (EXIT_FAIL, "(fail)\n")
     assert err == "note: search stopped by timeout\n"
 
+
+
+@pytest.mark.parametrize(
+    "spec, flags, note",
+    [
+        (FIXTURES / "uf_pair.sl", [],
+         "no counterexample at 11 of 11 grid points under each of 32 sampled "
+         "UF models, nor at 256 random samples: tested, not proved"),
+        (UF_SUM, ["--uf-model-count", "2"],
+         "no counterexample at 10000 of 14641 grid points (truncated) under "
+         "each of 2 sampled UF models, nor at 256 random samples: tested, not proved"),
+        (BOOL_BV4, [], "valid at all 32 points of a finite domain: proved"),
+    ],
+    ids=["uf_pair", "uf_sum", "bool_bv4"],
+)
+def test_verbose_solve_notes_the_evidence(tmp_path, spec, flags, note):
+    path = spec
+    if isinstance(spec, str):
+        path = tmp_path / "spec.sl"
+        path.write_text(spec)
+    code, _, err = run_cli("solve", "--verbose", *flags, str(path))
+    assert (code, err) == (EXIT_OK, f"note: {note}\n")
 
 ONE_LINER = """\
 (set-logic LIA)
@@ -89,6 +120,42 @@ def test_deep_nesting_is_a_diagnostic(tmp_path, subcommand):
     assert (code, out) == (EXIT_STATIC, "")
     assert err == f"{path}:0:0: E-DEPTH: input nests too deeply\n"
 
+
+
+def sum_chain_spec(levels):
+    body = "(f x)"
+    for _ in range(levels):
+        body = f"(+ 1 {body})"
+    return ONE_LINER.format(options="").replace("(= (f x) x)", f"(> {body} x)")
+
+
+def solve_in_child(path):
+    """``python -m sygus solve``, so that the test runner's own frames do
+    not count against the interpreter's recursion limit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "sygus", "solve", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_solve_handles_480_levels_of_nesting(tmp_path):
+    # A child process solves up to about 490 levels on Python 3.10 and 3.11.
+    path = tmp_path / "chain.sl"
+    path.write_text(sum_chain_spec(480))
+    p = solve_in_child(path)
+    assert (p.returncode, p.stdout, p.stderr) == (
+        EXIT_OK, "(define-fun f ((x Int)) Int x)\n", ""
+    )
+
+
+def test_solve_on_a_far_deeper_chain_is_a_diagnostic(tmp_path):
+    path = tmp_path / "chain.sl"
+    path.write_text(sum_chain_spec(3000))
+    p = solve_in_child(path)
+    assert (p.returncode, p.stdout) == (EXIT_STATIC, "")
+    assert p.stderr == f"{path}:0:0: E-DEPTH: input nests too deeply\n"
 
 def opt_value_error(path, name, value):
     least = {"max-term-size": 1, "uf-model-count": 1}.get(name, 0)

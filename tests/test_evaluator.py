@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sygus.checker import R_INT, UFDecl, check_program
+from sygus import solver
+from sygus.checker import R_INT, UFDecl
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
@@ -11,15 +15,24 @@ from sygus.evaluator import (
     UF_INT_LO,
     VBool,
     VBV,
+    VEnum,
     VInt,
     VReal,
+    compile_term,
     eval_term,
     fresh_uf_model,
 )
 from sygus.lexer import tokenize
-from sygus.parser import parse_term, parse_text
+from sygus.parser import parse_term
+from sygus.solver import SolverConfig, enumerate_terms, expand_shorthands
 
-from conftest import load_problem
+from conftest import (
+    FIXTURES,
+    MAX2_MIN2_BASE,
+    UF_DIFF,
+    UF_SUM,
+    load_problem,
+)
 
 
 def term(text):
@@ -215,3 +228,175 @@ def test_enum_values_compare_by_sort_identity():
     env = EvalEnv(problem)
     got = eval_term(term("(= Color::Red Paint::Red)"), {}, env)
     assert got == VBool(True)
+
+
+# -- the compiled evaluator against the walker ----------------------------------
+
+
+def evaluate_both(problem, candidates, terms, points, seeds=(0, 1)):
+    """Values of ``terms`` at ``points`` under the models of ``seeds``, from
+    the walker and from compiled closures, with each model's query table."""
+    walker, compiled = EvalEnv(problem, candidates), EvalEnv(problem, candidates)
+    variables = dict(problem.universal_vars)
+    closures = [compile_term(t, compiled, variables) for t in terms]
+    by_walker, by_closures = [], []
+    for seed in seeds:
+        walker.model = fresh_uf_model(problem.uf_decls, seed)
+        compiled.model = fresh_uf_model(problem.uf_decls, seed)
+        for point in points:
+            by_walker.append([eval_term(t, point, walker) for t in terms])
+            by_closures.append([f(point) for f in closures])
+        by_walker.append(walker.model.table)
+        by_closures.append(compiled.model.table)
+    return by_walker, by_closures
+
+
+def grid_points(problem, cfg):
+    names = [n for n, _ in problem.universal_vars]
+    domains = [solver._grid_values(s, cfg) for _, s in problem.universal_vars]
+    return [dict(zip(names, p)) for p in product(*domains)]
+
+
+DIFFERENTIAL_PROBLEMS = {
+    "max2_min2": (FIXTURES / "max2_min2.sl").read_text(),
+    "uf_pair": (FIXTURES / "uf_pair.sl").read_text(),
+    "let_grammar": (FIXTURES / "let_grammar.sl").read_text(),
+    "max2_min2_base": MAX2_MIN2_BASE,
+    "uf_sum": UF_SUM,
+    "uf_diff": UF_DIFF,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
+def test_compiled_constraints_agree_with_the_walker(name):
+    problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
+    # A radius-2 grid: 625 points over four variables.
+    cfg = SolverConfig(grid_radius=2)
+    pools = {
+        t.name: list(enumerate_terms(expand_shorthands(t, problem, cfg), "Start", 4))
+        for t in problem.synth_tasks
+    }
+    # Every term of every pool takes part; the pools are cycled together.
+    points = grid_points(problem, cfg)
+    for i in range(max(map(len, pools.values()))):
+        candidates = {n: pool[i % len(pool)] for n, pool in pools.items()}
+        walked, compiled = evaluate_both(problem, candidates, problem.constraints, points)
+        assert compiled == walked
+
+
+GENERATED = """
+(define-sort Color (Enum (Red Green Blue)))
+(declare-fun u (Int) Int)
+(declare-fun h (Int Bool) Bool)
+(declare-fun k ((BitVec 4)) Int)
+(declare-fun paint (Color) Color)
+(define-fun inc ((n Int)) Int (+ n 1))
+(define-fun twice ((n Int)) Int (inc (inc n)))
+(define-fun shift ((n Int) (b Bool)) Int (let ((t Int 2) (m Int (twice n))) (ite b (+ m t) m)))
+(define-fun bvtwice ((w (BitVec 4))) (BitVec 4) (bvadd w w))
+(synth-fun f ((n Int) (b Bool)) Int ((Start Int (n 1 (twice Start) (- Start Start) (ite b Start Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(declare-var p Bool)
+(declare-var v (BitVec 4))
+(declare-var c Color)
+(constraint {constraint})
+(check-synth)
+"""
+CANDIDATE = {"f": parse_term(tokenize("(ite b (twice n) (- n 1))"))}
+SURFACE = {"Int": "Int", "Bool": "Bool", "BV": "(BitVec 4)", "Color": "Color"}
+LITERALS = {
+    "Int": st.integers(-4, 4).map(str),
+    "Bool": st.sampled_from(["true", "false"]),
+    "BV": st.integers(0, 15).map(lambda n: f"#b{n:04b}"),
+    "Color": st.sampled_from(["Color::Red", "Color::Green", "Color::Blue"]),
+}
+# Rules by result sort: a head and the sorts of its arguments.
+RULES = {
+    "Int": [("+", "Int Int"), ("-", "Int Int"), ("ite", "Bool Int Int"),
+            ("inc", "Int"), ("twice", "Int"), ("shift", "Int Bool"), ("f", "Int Bool"),
+            ("u", "Int"), ("k", "BV")],
+    "Bool": [("=", "Int Int"), ("=", "BV BV"), ("=", "Color Color"),
+             ("distinct", "Bool Bool"), ("and", "Bool Bool Bool"), ("or", "Bool Bool"),
+             ("not", "Bool"), ("=>", "Bool Bool"), ("xor", "Bool Bool"),
+             ("<=", "Int Int"), ("<", "Int Int"), (">=", "Int Int"), (">", "Int Int"),
+             ("bvult", "BV BV"), ("bvule", "BV BV"), ("h", "Int Bool"),
+             ("ite", "Bool Bool Bool")],
+    "BV": [(op, "BV BV") for op in
+           ("bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvshl", "bvlshr")]
+          + [("bvnot", "BV"), ("bvneg", "BV"), ("bvtwice", "BV"), ("ite", "Bool BV BV")],
+    "Color": [("paint", "Color"), ("ite", "Bool Color Color")],
+}
+VARIABLES = {"x": "Int", "y": "Int", "p": "Bool", "v": "BV", "c": "Color"}
+
+
+@st.composite
+def term_text(draw, sort, depth=4, scope=None):
+    """A well-sorted term of ``sort`` over ``scope``: name -> sort."""
+    scope = dict(VARIABLES) if scope is None else scope
+    names = [n for n, s in scope.items() if s == sort]
+    kind = draw(st.sampled_from(["leaf", "app", "app", "let"] if depth else ["leaf"]))
+    if kind == "leaf":
+        if names and draw(st.booleans()):
+            return draw(st.sampled_from(names))
+        return draw(LITERALS[sort])
+    if kind == "app":
+        head, arg_sorts = draw(st.sampled_from(RULES[sort]))
+        if head == "+" and draw(st.booleans()):
+            # Linear multiplication needs a literal operand.
+            head, arg_sorts = "*", "Int Int"
+            args = [draw(LITERALS["Int"]), draw(term_text("Int", depth - 1, scope))]
+        else:
+            args = [draw(term_text(s, depth - 1, scope)) for s in arg_sorts.split()]
+        return f"({head} {' '.join(args)})"
+    # A parallel let of one or two names; a name already in scope keeps its
+    # sort, so the let shadows it.
+    bound = draw(st.lists(st.sampled_from(["x", "p", "t", "s"]), min_size=1,
+                          max_size=2, unique=True))
+    inner = dict(scope)
+    bindings = []
+    for name in bound:
+        bsort = scope.get(name) or draw(st.sampled_from(sorted(SURFACE)))
+        value = draw(term_text(bsort, depth - 1, scope))
+        bindings.append(f"({name} {SURFACE[bsort]} {value})")
+        inner[name] = bsort
+    body = draw(term_text(sort, depth - 1, inner))
+    return f"(let ({' '.join(bindings)}) {body})"
+
+
+@st.composite
+def assignments(draw):
+    color = draw(st.sampled_from(["Red", "Green", "Blue"]))
+    return {
+        "x": VInt(draw(st.integers(-6, 6))),
+        "y": VInt(draw(st.integers(-6, 6))),
+        "p": VBool(draw(st.booleans())),
+        "v": VBV(4, draw(st.integers(0, 15))),
+        "c": VEnum("Color", color),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.sampled_from(sorted(SURFACE)).flatmap(term_text),
+    points=st.lists(assignments(), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_compiled_terms_agree_with_the_walker(text, points, seed):
+    # Checking confirms that the generated term is well-sorted.
+    problem = load_problem(GENERATED.format(constraint=f"(= {text} {text})"))
+    [constraint] = problem.constraints
+    generated = constraint.args[0]
+    walked, compiled = evaluate_both(problem, CANDIDATE, [generated], points, (seed, seed + 1))
+    assert compiled == walked
+
+
+def test_a_call_with_no_candidate_fails_in_both_evaluators():
+    problem = load_problem(GENERATED.format(constraint="(= (f x p) 0)"))
+    call = problem.constraints[0].args[0]
+    point = {"x": VInt(1), "p": VBool(True)}
+    with pytest.raises(AssertionError, match="no semantics for 'f'"):
+        eval_term(call, point, EvalEnv(problem))
+    compiled = compile_term(call, EvalEnv(problem), dict(problem.universal_vars))
+    with pytest.raises(AssertionError, match="no semantics for 'f'"):
+        compiled(point)

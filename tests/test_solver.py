@@ -15,12 +15,16 @@ from sygus.solver import (
     expand_shorthands,
     solve,
 )
+from sygus.evaluator import VInt
 from sygus.syntax import subterms
 
 from conftest import (
+    BOOL_BV4,
     FIXTURE_SOLUTIONS,
     LET_SUM_UNSOLVABLE,
     LIA_ITE_UNSOLVABLE,
+    UF_DIFF,
+    UF_SUM,
     load_problem,
 )
 from oracle import oracle_terms
@@ -89,6 +93,76 @@ def test_max2_min2_verify_stream(max2_min2_problem, monkeypatch):
         (ite_max, "(- -1 (+ 2 2))", Counterexample),
         (ite_max, "(ite (<= x y) x y)", Valid),
     ]
+
+
+def cex(a, b, c, d, uf_seed):
+    values = dict(a=a, b=b, c=c, d=d)
+    return {n: VInt(v) for n, v in values.items()}, uf_seed
+
+
+# Each verify call of the benchmark's verify_uf problems (8 sampled models):
+# the candidate, the result type, and a counterexample's point and UF seed.
+# The Valid verdict rests on a grid cut at 10,000 of its 11**4 points.
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (UF_SUM, [
+            ("a", Counterexample, cex(-5, -5, -5, -5, 0)),
+            ("(+ a a)", Counterexample, cex(-5, -4, -5, -5, 0)),
+            ("(+ a b)", Valid, None),
+        ]),
+        (UF_DIFF, [
+            ("a", Counterexample, cex(-5, -5, -5, -4, 0)),
+            ("(- a a)", Counterexample, cex(-5, -5, -4, -5, 0)),
+            ("(- a c)", Valid, None),
+        ]),
+    ],
+    ids=["uf_sum", "uf_diff"],
+)
+def test_verify_uf_verify_stream(spec, expected, monkeypatch):
+    calls = []
+    original = solver.verify
+
+    def recording(candidate, *args, **kwargs):
+        result = original(candidate, *args, **kwargs)
+        found = None
+        if isinstance(result, Counterexample):
+            found = (result.assignment, result.uf_seed)
+        calls.append((print_term(candidate["f"]), type(result), found))
+        return result
+
+    monkeypatch.setattr(solver, "verify", recording)
+    result = solve(load_problem(spec), SolverConfig(uf_model_count=8))
+    assert calls == expected
+    assert result.evidence == Valid(
+        grid_points=10_000, grid_size=11**4, uf_models=8, random_samples=256,
+        exhaustive=False,
+    )
+    assert result.evidence.truncated
+
+
+# A whole finite grid, but models of an uninterpreted function are samples.
+BOOL_UF = """
+(declare-fun u (Bool) Bool)
+(synth-fun f ((p Bool)) Bool ((Start Bool (p (not Start)))))
+(declare-var p Bool)
+(constraint (= (u (f p)) (u p)))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize(
+    "spec, evidence",
+    [
+        (BOOL_BV4, Valid(32, 32, uf_models=0, random_samples=256, exhaustive=True)),
+        (BOOL_UF, Valid(2, 2, uf_models=32, random_samples=256, exhaustive=False)),
+    ],
+    ids=["bool_bv4", "bool_uf"],
+)
+def test_valid_on_a_whole_finite_grid(spec, evidence):
+    result = solve(load_problem(spec), SolverConfig())
+    assert result.evidence == evidence
+    assert not result.evidence.truncated
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SOLUTIONS))
