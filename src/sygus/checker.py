@@ -14,7 +14,8 @@ E-SORT-REDEF            define-sort reuses an existing sort name
 E-ENUM-DUP              repeated constructor inside one Enum sort
 E-ENUM-CONST            enum literal whose sort/constructor does not resolve
 E-CLASH-VAR             declare-var name collides with an existing name
-E-CLASH-FUN             function name collides at the same argument signature
+E-CLASH-FUN             function name collides at the same argument signature,
+                        or is a built-in operator of the active logic
 E-DUP-PARAM             repeated parameter name in a function definition
 E-SHADOW-ARG            let binding shadows a formal argument
 E-SHADOW-SORT           let binding shadows an outer variable at another sort
@@ -573,6 +574,14 @@ def _resolve_params(
 def _check_function_clashes(
     session: _Session, name: Symbol, arg_sorts: tuple[ResolvedSort, ...], pos: Pos
 ) -> None:
+    # Evaluation resolves a user function before the built-in of that name,
+    # so it would also capture the applications checked as the built-in.
+    if session.sig.knows(name):
+        _err(
+            "E-CLASH-FUN",
+            pos,
+            f"'{name}' is a built-in operator of the active logic",
+        )
     if not arg_sorts and name in session.var_map:
         _err(
             "E-CLASH-FUN",

@@ -22,11 +22,11 @@ from .printer import (
     print_fail,
     print_program,
     print_solution,
-    print_sort,
     print_term,
+    render_term,
 )
 from .solver import Fail, Solved, SolveError, SolverConfig, Valid, solve
-from .syntax import App, Let, Lit, NO_POS, Pos, Program, Ref, Term
+from .syntax import Lit, NO_POS, Pos, Program, Ref, Term
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -110,22 +110,17 @@ def apply_set_options(
     return cfg
 
 
-def _dump_term(t: Term) -> str:
+def _dump_leaf(t: Term) -> str:
     if isinstance(t, Lit):
         return f"(Lit {print_term(t)})"
     if isinstance(t, Ref):
         return f"(Ref {t.name})"
-    if isinstance(t, App):
-        parts = " ".join(_dump_term(a) for a in t.args)
-        return f"(App {t.head} {parts})" if t.args else f"(App {t.head})"
-    if isinstance(t, Let):
-        bindings = " ".join(
-            f"({b.name} {print_sort(b.sort)} {_dump_term(b.value)})"
-            for b in t.bindings
-        )
-        return f"(Let ({bindings}) {_dump_term(t.body)})"
     # The four grammar shorthands dump as they print.
     return print_term(t)
+
+
+def _dump_term(t: Term) -> str:
+    return render_term(t, _dump_leaf, "(App ", "(Let (")
 
 
 def dump_program(p: Program) -> str:
@@ -206,8 +201,8 @@ def run(
     try:
         return _run(args, out, err)
     except RecursionError:
-        # The parser, checker, printer and evaluator recurse once per level
-        # of term nesting.
+        # The parser, checker and evaluator recurse once per level of term
+        # nesting.
         err.write(_diag_line(args.input, NO_POS, "E-DEPTH", "input nests too deeply"))
         return EXIT_STATIC
 

@@ -7,25 +7,28 @@ evaluated against finite sampled models: a model is a pure function of
 same tuple always maps to the same value regardless of query order or
 process.
 
-A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
+A term can be evaluated three ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator, ``EvalEnv.resolve`` decides what an
-application calls, and both evaluators are call-by-value, so they make the
+application calls, and every evaluator is call-by-value, so they make the
 same uninterpreted-function queries.
 
 - ``eval_term`` walks the term at every evaluation and resolves each
-  application by the sorts of its argument values.  It costs nothing up
-  front, which suits a term evaluated at a handful of points: the solver's
-  screens try each of thousands of enumerated terms on a few stored
-  counterexamples, and keeping a compiled form of every such term would
-  cost both time and memory.
+  application by the sorts of its argument values.  It is the reference
+  that the other two are tested against.
 - ``compile_term`` resolves every application once, from the sorts of the
   checked term, and returns one closure per node; macro and candidate
   bodies are compiled once per environment.  Compiling costs more than one
   walk, but each later evaluation skips the walk, the dispatch and the
-  operator lookup, which suits a term evaluated at thousands of points:
-  the solver verifies a candidate on compiled constraints.  The compiler
-  keeps its work on an explicit stack, so a deep term costs it no
-  interpreter stack; a compiled term then nests about one call per level.
+  operator lookup, which suits a term evaluated at many points: the solver
+  verifies a candidate on compiled constraints.  The compiler keeps its
+  work on an explicit stack, so a deep term costs it no interpreter stack;
+  a compiled term then nests about one call per level.
+- ``TermValues`` evaluates the enumerated bodies of a synthesis function
+  bound into compiled constraints (``EvalEnv.set_values``).  It memoizes
+  each node's value per binding of the function's parameters, so a
+  hash-consed term is computed from its subterms' stored values, which
+  suits many terms built from shared subterms and evaluated at a few
+  points: the solver screens its enumerated terms this way.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .checker import (
     R_INT,
     R_REAL,
     ResolvedSort,
+    SynthTask,
     TheorySignature,
     UFDecl,
     unsupported_sort,
@@ -221,11 +225,13 @@ def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
 
 @dataclass(frozen=True)
 class _Callable:
-    kind: str  # "macro" | "cand" | "uf"
+    kind: str  # "macro" | "cand" | "uf" | "values"
     arg_sorts: tuple[ResolvedSort, ...]
     ret: ResolvedSort
     params: tuple[Symbol, ...]
     body: Optional[Term]
+    #: What a "values" entry calls with the argument values.
+    fn: Optional[Callable[..., Value]] = None
 
 
 class EvalEnv:
@@ -282,6 +288,12 @@ class EvalEnv:
     def set_candidates(self, mapping: dict[Symbol, Term]) -> None:
         for name, body in mapping.items():
             self.set_candidate(name, body)
+
+    def set_values(self, name: Symbol, fn: Callable[..., Value]) -> None:
+        """Make an application of synthesis function ``name`` call ``fn``
+        with its argument values, in place of a candidate body."""
+        params, arg_sorts, ret = self._task_info[name]
+        self._cands[name] = _Callable("values", arg_sorts, ret, params, None, fn)
 
     def resolve(
         self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]
@@ -348,6 +360,8 @@ def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
     if entry.kind == "uf":
         assert env.model is not None, "uninterpreted function without a model"
         return env.model.query(name, args)
+    if entry.kind == "values":
+        return entry.fn(*args)
     return eval_term(entry.body, dict(zip(entry.params, args)), env)
 
 
@@ -504,6 +518,8 @@ def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
         entry = env.resolve(head, sorts)
         if entry is not None and entry.kind == "uf":
             return _uf_call(head, fns, env), entry.ret
+        if entry is not None and entry.kind == "values":
+            return _op_call(entry.fn, fns), entry.ret
         if entry is not None:
             return _body_call(_compiled_body(entry, env), entry.params, fns), entry.ret
         op = THEORY_OPS.get(head)
@@ -526,6 +542,7 @@ def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
 
 
 def _op_call(op: Callable[..., Value], fns: list[Compiled]) -> Compiled:
+    """A call of ``op`` with the argument values."""
     if len(fns) == 1:
         [f0] = fns
         return lambda a: op(f0(a))
@@ -570,3 +587,87 @@ def _let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> Compiled:
         return body(inner)
 
     return let
+
+
+# ---------------------------------------------------------------------------
+# Values of enumerated terms
+
+
+class TermValues:
+    """One synthesis function's enumerated terms as the function that its
+    applications call (see ``EvalEnv.set_values``), memoized per node.
+
+    ``term`` is the body an application evaluates; it is set before each
+    evaluation.  A binding (the parameters' values, extended inside a let
+    body with the let-bound names' values) keys a memo from ``id(node)`` to
+    the node's value.  A node missing from it is computed from its
+    children's memoized values by the rules ``eval_term`` applies, so a
+    term whose subterms were evaluated before costs one application per new
+    binding.  A binding needs no sampled model as part of its key, because
+    grammars and macros may not call uninterpreted functions.
+
+    The terms must come from a hash-consed ``TermTable`` that outlives this
+    memo, so that no identity is reused.  Values are interned, so each
+    distinct value is stored once.
+    """
+
+    def __init__(self, task: SynthTask, env: EvalEnv):
+        self.term: Optional[Term] = None
+        self._env = env
+        names = [p for p, _ in task.params] + [n for n, _ in task.lets]
+        #: A binding is a tuple of values, one slot per name; a let-bound
+        #: name outside its let body holds ``None``.
+        self._slots = {n: i for i, n in enumerate(names)}
+        self._unbound = (None,) * len(task.lets)
+        self._memos: dict[tuple, dict[int, Value]] = {}
+        self._interned: dict[Value, Value] = {}
+
+    def __call__(self, *args: Value) -> Value:
+        return self._value(self.term, *self._memo(args + self._unbound))
+
+    def _memo(self, binding: tuple) -> tuple[tuple, dict[int, Value]]:
+        memo = self._memos.get(binding)
+        if memo is None:
+            memo = self._memos[binding] = {}
+        return binding, memo
+
+    def _value(self, t: Term, binding: tuple, memo: dict[int, Value]) -> Value:
+        v = memo.get(id(t))
+        if v is not None:
+            return v
+        env = self._env
+        if isinstance(t, App):
+            # Values are never false, so ``or`` only computes a missing one.
+            args = [memo.get(id(a)) or self._value(a, binding, memo) for a in t.args]
+            head = t.head
+            op = THEORY_OPS.get(head)
+            if op is not None and head not in env.funcs and head not in env._cands:
+                v = op(*args)
+            else:
+                v = self._call(head, tuple(args))
+        elif isinstance(t, Ref):
+            slot = self._slots.get(t.name)
+            v = None if slot is None else binding[slot]
+            if v is None:
+                v = self._call(t.name, ())
+        elif isinstance(t, Lit):
+            v = _lit_value(t.value, env.enums)
+        else:
+            assert isinstance(t, Let)
+            # Parallel semantics: every value is taken in the outer binding.
+            inner = list(binding)
+            for b in t.bindings:
+                inner[self._slots[b.name]] = self._value(b.value, binding, memo)
+            v = self._value(t.body, *self._memo(tuple(inner)))
+        v = self._interned.setdefault(v, v)
+        memo[id(t)] = v
+        return v
+
+    def _call(self, name: Symbol, args: tuple[Value, ...]) -> Value:
+        """``_apply``, with a macro's body compiled once per environment."""
+        env = self._env
+        if name in env.funcs or name in env._cands:
+            entry = env.resolve(name, tuple(map(sort_of_value, args)))
+            if entry is not None and entry.kind == "macro":
+                return _compiled_body(entry, env)(dict(zip(entry.params, args)))
+        return _apply(name, args, env)

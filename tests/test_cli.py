@@ -86,6 +86,26 @@ def spec_path(tmp_path, options=""):
     return str(path)
 
 
+# The constraint was checked with the built-in +; evaluation would resolve
+# the macro first and accept (+ x 1) for f.
+BUILTIN_MACRO = """\
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 1 (+ Start Start) (- Start Start)))))
+(declare-var x Int)
+(constraint (= (f x) (+ x 1)))
+(define-fun + ((a Int) (b Int)) Int (- a b))
+(check-synth)
+"""
+
+
+def test_macro_named_like_a_builtin_is_rejected(tmp_path):
+    path = tmp_path / "spec.sl"
+    path.write_text(BUILTIN_MACRO)
+    assert run_cli("solve", str(path)) == (
+        EXIT_STATIC, "", f"{path}:5:1: E-CLASH-FUN: '+' is a built-in operator of the active logic\n"
+    )
+
+
 def test_non_ascii_file_is_a_lex_error(tmp_path):
     path = tmp_path / "accent.sl"
     path.write_bytes(b"(set-logic LIA)\n; caf\xc3\xa9\n(check-synth)\n")
@@ -129,13 +149,13 @@ def sum_chain_spec(levels):
     return ONE_LINER.format(options="").replace("(= (f x) x)", f"(> {body} x)")
 
 
-def solve_in_child(path):
-    """``python -m sygus solve``, so that the test runner's own frames do
-    not count against the interpreter's recursion limit."""
+def run_in_child(subcommand, path):
+    """``python -m sygus``, so that the test runner's own frames do not
+    count against the interpreter's recursion limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-m", "sygus", "solve", str(path)],
+        [sys.executable, "-m", "sygus", subcommand, str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -144,7 +164,7 @@ def test_solve_handles_480_levels_of_nesting(tmp_path):
     # A child process solves up to about 490 levels on Python 3.10 and 3.11.
     path = tmp_path / "chain.sl"
     path.write_text(sum_chain_spec(480))
-    p = solve_in_child(path)
+    p = run_in_child("solve", path)
     assert (p.returncode, p.stdout, p.stderr) == (
         EXIT_OK, "(define-fun f ((x Int)) Int x)\n", ""
     )
@@ -153,9 +173,25 @@ def test_solve_handles_480_levels_of_nesting(tmp_path):
 def test_solve_on_a_far_deeper_chain_is_a_diagnostic(tmp_path):
     path = tmp_path / "chain.sl"
     path.write_text(sum_chain_spec(3000))
-    p = solve_in_child(path)
+    p = run_in_child("solve", path)
     assert (p.returncode, p.stdout) == (EXIT_STATIC, "")
     assert p.stderr == f"{path}:0:0: E-DEPTH: input nests too deeply\n"
+
+
+@pytest.mark.parametrize("subcommand", ["parse", "fmt", "check"])
+def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand):
+    # The printers walk with an explicit stack, so parse and fmt reach as
+    # deep as check, about 490 levels on Python 3.10 and 3.11.
+    chain = "(not " * 480 + "true" + ")" * 480
+    path = tmp_path / "deep.sl"
+    path.write_text(f"(declare-var x Int)\n(constraint {chain})\n(check-synth)\n")
+    p = run_in_child(subcommand, path)
+    assert (p.returncode, p.stderr) == (EXIT_OK, "")
+    if subcommand == "fmt":
+        assert p.stdout == f"(declare-var x Int)\n(constraint {chain})\n(check-synth)\n"
+    if subcommand == "parse":
+        assert p.stdout.count("(App not ") == 480
+
 
 def opt_value_error(path, name, value):
     least = {"max-term-size": 1, "uf-model-count": 1}.get(name, 0)

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from sygus.checker import R_INT, UFDecl
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
+    TermValues,
     UF_INT_HI,
     UF_INT_LO,
     VBool,
@@ -28,6 +33,7 @@ from sygus.solver import SolverConfig, enumerate_terms, expand_shorthands
 
 from conftest import (
     FIXTURES,
+    LET_SUM_UNSOLVABLE,
     MAX2_MIN2_BASE,
     UF_DIFF,
     UF_SUM,
@@ -161,6 +167,56 @@ def test_models_across_seeds_disagree_with_any_constant():
     assert found
 
 
+# Overloaded functions over every sampled sort and the points queried; run
+# in this process and in a fresh one.
+C3_SETUP = """
+from sygus.checker import R_BOOL, R_INT, RBitVec, REnum, UFDecl
+from sygus.evaluator import VBool, VBV, VEnum, VInt, fresh_uf_model
+COLOR = REnum("Color", ("Red", "Green", "Blue"))
+DECLS = (
+    UFDecl("u", (R_INT,), R_INT),
+    UFDecl("u", (R_BOOL,), R_BOOL),
+    UFDecl("h", (R_INT, RBitVec(4)), RBitVec(4)),
+    UFDecl("paint", (COLOR,), COLOR),
+)
+QUERIES = (
+    [("u", (VInt(i),)) for i in range(-6, 7)]
+    + [("u", (VBool(b),)) for b in (False, True)]
+    + [("h", (VInt(i), VBV(4, w))) for i in (-1, 0, 3) for w in (0, 5, 15)]
+    + [("paint", (VEnum("Color", k),)) for k in COLOR.constructors]
+)
+SEEDS = (0, 7, 2**64 - 1)
+
+
+def model_values(seed, queries):
+    model = fresh_uf_model(DECLS, seed)
+    return {q: model.query(*q) for q in queries}
+"""
+C3 = {}
+exec(C3_SETUP, C3)
+
+
+def test_acceptance_c3_model_values_do_not_depend_on_query_order():
+    queries = C3["QUERIES"]
+    for seed in C3["SEEDS"]:
+        forward = C3["model_values"](seed, queries)
+        shuffled = list(queries)
+        random.Random(seed).shuffle(shuffled)
+        assert C3["model_values"](seed, shuffled) == forward
+        assert C3["model_values"](seed, reversed(queries)) == forward
+
+
+def test_acceptance_c3_model_values_repeat_in_a_fresh_process():
+    script = C3_SETUP + "for s in SEEDS:\n    print(repr(list(model_values(s, QUERIES).values())))\n"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1")
+    p = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    here = [repr(list(C3["model_values"](s, C3["QUERIES"]).values())) for s in C3["SEEDS"]]
+    assert (p.returncode, p.stdout.splitlines()) == (0, here)
+
+
 def test_model_rejects_real_sorted_functions():
     from sygus.checker import R_REAL
 
@@ -267,21 +323,70 @@ DIFFERENTIAL_PROBLEMS = {
 }
 
 
+def candidate_tuples(problem, cfg):
+    """Every term up to size 4 of every task, the pools cycled together."""
+    pools = {
+        t.name: list(enumerate_terms(expand_shorthands(t, problem, cfg), "Start", 4))
+        for t in problem.synth_tasks
+    }
+    for i in range(max(map(len, pools.values()))):
+        yield {n: pool[i % len(pool)] for n, pool in pools.items()}
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
 def test_compiled_constraints_agree_with_the_walker(name):
     problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
     # A radius-2 grid: 625 points over four variables.
     cfg = SolverConfig(grid_radius=2)
-    pools = {
-        t.name: list(enumerate_terms(expand_shorthands(t, problem, cfg), "Start", 4))
-        for t in problem.synth_tasks
-    }
-    # Every term of every pool takes part; the pools are cycled together.
     points = grid_points(problem, cfg)
-    for i in range(max(map(len, pools.values()))):
-        candidates = {n: pool[i % len(pool)] for n, pool in pools.items()}
+    for candidates in candidate_tuples(problem, cfg):
         walked, compiled = evaluate_both(problem, candidates, problem.constraints, points)
         assert compiled == walked
+
+
+# A nested call, a macro and a 0-ary macro in the grammar, and a let
+# grammar whose let-bound name is also a leaf.
+NESTED_MACRO_LET = """
+(set-logic LIA)
+(define-fun two () Int 2)
+(define-fun inc ((n Int)) Int (let ((one Int 1)) (+ n one)))
+(synth-fun f ((x Int)) Int
+   ((Start Int (x z two (inc Start) (- Start Start) (let ((z Int Start)) Start)))))
+(declare-var x Int)
+(constraint (= (f (f x)) (+ x 2)))
+(check-synth)
+"""
+
+TERM_VALUE_PROBLEMS = {
+    **DIFFERENTIAL_PROBLEMS,
+    "let_sum": LET_SUM_UNSOLVABLE,
+    "nested_macro_let": NESTED_MACRO_LET,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_VALUE_PROBLEMS))
+def test_acceptance_c6_term_values_agree_with_the_walker(name):
+    problem = load_problem(TERM_VALUE_PROBLEMS[name])
+    cfg = SolverConfig(grid_radius=2)
+    points = grid_points(problem, cfg)
+    walker, env = EvalEnv(problem), EvalEnv(problem)
+    # One memo per task for the whole run, as in a solve.
+    values = {t.name: TermValues(t, env) for t in problem.synth_tasks}
+    for task, tv in values.items():
+        env.set_values(task, tv)
+    variables = dict(problem.universal_vars)
+    checks = [compile_term(c, env, variables) for c in problem.constraints]
+    for candidates in candidate_tuples(problem, cfg):
+        walker.set_candidates(candidates)
+        for task, body in candidates.items():
+            values[task].term = body
+        for seed in (0, 1):
+            walker.model = fresh_uf_model(problem.uf_decls, seed)
+            env.model = fresh_uf_model(problem.uf_decls, seed)
+            for point in points:
+                got = [check(point) for check in checks]
+                assert got == [eval_term(c, point, walker) for c in problem.constraints]
+            assert env.model.table == walker.model.table
 
 
 GENERATED = """
