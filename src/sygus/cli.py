@@ -34,16 +34,16 @@ EXIT_STATIC = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
-#: Solver options: name -> (``SolverConfig`` field, value type, least value).
-#: Each is a set-options key and, as ``--name``, a flag of ``solve``; a flag
-#: wins over the file.  Other set-options keys are ignored.
+#: Solver options: name -> (``SolverConfig`` field, value type, least value,
+#: help).  Each is a set-options key and, as ``--name``, a flag of ``solve``;
+#: a flag wins over the file.  Other set-options keys are ignored.
 _OPTIONS = {
-    "max-term-size": ("max_term_size", int, 1),
-    "grid-radius": ("grid_radius", int, 0),
-    "random-samples": ("random_samples", int, 0),
-    "uf-model-count": ("uf_model_count", int, 1),
-    "seed": ("seed", int, None),
-    "timeout-seconds": ("timeout_seconds", float, 0),
+    "max-term-size": ("max_term_size", int, 1, "largest term size searched, in nodes"),
+    "grid-radius": ("grid_radius", int, 0, "verify on the Int grid [-N, N]"),
+    "random-samples": ("random_samples", int, 0, "random points verified after the grid"),
+    "uf-model-count": ("uf_model_count", int, 1, "sampled models of uninterpreted functions"),
+    "seed": ("seed", int, None, "seed of every sampled value and model"),
+    "timeout-seconds": ("timeout_seconds", float, 0, "wall-clock limit on the solve, in seconds"),
 }
 
 
@@ -70,9 +70,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_input(sub.add_parser("fmt", help="print the canonical form"))
     solve_p = sub.add_parser("solve", help="synthesize function bodies")
     add_input(solve_p)
-    for name, (_, kind, _) in _OPTIONS.items():
+    defaults = SolverConfig()
+    for name, (field, kind, _, about) in _OPTIONS.items():
         # Values are converted and range-checked with the set-options ones.
-        solve_p.add_argument(f"--{name}", metavar="N" if kind is int else "T")
+        default = getattr(defaults, field)
+        solve_p.add_argument(
+            f"--{name}", metavar="N" if kind is int else "T",
+            help=f"{about} (default: {'none' if default is None else default})",
+        )
     solve_p.add_argument(
         "--constant-pool",
         metavar="C1,C2,...",
@@ -98,7 +103,7 @@ def apply_set_options(
             if verbose_out is not None:
                 verbose_out.write(f"note: ignoring unrecognized option '{name}'\n")
             continue
-        fieldname, kind, least = spec
+        fieldname, kind, least, _ = spec
         try:
             value = kind(raw)
         except ValueError:
@@ -233,7 +238,7 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     flags = [
         (name, getattr(args, field))
-        for name, (field, _, _) in _OPTIONS.items()
+        for name, (field, *_) in _OPTIONS.items()
         if getattr(args, field) is not None
     ]
     try:

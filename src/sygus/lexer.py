@@ -1,14 +1,30 @@
 """Tokenizer for the SyGuS surface syntax.
 
-Whole-input tokenization: whitespace separates tokens, ``;`` starts a
-comment running to the end of the line, and positions are 1-based.
-Only ``\\n`` terminates a line; ``\\r`` counts as plain whitespace and a
-tab advances the column by one.
+One regular expression, ``_TOKEN``, is the lexicon: each named
+alternative is one token class, a regular set.
+
+- ``(`` and ``)``;
+- numerals ``[0-9]+`` and decimals ``[0-9]+.[0-9]+``, either one signed
+  by a leading ``-``: a minus immediately followed by a digit starts a
+  literal, not a symbol;
+- bit-vector constants ``#b[01]+`` (one bit per digit) and
+  ``#x[0-9A-Fa-f]+`` (four bits per digit);
+- quoted option values ``"[A-Za-z0-9.]+"``;
+- symbols: a letter or one of ``_+-*&|!~<>=/%?.$^``, then letters, digits
+  and those characters; ``true`` and ``false`` are Booleans, reserved
+  words stay symbols, and ``Sort::Ctor`` is one enum constant.
+
+Whitespace separates tokens, ``;`` starts a comment running to the end of
+the line, and positions are 1-based.  Only ``\\n`` terminates a line;
+``\\r`` counts as plain whitespace and a tab advances the column by one.
+A malformed literal (``12.``, ``#``, ``#b2``, an unclosed quote, ``E::``)
+still matches its own alternative, which reports it; only a character that
+starts no token matches nothing.
 """
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
@@ -42,12 +58,6 @@ RESERVED_WORDS = frozenset(
     }
 )
 
-_SPECIAL = set("_+-*&|!~<>=/%?.$^")
-_SYMBOL_START = set(string.ascii_letters) | _SPECIAL
-_SYMBOL_CONT = _SYMBOL_START | set(string.digits)
-_QUOTED_CHARS = set(string.ascii_letters) | set(string.digits) | {"."}
-_HEX_DIGITS = set(string.hexdigits)
-
 
 class TokKind(Enum):
     LPAREN = auto()
@@ -80,143 +90,81 @@ class LexError(Exception):
         self.message = message
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.col = 1
+_SYMBOL = r"[A-Za-z_+\-*&|!~<>=/%?.$^][A-Za-z0-9_+\-*&|!~<>=/%?.$^]*"
 
-    def peek(self, ahead: int = 0) -> str:
-        j = self.i + ahead
-        return self.text[j] if j < len(self.text) else ""
-
-    def advance(self) -> str:
-        c = self.text[self.i]
-        self.i += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
-
-    def error(self, message: str, line: int | None = None, col: int | None = None):
-        raise LexError(self.line if line is None else line,
-                       self.col if col is None else col, message)
+_TOKEN = re.compile(
+    rf"""
+      (?P<space>[ \t\r]+|;[^\n]*)
+    | (?P<newline>\n[ \t\r\n]*)
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<number>-?(?P<whole>[0-9]+)(?:\.(?P<fraction>[0-9]*))?)
+    | (?P<bv>\#(?P<base>[bx]?)(?P<digits>[0-9A-Fa-f]*))
+    | (?P<quoted>"(?P<chars>[A-Za-z0-9.]*)(?P<close>"?))
+    | (?P<symbol>{_SYMBOL})(?P<enum>::(?P<ctor>{_SYMBOL})?)?
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``, raising ``LexError`` on any malformed input."""
-    s = _Scanner(text)
     out: list[Token] = []
-    while s.i < len(s.text):
-        c = s.peek()
-        if c in " \t\r\n":
-            s.advance()
-        elif c == ";":
-            while s.i < len(s.text) and s.peek() != "\n":
-                s.advance()
-        elif c == "(":
-            out.append(Token(TokKind.LPAREN, None, s.line, s.col))
-            s.advance()
-        elif c == ")":
-            out.append(Token(TokKind.RPAREN, None, s.line, s.col))
-            s.advance()
-        elif c == '"':
-            out.append(_scan_quoted(s))
-        elif c == "#":
-            out.append(_scan_bv(s))
-        elif c.isdigit():
-            out.append(_scan_number(s, negative=False))
-        elif c == "-" and s.peek(1).isdigit():
-            # Literal priority: a minus immediately followed by a digit
-            # starts a numeric constant, not a symbol.
-            out.append(_scan_number(s, negative=True))
-        elif c in _SYMBOL_START:
-            out.append(_scan_symbol(s))
-        else:
-            s.error(f"character {c!r} cannot start a token")
+    line, line_start, i = 1, 0, 0
+    match = _TOKEN.match
+    while i < len(text):
+        m = match(text, i)
+        if m is None:
+            raise LexError(line, i - line_start + 1,
+                           f"character {text[i]!r} cannot start a token")
+        start, i, kind = i, m.end(), m.lastgroup
+        if kind == "space":
+            continue
+        col = start - line_start + 1
+        if kind == "newline":
+            line += text.count("\n", start, i)
+            line_start = text.rindex("\n", start, i) + 1
+        elif kind == "lparen":
+            out.append(Token(TokKind.LPAREN, None, line, col))
+        elif kind == "rparen":
+            out.append(Token(TokKind.RPAREN, None, line, col))
+        elif kind == "symbol":
+            word = m["symbol"]
+            if word == "true" or word == "false":
+                out.append(Token(TokKind.BOOL, word == "true", line, col))
+            else:
+                out.append(Token(TokKind.SYMBOL, word, line, col))
+        elif kind == "enum":
+            if m["ctor"] is None:
+                raise LexError(line, col + i - start, "expected constructor name after '::'")
+            out.append(Token(TokKind.ENUM, (m["symbol"], m["ctor"]), line, col))
+        elif kind == "number":
+            whole, fraction = m["whole"], m["fraction"]
+            if fraction is None:
+                tok_kind, value = TokKind.INT, int(whole)
+            elif fraction:
+                tok_kind = TokKind.REAL
+                value = Fraction(int(whole + fraction), 10 ** len(fraction))
+            else:
+                raise LexError(line, col, "expected digits after decimal point")
+            out.append(Token(tok_kind, -value if text[start] == "-" else value, line, col))
+        elif kind == "bv":
+            base, digits = m["base"], m["digits"]
+            if not base:
+                raise LexError(line, col, "expected 'b' or 'x' after '#'")
+            if not digits:
+                raise LexError(line, col, "expected digits after bit-vector prefix")
+            if base == "b" and digits.strip("01"):
+                raise LexError(line, col, f"invalid binary digit in '#b{digits}'")
+            bits = 1 if base == "b" else 4
+            out.append(Token(TokKind.BV, (bits * len(digits), int(digits, 2**bits)), line, col))
+        else:  # quoted
+            if not m["close"]:
+                if i == len(text):
+                    raise LexError(line, col, "unterminated quoted literal")
+                raise LexError(line, col + i - start,
+                               f"character {text[i]!r} not allowed in a quoted literal")
+            if not m["chars"]:
+                raise LexError(line, col, "quoted literal must not be empty")
+            out.append(Token(TokKind.QUOTED, m["chars"], line, col))
     return out
-
-
-def _scan_quoted(s: _Scanner) -> Token:
-    line, col = s.line, s.col
-    s.advance()  # opening quote
-    chars: list[str] = []
-    while True:
-        if s.i >= len(s.text):
-            s.error("unterminated quoted literal", line, col)
-        c = s.peek()
-        if c == '"':
-            s.advance()
-            break
-        if c not in _QUOTED_CHARS:
-            s.error(f"character {c!r} not allowed in a quoted literal")
-        chars.append(s.advance())
-    if not chars:
-        s.error("quoted literal must not be empty", line, col)
-    return Token(TokKind.QUOTED, "".join(chars), line, col)
-
-
-def _scan_bv(s: _Scanner) -> Token:
-    line, col = s.line, s.col
-    s.advance()  # '#'
-    base = s.peek()
-    if base not in ("b", "x"):
-        s.error("expected 'b' or 'x' after '#'", line, col)
-    s.advance()
-    digits: list[str] = []
-    while s.i < len(s.text) and s.peek() in _HEX_DIGITS:
-        digits.append(s.advance())
-    if not digits:
-        s.error("expected digits after bit-vector prefix", line, col)
-    text = "".join(digits)
-    if base == "b":
-        if any(d not in "01" for d in text):
-            s.error(f"invalid binary digit in '#b{text}'", line, col)
-        return Token(TokKind.BV, (len(text), int(text, 2)), line, col)
-    return Token(TokKind.BV, (4 * len(text), int(text, 16)), line, col)
-
-
-def _scan_number(s: _Scanner, negative: bool) -> Token:
-    line, col = s.line, s.col
-    if negative:
-        s.advance()  # '-'
-    int_digits: list[str] = []
-    while s.i < len(s.text) and s.peek().isdigit():
-        int_digits.append(s.advance())
-    if s.peek() != ".":
-        value = int("".join(int_digits))
-        return Token(TokKind.INT, -value if negative else value, line, col)
-    s.advance()  # '.'
-    frac_digits: list[str] = []
-    while s.i < len(s.text) and s.peek().isdigit():
-        frac_digits.append(s.advance())
-    if not frac_digits:
-        s.error("expected digits after decimal point", line, col)
-    num = int("".join(int_digits + frac_digits))
-    value = Fraction(num, 10 ** len(frac_digits))
-    return Token(TokKind.REAL, -value if negative else value, line, col)
-
-
-def _scan_symbol(s: _Scanner) -> Token:
-    line, col = s.line, s.col
-    chars: list[str] = []
-    while s.i < len(s.text) and s.peek() in _SYMBOL_CONT:
-        chars.append(s.advance())
-    text = "".join(chars)
-    if s.peek() == ":" and s.peek(1) == ":":
-        s.advance()
-        s.advance()
-        if not (s.i < len(s.text) and s.peek() in _SYMBOL_START):
-            s.error("expected constructor name after '::'")
-        ctor_chars: list[str] = []
-        while s.i < len(s.text) and s.peek() in _SYMBOL_CONT:
-            ctor_chars.append(s.advance())
-        return Token(TokKind.ENUM, (text, "".join(ctor_chars)), line, col)
-    if text == "true":
-        return Token(TokKind.BOOL, True, line, col)
-    if text == "false":
-        return Token(TokKind.BOOL, False, line, col)
-    return Token(TokKind.SYMBOL, text, line, col)

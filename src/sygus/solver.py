@@ -491,17 +491,21 @@ def _theory_gate(problem: CheckedProblem) -> None:
                 )
 
 
-def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> list[Value]:
+def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Value]]:
+    """How many grid values ``sort`` has, and the first ``GRID_POINT_CAP`` of
+    them: no later one is in the first ``GRID_POINT_CAP`` grid points."""
     if isinstance(sort, RInt):
-        r = cfg.grid_radius
-        return [VInt(i) for i in range(-r, r + 1)]
+        ints = range(-cfg.grid_radius, cfg.grid_radius + 1)
+        return len(ints), [VInt(i) for i in ints[:GRID_POINT_CAP]]
     if isinstance(sort, RBool):
-        return [VBool(False), VBool(True)]
-    if isinstance(sort, RBitVec):
+        values = [VBool(False), VBool(True)]
+    elif isinstance(sort, RBitVec):
         w = sort.width
-        return [VBV(w, v) for v in _bv_values(w, cfg.seed, "bv-grid")]
-    assert isinstance(sort, REnum)
-    return [VEnum(sort.identity, c) for c in sort.constructors]
+        values = [VBV(w, v) for v in _bv_values(w, cfg.seed, "bv-grid")]
+    else:
+        assert isinstance(sort, REnum)
+        values = [VEnum(sort.identity, c) for c in sort.constructors]
+    return len(values), values[:GRID_POINT_CAP]
 
 
 def _random_value(sort: ResolvedSort, rng: random.Random) -> Value:
@@ -515,10 +519,10 @@ def _random_value(sort: ResolvedSort, rng: random.Random) -> Value:
     return VEnum(sort.identity, rng.choice(sort.constructors))
 
 
-def _whole_domain(sort: ResolvedSort, values: list[Value]) -> bool:
-    """Whether the grid ``values`` of ``sort`` are all of its values."""
+def _whole_domain(sort: ResolvedSort, size: int) -> bool:
+    """Whether the ``size`` grid values of ``sort`` are all of its values."""
     if isinstance(sort, RBitVec):
-        return len(values) == 1 << sort.width
+        return size == 1 << sort.width
     return isinstance(sort, (RBool, REnum))
 
 
@@ -537,7 +541,7 @@ def verify(
     problem: CheckedProblem,
     cfg: SolverConfig,
     cex_store: Optional[list[tuple[Assignment, int]]] = None,
-    _deadline: Optional[float] = None,
+    _deadline: Optional[_Deadline] = None,
 ) -> VerificationResult:
     """Check a candidate, given as a body per synthesis function name,
     against stored counterexamples, the grid, and random samples; a novel
@@ -545,6 +549,7 @@ def verify(
     _theory_gate(problem)
     if cex_store is None:
         cex_store = []
+    deadline = _deadline if _deadline is not None else _Deadline(None)
     env = EvalEnv(problem, candidates=dict(candidate))
     variables = dict(problem.universal_vars)
     checks = [compile_term(c, env, variables) for c in problem.constraints]
@@ -558,11 +563,12 @@ def verify(
             return Counterexample(assignment, uf_seed)
 
     names = [n for n, _ in problem.universal_vars]
-    domains = [_grid_values(s, cfg) for _, s in problem.universal_vars]
+    grid = [_grid_values(s, cfg) for _, s in problem.universal_vars]
+    domains = [values for _, values in grid]
     if has_ufs:
-        model_seeds = [(cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count)]
+        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
-        model_seeds = [cfg.seed]
+        model_seeds = (cfg.seed,)
     for model_seed in model_seeds:
         model = model_for(model_seed)
         for point in islice(product(*domains), GRID_POINT_CAP):
@@ -570,11 +576,11 @@ def verify(
             if _falsifies(checks, env, assignment, model):
                 cex_store.append((assignment, model_seed))
                 return Counterexample(assignment, model_seed)
-        if _deadline is not None and time.monotonic() > _deadline:
-            raise _Timeout()
+        deadline.check()
 
     rng = random.Random(stable_u64(cfg.seed, "samples"))
     for _ in range(cfg.random_samples):
+        deadline.tick()
         assignment = {
             n: _random_value(s, rng) for n, s in problem.universal_vars
         }
@@ -583,14 +589,14 @@ def verify(
             cex_store.append((assignment, sample_seed))
             return Counterexample(assignment, sample_seed)
 
-    grid_size = math.prod(map(len, domains))
+    grid_size = math.prod(size for size, _ in grid)
     whole = all(
-        _whole_domain(s, d) for (_, s), d in zip(problem.universal_vars, domains)
+        _whole_domain(s, size) for (_, s), (size, _) in zip(problem.universal_vars, grid)
     )
     return Valid(
         grid_points=min(grid_size, GRID_POINT_CAP),
         grid_size=grid_size,
-        uf_models=len(model_seeds) if has_ufs else 0,
+        uf_models=cfg.uf_model_count if has_ufs else 0,
         random_samples=cfg.random_samples,
         exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
     )
@@ -666,7 +672,10 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     cex_store: list[tuple[Assignment, int]] = []
     deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:
-        result = verify({}, problem, cfg, cex_store)
+        try:
+            result = verify({}, problem, cfg, cex_store, _deadline=deadline)
+        except _Timeout:
+            return Fail("timeout")
         return Solved({}, result) if isinstance(result, Valid) else Fail("exhausted")
 
     grammars = {t.name: expand_shorthands(t, problem, cfg) for t in tasks}
@@ -770,7 +779,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                             continue
                         terms = dict(zip(names, picks))
                         result = verify(
-                            terms, problem, cfg, cex_store, _deadline=deadline.at
+                            terms, problem, cfg, cex_store, _deadline=deadline
                         )
                         if isinstance(result, Valid):
                             return Solved(terms, result)

@@ -250,3 +250,18 @@ def test_smallest_legal_option_values_are_accepted(tmp_path):
              "--random-samples", "0"]
     code, out, _ = run_cli("solve", *flags, spec_path(tmp_path))
     assert (code, out) == (EXIT_OK, "(define-fun f ((x Int)) Int x)\n")
+
+
+def test_solve_help_states_each_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        run_cli("solve", "--help")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "(default: " in line] == [
+        "  --max-term-size N     largest term size searched, in nodes (default: 12)",
+        "  --grid-radius N       verify on the Int grid [-N, N] (default: 5)",
+        "  --random-samples N    random points verified after the grid (default: 256)",
+        "  --uf-model-count N    sampled models of uninterpreted functions (default: 32)",
+        "  --seed N              seed of every sampled value and model (default: 0)",
+        "  --timeout-seconds T   wall-clock limit on the solve, in seconds (default: none)",
+    ]

@@ -309,7 +309,7 @@ def evaluate_both(problem, candidates, terms, points, seeds=(0, 1)):
 
 def grid_points(problem, cfg):
     names = [n for n, _ in problem.universal_vars]
-    domains = [solver._grid_values(s, cfg) for _, s in problem.universal_vars]
+    domains = [solver._grid_values(s, cfg)[1] for _, s in problem.universal_vars]
     return [dict(zip(names, p)) for p in product(*domains)]
 
 

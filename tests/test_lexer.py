@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sygus.lexer import LexError, TokKind, Token, tokenize
 
@@ -97,24 +99,49 @@ def test_reserved_words_lex_as_symbols():
     assert (tok.kind, tok.value) == (TokKind.SYMBOL, "synth-fun")
 
 
+LEX_ERRORS = [
+    # digit-initial but neither integer nor real
+    ("1.", 1, 1, "expected digits after decimal point"),
+    ("12.x", 1, 1, "expected digits after decimal point"),
+    ("#b", 1, 1, "expected digits after bit-vector prefix"),
+    ("#b012", 1, 1, "invalid binary digit in '#b012'"),
+    ("#q1", 1, 1, "expected 'b' or 'x' after '#'"),
+    ("(a\n\t\r b)\n  #", 3, 3, "expected 'b' or 'x' after '#'"),
+    ('"unterminated', 1, 1, "unterminated quoted literal"),
+    ('; c\n  "x', 2, 3, "unterminated quoted literal"),
+    ('""', 1, 1, "quoted literal must not be empty"),
+    ('"has space"', 1, 5, "character ' ' not allowed in a quoted literal"),
+    ('"a\nb"', 1, 3, "character '\\n' not allowed in a quoted literal"),
+    # a lone colon is in no alphabet
+    ("x:y", 1, 2, "character ':' cannot start a token"),
+    ("[", 1, 1, "character '[' cannot start a token"),
+    ("E::", 1, 4, "expected constructor name after '::'"),
+    ("A:::B", 1, 4, "expected constructor name after '::'"),
+    ("E::5", 1, 4, "expected constructor name after '::'"),
+]
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, line, col, message", LEX_ERRORS, ids=[case[0] for case in LEX_ERRORS]
+)
+def test_lex_errors(bad, line, col, message):
+    with pytest.raises(LexError) as info:
+        tokenize(bad)
+    assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
     [
-        "1.",  # digit-initial but neither integer nor real
-        "#b",  # no digits
-        "#b012",  # invalid binary digit
-        "#q1",  # bad base marker
-        '"unterminated',
-        '""',  # empty quoted literal
-        '"has space"',
-        "x:y",  # lone colon is in no alphabet
-        "[",
-        "E::",  # missing constructor
+        ("#xAbZ", [(TokKind.BV, (8, 171), 1, 1), (TokKind.SYMBOL, "Z", 1, 5)]),
+        ("true::x", [(TokKind.ENUM, ("true", "x"), 1, 1)]),
+        ("--5", [(TokKind.SYMBOL, "--5", 1, 1)]),
+        ("1.5.3", [(TokKind.REAL, Fraction(3, 2), 1, 1), (TokKind.SYMBOL, ".3", 1, 4)]),
+        ("a\r\tb", [(TokKind.SYMBOL, "a", 1, 1), (TokKind.SYMBOL, "b", 1, 4)]),
     ],
 )
-def test_lex_errors(bad):
-    with pytest.raises(LexError):
-        tokenize(bad)
+def test_tokens_and_positions(text, expected):
+    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(text)] == expected
 
 
 def test_determinism():
@@ -164,3 +191,32 @@ def test_position_monotonicity():
     positions = [(t.line, t.col) for t in toks]
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
+
+
+PIECES = [
+    "(", ")", "0", "12", "-3", "1.5", "-0.25", "1.", "#b01", "#xaF", "#b2",
+    "#", "#q", "true", "false", "E::A", "E::", "::", ":", '"v.1"', '"', '""',
+    "x", "x-1", "-", "--", ".", "synth-fun", "_+*&|!~<>=/%?$^", "[",
+    " ", "\t", "\r", "\n", "; note", ";(x)\n",
+]
+
+
+def offset(text: str, line: int, col: int) -> int:
+    """The index of 1-based ``line``:``col`` in ``text``; the end of a line
+    (or of the text) is a position too."""
+    lines = text.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    return sum(len(l) + 1 for l in lines[: line - 1]) + col - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join))
+def test_positions_point_at_their_tokens(text):
+    try:
+        toks = tokenize(text)
+    except LexError as e:
+        offset(text, e.line, e.col)
+        return
+    for t in toks:
+        (first, *_) = tokenize(text[offset(text, t.line, t.col):])
+        assert (first.kind, first.value, first.line, first.col) == (t.kind, t.value, 1, 1)

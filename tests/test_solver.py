@@ -3,6 +3,8 @@ import time
 import pytest
 
 from sygus import solver
+from sygus.lexer import tokenize
+from sygus.parser import parse_term
 from sygus.printer import print_solution, print_term
 from sygus.solver import (
     Counterexample,
@@ -14,6 +16,7 @@ from sygus.solver import (
     enumerate_terms,
     expand_shorthands,
     solve,
+    verify,
 )
 from sygus.evaluator import VInt
 from sygus.syntax import subterms
@@ -21,6 +24,7 @@ from sygus.syntax import subterms
 from conftest import (
     BOOL_BV4,
     FIXTURE_SOLUTIONS,
+    FIXTURES,
     LET_SUM_UNSOLVABLE,
     LIA_ITE_UNSOLVABLE,
     UF_DIFF,
@@ -217,3 +221,48 @@ def test_closed_filter_checks_the_deadline():
     deadline.at = time.monotonic() - 1.0
     with pytest.raises(solver._Timeout):
         table.closed("Start", 7)
+
+
+NO_SYNTH_FUNS = """
+(set-logic LIA)
+(declare-var x Int)
+(constraint (<= x (+ x 1)))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize(
+    "spec", [(FIXTURES / "max2_min2.sl").read_text(), NO_SYNTH_FUNS],
+    ids=["max2_min2", "no_synth_funs"],
+)
+def test_timeout_is_honoured_while_sampling(spec):
+    cfg = SolverConfig(random_samples=10**7, timeout_seconds=1.0)
+    start = time.monotonic()
+    assert solve(load_problem(spec), cfg) == Fail("timeout")
+    assert time.monotonic() - start < 4.0
+
+
+def bodies(**texts):
+    return {name: parse_term(tokenize(text)) for name, text in texts.items()}
+
+
+MIN2 = "(ite (<= x y) x y)"
+
+
+def test_verify_builds_only_the_capped_grid(max2_min2_problem):
+    candidate = bodies(max2="(ite (<= x y) y x)", min2=MIN2)
+    start = time.monotonic()
+    result = verify(candidate, max2_min2_problem, SolverConfig(grid_radius=10**9))
+    assert time.monotonic() - start < 1.0
+    assert result == Valid(
+        grid_points=10_000, grid_size=(2 * 10**9 + 1) ** 2, uf_models=0,
+        random_samples=256, exhaustive=False,
+    )
+
+
+def test_first_counterexample_is_the_last_capped_grid_point(max2_min2_problem):
+    # Each Int domain has 12,001 values, so the capped grid is x = -6000
+    # with y = -6000 .. 3999, and this max2 is wrong only from y = 3999 on.
+    candidate = bodies(max2="(ite (<= y 3998) (ite (<= x y) y x) x)", min2=MIN2)
+    result = verify(candidate, max2_min2_problem, SolverConfig(grid_radius=6000))
+    assert result == Counterexample({"x": VInt(-6000), "y": VInt(3999)}, 0)
