@@ -28,7 +28,8 @@ same uninterpreted-function queries.
   each node's value per binding of the function's parameters, so a
   hash-consed term is computed from its subterms' stored values, which
   suits many terms built from shared subterms and evaluated at a few
-  points: the solver screens its enumerated terms this way.
+  points: the solver keys its term tables and screens its enumerated terms
+  this way.
 """
 
 from __future__ import annotations
@@ -624,6 +625,13 @@ class TermValues:
 
     def __call__(self, *args: Value) -> Value:
         return self._value(self.term, *self._memo(args + self._unbound))
+
+    def at(self, points: list[tuple[Value, ...]]) -> Callable[[Term], tuple[Value, ...]]:
+        """The function from a term with no free let-bound name to its
+        values at each argument tuple of ``points``."""
+        memos = [self._memo(args + self._unbound) for args in points]
+        value = self._value
+        return lambda t: tuple([value(t, binding, memo) for binding, memo in memos])
 
     def _memo(self, binding: tuple) -> tuple[tuple, dict[int, Value]]:
         memo = self._memos.get(binding)

@@ -19,7 +19,9 @@ the line, and positions are 1-based.  Only ``\\n`` terminates a line;
 ``\\r`` counts as plain whitespace and a tab advances the column by one.
 A malformed literal (``12.``, ``#``, ``#b2``, an unclosed quote, ``E::``)
 still matches its own alternative, which reports it; only a character that
-starts no token matches nothing.
+starts no token matches nothing.  A decimal numeral longer than the
+interpreter converts (4,300 digits by default) is an error too; bit-vector
+constants have no such limit.
 """
 
 from __future__ import annotations
@@ -140,13 +142,19 @@ def tokenize(text: str) -> list[Token]:
             out.append(Token(TokKind.ENUM, (m["symbol"], m["ctor"]), line, col))
         elif kind == "number":
             whole, fraction = m["whole"], m["fraction"]
-            if fraction is None:
-                tok_kind, value = TokKind.INT, int(whole)
-            elif fraction:
-                tok_kind = TokKind.REAL
-                value = Fraction(int(whole + fraction), 10 ** len(fraction))
-            else:
+            if fraction == "":
                 raise LexError(line, col, "expected digits after decimal point")
+            digits = whole if fraction is None else whole + fraction
+            try:
+                value = int(digits)
+            except ValueError:
+                # Past its limit (4,300 digits by default) the interpreter
+                # refuses the conversion, which takes quadratic time.
+                raise LexError(line, col, f"numeral of {len(digits)} digits is too long") from None
+            if fraction is None:
+                tok_kind = TokKind.INT
+            else:
+                tok_kind, value = TokKind.REAL, Fraction(value, 10 ** len(fraction))
             out.append(Token(tok_kind, -value if text[start] == "-" else value, line, col))
         elif kind == "bv":
             base, digits = m["base"], m["digits"]

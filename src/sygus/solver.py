@@ -3,10 +3,38 @@
 Grammar shorthands are expanded into concrete alternatives, candidate terms
 are enumerated per synthesis function in term-size order, and candidate
 tuples are screened against accumulated counterexamples before full
-verification (CEGIS-lite).  The term tables are hash-consed, so equal terms
-are one object and the screens memoize per term by identity; terms already
-known to fail a stored counterexample are dropped from the inner pools
-before the pools' product is walked.
+verification (CEGIS-lite).
+
+Enumeration keeps one term per class of observationally equivalent terms,
+the pruning of the classic enumerative SyGuS solvers (Alur et al.,
+"Syntax-Guided Synthesis", FMCAD 2013; Udupa et al., TRANSIT, PLDI 2013):
+
+- **Class key.**  An *invocation point* of a synthesis function is the
+  argument tuple of one of its applications in the constraints, evaluated
+  at one stored counterexample (an assignment and a UF seed).  The class
+  key of a term with no free let-bound name is the tuple of its values at
+  the function's invocation points, so each non-terminal of a ``TermTable``
+  lists only the first term in canonical order with each tuple.
+- **Rebuild on a counterexample.**  The keys hold for one state of the
+  store.  Each time ``verify`` stores a new counterexample, ``solve``
+  builds its tables afresh and walks the rounds again from the first; every
+  tuple walked before fails at a stored counterexample, so the walk goes on
+  from the same tuple as before.
+- **Why the output is unchanged.**  Evaluation is strict, so every
+  application is evaluated at every counterexample, and a term's screens
+  depend on it only through its values at the invocation points.  A term's
+  value at a binding is computed from its children's, so replacing a
+  subterm by the first term of its class keeps the value and gives a term
+  no later in canonical order.  So the first tuple that passes the screens
+  in the plain enumeration is made of class representatives, the tables
+  list exactly those in the same order, and ``verify`` sees the tuples it
+  would see without the pruning.
+- **Identity keys.**  The key is the term's own identity, so the table is
+  the plain one, for ``enumerate_terms``; for a term with a free let-bound
+  name, whose value depends on the let around it; and for a problem where
+  an application of a synthesis function sits in the arguments of one,
+  directly or through a let of the constraints, where the arguments depend
+  on the candidate.
 
 Verification is testing, not proof: candidates are checked on a finite grid
 over the universal variables, a batch of sampled models for uninterpreted
@@ -17,12 +45,12 @@ that budget; it is a proof only when it is ``exhaustive``.
 Both phases run the constraints compiled into closures (see
 ``evaluator``).  ``verify`` evaluates one candidate at up to
 ``GRID_POINT_CAP`` points per model, so it compiles them once per call with
-the candidate inlined.  The screens evaluate each of many enumerated terms
-at the few stored counterexamples, so they compile them once per solve,
-with each synthesis function's applications bound to its ``TermValues``: a
-term's value at a binding of its parameters comes from its subterms'
-memoized values, so a hash-consed term whose subterms were screened before
-costs one operator application per binding.
+the candidate inlined.  The tables and screens evaluate each of many
+enumerated terms at the few invocation points, so they compile the
+constraints once per pass, with each synthesis function's applications
+bound to its ``TermValues``: a term's value at a binding of its parameters
+comes from its subterms' memoized values, so a hash-consed term costs one
+operator application per new node and point.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -38,7 +66,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
 
 from .checker import (
     CheckedNT,
@@ -284,25 +312,49 @@ def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 class TermTable:
-    """Size-indexed memo of grammar derivations, hash-consed.
+    """Size-indexed memo of grammar derivations, hash-consed, one term per
+    class.
 
-    ``exact(nt, s)`` lists every derivable term of size exactly ``s`` once,
-    in canonical order: production index, then leftmost argument varying
+    ``exact(nt, s)`` lists derivable terms of size exactly ``s`` in
+    canonical order: production index, then leftmost argument varying
     slowest.  Unit productions (a production that is a bare reference to
     another non-terminal) are closed by fixpoint after the structural
-    productions of each size level.
+    productions of each size level.  A non-terminal lists a term only if it
+    lists no earlier term, of any size, with the same *class key*:
+
+    - ``key(term)`` for a term with no free let-bound name, when a ``key``
+      function is given.  The solver gives the term's values at the
+      invocation points (see ``solve``), so two terms that agree on them are
+      one class: observational equivalence;
+    - otherwise the term's identity, so every distinct term is listed once.
+      A term with a free let-bound name is open: its value depends on the
+      let that binds the name, so it is never merged with another.
 
     Every node the table builds is interned under its head (or, for a
     leaf, its value) plus the identities of its children, so structurally
     equal terms are one object: ``is`` decides equality, and a memo may be
-    keyed by ``id(term)`` while the table is alive.
+    keyed by ``id(term)`` while the table is alive.  Each interned node
+    that has free let-bound names has them recorded, computed from its
+    children's when it is built.
     """
 
-    def __init__(self, g: ExpandedGrammar, deadline: Optional[_Deadline] = None):
+    def __init__(
+        self,
+        g: ExpandedGrammar,
+        deadline: Optional[_Deadline] = None,
+        key: Optional[Callable[[Term], Hashable]] = None,
+    ):
         self.g = g
         self._nt_names = frozenset(g.nts)
         self._deadline = deadline if deadline is not None else _Deadline(None)
+        self._key = key
         self._interned: dict[object, Term] = {}
+        #: The free let-bound names of each interned node that has any, by
+        #: identity; equal name sets are one object.
+        self._free: dict[int, frozenset[Symbol]] = {}
+        self._name_sets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
+        #: The class keys of the terms each non-terminal lists.
+        self._classes: dict[Symbol, set[Hashable]] = {name: set() for name in g.order}
         self.prods: dict[Symbol, list[_Prod]] = {}
         for name in g.order:
             compiled = []
@@ -321,8 +373,7 @@ class TermTable:
 
     def closed(self, nt: Symbol, size: int) -> list[Term]:
         """Like ``exact`` but without terms leaking a free let-bound name."""
-        lets = self.g.let_names
-        if not lets:
+        if not self.g.let_names:
             return self.exact(nt, size)
         key = (nt, size)
         if key not in self._closed:
@@ -330,25 +381,45 @@ class TermTable:
             kept = []
             for t in self.exact(nt, size):
                 tick()
-                if not (free_refs(t) & lets):
+                if id(t) not in self._free:
                     kept.append(t)
             self._closed[key] = kept
         return self._closed[key]
 
-    def _app(self, head: Symbol, args: tuple[Term, ...], pos) -> Term:
-        key = (head, *map(id, args))
-        term = self._interned.get(key)
-        if term is None:
-            term = self._interned[key] = App(head, args, pos)
+    def _new(self, key: object, term: Term) -> Term:
+        """Intern ``term`` under ``key`` and record its free let-bound
+        names, which its children's give."""
+        self._interned[key] = term
+        if isinstance(term, App):
+            free = self._free_in(term.args)
+        elif isinstance(term, Let):
+            # Parallel bindings: the values are outside the names' scope.
+            bound = frozenset(b.name for b in term.bindings)
+            free = self._free_in([b.value for b in term.bindings])
+            free |= self._free_in([term.body]) - bound
+        elif isinstance(term, Ref) and term.name in self.g.let_names:
+            free = frozenset((term.name,))
+        else:
+            return term
+        if free:
+            self._free[id(term)] = self._name_sets.setdefault(free, free)
         return term
+
+    def _free_in(self, terms: list[Term]) -> frozenset[Symbol]:
+        free = self._free
+        if not free:
+            return frozenset()
+        return frozenset().union(*[free.get(id(t), ()) for t in terms])
 
     def _fill(self, template: GTerm, fills: Iterator[Term]) -> Term:
         """Intern ``template`` with its holes replaced by ``fills`` in order."""
         if isinstance(template, Ref) and template.name in self._nt_names:
             return next(fills)
         if isinstance(template, App):
-            args = tuple(self._fill(a, fills) for a in template.args)
-            return self._app(template.head, args, template.pos)
+            args = tuple([self._fill(a, fills) for a in template.args])
+            key = (template.head, *map(id, args))
+            term = self._interned.get(key)
+            return term or self._new(key, App(template.head, args, template.pos))
         if isinstance(template, Let):
             bindings = tuple(
                 Binding(b.name, b.sort, self._fill(b.value, fills))
@@ -358,17 +429,28 @@ class TermTable:
             key = [Let, id(body)]
             for b in bindings:
                 key += (b.name, b.sort, id(b.value))
-            return self._interned.setdefault(tuple(key), Let(bindings, body, template.pos))
+            key = tuple(key)
+            return self._interned.get(key) or self._new(key, Let(bindings, body, template.pos))
         # A leaf is its own key; hashing one does not recurse.
-        return self._interned.setdefault(template, template)
+        return self._interned.get(template) or self._new(template, template)
+
+    def _list(self, nt: Symbol, out: list[Term], term: Term) -> bool:
+        """Append ``term`` to ``out`` unless ``nt`` lists its class."""
+        if self._key is None or id(term) in self._free:
+            key: Hashable = id(term)
+        else:
+            key = self._key(term)
+        classes = self._classes[nt]
+        if key in classes:
+            return False
+        classes.add(key)
+        out.append(term)
+        return True
 
     def _build_level(self, size: int) -> None:
         tick = self._deadline.tick
-        # Ids of the terms listed per non-terminal at this level.
-        listed: dict[Symbol, set[int]] = {name: set() for name in self.g.order}
         for name in self.g.order:
             out = self.tables[(name, size)] = []
-            seen = listed[name]
             for prod in self.prods[name]:
                 k = len(prod.holes)
                 if prod.is_unit or size < prod.own_size + k:
@@ -377,25 +459,19 @@ class TermTable:
                     pools = [self.tables[(h, c)] for h, c in zip(prod.holes, comp)]
                     for picks in product(*pools):
                         tick()
-                        term = self._fill(prod.template, iter(picks))
-                        if id(term) not in seen:
-                            seen.add(id(term))
-                            out.append(term)
+                        self._list(name, out, self._fill(prod.template, iter(picks)))
         # Close unit productions at this level until stable.
         changed = True
         while changed:
             changed = False
             for name in self.g.order:
-                out, seen = self.tables[(name, size)], listed[name]
+                out = self.tables[(name, size)]
                 for prod in self.prods[name]:
                     if not prod.is_unit:
                         continue
                     for t in list(self.tables[(prod.holes[0], size)]):
                         tick()
-                        if id(t) not in seen:
-                            seen.add(id(t))
-                            out.append(t)
-                            changed = True
+                        changed |= self._list(name, out, t)
         self._built = size
 
 
@@ -610,63 +686,85 @@ def _mentioned_tasks(term: Term, task_names: frozenset[Symbol]) -> frozenset[Sym
     return (app_heads(term) | free_refs(term)) & task_names
 
 
-class _Screen:
-    """Lazy per-term screening against the shared counterexample store.
+def _nested_calls(constraints: tuple[Term, ...], task_names: frozenset[Symbol]) -> bool:
+    """Whether an application of a synthesis function sits in the arguments
+    of one, directly or through a let of the constraints that binds its
+    value.  A ``Ref`` to a task's name is a 0-ary application unless a let
+    binds the name."""
+    nested = False
 
-    For each enumerated term we track how many stored counterexamples its
-    single-function constraints survive; a term is revisited only when the
-    store has grown since it was last screened.  Terms come from a
-    hash-consed ``TermTable``, so the memo is keyed by identity.  The
-    constraints are compiled once, with the task's applications bound to
-    its ``TermValues``.
+    def calls(t: Term, tainted: frozenset[Symbol]) -> bool:
+        """Whether ``t``'s value depends on a synthesis function; a name in
+        ``tainted`` stands for such a value."""
+        nonlocal nested
+        if isinstance(t, Ref):
+            return t.name in tainted
+        if isinstance(t, App):
+            inner = [calls(a, tainted) for a in t.args]
+            if t.head in task_names:
+                nested = nested or any(inner)
+                return True
+            return any(inner)
+        if isinstance(t, Let):
+            carried = [calls(b.value, tainted) for b in t.bindings]
+            bound = frozenset(b.name for b in t.bindings)
+            inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
+            return calls(t.body, inner) or any(carried)
+        return False
+
+    for c in constraints:
+        calls(c, task_names)
+    return nested
+
+
+class _InvocationPoints:
+    """The argument tuples each synthesis function is applied to when the
+    constraints are evaluated at the stored counterexamples.
+
+    Each application is bound to a recorder that returns an arbitrary value
+    of the function's sort.  Evaluation is strict, so every application is
+    evaluated at every counterexample, and when no application sits in the
+    arguments of another (see ``_nested_calls``) no argument depends on the
+    recorders' results.
     """
 
-    def __init__(
-        self,
-        checks: list[Compiled],
-        env: EvalEnv,
-        values: TermValues,
-        store: list[tuple[Assignment, int]],
-        model_for,
-    ):
-        self.checks = checks
-        self.env = env
-        self.values = values
-        self.store = store
-        self.model_for = model_for
-        self.progress: dict[int, int] = {}
-        #: How many terms this screen has found dead so far.
-        self.deaths = 0
+    def __init__(self, problem: CheckedProblem, cfg: SolverConfig, model_for):
+        self._env = env = EvalEnv(problem)
+        #: Per task, the argument tuples in first-seen order.
+        self._seen: dict[Symbol, dict[tuple[Value, ...], Value]] = {}
+        for t in problem.synth_tasks:
+            seen = self._seen[t.name] = {}
+            # Any value of the sort will do.
+            anything = _grid_values(t.ret, cfg)[1][0]
+            env.set_values(t.name, lambda *args, seen=seen, v=anything: seen.setdefault(args, v))
+        variables = dict(problem.universal_vars)
+        self._checks = [compile_term(c, env, variables) for c in problem.constraints]
+        self._model_for = model_for
+        self._done = 0
 
-    def known_dead(self, term: Term) -> bool:
-        """Whether ``term`` already failed a stored counterexample; a lookup
-        that evaluates nothing."""
-        return self.progress.get(id(term), 0) < 0
-
-    def alive(self, term: Term) -> bool:
-        if not self.checks:
-            return True
-        done = self.progress.get(id(term), 0)
-        if done < 0:
-            return False
-        if done == len(self.store):
-            return True
-        self.values.term = term
-        while done < len(self.store):
-            assignment, uf_seed = self.store[done]
-            model = self.model_for(uf_seed)
-            if _falsifies(self.checks, self.env, assignment, model):
-                self.progress[id(term)] = -1
-                self.deaths += 1
-                return False
-            done += 1
-        self.progress[id(term)] = done
-        return True
+    def at(self, store: list[tuple[Assignment, int]]) -> dict[Symbol, list[tuple[Value, ...]]]:
+        """Each task's invocation points at ``store``, which has grown since
+        the last call or not at all."""
+        for assignment, uf_seed in store[self._done:]:
+            self._env.model = self._model_for(uf_seed)
+            for check in self._checks:
+                check(assignment)
+        self._done = len(store)
+        return {name: list(seen) for name, seen in self._seen.items()}
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     """Search candidate tuples in budget rounds; deterministic for a fixed
-    problem and configuration."""
+    problem and configuration.
+
+    The search runs in passes, one per state of the counterexample store.
+    A pass builds the term tables afresh, keyed by the values at the
+    store's invocation points (tables keyed by identity are built once),
+    and walks the rounds from the first until ``verify`` either passes a
+    tuple or stores a new counterexample.  Every tuple walked before it
+    then fails at a stored counterexample, so the next pass reaches the
+    same next tuple that walking on would.
+    """
     _theory_gate(problem)
     tasks = problem.synth_tasks
     cex_store: list[tuple[Assignment, int]] = []
@@ -678,8 +776,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             return Fail("timeout")
         return Solved({}, result) if isinstance(result, Valid) else Fail("exhausted")
 
-    grammars = {t.name: expand_shorthands(t, problem, cfg) for t in tasks}
-    tables = {t.name: TermTable(grammars[t.name], deadline) for t in tasks}
+    grammars = [expand_shorthands(t, problem, cfg) for t in tasks]
     names = [t.name for t in tasks]
     name_set = frozenset(names)
 
@@ -700,48 +797,60 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             models[seed] = fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
         return models[seed]
 
-    # One environment binds every task to its term values, whose memos the
-    # screens and the joint check share and which die with the tables.
-    env = EvalEnv(problem)
-    values = [TermValues(t, env) for t in tasks]
-    for t, tv in zip(tasks, values):
-        env.set_values(t.name, tv)
     variables = dict(problem.universal_vars)
+    points = plain = None
+    if _nested_calls(problem.constraints, name_set):
+        # Identity keys do not depend on the store: one table serves every
+        # pass.
+        plain = [TermTable(g, deadline) for g in grammars]
+    else:
+        points = _InvocationPoints(problem, cfg, model_for)
 
-    def compiled(constraints: list[Term]) -> list[Compiled]:
-        return [compile_term(c, env, variables) for c in constraints]
+    def search() -> Optional[Solved]:
+        """One pass: a solution, or ``None`` once the store has grown or
+        every tuple is walked."""
+        # One environment binds every task to its term values, whose memos
+        # the screens share and which die with the pass's tables.
+        env = EvalEnv(problem)
+        values = [TermValues(t, env) for t in tasks]
+        for t, tv in zip(tasks, values):
+            env.set_values(t.name, tv)
+        if plain is not None:
+            tables = plain
+        else:
+            at = points.at(cex_store)
+            tables = [
+                TermTable(g, deadline, tv.at(at[t.name]))
+                for g, t, tv in zip(grammars, tasks, values)
+            ]
+        solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
+        joint_checks = [compile_term(c, env, variables) for c in joint]
 
-    screens = [
-        _Screen(compiled(solo[t.name]), env, tv, cex_store, model_for)
-        for t, tv in zip(tasks, values)
-    ]
-    joint_checks = compiled(joint)
+        def holds(checks: list[Compiled], picks) -> bool:
+            """Whether ``checks`` hold at every stored counterexample with
+            each task of ``picks`` bound to its term."""
+            for tv, term in picks:
+                tv.term = term
+            return not any(
+                _falsifies(checks, env, assignment, model_for(uf_seed))
+                for assignment, uf_seed in cex_store
+            )
 
-    def joint_ok(picks: tuple[Term, ...]) -> bool:
-        if not joint_checks or not cex_store:
-            return True
-        for tv, term in zip(values, picks):
-            tv.term = term
-        return not any(
-            _falsifies(joint_checks, env, assignment, model_for(uf_seed))
-            for assignment, uf_seed in cex_store
-        )
+        # Each task's terms of a size that pass its own constraints; within
+        # a pass the store is fixed, so a term is screened once.
+        pools: dict[tuple[int, int], list[Term]] = {}
 
-    def live(pools: list[list[Term]]) -> list[list[Term]]:
-        """The inner pools without the terms already known dead.  Nothing is
-        evaluated here: the product's own ``alive`` checks screen the rest,
-        in the order and against the store they always did."""
-        out = []
-        for screen, pool in zip(screens[1:], pools):
-            kept = []
-            for term in pool:
-                deadline.tick()
-                if not screen.known_dead(term):
-                    kept.append(term)
-            out.append(kept)
-        return out
+        def pool(i: int, size: int) -> list[Term]:
+            if (i, size) not in pools:
+                kept = []
+                for term in tables[i].closed("Start", size):
+                    deadline.tick()
+                    if holds(solo_checks[i], [(values[i], term)]):
+                        kept.append(term)
+                pools[(i, size)] = kept
+            return pools[(i, size)]
 
-    try:
+        stored = len(cex_store)
         for budget in range(1, cfg.max_term_size + 1):
             deadline.check()
             vectors = sorted(
@@ -753,36 +862,28 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 key=lambda v: (sum(v), v),
             )
             for vec in vectors:
-                pools = [tables[t.name].closed("Start", s) for t, s in zip(tasks, vec)]
-                if not all(pools):
+                row = [pool(i, s) for i, s in enumerate(vec)]
+                if not all(row):
                     continue
-                # Dead terms stay dead, so dropping them from the inner pools
-                # skips only tuples the product would reject by a lookup.
-                # The pools are refiltered once a row has found more of them.
-                inner, deaths = None, -1
-                for first in pools[0]:
+                for picks in product(*row):
                     deadline.tick()
-                    if not screens[0].alive(first):
+                    if joint_checks and not holds(joint_checks, zip(values, picks)):
                         continue
-                    if deaths != sum(s.deaths for s in screens[1:]):
-                        deaths = sum(s.deaths for s in screens[1:])
-                        inner = live(pools[1:])
-                    for rest in product(*inner):
-                        deadline.tick()
-                        picks = (first, *rest)
-                        # Screens terms not yet checked against the whole
-                        # store, including terms killed by a counterexample
-                        # found earlier in this product.
-                        if not all(s.alive(t) for s, t in zip(screens, picks)):
-                            continue
-                        if not joint_ok(picks):
-                            continue
-                        terms = dict(zip(names, picks))
-                        result = verify(
-                            terms, problem, cfg, cex_store, _deadline=deadline
-                        )
-                        if isinstance(result, Valid):
-                            return Solved(terms, result)
+                    terms = dict(zip(names, picks))
+                    result = verify(terms, problem, cfg, cex_store, _deadline=deadline)
+                    if isinstance(result, Valid):
+                        return Solved(terms, result)
+                    if len(cex_store) > stored:
+                        return None
+        return None
+
+    try:
+        while True:
+            stored = len(cex_store)
+            found = search()
+            if found is not None:
+                return found
+            if len(cex_store) == stored:
+                return Fail("exhausted")
     except _Timeout:
         return Fail("timeout")
-    return Fail("exhausted")

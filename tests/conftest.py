@@ -20,7 +20,7 @@ FIXTURE_SOLUTIONS = {
 }
 
 # No term of this grammar equals x + 100 on the grid, so the search runs to
-# the size cap; size 9 takes several seconds.
+# the size cap.
 LIA_ITE_UNSOLVABLE = """
 (set-logic LIA)
 (synth-fun f ((x Int) (y Int)) Int
@@ -33,7 +33,8 @@ LIA_ITE_UNSOLVABLE = """
 """
 
 # The same target over a let grammar: only odd sizes have terms, and every
-# level is filtered for terms that leak the let-bound z.
+# level is filtered for terms that leak the let-bound z.  Terms that leak it
+# are never merged, so at size 13 the search outlasts a 1 s limit.
 LET_SUM_UNSOLVABLE = """
 (set-logic LIA)
 (synth-fun f ((x Int) (y Int)) Int
@@ -41,6 +42,25 @@ LET_SUM_UNSOLVABLE = """
 (declare-var x Int)
 (declare-var y Int)
 (constraint (= (f x y) (+ x 50)))
+(check-synth)
+"""
+
+
+# The 3-variable max over the max2 grammar with a third variable.  Its
+# smallest solution has 15 nodes, out of reach of the enumerative search:
+# at size 12 the search outlasts a 1 s limit.
+MAX3 = """
+(set-logic LIA)
+(synth-fun f ((x Int) (y Int) (z Int)) Int
+   ((Start Int (0 1 x y z (+ Start Start) (- Start Start) (ite B Start Start)))
+    (B Bool ((and B B) (not B) (<= Start Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(declare-var z Int)
+(constraint (>= (f x y z) x))
+(constraint (>= (f x y z) y))
+(constraint (>= (f x y z) z))
+(constraint (or (= x (f x y z)) (or (= y (f x y z)) (= z (f x y z)))))
 (check-synth)
 """
 

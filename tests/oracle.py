@@ -1,13 +1,20 @@
-"""Brute-force derivation-closure oracle for enumeration tests.
+"""Reference implementations for the solver's tests.
 
-Deliberately written as a naive fixpoint over sets, independent of the
-solver's size-indexed tables: keep substituting already-derived terms into
-production templates until nothing new appears under the size bound.
+``oracle_terms`` is a brute-force derivation closure for enumeration tests.
+It is deliberately written as a naive fixpoint over sets, independent of
+the solver's size-indexed tables: keep substituting already-derived terms
+into production templates until nothing new appears under the size bound.
+
+``plain_solve`` is the search without observational-equivalence pruning:
+the plain tables of ``enumerate_terms``, every candidate tuple in lockstep
+order, screens by the tree-walking ``eval_term``.
 """
 
 from itertools import product
 
-from sygus.solver import ExpandedGrammar
+from sygus import solver
+from sygus.evaluator import EvalEnv, eval_term, fresh_uf_model
+from sygus.solver import ExpandedGrammar, Fail, Solved, Valid, enumerate_terms, expand_shorthands
 from sygus.syntax import App, Binding, Let, Lit, Ref, Term, term_size
 
 
@@ -75,3 +82,40 @@ def _free_names(t: Term, bound: frozenset) -> set[str]:
         inner = bound | {b.name for b in t.bindings}
         return out | _free_names(t.body, inner)
     return set()
+
+
+def plain_solve(problem, cfg):
+    """A CEGIS loop over the plain tables: each tuple that holds at every
+    stored counterexample goes to ``solver.verify``, looked up at each call
+    so that a test can record the calls."""
+    tasks = problem.synth_tasks
+    pools = []
+    for task in tasks:
+        by_size = {s: [] for s in range(1, cfg.max_term_size + 1)}
+        g = expand_shorthands(task, problem, cfg)
+        for t in enumerate_terms(g, "Start", cfg.max_term_size):
+            by_size[term_size(t)].append(t)
+        pools.append(by_size)
+    store = []
+    for budget in range(1, cfg.max_term_size + 1):
+        vectors = [
+            v for v in product(range(1, budget + 1), repeat=len(tasks)) if max(v) == budget
+        ]
+        for vec in sorted(vectors, key=lambda v: (sum(v), v)):
+            for picks in product(*[p[s] for p, s in zip(pools, vec)]):
+                candidate = {t.name: term for t, term in zip(tasks, picks)}
+                if not _holds_at(store, candidate, problem):
+                    continue
+                result = solver.verify(candidate, problem, cfg, store)
+                if isinstance(result, Valid):
+                    return Solved(candidate, result)
+    return Fail("exhausted")
+
+
+def _holds_at(store, candidate, problem) -> bool:
+    env = EvalEnv(problem, candidates=candidate)
+    for assignment, uf_seed in store:
+        env.model = fresh_uf_model(problem.uf_decls, uf_seed) if problem.uf_decls else None
+        if not all(eval_term(c, assignment, env).value for c in problem.constraints):
+            return False
+    return True

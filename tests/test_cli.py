@@ -114,6 +114,14 @@ def test_non_ascii_file_is_a_lex_error(tmp_path):
     assert err == f"{path}:2:6: E-LEX: non-ASCII byte 0xc3\n"
 
 
+def test_overlong_numeral_is_a_lex_error(tmp_path):
+    path = tmp_path / "long.sl"
+    path.write_text(f"(set-logic LIA)\n(declare-var x Int)\n(constraint (< x {'9' * 5000}))\n(check-synth)\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err == f"{path}:3:18: E-LEX: numeral of 5000 digits is too long\n"
+
+
 def test_non_ascii_stdin_is_a_lex_error(monkeypatch):
     data = b"(set-logic LIA)\n; caf\xc3\xa9\n(check-synth)\n"
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))

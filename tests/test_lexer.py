@@ -130,6 +130,21 @@ def test_lex_errors(bad, line, col, message):
     assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
 
 
+@pytest.mark.parametrize("literal", ["7" * 5000, "-" + "7" * 5000, "1." + "0" * 5000])
+def test_numeral_beyond_the_conversion_limit_is_a_lex_error(literal):
+    # The interpreter converts at most 4,300 decimal digits by default.
+    with pytest.raises(LexError) as info:
+        tokenize(f"(f\n  {literal})")
+    digits = len(literal.lstrip("-").replace(".", ""))
+    assert (info.value.line, info.value.col) == (2, 3)
+    assert info.value.message == f"numeral of {digits} digits is too long"
+
+
+def test_long_bit_vector_constants_lex():
+    (tok,) = tokenize("#x" + "f" * 5000)
+    assert tok.value == (20000, (1 << 20000) - 1)
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [

@@ -18,7 +18,7 @@ from sygus.solver import (
     solve,
     verify,
 )
-from sygus.evaluator import VInt
+from sygus.evaluator import EvalEnv, VInt, eval_term
 from sygus.syntax import subterms
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     FIXTURES,
     LET_SUM_UNSOLVABLE,
     LIA_ITE_UNSOLVABLE,
+    MAX3,
     UF_DIFF,
     UF_SUM,
     load_problem,
@@ -201,8 +202,45 @@ def test_closed_is_the_exact_list_without_let_names(max2_min2_problem):
     assert table.closed("Start", 3) is table.exact("Start", 3)
 
 
+def test_tables_keep_one_term_per_value_vector(monkeypatch):
+    """On a spec whose one application is ``(f x y)``, the invocation points
+    are the stored counterexamples themselves: no two terms of a
+    non-terminal have equal values at them."""
+    problem = load_problem(LIA_ITE_UNSOLVABLE)
+    made = []
+
+    class Recorded(TermTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "TermTable", Recorded)
+    with_points = []
+    original = solver.verify
+
+    def recording(candidate, problem, cfg, cex_store, **kwargs):
+        result = original(candidate, problem, cfg, cex_store, **kwargs)
+        with_points.append(list(cex_store))
+        return result
+
+    monkeypatch.setattr(solver, "verify", recording)
+    assert solve(problem, SolverConfig(max_term_size=8)) == Fail("exhausted")
+    # One table per state of the store: empty, then one counterexample.
+    assert len(made) == 2 and [len(s) for s in with_points] == [1]
+    table, store = made[-1], with_points[-1]
+    env = EvalEnv(problem)
+    for nt in ("Start", "B"):
+        terms = [t for s in range(1, 9) for t in table.closed(nt, s)]
+        vectors = {
+            tuple(eval_term(t, {n: a[n] for n in ("x", "y")}, env) for a, _ in store)
+            for t in terms
+        }
+        assert len(vectors) == len(terms)
+    assert sum(len(table.closed("Start", s)) for s in range(1, 9)) == 31
+
+
 @pytest.mark.parametrize(
-    "spec, max_size", [(LIA_ITE_UNSOLVABLE, 9), (LET_SUM_UNSOLVABLE, 11)]
+    "spec, max_size", [(MAX3, 12), (LET_SUM_UNSOLVABLE, 13)]
 )
 def test_timeout_is_honoured_while_tables_grow(spec, max_size):
     problem = load_problem(spec)
