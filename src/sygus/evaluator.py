@@ -16,13 +16,19 @@ same uninterpreted-function queries.
   application by the sorts of its argument values.  It is the reference
   that the other two are tested against.
 - ``compile_term`` resolves every application once, from the sorts of the
-  checked term, and returns one closure per node; macro and candidate
-  bodies are compiled once per environment.  Compiling costs more than one
-  walk, but each later evaluation skips the walk, the dispatch and the
-  operator lookup, which suits a term evaluated at many points: the solver
-  verifies a candidate on compiled constraints.  The compiler keeps its
-  work on an explicit stack, so a deep term costs it no interpreter stack;
-  a compiled term then nests about one call per level.
+  checked term, and returns one column function per node: it maps a batch
+  of rows, each an assignment with its own sampled model, to the node's
+  values at every row, with one list operation per node.  Operators are
+  mapped over their argument columns; an uninterpreted function is queried
+  once per distinct model and argument tuple of the batch; macro and
+  candidate bodies are compiled once per environment and take their
+  argument columns as variables.  Compiling costs more than one walk, but
+  each later batch skips the walk, the dispatch and the operator lookup,
+  and pays each node's call once per batch rather than once per row.  The
+  solver runs every constraint evaluation this way: ``verify`` on chunks of
+  its grid, the screens on the stored counterexamples.  The compiler keeps
+  its work on an explicit stack, so a deep term costs it no interpreter
+  stack; a compiled term then nests about one call per level.
 - ``TermValues`` evaluates the enumerated bodies of a synthesis function
   bound into compiled constraints (``EvalEnv.set_values``).  It memoizes
   each node's value per binding of the function's parameters, so a
@@ -36,9 +42,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from operator import itemgetter
-from typing import Callable, Mapping, Optional, Union
+from operator import attrgetter
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .checker import (
     CheckedProblem,
@@ -118,8 +125,6 @@ class VEnum(Value):
 
 
 Assignment = dict[Symbol, Value]
-#: A compiled term: its value at an assignment.
-Compiled = Callable[[Assignment], Value]
 
 
 def sort_of_value(v: Value) -> ResolvedSort:
@@ -139,9 +144,19 @@ def sort_of_value(v: Value) -> ResolvedSort:
 # Uninterpreted-function models
 
 
+def _decimal(n: int) -> str:
+    """The decimal numeral of ``n``.  ``str`` refuses an int past the
+    interpreter's digit limit (4,300 by default), which arithmetic on long
+    numerals can reach; ``Decimal`` converts it exactly, with no limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _encode_value(v: Value) -> bytes:
     if isinstance(v, VInt):
-        return b"i" + str(v.value).encode()
+        return b"i" + _decimal(v.value).encode()
     if isinstance(v, VBool):
         return b"b1" if v.value else b"b0"
     if isinstance(v, VBV):
@@ -209,6 +224,15 @@ class UFModel:
         return result
 
 
+#: A batch of rows: each variable's values, one per row.
+Columns = dict[Symbol, list[Value]]
+#: Each row's sampled model; ``None`` where there are no uninterpreted
+#: functions.
+Models = Sequence[Optional[UFModel]]
+#: A compiled term: its value at each row of a batch.
+Compiled = Callable[[Columns, Models], list[Value]]
+
+
 def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
     """Deterministic sampled model for the given declarations and seed."""
     for d in decls:
@@ -247,7 +271,8 @@ class EvalEnv:
         problem: CheckedProblem,
         candidates: Optional[dict[Symbol, Term]] = None,
     ):
-        #: The sampled model that uninterpreted functions are evaluated in.
+        #: The sampled model that ``eval_term`` evaluates uninterpreted
+        #: functions in; compiled terms take a model per row instead.
         self.model: Optional[UFModel] = None
         self.enums = problem.enum_registry()
         self.funcs: dict[Symbol, list[_Callable]] = {}
@@ -432,7 +457,7 @@ THEORY_OPS: dict[Symbol, Callable[..., Value]] = {
 
 
 # ---------------------------------------------------------------------------
-# Compilation to closures
+# Compilation to column functions
 
 #: Result sorts of the built-in operators.  Every family is loaded, because
 #: evaluation, unlike checking, is not gated on the logic.
@@ -443,16 +468,30 @@ _NODE, _APP, _LET_BODY, _LET = range(4)
 
 _Part = tuple[Compiled, Optional[ResolvedSort]]
 
+# A column function calls its children from its own frame, in a loop rather
+# than a comprehension, which would be a frame of its own: a compiled term
+# nests one call per level, so it reaches as deep as the checker does.
+
+
+def columns(names: Sequence[Symbol], points: Sequence[tuple[Value, ...]]) -> Columns:
+    """The columns of a batch of ``points``, each a tuple of the values of
+    ``names``."""
+    return {n: [p[i] for p in points] for i, n in enumerate(names)}
+
 
 def compile_term(
     t: Term, env: EvalEnv, variables: Mapping[Symbol, ResolvedSort]
 ) -> Compiled:
-    """``t`` as a function of an assignment to ``variables``.
+    """``t`` as a function of a batch of rows.
 
-    On a checked term whose free names are ``variables``, with their sorts,
-    the function gives what ``eval_term`` gives at any assignment of those
-    names, and queries the model that ``env.model`` holds at call time in
-    the same way.  Applications are resolved against the candidates that
+    A row is an assignment to ``variables`` and the sampled model that
+    uninterpreted functions are evaluated in at that row.  The function
+    takes the batch's columns (see ``columns``) and its list of models, one
+    per row, and returns the term's value at each row.  On a checked term
+    whose free names are ``variables``, with their sorts, that value is what
+    ``eval_term`` gives at the row's assignment with ``env.model`` set to
+    the row's model, and each model is queried at the points ``eval_term``
+    queries it at.  Applications are resolved against the candidates that
     ``env`` holds now.
     """
     return _compile(t, env, variables)[0]
@@ -461,8 +500,8 @@ def compile_term(
 def _compile(
     root: Term, env: EvalEnv, variables: Mapping[Symbol, ResolvedSort]
 ) -> _Part:
-    """The closure of ``root`` and its sort; ``None`` for a sort that is
-    only known at run time, and then the closure dispatches like
+    """The column function of ``root`` and its sort; ``None`` for a sort
+    that is only known at run time, and then the function dispatches like
     ``eval_term``.  Nodes are compiled in post-order from an explicit stack;
     ``done`` holds the compiled children waiting for their parent."""
     done: list[_Part] = []
@@ -472,11 +511,11 @@ def _compile(
         if step == _NODE:
             if isinstance(node, Lit):
                 value = _lit_value(node.value, env.enums)
-                done.append((lambda a, v=value: v, sort_of_value(value)))
+                done.append((lambda c, m, v=value: [v] * len(m), sort_of_value(value)))
             elif isinstance(node, Ref):
                 sort = scope.get(node.name)
                 if sort is not None:
-                    done.append((itemgetter(node.name), sort))
+                    done.append((lambda c, m, n=node.name: c[n], sort))
                 else:
                     done.append(_call(node.name, [], env))
             elif isinstance(node, App):
@@ -505,7 +544,7 @@ def _compile(
         else:
             names, fns = node
             body, sort = done.pop()
-            done.append((_let(names, fns, body), sort))
+            done.append((_parallel_let(names, fns, body), sort))
     [result] = done
     return result
 
@@ -517,19 +556,26 @@ def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
     sorts = tuple(s for _, s in parts)
     if None not in sorts:
         entry = env.resolve(head, sorts)
-        if entry is not None and entry.kind == "uf":
-            return _uf_call(head, fns, env), entry.ret
-        if entry is not None and entry.kind == "values":
-            return _op_call(entry.fn, fns), entry.ret
-        if entry is not None:
-            return _body_call(_compiled_body(entry, env), entry.params, fns), entry.ret
-        op = THEORY_OPS.get(head)
-        ret = _THEORY.lookup(head, sorts)
-        if op is not None and ret is not None:
-            return _op_call(op, fns), ret
+        if entry is None:
+            op = THEORY_OPS.get(head)
+            ret = _THEORY.lookup(head, sorts)
+            if op is not None and ret is not None:
+                return _map_call(op, fns), ret
+        elif entry.kind == "uf":
+            return _uf_query(head, sorts, fns), entry.ret
+        elif entry.kind == "values":
+            return _map_call(entry.fn, fns), entry.ret
+        else:
+            return _call_by_value(_compiled_body(entry, env), entry.params, fns), entry.ret
     # Left to run time, as ``eval_term`` would: only an ill-sorted term or
     # a call of a synthesis function with no candidate comes here.
-    return (lambda a: _apply(head, tuple([f(a) for f in fns]), env)), None
+    def unresolved(c: Columns, m: Models) -> list[Value]:
+        args = []
+        for f in fns:
+            args.append(f(c, m))
+        return [_apply(head, tuple([a[i] for a in args]), env) for i in range(len(m))]
+
+    return unresolved, None
 
 
 def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
@@ -542,50 +588,69 @@ def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
     return hit[1]
 
 
-def _op_call(op: Callable[..., Value], fns: list[Compiled]) -> Compiled:
-    """A call of ``op`` with the argument values."""
+def _map_call(fn: Callable[..., Value], fns: list[Compiled]) -> Compiled:
+    """``fn`` called at each row with the argument values."""
+    if not fns:
+        return lambda c, m: [fn() for _ in m]
     if len(fns) == 1:
         [f0] = fns
-        return lambda a: op(f0(a))
+        return lambda c, m: list(map(fn, f0(c, m)))
     if len(fns) == 2:
         f0, f1 = fns
-        return lambda a: op(f0(a), f1(a))
-    if len(fns) == 3:
-        f0, f1, f2 = fns
-        return lambda a: op(f0(a), f1(a), f2(a))
-    return lambda a: op(*[f(a) for f in fns])
+        return lambda c, m: list(map(fn, f0(c, m), f1(c, m)))
+
+    def call(c: Columns, m: Models) -> list[Value]:
+        args = []
+        for f in fns:
+            args.append(f(c, m))
+        return list(map(fn, *args))
+
+    return call
 
 
-def _uf_call(name: Symbol, fns: list[Compiled], env: EvalEnv) -> Compiled:
-    if len(fns) == 1:
-        [f0] = fns
-        return lambda a: env.model.query(name, (f0(a),))
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda a: env.model.query(name, (f0(a), f1(a)))
-    return lambda a: env.model.query(name, tuple([f(a) for f in fns]))
+def _uf_query(name: Symbol, sorts: tuple[ResolvedSort, ...], fns: list[Compiled]) -> Compiled:
+    """A query of each row's model at the argument values, asked once per
+    distinct model and argument tuple of the batch.  Argument tuples are
+    told apart by their raw payloads, which is unambiguous because the
+    argument sorts are static; equal payloads are equal values."""
+    payloads = [attrgetter("constructor" if isinstance(s, REnum) else "value") for s in sorts]
+
+    def call(c: Columns, m: Models) -> list[Value]:
+        args = []
+        for f in fns:
+            args.append(f(c, m))
+        keys = list(zip(m, *[map(p, a) for p, a in zip(payloads, args)]))
+        points = zip(*args) if args else [()] * len(m)
+        results = {k: k[0].query(name, point) for k, point in dict(zip(keys, points)).items()}
+        return list(map(results.__getitem__, keys))
+
+    return call
 
 
-def _body_call(body: Compiled, params: tuple[Symbol, ...], fns: list[Compiled]) -> Compiled:
-    """A call by value: the arguments fill a fresh parameter dict."""
+def _call_by_value(body: Compiled, params: tuple[Symbol, ...], fns: list[Compiled]) -> Compiled:
+    """A call by value: the argument columns are the body's variables."""
     pairs = tuple(zip(params, fns))
-    if len(pairs) == 1:
-        [(p0, f0)] = pairs
-        return lambda a: body({p0: f0(a)})
-    if len(pairs) == 2:
-        (p0, f0), (p1, f1) = pairs
-        return lambda a: body({p0: f0(a), p1: f1(a)})
-    return lambda a: body({p: f(a) for p, f in pairs})
+
+    def call(c: Columns, m: Models) -> list[Value]:
+        args = {}
+        for p, f in pairs:
+            args[p] = f(c, m)
+        return body(args, m)
+
+    return call
 
 
-def _let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> Compiled:
+def _parallel_let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> Compiled:
     pairs = tuple(zip(names, fns))
 
-    def let(a: Assignment) -> Value:
-        values = [(n, f(a)) for n, f in pairs]
-        inner = dict(a)
+    def let(c: Columns, m: Models) -> list[Value]:
+        # Every value is taken in the outer columns before any is bound.
+        values = []
+        for n, f in pairs:
+            values.append((n, f(c, m)))
+        inner = dict(c)
         inner.update(values)
-        return body(inner)
+        return body(inner, m)
 
     return let
 
@@ -677,5 +742,6 @@ class TermValues:
         if name in env.funcs or name in env._cands:
             entry = env.resolve(name, tuple(map(sort_of_value, args)))
             if entry is not None and entry.kind == "macro":
-                return _compiled_body(entry, env)(dict(zip(entry.params, args)))
+                body = _compiled_body(entry, env)
+                return body({p: [a] for p, a in zip(entry.params, args)}, [None])[0]
         return _apply(name, args, env)

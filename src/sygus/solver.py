@@ -42,14 +42,17 @@ functions, and a batch of random assignments.  A ``Valid`` verdict therefore
 means "no counterexample found within the configured budget", and it records
 that budget; it is a proof only when it is ``exhaustive``.
 
-Both phases run the constraints compiled into closures (see
-``evaluator``).  ``verify`` evaluates one candidate at up to
-``GRID_POINT_CAP`` points per model, so it compiles them once per call with
-the candidate inlined.  The tables and screens evaluate each of many
-enumerated terms at the few invocation points, so they compile the
-constraints once per pass, with each synthesis function's applications
-bound to its ``TermValues``: a term's value at a binding of its parameters
-comes from its subterms' memoized values, so a hash-consed term costs one
+Every constraint evaluation runs on the constraints compiled into column
+functions (see ``evaluator``), which map a batch of rows, each an
+assignment with its own sampled model, to the values at every row.
+``verify`` compiles them once per call with the candidate inlined and
+evaluates chunks of up to ``CHUNK_CAP`` rows of the stored
+counterexamples, the grid and the random samples.  The tables and screens
+evaluate each of many enumerated terms at the few invocation points, so
+they compile the constraints once per pass, with each synthesis function's
+applications bound to its ``TermValues``, and evaluate them on one batch:
+the store's rows.  A term's value at a binding of its parameters comes
+from its subterms' memoized values, so a hash-consed term costs one
 operator application per new node and point.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
@@ -65,7 +68,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product, repeat
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
 
 from .checker import (
@@ -81,6 +84,7 @@ from .checker import (
 )
 from .evaluator import (
     Assignment,
+    Columns,
     Compiled,
     EvalEnv,
     TermValues,
@@ -90,6 +94,7 @@ from .evaluator import (
     VEnum,
     VInt,
     Value,
+    columns,
     compile_term,
     eval_term,  # not called here: the benchmark's tracer counts calls by this name
     fresh_uf_model,
@@ -124,6 +129,8 @@ _MASK64 = (1 << 64) - 1
 
 #: Grid points checked per sampled model; the grid is cut beyond this.
 GRID_POINT_CAP = 10_000
+#: Most rows ``verify`` evaluates in one batch.
+CHUNK_CAP = 256
 #: Random Int samples are drawn from [-SAMPLE_RANGE, SAMPLE_RANGE].
 SAMPLE_RANGE = 1 << 16
 #: Seeded draws added to 0, 1 and all-ones for bit-vectors wider than 4.
@@ -516,6 +523,10 @@ class Counterexample:
 
 VerificationResult = Union[Valid, Counterexample]
 
+#: A row ``verify`` checks: the values of the universal variables, in
+#: declaration order, and a UF seed with its model.
+_Row = tuple[tuple[Value, ...], int, Optional[UFModel]]
+
 
 @dataclass(frozen=True)
 class Solved:
@@ -602,14 +613,17 @@ def _whole_domain(sort: ResolvedSort, size: int) -> bool:
     return isinstance(sort, (RBool, REnum))
 
 
-def _falsifies(checks: list[Compiled], env: EvalEnv, assignment: Assignment,
-               model: Optional[UFModel]) -> bool:
-    """Whether some check is false at ``assignment`` under ``model``."""
-    env.model = model
+def _first_false(checks: list[Compiled], names: list[Symbol], rows: list[_Row]) -> Optional[int]:
+    """The index of the first of ``rows`` at which some check is false."""
+    batch = columns(names, [point for point, _, _ in rows])
+    models = [model for _, _, model in rows]
+    first = None
     for check in checks:
-        if not check(assignment).value:
-            return True
-    return False
+        flags = [v.value for v in check(batch, models)]
+        if not all(flags):
+            at = flags.index(False)
+            first = at if first is None else min(first, at)
+    return first
 
 
 def verify(
@@ -621,53 +635,85 @@ def verify(
 ) -> VerificationResult:
     """Check a candidate, given as a body per synthesis function name,
     against stored counterexamples, the grid, and random samples; a novel
-    counterexample is appended to ``cex_store``."""
+    counterexample is appended to ``cex_store``.
+
+    Rows are checked in a fixed order: the stored counterexamples, then
+    the grid model-major (every point of the capped grid under the first
+    sampled model, then under the next), then the random samples, each
+    with its own model.  The result is the first row at which a constraint
+    is false.  Each of the three streams is evaluated in chunks whose size
+    doubles from 1 up to ``CHUNK_CAP`` rows, and checking stops at the
+    first chunk with a false constraint, so a counterexample at the k-th
+    row of a stream costs fewer than ``min(2k, k + CHUNK_CAP)`` rows, and
+    only one chunk is live at a time.  The deadline is checked once per
+    chunk.  The rows of that chunk after the first failing one are
+    evaluated too, and this cannot be observed: evaluation is pure (the
+    models and the sample generator belong to this call) and total
+    (``_theory_gate`` admits no real division, and a model encodes every
+    value it is queried at), so those rows change no result and raise
+    nothing.
+    """
     _theory_gate(problem)
     if cex_store is None:
         cex_store = []
     deadline = _deadline if _deadline is not None else _Deadline(None)
     env = EvalEnv(problem, candidates=dict(candidate))
     variables = dict(problem.universal_vars)
+    names = list(variables)
     checks = [compile_term(c, env, variables) for c in problem.constraints]
     has_ufs = bool(problem.uf_decls)
 
     def model_for(seed: int) -> Optional[UFModel]:
         return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
 
-    for assignment, uf_seed in cex_store:
-        if _falsifies(checks, env, assignment, model_for(uf_seed)):
-            return Counterexample(assignment, uf_seed)
+    def first_failure(rows: Iterator[_Row]) -> Optional[_Row]:
+        size = 1
+        while chunk := list(islice(rows, size)):
+            at = _first_false(checks, names, chunk)
+            if at is not None:
+                return chunk[at]
+            deadline.check()
+            size = min(2 * size, CHUNK_CAP)
+        return None
 
-    names = [n for n, _ in problem.universal_vars]
-    grid = [_grid_values(s, cfg) for _, s in problem.universal_vars]
+    stored = (
+        (tuple(a[n] for n in names), seed, model_for(seed)) for a, seed in cex_store
+    )
+    found = first_failure(stored)
+    if found is not None:
+        point, seed, _ = found
+        return Counterexample(dict(zip(names, point)), seed)
+
+    grid = [_grid_values(s, cfg) for s in variables.values()]
     domains = [values for _, values in grid]
     if has_ufs:
-        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
+        model_seeds = [(cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count)]
     else:
-        model_seeds = (cfg.seed,)
-    for model_seed in model_seeds:
-        model = model_for(model_seed)
-        for point in islice(product(*domains), GRID_POINT_CAP):
-            assignment = dict(zip(names, point))
-            if _falsifies(checks, env, assignment, model):
-                cex_store.append((assignment, model_seed))
-                return Counterexample(assignment, model_seed)
-        deadline.check()
+        model_seeds = [cfg.seed]
+    # Each model is made when the stream reaches it and dropped after its
+    # last chunk.
+    grid_rows = chain.from_iterable(
+        zip(islice(product(*domains), GRID_POINT_CAP), repeat(seed), repeat(model_for(seed)))
+        for seed in model_seeds
+    )
 
-    rng = random.Random(stable_u64(cfg.seed, "samples"))
-    for _ in range(cfg.random_samples):
-        deadline.tick()
-        assignment = {
-            n: _random_value(s, rng) for n, s in problem.universal_vars
-        }
-        sample_seed = rng.getrandbits(64) if has_ufs else cfg.seed
-        if _falsifies(checks, env, assignment, model_for(sample_seed)):
-            cex_store.append((assignment, sample_seed))
-            return Counterexample(assignment, sample_seed)
+    def sample_rows() -> Iterator[_Row]:
+        rng = random.Random(stable_u64(cfg.seed, "samples"))
+        for _ in range(cfg.random_samples):
+            point = tuple(_random_value(s, rng) for s in variables.values())
+            seed = rng.getrandbits(64) if has_ufs else cfg.seed
+            yield point, seed, model_for(seed)
+
+    found = first_failure(grid_rows) or first_failure(sample_rows())
+    if found is not None:
+        point, seed, _ = found
+        assignment = dict(zip(names, point))
+        cex_store.append((assignment, seed))
+        return Counterexample(assignment, seed)
 
     grid_size = math.prod(size for size, _ in grid)
     whole = all(
-        _whole_domain(s, size) for (_, s), (size, _) in zip(problem.universal_vars, grid)
+        _whole_domain(s, size) for s, (size, _) in zip(variables.values(), grid)
     )
     return Valid(
         grid_points=min(grid_size, GRID_POINT_CAP),
@@ -729,7 +775,7 @@ class _InvocationPoints:
     """
 
     def __init__(self, problem: CheckedProblem, cfg: SolverConfig, model_for):
-        self._env = env = EvalEnv(problem)
+        env = EvalEnv(problem)
         #: Per task, the argument tuples in first-seen order.
         self._seen: dict[Symbol, dict[tuple[Value, ...], Value]] = {}
         for t in problem.synth_tasks:
@@ -738,6 +784,7 @@ class _InvocationPoints:
             anything = _grid_values(t.ret, cfg)[1][0]
             env.set_values(t.name, lambda *args, seen=seen, v=anything: seen.setdefault(args, v))
         variables = dict(problem.universal_vars)
+        self._names = list(variables)
         self._checks = [compile_term(c, env, variables) for c in problem.constraints]
         self._model_for = model_for
         self._done = 0
@@ -745,12 +792,23 @@ class _InvocationPoints:
     def at(self, store: list[tuple[Assignment, int]]) -> dict[Symbol, list[tuple[Value, ...]]]:
         """Each task's invocation points at ``store``, which has grown since
         the last call or not at all."""
-        for assignment, uf_seed in store[self._done:]:
-            self._env.model = self._model_for(uf_seed)
+        new = store[self._done:]
+        if new:
+            batch, models = _batch(self._names, new, self._model_for)
             for check in self._checks:
-                check(assignment)
+                check(batch, models)
         self._done = len(store)
         return {name: list(seen) for name, seen in self._seen.items()}
+
+
+def _batch(
+    names: list[Symbol],
+    rows: list[tuple[Assignment, int]],
+    model_for: Callable[[int], Optional[UFModel]],
+) -> tuple[Columns, list[Optional[UFModel]]]:
+    """The columns and models of stored counterexamples."""
+    points = [tuple(a[n] for n in names) for a, _ in rows]
+    return columns(names, points), [model_for(seed) for _, seed in rows]
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
@@ -825,15 +883,18 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             ]
         solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
         joint_checks = [compile_term(c, env, variables) for c in joint]
+        # Within a pass the store is fixed: one batch of its rows.
+        batch, batch_models = _batch(list(variables), cex_store, model_for)
 
         def holds(checks: list[Compiled], picks) -> bool:
             """Whether ``checks`` hold at every stored counterexample with
             each task of ``picks`` bound to its term."""
+            if not cex_store:
+                return True
             for tv, term in picks:
                 tv.term = term
-            return not any(
-                _falsifies(checks, env, assignment, model_for(uf_seed))
-                for assignment, uf_seed in cex_store
+            return all(
+                all(v.value for v in check(batch, batch_models)) for check in checks
             )
 
         # Each task's terms of a size that pass its own constraints; within

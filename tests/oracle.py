@@ -8,13 +8,26 @@ into production templates until nothing new appears under the size bound.
 ``plain_solve`` is the search without observational-equivalence pruning:
 the plain tables of ``enumerate_terms``, every candidate tuple in lockstep
 order, screens by the tree-walking ``eval_term``.
+
+``plain_verify`` is ``verify`` one point at a time on ``eval_term``.
 """
 
-from itertools import product
+import math
+import random
+from itertools import islice, product
 
 from sygus import solver
-from sygus.evaluator import EvalEnv, eval_term, fresh_uf_model
-from sygus.solver import ExpandedGrammar, Fail, Solved, Valid, enumerate_terms, expand_shorthands
+from sygus.evaluator import EvalEnv, eval_term, fresh_uf_model, stable_u64
+from sygus.solver import (
+    GRID_POINT_CAP,
+    Counterexample,
+    ExpandedGrammar,
+    Fail,
+    Solved,
+    Valid,
+    enumerate_terms,
+    expand_shorthands,
+)
 from sygus.syntax import App, Binding, Let, Lit, Ref, Term, term_size
 
 
@@ -119,3 +132,52 @@ def _holds_at(store, candidate, problem) -> bool:
         if not all(eval_term(c, assignment, env).value for c in problem.constraints):
             return False
     return True
+
+
+def plain_verify(candidate, problem, cfg, store):
+    """``solver.verify`` as a loop over single points: the stored
+    counterexamples, the grid model-major, then the random samples, each
+    point evaluated by ``eval_term`` and the first failing one reported."""
+    env = EvalEnv(problem, candidates=dict(candidate))
+    has_ufs = bool(problem.uf_decls)
+
+    def model_for(seed):
+        return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
+
+    def falsified(assignment, model):
+        env.model = model
+        return not all(eval_term(c, assignment, env).value for c in problem.constraints)
+
+    for assignment, seed in store:
+        if falsified(assignment, model_for(seed)):
+            return Counterexample(assignment, seed)
+    names = [n for n, _ in problem.universal_vars]
+    grid = [solver._grid_values(s, cfg) for _, s in problem.universal_vars]
+    seeds = [cfg.seed]
+    if has_ufs:
+        seeds = [(cfg.seed + m) % 2**64 for m in range(cfg.uf_model_count)]
+    for seed in seeds:
+        model = model_for(seed)
+        for point in islice(product(*[values for _, values in grid]), GRID_POINT_CAP):
+            assignment = dict(zip(names, point))
+            if falsified(assignment, model):
+                store.append((assignment, seed))
+                return Counterexample(assignment, seed)
+    rng = random.Random(stable_u64(cfg.seed, "samples"))
+    for _ in range(cfg.random_samples):
+        assignment = {n: solver._random_value(s, rng) for n, s in problem.universal_vars}
+        seed = rng.getrandbits(64) if has_ufs else cfg.seed
+        if falsified(assignment, model_for(seed)):
+            store.append((assignment, seed))
+            return Counterexample(assignment, seed)
+    grid_size = math.prod(size for size, _ in grid)
+    whole = all(
+        solver._whole_domain(s, size) for (_, s), (size, _) in zip(problem.universal_vars, grid)
+    )
+    return Valid(
+        grid_points=min(grid_size, GRID_POINT_CAP),
+        grid_size=grid_size,
+        uf_models=cfg.uf_model_count if has_ufs else 0,
+        random_samples=cfg.random_samples,
+        exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
+    )

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from io import StringIO
 from pathlib import Path
 
@@ -47,6 +48,19 @@ def test_solve_timed_out(unsolvable_path):
     code, out, err = run_cli("solve", "--timeout-seconds", "0", unsolvable_path)
     assert (code, out) == (EXIT_FAIL, "(fail)\n")
     assert err == "note: search stopped by timeout\n"
+
+
+def test_timeout_is_honoured_while_verifying(tmp_path):
+    # A thousand models of 10,000 grid points each: verify checks the
+    # deadline once per chunk of the grid.
+    path = tmp_path / "uf_sum.sl"
+    path.write_text(UF_SUM)
+    start = time.monotonic()
+    code, out, err = run_cli(
+        "solve", "--uf-model-count", "1000", "--timeout-seconds", "1", str(path)
+    )
+    assert time.monotonic() - start < 4.0
+    assert (code, out, err) == (EXIT_FAIL, "(fail)\n", "note: search stopped by timeout\n")
 
 
 
@@ -120,6 +134,22 @@ def test_overlong_numeral_is_a_lex_error(tmp_path):
     code, out, err = run_cli("check", str(path))
     assert (code, out) == (EXIT_STATIC, "")
     assert err == f"{path}:3:18: E-LEX: numeral of 5000 digits is too long\n"
+
+
+def test_uf_query_past_the_int_string_limit_is_answered(tmp_path):
+    # A 4,300-digit numeral lexes; ten times it has 4,301 digits, which the
+    # interpreter will not convert with str().  The sampled model hashes it
+    # all the same, and the search runs to its size cap.
+    path = tmp_path / "long.sl"
+    path.write_text(
+        "(set-logic LIA)\n(declare-fun uf (Int) Int)\n"
+        "(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))\n"
+        f"(declare-var x Int)\n(constraint (= (uf (* 10 {'7' * 4300})) (uf (f x))))\n"
+        "(check-synth)\n"
+    )
+    assert run_cli("solve", "--max-term-size", "5", str(path)) == (
+        EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 5\n"
+    )
 
 
 def test_non_ascii_stdin_is_a_lex_error(monkeypatch):

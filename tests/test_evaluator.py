@@ -23,13 +23,14 @@ from sygus.evaluator import (
     VEnum,
     VInt,
     VReal,
+    columns,
     compile_term,
     eval_term,
     fresh_uf_model,
 )
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
-from sygus.solver import SolverConfig, enumerate_terms, expand_shorthands
+from sygus.solver import Counterexample, SolverConfig, enumerate_terms, expand_shorthands
 
 from conftest import (
     FIXTURES,
@@ -39,6 +40,7 @@ from conftest import (
     UF_SUM,
     load_problem,
 )
+from oracle import plain_verify
 
 
 def term(text):
@@ -289,22 +291,57 @@ def test_enum_values_compare_by_sort_identity():
 # -- the compiled evaluator against the walker ----------------------------------
 
 
-def evaluate_both(problem, candidates, terms, points, seeds=(0, 1)):
-    """Values of ``terms`` at ``points`` under the models of ``seeds``, from
-    the walker and from compiled closures, with each model's query table."""
+def interleaved(points, seeds):
+    """Each point under each seed in turn, so that neighbouring rows have
+    different models."""
+    return [(point, seed) for point in points for seed in seeds]
+
+
+def column_values(fns, names, rows, models, batch):
+    """Per row, the values of the column functions ``fns``, taken in
+    batches of ``batch`` rows; a row is a point and the seed of its model."""
+    out = []
+    for start in range(0, len(rows), batch):
+        chunk = rows[start:start + batch]
+        cols = columns(names, [tuple(point[n] for n in names) for point, _ in chunk])
+        values = [f(cols, [models[seed] for _, seed in chunk]) for f in fns]
+        out.extend(map(list, zip(*values)))
+    return out
+
+
+def walked_values(terms, rows, env, models):
+    out = []
+    for point, seed in rows:
+        env.model = models[seed]
+        out.append([eval_term(t, point, env) for t in terms])
+    return out
+
+
+def evaluate_both(problem, candidates, terms, points, seeds=(0, 1), batches=(1, 96)):
+    """Values of ``terms`` at ``points`` under the models of ``seeds``, each
+    with the query table of each model: from the walker, and from compiled
+    column functions once per batch size in ``batches``, in batches that mix
+    the models."""
     walker, compiled = EvalEnv(problem, candidates), EvalEnv(problem, candidates)
     variables = dict(problem.universal_vars)
-    closures = [compile_term(t, compiled, variables) for t in terms]
-    by_walker, by_closures = [], []
-    for seed in seeds:
-        walker.model = fresh_uf_model(problem.uf_decls, seed)
-        compiled.model = fresh_uf_model(problem.uf_decls, seed)
-        for point in points:
-            by_walker.append([eval_term(t, point, walker) for t in terms])
-            by_closures.append([f(point) for f in closures])
-        by_walker.append(walker.model.table)
-        by_closures.append(compiled.model.table)
-    return by_walker, by_closures
+    fns = [compile_term(t, compiled, variables) for t in terms]
+    rows = interleaved(points, seeds)
+    models = fresh_models(problem, seeds)
+    walked = walked_values(terms, rows, walker, models), tables(models, seeds)
+    by_columns = []
+    for batch in batches:
+        models = fresh_models(problem, seeds)
+        values = column_values(fns, list(variables), rows, models, batch)
+        by_columns.append((values, tables(models, seeds)))
+    return walked, by_columns
+
+
+def fresh_models(problem, seeds):
+    return {seed: fresh_uf_model(problem.uf_decls, seed) for seed in seeds}
+
+
+def tables(models, seeds):
+    return [models[seed].table for seed in seeds]
 
 
 def grid_points(problem, cfg):
@@ -340,8 +377,97 @@ def test_compiled_constraints_agree_with_the_walker(name):
     cfg = SolverConfig(grid_radius=2)
     points = grid_points(problem, cfg)
     for candidates in candidate_tuples(problem, cfg):
-        walked, compiled = evaluate_both(problem, candidates, problem.constraints, points)
-        assert compiled == walked
+        walked, by_columns = evaluate_both(problem, candidates, problem.constraints, points)
+        assert by_columns == [walked, walked]
+
+
+# A small verification budget: a radius-2 grid under three models, then 16
+# random samples.
+VERIFY_CFG = SolverConfig(grid_radius=2, uf_model_count=3, random_samples=16)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
+def test_verify_agrees_with_plain_verify(name):
+    problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
+    # Each side keeps its own store across the candidates, as a solve does.
+    store, plain_store = [], []
+    for candidates in candidate_tuples(problem, VERIFY_CFG):
+        got = solver.verify(candidates, problem, VERIFY_CFG, store)
+        assert got == plain_verify(candidates, problem, VERIFY_CFG, plain_store)
+        assert store == plain_store
+
+
+def uf_sum_wrong_under_the_second_model(indices):
+    """A uf_sum candidate that is wrong at the grid points of ``indices``
+    under the second sampled model only: at each it adds to ``(+ a b)`` an
+    amount that the first model maps to the same value and the second does
+    not."""
+    problem = load_problem(UF_SUM)
+    points = grid_points(problem, VERIFY_CFG)
+    models = fresh_models(problem, (0, 1))
+
+    def agrees(seed, m, n):
+        return models[seed].query("uf", (VInt(m),)) == models[seed].query("uf", (VInt(n),))
+
+    body = "(+ a b)"
+    for index in indices:
+        point = points[index]
+        total = point["a"].value + point["b"].value
+        delta = next(
+            d for d in range(1, 10_000)
+            if agrees(0, total, total + d) and not agrees(1, total, total + d)
+        )
+        at = " ".join(f"(= {n} {v.value})" for n, v in point.items())
+        body = f"(ite (and {at}) (+ (+ a b) {delta}) {body})"
+    return problem, {"f": term(body)}, points
+
+
+def test_verify_reports_the_first_failure_under_a_later_model():
+    # Under the second model, grid points 300 and 350 are rows 925 and 975 of
+    # the grid's stream (625 points per model).  Chunks double from one row
+    # to solver.CHUNK_CAP (256), so both lie inside the chunk of rows
+    # 767-1022, off its boundaries.
+    assert solver.CHUNK_CAP == 256
+    problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
+    store, plain_store = [], []
+    got = solver.verify(candidate, problem, VERIFY_CFG, store)
+    assert got == plain_verify(candidate, problem, VERIFY_CFG, plain_store)
+    assert got == Counterexample(points[300], 1)
+    assert store == plain_store == [(points[300], 1)]
+
+
+TWO_BOUNDS = """
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))
+(declare-var x Int)
+(constraint (<= (f x) 3))
+(constraint (>= (f x) -1))
+(check-synth)
+"""
+
+
+def test_verify_reports_the_first_row_over_all_constraints():
+    # The grid x = -5..5 is taken in chunks of 1, 2, 4 and 4 rows.  The
+    # first constraint fails only at x = 1, the second only at x = -1, and
+    # both lie in the chunk x = -2..1.
+    problem = load_problem(TWO_BOUNDS)
+    candidate = {"f": term("(ite (= x 1) 10 (ite (= x -1) -10 0))")}
+    got = solver.verify(candidate, problem, SolverConfig())
+    assert got == plain_verify(candidate, problem, SolverConfig(), [])
+    assert got == Counterexample({"x": VInt(-1)}, 0)
+
+
+def test_verify_reports_a_random_sample_like_plain_verify(max2_min2_problem):
+    # Right on the radius-2 grid, wrong wherever x > 2.
+    candidate = {
+        "max2": term("(ite (<= x 2) (ite (<= x y) y x) (- x 1))"),
+        "min2": term("(ite (<= x y) x y)"),
+    }
+    store, plain_store = [], []
+    got = solver.verify(candidate, max2_min2_problem, VERIFY_CFG, store)
+    assert got == plain_verify(candidate, max2_min2_problem, VERIFY_CFG, plain_store)
+    assert isinstance(got, Counterexample) and got.assignment["x"].value > 2
+    assert store == plain_store
 
 
 # A nested call, a macro and a 0-ary macro in the grammar, and a let
@@ -368,7 +494,7 @@ TERM_VALUE_PROBLEMS = {
 def test_acceptance_c6_term_values_agree_with_the_walker(name):
     problem = load_problem(TERM_VALUE_PROBLEMS[name])
     cfg = SolverConfig(grid_radius=2)
-    points = grid_points(problem, cfg)
+    rows = interleaved(grid_points(problem, cfg), (0, 1))
     walker, env = EvalEnv(problem), EvalEnv(problem)
     # One memo per task for the whole run, as in a solve.
     values = {t.name: TermValues(t, env) for t in problem.synth_tasks}
@@ -380,13 +506,14 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
         walker.set_candidates(candidates)
         for task, body in candidates.items():
             values[task].term = body
-        for seed in (0, 1):
-            walker.model = fresh_uf_model(problem.uf_decls, seed)
-            env.model = fresh_uf_model(problem.uf_decls, seed)
-            for point in points:
-                got = [check(point) for check in checks]
-                assert got == [eval_term(c, point, walker) for c in problem.constraints]
-            assert env.model.table == walker.model.table
+        walker_models = fresh_models(problem, (0, 1))
+        walked = walked_values(problem.constraints, rows, walker, walker_models)
+        for batch in (1, 96):
+            models = fresh_models(problem, (0, 1))
+            got = column_values(checks, list(variables), rows, models, batch)
+            assert got == walked
+            for seed in (0, 1):
+                assert models[seed].table == walker_models[seed].table
 
 
 GENERATED = """
@@ -486,14 +613,17 @@ def assignments(draw):
     text=st.sampled_from(sorted(SURFACE)).flatmap(term_text),
     points=st.lists(assignments(), min_size=1, max_size=4),
     seed=st.integers(0, 2**32),
+    batch=st.integers(2, 5),
 )
-def test_compiled_terms_agree_with_the_walker(text, points, seed):
+def test_compiled_terms_agree_with_the_walker(text, points, seed, batch):
     # Checking confirms that the generated term is well-sorted.
     problem = load_problem(GENERATED.format(constraint=f"(= {text} {text})"))
     [constraint] = problem.constraints
     generated = constraint.args[0]
-    walked, compiled = evaluate_both(problem, CANDIDATE, [generated], points, (seed, seed + 1))
-    assert compiled == walked
+    walked, by_columns = evaluate_both(
+        problem, CANDIDATE, [generated], points, (seed, seed + 1), (1, batch)
+    )
+    assert by_columns == [walked, walked]
 
 
 def test_a_call_with_no_candidate_fails_in_both_evaluators():
@@ -504,4 +634,4 @@ def test_a_call_with_no_candidate_fails_in_both_evaluators():
         eval_term(call, point, EvalEnv(problem))
     compiled = compile_term(call, EvalEnv(problem), dict(problem.universal_vars))
     with pytest.raises(AssertionError, match="no semantics for 'f'"):
-        compiled(point)
+        compiled(columns(["x", "p"], [(VInt(1), VBool(True))]), [None])
