@@ -13,8 +13,9 @@ the pruning of the classic enumerative SyGuS solvers (Alur et al.,
   argument tuple of one of its applications in the constraints, evaluated
   at one stored counterexample (an assignment and a UF seed).  The class
   key of a term with no free let-bound name is the tuple of its values at
-  the function's invocation points, so each non-terminal of a ``TermTable``
-  lists only the first term in canonical order with each tuple.
+  the function's invocation points, as payloads (the terms a non-terminal
+  lists share its sort), so each non-terminal of a ``TermTable`` lists
+  only the first term in canonical order with each tuple.
 - **Rebuild on a counterexample.**  The keys hold for one state of the
   store.  Each time ``verify`` stores a new counterexample, ``solve``
   builds its tables afresh and walks the rounds again from the first; every
@@ -44,16 +45,20 @@ that budget; it is a proof only when it is ``exhaustive``.
 
 Every constraint evaluation runs on the constraints compiled into column
 functions (see ``evaluator``), which map a batch of rows, each an
-assignment with its own sampled model, to the values at every row.
-``verify`` compiles them once per call with the candidate inlined and
-evaluates chunks of up to ``CHUNK_CAP`` rows of the stored
-counterexamples, the grid and the random samples.  The tables and screens
-evaluate each of many enumerated terms at the few invocation points, so
-they compile the constraints once per pass, with each synthesis function's
-applications bound to its ``TermValues``, and evaluate them on one batch:
-the store's rows.  A term's value at a binding of its parameters comes
-from its subterms' memoized values, so a hash-consed term costs one
-operator application per new node and point.
+assignment with its own sampled model, to the payloads at every row: a
+constraint's column is a list of ``bool``, which ``_first_false`` and the
+screens read as it is.  ``verify`` compiles them once per call with the
+candidate inlined and evaluates chunks of up to ``CHUNK_CAP`` rows of the
+stored counterexamples, the grid and the random samples.  Its rows hold
+payloads: the grid is built from the payloads of each sort's grid values,
+and only a counterexample is boxed back into an ``Assignment``.  The
+tables and screens evaluate each of many enumerated terms at the few
+invocation points, so they compile the constraints once per pass, with
+each synthesis function's applications bound to its ``TermValues``, and
+evaluate them on one batch: the store's rows, unboxed once per pass.  A
+term's value at a binding of its parameters comes from its subterms'
+memoized values, so a hash-consed term costs one operator application per
+new node and point.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -87,6 +92,7 @@ from .evaluator import (
     Columns,
     Compiled,
     EvalEnv,
+    Payload,
     TermValues,
     UFModel,
     VBool,
@@ -94,6 +100,7 @@ from .evaluator import (
     VEnum,
     VInt,
     Value,
+    boxer,
     columns,
     compile_term,
     eval_term,  # not called here: the benchmark's tracer counts calls by this name
@@ -331,8 +338,8 @@ class TermTable:
 
     - ``key(term)`` for a term with no free let-bound name, when a ``key``
       function is given.  The solver gives the term's values at the
-      invocation points (see ``solve``), so two terms that agree on them are
-      one class: observational equivalence;
+      invocation points, as payloads (see ``solve``), so two terms that
+      agree on them are one class: observational equivalence;
     - otherwise the term's identity, so every distinct term is listed once.
       A term with a free let-bound name is open: its value depends on the
       let that binds the name, so it is never merged with another.
@@ -523,9 +530,9 @@ class Counterexample:
 
 VerificationResult = Union[Valid, Counterexample]
 
-#: A row ``verify`` checks: the values of the universal variables, in
+#: A row ``verify`` checks: the payloads of the universal variables, in
 #: declaration order, and a UF seed with its model.
-_Row = tuple[tuple[Value, ...], int, Optional[UFModel]]
+_Row = tuple[tuple[Payload, ...], int, Optional[UFModel]]
 
 
 @dataclass(frozen=True)
@@ -578,6 +585,27 @@ def _theory_gate(problem: CheckedProblem) -> None:
                 )
 
 
+def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Value]]]:
+    """``_grid_values`` of each of ``sorts``, the universal variables' sorts
+    in order, except that each bit-vector sort has its whole domain when
+    the grid with every bit-vector domain whole has at most
+    ``GRID_POINT_CAP`` points."""
+    grid = [_grid_values(s, cfg) for s in sorts]
+    # A domain of 2 ** 14 values is past the cap on its own, so no wider
+    # one is counted.
+    cut = GRID_POINT_CAP.bit_length()
+    sizes = [
+        1 << min(s.width, cut) if isinstance(s, RBitVec) else size
+        for s, (size, _) in zip(sorts, grid)
+    ]
+    if math.prod(sizes) > GRID_POINT_CAP:
+        return grid
+    return [
+        (size, [VBV(s.width, v) for v in range(size)]) if isinstance(s, RBitVec) else g
+        for s, size, g in zip(sorts, sizes, grid)
+    ]
+
+
 def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Value]]:
     """How many grid values ``sort`` has, and the first ``GRID_POINT_CAP`` of
     them: no later one is in the first ``GRID_POINT_CAP`` grid points."""
@@ -619,7 +647,7 @@ def _first_false(checks: list[Compiled], names: list[Symbol], rows: list[_Row]) 
     models = [model for _, _, model in rows]
     first = None
     for check in checks:
-        flags = [v.value for v in check(batch, models)]
+        flags = check(batch, models)
         if not all(flags):
             at = flags.index(False)
             first = at if first is None else min(first, at)
@@ -660,6 +688,7 @@ def verify(
     env = EvalEnv(problem, candidates=dict(candidate))
     variables = dict(problem.universal_vars)
     names = list(variables)
+    boxers = [boxer(s) for s in variables.values()]
     checks = [compile_term(c, env, variables) for c in problem.constraints]
     has_ufs = bool(problem.uf_decls)
 
@@ -676,22 +705,25 @@ def verify(
             size = min(2 * size, CHUNK_CAP)
         return None
 
+    def assignment(point: tuple[Payload, ...]) -> Assignment:
+        return {n: box(p) for n, box, p in zip(names, boxers, point)}
+
     stored = (
-        (tuple(a[n] for n in names), seed, model_for(seed)) for a, seed in cex_store
+        (tuple([a[n].value for n in names]), seed, model_for(seed)) for a, seed in cex_store
     )
     found = first_failure(stored)
     if found is not None:
         point, seed, _ = found
-        return Counterexample(dict(zip(names, point)), seed)
+        return Counterexample(assignment(point), seed)
 
-    grid = [_grid_values(s, cfg) for s in variables.values()]
-    domains = [values for _, values in grid]
+    grid = _grid(list(variables.values()), cfg)
+    domains = [[v.value for v in values] for _, values in grid]
     if has_ufs:
-        model_seeds = [(cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count)]
+        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
         model_seeds = [cfg.seed]
-    # Each model is made when the stream reaches it and dropped after its
-    # last chunk.
+    # Each seed and its model are made when the stream reaches them, and the
+    # model is dropped after its last chunk.
     grid_rows = chain.from_iterable(
         zip(islice(product(*domains), GRID_POINT_CAP), repeat(seed), repeat(model_for(seed)))
         for seed in model_seeds
@@ -700,16 +732,16 @@ def verify(
     def sample_rows() -> Iterator[_Row]:
         rng = random.Random(stable_u64(cfg.seed, "samples"))
         for _ in range(cfg.random_samples):
-            point = tuple(_random_value(s, rng) for s in variables.values())
+            point = tuple([_random_value(s, rng).value for s in variables.values()])
             seed = rng.getrandbits(64) if has_ufs else cfg.seed
             yield point, seed, model_for(seed)
 
     found = first_failure(grid_rows) or first_failure(sample_rows())
     if found is not None:
         point, seed, _ = found
-        assignment = dict(zip(names, point))
-        cex_store.append((assignment, seed))
-        return Counterexample(assignment, seed)
+        cex = assignment(point)
+        cex_store.append((cex, seed))
+        return Counterexample(cex, seed)
 
     grid_size = math.prod(size for size, _ in grid)
     whole = all(
@@ -807,7 +839,7 @@ def _batch(
     model_for: Callable[[int], Optional[UFModel]],
 ) -> tuple[Columns, list[Optional[UFModel]]]:
     """The columns and models of stored counterexamples."""
-    points = [tuple(a[n] for n in names) for a, _ in rows]
+    points = [tuple([a[n].value for n in names]) for a, _ in rows]
     return columns(names, points), [model_for(seed) for _, seed in rows]
 
 
@@ -893,9 +925,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 return True
             for tv, term in picks:
                 tv.term = term
-            return all(
-                all(v.value for v in check(batch, batch_models)) for check in checks
-            )
+            return all(all(check(batch, batch_models)) for check in checks)
 
         # Each task's terms of a size that pass its own constraints; within
         # a pass the store is fixed, so a term is screened once.

@@ -152,7 +152,7 @@ def plain_verify(candidate, problem, cfg, store):
         if falsified(assignment, model_for(seed)):
             return Counterexample(assignment, seed)
     names = [n for n, _ in problem.universal_vars]
-    grid = [solver._grid_values(s, cfg) for _, s in problem.universal_vars]
+    grid = solver._grid([s for _, s in problem.universal_vars], cfg)
     seeds = [cfg.seed]
     if has_ufs:
         seeds = [(cfg.seed + m) % 2**64 for m in range(cfg.uf_model_count)]

@@ -63,6 +63,30 @@ def test_timeout_is_honoured_while_verifying(tmp_path):
     assert (code, out, err) == (EXIT_FAIL, "(fail)\n", "note: search stopped by timeout\n")
 
 
+# Runs the CLI and reports the child's own peak RSS, in KB, on stderr.
+PEAK_RSS_CHILD = """
+import resource, sys
+from sygus.cli import run
+code = run(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_a_huge_model_count_keeps_memory_bounded():
+    # Five million sampled models: their seeds are made as verify reaches
+    # them, not listed up front, which would take about 200 MB before the
+    # deadline is first checked.  A run at the default count peaks near 20 MB.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    p = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_CHILD, "solve", "--uf-model-count", "5000000",
+         "--timeout-seconds", "1", str(FIXTURES / "uf_pair.sl")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    note, peak_kb = p.stderr.splitlines()
+    assert (p.returncode, p.stdout, note) == (0, "(fail)\n", "note: search stopped by timeout")
+    assert int(peak_kb) < 100 * 1024
+
+
 
 @pytest.mark.parametrize(
     "spec, flags, note",

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sygus import solver
-from sygus.checker import R_INT, UFDecl
+from sygus.checker import R_BOOL, R_INT, RBitVec, REnum, UFDecl
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
@@ -23,6 +23,7 @@ from sygus.evaluator import (
     VEnum,
     VInt,
     VReal,
+    boxer,
     columns,
     compile_term,
     eval_term,
@@ -144,7 +145,8 @@ def test_model_query_is_memoized_and_consistent():
     m = fresh_uf_model(UF_DECLS, 7)
     first = m.query("uf", (VInt(3),))
     assert m.query("uf", (VInt(3),)) == first
-    assert m.table[("uf", (VInt(3),))] == first
+    # Keyed by the declaration's index and the argument payloads.
+    assert m.memo == {(0, 3): first.value}
 
 
 def test_model_results_stay_in_range():
@@ -297,14 +299,19 @@ def interleaved(points, seeds):
     return [(point, seed) for point in points for seed in seeds]
 
 
-def column_values(fns, names, rows, models, batch):
+def column_values(fns, sorts, names, rows, models, batch):
     """Per row, the values of the column functions ``fns``, taken in
-    batches of ``batch`` rows; a row is a point and the seed of its model."""
+    batches of ``batch`` rows; a row is a point and the seed of its model.
+    Each column of payloads is boxed with its function's static sort, from
+    ``sorts``."""
     out = []
     for start in range(0, len(rows), batch):
         chunk = rows[start:start + batch]
-        cols = columns(names, [tuple(point[n] for n in names) for point, _ in chunk])
-        values = [f(cols, [models[seed] for _, seed in chunk]) for f in fns]
+        cols = columns(names, [tuple(point[n].value for n in names) for point, _ in chunk])
+        values = [
+            list(map(boxer(sort), f(cols, [models[seed] for _, seed in chunk])))
+            for f, sort in zip(fns, sorts)
+        ]
         out.extend(map(list, zip(*values)))
     return out
 
@@ -317,11 +324,11 @@ def walked_values(terms, rows, env, models):
     return out
 
 
-def evaluate_both(problem, candidates, terms, points, seeds=(0, 1), batches=(1, 96)):
-    """Values of ``terms`` at ``points`` under the models of ``seeds``, each
-    with the query table of each model: from the walker, and from compiled
-    column functions once per batch size in ``batches``, in batches that mix
-    the models."""
+def evaluate_both(problem, candidates, terms, sorts, points, seeds=(0, 1), batches=(1, 96)):
+    """Values of ``terms``, of static sorts ``sorts``, at ``points`` under
+    the models of ``seeds``, each with the memo of each model: from the
+    walker, and from compiled column functions once per batch size in
+    ``batches``, in batches that mix the models."""
     walker, compiled = EvalEnv(problem, candidates), EvalEnv(problem, candidates)
     variables = dict(problem.universal_vars)
     fns = [compile_term(t, compiled, variables) for t in terms]
@@ -331,7 +338,7 @@ def evaluate_both(problem, candidates, terms, points, seeds=(0, 1), batches=(1, 
     by_columns = []
     for batch in batches:
         models = fresh_models(problem, seeds)
-        values = column_values(fns, list(variables), rows, models, batch)
+        values = column_values(fns, sorts, list(variables), rows, models, batch)
         by_columns.append((values, tables(models, seeds)))
     return walked, by_columns
 
@@ -341,7 +348,7 @@ def fresh_models(problem, seeds):
 
 
 def tables(models, seeds):
-    return [models[seed].table for seed in seeds]
+    return [models[seed].memo for seed in seeds]
 
 
 def grid_points(problem, cfg):
@@ -350,6 +357,20 @@ def grid_points(problem, cfg):
     return [dict(zip(names, p)) for p in product(*domains)]
 
 
+# One name declared at Int, Bool and (BitVec 4): a model that kept one entry
+# for 1, true and #x1 would answer the overloads alike.
+UF_OVERLOADS = """
+(declare-fun u (Int) Int)
+(declare-fun u (Bool) Int)
+(declare-fun u ((BitVec 4)) Int)
+(synth-fun f ((x Int) (y Int)) Int ((Start Int (x y 1 (+ Start Start)))))
+(declare-var x Int)
+(declare-var y Int)
+(declare-var v (BitVec 4))
+(constraint (= (+ (u (f x y)) (u (<= x y))) (+ (u v) (u (= (f x y) 1)))))
+(check-synth)
+"""
+
 DIFFERENTIAL_PROBLEMS = {
     "max2_min2": (FIXTURES / "max2_min2.sl").read_text(),
     "uf_pair": (FIXTURES / "uf_pair.sl").read_text(),
@@ -357,6 +378,7 @@ DIFFERENTIAL_PROBLEMS = {
     "max2_min2_base": MAX2_MIN2_BASE,
     "uf_sum": UF_SUM,
     "uf_diff": UF_DIFF,
+    "uf_overloads": UF_OVERLOADS,
 }
 
 
@@ -376,8 +398,9 @@ def test_compiled_constraints_agree_with_the_walker(name):
     # A radius-2 grid: 625 points over four variables.
     cfg = SolverConfig(grid_radius=2)
     points = grid_points(problem, cfg)
+    sorts = [R_BOOL] * len(problem.constraints)
     for candidates in candidate_tuples(problem, cfg):
-        walked, by_columns = evaluate_both(problem, candidates, problem.constraints, points)
+        walked, by_columns = evaluate_both(problem, candidates, problem.constraints, sorts, points)
         assert by_columns == [walked, walked]
 
 
@@ -502,6 +525,7 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
         env.set_values(task, tv)
     variables = dict(problem.universal_vars)
     checks = [compile_term(c, env, variables) for c in problem.constraints]
+    sorts = [R_BOOL] * len(checks)
     for candidates in candidate_tuples(problem, cfg):
         walker.set_candidates(candidates)
         for task, body in candidates.items():
@@ -510,17 +534,19 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
         walked = walked_values(problem.constraints, rows, walker, walker_models)
         for batch in (1, 96):
             models = fresh_models(problem, (0, 1))
-            got = column_values(checks, list(variables), rows, models, batch)
+            got = column_values(checks, sorts, list(variables), rows, models, batch)
             assert got == walked
             for seed in (0, 1):
-                assert models[seed].table == walker_models[seed].table
+                assert models[seed].memo == walker_models[seed].memo
 
 
 GENERATED = """
 (define-sort Color (Enum (Red Green Blue)))
 (declare-fun u (Int) Int)
+(declare-fun u (Bool) Int)
 (declare-fun h (Int Bool) Bool)
 (declare-fun k ((BitVec 4)) Int)
+(declare-fun k (Int) Int)
 (declare-fun paint (Color) Color)
 (define-fun inc ((n Int)) Int (+ n 1))
 (define-fun twice ((n Int)) Int (inc (inc n)))
@@ -537,6 +563,7 @@ GENERATED = """
 """
 CANDIDATE = {"f": parse_term(tokenize("(ite b (twice n) (- n 1))"))}
 SURFACE = {"Int": "Int", "Bool": "Bool", "BV": "(BitVec 4)", "Color": "Color"}
+RESOLVED = {"Int": R_INT, "Bool": R_BOOL, "BV": RBitVec(4), "Color": REnum("Color", ())}
 LITERALS = {
     "Int": st.integers(-4, 4).map(str),
     "Bool": st.sampled_from(["true", "false"]),
@@ -547,7 +574,7 @@ LITERALS = {
 RULES = {
     "Int": [("+", "Int Int"), ("-", "Int Int"), ("ite", "Bool Int Int"),
             ("inc", "Int"), ("twice", "Int"), ("shift", "Int Bool"), ("f", "Int Bool"),
-            ("u", "Int"), ("k", "BV")],
+            ("u", "Int"), ("u", "Bool"), ("k", "BV"), ("k", "Int")],
     "Bool": [("=", "Int Int"), ("=", "BV BV"), ("=", "Color Color"),
              ("distinct", "Bool Bool"), ("and", "Bool Bool Bool"), ("or", "Bool Bool"),
              ("not", "Bool"), ("=>", "Bool Bool"), ("xor", "Bool Bool"),
@@ -610,18 +637,21 @@ def assignments(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    text=st.sampled_from(sorted(SURFACE)).flatmap(term_text),
+    sort_and_text=st.sampled_from(sorted(SURFACE)).flatmap(
+        lambda sort: term_text(sort).map(lambda text: (sort, text))
+    ),
     points=st.lists(assignments(), min_size=1, max_size=4),
     seed=st.integers(0, 2**32),
     batch=st.integers(2, 5),
 )
-def test_compiled_terms_agree_with_the_walker(text, points, seed, batch):
+def test_compiled_terms_agree_with_the_walker(sort_and_text, points, seed, batch):
+    sort, text = sort_and_text
     # Checking confirms that the generated term is well-sorted.
     problem = load_problem(GENERATED.format(constraint=f"(= {text} {text})"))
     [constraint] = problem.constraints
     generated = constraint.args[0]
     walked, by_columns = evaluate_both(
-        problem, CANDIDATE, [generated], points, (seed, seed + 1), (1, batch)
+        problem, CANDIDATE, [generated], [RESOLVED[sort]], points, (seed, seed + 1), (1, batch)
     )
     assert by_columns == [walked, walked]
 
@@ -632,6 +662,6 @@ def test_a_call_with_no_candidate_fails_in_both_evaluators():
     point = {"x": VInt(1), "p": VBool(True)}
     with pytest.raises(AssertionError, match="no semantics for 'f'"):
         eval_term(call, point, EvalEnv(problem))
-    compiled = compile_term(call, EvalEnv(problem), dict(problem.universal_vars))
+    # Payloads need every sort at compile time, so the compiler fails there.
     with pytest.raises(AssertionError, match="no semantics for 'f'"):
-        compiled(columns(["x", "p"], [(VInt(1), VBool(True))]), [None])
+        compile_term(call, EvalEnv(problem), dict(problem.universal_vars))

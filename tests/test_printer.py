@@ -2,9 +2,12 @@ from fractions import Fraction
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sygus.cli import EXIT_OK, run
-from sygus.parser import parse_text
+from sygus.lexer import RESERVED_WORDS, tokenize
+from sygus.parser import parse_program, parse_text
 from sygus.printer import (
     PrintError,
     decimal_str,
@@ -12,7 +15,40 @@ from sygus.printer import (
     print_solution,
     print_term,
 )
-from sygus.syntax import BVConst, Lit
+from sygus.syntax import (
+    App,
+    ArraySort,
+    Binding,
+    BitVecSort,
+    BoolConst,
+    BoolSort,
+    BVConst,
+    CheckSynth,
+    ConstantOf,
+    Constraint,
+    DeclareFun,
+    DeclareVar,
+    DefineFun,
+    DefineSort,
+    EnumConst,
+    EnumSort,
+    InputVariableOf,
+    IntConst,
+    IntSort,
+    Let,
+    Lit,
+    LocalVariableOf,
+    NamedSort,
+    NTDef,
+    Program,
+    RealConst,
+    RealSort,
+    Ref,
+    SetLogic,
+    SetOptions,
+    SynthFun,
+    VariableOf,
+)
 
 from conftest import FIXTURES
 
@@ -156,3 +192,91 @@ def test_print_solution_needs_a_body_for_every_task(max2_min2_problem):
         print_solution({"max2": max2.grammar[0].productions[0]},
                        max2_min2_problem.synth_tasks)
     assert exc.value.code == "E-INCOMPLETE-CANDIDATE"
+
+
+# -- the round trip on generated programs ---------------------------------------
+
+names = st.builds(
+    str.__add__, st.sampled_from("abcxyz"), st.text("abcxyz019_", max_size=3)
+).filter(lambda n: n not in RESERVED_WORDS)
+heads = names | st.sampled_from(["+", "-", "<=", "=>", "bvadd", "ite"])
+
+sorts = st.recursive(
+    st.one_of(
+        st.builds(IntSort),
+        st.builds(BoolSort),
+        st.builds(RealSort),
+        st.builds(BitVecSort, st.integers(1, 64)),
+        st.builds(EnumSort, st.lists(names, min_size=1, max_size=3).map(tuple)),
+        st.builds(NamedSort, names),
+    ),
+    lambda inner: st.builds(ArraySort, inner, inner),
+    max_leaves=4,
+)
+
+literals = st.one_of(
+    st.builds(IntConst, st.integers()),
+    # Finite decimals, from whole numbers to four places.
+    st.builds(
+        lambda n, places: RealConst(Fraction(n, 10**places)),
+        st.integers(-(10**6), 10**6), st.integers(0, 4),
+    ),
+    st.builds(BoolConst, st.booleans()),
+    st.integers(1, 24).flatmap(
+        lambda w: st.integers(0, 2**w - 1).map(lambda v: BVConst(w, v))
+    ),
+    st.builds(EnumConst, names, names),
+)
+
+SHORTHANDS = (ConstantOf, VariableOf, InputVariableOf, LocalVariableOf)
+
+
+def terms(grammar):
+    """Terms, and in a grammar the four shorthands as leaves too."""
+    leaves = st.builds(Lit, literals) | st.builds(Ref, names)
+    if grammar:
+        leaves |= st.one_of(*[st.builds(kind, sorts) for kind in SHORTHANDS])
+
+    def nodes(inner):
+        bindings = st.lists(
+            st.tuples(names, sorts, inner), min_size=1, max_size=3, unique_by=lambda b: b[0]
+        ).map(lambda bs: tuple(Binding(*b) for b in bs))
+        return st.builds(App, heads, st.lists(inner, max_size=3).map(tuple)) | st.builds(
+            Let, bindings, inner
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=6)
+
+
+params = st.lists(st.tuples(names, sorts), max_size=3).map(tuple)
+grammars = st.lists(
+    st.builds(NTDef, names, sorts, st.lists(terms(grammar=True), min_size=1, max_size=3).map(tuple)),
+    min_size=1, max_size=2,
+).map(tuple)
+options = st.lists(
+    st.tuples(names, st.text("aZ09.", min_size=1, max_size=4)), min_size=1, max_size=2
+).map(tuple)
+# Deferred, which keeps the strategy's repr short.
+commands = st.deferred(lambda: st.one_of(
+    st.builds(DefineSort, names, sorts),
+    st.builds(DeclareVar, names, sorts),
+    st.builds(DeclareFun, names, st.lists(sorts, max_size=3).map(tuple), sorts),
+    st.builds(DefineFun, names, params, sorts, terms(grammar=False)),
+    st.builds(SynthFun, names, params, sorts, grammars),
+    st.builds(Constraint, terms(grammar=False)),
+    st.builds(CheckSynth),
+    st.builds(SetOptions, options),
+))
+@st.composite
+def programs(draw):
+    """A program of up to seven commands; a set-logic command may come only
+    first."""
+    logic = draw(st.lists(st.builds(SetLogic, names), max_size=1))
+    rest = draw(st.lists(commands, min_size=1 - len(logic), max_size=6))
+    return Program(tuple(logic + rest))
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_print_parse_round_trip_of_generated_programs(program):
+    assert parse_program(tokenize(print_program(program))) == program

@@ -18,7 +18,7 @@ from sygus.solver import (
     solve,
     verify,
 )
-from sygus.evaluator import EvalEnv, VInt, eval_term
+from sygus.evaluator import EvalEnv, VBV, VInt, eval_term
 from sygus.syntax import subterms
 
 from conftest import (
@@ -168,6 +168,29 @@ def test_valid_on_a_whole_finite_grid(spec, evidence):
     result = solve(load_problem(spec), SolverConfig())
     assert result.evidence == evidence
     assert not result.evidence.truncated
+
+
+# Right everywhere but at #x99, which is not among the eleven sampled values
+# of an 8-bit sort.
+BV8_ONE_POINT = """
+(set-logic BV)
+(synth-fun f ((x (BitVec 8))) (BitVec 8)
+   ((Start (BitVec 8) ((Constant (BitVec 8)) x (bvand Start Start) (ite B Start Start)))
+    (B Bool ((= Start Start)))))
+(declare-var x (BitVec 8))
+(constraint (= (f x) (ite (= x #x99) #x00 x)))
+(check-synth)
+"""
+
+
+def test_a_bit_vector_grid_under_the_cap_is_checked_whole():
+    problem = load_problem(BV8_ONE_POINT)
+    cfg = SolverConfig()
+    assert verify(bodies(f="x"), problem, cfg) == Counterexample({"x": VBV(8, 0x99)}, 0)
+    assert verify(bodies(f="(ite (= x #x99) #x00 x)"), problem, cfg) == Valid(
+        256, 256, uf_models=0, random_samples=256, exhaustive=True
+    )
+    assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SOLUTIONS))
