@@ -5,6 +5,10 @@ errors, bad option values (``E-OPT-VALUE``) and input nested too deeply to
 process (``E-DEPTH``), 3 unsupported theory, 4 I/O errors.  Input is read as
 bytes and must be ASCII.  Results (AST dumps, formatted programs, solutions,
 ``(fail)``) go to stdout; diagnostics and progress notes go to stderr.
+
+Only ``solve`` loads the solver: ``solve`` below imports ``sygus.solver``
+on its first call, so ``parse``, ``check`` and ``fmt`` load the front end
+alone.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from .checker import CheckedProblem, CheckError, Diagnostic, check_program
+from .config import SolverConfig
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program
 from .printer import (
@@ -25,8 +30,10 @@ from .printer import (
     print_term,
     render_term,
 )
-from .solver import Fail, Solved, SolveError, SolverConfig, Valid, solve
 from .syntax import Lit, NO_POS, Pos, Program, Ref, Term
+
+if TYPE_CHECKING:
+    from .solver import Fail, Solved, Valid
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -135,6 +142,15 @@ def dump_program(p: Program) -> str:
         print_command(c, _dump_term, lambda cmd: type(cmd).__name__) + "\n"
         for c in p.commands
     )
+
+
+def solve(problem: CheckedProblem, cfg: SolverConfig) -> Solved | Fail:
+    """``sygus.solver.solve``, importing the solver on the first call.  A
+    module global that ``_run`` calls by name, so that a caller can wrap it
+    as ``perfbench/tracing.py`` does."""
+    from . import solver
+
+    return solver.solve(problem, cfg)
 
 
 def _evidence(v: Valid) -> str:
@@ -258,6 +274,8 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             err.write("error: --constant-pool expects comma-separated integers\n")
             return EXIT_STATIC
         cfg = replace(cfg, constant_pool=pool)
+
+    from .solver import Fail, Solved, SolveError
 
     try:
         result = solve(problem, cfg)

@@ -57,8 +57,8 @@ queries.
 
 from __future__ import annotations
 
-import hashlib
 import operator
+from _blake2 import blake2b  # hashlib.blake2b itself; hashlib loads OpenSSL too
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -221,7 +221,7 @@ def _encode(sort: ResolvedSort, p: Payload) -> bytes:
 
 def stable_u64(*parts: Union[int, str, bytes]) -> int:
     """Order- and process-independent 64-bit digest of the parts."""
-    h = hashlib.blake2b(digest_size=8)
+    h = blake2b(digest_size=8)
     for p in parts:
         if isinstance(p, int):
             chunk = str(p).encode()

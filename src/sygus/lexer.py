@@ -27,10 +27,9 @@ constants have no such limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 #: Keywords that may never be used as identifiers.
 RESERVED_WORDS = frozenset(
@@ -76,8 +75,7 @@ class TokKind(Enum):
 TokValue = Union[None, str, int, bool, Fraction, tuple]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokKind
     value: TokValue
     line: int

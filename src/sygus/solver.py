@@ -72,8 +72,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, count, islice, product, repeat
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
 
 from .checker import (
@@ -87,6 +88,7 @@ from .checker import (
     SynthTask,
     unsupported_sort,
 )
+from .config import SolverConfig
 from .evaluator import (
     Assignment,
     Columns,
@@ -149,29 +151,6 @@ class SolveError(Exception):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
-
-
-@dataclass
-class SolverConfig:
-    """Search and verification budgets.
-
-    ``constant_pool`` supplies the alternatives for integer ``(Constant _)``
-    shorthands; bit-vector pools are exhaustive up to width 4 and otherwise
-    use 0, 1, all-ones plus ``BV_SAMPLE_COUNT`` seeded draws; enum pools are
-    all constructors.  Verification checks the integer grid of radius
-    ``grid_radius`` (cut at ``GRID_POINT_CAP`` points) under each of
-    ``uf_model_count`` sampled models, then ``random_samples`` random points.
-    ``timeout_seconds`` bounds the whole solve; ``None`` means no limit, and
-    ``0`` is a limit that has already passed.
-    """
-
-    max_term_size: int = 12
-    grid_radius: int = 5
-    random_samples: int = 256
-    uf_model_count: int = 32
-    seed: int = 0
-    constant_pool: tuple[int, ...] = (0, 1, -1, 2)
-    timeout_seconds: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +566,37 @@ def _theory_gate(problem: CheckedProblem) -> None:
 
 def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Value]]]:
     """``_grid_values`` of each of ``sorts``, the universal variables' sorts
-    in order, except that each bit-vector sort has its whole domain when
-    the grid with every bit-vector domain whole has at most
-    ``GRID_POINT_CAP`` points."""
+    in order, except that each bit-vector sort gets the room the cap
+    leaves: the largest count of values, equal for all of them (or a whole
+    domain, if that is smaller), that keeps the grid at most
+    ``GRID_POINT_CAP`` points, and never fewer than its sampled values.  A
+    whole domain is listed in order; a part of one lists the sampled
+    values first, then the smallest values not yet listed."""
     grid = [_grid_values(s, cfg) for s in sorts]
     # A domain of 2 ** 14 values is past the cap on its own, so no wider
     # one is counted.
     cut = GRID_POINT_CAP.bit_length()
-    sizes = [
-        1 << min(s.width, cut) if isinstance(s, RBitVec) else size
-        for s, (size, _) in zip(sorts, grid)
-    ]
-    if math.prod(sizes) > GRID_POINT_CAP:
-        return grid
+    domains = [1 << min(s.width, cut) for s in sorts if isinstance(s, RBitVec)]
+    rest = math.prod(size for s, (size, _) in zip(sorts, grid) if not isinstance(s, RBitVec))
+    room = bisect_right(
+        range(1, GRID_POINT_CAP + 1), GRID_POINT_CAP,
+        key=lambda n: rest * math.prod(min(n, d) for d in domains),
+    )
     return [
-        (size, [VBV(s.width, v) for v in range(size)]) if isinstance(s, RBitVec) else g
-        for s, size, g in zip(sorts, sizes, grid)
+        _bv_grid(s.width, max(min(room, 1 << min(s.width, cut)), size), values)
+        if isinstance(s, RBitVec) else (size, values)
+        for s, (size, values) in zip(sorts, grid)
     ]
+
+
+def _bv_grid(width: int, size: int, sampled: list[Value]) -> tuple[int, list[Value]]:
+    """``size`` grid values of a bit-vector sort whose sampled values are
+    ``sampled``."""
+    if size == 1 << width:
+        return size, [VBV(width, v) for v in range(size)]
+    listed = {v.value for v in sampled}
+    more = islice((v for v in count() if v not in listed), size - len(sampled))
+    return size, sampled + [VBV(width, v) for v in more]
 
 
 def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Value]]:

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import sygus
+from sygus import solver
 from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, run
+from sygus.evaluator import stable_u64
 
 from conftest import (
     BOOL_BV4,
@@ -253,6 +256,75 @@ def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand
         assert p.stdout == f"(declare-var x Int)\n(constraint {chain})\n(check-synth)\n"
     if subcommand == "parse":
         assert p.stdout.count("(App not ") == 480
+
+
+# Runs one CLI call, its output discarded, and prints its exit code and then
+# the modules the interpreter holds.
+MODULES_AFTER_RUN = """
+import io, sys
+from sygus.cli import run
+print(run(sys.argv[1:], io.StringIO(), io.StringIO()))
+print(*sys.modules)
+"""
+
+
+def modules_loaded_by(*argv):
+    """The exit code of one CLI call in a fresh interpreter, and the modules
+    it loaded beyond those of a bare interpreter, whose site hooks may load
+    modules of their own."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def child(*args):
+        p = subprocess.run(
+            [sys.executable, "-c", *args], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
+        )
+        return p.stdout.splitlines()
+
+    code, loaded = child(MODULES_AFTER_RUN, *argv)
+    [bare] = child("import sys; print(*sys.modules)")
+    return int(code), set(loaded.split()) - set(bare.split())
+
+
+@pytest.mark.parametrize("subcommand", ["check", "fmt", "parse"])
+def test_front_end_subcommands_load_no_solver(subcommand):
+    code, loaded = modules_loaded_by(subcommand, str(FIXTURES / "max2_min2.sl"))
+    assert code == EXIT_OK
+    assert "sygus.parser" in loaded
+    assert not loaded & {"sygus.solver", "sygus.evaluator", "_hashlib"}
+
+
+def test_solve_loads_no_openssl():
+    code, loaded = modules_loaded_by("solve", str(FIXTURES / "max2_min2.sl"))
+    assert code == EXIT_OK
+    assert "sygus.solver" in loaded
+    assert "_hashlib" not in loaded
+
+
+def test_package_names_resolve():
+    namespace = {}
+    exec("from sygus import *", namespace)
+    assert set(sygus.__all__) <= set(namespace)
+    assert sygus.verify is solver.verify
+    assert sygus.SolverConfig is solver.SolverConfig
+    with pytest.raises(AttributeError):
+        sygus.no_such_name
+
+
+@pytest.mark.parametrize(
+    "parts, digest",
+    [
+        ((), 0xE4A6A0577479B2B4),
+        ((0, "samples"), 0x64E9CB1264CDC282),
+        ((7, "bv-grid", 12), 0xE35A742C0B4F00CB),
+        ((2**70, -3, "f", b"i-5"), 0x3FB9162729C9EA14),
+        ((b"",), 0x4E842F2F50CC089E),
+    ],
+)
+def test_stable_digests_are_unchanged(parts, digest):
+    # Digests of hashlib.blake2b: every seed, sampled model and verify
+    # stream rests on them.
+    assert stable_u64(*parts) == digest
 
 
 def opt_value_error(path, name, value):

@@ -164,6 +164,16 @@ def test_determinism():
     assert tokenize(text) == tokenize(text)
 
 
+def test_tokens_are_immutable_values():
+    first, second = tokenize("x\n x")
+    assert (first.kind, first.value, first.line, first.col) == (TokKind.SYMBOL, "x", 1, 1)
+    assert (second.kind, second.value, second.line, second.col) == (TokKind.SYMBOL, "x", 2, 2)
+    assert first == Token(TokKind.SYMBOL, "x", 1, 1)
+    assert first != second
+    with pytest.raises(AttributeError):
+        first.value = "y"
+
+
 def _lexeme(tok: Token) -> str:
     if tok.kind is TokKind.LPAREN:
         return "("

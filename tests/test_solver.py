@@ -3,6 +3,7 @@ import time
 import pytest
 
 from sygus import solver
+from sygus.checker import R_INT, RBitVec
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
 from sygus.printer import print_solution, print_term
@@ -191,6 +192,68 @@ def test_a_bit_vector_grid_under_the_cap_is_checked_whole():
         256, 256, uf_models=0, random_samples=256, exhaustive=True
     )
     assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
+
+
+# Right everywhere but at x = #x02a, which is not among the eleven sampled
+# values of a 12-bit sort.  The grid of two whole 12-bit domains is past the
+# cap, and the room under it gives each variable 100 values.
+BV12_ONE_POINT = """
+(set-logic BV)
+(synth-fun f ((x (BitVec 12)) (y (BitVec 12))) (BitVec 12)
+   ((Start (BitVec 12) ((Constant (BitVec 12)) x y (bvand Start Start) (ite B Start Start)))
+    (B Bool ((= Start Start)))))
+(declare-var x (BitVec 12))
+(declare-var y (BitVec 12))
+(constraint (= (f x y) (ite (= x #x02a) #x000 x)))
+(check-synth)
+"""
+
+
+def test_bit_vector_variables_get_the_room_under_the_cap():
+    problem = load_problem(BV12_ONE_POINT)
+    cfg = SolverConfig()
+    assert verify(bodies(f="x"), problem, cfg) == Counterexample(
+        {"x": VBV(12, 0x2A), "y": VBV(12, 0)}, 0
+    )
+    assert verify(bodies(f="(ite (= x #x02a) #x000 x)"), problem, cfg) == Valid(
+        10_000, 10_000, uf_models=0, random_samples=256, exhaustive=False
+    )
+    assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
+
+
+BV2, BV8, BV12 = RBitVec(2), RBitVec(8), RBitVec(12)
+
+
+@pytest.mark.parametrize(
+    "sorts, sizes",
+    [
+        ([BV8], [256]),
+        ([BV12, BV12], [100, 100]),
+        ([BV8, BV12], [100, 100]),
+        # 11 Int values and 4 BV2 ones leave 227 values for the BV12.
+        ([BV12, BV2, R_INT], [227, 4, 11]),
+        # Ten values each would fit; a variable never gets fewer than its
+        # eleven sampled values, and the cap cuts the grid instead.
+        ([BV12] * 4, [11] * 4),
+        ([R_INT] * 4 + [BV12], [11] * 5),
+    ],
+)
+def test_bit_vector_grid_values(sorts, sizes):
+    cfg = SolverConfig()
+    grid = solver._grid(sorts, cfg)
+    assert [size for size, _ in grid] == sizes
+    for s, (size, values) in zip(sorts, grid):
+        assert len(values) == size
+        if isinstance(s, RBitVec):
+            sampled = solver._grid_values(s, cfg)[1]
+            payloads = [v.value for v in values]
+            if size == 1 << s.width:
+                assert payloads == list(range(size))
+            else:
+                # The sampled values, then the smallest values not listed.
+                assert values[: len(sampled)] == sampled
+                rest = sorted(set(range(size)) - {v.value for v in sampled})
+                assert payloads[len(sampled):] == rest[: size - len(sampled)]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SOLUTIONS))
