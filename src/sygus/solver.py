@@ -569,21 +569,27 @@ def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[
     in order, except that each bit-vector sort gets the room the cap
     leaves: the largest count of values, equal for all of them (or a whole
     domain, if that is smaller), that keeps the grid at most
-    ``GRID_POINT_CAP`` points, and never fewer than its sampled values.  A
-    whole domain is listed in order; a part of one lists the sampled
-    values first, then the smallest values not yet listed."""
+    ``GRID_POINT_CAP`` points, and never fewer than its sampled values.
+    Where even the sampled values pass the cap, each bit-vector sort keeps
+    just those, and the cap cuts the grid.  A whole domain is listed in
+    order; a part of one lists the sampled values first, then the smallest
+    values not yet listed."""
     grid = [_grid_values(s, cfg) for s in sorts]
     # A domain of 2 ** 14 values is past the cap on its own, so no wider
     # one is counted.
     cut = GRID_POINT_CAP.bit_length()
-    domains = [1 << min(s.width, cut) for s in sorts if isinstance(s, RBitVec)]
+
+    def bv_size(n: int, s: RBitVec, sampled: int) -> int:
+        return max(min(n, 1 << min(s.width, cut)), sampled)
+
+    bvs = [(s, size) for s, (size, _) in zip(sorts, grid) if isinstance(s, RBitVec)]
     rest = math.prod(size for s, (size, _) in zip(sorts, grid) if not isinstance(s, RBitVec))
     room = bisect_right(
         range(1, GRID_POINT_CAP + 1), GRID_POINT_CAP,
-        key=lambda n: rest * math.prod(min(n, d) for d in domains),
+        key=lambda n: rest * math.prod(bv_size(n, s, size) for s, size in bvs),
     )
     return [
-        _bv_grid(s.width, max(min(room, 1 << min(s.width, cut)), size), values)
+        _bv_grid(s.width, bv_size(room, s, size), values)
         if isinstance(s, RBitVec) else (size, values)
         for s, (size, values) in zip(sorts, grid)
     ]

@@ -1,9 +1,10 @@
+import math
 import time
 
 import pytest
 
 from sygus import solver
-from sygus.checker import R_INT, RBitVec
+from sygus.checker import R_BOOL, R_INT, RBitVec
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
 from sygus.printer import print_solution, print_term
@@ -221,7 +222,7 @@ def test_bit_vector_variables_get_the_room_under_the_cap():
     assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
 
 
-BV2, BV8, BV12 = RBitVec(2), RBitVec(8), RBitVec(12)
+BV2, BV4, BV8, BV12 = RBitVec(2), RBitVec(4), RBitVec(8), RBitVec(12)
 
 
 @pytest.mark.parametrize(
@@ -236,16 +237,23 @@ BV2, BV8, BV12 = RBitVec(2), RBitVec(8), RBitVec(12)
         # eleven sampled values, and the cap cuts the grid instead.
         ([BV12] * 4, [11] * 4),
         ([R_INT] * 4 + [BV12], [11] * 5),
+        # The BV4 keeps its whole domain of 16 values, so the BV12s get
+        # 12 each: 16 * 12 * 12 * 2 * 2 = 9,216 points.
+        ([BV4, BV12, BV12, R_BOOL, R_BOOL], [16, 12, 12, 2, 2]),
     ],
 )
 def test_bit_vector_grid_values(sorts, sizes):
     cfg = SolverConfig()
     grid = solver._grid(sorts, cfg)
     assert [size for size, _ in grid] == sizes
+    sampled_sizes = [solver._grid_values(s, cfg)[0] for s in sorts]
+    if math.prod(sampled_sizes) <= solver.GRID_POINT_CAP:
+        assert math.prod(sizes) <= solver.GRID_POINT_CAP
     for s, (size, values) in zip(sorts, grid):
         assert len(values) == size
         if isinstance(s, RBitVec):
             sampled = solver._grid_values(s, cfg)[1]
+            assert set(sampled) <= set(values)
             payloads = [v.value for v in values]
             if size == 1 << s.width:
                 assert payloads == list(range(size))
