@@ -1,26 +1,32 @@
 """SyGuS language front-end and baseline enumerative solver.
 
-Importing the package loads the front end (lexer, parser, checker,
-printer) and ``SolverConfig``.  The solver's names (``solve``, ``verify``,
-``Solved``, ...) load ``sygus.solver`` and its evaluator on first use
-(PEP 562), so a program that only parses, checks or prints never pays for
-them.
+Importing the package loads the lexer, parser, printer and
+``SolverConfig``.  The checker's names (``check_program``, ``CheckError``,
+...) load ``sygus.checker`` on first use (PEP 562), and the solver's
+(``solve``, ``verify``, ``Solved``, ...) load ``sygus.solver`` and its
+evaluator, so a program that only parses or prints never pays for the
+checker, and one that only checks never pays for the solver.
 """
 
-from .checker import CheckedProblem, CheckError, Diagnostic, check_program
 from .config import SolverConfig
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program, parse_text
 from .printer import print_fail, print_program, print_solution, print_term
 
 
-def __getattr__(name: str):
-    # Only the names not imported above get here: the solver's.
-    if name in __all__:
-        from . import solver
+_CHECKER_NAMES = frozenset({"CheckedProblem", "CheckError", "Diagnostic", "check_program"})
 
-        return getattr(solver, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    # Only the names not imported above get here: the checker's and the
+    # solver's.
+    if name in _CHECKER_NAMES:
+        from . import checker as module
+    elif name in __all__:
+        from . import solver as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [

@@ -6,9 +6,10 @@ process (``E-DEPTH``), 3 unsupported theory, 4 I/O errors.  Input is read as
 bytes and must be ASCII.  Results (AST dumps, formatted programs, solutions,
 ``(fail)``) go to stdout; diagnostics and progress notes go to stderr.
 
-Only ``solve`` loads the solver: ``solve`` below imports ``sygus.solver``
-on its first call, so ``parse``, ``check`` and ``fmt`` load the front end
-alone.
+Each subcommand loads only what it runs.  ``check_program`` below imports
+``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
+so ``parse`` and ``fmt`` load the lexer, parser and printer alone, ``check``
+adds the checker, and only ``solve`` loads the solver.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
-from .checker import CheckedProblem, CheckError, Diagnostic, check_program
 from .config import SolverConfig
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program
@@ -33,6 +33,7 @@ from .printer import (
 from .syntax import Lit, NO_POS, Pos, Program, Ref, Term
 
 if TYPE_CHECKING:
+    from .checker import CheckedProblem
     from .solver import Fail, Solved, Valid
 
 EXIT_OK = 0
@@ -94,6 +95,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _bad_option(message: str):
+    from .checker import CheckError, Diagnostic
+
     raise CheckError(Diagnostic("E-OPT-VALUE", NO_POS, message))
 
 
@@ -142,6 +145,15 @@ def dump_program(p: Program) -> str:
         print_command(c, _dump_term, lambda cmd: type(cmd).__name__) + "\n"
         for c in p.commands
     )
+
+
+def check_program(program: Program) -> CheckedProblem:
+    """``sygus.checker.check_program``, importing the checker on the first
+    call.  A module global that ``_checked`` calls by name, so that a caller
+    can wrap it as ``perfbench/tracing.py`` does."""
+    from . import checker
+
+    return checker.check_program(program)
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Solved | Fail:
@@ -202,6 +214,8 @@ def _front_end(path: str, data: bytes, stderr: TextIO) -> Optional[Program]:
 
 
 def _checked(path: str, program: Program, stderr: TextIO) -> Optional[CheckedProblem]:
+    from .checker import CheckError
+
     try:
         return check_program(program)
     except CheckError as e:
@@ -251,6 +265,8 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         return EXIT_STATIC
     if args.subcommand == "check":
         return EXIT_OK
+
+    from .checker import CheckError
 
     flags = [
         (name, getattr(args, field))

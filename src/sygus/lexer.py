@@ -1,7 +1,8 @@
 """Tokenizer for the SyGuS surface syntax.
 
 One regular expression, ``_TOKEN``, is the lexicon: each named
-alternative is one token class, a regular set.
+alternative is one token class, a regular set, and ``tokenize`` makes one
+match per token.
 
 - ``(`` and ``)``;
 - numerals ``[0-9]+`` and decimals ``[0-9]+.[0-9]+``, either one signed
@@ -17,9 +18,12 @@ alternative is one token class, a regular set.
 Whitespace separates tokens, ``;`` starts a comment running to the end of
 the line, and positions are 1-based.  Only ``\\n`` terminates a line;
 ``\\r`` counts as plain whitespace and a tab advances the column by one.
-A malformed literal (``12.``, ``#``, ``#b2``, an unclosed quote, ``E::``)
-still matches its own alternative, which reports it; only a character that
-starts no token matches nothing.  A decimal numeral longer than the
+Blanks and a comment are no match of their own but the optional prefix of
+the next one; a newline is a match of its own, which counts the line.  A
+malformed literal (``12.``, ``#``, ``#b2``, an unclosed quote, ``E::``)
+still matches its own alternative, which reports it; a character that
+starts no token matches the one-character ``bad`` alternative, and the end
+of the text matches ``end``.  A decimal numeral longer than the
 interpreter converts (4,300 digits by default) is an error too; bit-vector
 constants have no such limit.
 """
@@ -90,87 +94,125 @@ class LexError(Exception):
         self.message = message
 
 
-_SYMBOL = r"[A-Za-z_+\-*&|!~<>=/%?.$^][A-Za-z0-9_+\-*&|!~<>=/%?.$^]*"
+_SYMBOL_REST = r"[A-Za-z0-9_+\-*&|!~<>=/%?.$^]*"
+_SYMBOL = rf"[A-Za-z_+\-*&|!~<>=/%?.$^]{_SYMBOL_REST}"
+# A symbol token does not start with a minus followed by a digit: that
+# starts a numeral.  A constructor name may.
+_SYMBOL_TOKEN = rf"(?:[A-Za-z_+*&|!~<>=/%?.$^]|-(?![0-9])){_SYMBOL_REST}"
 
+# Each match is an optional prefix of blanks and a comment, then one token,
+# one newline or the end of the text.  A comment runs to the newline, so no
+# blank follows it.  Some alternative matches after any prefix (``bad`` takes
+# any other character, ``end`` the end of the text), so the search never
+# backtracks into a comment.  The frequent classes come first.  The group that
+# closes last names the class, so ``enum`` makes a symbol an enum constant and
+# ``fraction`` makes a numeral a decimal.
 _TOKEN = re.compile(
     rf"""
-      (?P<space>[ \t\r]+|;[^\n]*)
-    | (?P<newline>\n[ \t\r\n]*)
-    | (?P<lparen>\()
+    [ \t\r]*(?:;[^\n]*)?
+    (?:
+      (?P<lparen>\()
     | (?P<rparen>\))
-    | (?P<number>-?(?P<whole>[0-9]+)(?:\.(?P<fraction>[0-9]*))?)
+    | (?P<symbol>{_SYMBOL_TOKEN})(?P<enum>::(?P<ctor>{_SYMBOL})?)?
+    | (?P<newline>\n)
+    | (?P<numeral>-?(?P<whole>[0-9]+))(?P<fraction>\.[0-9]*)?
     | (?P<bv>\#(?P<base>[bx]?)(?P<digits>[0-9A-Fa-f]*))
     | (?P<quoted>"(?P<chars>[A-Za-z0-9.]*)(?P<close>"?))
-    | (?P<symbol>{_SYMBOL})(?P<enum>::(?P<ctor>{_SYMBOL})?)?
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
+)
+
+# Group numbers of the classes ``tokenize`` handles inline.
+_LPAREN_G, _RPAREN_G, _SYMBOL_G, _NEWLINE_G, _NUMERAL_G, _END_G = (
+    _TOKEN.groupindex[name] for name in ("lparen", "rparen", "symbol", "newline", "numeral", "end")
+)
+_LPAREN, _RPAREN, _SYMBOL_K, _BOOL, _INT = (
+    TokKind.LPAREN, TokKind.RPAREN, TokKind.SYMBOL, TokKind.BOOL, TokKind.INT
 )
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``, raising ``LexError`` on any malformed input."""
     out: list[Token] = []
-    line, line_start, i = 1, 0, 0
-    match = _TOKEN.match
-    while i < len(text):
-        m = match(text, i)
-        if m is None:
-            raise LexError(line, i - line_start + 1,
-                           f"character {text[i]!r} cannot start a token")
-        start, i, kind = i, m.end(), m.lastgroup
-        if kind == "space":
-            continue
-        col = start - line_start + 1
-        if kind == "newline":
-            line += text.count("\n", start, i)
-            line_start = text.rindex("\n", start, i) + 1
-        elif kind == "lparen":
-            out.append(Token(TokKind.LPAREN, None, line, col))
-        elif kind == "rparen":
-            out.append(Token(TokKind.RPAREN, None, line, col))
-        elif kind == "symbol":
-            word = m["symbol"]
+    append = out.append
+    # The body of ``Token.__new__``, without its Python-level call.
+    new = tuple.__new__
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        group, end = m.lastindex, m.end()
+        if group == _LPAREN_G:
+            append(new(Token, (_LPAREN, None, line, end - line_start)))
+        elif group == _RPAREN_G:
+            append(new(Token, (_RPAREN, None, line, end - line_start)))
+        elif group == _SYMBOL_G:
+            word = m[group]
+            col = end - len(word) - line_start + 1
             if word == "true" or word == "false":
-                out.append(Token(TokKind.BOOL, word == "true", line, col))
+                append(new(Token, (_BOOL, word == "true", line, col)))
             else:
-                out.append(Token(TokKind.SYMBOL, word, line, col))
-        elif kind == "enum":
-            if m["ctor"] is None:
-                raise LexError(line, col + i - start, "expected constructor name after '::'")
-            out.append(Token(TokKind.ENUM, (m["symbol"], m["ctor"]), line, col))
-        elif kind == "number":
-            whole, fraction = m["whole"], m["fraction"]
-            if fraction == "":
-                raise LexError(line, col, "expected digits after decimal point")
-            digits = whole if fraction is None else whole + fraction
-            try:
-                value = int(digits)
-            except ValueError:
-                # Past its limit (4,300 digits by default) the interpreter
-                # refuses the conversion, which takes quadratic time.
-                raise LexError(line, col, f"numeral of {len(digits)} digits is too long") from None
-            if fraction is None:
-                tok_kind = TokKind.INT
-            else:
-                tok_kind, value = TokKind.REAL, Fraction(value, 10 ** len(fraction))
-            out.append(Token(tok_kind, -value if text[start] == "-" else value, line, col))
-        elif kind == "bv":
-            base, digits = m["base"], m["digits"]
-            if not base:
-                raise LexError(line, col, "expected 'b' or 'x' after '#'")
-            if not digits:
-                raise LexError(line, col, "expected digits after bit-vector prefix")
-            if base == "b" and digits.strip("01"):
-                raise LexError(line, col, f"invalid binary digit in '#b{digits}'")
-            bits = 1 if base == "b" else 4
-            out.append(Token(TokKind.BV, (bits * len(digits), int(digits, 2**bits)), line, col))
-        else:  # quoted
-            if not m["close"]:
-                if i == len(text):
-                    raise LexError(line, col, "unterminated quoted literal")
-                raise LexError(line, col + i - start,
-                               f"character {text[i]!r} not allowed in a quoted literal")
-            if not m["chars"]:
-                raise LexError(line, col, "quoted literal must not be empty")
-            out.append(Token(TokKind.QUOTED, m["chars"], line, col))
+                append(new(Token, (_SYMBOL_K, word, line, col)))
+        elif group == _NEWLINE_G:
+            line += 1
+            line_start = end
+        elif group == _NUMERAL_G:
+            digits = m[group]
+            col = end - len(digits) - line_start + 1
+            append(new(Token, (_INT, _int(digits, line, col), line, col)))
+        elif group == _END_G:
+            break
+        else:
+            append(_other_token(m, m.lastgroup, text, line, line_start))
     return out
+
+
+def _int(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # Past its limit (4,300 digits by default) the interpreter refuses
+        # the conversion, which takes quadratic time.
+        count = len(digits) - digits.startswith("-")
+        raise LexError(line, col, f"numeral of {count} digits is too long") from None
+
+
+def _other_token(m: re.Match, kind: str, text: str, line: int, line_start: int) -> Token:
+    """The token of match ``m`` of class ``kind``, one that ``tokenize``
+    does not handle inline; ``LexError`` if it is malformed or if its first
+    character starts no token."""
+    start = m.start("numeral" if kind == "fraction" else "symbol" if kind == "enum" else kind)
+    i = m.end()
+    col = start - line_start + 1
+    if kind == "bad":
+        raise LexError(line, col, f"character {text[start]!r} cannot start a token")
+    if kind == "enum":
+        if m["ctor"] is None:
+            raise LexError(line, col + i - start, "expected constructor name after '::'")
+        return Token(TokKind.ENUM, (m["symbol"], m["ctor"]), line, col)
+    if kind == "fraction":
+        whole, fraction = m["whole"], m["fraction"][1:]
+        if not fraction:
+            raise LexError(line, col, "expected digits after decimal point")
+        value = Fraction(_int(whole + fraction, line, col), 10 ** len(fraction))
+        return Token(TokKind.REAL, -value if text[start] == "-" else value, line, col)
+    if kind == "bv":
+        base, digits = m["base"], m["digits"]
+        if not base:
+            raise LexError(line, col, "expected 'b' or 'x' after '#'")
+        if not digits:
+            raise LexError(line, col, "expected digits after bit-vector prefix")
+        if base == "b" and digits.strip("01"):
+            raise LexError(line, col, f"invalid binary digit in '#b{digits}'")
+        bits = 1 if base == "b" else 4
+        return Token(TokKind.BV, (bits * len(digits), int(digits, 2**bits)), line, col)
+    # quoted
+    if not m["close"]:
+        if i == len(text):
+            raise LexError(line, col, "unterminated quoted literal")
+        raise LexError(line, col + i - start,
+                       f"character {text[i]!r} not allowed in a quoted literal")
+    if not m["chars"]:
+        raise LexError(line, col, "quoted literal must not be empty")
+    return Token(TokKind.QUOTED, m["chars"], line, col)

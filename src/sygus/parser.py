@@ -69,6 +69,26 @@ _SHORTHAND_KEYWORDS = {
 }
 
 
+_LPAREN, _RPAREN, _SYMBOL, _INT = TokKind.LPAREN, TokKind.RPAREN, TokKind.SYMBOL, TokKind.INT
+
+
+def _leaf(kind: TokKind, value, line: int, col: int) -> Term | None:
+    """The term a token is on its own, or ``None`` if it is none."""
+    if kind is _SYMBOL:
+        return None if value in RESERVED_WORDS else Ref(value, Pos(line, col))
+    if kind is _INT:
+        return Lit(IntConst(value), Pos(line, col))
+    if kind is TokKind.REAL:
+        return Lit(RealConst(value), Pos(line, col))
+    if kind is TokKind.BOOL:
+        return Lit(BoolConst(value), Pos(line, col))
+    if kind is TokKind.BV:
+        return Lit(BVConst(*value), Pos(line, col))
+    if kind is TokKind.ENUM:
+        return Lit(EnumConst(*value), Pos(line, col))
+    return None
+
+
 class ParseError(Exception):
     def __init__(self, pos: Pos, expected: str, found: str):
         super().__init__(f"{pos}: expected {expected}, found {found}")
@@ -121,11 +141,11 @@ class _Parser:
         raise ParseError(pos, expected, _describe(tok))
 
     def take(self, kind: TokKind, expected: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind is not kind:
-            self.fail(expected, tok)
-        self.i += 1
-        return tok
+        i, tokens = self.i, self.tokens
+        if i < len(tokens) and tokens[i][0] is kind:
+            self.i = i + 1
+            return tokens[i]
+        self.fail(expected)
 
     def identifier(self, what: str) -> tuple[Symbol, Pos]:
         tok = self.peek()
@@ -315,64 +335,70 @@ class _Parser:
         return self._term(allow_shorthands=True)
 
     def _term(self, allow_shorthands: bool) -> Term:
-        tok = self.peek()
-        if tok is None:
-            self.fail("a term", tok)
-        pos = Pos(tok.line, tok.col)
-        if tok.kind is TokKind.INT:
-            self.i += 1
-            return Lit(IntConst(tok.value), pos)
-        if tok.kind is TokKind.REAL:
-            self.i += 1
-            return Lit(RealConst(tok.value), pos)
-        if tok.kind is TokKind.BOOL:
-            self.i += 1
-            return Lit(BoolConst(tok.value), pos)
-        if tok.kind is TokKind.BV:
-            self.i += 1
-            width, value = tok.value
-            return Lit(BVConst(width, value), pos)
-        if tok.kind is TokKind.ENUM:
-            self.i += 1
-            sort_name, ctor = tok.value
-            return Lit(EnumConst(sort_name, ctor), pos)
-        if tok.kind is TokKind.SYMBOL:
-            if tok.value in RESERVED_WORDS:
+        # The hot path: tokens are read by index, and the leaves of an
+        # application's arguments are built in its loop, not by a call.
+        tokens = self.tokens
+        i = self.i
+        if i == len(tokens):
+            self.fail("a term")
+        tok = tokens[i]
+        kind, value, line, col = tok
+        if kind is not _LPAREN:
+            node = _leaf(kind, value, line, col)
+            if node is None:
                 self.fail("a term", tok)
-            self.i += 1
-            return Ref(tok.value, pos)
-        if tok.kind is not TokKind.LPAREN:
-            self.fail("a term", tok)
-        self.i += 1
-        head = self.peek()
-        if head is None:
+            self.i = i + 1
+            return node
+        pos = Pos(line, col)
+        i += 1
+        self.i = i
+        if i == len(tokens):
+            self.fail("an operator symbol")
+        head = tokens[i]
+        kind, name = head[0], head[1]
+        if kind is not _SYMBOL:
+            if kind is _RPAREN:
+                self.fail("an operator symbol in a non-empty application", head)
             self.fail("an operator symbol", head)
-        if head.kind is TokKind.RPAREN:
-            self.fail("an operator symbol in a non-empty application", head)
-        if head.kind is not TokKind.SYMBOL:
-            self.fail("an operator symbol", head)
-        if head.value == "let":
-            self.i += 1
-            return self._let_tail(pos, allow_shorthands)
-        if head.value in _SHORTHAND_KEYWORDS:
+        if name in RESERVED_WORDS:
+            if name == "let":
+                self.i = i + 1
+                return self._let_tail(pos, allow_shorthands)
+            shorthand = _SHORTHAND_KEYWORDS.get(name)
+            if shorthand is None:
+                self.fail("an operator symbol", head)
             if not allow_shorthands:
                 raise ParseError(
                     Pos(head.line, head.col),
                     "a term",
-                    f"grammar shorthand '{head.value}' (only allowed in grammars)",
+                    f"grammar shorthand '{name}' (only allowed in grammars)",
                 )
-            self.i += 1
-            node = _SHORTHAND_KEYWORDS[head.value](self.sort_expr(), pos)
-            self.take(TokKind.RPAREN, "')'")
+            self.i = i + 1
+            node = shorthand(self.sort_expr(), pos)
+            self.take(_RPAREN, "')'")
             return node
-        if head.value in RESERVED_WORDS:
-            self.fail("an operator symbol", head)
-        self.i += 1
         args: list[Term] = []
-        while not self._at_rparen():
-            args.append(self._term(allow_shorthands))
-        self.take(TokKind.RPAREN, "')'")
-        return App(head.value, tuple(args), pos)
+        append = args.append
+        n = len(tokens)
+        i += 1
+        while i < n:
+            kind, value, line, col = tokens[i]
+            # ``_leaf``'s two most frequent cases, inline.
+            if kind is _SYMBOL and value not in RESERVED_WORDS:
+                append(Ref(value, Pos(line, col)))
+            elif kind is _INT:
+                append(Lit(IntConst(value), Pos(line, col)))
+            elif kind is _RPAREN:
+                self.i = i + 1
+                return App(name, tuple(args), pos)
+            else:
+                self.i = i
+                append(self._term(allow_shorthands))
+                i = self.i
+                continue
+            i += 1
+        self.i = i
+        self.fail("a term")
 
     def _let_tail(self, pos: Pos, allow_shorthands: bool) -> Let:
         self.take(TokKind.LPAREN, "'(' starting the binding list")

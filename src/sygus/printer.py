@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .checker import SynthTask
 from .syntax import (
     App,
     ArraySort,
@@ -49,6 +48,9 @@ from .syntax import (
     Term,
     VariableOf,
 )
+
+if TYPE_CHECKING:
+    from .checker import SynthTask
 
 
 class PrintError(Exception):

@@ -10,14 +10,21 @@ the plain tables of ``enumerate_terms``, every candidate tuple in lockstep
 order, screens by the tree-walking ``eval_term``.
 
 ``plain_verify`` is ``verify`` one point at a time on ``eval_term``.
+
+``reference_tokenize`` is a scanner with one ``match`` per blank run,
+comment and token, each token class tested in turn; ``sygus.lexer.tokenize``
+must agree with it on every text, tokens and errors alike.
 """
 
 import math
 import random
+import re
+from fractions import Fraction
 from itertools import islice, product
 
 from sygus import solver
 from sygus.evaluator import EvalEnv, eval_term, fresh_uf_model, stable_u64
+from sygus.lexer import LexError, TokKind, Token
 from sygus.solver import (
     GRID_POINT_CAP,
     Counterexample,
@@ -181,3 +188,89 @@ def plain_verify(candidate, problem, cfg, store):
         random_samples=cfg.random_samples,
         exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
     )
+
+
+_REF_SYMBOL = r"[A-Za-z_+\-*&|!~<>=/%?.$^][A-Za-z0-9_+\-*&|!~<>=/%?.$^]*"
+
+_REF_TOKEN = re.compile(
+    rf"""
+      (?P<space>[ \t\r]+|;[^\n]*)
+    | (?P<newline>\n[ \t\r\n]*)
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<number>-?(?P<whole>[0-9]+)(?:\.(?P<fraction>[0-9]*))?)
+    | (?P<bv>\#(?P<base>[bx]?)(?P<digits>[0-9A-Fa-f]*))
+    | (?P<quoted>"(?P<chars>[A-Za-z0-9.]*)(?P<close>"?))
+    | (?P<symbol>{_REF_SYMBOL})(?P<enum>::(?P<ctor>{_REF_SYMBOL})?)?
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """Tokenize ``text``, raising ``LexError`` on any malformed input."""
+    out: list[Token] = []
+    line, line_start, i = 1, 0, 0
+    match = _REF_TOKEN.match
+    while i < len(text):
+        m = match(text, i)
+        if m is None:
+            raise LexError(line, i - line_start + 1,
+                           f"character {text[i]!r} cannot start a token")
+        start, i, kind = i, m.end(), m.lastgroup
+        if kind == "space":
+            continue
+        col = start - line_start + 1
+        if kind == "newline":
+            line += text.count("\n", start, i)
+            line_start = text.rindex("\n", start, i) + 1
+        elif kind == "lparen":
+            out.append(Token(TokKind.LPAREN, None, line, col))
+        elif kind == "rparen":
+            out.append(Token(TokKind.RPAREN, None, line, col))
+        elif kind == "symbol":
+            word = m["symbol"]
+            if word == "true" or word == "false":
+                out.append(Token(TokKind.BOOL, word == "true", line, col))
+            else:
+                out.append(Token(TokKind.SYMBOL, word, line, col))
+        elif kind == "enum":
+            if m["ctor"] is None:
+                raise LexError(line, col + i - start, "expected constructor name after '::'")
+            out.append(Token(TokKind.ENUM, (m["symbol"], m["ctor"]), line, col))
+        elif kind == "number":
+            whole, fraction = m["whole"], m["fraction"]
+            if fraction == "":
+                raise LexError(line, col, "expected digits after decimal point")
+            digits = whole if fraction is None else whole + fraction
+            try:
+                value = int(digits)
+            except ValueError:
+                # Past its limit (4,300 digits by default) the interpreter
+                # refuses the conversion, which takes quadratic time.
+                raise LexError(line, col, f"numeral of {len(digits)} digits is too long") from None
+            if fraction is None:
+                tok_kind = TokKind.INT
+            else:
+                tok_kind, value = TokKind.REAL, Fraction(value, 10 ** len(fraction))
+            out.append(Token(tok_kind, -value if text[start] == "-" else value, line, col))
+        elif kind == "bv":
+            base, digits = m["base"], m["digits"]
+            if not base:
+                raise LexError(line, col, "expected 'b' or 'x' after '#'")
+            if not digits:
+                raise LexError(line, col, "expected digits after bit-vector prefix")
+            if base == "b" and digits.strip("01"):
+                raise LexError(line, col, f"invalid binary digit in '#b{digits}'")
+            bits = 1 if base == "b" else 4
+            out.append(Token(TokKind.BV, (bits * len(digits), int(digits, 2**bits)), line, col))
+        else:  # quoted
+            if not m["close"]:
+                if i == len(text):
+                    raise LexError(line, col, "unterminated quoted literal")
+                raise LexError(line, col + i - start,
+                               f"character {text[i]!r} not allowed in a quoted literal")
+            if not m["chars"]:
+                raise LexError(line, col, "quoted literal must not be empty")
+            out.append(Token(TokKind.QUOTED, m["chars"], line, col))
+    return out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sygus
-from sygus import solver
+from sygus import checker, cli, solver
 from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, run
 from sygus.evaluator import stable_u64
 
@@ -66,12 +66,15 @@ def test_timeout_is_honoured_while_verifying(tmp_path):
     assert (code, out, err) == (EXIT_FAIL, "(fail)\n", "note: search stopped by timeout\n")
 
 
-# Runs the CLI and reports the child's own peak RSS, in KB, on stderr.
+# Runs the CLI and reports the child's own peak RSS, in KB, on stderr.  It
+# reads VmHWM: on Linux ``ru_maxrss`` also counts the peak of the image that
+# ``exec`` replaced, here the test runner's.
 PEAK_RSS_CHILD = """
-import resource, sys
+import sys
 from sygus.cli import run
 code = run(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(next(l.split()[1] for l in status if l.startswith("VmHWM:")), file=sys.stderr)
 """
 
 
@@ -292,6 +295,8 @@ def test_front_end_subcommands_load_no_solver(subcommand):
     assert code == EXIT_OK
     assert "sygus.parser" in loaded
     assert not loaded & {"sygus.solver", "sygus.evaluator", "_hashlib"}
+    # Only check runs the checker.
+    assert ("sygus.checker" in loaded) == (subcommand == "check")
 
 
 def test_solve_loads_no_openssl():
@@ -307,6 +312,10 @@ def test_package_names_resolve():
     assert set(sygus.__all__) <= set(namespace)
     assert sygus.verify is solver.verify
     assert sygus.SolverConfig is solver.SolverConfig
+    assert sygus.check_program is checker.check_program
+    assert sygus.CheckError is namespace["CheckError"] is checker.CheckError
+    # perfbench/tracing.py wraps the CLI's checker call at this name.
+    assert callable(cli.check_program)
     with pytest.raises(AttributeError):
         sygus.no_such_name
 

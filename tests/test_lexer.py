@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from sygus.lexer import LexError, TokKind, Token, tokenize
 
+from oracle import reference_tokenize
+
 
 def kinds(text):
     return [t.kind for t in tokenize(text)]
@@ -245,3 +247,33 @@ def test_positions_point_at_their_tokens(text):
     for t in toks:
         (first, *_) = tokenize(text[offset(text, t.line, t.col):])
         assert (first.kind, first.value, first.line, first.col) == (t.kind, t.value, 1, 1)
+
+
+# The lexicon's alphabet and a few characters outside it: blanks, ``\r``,
+# tabs, newlines, comments, quotes, bit-vector prefixes, signs, points,
+# colons, and characters that start no token.
+ALPHABET = " \t\r\n;\"#bx019aFE-.:()_+<=@[,\x0b\u00e9"
+ORACLE_PIECES = PIECES + [
+    "E::-1", "Sort::Ctor", " Sort::Ctor", "\tA::", "-1.", "-x", "- 1", "7.x",
+    "#x", "#b10 ", "; c", ";\n", "\n\n", "  \n\t", '"a b"', '"a\nb"', "@",
+]
+
+
+def outcome(scan, text):
+    """The tokens ``scan`` gives for ``text``, or its error's position and
+    message."""
+    try:
+        return scan(text)
+    except LexError as e:
+        return (e.line, e.col, e.message)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet=ALPHABET, max_size=30),
+        st.lists(st.sampled_from(ORACLE_PIECES), max_size=30).map("".join),
+    )
+)
+def test_tokenize_agrees_with_the_reference_scanner(text):
+    assert outcome(tokenize, text) == outcome(reference_tokenize, text)

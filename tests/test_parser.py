@@ -1,5 +1,8 @@
+from io import StringIO
+
 import pytest
 
+from sygus.cli import EXIT_STATIC, run
 from sygus.lexer import tokenize
 from sygus.parser import (
     ParseError,
@@ -239,3 +242,108 @@ def test_error_positions_inside_input():
 def test_trailing_garbage_rejected():
     with pytest.raises(ParseError):
         parse_text("(check-synth) stray")
+
+
+# Malformed inputs and the exact diagnostic ``check`` prints for each, path
+# prefix removed.  At the end of input the position is the last token's.
+PARSE_DIAGNOSTICS = [
+    # end of input in arguments
+    ('(constraint (f x',
+     '1:16: E-PARSE: expected a term, found end of input'),
+    # end of input after a literal argument
+    ('(constraint\n  (f x\n     true',
+     '3:6: E-PARSE: expected a term, found end of input'),
+    # end of input after the head
+    ('(constraint (',
+     '1:13: E-PARSE: expected an operator symbol, found end of input'),
+    # empty application
+    ('(constraint ())',
+     "1:14: E-PARSE: expected an operator symbol in a non-empty application, found ')'"),
+    # reserved word as a head
+    ('(constraint (Int x))',
+     "1:14: E-PARSE: expected an operator symbol, found 'Int'"),
+    # literal as a head
+    ('(constraint (1 x))',
+     "1:14: E-PARSE: expected an operator symbol, found '1'"),
+    # enum constant as a head
+    ('(constraint (A::B x))',
+     "1:14: E-PARSE: expected an operator symbol, found 'A::B'"),
+    # shorthand outside a grammar
+    ('(constraint (Constant Int))',
+     "1:14: E-PARSE: expected a term, found grammar shorthand 'Constant' (only allowed in grammars)"),
+    # shorthand in a let outside a grammar
+    ('(constraint (let ((a Int (Variable Int))) a))',
+     "1:27: E-PARSE: expected a term, found grammar shorthand 'Variable' (only allowed in grammars)"),
+    # empty let binding list
+    ('(constraint (let () x))',
+     "1:19: E-PARSE: expected at least one binding, found ')'"),
+    # duplicate let binding
+    ('(constraint (let ((a Int 1) (a Int 2)) a))',
+     "1:30: E-PARSE: expected distinct binding names, found duplicate 'a'"),
+    # let with two bodies
+    ('(constraint (let ((a Int 1)) a b))',
+     "1:32: E-PARSE: expected ')' closing the let, found 'b'"),
+    # end of input in a let
+    ('(constraint (let ((a Int',
+     '1:22: E-PARSE: expected a term, found end of input'),
+    # reserved word as a term
+    ('(constraint (f x let))',
+     "1:18: E-PARSE: expected a term, found 'let'"),
+    # quoted literal as a term
+    ('(constraint (f "q"))',
+     '1:16: E-PARSE: expected a term, found "q"'),
+    # missing term
+    ('(constraint )',
+     "1:13: E-PARSE: expected a term, found ')'"),
+    # zero bit width
+    ('(declare-var x (BitVec 0))',
+     "1:24: E-PARSE: expected a positive bit width, found '0'"),
+    # unknown sort head
+    ('(declare-var x (Foo 3))',
+     "1:17: E-PARSE: expected 'BitVec', 'Enum', or 'Array', found 'Foo'"),
+    # empty enum
+    ('(declare-var x (Enum ()))',
+     "1:23: E-PARSE: expected at least one constructor, found ')'"),
+    # reserved word as a name
+    ('(declare-var Int Int)',
+     "1:14: E-PARSE: expected a variable name, found reserved word 'Int'"),
+    # empty input
+    ('',
+     '1:1: E-PARSE: expected at least one command, found end of input'),
+    # no opening paren
+    ('x',
+     "1:1: E-PARSE: expected '(' starting a command, found 'x'"),
+    # unknown command
+    ('(foo)',
+     "1:2: E-PARSE: expected a command keyword, found 'foo'"),
+    # unclosed command
+    ('(check-synth',
+     "1:2: E-PARSE: expected ')' closing the command, found end of input"),
+    # second set-logic
+    ('(set-logic LIA)\n(set-logic LIA)',
+     "2:1: E-PARSE: expected set-logic before any other command, found 'set-logic'"),
+    # two terms in a constraint
+    ('(constraint (f x) (g))',
+     "1:19: E-PARSE: expected ')' closing the command, found '('"),
+    # empty grammar
+    ('(synth-fun f ((x Int)) Int ())',
+     "1:29: E-PARSE: expected at least one non-terminal definition, found ')'"),
+    # empty production list
+    ('(synth-fun f ((x Int)) Int ((S Int ())))',
+     "1:37: E-PARSE: expected at least one production, found ')'"),
+    # empty option list
+    ('(set-options ())',
+     "1:15: E-PARSE: expected at least one option pair, found ')'"),
+    # unquoted option value
+    ('(set-options ((a b)))',
+     "1:18: E-PARSE: expected a quoted option value, found 'b'"),
+]
+
+
+@pytest.mark.parametrize("text, diagnostic", PARSE_DIAGNOSTICS)
+def test_parse_diagnostics_are_exact(tmp_path, text, diagnostic):
+    path = tmp_path / "bad.sl"
+    path.write_text(text)
+    out, err = StringIO(), StringIO()
+    assert run(["check", str(path)], out, err) == EXIT_STATIC
+    assert (out.getvalue(), err.getvalue()) == ("", f"{path}:{diagnostic}\n")
