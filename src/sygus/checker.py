@@ -39,7 +39,6 @@ E-NONLINEAR             integer multiplication without a literal operand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
@@ -69,6 +68,7 @@ from .syntax import (
     Program,
     RealConst,
     RealSort,
+    Record,
     Ref,
     SetLogic,
     SetOptions,
@@ -78,6 +78,7 @@ from .syntax import (
     Symbol,
     SynthFun,
     Term,
+    set_field,
 )
 
 KNOWN_LOGICS = ("LIA", "BV", "Reals", "Arrays")
@@ -87,52 +88,70 @@ KNOWN_LOGICS = ("LIA", "BV", "Reals", "Arrays")
 # Resolved (alias-free) sorts
 
 
-class ResolvedSort:
+class ResolvedSort(Record):
+    """A sort with every alias resolved.  Resolved sorts are records and
+    compare by their fields, except ``REnum``'s constructors."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RInt(ResolvedSort):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
 class RBool(ResolvedSort):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
 class RReal(ResolvedSort):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Real"
 
 
-@dataclass(frozen=True)
 class RBitVec(ResolvedSort):
+    __slots__ = ("width",)
     width: int
+
+    def __init__(self, width: int) -> None:
+        set_field(self, "width", width)
 
     def __str__(self) -> str:
         return f"(BitVec {self.width})"
 
 
-@dataclass(frozen=True)
 class REnum(ResolvedSort):
     """Enum sorts compare by identity: the defining sort name, or a
     definition-site tag for enums written inline."""
 
+    __slots__ = ("identity", "constructors")
+    _uncompared = ("constructors",)
     identity: str
-    constructors: tuple[Symbol, ...] = field(compare=False)
+    constructors: tuple[Symbol, ...]
+
+    def __init__(self, identity: str, constructors: tuple[Symbol, ...]) -> None:
+        set_field(self, "identity", identity)
+        set_field(self, "constructors", constructors)
 
     def __str__(self) -> str:
         return self.identity
 
 
-@dataclass(frozen=True)
 class RArray(ResolvedSort):
+    __slots__ = ("domain", "codomain")
     domain: ResolvedSort
     codomain: ResolvedSort
+
+    def __init__(self, domain: ResolvedSort, codomain: ResolvedSort) -> None:
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
 
     def __str__(self) -> str:
         return f"(Array {self.domain} {self.codomain})"
@@ -153,11 +172,18 @@ def unsupported_sort(sort: ResolvedSort) -> bool:
 # Diagnostics
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
+    """A checking error; unlike a syntax node's, its ``pos`` is compared."""
+
+    __slots__ = ("code", "pos", "message")
     code: str
     pos: Pos
     message: str
+
+    def __init__(self, code: str, pos: Pos, message: str) -> None:
+        set_field(self, "code", code)
+        set_field(self, "pos", pos)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.pos}: {self.code}: {self.message}"
@@ -307,30 +333,54 @@ def resolve_sort(
 # Checked problem data
 
 
-@dataclass(frozen=True)
-class MacroDef:
+class MacroDef(Record):
+    __slots__ = ("name", "params", "ret", "body")
     name: Symbol
     params: tuple[tuple[Symbol, ResolvedSort], ...]
     ret: ResolvedSort
     body: Term
 
+    def __init__(
+        self,
+        name: Symbol,
+        params: tuple[tuple[Symbol, ResolvedSort], ...],
+        ret: ResolvedSort,
+        body: Term,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "ret", ret)
+        set_field(self, "body", body)
 
-@dataclass(frozen=True)
-class UFDecl:
+
+class UFDecl(Record):
+    __slots__ = ("name", "arg_sorts", "ret")
     name: Symbol
     arg_sorts: tuple[ResolvedSort, ...]
     ret: ResolvedSort
 
+    def __init__(
+        self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...], ret: ResolvedSort
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "arg_sorts", arg_sorts)
+        set_field(self, "ret", ret)
 
-@dataclass(frozen=True)
-class CheckedNT:
+
+class CheckedNT(Record):
+    __slots__ = ("name", "sort", "productions")
     name: Symbol
     sort: ResolvedSort
     productions: tuple[GTerm, ...]
 
+    def __init__(self, name: Symbol, sort: ResolvedSort, productions: tuple[GTerm, ...]) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
+        set_field(self, "productions", productions)
 
-@dataclass(frozen=True)
-class SynthTask:
+
+class SynthTask(Record):
+    __slots__ = ("name", "params", "ret", "grammar", "surface_params", "surface_ret", "lets")
     name: Symbol
     params: tuple[tuple[Symbol, ResolvedSort], ...]
     ret: ResolvedSort
@@ -341,9 +391,30 @@ class SynthTask:
     #: order; a name is bound at one sort throughout.
     lets: tuple[tuple[Symbol, ResolvedSort], ...]
 
+    def __init__(
+        self,
+        name: Symbol,
+        params: tuple[tuple[Symbol, ResolvedSort], ...],
+        ret: ResolvedSort,
+        grammar: tuple[CheckedNT, ...],
+        surface_params: tuple[tuple[Symbol, SortExpr], ...],
+        surface_ret: SortExpr,
+        lets: tuple[tuple[Symbol, ResolvedSort], ...],
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "ret", ret)
+        set_field(self, "grammar", grammar)
+        set_field(self, "surface_params", surface_params)
+        set_field(self, "surface_ret", surface_ret)
+        set_field(self, "lets", lets)
 
-@dataclass(frozen=True)
-class CheckedProblem:
+
+class CheckedProblem(Record):
+    __slots__ = (
+        "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
+        "options", "sort_defs",
+    )
     sig: TheorySignature
     universal_vars: tuple[tuple[Symbol, ResolvedSort], ...]
     uf_decls: tuple[UFDecl, ...]
@@ -352,6 +423,26 @@ class CheckedProblem:
     constraints: tuple[Term, ...]
     options: tuple[tuple[Symbol, str], ...]
     sort_defs: dict[Symbol, SortExpr]
+
+    def __init__(
+        self,
+        sig: TheorySignature,
+        universal_vars: tuple[tuple[Symbol, ResolvedSort], ...],
+        uf_decls: tuple[UFDecl, ...],
+        macros: tuple[MacroDef, ...],
+        synth_tasks: tuple[SynthTask, ...],
+        constraints: tuple[Term, ...],
+        options: tuple[tuple[Symbol, str], ...],
+        sort_defs: dict[Symbol, SortExpr],
+    ) -> None:
+        set_field(self, "sig", sig)
+        set_field(self, "universal_vars", universal_vars)
+        set_field(self, "uf_decls", uf_decls)
+        set_field(self, "macros", macros)
+        set_field(self, "synth_tasks", synth_tasks)
+        set_field(self, "constraints", constraints)
+        set_field(self, "options", options)
+        set_field(self, "sort_defs", sort_defs)
 
     def resolve(self, sort: SortExpr) -> ResolvedSort:
         return resolve_sort(sort, self.sort_defs)
@@ -370,11 +461,16 @@ class CheckedProblem:
 # Term typing
 
 
-@dataclass(frozen=True)
-class FuncEntry:
+class FuncEntry(Record):
+    __slots__ = ("kind", "arg_sorts", "ret")
     kind: str  # "macro" | "uf" | "synth"
     arg_sorts: tuple[ResolvedSort, ...]
     ret: ResolvedSort
+
+    def __init__(self, kind: str, arg_sorts: tuple[ResolvedSort, ...], ret: ResolvedSort) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "arg_sorts", arg_sorts)
+        set_field(self, "ret", ret)
 
 
 class TermScope:

@@ -150,7 +150,8 @@ def dump_program(p: Program) -> str:
 def check_program(program: Program) -> CheckedProblem:
     """``sygus.checker.check_program``, importing the checker on the first
     call.  A module global that ``_checked`` calls by name, so that a caller
-    can wrap it as ``perfbench/tracing.py`` does."""
+    can wrap it as ``perfbench/tracing.py`` does.  Importing the checker
+    before the file is parsed instead makes ``check`` peak higher."""
     from . import checker
 
     return checker.check_program(program)

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import operator
 from _blake2 import blake2b  # hashlib.blake2b itself; hashlib loads OpenSSL too
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -91,9 +90,11 @@ from .syntax import (
     Let,
     Lit,
     RealConst,
+    Record,
     Ref,
     Symbol,
     Term,
+    set_field,
 )
 
 # Sampled uninterpreted-function results: integers are drawn uniformly from
@@ -120,37 +121,54 @@ Payload = Union[int, bool, Fraction, Symbol]
 # Runtime values
 
 
-class Value:
+class Value(Record):
     """A theory value.  Every value class has a ``value``: its payload."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class VInt(Value):
+    __slots__ = ("value",)
     value: int
 
+    def __init__(self, value: int) -> None:
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class VBool(Value):
+    __slots__ = ("value",)
     value: bool
 
+    def __init__(self, value: bool) -> None:
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class VReal(Value):
+    __slots__ = ("value",)
     value: Fraction
 
+    def __init__(self, value: Fraction) -> None:
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class VBV(Value):
+    __slots__ = ("width", "value")
     width: int
     value: int
 
+    def __init__(self, width: int, value: int) -> None:
+        set_field(self, "width", width)
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class VEnum(Value):
+    __slots__ = ("identity", "constructor")
     identity: str
     constructor: Symbol
+
+    def __init__(self, identity: str, constructor: Symbol) -> None:
+        set_field(self, "identity", identity)
+        set_field(self, "constructor", constructor)
 
     @property
     def value(self) -> Symbol:
@@ -310,18 +328,36 @@ def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
 # Evaluation environment
 
 
-@dataclass(frozen=True)
-class _Callable:
+class _Callable(Record):
+    __slots__ = ("kind", "arg_sorts", "ret", "params", "body", "fn", "index")
     kind: str  # "macro" | "cand" | "uf" | "values"
     arg_sorts: tuple[ResolvedSort, ...]
     ret: ResolvedSort
     params: tuple[Symbol, ...]
     body: Optional[Term]
     #: What a "values" entry calls with the argument values.
-    fn: Optional[Callable[..., Value]] = None
+    fn: Optional[Callable[..., Value]]
     #: A "uf" entry's index among the problem's declarations, which is
     #: where its results are memoized (see ``UFModel``).
-    index: int = 0
+    index: int
+
+    def __init__(
+        self,
+        kind: str,
+        arg_sorts: tuple[ResolvedSort, ...],
+        ret: ResolvedSort,
+        params: tuple[Symbol, ...],
+        body: Optional[Term],
+        fn: Optional[Callable[..., Value]] = None,
+        index: int = 0,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "arg_sorts", arg_sorts)
+        set_field(self, "ret", ret)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
+        set_field(self, "fn", fn)
+        set_field(self, "index", index)
 
 
 class EvalEnv:

@@ -73,7 +73,6 @@ import math
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, count, islice, product, repeat
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
 
@@ -124,12 +123,14 @@ from .syntax import (
     LocalVariableOf,
     NamedSort,
     RealConst,
+    Record,
     Ref,
     Symbol,
     Term,
     VariableOf,
     app_heads,
     free_refs,
+    set_field,
     subterms,
     term_size,
 )
@@ -157,13 +158,20 @@ class SolveError(Exception):
 # Shorthand expansion
 
 
-@dataclass(frozen=True)
-class ExpandedGrammar:
+class ExpandedGrammar(Record):
     """A grammar whose productions hold no shorthands."""
 
+    __slots__ = ("nts", "order", "let_names")
     nts: dict[Symbol, CheckedNT]
     order: tuple[Symbol, ...]
     let_names: frozenset[Symbol]
+
+    def __init__(
+        self, nts: dict[Symbol, CheckedNT], order: tuple[Symbol, ...], let_names: frozenset[Symbol]
+    ) -> None:
+        set_field(self, "nts", nts)
+        set_field(self, "order", order)
+        set_field(self, "let_names", let_names)
 
 
 def _bv_values(width: int, seed: int, tag: str) -> list[int]:
@@ -263,11 +271,16 @@ class _Deadline:
             raise _Timeout()
 
 
-@dataclass(frozen=True)
-class _Prod:
+class _Prod(Record):
+    __slots__ = ("template", "holes", "own_size")
     template: GTerm
     holes: tuple[Symbol, ...]
     own_size: int
+
+    def __init__(self, template: GTerm, holes: tuple[Symbol, ...], own_size: int) -> None:
+        set_field(self, "template", template)
+        set_field(self, "holes", holes)
+        set_field(self, "own_size", own_size)
 
     @property
     def is_unit(self) -> bool:
@@ -480,11 +493,11 @@ def enumerate_terms(g: ExpandedGrammar, from_nt: Symbol, max_size: int) -> Itera
 # Verification
 
 
-@dataclass(frozen=True)
-class Valid:
+class Valid(Record):
     """No counterexample was found; the fields say where none was looked
     for."""
 
+    __slots__ = ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive")
     #: Grid points checked under each model, and the points of the whole
     #: grid; ``GRID_POINT_CAP`` cuts the first.
     grid_points: int
@@ -496,15 +509,33 @@ class Valid:
     #: there are no uninterpreted functions: the verdict is a proof.
     exhaustive: bool
 
+    def __init__(
+        self,
+        grid_points: int,
+        grid_size: int,
+        uf_models: int,
+        random_samples: int,
+        exhaustive: bool,
+    ) -> None:
+        set_field(self, "grid_points", grid_points)
+        set_field(self, "grid_size", grid_size)
+        set_field(self, "uf_models", uf_models)
+        set_field(self, "random_samples", random_samples)
+        set_field(self, "exhaustive", exhaustive)
+
     @property
     def truncated(self) -> bool:
         return self.grid_points < self.grid_size
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
+    __slots__ = ("assignment", "uf_seed")
     assignment: Assignment
     uf_seed: int
+
+    def __init__(self, assignment: Assignment, uf_seed: int) -> None:
+        set_field(self, "assignment", assignment)
+        set_field(self, "uf_seed", uf_seed)
 
 
 VerificationResult = Union[Valid, Counterexample]
@@ -514,19 +545,26 @@ VerificationResult = Union[Valid, Counterexample]
 _Row = tuple[tuple[Payload, ...], int, Optional[UFModel]]
 
 
-@dataclass(frozen=True)
-class Solved:
+class Solved(Record):
     """A tuple of bodies that passed verification, by synthesis function
     name (empty when the problem has no synthesis functions), and the
     verdict that passed them."""
 
+    __slots__ = ("terms", "evidence")
     terms: dict[Symbol, Term]
     evidence: Valid
 
+    def __init__(self, terms: dict[Symbol, Term], evidence: Valid) -> None:
+        set_field(self, "terms", terms)
+        set_field(self, "evidence", evidence)
 
-@dataclass(frozen=True)
-class Fail:
+
+class Fail(Record):
+    __slots__ = ("reason",)
     reason: str  # "exhausted" or "timeout"
+
+    def __init__(self, reason: str) -> None:
+        set_field(self, "reason", reason)
 
 
 def _theory_gate(problem: CheckedProblem) -> None:

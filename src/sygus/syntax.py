@@ -1,27 +1,109 @@
 """Core AST for SyGuS problem specifications.
 
 Sorts, literals, constraint terms, grammar terms, commands, and whole
-programs, as produced by the parser.  All nodes are frozen dataclasses;
-source positions ride along for diagnostics but are excluded from equality
-and hashing, so ``==`` is structural equality (name-sensitive: let-bound
-names are compared literally, there is no alpha-equivalence).
+programs, as produced by the parser.  All nodes are immutable records (see
+``Record``); source positions ride along for diagnostics but are excluded
+from equality and hashing, so ``==`` is structural equality (name-sensitive:
+let-bound names are compared literally, there is no alpha-equivalence).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 Symbol = str
 
 
-@dataclass(frozen=True)
-class Pos:
+# ---------------------------------------------------------------------------
+# Records
+
+#: Stores one field in a record's ``__init__``, past ``Record.__setattr__``.
+set_field = object.__setattr__
+
+#: Registers a record class with ``dataclasses`` and generates no method.
+_register = dataclass(init=False, repr=False, eq=False)
+
+
+class Record:
+    """An immutable record with named fields, built with no generated code.
+
+    A record class lists its fields in ``__slots__`` and annotates them in
+    the same order; its ``__init__`` takes them in that order and stores
+    each with ``set_field``.  A default goes in the signature of
+    ``__init__``, since a class attribute would clash with the slot.  A
+    record class is not subclassed: the classes between it and ``Record``,
+    such as ``Term``, have no fields.  The base then gives what a frozen
+    dataclass has:
+
+    - ``==`` between records of one class compares the fields not named in
+      the class's ``_uncompared``, and ``hash`` is the hash of the tuple of
+      those fields;
+    - the repr is ``Name(field=value, ...)`` over every field;
+    - assigning or deleting a field raises ``FrozenInstanceError``;
+    - ``copy`` and ``pickle`` rebuild a record by calling its class with
+      its fields.
+
+    Each class is registered with ``dataclasses``, which generates nothing
+    for it here, so ``dataclasses.fields`` lists its fields.
+    """
+
+    __slots__ = ()
+    #: Fields that ``==`` and ``hash`` leave out.
+    _uncompared = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        compared = [f for f in cls.__slots__ if f not in cls._uncompared]
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        elif compared:
+            get = attrgetter(*compared)
+            key = lambda r: (get(r),)
+        else:
+            key = lambda r: ()
+        #: The tuple of compared fields of a record of this class.
+        cls._key = staticmethod(key)
+        if cls.__doc__ is None:
+            # Else ``dataclasses`` writes one from ``inspect.signature``,
+            # which costs more than the rest of the registration.
+            cls.__doc__ = f"{cls.__name__}({', '.join(cls.__slots__)})"
+        _register(cls)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Pos(Record):
     """1-based source position."""
 
+    __slots__ = ("line", "col")
     line: int
     col: int
+
+    def __init__(self, line: int, col: int) -> None:
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
@@ -34,18 +116,20 @@ NO_POS = Pos(0, 0)
 # Literals
 
 
-class Literal:
+class Literal(Record):
     """Base class for literal constants."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntConst(Literal):
+    __slots__ = ("value",)
     value: int
 
+    def __init__(self, value: int) -> None:
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class RealConst(Literal):
     """Exact rational with a finite decimal expansion.
 
@@ -53,92 +137,130 @@ class RealConst(Literal):
     denominator has no prime factors other than 2 and 5.
     """
 
+    __slots__ = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        den = self.value.denominator
+    def __init__(self, value: Fraction) -> None:
+        den = value.denominator
         for p in (2, 5):
             while den % p == 0:
                 den //= p
         if den != 1:
-            raise ValueError(f"not a finite decimal: {self.value}")
+            raise ValueError(f"not a finite decimal: {value}")
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class BoolConst(Literal):
+    __slots__ = ("value",)
     value: bool
 
+    def __init__(self, value: bool) -> None:
+        set_field(self, "value", value)
 
-@dataclass(frozen=True)
+
 class BVConst(Literal):
+    __slots__ = ("width", "value")
     width: int
     value: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, width: int, value: int) -> None:
+        if width < 1:
             raise ValueError("bit-vector width must be positive")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
+        if not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} out of range for width {width}")
+        set_field(self, "width", width)
+        set_field(self, "value", value)
 
     @property
     def bits(self) -> str:
         return format(self.value, f"0{self.width}b")
 
 
-@dataclass(frozen=True)
 class EnumConst(Literal):
+    __slots__ = ("sort_name", "constructor")
     sort_name: Symbol
     constructor: Symbol
+
+    def __init__(self, sort_name: Symbol, constructor: Symbol) -> None:
+        set_field(self, "sort_name", sort_name)
+        set_field(self, "constructor", constructor)
 
 
 # ---------------------------------------------------------------------------
 # Sorts (surface syntax; aliases unresolved)
 
 
-class SortExpr:
+class SortExpr(Record):
     """Base class for surface sort expressions."""
 
     __slots__ = ()
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
 class IntSort(SortExpr):
-    pos: Pos = field(default=NO_POS, compare=False)
+    __slots__ = ("pos",)
+    pos: Pos
+
+    def __init__(self, pos: Pos = NO_POS) -> None:
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class BoolSort(SortExpr):
-    pos: Pos = field(default=NO_POS, compare=False)
+    __slots__ = ("pos",)
+    pos: Pos
+
+    def __init__(self, pos: Pos = NO_POS) -> None:
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class RealSort(SortExpr):
-    pos: Pos = field(default=NO_POS, compare=False)
+    __slots__ = ("pos",)
+    pos: Pos
+
+    def __init__(self, pos: Pos = NO_POS) -> None:
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class BitVecSort(SortExpr):
+    __slots__ = ("width", "pos")
     width: int
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, width: int, pos: Pos = NO_POS) -> None:
+        set_field(self, "width", width)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class EnumSort(SortExpr):
+    __slots__ = ("constructors", "pos")
     constructors: tuple[Symbol, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, constructors: tuple[Symbol, ...], pos: Pos = NO_POS) -> None:
+        set_field(self, "constructors", constructors)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class ArraySort(SortExpr):
+    __slots__ = ("domain", "codomain", "pos")
     domain: SortExpr
     codomain: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, domain: SortExpr, codomain: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class NamedSort(SortExpr):
+    __slots__ = ("name", "pos")
     name: Symbol
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, name: Symbol, pos: Pos = NO_POS) -> None:
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +270,46 @@ class NamedSort(SortExpr):
 # shorthand leaves below; the parser enforces where each form is legal.
 
 
-class Term:
+class Term(Record):
     """Base class for term and grammar-term nodes."""
 
     __slots__ = ()
+    _uncompared = ("pos",)
 
 
 GTerm = Term
 
 
-@dataclass(frozen=True)
 class App(Term):
+    __slots__ = ("head", "args", "pos")
     head: Symbol
     args: tuple[Term, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, head: Symbol, args: tuple[Term, ...], pos: Pos = NO_POS) -> None:
+        set_field(self, "head", head)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Lit(Term):
+    __slots__ = ("value", "pos")
     value: Literal
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, value: Literal, pos: Pos = NO_POS) -> None:
+        set_field(self, "value", value)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Ref(Term):
+    __slots__ = ("name", "pos")
     name: Symbol
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, name: Symbol, pos: Pos = NO_POS) -> None:
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
 class Binding(NamedTuple):
@@ -182,35 +318,56 @@ class Binding(NamedTuple):
     value: Term
 
 
-@dataclass(frozen=True)
 class Let(Term):
+    __slots__ = ("bindings", "body", "pos")
     bindings: tuple[Binding, ...]
     body: Term
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, bindings: tuple[Binding, ...], body: Term, pos: Pos = NO_POS) -> None:
+        set_field(self, "bindings", bindings)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class ConstantOf(Term):
+    __slots__ = ("sort", "pos")
     sort: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class VariableOf(Term):
+    __slots__ = ("sort", "pos")
     sort: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class InputVariableOf(Term):
+    __slots__ = ("sort", "pos")
     sort: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class LocalVariableOf(Term):
+    __slots__ = ("sort", "pos")
     sort: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "sort", sort)
+        set_field(self, "pos", pos)
 
 
 SHORTHANDS = (ConstantOf, VariableOf, InputVariableOf, LocalVariableOf)
@@ -220,88 +377,162 @@ SHORTHANDS = (ConstantOf, VariableOf, InputVariableOf, LocalVariableOf)
 # Commands
 
 
-@dataclass(frozen=True)
-class NTDef:
+class NTDef(Record):
     """One non-terminal of a synthesis grammar with its productions."""
 
+    __slots__ = ("name", "sort", "productions", "pos")
+    _uncompared = ("pos",)
     name: Symbol
     sort: SortExpr
     productions: tuple[GTerm, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(
+        self, name: Symbol, sort: SortExpr, productions: tuple[GTerm, ...], pos: Pos = NO_POS
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
+        set_field(self, "productions", productions)
+        set_field(self, "pos", pos)
 
 
-class Command:
+class Command(Record):
     """Base class for top-level commands."""
 
     __slots__ = ()
+    _uncompared = ("pos",)
 
 
-@dataclass(frozen=True)
 class SetLogic(Command):
+    __slots__ = ("logic", "pos")
     logic: Symbol
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, logic: Symbol, pos: Pos = NO_POS) -> None:
+        set_field(self, "logic", logic)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class DefineSort(Command):
+    __slots__ = ("name", "body", "pos")
     name: Symbol
     body: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, name: Symbol, body: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "name", name)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class DeclareVar(Command):
+    __slots__ = ("name", "sort", "pos")
     name: Symbol
     sort: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, name: Symbol, sort: SortExpr, pos: Pos = NO_POS) -> None:
+        set_field(self, "name", name)
+        set_field(self, "sort", sort)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class DeclareFun(Command):
+    __slots__ = ("name", "arg_sorts", "ret", "pos")
     name: Symbol
     arg_sorts: tuple[SortExpr, ...]
     ret: SortExpr
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(
+        self, name: Symbol, arg_sorts: tuple[SortExpr, ...], ret: SortExpr, pos: Pos = NO_POS
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "arg_sorts", arg_sorts)
+        set_field(self, "ret", ret)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class DefineFun(Command):
+    __slots__ = ("name", "params", "ret", "body", "pos")
     name: Symbol
     params: tuple[tuple[Symbol, SortExpr], ...]
     ret: SortExpr
     body: Term
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(
+        self,
+        name: Symbol,
+        params: tuple[tuple[Symbol, SortExpr], ...],
+        ret: SortExpr,
+        body: Term,
+        pos: Pos = NO_POS,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "ret", ret)
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class SynthFun(Command):
+    __slots__ = ("name", "params", "ret", "grammar", "pos")
     name: Symbol
     params: tuple[tuple[Symbol, SortExpr], ...]
     ret: SortExpr
     grammar: tuple[NTDef, ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(
+        self,
+        name: Symbol,
+        params: tuple[tuple[Symbol, SortExpr], ...],
+        ret: SortExpr,
+        grammar: tuple[NTDef, ...],
+        pos: Pos = NO_POS,
+    ) -> None:
+        set_field(self, "name", name)
+        set_field(self, "params", params)
+        set_field(self, "ret", ret)
+        set_field(self, "grammar", grammar)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class Constraint(Command):
+    __slots__ = ("body", "pos")
     body: Term
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, body: Term, pos: Pos = NO_POS) -> None:
+        set_field(self, "body", body)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class CheckSynth(Command):
-    pos: Pos = field(default=NO_POS, compare=False)
+    __slots__ = ("pos",)
+    pos: Pos
+
+    def __init__(self, pos: Pos = NO_POS) -> None:
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
 class SetOptions(Command):
+    __slots__ = ("opts", "pos")
     opts: tuple[tuple[Symbol, str], ...]
-    pos: Pos = field(default=NO_POS, compare=False)
+    pos: Pos
+
+    def __init__(self, opts: tuple[tuple[Symbol, str], ...], pos: Pos = NO_POS) -> None:
+        set_field(self, "opts", opts)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
+    __slots__ = ("commands",)
     commands: tuple[Command, ...]
+
+    def __init__(self, commands: tuple[Command, ...]) -> None:
+        set_field(self, "commands", commands)
 
 
 # ---------------------------------------------------------------------------

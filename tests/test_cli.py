@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -271,19 +272,20 @@ print(*sys.modules)
 """
 
 
+def child(*args):
+    """The stdout lines of ``python -c *args`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    p = subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
+    )
+    return p.stdout.splitlines()
+
+
 def modules_loaded_by(*argv):
     """The exit code of one CLI call in a fresh interpreter, and the modules
     it loaded beyond those of a bare interpreter, whose site hooks may load
     modules of their own."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-
-    def child(*args):
-        p = subprocess.run(
-            [sys.executable, "-c", *args], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
-        )
-        return p.stdout.splitlines()
-
     code, loaded = child(MODULES_AFTER_RUN, *argv)
     [bare] = child("import sys; print(*sys.modules)")
     return int(code), set(loaded.split()) - set(bare.split())
@@ -304,6 +306,62 @@ def test_solve_loads_no_openssl():
     assert code == EXIT_OK
     assert "sygus.solver" in loaded
     assert "_hashlib" not in loaded
+
+
+# Prints, for ``import sygus.cli`` and then for importing the checker and
+# the solver, each exec of generated source (code compiled from "<string>")
+# that defines functions: the module whose body made it, and the names of
+# the functions.  Python 3.13's dataclasses compiles one empty function for
+# every class it registers, even when it generates no method; that defines
+# nothing of the class and is not listed.
+GENERATED_AT_IMPORT = """
+import sys
+
+def defined(code):
+    names = set()
+    for c in code.co_consts:
+        if hasattr(c, "co_code"):
+            names |= {c.co_name} | defined(c)
+    return names
+
+found = []
+
+def hook(event, args):
+    if event == "exec" and getattr(args[0], "co_filename", None) == "<string>":
+        names = defined(args[0]) - {"__create_fn__"}
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        if names:
+            found.append((frame.f_globals["__name__"], sorted(names)))
+
+sys.addaudithook(hook)
+import sygus.cli
+print(found)
+found.clear()
+import sygus.checker, sygus.solver
+print(found)
+"""
+
+
+def test_no_generated_code_at_import():
+    at_cli, later = map(ast.literal_eval, child(GENERATED_AT_IMPORT))
+    # The records of the checker, evaluator and solver generate nothing.
+    assert later == []
+    ours: dict[str, set[str]] = {}
+    for module, names in at_cli:
+        if module.startswith("sygus"):
+            ours.setdefault(module, set()).update(names)
+        else:
+            # Standard-library named tuples: one ``__new__`` each.
+            assert names == ["<lambda>"], module
+    # What is left in the package: the ``SolverConfig`` dataclass, and the
+    # ``NamedTuple``s ``Token`` and ``Binding``.
+    assert ours == {
+        "sygus.config": {"__init__", "__repr__", "__eq__"},
+        "sygus.lexer": {"<lambda>"},
+        "sygus.syntax": {"<lambda>"},
+    }
 
 
 def test_package_names_resolve():

@@ -1,0 +1,385 @@
+"""The immutable records of ``syntax``, ``checker``, ``evaluator`` and
+``solver`` behave as frozen dataclasses do: fields in declaration order,
+frozen, ``==`` and ``hash`` over the compared fields, the dataclass repr,
+and working ``copy`` and ``pickle``; and they have no ``__dict__``."""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from sygus import checker, evaluator, solver, syntax
+from sygus.checker import (
+    R_BOOL,
+    R_INT,
+    CheckedNT,
+    CheckedProblem,
+    Diagnostic,
+    FuncEntry,
+    MacroDef,
+    RArray,
+    RBitVec,
+    RBool,
+    REnum,
+    RInt,
+    RReal,
+    SynthTask,
+    UFDecl,
+)
+from sygus.evaluator import VBV, VBool, VEnum, VInt, VReal, _Callable
+from sygus.parser import parse_text
+from sygus.solver import Counterexample, ExpandedGrammar, Fail, Solved, Valid, _Prod
+from sygus.syntax import (
+    App,
+    ArraySort,
+    Binding,
+    BitVecSort,
+    BoolConst,
+    BoolSort,
+    BVConst,
+    CheckSynth,
+    ConstantOf,
+    Constraint,
+    DeclareFun,
+    DeclareVar,
+    DefineFun,
+    DefineSort,
+    EnumConst,
+    EnumSort,
+    InputVariableOf,
+    IntConst,
+    IntSort,
+    Let,
+    Lit,
+    LocalVariableOf,
+    NamedSort,
+    NTDef,
+    Pos,
+    Program,
+    RealConst,
+    RealSort,
+    Record,
+    Ref,
+    SetLogic,
+    SetOptions,
+    SynthFun,
+    VariableOf,
+)
+
+from conftest import FIXTURES
+
+# The fields of every record, in declaration order.
+FIELDS = {
+    syntax: {
+        "Pos": ("line", "col"),
+        "IntConst": ("value",),
+        "RealConst": ("value",),
+        "BoolConst": ("value",),
+        "BVConst": ("width", "value"),
+        "EnumConst": ("sort_name", "constructor"),
+        "IntSort": ("pos",),
+        "BoolSort": ("pos",),
+        "RealSort": ("pos",),
+        "BitVecSort": ("width", "pos"),
+        "EnumSort": ("constructors", "pos"),
+        "ArraySort": ("domain", "codomain", "pos"),
+        "NamedSort": ("name", "pos"),
+        "App": ("head", "args", "pos"),
+        "Lit": ("value", "pos"),
+        "Ref": ("name", "pos"),
+        "Let": ("bindings", "body", "pos"),
+        "ConstantOf": ("sort", "pos"),
+        "VariableOf": ("sort", "pos"),
+        "InputVariableOf": ("sort", "pos"),
+        "LocalVariableOf": ("sort", "pos"),
+        "NTDef": ("name", "sort", "productions", "pos"),
+        "SetLogic": ("logic", "pos"),
+        "DefineSort": ("name", "body", "pos"),
+        "DeclareVar": ("name", "sort", "pos"),
+        "DeclareFun": ("name", "arg_sorts", "ret", "pos"),
+        "DefineFun": ("name", "params", "ret", "body", "pos"),
+        "SynthFun": ("name", "params", "ret", "grammar", "pos"),
+        "Constraint": ("body", "pos"),
+        "CheckSynth": ("pos",),
+        "SetOptions": ("opts", "pos"),
+        "Program": ("commands",),
+    },
+    checker: {
+        "RInt": (),
+        "RBool": (),
+        "RReal": (),
+        "RBitVec": ("width",),
+        "REnum": ("identity", "constructors"),
+        "RArray": ("domain", "codomain"),
+        "Diagnostic": ("code", "pos", "message"),
+        "MacroDef": ("name", "params", "ret", "body"),
+        "UFDecl": ("name", "arg_sorts", "ret"),
+        "CheckedNT": ("name", "sort", "productions"),
+        "SynthTask": (
+            "name", "params", "ret", "grammar", "surface_params", "surface_ret", "lets",
+        ),
+        "CheckedProblem": (
+            "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
+            "options", "sort_defs",
+        ),
+        "FuncEntry": ("kind", "arg_sorts", "ret"),
+    },
+    evaluator: {
+        "VInt": ("value",),
+        "VBool": ("value",),
+        "VReal": ("value",),
+        "VBV": ("width", "value"),
+        "VEnum": ("identity", "constructor"),
+        "_Callable": ("kind", "arg_sorts", "ret", "params", "body", "fn", "index"),
+    },
+    solver: {
+        "ExpandedGrammar": ("nts", "order", "let_names"),
+        "_Prod": ("template", "holes", "own_size"),
+        "Valid": ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive"),
+        "Counterexample": ("assignment", "uf_seed"),
+        "Solved": ("terms", "evidence"),
+        "Fail": ("reason",),
+    },
+}
+
+P = Pos(3, 4)
+X = Ref("x", Pos(5, 6))
+ONE = Lit(IntConst(1), Pos(5, 8))
+START = NTDef("Start", IntSort(P), (X, ONE), P)
+CHECKED_START = CheckedNT("Start", R_INT, (X, ONE))
+TASK = SynthTask(
+    "f", (("x", R_INT),), R_INT, (CHECKED_START,), (("x", IntSort(P)),), IntSort(P),
+    (("z", R_INT),),
+)
+VALID = Valid(121, 121, 0, 256, False)
+
+# One record of each class.  ``CheckedProblem.sig`` holds None here: a
+# ``TheorySignature`` has no ``==``, so no copy of it compares equal.
+SAMPLES = [
+    P,
+    IntConst(5),
+    RealConst(Fraction(1, 4)),
+    BoolConst(True),
+    BVConst(4, 9),
+    EnumConst("Color", "Red"),
+    IntSort(P),
+    BoolSort(P),
+    RealSort(P),
+    BitVecSort(8, P),
+    EnumSort(("Red", "Green"), P),
+    ArraySort(IntSort(P), BoolSort(), P),
+    NamedSort("S", P),
+    App("+", (X, ONE), P),
+    ONE,
+    X,
+    Let((Binding("z", IntSort(P), X),), Ref("z"), P),
+    ConstantOf(IntSort(), P),
+    VariableOf(IntSort(), P),
+    InputVariableOf(IntSort(), P),
+    LocalVariableOf(IntSort(), P),
+    START,
+    SetLogic("LIA", P),
+    DefineSort("S", IntSort(), P),
+    DeclareVar("x", IntSort(), P),
+    DeclareFun("u", (IntSort(),), IntSort(), P),
+    DefineFun("h", (("a", IntSort()),), IntSort(), Ref("a"), P),
+    SynthFun("f", (("x", IntSort()),), IntSort(), (START,), P),
+    Constraint(Lit(BoolConst(True)), P),
+    CheckSynth(P),
+    SetOptions((("seed", "1"),), P),
+    Program((CheckSynth(P),)),
+    RInt(),
+    RBool(),
+    RReal(),
+    RBitVec(8),
+    REnum("Color", ("Red", "Green")),
+    RArray(R_INT, R_BOOL),
+    Diagnostic("E-UNBOUND", P, "unbound name 'y'"),
+    MacroDef("h", (("a", R_INT),), R_INT, Ref("a")),
+    UFDecl("u", (R_INT,), R_INT),
+    CHECKED_START,
+    TASK,
+    CheckedProblem(None, (("x", R_INT),), (), (), (TASK,), (X,), (("seed", "1"),), {}),
+    FuncEntry("macro", (R_INT,), R_BOOL),
+    VInt(-3),
+    VBool(False),
+    VReal(Fraction(5, 2)),
+    VBV(4, 9),
+    VEnum("Color", "Red"),
+    _Callable("cand", (R_INT,), R_INT, ("x",), X, None, 2),
+    ExpandedGrammar({"Start": CHECKED_START}, ("Start",), frozenset({"z"})),
+    _Prod(App("+", (Ref("Start"), Ref("Start"))), ("Start", "Start"), 1),
+    VALID,
+    Counterexample({"x": VInt(2)}, 7),
+    Solved({"f": X}, VALID),
+    Fail("timeout"),
+]
+SAMPLE_IDS = [type(r).__name__ for r in SAMPLES]
+
+
+def record_classes(module):
+    """The record classes a module defines; a base class of records, such
+    as ``Term``, is not one."""
+    return {
+        name: obj for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, Record)
+        and obj.__module__ == module.__name__ and not obj.__subclasses__()
+    }
+
+
+def uncompared(record):
+    """The fields ``==`` and ``hash`` leave out: every syntax node's
+    position and an enum sort's constructors."""
+    if isinstance(record, REnum):
+        return {"constructors"}
+    if type(record).__module__ == syntax.__name__ and "pos" in type(record).__slots__:
+        return {"pos"}
+    return set()
+
+
+def differing(value):
+    """A value unequal to ``value``, of a kind its field accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, Fraction)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value[:-1] if value else ("x",)
+    if isinstance(value, (dict, frozenset)):
+        return type(value)() if value else {"x": 1}
+    if isinstance(value, Pos):
+        return Pos(value.line + 1, value.col)
+    if isinstance(value, Record):
+        return Program(()) if not isinstance(value, Program) else Program((CheckSynth(),))
+    assert value is None
+    return 0
+
+
+def with_field(record, name, value):
+    cls = type(record)
+    return cls(*[value if f == name else getattr(record, f) for f in cls.__slots__])
+
+
+def test_samples_cover_every_record_class():
+    for module, fields in FIELDS.items():
+        assert set(record_classes(module)) == set(fields), module.__name__
+    assert sorted(SAMPLE_IDS) == sorted(n for fields in FIELDS.values() for n in fields)
+
+
+@pytest.mark.parametrize("module", list(FIELDS), ids=lambda m: m.__name__)
+def test_fields_in_declaration_order(module):
+    for name, cls in record_classes(module).items():
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        assert names == FIELDS[module][name]
+        assert cls.__slots__ == names
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
+def test_frozen_and_without_dict(record):
+    assert not hasattr(record, "__dict__")
+    for name in type(record).__slots__ + ("extra",):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
+def test_eq_and_hash_over_the_compared_fields(record):
+    fields = type(record).__slots__
+    skipped = uncompared(record)
+    compared = tuple(getattr(record, f) for f in fields if f not in skipped)
+    twin = type(record)(*[getattr(record, f) for f in fields])
+    assert twin == record and twin is not record
+    assert record != Fail("other") and record != compared
+    for name in fields:
+        other = with_field(record, name, differing(getattr(record, name)))
+        assert (other == record) == (name in skipped), name
+    try:
+        expected = hash(compared)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+        for name in skipped:
+            assert hash(with_field(record, name, differing(getattr(record, name)))) == expected
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
+def test_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record
+        # The repr shows the fields that == leaves out too.
+        assert repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("name", ["let_grammar", "max2_min2", "uf_pair"])
+def test_copy_and_pickle_a_parsed_fixture(name):
+    program = parse_text((FIXTURES / f"{name}.sl").read_text())
+    for twin in (copy.copy(program), copy.deepcopy(program), pickle.loads(pickle.dumps(program))):
+        assert twin == program
+        assert repr(twin) == repr(program)
+
+
+# The reprs a frozen dataclass gives.
+REPRS = [
+    (
+        App("+", (X, ONE), Pos(1, 2)),
+        "App(head='+', args=(Ref(name='x', pos=Pos(line=5, col=6)), "
+        "Lit(value=IntConst(value=1), pos=Pos(line=5, col=8))), pos=Pos(line=1, col=2))",
+    ),
+    (
+        App("f", (App("g", ()),)),
+        "App(head='f', args=(App(head='g', args=(), pos=Pos(line=0, col=0)),), "
+        "pos=Pos(line=0, col=0))",
+    ),
+    (
+        Let((Binding("z", IntSort(Pos(2, 2)), Ref("x")),), Ref("z")),
+        "Let(bindings=(Binding(name='z', sort=IntSort(pos=Pos(line=2, col=2)), "
+        "value=Ref(name='x', pos=Pos(line=0, col=0))),), "
+        "body=Ref(name='z', pos=Pos(line=0, col=0)), pos=Pos(line=0, col=0))",
+    ),
+    (
+        Lit(RealConst(Fraction(1, 4))),
+        "Lit(value=RealConst(value=Fraction(1, 4)), pos=Pos(line=0, col=0))",
+    ),
+    (Program((CheckSynth(),)), "Program(commands=(CheckSynth(pos=Pos(line=0, col=0)),))"),
+    (REnum("Color", ("Red", "Green")), "REnum(identity='Color', constructors=('Red', 'Green'))"),
+    (RArray(RInt(), RBitVec(4)), "RArray(domain=RInt(), codomain=RBitVec(width=4))"),
+    (
+        Diagnostic("E-UNBOUND", Pos(3, 4), "unbound name 'y'"),
+        "Diagnostic(code='E-UNBOUND', pos=Pos(line=3, col=4), message=\"unbound name 'y'\")",
+    ),
+    (
+        Valid(121, 121, 0, 256, False),
+        "Valid(grid_points=121, grid_size=121, uf_models=0, random_samples=256, "
+        "exhaustive=False)",
+    ),
+    (VEnum("Color", "Red"), "VEnum(identity='Color', constructor='Red')"),
+    (Fail("timeout"), "Fail(reason='timeout')"),
+]
+
+
+@pytest.mark.parametrize("record, text", REPRS, ids=[type(r).__name__ for r, _ in REPRS])
+def test_repr(record, text):
+    assert repr(record) == text
+
+
+def test_properties_and_checks_kept():
+    assert BVConst(4, 5).bits == "0101"
+    assert VEnum("Color", "Red").value == "Red"
+    assert _Prod(Ref("x"), (), 0).is_unit and not _Prod(Ref("S"), ("S",), 1).is_unit
+    assert Valid(5, 9, 0, 0, False).truncated and not VALID.truncated
+    assert RReal() == RReal() and str(RBool()) == "Bool"
+    with pytest.raises(ValueError):
+        RealConst(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        BVConst(4, 16)
+    with pytest.raises(ValueError):
+        BVConst(0, 0)
