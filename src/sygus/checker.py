@@ -15,7 +15,8 @@ E-ENUM-DUP              repeated constructor inside one Enum sort
 E-ENUM-CONST            enum literal whose sort/constructor does not resolve
 E-CLASH-VAR             declare-var name collides with an existing name
 E-CLASH-FUN             function name collides at the same argument signature,
-                        or is a built-in operator of the active logic
+                        is a built-in operator of the active logic, or names
+                        a second synth-fun
 E-DUP-PARAM             repeated parameter name in a function definition
 E-SHADOW-ARG            let binding shadows a formal argument
 E-SHADOW-SORT           let binding shadows an outer variable at another sort
@@ -865,6 +866,9 @@ def check_program(program: Program) -> CheckedProblem:
             arg_sorts = tuple(s for _, s in params)
             ret = resolve_sort(cmd.ret, session.sort_defs)
             _check_function_clashes(session, cmd.name, arg_sorts, cmd.pos)
+            # A solution defines each synthesis function once, by its name.
+            if any(t.name == cmd.name for t in session.tasks):
+                _err("E-CLASH-FUN", cmd.pos, f"'{cmd.name}' is already a synthesis function")
             grammar, lets = check_grammar(cmd, session)
             session.add_func(cmd.name, FuncEntry("synth", arg_sorts, ret))
             session.tasks.append(

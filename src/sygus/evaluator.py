@@ -11,13 +11,13 @@ A value is a ``Value`` object, which carries its sort, or a bare payload
 (see ``Payload``): an ``int`` for Int and for a bit-vector, a ``bool``, a
 ``Fraction`` for Real, or an enum's constructor name.  A payload means a
 value only together with a sort known from elsewhere.  Values are what
-the public interface takes and gives: ``eval_term``, ``Assignment``,
-``UFModel.query``, ``TermValues`` (but for its class keys), and the
-solver's counterexamples.
-Payloads are what compiled terms compute with: ``compile_term`` resolves
-every node's sort once, so a column holds payloads of one sort, and the
-caller unboxes the columns it passes in (``Value.value``) and boxes the
-columns it reads back (``boxer``).
+the public edge takes and gives: ``eval_term``, ``Assignment``,
+``UFModel.query``, and the solver's counterexamples.  Everything inside
+computes with payloads: ``compile_term`` resolves every node's sort once,
+so a column holds payloads of one sort, and a compiled term never boxes;
+a function bound by ``EvalEnv.set_values`` and ``TermValues`` take and
+give payloads too.  ``boxer`` turns a payload of a known sort into its
+value where one leaves for the public edge.
 
 A term can be evaluated three ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator as a function of payloads,
@@ -37,22 +37,22 @@ queries.
   mapped over two lists of ints in C; an uninterpreted function looks
   each row up in its model's memo by payloads; macro and candidate bodies
   are compiled once per environment and take their argument columns as
-  variables.  The only boxing inside a compiled term is at an application
-  bound by ``EvalEnv.set_values``, whose function takes and gives values.
-  Compiling costs more than one walk, but each later batch skips the walk,
-  the dispatch and the operator lookup, and pays each node's call once per
-  batch rather than once per row.  The solver runs every constraint
+  variables; an application bound by ``EvalEnv.set_values`` maps its
+  function over the argument columns.  Compiling costs more than one
+  walk, but each later batch skips the walk, the dispatch and the operator
+  lookup, and pays each node's call once per batch rather than once per
+  row.  The solver runs every constraint
   evaluation this way: ``verify`` on chunks of its grid, the screens on
   the stored counterexamples.  The compiler keeps its work on an explicit
   stack, so a deep term costs it no interpreter stack; a compiled term
   then nests about one call per level.
 - ``TermValues`` evaluates the enumerated bodies of a synthesis function
-  bound into compiled constraints (``EvalEnv.set_values``).  It takes and
-  gives values, and inside memoizes each node's payload per binding of the
-  function's parameters, so a hash-consed term is computed from its
-  subterms' stored payloads, which suits many terms built from shared
-  subterms and evaluated at a few points: the solver keys its term tables
-  by these payloads and screens its enumerated terms this way.
+  bound into compiled constraints (``EvalEnv.set_values``).  It memoizes
+  each node's payload per binding of the function's parameters, so a
+  hash-consed term is computed from its subterms' stored payloads, which
+  suits many terms built from shared subterms and evaluated at a few
+  points: the solver keys its term tables by these payloads and screens
+  its enumerated terms this way.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ from .checker import (
     SynthTask,
     TheorySignature,
     UFDecl,
-    unsupported_sort,
 )
 from .syntax import (
     App,
@@ -313,17 +312,6 @@ Models = Sequence[Optional[UFModel]]
 Compiled = Callable[[Columns, Models], list[Payload]]
 
 
-def fresh_uf_model(decls: tuple[UFDecl, ...], seed: int) -> UFModel:
-    """Deterministic sampled model for the given declarations and seed."""
-    for d in decls:
-        if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
-            raise EvalError(
-                "E-UF-UNSUPPORTED-SORT",
-                f"cannot sample models for '{d.name}' over Real or Array sorts",
-            )
-    return UFModel(decls, seed)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation environment
 
@@ -335,8 +323,8 @@ class _Callable(Record):
     ret: ResolvedSort
     params: tuple[Symbol, ...]
     body: Optional[Term]
-    #: What a "values" entry calls with the argument values.
-    fn: Optional[Callable[..., Value]]
+    #: What a "values" entry calls with the argument payloads.
+    fn: Optional[Callable[..., Payload]]
     #: A "uf" entry's index among the problem's declarations, which is
     #: where its results are memoized (see ``UFModel``).
     index: int
@@ -348,7 +336,7 @@ class _Callable(Record):
         ret: ResolvedSort,
         params: tuple[Symbol, ...],
         body: Optional[Term],
-        fn: Optional[Callable[..., Value]] = None,
+        fn: Optional[Callable[..., Payload]] = None,
         index: int = 0,
     ) -> None:
         set_field(self, "kind", kind)
@@ -416,9 +404,10 @@ class EvalEnv:
         for name, body in mapping.items():
             self.set_candidate(name, body)
 
-    def set_values(self, name: Symbol, fn: Callable[..., Value]) -> None:
+    def set_values(self, name: Symbol, fn: Callable[..., Payload]) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
-        with its argument values, in place of a candidate body."""
+        in place of a candidate body: ``fn`` takes the argument payloads
+        and returns the result's payload."""
         params, arg_sorts, ret = self._task_info[name]
         self._cands[name] = _Callable("values", arg_sorts, ret, params, None, fn)
 
@@ -487,7 +476,7 @@ def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
         assert env.model is not None, "uninterpreted function without a model"
         return env.model.query(name, args)
     if entry.kind == "values":
-        return entry.fn(*args)
+        return boxer(entry.ret)(entry.fn(*[a.value for a in args]))
     return eval_term(entry.body, dict(zip(entry.params, args)), env)
 
 
@@ -676,7 +665,7 @@ def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
     if entry.kind == "uf":
         return _uf_query(entry.index, fns), entry.ret
     if entry.kind == "values":
-        return _map_call(_over_payloads(entry.fn, sorts), fns), entry.ret
+        return _map_call(entry.fn, fns), entry.ret
     return _call_by_value(_compiled_body(entry, env), entry.params, fns), entry.ret
 
 
@@ -688,15 +677,6 @@ def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
         scope = dict(zip(entry.params, entry.arg_sorts))
         hit = env._compiled[id(entry)] = (entry, _compile(entry.body, env, scope)[0])
     return hit[1]
-
-
-def _over_payloads(
-    fn: Callable[..., Value], sorts: tuple[ResolvedSort, ...]
-) -> Callable[..., Payload]:
-    """``fn``, a function of values of ``sorts``, as a function of their
-    payloads."""
-    boxers = [boxer(s) for s in sorts]
-    return lambda *args: fn(*[b(a) for b, a in zip(boxers, args)]).value
 
 
 def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
@@ -777,14 +757,15 @@ class TermValues:
     applications call (see ``EvalEnv.set_values``), memoized per node.
 
     ``term`` is the body an application evaluates; it is set before each
-    evaluation.  Values cross the boundary: ``__call__`` takes and gives
-    values, and ``at`` takes values.  Inside, a node's value is kept as its
-    payload, and its sort as a number, by the node's identity.  A binding
-    (the parameters' payloads, extended inside a let body with the
-    let-bound names' payloads) keys a memo from ``id(node)`` to the node's
-    payload.  A node missing from it is computed from its children's
-    memoized payloads by the rules ``eval_term`` applies, so a term whose
-    subterms were evaluated before costs one application per new binding.
+    evaluation.  ``__call__`` takes the argument payloads and gives the
+    result's payload, and ``at`` takes tuples of argument payloads; no
+    value is boxed.  A node's payload, and its sort as a number, are kept
+    by the node's identity.  A binding (the parameters' payloads, extended
+    inside a let body with the let-bound names' payloads) keys a memo from
+    ``id(node)`` to the node's payload.  A node missing from it is computed
+    from its children's memoized payloads by the rules ``eval_term``
+    applies, so a term whose subterms were evaluated before costs one
+    application per new binding.
     What an application computes is resolved once per head and tuple of
     argument sorts; a tuple of sort numbers hashes in C.  A binding needs
     no sampled model as part of its key, because grammars and macros may
@@ -807,24 +788,21 @@ class TermValues:
         self._sorts: list[ResolvedSort] = []
         self._numbers: dict[ResolvedSort, int] = {}
         self._slot_sorts = [self._number(s) for _, s in named]
-        self._box = boxer(task.ret)
         #: Each evaluated node's sort number, by identity.
         self._sort_of: dict[int, int] = {}
         #: What an application computes from its argument payloads, and
         #: its sort number, by its head and its arguments' sort numbers.
         self._ops: dict[tuple, tuple[Callable[..., Payload], int]] = {}
 
-    def __call__(self, *args: Value) -> Value:
-        binding = tuple([a.value for a in args]) + self._unbound
-        return self._box(self._value(self.term, *self._memo(binding)))
+    def __call__(self, *args: Payload) -> Payload:
+        return self._value(self.term, *self._memo(args + self._unbound))
 
-    def at(self, points: list[tuple[Value, ...]]) -> Callable[[Term], tuple[Payload, ...]]:
+    def at(self, points: list[tuple[Payload, ...]]) -> Callable[[Term], tuple[Payload, ...]]:
         """The function from a term with no free let-bound name to its
         payloads at each argument tuple of ``points``: a class key.  Terms
         of one sort have equal keys exactly when they have equal values,
-        and the key's payloads hash in C, where boxed values would be built
-        and hashed in Python for every key."""
-        memos = [self._memo(tuple([a.value for a in args]) + self._unbound) for args in points]
+        and the key's payloads hash in C."""
+        memos = [self._memo(args + self._unbound) for args in points]
         value = self._value
         return lambda t: tuple([value(t, binding, memo) for binding, memo in memos])
 

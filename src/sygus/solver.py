@@ -43,22 +43,24 @@ functions, and a batch of random assignments.  A ``Valid`` verdict therefore
 means "no counterexample found within the configured budget", and it records
 that budget; it is a proof only when it is ``exhaustive``.
 
-Every constraint evaluation runs on the constraints compiled into column
-functions (see ``evaluator``), which map a batch of rows, each an
-assignment with its own sampled model, to the payloads at every row: a
-constraint's column is a list of ``bool``, which ``_first_false`` and the
-screens read as it is.  ``verify`` compiles them once per call with the
-candidate inlined and evaluates chunks of up to ``CHUNK_CAP`` rows of the
-stored counterexamples, the grid and the random samples.  Its rows hold
-payloads: the grid is built from the payloads of each sort's grid values,
-and only a counterexample is boxed back into an ``Assignment``.  The
-tables and screens evaluate each of many enumerated terms at the few
-invocation points, so they compile the constraints once per pass, with
+Inside the solver a value is its payload (see ``evaluator``), and no
+compiled term boxes one.  Every constraint evaluation runs on the
+constraints compiled into column functions, which map a batch of rows,
+each an assignment of payloads with its own sampled model, to the
+payloads at every row: a constraint's column is a list of ``bool``, which
+``_first_false`` and the screens read as it is.  ``verify`` compiles them
+once per call with the candidate inlined and evaluates chunks of up to
+``CHUNK_CAP`` rows of the stored counterexamples, the grid and the random
+samples, whose values are drawn as payloads.  The tables and screens
+evaluate each of many enumerated terms at the few invocation points, tuples
+of argument payloads, so they compile the constraints once per pass, with
 each synthesis function's applications bound to its ``TermValues``, and
-evaluate them on one batch: the store's rows, unboxed once per pass.  A
-term's value at a binding of its parameters comes from its subterms'
-memoized values, so a hash-consed term costs one operator application per
-new node and point.
+evaluate them on one batch: the store's rows.  A term's payload at a
+binding of its parameters comes from its subterms' memoized payloads, so a
+hash-consed term costs one operator application per new node and point.
+Values appear only at the public edge: a ``Counterexample`` and the rows
+of ``verify``'s ``cex_store`` hold an ``Assignment``, boxed from the
+failing row and unboxed once per pass into the store's batch.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -96,18 +98,13 @@ from .evaluator import (
     Payload,
     TermValues,
     UFModel,
-    VBool,
-    VBV,
-    VEnum,
-    VInt,
-    Value,
     boxer,
     columns,
     compile_term,
     eval_term,  # not called here: the benchmark's tracer counts calls by this name
-    fresh_uf_model,
     stable_u64,
 )
+from .printer import print_term
 from .syntax import (
     App,
     Binding,
@@ -125,6 +122,7 @@ from .syntax import (
     RealConst,
     Record,
     Ref,
+    SHORTHANDS,
     Symbol,
     Term,
     VariableOf,
@@ -210,25 +208,45 @@ def expand_shorthands(
     """Replace the four grammar shorthands of ``task``'s grammar by concrete
     alternatives: constants of the sort, and the task's parameters and the
     grammar's let-bound names of the sort, in declaration and
-    first-occurrence order."""
+    first-occurrence order.  A shorthand that is a whole production is
+    replaced by its alternatives; one nested in a production, by a reference
+    to a non-terminal whose productions they are, named by the shorthand's
+    printed form (``(Constant Int)``, which no symbol can spell) and listed
+    after the grammar's own."""
 
     def expand(prod: GTerm) -> list[GTerm]:
+        if not isinstance(prod, SHORTHANDS):
+            return [nested(prod)]
+        want = problem.resolve(prod.sort)
         if isinstance(prod, ConstantOf):
-            return _constant_alternatives(problem.resolve(prod.sort), prod.sort, cfg)
-        if isinstance(prod, InputVariableOf):
-            want = problem.resolve(prod.sort)
-            return [Ref(p) for p, s in task.params if s == want]
-        if isinstance(prod, LocalVariableOf):
-            want = problem.resolve(prod.sort)
-            return [Ref(n) for n, s in task.lets if s == want]
-        if isinstance(prod, VariableOf):
-            want = problem.resolve(prod.sort)
-            out = [Ref(p) for p, s in task.params if s == want]
-            out.extend(Ref(n) for n, s in task.lets if s == want)
-            return out
-        return [prod]
+            return _constant_alternatives(want, prod.sort, cfg)
+        out: list[GTerm] = []
+        if isinstance(prod, (InputVariableOf, VariableOf)):
+            out += [Ref(p) for p, s in task.params if s == want]
+        if isinstance(prod, (LocalVariableOf, VariableOf)):
+            out += [Ref(n) for n, s in task.lets if s == want]
+        return out
+
+    def nested(t: GTerm) -> GTerm:
+        """``t`` with each shorthand inside it replaced by a reference."""
+        if isinstance(t, SHORTHANDS):
+            name = print_term(t)
+            if name not in fresh:
+                productions = expand(t)
+                if not productions:
+                    message = f"shorthand '{name}' expanded to nothing"
+                    raise SolveError("E-EMPTY-EXPANSION", message)
+                fresh[name] = CheckedNT(name, problem.resolve(t.sort), tuple(productions))
+            return Ref(name, t.pos)
+        if isinstance(t, App):
+            return App(t.head, tuple(map(nested, t.args)), t.pos)
+        if isinstance(t, Let):
+            bindings = tuple(Binding(b.name, b.sort, nested(b.value)) for b in t.bindings)
+            return Let(bindings, nested(t.body), t.pos)
+        return t
 
     nts: dict[Symbol, CheckedNT] = {}
+    fresh: dict[Symbol, CheckedNT] = {}
     for nt in task.grammar:
         productions: list[GTerm] = []
         for prod in nt.productions:
@@ -239,6 +257,7 @@ def expand_shorthands(
                 f"every production of non-terminal '{nt.name}' expanded to nothing",
             )
         nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
+    nts.update(fresh)
     return ExpandedGrammar(nts, tuple(nts), frozenset(n for n, _ in task.lets))
 
 
@@ -568,41 +587,32 @@ class Fail(Record):
 
 
 def _theory_gate(problem: CheckedProblem) -> None:
+    """Raise ``E-THEORY-UNSUPPORTED`` unless the solver can sample and
+    evaluate every sort and literal of ``problem``."""
+    reason = _unsupported(problem)
+    if reason is not None:
+        raise SolveError("E-THEORY-UNSUPPORTED", reason)
+
+
+def _unsupported(problem: CheckedProblem) -> Optional[str]:
     if problem.sig.logic in ("Reals", "Arrays"):
-        raise SolveError(
-            "E-THEORY-UNSUPPORTED",
-            f"solving over the {problem.sig.logic} theory is not supported",
-        )
+        return f"solving over the {problem.sig.logic} theory is not supported"
     for name, sort in problem.universal_vars:
         if unsupported_sort(sort):
-            raise SolveError(
-                "E-THEORY-UNSUPPORTED",
-                f"universal variable '{name}' has unsupported sort {sort}",
-            )
+            return f"universal variable '{name}' has unsupported sort {sort}"
     for d in problem.uf_decls:
         if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
-            raise SolveError(
-                "E-THEORY-UNSUPPORTED",
-                f"uninterpreted function '{d.name}' has an unsupported sort",
-            )
-    for task in problem.synth_tasks:
-        sorts = tuple(s for _, s in task.params) + (task.ret,)
-        if any(map(unsupported_sort, sorts)):
-            raise SolveError(
-                "E-THEORY-UNSUPPORTED",
-                f"synthesis function '{task.name}' has an unsupported sort",
-            )
-    bodies = problem.constraints + tuple(m.body for m in problem.macros)
-    for term in bodies:
-        for node in subterms(term):
-            if isinstance(node, Lit) and isinstance(node.value, RealConst):
-                raise SolveError(
-                    "E-THEORY-UNSUPPORTED",
-                    "real-valued terms cannot be verified by this solver",
-                )
+            return f"uninterpreted function '{d.name}' has an unsupported sort"
+    for t in problem.synth_tasks:
+        if any(map(unsupported_sort, [s for _, s in t.params] + [t.ret])):
+            return f"synthesis function '{t.name}' has an unsupported sort"
+    for term in problem.constraints + tuple(m.body for m in problem.macros):
+        if any(isinstance(n, Lit) and isinstance(n.value, RealConst) for n in subterms(term)):
+            return "real-valued terms cannot be verified by this solver"
+    return None
 
 
-def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Value]]]:
+def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Payload]]]:
     """``_grid_values`` of each of ``sorts``, the universal variables' sorts
     in order, except that each bit-vector sort gets the room the cap
     leaves: the largest count of values, equal for all of them (or a whole
@@ -633,42 +643,43 @@ def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[
     ]
 
 
-def _bv_grid(width: int, size: int, sampled: list[Value]) -> tuple[int, list[Value]]:
+def _bv_grid(width: int, size: int, sampled: list[int]) -> tuple[int, list[int]]:
     """``size`` grid values of a bit-vector sort whose sampled values are
     ``sampled``."""
     if size == 1 << width:
-        return size, [VBV(width, v) for v in range(size)]
-    listed = {v.value for v in sampled}
+        return size, list(range(size))
+    listed = set(sampled)
     more = islice((v for v in count() if v not in listed), size - len(sampled))
-    return size, sampled + [VBV(width, v) for v in more]
+    return size, sampled + list(more)
 
 
-def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Value]]:
-    """How many grid values ``sort`` has, and the first ``GRID_POINT_CAP`` of
-    them: no later one is in the first ``GRID_POINT_CAP`` grid points."""
+def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Payload]]:
+    """How many grid values ``sort`` has, and the payloads of the first
+    ``GRID_POINT_CAP`` of them: no later one is in the first
+    ``GRID_POINT_CAP`` grid points."""
     if isinstance(sort, RInt):
         ints = range(-cfg.grid_radius, cfg.grid_radius + 1)
-        return len(ints), [VInt(i) for i in ints[:GRID_POINT_CAP]]
+        return len(ints), list(ints[:GRID_POINT_CAP])
     if isinstance(sort, RBool):
-        values = [VBool(False), VBool(True)]
+        values = [False, True]
     elif isinstance(sort, RBitVec):
-        w = sort.width
-        values = [VBV(w, v) for v in _bv_values(w, cfg.seed, "bv-grid")]
+        values = _bv_values(sort.width, cfg.seed, "bv-grid")
     else:
         assert isinstance(sort, REnum)
-        values = [VEnum(sort.identity, c) for c in sort.constructors]
+        values = list(sort.constructors)
     return len(values), values[:GRID_POINT_CAP]
 
 
-def _random_value(sort: ResolvedSort, rng: random.Random) -> Value:
+def _random_value(sort: ResolvedSort, rng: random.Random) -> Payload:
+    """The payload of a random value of ``sort``."""
     if isinstance(sort, RInt):
-        return VInt(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
+        return rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
     if isinstance(sort, RBool):
-        return VBool(bool(rng.getrandbits(1)))
+        return bool(rng.getrandbits(1))
     if isinstance(sort, RBitVec):
-        return VBV(sort.width, rng.randrange(1 << sort.width))
+        return rng.randrange(1 << sort.width)
     assert isinstance(sort, REnum)
-    return VEnum(sort.identity, rng.choice(sort.constructors))
+    return rng.choice(sort.constructors)
 
 
 def _whole_domain(sort: ResolvedSort, size: int) -> bool:
@@ -730,7 +741,7 @@ def verify(
     has_ufs = bool(problem.uf_decls)
 
     def model_for(seed: int) -> Optional[UFModel]:
-        return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
+        return UFModel(problem.uf_decls, seed) if has_ufs else None
 
     def first_failure(rows: Iterator[_Row]) -> Optional[_Row]:
         size = 1
@@ -754,7 +765,6 @@ def verify(
         return Counterexample(assignment(point), seed)
 
     grid = _grid(list(variables.values()), cfg)
-    domains = [[v.value for v in values] for _, values in grid]
     if has_ufs:
         model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
@@ -762,14 +772,18 @@ def verify(
     # Each seed and its model are made when the stream reaches them, and the
     # model is dropped after its last chunk.
     grid_rows = chain.from_iterable(
-        zip(islice(product(*domains), GRID_POINT_CAP), repeat(seed), repeat(model_for(seed)))
+        zip(
+            islice(product(*[values for _, values in grid]), GRID_POINT_CAP),
+            repeat(seed),
+            repeat(model_for(seed)),
+        )
         for seed in model_seeds
     )
 
     def sample_rows() -> Iterator[_Row]:
         rng = random.Random(stable_u64(cfg.seed, "samples"))
         for _ in range(cfg.random_samples):
-            point = tuple([_random_value(s, rng).value for s in variables.values()])
+            point = tuple([_random_value(s, rng) for s in variables.values()])
             seed = rng.getrandbits(64) if has_ufs else cfg.seed
             yield point, seed, model_for(seed)
 
@@ -836,17 +850,19 @@ class _InvocationPoints:
     """The argument tuples each synthesis function is applied to when the
     constraints are evaluated at the stored counterexamples.
 
-    Each application is bound to a recorder that returns an arbitrary value
-    of the function's sort.  Evaluation is strict, so every application is
+    Each application is bound to a recorder that keys its argument payloads
+    as a tuple and returns the payload of an arbitrary value of the
+    function's sort.  Evaluation is strict, so every application is
     evaluated at every counterexample, and when no application sits in the
     arguments of another (see ``_nested_calls``) no argument depends on the
-    recorders' results.
+    recorders' results.  A task has one signature, so equal payload tuples
+    are equal argument tuples.
     """
 
     def __init__(self, problem: CheckedProblem, cfg: SolverConfig, model_for):
         env = EvalEnv(problem)
         #: Per task, the argument tuples in first-seen order.
-        self._seen: dict[Symbol, dict[tuple[Value, ...], Value]] = {}
+        self._seen: dict[Symbol, dict[tuple[Payload, ...], Payload]] = {}
         for t in problem.synth_tasks:
             seen = self._seen[t.name] = {}
             # Any value of the sort will do.
@@ -858,7 +874,7 @@ class _InvocationPoints:
         self._model_for = model_for
         self._done = 0
 
-    def at(self, store: list[tuple[Assignment, int]]) -> dict[Symbol, list[tuple[Value, ...]]]:
+    def at(self, store: list[tuple[Assignment, int]]) -> dict[Symbol, list[tuple[Payload, ...]]]:
         """Each task's invocation points at ``store``, which has grown since
         the last call or not at all."""
         new = store[self._done:]
@@ -921,7 +937,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
 
     def model_for(seed: int) -> Optional[UFModel]:
         if seed not in models:
-            models[seed] = fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
+            models[seed] = UFModel(problem.uf_decls, seed) if has_ufs else None
         return models[seed]
 
     variables = dict(problem.universal_vars)

@@ -118,6 +118,15 @@ MUTATIONS = [
         "E-CLASH-FUN",
     ),
     (
+        "synth-clashes-synth-other-signature",
+        BASE.replace(
+            "(constraint",
+            "(synth-fun g ((r Int)) Int ((Start Int (0))))(constraint",
+            1,
+        ),
+        "E-CLASH-FUN",
+    ),
+    (
         "synth-named-like-a-builtin",
         "(set-logic BV)(synth-fun bvneg ((b (BitVec 4))) (BitVec 4) ((Start (BitVec 4) (b))))"
         "(constraint true)(check-synth)",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from sygus import solver
-from sygus.evaluator import EvalEnv, eval_term, fresh_uf_model, stable_u64
+from sygus.evaluator import EvalEnv, UFModel, boxer, eval_term, stable_u64
 from sygus.lexer import LexError, TokKind, Token
 from sygus.solver import (
     GRID_POINT_CAP,
@@ -135,7 +135,7 @@ def plain_solve(problem, cfg):
 def _holds_at(store, candidate, problem) -> bool:
     env = EvalEnv(problem, candidates=candidate)
     for assignment, uf_seed in store:
-        env.model = fresh_uf_model(problem.uf_decls, uf_seed) if problem.uf_decls else None
+        env.model = UFModel(problem.uf_decls, uf_seed) if problem.uf_decls else None
         if not all(eval_term(c, assignment, env).value for c in problem.constraints):
             return False
     return True
@@ -149,7 +149,7 @@ def plain_verify(candidate, problem, cfg, store):
     has_ufs = bool(problem.uf_decls)
 
     def model_for(seed):
-        return fresh_uf_model(problem.uf_decls, seed) if has_ufs else None
+        return UFModel(problem.uf_decls, seed) if has_ufs else None
 
     def falsified(assignment, model):
         env.model = model
@@ -159,20 +159,22 @@ def plain_verify(candidate, problem, cfg, store):
         if falsified(assignment, model_for(seed)):
             return Counterexample(assignment, seed)
     names = [n for n, _ in problem.universal_vars]
-    grid = solver._grid([s for _, s in problem.universal_vars], cfg)
+    sorts = [s for _, s in problem.universal_vars]
+    grid = solver._grid(sorts, cfg)
+    domains = [list(map(boxer(s), values)) for s, (_, values) in zip(sorts, grid)]
     seeds = [cfg.seed]
     if has_ufs:
         seeds = [(cfg.seed + m) % 2**64 for m in range(cfg.uf_model_count)]
     for seed in seeds:
         model = model_for(seed)
-        for point in islice(product(*[values for _, values in grid]), GRID_POINT_CAP):
+        for point in islice(product(*domains), GRID_POINT_CAP):
             assignment = dict(zip(names, point))
             if falsified(assignment, model):
                 store.append((assignment, seed))
                 return Counterexample(assignment, seed)
     rng = random.Random(stable_u64(cfg.seed, "samples"))
     for _ in range(cfg.random_samples):
-        assignment = {n: solver._random_value(s, rng) for n, s in problem.universal_vars}
+        assignment = {n: boxer(s)(solver._random_value(s, rng)) for n, s in problem.universal_vars}
         seed = rng.getrandbits(64) if has_ufs else cfg.seed
         if falsified(assignment, model_for(seed)):
             store.append((assignment, seed))

@@ -15,7 +15,7 @@ from sygus.checker import (
     resolve_sort,
     type_of_term,
 )
-from sygus.evaluator import EvalEnv, VBool, VInt, eval_term, fresh_uf_model
+from sygus.evaluator import EvalEnv, UFModel, VBool, VInt, eval_term
 from sygus.lexer import tokenize
 from sygus.parser import parse_term, parse_text
 from sygus.syntax import BitVecSort, EnumSort, IntSort, NamedSort, Pos
@@ -226,7 +226,7 @@ def test_checked_constraints_never_raise_sort_errors(uf_pair_problem, max2_min2_
                 n: VInt(rng.randint(-50, 50)) for n, _ in problem.universal_vars
             }
             env.model = (
-                fresh_uf_model(problem.uf_decls, rng.getrandbits(64))
+                UFModel(problem.uf_decls, rng.getrandbits(64))
                 if problem.uf_decls
                 else None
             )

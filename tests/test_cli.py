@@ -11,7 +11,7 @@ import pytest
 
 import sygus
 from sygus import checker, cli, solver
-from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, run
+from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, EXIT_UNSUPPORTED, run
 from sygus.evaluator import stable_u64
 
 from conftest import (
@@ -149,6 +149,117 @@ def test_macro_named_like_a_builtin_is_rejected(tmp_path):
     assert run_cli("solve", str(path)) == (
         EXIT_STATIC, "", f"{path}:5:1: E-CLASH-FUN: '+' is a built-in operator of the active logic\n"
     )
+
+
+def solve_text(tmp_path, text, *flags):
+    path = tmp_path / "spec.sl"
+    path.write_text(text)
+    return run_cli("solve", *flags, str(path)), str(path)
+
+
+# A shorthand nested in a production, and one as a grammar let's value.
+NESTED_SHORTHAND = """\
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x {production}))))
+(declare-var y Int)
+(constraint (= (f y) (+ y 3)))
+(check-synth)
+"""
+
+
+@pytest.mark.parametrize(
+    "production, solution",
+    [
+        ("(+ Start (Constant Int))", "(+ x 3)"),
+        ("(let ((z Int (Constant Int))) (+ z x))", "(let ((z Int 3)) (+ z x))"),
+    ],
+    ids=["argument", "let-value"],
+)
+def test_nested_shorthand_is_expanded(tmp_path, production, solution):
+    text = NESTED_SHORTHAND.format(production=production)
+    (code, out, err), _ = solve_text(tmp_path, text, "--constant-pool", "3")
+    assert (code, out, err) == (EXIT_OK, f"(define-fun f ((x Int)) Int {solution})\n", "")
+
+
+def test_nested_shorthand_with_no_alternative_is_a_diagnostic(tmp_path):
+    text = NESTED_SHORTHAND.format(production="(+ Start (LocalVariable Int))")
+    result, path = solve_text(tmp_path, text)
+    assert result == (
+        EXIT_STATIC, "",
+        f"{path}:0:0: E-EMPTY-EXPANSION: shorthand '(LocalVariable Int)' expanded to nothing\n",
+    )
+
+
+def test_empty_expansion_is_a_diagnostic(tmp_path):
+    text = """\
+(set-logic LIA)
+(synth-fun f () Int ((Start Int ((InputVariable Int)))))
+(constraint (= f 0))
+(check-synth)
+"""
+    result, path = solve_text(tmp_path, text)
+    assert result == (
+        EXIT_STATIC, "",
+        f"{path}:0:0: E-EMPTY-EXPANSION: "
+        "every production of non-terminal 'Start' expanded to nothing\n",
+    )
+
+
+def test_two_synth_funs_of_one_name_are_rejected(tmp_path):
+    path = tmp_path / "spec.sl"
+    path.write_text("""\
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 1 (+ Start Start)))))
+(synth-fun f ((x Int) (y Int)) Int ((Start Int (x y))))
+(declare-var a Int)
+(constraint (= (f a) (+ a 1)))
+(check-synth)
+""")
+    line = f"{path}:3:1: E-CLASH-FUN: 'f' is already a synthesis function\n"
+    assert run_cli("check", str(path)) == (EXIT_STATIC, "", line)
+    assert run_cli("solve", str(path)) == (EXIT_STATIC, "", line)
+
+
+def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
+    text = """\
+(set-logic LIA)
+(declare-fun f (Int Int) Int)
+(synth-fun f ((x Int)) Int ((Start Int (x 1 (+ Start Start)))))
+(declare-var a Int)
+(constraint (= (f a) (+ a 1)))
+(check-synth)
+"""
+    result, _ = solve_text(tmp_path, text)
+    assert result == (EXIT_OK, "(define-fun f ((x Int)) Int (+ x 1))\n", "")
+
+
+# One program per branch of the solver's theory gate, and its message.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(set-logic Reals)\n(declare-var x Real)\n(constraint (= x x))\n(check-synth)\n",
+         "solving over the Reals theory is not supported"),
+        ("(declare-var a (Array Int Int))\n(constraint (= a a))\n(check-synth)\n",
+         "universal variable 'a' has unsupported sort (Array Int Int)"),
+        ("(declare-fun r (Real) Int)\n(constraint (= (r 1.5) (r 1.5)))\n(check-synth)\n",
+         "uninterpreted function 'r' has an unsupported sort"),
+        ("(synth-fun f ((x Real)) Int ((Start Int (0))))\n(constraint (= (f 1.0) 0))\n"
+         "(check-synth)\n",
+         "synthesis function 'f' has an unsupported sort"),
+        ("(declare-var x Int)\n(constraint (< 0.5 1.5))\n(check-synth)\n",
+         "real-valued terms cannot be verified by this solver"),
+    ],
+    ids=["reals-logic", "array-variable", "real-uf", "real-synth-fun", "real-literal"],
+)
+def test_unsupported_theory_exits_3(tmp_path, text, message):
+    result, path = solve_text(tmp_path, text)
+    assert result == (EXIT_UNSUPPORTED, "", f"{path}:0:0: E-THEORY-UNSUPPORTED: {message}\n")
+
+
+def test_unparsable_constant_pool_is_rejected(tmp_path):
+    code, out, err = run_cli("solve", "--constant-pool", "3,x", spec_path(tmp_path))
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err == "error: --constant-pool expects comma-separated integers\n"
 
 
 def test_non_ascii_file_is_a_lex_error(tmp_path):

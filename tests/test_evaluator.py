@@ -16,6 +16,7 @@ from sygus.evaluator import (
     EvalEnv,
     EvalError,
     TermValues,
+    UFModel,
     UF_INT_HI,
     UF_INT_LO,
     VBool,
@@ -27,7 +28,6 @@ from sygus.evaluator import (
     columns,
     compile_term,
     eval_term,
-    fresh_uf_model,
 )
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
@@ -135,14 +135,14 @@ UF_DECLS = (UFDecl("uf", (R_INT,), R_INT),)
 
 
 def test_model_is_deterministic():
-    a = fresh_uf_model(UF_DECLS, 42)
-    b = fresh_uf_model(UF_DECLS, 42)
+    a = UFModel(UF_DECLS, 42)
+    b = UFModel(UF_DECLS, 42)
     points = [(VInt(i),) for i in range(-10, 11)]
     assert [a.query("uf", p) for p in points] == [b.query("uf", p) for p in points]
 
 
 def test_model_query_is_memoized_and_consistent():
-    m = fresh_uf_model(UF_DECLS, 7)
+    m = UFModel(UF_DECLS, 7)
     first = m.query("uf", (VInt(3),))
     assert m.query("uf", (VInt(3),)) == first
     # Keyed by the declaration's index and the argument payloads.
@@ -150,7 +150,7 @@ def test_model_query_is_memoized_and_consistent():
 
 
 def test_model_results_stay_in_range():
-    m = fresh_uf_model(UF_DECLS, 99)
+    m = UFModel(UF_DECLS, 99)
     for i in range(-20, 21):
         v = m.query("uf", (VInt(i),))
         assert UF_INT_LO <= v.value <= UF_INT_HI
@@ -161,7 +161,7 @@ def test_models_across_seeds_disagree_with_any_constant():
     # from 5, so "the function is constantly 5" is not valid for all models.
     found = False
     for seed in range(100):
-        m = fresh_uf_model(UF_DECLS, seed)
+        m = UFModel(UF_DECLS, seed)
         for x in range(-5, 6):
             if m.query("uf", (VInt(x),)) != VInt(5):
                 found = True
@@ -175,7 +175,7 @@ def test_models_across_seeds_disagree_with_any_constant():
 # in this process and in a fresh one.
 C3_SETUP = """
 from sygus.checker import R_BOOL, R_INT, RBitVec, REnum, UFDecl
-from sygus.evaluator import VBool, VBV, VEnum, VInt, fresh_uf_model
+from sygus.evaluator import UFModel, VBool, VBV, VEnum, VInt
 COLOR = REnum("Color", ("Red", "Green", "Blue"))
 DECLS = (
     UFDecl("u", (R_INT,), R_INT),
@@ -193,7 +193,7 @@ SEEDS = (0, 7, 2**64 - 1)
 
 
 def model_values(seed, queries):
-    model = fresh_uf_model(DECLS, seed)
+    model = UFModel(DECLS, seed)
     return {q: model.query(*q) for q in queries}
 """
 C3 = {}
@@ -221,19 +221,11 @@ def test_acceptance_c3_model_values_repeat_in_a_fresh_process():
     assert (p.returncode, p.stdout.splitlines()) == (0, here)
 
 
-def test_model_rejects_real_sorted_functions():
-    from sygus.checker import R_REAL
-
-    with pytest.raises(EvalError) as exc:
-        fresh_uf_model((UFDecl("r", (R_REAL,), R_INT),), 0)
-    assert exc.value.code == "E-UF-UNSUPPORTED-SORT"
-
-
 def test_functional_consistency_in_terms(uf_pair_problem):
     env = EvalEnv(uf_pair_problem, candidates={"f": term("(= x y)")})
     t = uf_pair_problem.constraints[0]
     for seed in range(50):
-        env.model = fresh_uf_model(uf_pair_problem.uf_decls, seed)
+        env.model = UFModel(uf_pair_problem.uf_decls, seed)
         for x in range(-8, 9):
             assert eval_term(t, {"x": VInt(x)}, env) == VBool(True)
 
@@ -344,7 +336,7 @@ def evaluate_both(problem, candidates, terms, sorts, points, seeds=(0, 1), batch
 
 
 def fresh_models(problem, seeds):
-    return {seed: fresh_uf_model(problem.uf_decls, seed) for seed in seeds}
+    return {seed: UFModel(problem.uf_decls, seed) for seed in seeds}
 
 
 def tables(models, seeds):
@@ -353,7 +345,9 @@ def tables(models, seeds):
 
 def grid_points(problem, cfg):
     names = [n for n, _ in problem.universal_vars]
-    domains = [solver._grid_values(s, cfg)[1] for _, s in problem.universal_vars]
+    domains = [
+        list(map(boxer(s), solver._grid_values(s, cfg)[1])) for _, s in problem.universal_vars
+    ]
     return [dict(zip(names, p)) for p in product(*domains)]
 
 

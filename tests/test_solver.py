@@ -254,14 +254,13 @@ def test_bit_vector_grid_values(sorts, sizes):
         if isinstance(s, RBitVec):
             sampled = solver._grid_values(s, cfg)[1]
             assert set(sampled) <= set(values)
-            payloads = [v.value for v in values]
             if size == 1 << s.width:
-                assert payloads == list(range(size))
+                assert values == list(range(size))
             else:
                 # The sampled values, then the smallest values not listed.
                 assert values[: len(sampled)] == sampled
-                rest = sorted(set(range(size)) - {v.value for v in sampled})
-                assert payloads[len(sampled):] == rest[: size - len(sampled)]
+                rest = sorted(set(range(size)) - set(sampled))
+                assert values[len(sampled):] == rest[: size - len(sampled)]
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_SOLUTIONS))
