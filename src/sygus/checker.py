@@ -369,15 +369,22 @@ class UFDecl(Record):
 
 
 class CheckedNT(Record):
-    __slots__ = ("name", "sort", "productions")
+    """A non-terminal; ``pos``, where it is declared, is not compared."""
+
+    __slots__ = ("name", "sort", "productions", "pos")
+    _uncompared = ("pos",)
     name: Symbol
     sort: ResolvedSort
     productions: tuple[GTerm, ...]
+    pos: Pos
 
-    def __init__(self, name: Symbol, sort: ResolvedSort, productions: tuple[GTerm, ...]) -> None:
+    def __init__(
+        self, name: Symbol, sort: ResolvedSort, productions: tuple[GTerm, ...], pos: Pos = NO_POS
+    ) -> None:
         set_field(self, "name", name)
         set_field(self, "sort", sort)
         set_field(self, "productions", productions)
+        set_field(self, "pos", pos)
 
 
 class SynthTask(Record):
@@ -411,10 +418,46 @@ class SynthTask(Record):
         set_field(self, "lets", lets)
 
 
+class FuncEntry(Record):
+    """A declared function, as the checker and the evaluator see it: a macro
+    has ``params`` and a ``body``, a synthesis function ``params``, and an
+    uninterpreted function its ``index`` in ``CheckedProblem.uf_decls``."""
+
+    __slots__ = ("kind", "arg_sorts", "ret", "params", "body", "index")
+    kind: str  # "macro" | "uf" | "synth"
+    arg_sorts: tuple[ResolvedSort, ...]
+    ret: ResolvedSort
+    params: tuple[Symbol, ...]
+    body: Optional[Term]
+    index: Optional[int]
+
+    def __init__(
+        self,
+        kind: str,
+        arg_sorts: tuple[ResolvedSort, ...],
+        ret: ResolvedSort,
+        params: tuple[Symbol, ...] = (),
+        body: Optional[Term] = None,
+        index: Optional[int] = None,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "arg_sorts", arg_sorts)
+        set_field(self, "ret", ret)
+        set_field(self, "params", params)
+        set_field(self, "body", body)
+        set_field(self, "index", index)
+
+
 class CheckedProblem(Record):
+    """The state visible at the first check-synth command.  ``funcs`` is the
+    table of declared functions that the checker types applications by and
+    the evaluator resolves them in: by name, the entries in declaration
+    order, no two at the same argument sorts (``E-CLASH-FUN``).  ``enums``
+    maps each defined sort name that resolves to an enum to that enum."""
+
     __slots__ = (
         "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
-        "options", "sort_defs",
+        "options", "sort_defs", "funcs", "enums",
     )
     sig: TheorySignature
     universal_vars: tuple[tuple[Symbol, ResolvedSort], ...]
@@ -424,6 +467,8 @@ class CheckedProblem(Record):
     constraints: tuple[Term, ...]
     options: tuple[tuple[Symbol, str], ...]
     sort_defs: dict[Symbol, SortExpr]
+    funcs: dict[Symbol, tuple[FuncEntry, ...]]
+    enums: dict[Symbol, REnum]
 
     def __init__(
         self,
@@ -435,6 +480,8 @@ class CheckedProblem(Record):
         constraints: tuple[Term, ...],
         options: tuple[tuple[Symbol, str], ...],
         sort_defs: dict[Symbol, SortExpr],
+        funcs: dict[Symbol, tuple[FuncEntry, ...]],
+        enums: dict[Symbol, REnum],
     ) -> None:
         set_field(self, "sig", sig)
         set_field(self, "universal_vars", universal_vars)
@@ -444,34 +491,15 @@ class CheckedProblem(Record):
         set_field(self, "constraints", constraints)
         set_field(self, "options", options)
         set_field(self, "sort_defs", sort_defs)
+        set_field(self, "funcs", funcs)
+        set_field(self, "enums", enums)
 
     def resolve(self, sort: SortExpr) -> ResolvedSort:
         return resolve_sort(sort, self.sort_defs)
 
-    def enum_registry(self) -> dict[Symbol, REnum]:
-        """Defined sort names that resolve to enums, for literal lookup."""
-        out: dict[Symbol, REnum] = {}
-        for name in self.sort_defs:
-            r = resolve_sort(NamedSort(name), self.sort_defs)
-            if isinstance(r, REnum):
-                out[name] = r
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Term typing
-
-
-class FuncEntry(Record):
-    __slots__ = ("kind", "arg_sorts", "ret")
-    kind: str  # "macro" | "uf" | "synth"
-    arg_sorts: tuple[ResolvedSort, ...]
-    ret: ResolvedSort
-
-    def __init__(self, kind: str, arg_sorts: tuple[ResolvedSort, ...], ret: ResolvedSort) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "arg_sorts", arg_sorts)
-        set_field(self, "ret", ret)
 
 
 class TermScope:
@@ -634,6 +662,7 @@ class _Session:
     def __init__(self) -> None:
         self.sig = TheorySignature(None)
         self.sort_defs: dict[Symbol, SortExpr] = {}
+        self.enums: dict[Symbol, REnum] = {}
         self.var_order: list[tuple[Symbol, ResolvedSort]] = []
         self.var_map: dict[Symbol, ResolvedSort] = {}
         self.funcs: dict[Symbol, list[FuncEntry]] = {}
@@ -642,9 +671,6 @@ class _Session:
         self.tasks: list[SynthTask] = []
         self.constraints: list[Term] = []
         self.options: list[tuple[Symbol, str]] = []
-
-    def zero_arity_func(self, name: Symbol) -> bool:
-        return any(e.arg_sorts == () for e in self.funcs.get(name, []))
 
     def same_signature(self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]) -> bool:
         return any(e.arg_sorts == arg_sorts for e in self.funcs.get(name, []))
@@ -796,7 +822,7 @@ def check_grammar(
                     nt.pos,
                     f"production of '{nt.name}' has sort {actual}, expected {nt_sorts[nt.name]}",
                 )
-        checked.append(CheckedNT(nt.name, nt_sorts[nt.name], nt.productions))
+        checked.append(CheckedNT(nt.name, nt_sorts[nt.name], nt.productions, nt.pos))
     return tuple(checked), lets
 
 
@@ -813,7 +839,9 @@ def check_program(program: Program) -> CheckedProblem:
         elif isinstance(cmd, DefineSort):
             if cmd.name in session.sort_defs:
                 _err("E-SORT-REDEF", cmd.pos, f"sort '{cmd.name}' is already defined")
-            resolve_sort(cmd.body, session.sort_defs, define_name=cmd.name)
+            resolved = resolve_sort(cmd.body, session.sort_defs, define_name=cmd.name)
+            if isinstance(resolved, REnum):
+                session.enums[cmd.name] = resolved
             session.sort_defs[cmd.name] = cmd.body
         elif isinstance(cmd, DeclareVar):
             sort = resolve_sort(cmd.sort, session.sort_defs)
@@ -823,7 +851,7 @@ def check_program(program: Program) -> CheckedProblem:
                     cmd.pos,
                     f"variable '{cmd.name}' is already declared",
                 )
-            if session.zero_arity_func(cmd.name):
+            if session.same_signature(cmd.name, ()):
                 _err(
                     "E-CLASH-VAR",
                     cmd.pos,
@@ -837,10 +865,11 @@ def check_program(program: Program) -> CheckedProblem:
             )
             ret = resolve_sort(cmd.ret, session.sort_defs)
             _check_function_clashes(session, cmd.name, arg_sorts, cmd.pos)
-            session.add_func(cmd.name, FuncEntry("uf", arg_sorts, ret))
+            session.add_func(cmd.name, FuncEntry("uf", arg_sorts, ret, index=len(session.ufs)))
             session.ufs.append(UFDecl(cmd.name, arg_sorts, ret))
         elif isinstance(cmd, DefineFun):
             params = _resolve_params(cmd.params, session.sort_defs, cmd.pos)
+            names = tuple(p for p, _ in params)
             arg_sorts = tuple(s for _, s in params)
             ret = resolve_sort(cmd.ret, session.sort_defs)
             _check_function_clashes(session, cmd.name, arg_sorts, cmd.pos)
@@ -850,7 +879,7 @@ def check_program(program: Program) -> CheckedProblem:
                 dict(params),
                 session.funcs,
                 context="macro",
-                arg_names=frozenset(p for p, _ in params),
+                arg_names=frozenset(names),
             )
             body_sort = type_of_term(cmd.body, scope)
             if body_sort != ret:
@@ -859,7 +888,7 @@ def check_program(program: Program) -> CheckedProblem:
                     cmd.pos,
                     f"body of '{cmd.name}' has sort {body_sort}, declared {ret}",
                 )
-            session.add_func(cmd.name, FuncEntry("macro", arg_sorts, ret))
+            session.add_func(cmd.name, FuncEntry("macro", arg_sorts, ret, names, cmd.body))
             session.macros.append(MacroDef(cmd.name, params, ret, cmd.body))
         elif isinstance(cmd, SynthFun):
             params = _resolve_params(cmd.params, session.sort_defs, cmd.pos)
@@ -870,7 +899,8 @@ def check_program(program: Program) -> CheckedProblem:
             if any(t.name == cmd.name for t in session.tasks):
                 _err("E-CLASH-FUN", cmd.pos, f"'{cmd.name}' is already a synthesis function")
             grammar, lets = check_grammar(cmd, session)
-            session.add_func(cmd.name, FuncEntry("synth", arg_sorts, ret))
+            names = tuple(p for p, _ in params)
+            session.add_func(cmd.name, FuncEntry("synth", arg_sorts, ret, names))
             session.tasks.append(
                 SynthTask(
                     cmd.name, params, ret, grammar, cmd.params, cmd.ret,
@@ -904,6 +934,8 @@ def check_program(program: Program) -> CheckedProblem:
                 constraints=tuple(session.constraints),
                 options=tuple(session.options),
                 sort_defs=dict(session.sort_defs),
+                funcs={name: tuple(es) for name, es in session.funcs.items()},
+                enums=dict(session.enums),
             )
         elif isinstance(cmd, SetOptions):
             session.options.extend(cmd.opts)

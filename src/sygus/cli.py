@@ -42,9 +42,18 @@ EXIT_STATIC = 2
 EXIT_UNSUPPORTED = 3
 EXIT_IO = 4
 
-#: Solver options: name -> (``SolverConfig`` field, value type, least value,
-#: help).  Each is a set-options key and, as ``--name``, a flag of ``solve``;
-#: a flag wins over the file.  Other set-options keys are ignored.
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in raw.split(","))
+
+
+# The value type that a value which does not convert is said to need.
+_int_list.__name__ = "comma-separated int"
+
+#: Solver options: name -> (``SolverConfig`` field, value type, which converts
+#: the value's text, least value, help).  Each is a set-options key and, as
+#: ``--name``, a flag of ``solve``; a flag wins over the file.  Other
+#: set-options keys are ignored.
 _OPTIONS = {
     "max-term-size": ("max_term_size", int, 1, "largest term size searched, in nodes"),
     "grid-radius": ("grid_radius", int, 0, "verify on the Int grid [-N, N]"),
@@ -52,7 +61,12 @@ _OPTIONS = {
     "uf-model-count": ("uf_model_count", int, 1, "sampled models of uninterpreted functions"),
     "seed": ("seed", int, None, "seed of every sampled value and model"),
     "timeout-seconds": ("timeout_seconds", float, 0, "wall-clock limit on the solve, in seconds"),
+    "constant-pool": (
+        "constant_pool", _int_list, None, "integer constants for (Constant Int) expansions"
+    ),
 }
+#: How ``solve --help`` writes a value of each type.
+_METAVARS = {int: "N", float: "T", _int_list: "C1,C2,..."}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -82,15 +96,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     for name, (field, kind, _, about) in _OPTIONS.items():
         # Values are converted and range-checked with the set-options ones.
         default = getattr(defaults, field)
+        if default is None:
+            default = "none"
+        elif isinstance(default, tuple):
+            default = ",".join(map(str, default))
         solve_p.add_argument(
-            f"--{name}", metavar="N" if kind is int else "T",
-            help=f"{about} (default: {'none' if default is None else default})",
+            f"--{name}", metavar=_METAVARS[kind], help=f"{about} (default: {default})"
         )
-    solve_p.add_argument(
-        "--constant-pool",
-        metavar="C1,C2,...",
-        help="integer constants for (Constant Int) expansions",
-    )
     return parser
 
 
@@ -284,20 +296,13 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         d = e.diagnostic
         err.write(_diag_line(args.input, d.pos, d.code, d.message))
         return EXIT_STATIC
-    if args.constant_pool is not None:
-        try:
-            pool = tuple(int(c.strip()) for c in args.constant_pool.split(","))
-        except ValueError:
-            err.write("error: --constant-pool expects comma-separated integers\n")
-            return EXIT_STATIC
-        cfg = replace(cfg, constant_pool=pool)
 
     from .solver import Fail, Solved, SolveError
 
     try:
         result = solve(problem, cfg)
     except SolveError as e:
-        err.write(_diag_line(args.input, NO_POS, e.code, e.message))
+        err.write(_diag_line(args.input, e.pos, e.code, e.message))
         return EXIT_UNSUPPORTED if e.code == "E-THEORY-UNSUPPORTED" else EXIT_STATIC
 
     if isinstance(result, Solved):

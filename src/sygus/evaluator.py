@@ -23,7 +23,10 @@ A term can be evaluated three ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator as a function of payloads,
 ``EvalEnv.resolve`` decides what an application calls, and every
 evaluator is call-by-value, so they make the same uninterpreted-function
-queries.
+queries.  ``resolve`` looks the application's name and argument sorts up
+in the checker's table of declared functions (``CheckedProblem.funcs``),
+where a synthesis function calls its one binding in the environment: a
+candidate body, or a function of payloads (``EvalEnv.set_values``).
 
 - ``eval_term`` walks the term at every evaluation and resolves each
   application by the sorts of its argument values; it unboxes the
@@ -67,6 +70,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .checker import (
     CheckedProblem,
+    FuncEntry,
     RBitVec,
     REnum,
     RInt,
@@ -316,43 +320,14 @@ Compiled = Callable[[Columns, Models], list[Payload]]
 # Evaluation environment
 
 
-class _Callable(Record):
-    __slots__ = ("kind", "arg_sorts", "ret", "params", "body", "fn", "index")
-    kind: str  # "macro" | "cand" | "uf" | "values"
-    arg_sorts: tuple[ResolvedSort, ...]
-    ret: ResolvedSort
-    params: tuple[Symbol, ...]
-    body: Optional[Term]
-    #: What a "values" entry calls with the argument payloads.
-    fn: Optional[Callable[..., Payload]]
-    #: A "uf" entry's index among the problem's declarations, which is
-    #: where its results are memoized (see ``UFModel``).
-    index: int
-
-    def __init__(
-        self,
-        kind: str,
-        arg_sorts: tuple[ResolvedSort, ...],
-        ret: ResolvedSort,
-        params: tuple[Symbol, ...],
-        body: Optional[Term],
-        fn: Optional[Callable[..., Payload]] = None,
-        index: int = 0,
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "arg_sorts", arg_sorts)
-        set_field(self, "ret", ret)
-        set_field(self, "params", params)
-        set_field(self, "body", body)
-        set_field(self, "fn", fn)
-        set_field(self, "index", index)
-
-
 class EvalEnv:
-    """Function tables and enum registry shared across evaluations.
+    """What the applications of a checked problem call.
 
-    The bodies of the synthesis functions are swappable, so one environment
-    can screen many candidates without rebuilding its tables.
+    The function table is the checker's (``CheckedProblem.funcs``), and so
+    are the enums that literals name (``CheckedProblem.enums``).  Each
+    synthesis function has one binding, which ``set_candidates`` and
+    ``set_values`` swap: a candidate body, or a function of payloads.  So
+    one environment can screen many candidates without rebuilding anything.
     """
 
     def __init__(
@@ -363,66 +338,39 @@ class EvalEnv:
         #: The sampled model that ``eval_term`` evaluates uninterpreted
         #: functions in; compiled terms take a model per row instead.
         self.model: Optional[UFModel] = None
-        self.enums = problem.enum_registry()
-        self.funcs: dict[Symbol, list[_Callable]] = {}
-        for m in problem.macros:
-            self._add(
-                m.name,
-                _Callable(
-                    "macro",
-                    tuple(s for _, s in m.params),
-                    m.ret,
-                    tuple(p for p, _ in m.params),
-                    m.body,
-                ),
-            )
-        for i, d in enumerate(problem.uf_decls):
-            self._add(d.name, _Callable("uf", d.arg_sorts, d.ret, (), None, index=i))
-        #: Parameters, argument sorts and result sort of each synthesis function.
-        self._task_info = {
-            t.name: (
-                tuple(p for p, _ in t.params),
-                tuple(s for _, s in t.params),
-                t.ret,
-            )
-            for t in problem.synth_tasks
-        }
-        self._cands: dict[Symbol, _Callable] = {}
-        #: Compiled macro and candidate bodies, by the identity of the entry.
-        self._compiled: dict[int, tuple[_Callable, Compiled]] = {}
+        self.funcs = problem.funcs
+        self.enums = problem.enums
+        #: What each synthesis function is bound to: a body or a function.
+        self._bound: dict[Symbol, Union[Term, Callable[..., Payload]]] = {}
+        #: Compiled macro and candidate bodies, by the identities of the
+        #: entry and the body, which the value keeps alive.
+        self._compiled: dict[tuple[int, int], tuple[FuncEntry, Term, Compiled]] = {}
         if candidates:
             self.set_candidates(candidates)
 
-    def _add(self, name: Symbol, c: _Callable) -> None:
-        self.funcs.setdefault(name, []).append(c)
-
-    def set_candidate(self, name: Symbol, body: Term) -> None:
-        params, arg_sorts, ret = self._task_info[name]
-        self._cands[name] = _Callable("cand", arg_sorts, ret, params, body)
-
     def set_candidates(self, mapping: dict[Symbol, Term]) -> None:
-        for name, body in mapping.items():
-            self.set_candidate(name, body)
+        self._bound.update(mapping)
 
     def set_values(self, name: Symbol, fn: Callable[..., Payload]) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
         in place of a candidate body: ``fn`` takes the argument payloads
         and returns the result's payload."""
-        params, arg_sorts, ret = self._task_info[name]
-        self._cands[name] = _Callable("values", arg_sorts, ret, params, None, fn)
+        self._bound[name] = fn
 
     def resolve(
         self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]
-    ) -> Optional[_Callable]:
-        """What an application of ``name`` at ``arg_sorts`` calls: a macro
-        or uninterpreted function of that signature, else the candidate of
-        that signature; ``None`` means the theory operator."""
+    ) -> Optional[tuple[FuncEntry, Union[Term, Callable[..., Payload], None]]]:
+        """What an application of ``name`` at ``arg_sorts`` calls: the
+        function of that signature, with a macro's body, a synthesis
+        function's binding, or ``None`` for an uninterpreted function.
+        ``None`` means the theory operator, as it does for a synthesis
+        function bound to nothing."""
         for e in self.funcs.get(name, ()):
             if e.arg_sorts == arg_sorts:
-                return e
-        cand = self._cands.get(name)
-        if cand is not None and cand.arg_sorts == arg_sorts:
-            return cand
+                if e.kind != "synth":
+                    return e, e.body
+                bound = self._bound.get(name)
+                return None if bound is None else (e, bound)
         return None
 
 
@@ -468,16 +416,17 @@ def eval_term(t: Term, assignment: Assignment, env: EvalEnv) -> Value:
 
 def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
     sorts = tuple(map(sort_of_value, args))
-    entry = env.resolve(name, sorts)
-    if entry is None:
+    hit = env.resolve(name, sorts)
+    if hit is None:
         op, ret = _builtin(name, sorts)
         return boxer(ret)(op(*[a.value for a in args]))
+    entry, body = hit
     if entry.kind == "uf":
         assert env.model is not None, "uninterpreted function without a model"
         return env.model.query(name, args)
-    if entry.kind == "values":
-        return boxer(entry.ret)(entry.fn(*[a.value for a in args]))
-    return eval_term(entry.body, dict(zip(entry.params, args)), env)
+    if not isinstance(body, Term):
+        return boxer(entry.ret)(body(*[a.value for a in args]))
+    return eval_term(body, dict(zip(entry.params, args)), env)
 
 
 def _ite(cond: bool, then: Payload, other: Payload) -> Payload:
@@ -658,25 +607,27 @@ def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
     the rule ``eval_term`` applies at every call: ``EvalEnv.resolve``."""
     fns = [f for f, _ in parts]
     sorts = tuple(s for _, s in parts)
-    entry = env.resolve(head, sorts)
-    if entry is None:
+    hit = env.resolve(head, sorts)
+    if hit is None:
         op, ret = _builtin(head, sorts)
         return _map_call(op, fns), ret
+    entry, body = hit
     if entry.kind == "uf":
         return _uf_query(entry.index, fns), entry.ret
-    if entry.kind == "values":
-        return _map_call(entry.fn, fns), entry.ret
-    return _call_by_value(_compiled_body(entry, env), entry.params, fns), entry.ret
+    if not isinstance(body, Term):
+        return _map_call(body, fns), entry.ret
+    return _call_by_value(_compiled_body(entry, body, env), entry.params, fns), entry.ret
 
 
-def _compiled_body(entry: _Callable, env: EvalEnv) -> Compiled:
-    """The body of a macro or candidate, compiled once per environment."""
-    hit = env._compiled.get(id(entry))
-    if hit is None or hit[0] is not entry:
-        assert entry.body is not None
+def _compiled_body(entry: FuncEntry, body: Term, env: EvalEnv) -> Compiled:
+    """``body``, that of a macro or a candidate for ``entry``, compiled once
+    per environment."""
+    key = (id(entry), id(body))
+    hit = env._compiled.get(key)
+    if hit is None:
         scope = dict(zip(entry.params, entry.arg_sorts))
-        hit = env._compiled[id(entry)] = (entry, _compile(entry.body, env, scope)[0])
-    return hit[1]
+        hit = env._compiled[key] = (entry, body, _compile(body, env, scope)[0])
+    return hit[2]
 
 
 def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
@@ -864,12 +815,13 @@ class TermValues:
         else."""
         name, sorts = signature[0], tuple(self._sorts[n] for n in signature[1:])
         env = self._env
-        entry = env.resolve(name, sorts)
-        if entry is None:
+        hit = env.resolve(name, sorts)
+        if hit is None:
             op, ret = _builtin(name, sorts)
         else:
+            entry, macro = hit
             assert entry.kind == "macro", f"a grammar calls '{name}'"
-            body, params, ret = _compiled_body(entry, env), entry.params, entry.ret
+            body, params, ret = _compiled_body(entry, macro, env), entry.params, entry.ret
             op = lambda *args: body({p: [a] for p, a in zip(params, args)}, [None])[0]
         hit = self._ops[signature] = (op, self._number(ret))
         return hit

@@ -119,6 +119,8 @@ from .syntax import (
     Lit,
     LocalVariableOf,
     NamedSort,
+    NO_POS,
+    Pos,
     RealConst,
     Record,
     Ref,
@@ -146,10 +148,14 @@ BV_SAMPLE_COUNT = 8
 
 
 class SolveError(Exception):
-    def __init__(self, code: str, message: str):
+    """A checked problem the solver cannot take.  ``pos`` is the place in the
+    input at fault, or ``NO_POS`` where the checked problem keeps none."""
+
+    def __init__(self, code: str, message: str, pos: Pos = NO_POS):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,7 @@ def expand_shorthands(
                 productions = expand(t)
                 if not productions:
                     message = f"shorthand '{name}' expanded to nothing"
-                    raise SolveError("E-EMPTY-EXPANSION", message)
+                    raise SolveError("E-EMPTY-EXPANSION", message, t.pos)
                 fresh[name] = CheckedNT(name, problem.resolve(t.sort), tuple(productions))
             return Ref(name, t.pos)
         if isinstance(t, App):
@@ -255,6 +261,7 @@ def expand_shorthands(
             raise SolveError(
                 "E-EMPTY-EXPANSION",
                 f"every production of non-terminal '{nt.name}' expanded to nothing",
+                nt.pos,
             )
         nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
     nts.update(fresh)
@@ -589,27 +596,22 @@ class Fail(Record):
 def _theory_gate(problem: CheckedProblem) -> None:
     """Raise ``E-THEORY-UNSUPPORTED`` unless the solver can sample and
     evaluate every sort and literal of ``problem``."""
-    reason = _unsupported(problem)
-    if reason is not None:
-        raise SolveError("E-THEORY-UNSUPPORTED", reason)
-
-
-def _unsupported(problem: CheckedProblem) -> Optional[str]:
+    gate = "E-THEORY-UNSUPPORTED"
     if problem.sig.logic in ("Reals", "Arrays"):
-        return f"solving over the {problem.sig.logic} theory is not supported"
+        raise SolveError(gate, f"solving over the {problem.sig.logic} theory is not supported")
     for name, sort in problem.universal_vars:
         if unsupported_sort(sort):
-            return f"universal variable '{name}' has unsupported sort {sort}"
+            raise SolveError(gate, f"universal variable '{name}' has unsupported sort {sort}")
     for d in problem.uf_decls:
         if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
-            return f"uninterpreted function '{d.name}' has an unsupported sort"
+            raise SolveError(gate, f"uninterpreted function '{d.name}' has an unsupported sort")
     for t in problem.synth_tasks:
         if any(map(unsupported_sort, [s for _, s in t.params] + [t.ret])):
-            return f"synthesis function '{t.name}' has an unsupported sort"
+            raise SolveError(gate, f"synthesis function '{t.name}' has an unsupported sort")
     for term in problem.constraints + tuple(m.body for m in problem.macros):
-        if any(isinstance(n, Lit) and isinstance(n.value, RealConst) for n in subterms(term)):
-            return "real-valued terms cannot be verified by this solver"
-    return None
+        for n in subterms(term):
+            if isinstance(n, Lit) and isinstance(n.value, RealConst):
+                raise SolveError(gate, "real-valued terms cannot be verified by this solver", n.pos)
 
 
 def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Payload]]]:
@@ -658,8 +660,9 @@ def _grid_values(sort: ResolvedSort, cfg: SolverConfig) -> tuple[int, list[Paylo
     ``GRID_POINT_CAP`` of them: no later one is in the first
     ``GRID_POINT_CAP`` grid points."""
     if isinstance(sort, RInt):
+        # ``len`` of the range would overflow past sys.maxsize values.
         ints = range(-cfg.grid_radius, cfg.grid_radius + 1)
-        return len(ints), list(ints[:GRID_POINT_CAP])
+        return 2 * cfg.grid_radius + 1, list(ints[:GRID_POINT_CAP])
     if isinstance(sort, RBool):
         values = [False, True]
     elif isinstance(sort, RBitVec):

@@ -186,7 +186,7 @@ def test_nested_shorthand_with_no_alternative_is_a_diagnostic(tmp_path):
     result, path = solve_text(tmp_path, text)
     assert result == (
         EXIT_STATIC, "",
-        f"{path}:0:0: E-EMPTY-EXPANSION: shorthand '(LocalVariable Int)' expanded to nothing\n",
+        f"{path}:2:52: E-EMPTY-EXPANSION: shorthand '(LocalVariable Int)' expanded to nothing\n",
     )
 
 
@@ -200,7 +200,7 @@ def test_empty_expansion_is_a_diagnostic(tmp_path):
     result, path = solve_text(tmp_path, text)
     assert result == (
         EXIT_STATIC, "",
-        f"{path}:0:0: E-EMPTY-EXPANSION: "
+        f"{path}:2:22: E-EMPTY-EXPANSION: "
         "every production of non-terminal 'Start' expanded to nothing\n",
     )
 
@@ -233,33 +233,65 @@ def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
     assert result == (EXIT_OK, "(define-fun f ((x Int)) Int (+ x 1))\n", "")
 
 
-# One program per branch of the solver's theory gate, and its message.
+# One program per branch of the solver's theory gate, its message, and the
+# position it is reported at: the checked problem keeps no position of a
+# declaration, so only a literal is placed.
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, pos",
     [
         ("(set-logic Reals)\n(declare-var x Real)\n(constraint (= x x))\n(check-synth)\n",
-         "solving over the Reals theory is not supported"),
+         "solving over the Reals theory is not supported", "0:0"),
         ("(declare-var a (Array Int Int))\n(constraint (= a a))\n(check-synth)\n",
-         "universal variable 'a' has unsupported sort (Array Int Int)"),
+         "universal variable 'a' has unsupported sort (Array Int Int)", "0:0"),
         ("(declare-fun r (Real) Int)\n(constraint (= (r 1.5) (r 1.5)))\n(check-synth)\n",
-         "uninterpreted function 'r' has an unsupported sort"),
+         "uninterpreted function 'r' has an unsupported sort", "0:0"),
         ("(synth-fun f ((x Real)) Int ((Start Int (0))))\n(constraint (= (f 1.0) 0))\n"
          "(check-synth)\n",
-         "synthesis function 'f' has an unsupported sort"),
+         "synthesis function 'f' has an unsupported sort", "0:0"),
         ("(declare-var x Int)\n(constraint (< 0.5 1.5))\n(check-synth)\n",
-         "real-valued terms cannot be verified by this solver"),
+         "real-valued terms cannot be verified by this solver", "2:16"),
     ],
     ids=["reals-logic", "array-variable", "real-uf", "real-synth-fun", "real-literal"],
 )
-def test_unsupported_theory_exits_3(tmp_path, text, message):
+def test_unsupported_theory_exits_3(tmp_path, text, message, pos):
     result, path = solve_text(tmp_path, text)
-    assert result == (EXIT_UNSUPPORTED, "", f"{path}:0:0: E-THEORY-UNSUPPORTED: {message}\n")
+    assert result == (EXIT_UNSUPPORTED, "", f"{path}:{pos}: E-THEORY-UNSUPPORTED: {message}\n")
 
 
 def test_unparsable_constant_pool_is_rejected(tmp_path):
-    code, out, err = run_cli("solve", "--constant-pool", "3,x", spec_path(tmp_path))
+    path = spec_path(tmp_path)
+    code, out, err = run_cli("solve", "--constant-pool", "3,x", path)
     assert (code, out) == (EXIT_STATIC, "")
-    assert err == "error: --constant-pool expects comma-separated integers\n"
+    assert err == (
+        f"{path}:0:0: E-OPT-VALUE: option 'constant-pool' needs a comma-separated int value, "
+        "got \"3,x\"\n"
+    )
+    # Past the interpreter's digit limit a constant does not convert either.
+    huge = "9" * 4400
+    code, out, err = run_cli("solve", f"--constant-pool=1,{huge}", path)
+    assert (code, out) == (EXIT_STATIC, "")
+    assert err.startswith(f"{path}:0:0: E-OPT-VALUE: option 'constant-pool' needs a ")
+
+
+def test_constant_pool_is_a_set_options_key(tmp_path):
+    text = NESTED_SHORTHAND.format(production="(+ Start (Constant Int))").replace(
+        "(set-logic LIA)\n", '(set-logic LIA)\n(set-options ((constant-pool "3")))\n'
+    )
+    result, _ = solve_text(tmp_path, text)
+    assert result == (EXIT_OK, "(define-fun f ((x Int)) Int (+ x 3))\n", "")
+
+
+def test_a_grid_radius_past_the_machine_word_is_counted(tmp_path):
+    # The Int grid has 2 * r + 1 values, more than a range's len can count.
+    radius = 10**20
+    code, out, err = run_cli(
+        "solve", "--verbose", "--grid-radius", str(radius), str(FIXTURES / "uf_pair.sl")
+    )
+    assert (code, out) == (EXIT_OK, "(define-fun f ((x Int) (y Int)) Bool true)\n")
+    assert err == (
+        f"note: no counterexample at 10000 of {2 * radius + 1} grid points (truncated) under "
+        "each of 32 sampled UF models, nor at 256 random samples: tested, not proved\n"
+    )
 
 
 def test_non_ascii_file_is_a_lex_error(tmp_path):
@@ -576,4 +608,6 @@ def test_solve_help_states_each_default(capsys, monkeypatch):
         "  --uf-model-count N    sampled models of uninterpreted functions (default: 32)",
         "  --seed N              seed of every sampled value and model (default: 0)",
         "  --timeout-seconds T   wall-clock limit on the solve, in seconds (default: none)",
+        "                        integer constants for (Constant Int) expansions "
+        "(default: 0,1,-1,2)",
     ]

@@ -282,6 +282,40 @@ def test_enum_values_compare_by_sort_identity():
     assert got == VBool(True)
 
 
+# A macro and a synthesis function named g, at (Color) and at (Int), and
+# enum literals written through the alias sort Paint.
+SHARED_NAME = """
+(define-sort Color (Enum (Red Green)))
+(define-sort Paint Color)
+(define-fun g ((c Color)) Int (ite (= c Paint::Red) 1 2))
+(synth-fun g ((x Int)) Int ((Start Int (x (g Paint::Green) (+ Start Start)))))
+(declare-var x Int)
+(declare-var c Color)
+(constraint (= (g x) (+ x (g c))))
+(check-synth)
+"""
+
+
+def test_a_macro_and_a_synthesis_function_share_a_name():
+    problem = load_problem(SHARED_NAME)
+    [task] = problem.synth_tasks
+    body = term("(+ x (g Paint::Green))")
+    both = term("(+ (g x) (g c))")
+    points = [{"x": VInt(x), "c": VEnum("Color", c)} for x in (-1, 3) for c in ("Red", "Green")]
+    expected = [p["x"].value + 2 + (1 if p["c"].value == "Red" else 2) for p in points]
+    walker = EvalEnv(problem, {"g": body})
+    assert [eval_term(both, p, walker) for p in points] == list(map(VInt, expected))
+    variables = dict(problem.universal_vars)
+    cols = columns(list(variables), [tuple(p[n].value for n in variables) for p in points])
+    models = [None] * len(points)
+    assert compile_term(both, EvalEnv(problem, {"g": body}), variables)(cols, models) == expected
+    env = EvalEnv(problem)
+    values = TermValues(task, env)
+    values.term = body
+    env.set_values("g", values)
+    assert compile_term(both, env, variables)(cols, models) == expected
+
+
 # -- the compiled evaluator against the walker ----------------------------------
 
 

@@ -28,7 +28,7 @@ from sygus.checker import (
     SynthTask,
     UFDecl,
 )
-from sygus.evaluator import VBV, VBool, VEnum, VInt, VReal, _Callable
+from sygus.evaluator import VBV, VBool, VEnum, VInt, VReal
 from sygus.parser import parse_text
 from sygus.solver import Counterexample, ExpandedGrammar, Fail, Solved, Valid, _Prod
 from sygus.syntax import (
@@ -116,15 +116,15 @@ FIELDS = {
         "Diagnostic": ("code", "pos", "message"),
         "MacroDef": ("name", "params", "ret", "body"),
         "UFDecl": ("name", "arg_sorts", "ret"),
-        "CheckedNT": ("name", "sort", "productions"),
+        "CheckedNT": ("name", "sort", "productions", "pos"),
         "SynthTask": (
             "name", "params", "ret", "grammar", "surface_params", "surface_ret", "lets",
         ),
         "CheckedProblem": (
             "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
-            "options", "sort_defs",
+            "options", "sort_defs", "funcs", "enums",
         ),
-        "FuncEntry": ("kind", "arg_sorts", "ret"),
+        "FuncEntry": ("kind", "arg_sorts", "ret", "params", "body", "index"),
     },
     evaluator: {
         "VInt": ("value",),
@@ -132,7 +132,6 @@ FIELDS = {
         "VReal": ("value",),
         "VBV": ("width", "value"),
         "VEnum": ("identity", "constructor"),
-        "_Callable": ("kind", "arg_sorts", "ret", "params", "body", "fn", "index"),
     },
     solver: {
         "ExpandedGrammar": ("nts", "order", "let_names"),
@@ -148,7 +147,7 @@ P = Pos(3, 4)
 X = Ref("x", Pos(5, 6))
 ONE = Lit(IntConst(1), Pos(5, 8))
 START = NTDef("Start", IntSort(P), (X, ONE), P)
-CHECKED_START = CheckedNT("Start", R_INT, (X, ONE))
+CHECKED_START = CheckedNT("Start", R_INT, (X, ONE), P)
 TASK = SynthTask(
     "f", (("x", R_INT),), R_INT, (CHECKED_START,), (("x", IntSort(P)),), IntSort(P),
     (("z", R_INT),),
@@ -201,14 +200,16 @@ SAMPLES = [
     UFDecl("u", (R_INT,), R_INT),
     CHECKED_START,
     TASK,
-    CheckedProblem(None, (("x", R_INT),), (), (), (TASK,), (X,), (("seed", "1"),), {}),
-    FuncEntry("macro", (R_INT,), R_BOOL),
+    CheckedProblem(
+        None, (("x", R_INT),), (), (), (TASK,), (X,), (("seed", "1"),), {},
+        {"f": (FuncEntry("synth", (R_INT,), R_INT, ("x",)),)}, {"Color": REnum("Color", ("Red",))},
+    ),
+    FuncEntry("macro", (R_INT,), R_BOOL, ("a",), X),
     VInt(-3),
     VBool(False),
     VReal(Fraction(5, 2)),
     VBV(4, 9),
     VEnum("Color", "Red"),
-    _Callable("cand", (R_INT,), R_INT, ("x",), X, None, 2),
     ExpandedGrammar({"Start": CHECKED_START}, ("Start",), frozenset({"z"})),
     _Prod(App("+", (Ref("Start"), Ref("Start"))), ("Start", "Start"), 1),
     VALID,
@@ -230,10 +231,12 @@ def record_classes(module):
 
 
 def uncompared(record):
-    """The fields ``==`` and ``hash`` leave out: every syntax node's
-    position and an enum sort's constructors."""
+    """The fields ``==`` and ``hash`` leave out: every syntax node's and
+    non-terminal's position and an enum sort's constructors."""
     if isinstance(record, REnum):
         return {"constructors"}
+    if isinstance(record, CheckedNT):
+        return {"pos"}
     if type(record).__module__ == syntax.__name__ and "pos" in type(record).__slots__:
         return {"pos"}
     return set()
