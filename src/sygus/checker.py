@@ -334,40 +334,6 @@ def resolve_sort(
 # Checked problem data
 
 
-class MacroDef(Record):
-    __slots__ = ("name", "params", "ret", "body")
-    name: Symbol
-    params: tuple[tuple[Symbol, ResolvedSort], ...]
-    ret: ResolvedSort
-    body: Term
-
-    def __init__(
-        self,
-        name: Symbol,
-        params: tuple[tuple[Symbol, ResolvedSort], ...],
-        ret: ResolvedSort,
-        body: Term,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "ret", ret)
-        set_field(self, "body", body)
-
-
-class UFDecl(Record):
-    __slots__ = ("name", "arg_sorts", "ret")
-    name: Symbol
-    arg_sorts: tuple[ResolvedSort, ...]
-    ret: ResolvedSort
-
-    def __init__(
-        self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...], ret: ResolvedSort
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "arg_sorts", arg_sorts)
-        set_field(self, "ret", ret)
-
-
 class CheckedNT(Record):
     """A non-terminal; ``pos``, where it is declared, is not compared."""
 
@@ -419,50 +385,62 @@ class SynthTask(Record):
 
 
 class FuncEntry(Record):
-    """A declared function, as the checker and the evaluator see it: a macro
-    has ``params`` and a ``body``, a synthesis function ``params``, and an
-    uninterpreted function its ``index`` in ``CheckedProblem.uf_decls``."""
+    """A declared function, the one record of it that the checker and the
+    evaluator see: a macro has ``params`` and a ``body``, a synthesis
+    function ``params``, and an uninterpreted function its ``index`` in
+    ``CheckedProblem.uf_decls``.  ``pos``, that of the declaring command, is
+    not compared."""
 
-    __slots__ = ("kind", "arg_sorts", "ret", "params", "body", "index")
+    __slots__ = ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos")
+    _uncompared = ("pos",)
+    name: Symbol
     kind: str  # "macro" | "uf" | "synth"
     arg_sorts: tuple[ResolvedSort, ...]
     ret: ResolvedSort
     params: tuple[Symbol, ...]
     body: Optional[Term]
     index: Optional[int]
+    pos: Pos
 
     def __init__(
         self,
+        name: Symbol,
         kind: str,
         arg_sorts: tuple[ResolvedSort, ...],
         ret: ResolvedSort,
         params: tuple[Symbol, ...] = (),
         body: Optional[Term] = None,
         index: Optional[int] = None,
+        pos: Pos = NO_POS,
     ) -> None:
+        set_field(self, "name", name)
         set_field(self, "kind", kind)
         set_field(self, "arg_sorts", arg_sorts)
         set_field(self, "ret", ret)
         set_field(self, "params", params)
         set_field(self, "body", body)
         set_field(self, "index", index)
+        set_field(self, "pos", pos)
 
 
 class CheckedProblem(Record):
     """The state visible at the first check-synth command.  ``funcs`` is the
     table of declared functions that the checker types applications by and
     the evaluator resolves them in: by name, the entries in declaration
-    order, no two at the same argument sorts (``E-CLASH-FUN``).  ``enums``
-    maps each defined sort name that resolves to an enum to that enum."""
+    order, no two at the same argument sorts (``E-CLASH-FUN``).  Each
+    function has one ``FuncEntry``: ``uf_decls`` holds the entries of the
+    uninterpreted functions themselves, in the order of their ``index``.
+    ``universal_vars`` maps each universal variable to its sort, in
+    declaration order.  ``enums`` maps each defined sort name that resolves
+    to an enum to that enum."""
 
     __slots__ = (
-        "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
+        "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
         "options", "sort_defs", "funcs", "enums",
     )
     sig: TheorySignature
-    universal_vars: tuple[tuple[Symbol, ResolvedSort], ...]
-    uf_decls: tuple[UFDecl, ...]
-    macros: tuple[MacroDef, ...]
+    universal_vars: dict[Symbol, ResolvedSort]
+    uf_decls: tuple[FuncEntry, ...]
     synth_tasks: tuple[SynthTask, ...]
     constraints: tuple[Term, ...]
     options: tuple[tuple[Symbol, str], ...]
@@ -473,9 +451,8 @@ class CheckedProblem(Record):
     def __init__(
         self,
         sig: TheorySignature,
-        universal_vars: tuple[tuple[Symbol, ResolvedSort], ...],
-        uf_decls: tuple[UFDecl, ...],
-        macros: tuple[MacroDef, ...],
+        universal_vars: dict[Symbol, ResolvedSort],
+        uf_decls: tuple[FuncEntry, ...],
         synth_tasks: tuple[SynthTask, ...],
         constraints: tuple[Term, ...],
         options: tuple[tuple[Symbol, str], ...],
@@ -486,7 +463,6 @@ class CheckedProblem(Record):
         set_field(self, "sig", sig)
         set_field(self, "universal_vars", universal_vars)
         set_field(self, "uf_decls", uf_decls)
-        set_field(self, "macros", macros)
         set_field(self, "synth_tasks", synth_tasks)
         set_field(self, "constraints", constraints)
         set_field(self, "options", options)
@@ -663,11 +639,9 @@ class _Session:
         self.sig = TheorySignature(None)
         self.sort_defs: dict[Symbol, SortExpr] = {}
         self.enums: dict[Symbol, REnum] = {}
-        self.var_order: list[tuple[Symbol, ResolvedSort]] = []
-        self.var_map: dict[Symbol, ResolvedSort] = {}
+        self.vars: dict[Symbol, ResolvedSort] = {}
         self.funcs: dict[Symbol, list[FuncEntry]] = {}
-        self.macros: list[MacroDef] = []
-        self.ufs: list[UFDecl] = []
+        self.ufs: list[FuncEntry] = []
         self.tasks: list[SynthTask] = []
         self.constraints: list[Term] = []
         self.options: list[tuple[Symbol, str]] = []
@@ -675,8 +649,8 @@ class _Session:
     def same_signature(self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]) -> bool:
         return any(e.arg_sorts == arg_sorts for e in self.funcs.get(name, []))
 
-    def add_func(self, name: Symbol, entry: FuncEntry) -> None:
-        self.funcs.setdefault(name, []).append(entry)
+    def add_func(self, entry: FuncEntry) -> None:
+        self.funcs.setdefault(entry.name, []).append(entry)
 
 
 def _resolve_params(
@@ -705,7 +679,7 @@ def _check_function_clashes(
             pos,
             f"'{name}' is a built-in operator of the active logic",
         )
-    if not arg_sorts and name in session.var_map:
+    if not arg_sorts and name in session.vars:
         _err(
             "E-CLASH-FUN",
             pos,
@@ -845,7 +819,7 @@ def check_program(program: Program) -> CheckedProblem:
             session.sort_defs[cmd.name] = cmd.body
         elif isinstance(cmd, DeclareVar):
             sort = resolve_sort(cmd.sort, session.sort_defs)
-            if cmd.name in session.var_map:
+            if cmd.name in session.vars:
                 _err(
                     "E-CLASH-VAR",
                     cmd.pos,
@@ -857,16 +831,16 @@ def check_program(program: Program) -> CheckedProblem:
                     cmd.pos,
                     f"variable '{cmd.name}' clashes with a 0-arity function",
                 )
-            session.var_map[cmd.name] = sort
-            session.var_order.append((cmd.name, sort))
+            session.vars[cmd.name] = sort
         elif isinstance(cmd, DeclareFun):
             arg_sorts = tuple(
                 resolve_sort(s, session.sort_defs) for s in cmd.arg_sorts
             )
             ret = resolve_sort(cmd.ret, session.sort_defs)
             _check_function_clashes(session, cmd.name, arg_sorts, cmd.pos)
-            session.add_func(cmd.name, FuncEntry("uf", arg_sorts, ret, index=len(session.ufs)))
-            session.ufs.append(UFDecl(cmd.name, arg_sorts, ret))
+            entry = FuncEntry(cmd.name, "uf", arg_sorts, ret, index=len(session.ufs), pos=cmd.pos)
+            session.add_func(entry)
+            session.ufs.append(entry)
         elif isinstance(cmd, DefineFun):
             params = _resolve_params(cmd.params, session.sort_defs, cmd.pos)
             names = tuple(p for p, _ in params)
@@ -888,8 +862,9 @@ def check_program(program: Program) -> CheckedProblem:
                     cmd.pos,
                     f"body of '{cmd.name}' has sort {body_sort}, declared {ret}",
                 )
-            session.add_func(cmd.name, FuncEntry("macro", arg_sorts, ret, names, cmd.body))
-            session.macros.append(MacroDef(cmd.name, params, ret, cmd.body))
+            session.add_func(
+                FuncEntry(cmd.name, "macro", arg_sorts, ret, names, cmd.body, pos=cmd.pos)
+            )
         elif isinstance(cmd, SynthFun):
             params = _resolve_params(cmd.params, session.sort_defs, cmd.pos)
             arg_sorts = tuple(s for _, s in params)
@@ -900,7 +875,7 @@ def check_program(program: Program) -> CheckedProblem:
                 _err("E-CLASH-FUN", cmd.pos, f"'{cmd.name}' is already a synthesis function")
             grammar, lets = check_grammar(cmd, session)
             names = tuple(p for p, _ in params)
-            session.add_func(cmd.name, FuncEntry("synth", arg_sorts, ret, names))
+            session.add_func(FuncEntry(cmd.name, "synth", arg_sorts, ret, names, pos=cmd.pos))
             session.tasks.append(
                 SynthTask(
                     cmd.name, params, ret, grammar, cmd.params, cmd.ret,
@@ -911,7 +886,7 @@ def check_program(program: Program) -> CheckedProblem:
             scope = TermScope(
                 session.sig,
                 session.sort_defs,
-                session.var_map,
+                session.vars,
                 session.funcs,
                 context="constraint",
             )
@@ -927,9 +902,8 @@ def check_program(program: Program) -> CheckedProblem:
             # Commands after the first check-synth are parse-checked only.
             return CheckedProblem(
                 sig=session.sig,
-                universal_vars=tuple(session.var_order),
+                universal_vars=session.vars,
                 uf_decls=tuple(session.ufs),
-                macros=tuple(session.macros),
                 synth_tasks=tuple(session.tasks),
                 constraints=tuple(session.constraints),
                 options=tuple(session.options),

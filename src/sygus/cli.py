@@ -106,6 +106,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dashed_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each solver flag joined by ``=`` to a value that starts
+    with ``-`` and a digit, as in ``--constant-pool -1,2``: argparse takes
+    such a value for a flag of its own unless it reads as one number."""
+    flags = {f"--{name}" for name in _OPTIONS}
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in flags and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _bad_option(message: str):
     from .checker import CheckError, Diagnostic
 
@@ -245,7 +259,7 @@ def run(
     """Execute one CLI invocation and return its exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = build_arg_parser().parse_args(argv)
+    args = build_arg_parser().parse_args(_join_dashed_values(argv))
     try:
         return _run(args, out, err)
     except RecursionError:

@@ -82,7 +82,6 @@ from .checker import (
     ResolvedSort,
     SynthTask,
     TheorySignature,
-    UFDecl,
 )
 from .syntax import (
     App,
@@ -270,27 +269,26 @@ def _payload_for_sort(sort: ResolvedSort, u: int) -> Payload:
 class UFModel:
     """Memoized finite model of the declared uninterpreted functions.
 
-    Functionally consistent by construction: results are a pure function of
-    (seed, function name, argument tuple).  ``memo`` records every queried
-    point, keyed by payloads: the key of an application is the index of its
-    declaration in ``decls`` followed by the argument payloads, and the
-    entry is the result's payload.  The index tells overloads apart, so
-    payloads that are equal as Python objects but not as values (``1``,
-    ``True`` and a bit-vector ``1``) never share an entry.  A compiled term
-    looks its rows up in ``memo`` directly (see ``_uf_query``); ``query`` is
-    the same lookup with values at both ends.
+    ``decls`` are the functions' entries (``CheckedProblem.uf_decls``), each
+    at its declaration ``index``.  Functionally consistent by construction:
+    a result is a pure function of the seed, the entry's ``name``,
+    ``arg_sorts`` and ``ret``, and the argument tuple.  ``memo`` records
+    every queried point, keyed by payloads: the key of an application is
+    its declaration index followed by the argument payloads, and the entry
+    is the result's payload.  The index tells overloads apart, so payloads
+    that are equal as Python objects but not as values (``1``, ``True`` and
+    a bit-vector ``1``) never share an entry.  A compiled term looks its
+    rows up in ``memo`` directly (see ``_uf_query``); ``query`` is the same
+    lookup with values at both ends.
     """
 
-    def __init__(self, decls: tuple[UFDecl, ...], seed: int):
+    def __init__(self, decls: tuple[FuncEntry, ...], seed: int):
         self.decls = decls
         self.seed = seed
         self.memo: dict[tuple, Payload] = {}
 
-    def query(self, name: Symbol, args: tuple[Value, ...]) -> Value:
-        arg_sorts = tuple(map(sort_of_value, args))
-        index = next(
-            i for i, d in enumerate(self.decls) if d.name == name and d.arg_sorts == arg_sorts
-        )
+    def query(self, index: int, args: tuple[Value, ...]) -> Value:
+        """The value of the function declared at ``index`` at ``args``."""
         key = (index, *[a.value for a in args])
         result = self.memo.get(key)
         if result is None:
@@ -325,9 +323,10 @@ class EvalEnv:
 
     The function table is the checker's (``CheckedProblem.funcs``), and so
     are the enums that literals name (``CheckedProblem.enums``).  Each
-    synthesis function has one binding, which ``set_candidates`` and
-    ``set_values`` swap: a candidate body, or a function of payloads.  So
-    one environment can screen many candidates without rebuilding anything.
+    synthesis function has one binding: a candidate body, given to the
+    constructor, or a function of payloads, which ``set_values`` swaps in.
+    So one environment can screen many candidates without rebuilding
+    anything.
     """
 
     def __init__(
@@ -341,15 +340,10 @@ class EvalEnv:
         self.funcs = problem.funcs
         self.enums = problem.enums
         #: What each synthesis function is bound to: a body or a function.
-        self._bound: dict[Symbol, Union[Term, Callable[..., Payload]]] = {}
+        self._bound: dict[Symbol, Union[Term, Callable[..., Payload]]] = dict(candidates or ())
         #: Compiled macro and candidate bodies, by the identities of the
         #: entry and the body, which the value keeps alive.
         self._compiled: dict[tuple[int, int], tuple[FuncEntry, Term, Compiled]] = {}
-        if candidates:
-            self.set_candidates(candidates)
-
-    def set_candidates(self, mapping: dict[Symbol, Term]) -> None:
-        self._bound.update(mapping)
 
     def set_values(self, name: Symbol, fn: Callable[..., Payload]) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
@@ -423,7 +417,7 @@ def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
     entry, body = hit
     if entry.kind == "uf":
         assert env.model is not None, "uninterpreted function without a model"
-        return env.model.query(name, args)
+        return env.model.query(entry.index, args)
     if not isinstance(body, Term):
         return boxer(entry.ret)(body(*[a.value for a in args]))
     return eval_term(body, dict(zip(entry.params, args)), env)

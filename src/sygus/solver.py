@@ -599,16 +599,19 @@ def _theory_gate(problem: CheckedProblem) -> None:
     gate = "E-THEORY-UNSUPPORTED"
     if problem.sig.logic in ("Reals", "Arrays"):
         raise SolveError(gate, f"solving over the {problem.sig.logic} theory is not supported")
-    for name, sort in problem.universal_vars:
+    for name, sort in problem.universal_vars.items():
         if unsupported_sort(sort):
             raise SolveError(gate, f"universal variable '{name}' has unsupported sort {sort}")
-    for d in problem.uf_decls:
-        if any(map(unsupported_sort, d.arg_sorts + (d.ret,))):
-            raise SolveError(gate, f"uninterpreted function '{d.name}' has an unsupported sort")
-    for t in problem.synth_tasks:
-        if any(map(unsupported_sort, [s for _, s in t.params] + [t.ret])):
-            raise SolveError(gate, f"synthesis function '{t.name}' has an unsupported sort")
-    for term in problem.constraints + tuple(m.body for m in problem.macros):
+    # The declared functions in source order; ``funcs`` groups overloads by
+    # name.
+    entries = sorted(
+        (e for es in problem.funcs.values() for e in es), key=lambda e: (e.pos.line, e.pos.col)
+    )
+    for kind, what in (("uf", "uninterpreted function"), ("synth", "synthesis function")):
+        for e in entries:
+            if e.kind == kind and any(map(unsupported_sort, e.arg_sorts + (e.ret,))):
+                raise SolveError(gate, f"{what} '{e.name}' has an unsupported sort", e.pos)
+    for term in problem.constraints + tuple(e.body for e in entries if e.kind == "macro"):
         for n in subterms(term):
             if isinstance(n, Lit) and isinstance(n.value, RealConst):
                 raise SolveError(gate, "real-valued terms cannot be verified by this solver", n.pos)
@@ -736,8 +739,8 @@ def verify(
     if cex_store is None:
         cex_store = []
     deadline = _deadline if _deadline is not None else _Deadline(None)
-    env = EvalEnv(problem, candidates=dict(candidate))
-    variables = dict(problem.universal_vars)
+    env = EvalEnv(problem, candidate)
+    variables = problem.universal_vars
     names = list(variables)
     boxers = [boxer(s) for s in variables.values()]
     checks = [compile_term(c, env, variables) for c in problem.constraints]
@@ -871,7 +874,7 @@ class _InvocationPoints:
             # Any value of the sort will do.
             anything = _grid_values(t.ret, cfg)[1][0]
             env.set_values(t.name, lambda *args, seen=seen, v=anything: seen.setdefault(args, v))
-        variables = dict(problem.universal_vars)
+        variables = problem.universal_vars
         self._names = list(variables)
         self._checks = [compile_term(c, env, variables) for c in problem.constraints]
         self._model_for = model_for
@@ -943,7 +946,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             models[seed] = UFModel(problem.uf_decls, seed) if has_ufs else None
         return models[seed]
 
-    variables = dict(problem.universal_vars)
+    variables = problem.universal_vars
     points = plain = None
     if _nested_calls(problem.constraints, name_set):
         # Identity keys do not depend on the store: one table serves every

@@ -158,8 +158,8 @@ def plain_verify(candidate, problem, cfg, store):
     for assignment, seed in store:
         if falsified(assignment, model_for(seed)):
             return Counterexample(assignment, seed)
-    names = [n for n, _ in problem.universal_vars]
-    sorts = [s for _, s in problem.universal_vars]
+    names = list(problem.universal_vars)
+    sorts = list(problem.universal_vars.values())
     grid = solver._grid(sorts, cfg)
     domains = [list(map(boxer(s), values)) for s, (_, values) in zip(sorts, grid)]
     seeds = [cfg.seed]
@@ -174,14 +174,16 @@ def plain_verify(candidate, problem, cfg, store):
                 return Counterexample(assignment, seed)
     rng = random.Random(stable_u64(cfg.seed, "samples"))
     for _ in range(cfg.random_samples):
-        assignment = {n: boxer(s)(solver._random_value(s, rng)) for n, s in problem.universal_vars}
+        assignment = {
+            n: boxer(s)(solver._random_value(s, rng)) for n, s in problem.universal_vars.items()
+        }
         seed = rng.getrandbits(64) if has_ufs else cfg.seed
         if falsified(assignment, model_for(seed)):
             store.append((assignment, seed))
             return Counterexample(assignment, seed)
     grid_size = math.prod(size for size, _ in grid)
     whole = all(
-        solver._whole_domain(s, size) for (_, s), (size, _) in zip(problem.universal_vars, grid)
+        solver._whole_domain(s, size) for s, (size, _) in zip(sorts, grid)
     )
     return Valid(
         grid_points=min(grid_size, GRID_POINT_CAP),

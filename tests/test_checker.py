@@ -101,7 +101,7 @@ def test_overloading_by_argument_sorts_is_allowed():
 def test_operator_names_of_another_logic_are_free():
     text = "(set-logic LIA)(define-fun bvadd ((a Int)) Int a)(constraint (= (bvadd 1) 1))(check-synth)"
     problem = check_program(parse_text(text))
-    assert [m.name for m in problem.macros] == ["bvadd"]
+    assert [e.kind for e in problem.funcs["bvadd"]] == ["macro"]
 
 
 def test_commands_after_check_synth_are_ignored():
@@ -223,7 +223,7 @@ def test_checked_constraints_never_raise_sort_errors(uf_pair_problem, max2_min2_
         env = EvalEnv(problem, candidates=candidates)
         for _ in range(300):
             assignment = {
-                n: VInt(rng.randint(-50, 50)) for n, _ in problem.universal_vars
+                n: VInt(rng.randint(-50, 50)) for n in problem.universal_vars
             }
             env.model = (
                 UFModel(problem.uf_decls, rng.getrandbits(64))

@@ -234,8 +234,10 @@ def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
 
 
 # One program per branch of the solver's theory gate, its message, and the
-# position it is reported at: the checked problem keeps no position of a
-# declaration, so only a literal is placed.
+# position it is reported at: a function at its declaring command, a literal
+# where it stands.  The checked problem keeps no position of a universal
+# variable or of the logic.  Literals in macro bodies are found in the order
+# the macros are declared, whatever their names.
 @pytest.mark.parametrize(
     "text, message, pos",
     [
@@ -244,14 +246,21 @@ def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
         ("(declare-var a (Array Int Int))\n(constraint (= a a))\n(check-synth)\n",
          "universal variable 'a' has unsupported sort (Array Int Int)", "0:0"),
         ("(declare-fun r (Real) Int)\n(constraint (= (r 1.5) (r 1.5)))\n(check-synth)\n",
-         "uninterpreted function 'r' has an unsupported sort", "0:0"),
+         "uninterpreted function 'r' has an unsupported sort", "1:1"),
         ("(synth-fun f ((x Real)) Int ((Start Int (0))))\n(constraint (= (f 1.0) 0))\n"
          "(check-synth)\n",
-         "synthesis function 'f' has an unsupported sort", "0:0"),
+         "synthesis function 'f' has an unsupported sort", "1:1"),
         ("(declare-var x Int)\n(constraint (< 0.5 1.5))\n(check-synth)\n",
          "real-valued terms cannot be verified by this solver", "2:16"),
+        ("(set-logic LIA)\n(define-fun f ((a Int)) Bool true)\n"
+         "(define-fun g ((a Int)) Bool (= 3.5 4.5))\n(define-fun f ((a Bool)) Bool (= 0.5 0.25))\n"
+         "(constraint true)\n(check-synth)\n",
+         "real-valued terms cannot be verified by this solver", "3:33"),
     ],
-    ids=["reals-logic", "array-variable", "real-uf", "real-synth-fun", "real-literal"],
+    ids=[
+        "reals-logic", "array-variable", "real-uf", "real-synth-fun", "real-literal",
+        "macro-order",
+    ],
 )
 def test_unsupported_theory_exits_3(tmp_path, text, message, pos):
     result, path = solve_text(tmp_path, text)
@@ -271,6 +280,15 @@ def test_unparsable_constant_pool_is_rejected(tmp_path):
     code, out, err = run_cli("solve", f"--constant-pool=1,{huge}", path)
     assert (code, out) == (EXIT_STATIC, "")
     assert err.startswith(f"{path}:0:0: E-OPT-VALUE: option 'constant-pool' needs a ")
+
+
+def test_constant_pool_may_start_with_a_negative_constant(tmp_path):
+    # argparse takes "-1,2" for a flag unless it is joined to its own.
+    text = NESTED_SHORTHAND.replace("(+ y 3)", "(- y 1)").format(
+        production="(+ Start (Constant Int))"
+    )
+    result, _ = solve_text(tmp_path, text, "--constant-pool", "-1,2")
+    assert result == (EXIT_OK, "(define-fun f ((x Int)) Int (+ x -1))\n", "")
 
 
 def test_constant_pool_is_a_set_options_key(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sygus import solver
-from sygus.checker import R_BOOL, R_INT, RBitVec, REnum, UFDecl
+from sygus.checker import R_BOOL, R_INT, FuncEntry, RBitVec, REnum
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
@@ -131,20 +131,20 @@ def test_parallel_let_law_fuzzed():
 
 # -- uninterpreted-function models --------------------------------------------
 
-UF_DECLS = (UFDecl("uf", (R_INT,), R_INT),)
+UF_DECLS = (FuncEntry("uf", "uf", (R_INT,), R_INT, index=0),)
 
 
 def test_model_is_deterministic():
     a = UFModel(UF_DECLS, 42)
     b = UFModel(UF_DECLS, 42)
     points = [(VInt(i),) for i in range(-10, 11)]
-    assert [a.query("uf", p) for p in points] == [b.query("uf", p) for p in points]
+    assert [a.query(0, p) for p in points] == [b.query(0, p) for p in points]
 
 
 def test_model_query_is_memoized_and_consistent():
     m = UFModel(UF_DECLS, 7)
-    first = m.query("uf", (VInt(3),))
-    assert m.query("uf", (VInt(3),)) == first
+    first = m.query(0, (VInt(3),))
+    assert m.query(0, (VInt(3),)) == first
     # Keyed by the declaration's index and the argument payloads.
     assert m.memo == {(0, 3): first.value}
 
@@ -152,7 +152,7 @@ def test_model_query_is_memoized_and_consistent():
 def test_model_results_stay_in_range():
     m = UFModel(UF_DECLS, 99)
     for i in range(-20, 21):
-        v = m.query("uf", (VInt(i),))
+        v = m.query(0, (VInt(i),))
         assert UF_INT_LO <= v.value <= UF_INT_HI
 
 
@@ -163,7 +163,7 @@ def test_models_across_seeds_disagree_with_any_constant():
     for seed in range(100):
         m = UFModel(UF_DECLS, seed)
         for x in range(-5, 6):
-            if m.query("uf", (VInt(x),)) != VInt(5):
+            if m.query(0, (VInt(x),)) != VInt(5):
                 found = True
                 break
         if found:
@@ -174,20 +174,21 @@ def test_models_across_seeds_disagree_with_any_constant():
 # Overloaded functions over every sampled sort and the points queried; run
 # in this process and in a fresh one.
 C3_SETUP = """
-from sygus.checker import R_BOOL, R_INT, RBitVec, REnum, UFDecl
+from sygus.checker import R_BOOL, R_INT, FuncEntry, RBitVec, REnum
 from sygus.evaluator import UFModel, VBool, VBV, VEnum, VInt
 COLOR = REnum("Color", ("Red", "Green", "Blue"))
 DECLS = (
-    UFDecl("u", (R_INT,), R_INT),
-    UFDecl("u", (R_BOOL,), R_BOOL),
-    UFDecl("h", (R_INT, RBitVec(4)), RBitVec(4)),
-    UFDecl("paint", (COLOR,), COLOR),
+    FuncEntry("u", "uf", (R_INT,), R_INT, index=0),
+    FuncEntry("u", "uf", (R_BOOL,), R_BOOL, index=1),
+    FuncEntry("h", "uf", (R_INT, RBitVec(4)), RBitVec(4), index=2),
+    FuncEntry("paint", "uf", (COLOR,), COLOR, index=3),
 )
+# Queries by declaration index: the two overloads of u are 0 and 1.
 QUERIES = (
-    [("u", (VInt(i),)) for i in range(-6, 7)]
-    + [("u", (VBool(b),)) for b in (False, True)]
-    + [("h", (VInt(i), VBV(4, w))) for i in (-1, 0, 3) for w in (0, 5, 15)]
-    + [("paint", (VEnum("Color", k),)) for k in COLOR.constructors]
+    [(0, (VInt(i),)) for i in range(-6, 7)]
+    + [(1, (VBool(b),)) for b in (False, True)]
+    + [(2, (VInt(i), VBV(4, w))) for i in (-1, 0, 3) for w in (0, 5, 15)]
+    + [(3, (VEnum("Color", k),)) for k in COLOR.constructors]
 )
 SEEDS = (0, 7, 2**64 - 1)
 
@@ -378,9 +379,10 @@ def tables(models, seeds):
 
 
 def grid_points(problem, cfg):
-    names = [n for n, _ in problem.universal_vars]
+    names = list(problem.universal_vars)
     domains = [
-        list(map(boxer(s), solver._grid_values(s, cfg)[1])) for _, s in problem.universal_vars
+        list(map(boxer(s), solver._grid_values(s, cfg)[1]))
+        for s in problem.universal_vars.values()
     ]
     return [dict(zip(names, p)) for p in product(*domains)]
 
@@ -458,7 +460,7 @@ def uf_sum_wrong_under_the_second_model(indices):
     models = fresh_models(problem, (0, 1))
 
     def agrees(seed, m, n):
-        return models[seed].query("uf", (VInt(m),)) == models[seed].query("uf", (VInt(n),))
+        return models[seed].query(0, (VInt(m),)) == models[seed].query(0, (VInt(n),))
 
     body = "(+ a b)"
     for index in indices:
@@ -546,7 +548,7 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
     problem = load_problem(TERM_VALUE_PROBLEMS[name])
     cfg = SolverConfig(grid_radius=2)
     rows = interleaved(grid_points(problem, cfg), (0, 1))
-    walker, env = EvalEnv(problem), EvalEnv(problem)
+    env = EvalEnv(problem)
     # One memo per task for the whole run, as in a solve.
     values = {t.name: TermValues(t, env) for t in problem.synth_tasks}
     for task, tv in values.items():
@@ -555,7 +557,7 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
     checks = [compile_term(c, env, variables) for c in problem.constraints]
     sorts = [R_BOOL] * len(checks)
     for candidates in candidate_tuples(problem, cfg):
-        walker.set_candidates(candidates)
+        walker = EvalEnv(problem, candidates)
         for task, body in candidates.items():
             values[task].term = body
         walker_models = fresh_models(problem, (0, 1))

@@ -18,7 +18,6 @@ from sygus.checker import (
     CheckedProblem,
     Diagnostic,
     FuncEntry,
-    MacroDef,
     RArray,
     RBitVec,
     RBool,
@@ -26,7 +25,6 @@ from sygus.checker import (
     RInt,
     RReal,
     SynthTask,
-    UFDecl,
 )
 from sygus.evaluator import VBV, VBool, VEnum, VInt, VReal
 from sygus.parser import parse_text
@@ -114,17 +112,15 @@ FIELDS = {
         "REnum": ("identity", "constructors"),
         "RArray": ("domain", "codomain"),
         "Diagnostic": ("code", "pos", "message"),
-        "MacroDef": ("name", "params", "ret", "body"),
-        "UFDecl": ("name", "arg_sorts", "ret"),
         "CheckedNT": ("name", "sort", "productions", "pos"),
         "SynthTask": (
             "name", "params", "ret", "grammar", "surface_params", "surface_ret", "lets",
         ),
         "CheckedProblem": (
-            "sig", "universal_vars", "uf_decls", "macros", "synth_tasks", "constraints",
+            "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
             "options", "sort_defs", "funcs", "enums",
         ),
-        "FuncEntry": ("kind", "arg_sorts", "ret", "params", "body", "index"),
+        "FuncEntry": ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos"),
     },
     evaluator: {
         "VInt": ("value",),
@@ -153,6 +149,7 @@ TASK = SynthTask(
     (("z", R_INT),),
 )
 VALID = Valid(121, 121, 0, 256, False)
+UF = FuncEntry("u", "uf", (R_INT,), R_INT, index=0, pos=P)
 
 # One record of each class.  ``CheckedProblem.sig`` holds None here: a
 # ``TheorySignature`` has no ``==``, so no copy of it compares equal.
@@ -196,15 +193,14 @@ SAMPLES = [
     REnum("Color", ("Red", "Green")),
     RArray(R_INT, R_BOOL),
     Diagnostic("E-UNBOUND", P, "unbound name 'y'"),
-    MacroDef("h", (("a", R_INT),), R_INT, Ref("a")),
-    UFDecl("u", (R_INT,), R_INT),
     CHECKED_START,
     TASK,
     CheckedProblem(
-        None, (("x", R_INT),), (), (), (TASK,), (X,), (("seed", "1"),), {},
-        {"f": (FuncEntry("synth", (R_INT,), R_INT, ("x",)),)}, {"Color": REnum("Color", ("Red",))},
+        None, {"x": R_INT}, (UF,), (TASK,), (X,), (("seed", "1"),), {},
+        {"f": (FuncEntry("f", "synth", (R_INT,), R_INT, ("x",), pos=P),), "u": (UF,)},
+        {"Color": REnum("Color", ("Red",))},
     ),
-    FuncEntry("macro", (R_INT,), R_BOOL, ("a",), X),
+    FuncEntry("h", "macro", (R_INT,), R_BOOL, ("a",), X, pos=P),
     VInt(-3),
     VBool(False),
     VReal(Fraction(5, 2)),
@@ -231,11 +227,12 @@ def record_classes(module):
 
 
 def uncompared(record):
-    """The fields ``==`` and ``hash`` leave out: every syntax node's and
-    non-terminal's position and an enum sort's constructors."""
+    """The fields ``==`` and ``hash`` leave out: the position of every
+    syntax node, non-terminal and declared function, and an enum sort's
+    constructors."""
     if isinstance(record, REnum):
         return {"constructors"}
-    if isinstance(record, CheckedNT):
+    if isinstance(record, (CheckedNT, FuncEntry)):
         return {"pos"}
     if type(record).__module__ == syntax.__name__ and "pos" in type(record).__slots__:
         return {"pos"}
