@@ -432,7 +432,8 @@ class CheckedProblem(Record):
     uninterpreted functions themselves, in the order of their ``index``.
     ``universal_vars`` maps each universal variable to its sort, in
     declaration order.  ``enums`` maps each defined sort name that resolves
-    to an enum to that enum."""
+    to an enum to that enum.  ``options`` holds each ``set-options`` pair in
+    source order, with the position of its command."""
 
     __slots__ = (
         "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
@@ -443,7 +444,7 @@ class CheckedProblem(Record):
     uf_decls: tuple[FuncEntry, ...]
     synth_tasks: tuple[SynthTask, ...]
     constraints: tuple[Term, ...]
-    options: tuple[tuple[Symbol, str], ...]
+    options: tuple[tuple[Symbol, str, Pos], ...]
     sort_defs: dict[Symbol, SortExpr]
     funcs: dict[Symbol, tuple[FuncEntry, ...]]
     enums: dict[Symbol, REnum]
@@ -455,7 +456,7 @@ class CheckedProblem(Record):
         uf_decls: tuple[FuncEntry, ...],
         synth_tasks: tuple[SynthTask, ...],
         constraints: tuple[Term, ...],
-        options: tuple[tuple[Symbol, str], ...],
+        options: tuple[tuple[Symbol, str, Pos], ...],
         sort_defs: dict[Symbol, SortExpr],
         funcs: dict[Symbol, tuple[FuncEntry, ...]],
         enums: dict[Symbol, REnum],
@@ -644,7 +645,7 @@ class _Session:
         self.ufs: list[FuncEntry] = []
         self.tasks: list[SynthTask] = []
         self.constraints: list[Term] = []
-        self.options: list[tuple[Symbol, str]] = []
+        self.options: list[tuple[Symbol, str, Pos]] = []
 
     def same_signature(self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]) -> bool:
         return any(e.arg_sorts == arg_sorts for e in self.funcs.get(name, []))
@@ -912,7 +913,7 @@ def check_program(program: Program) -> CheckedProblem:
                 enums=dict(session.enums),
             )
         elif isinstance(cmd, SetOptions):
-            session.options.extend(cmd.opts)
+            session.options.extend((name, raw, cmd.pos) for name, raw in cmd.opts)
         else:
             raise AssertionError(f"unhandled command {cmd!r}")
     _err("E-NO-CHECK", last_pos, "program has no check-synth command")

@@ -47,9 +47,6 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(c) for c in raw.split(","))
 
 
-# The value type that a value which does not convert is said to need.
-_int_list.__name__ = "comma-separated int"
-
 #: Solver options: name -> (``SolverConfig`` field, value type, which converts
 #: the value's text, least value, help).  Each is a set-options key and, as
 #: ``--name``, a flag of ``solve``; a flag wins over the file.  Other
@@ -67,6 +64,8 @@ _OPTIONS = {
 }
 #: How ``solve --help`` writes a value of each type.
 _METAVARS = {int: "N", float: "T", _int_list: "C1,C2,..."}
+#: What a value that does not convert is said to need.
+_VALUE_NAMES = {int: "an int", float: "a float", _int_list: "a comma-separated int"}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -120,20 +119,22 @@ def _join_dashed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _bad_option(message: str):
+def _bad_option(pos: Pos, message: str):
     from .checker import CheckError, Diagnostic
 
-    raise CheckError(Diagnostic("E-OPT-VALUE", NO_POS, message))
+    raise CheckError(Diagnostic("E-OPT-VALUE", pos, message))
 
 
 def apply_set_options(
-    options: Sequence[tuple[str, str]],
+    options: Sequence[tuple[str, str, Pos]],
     cfg: SolverConfig,
     verbose_out: Optional[TextIO] = None,
 ) -> SolverConfig:
     """Fold recognized option values into the configuration; a value that
-    does not convert or is out of range raises ``CheckError``."""
-    for name, raw in options:
+    does not convert or is out of range raises ``CheckError`` at the
+    position given with it: its ``set-options`` command's, or ``NO_POS``
+    for a flag."""
+    for name, raw, pos in options:
         spec = _OPTIONS.get(name)
         if spec is None:
             if verbose_out is not None:
@@ -143,10 +144,10 @@ def apply_set_options(
         try:
             value = kind(raw)
         except ValueError:
-            _bad_option(f"option '{name}' needs a {kind.__name__} value, got \"{raw}\"")
+            _bad_option(pos, f"option '{name}' needs {_VALUE_NAMES[kind]} value, got \"{raw}\"")
         # ``not >=`` also rejects NaN.
         if least is not None and not value >= least:
-            _bad_option(f"option '{name}' needs a value >= {least}, got \"{raw}\"")
+            _bad_option(pos, f"option '{name}' needs a value >= {least}, got \"{raw}\"")
         cfg = replace(cfg, **{fieldname: value})
     return cfg
 
@@ -296,7 +297,7 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .checker import CheckError
 
     flags = [
-        (name, getattr(args, field))
+        (name, getattr(args, field), NO_POS)
         for name, (field, *_) in _OPTIONS.items()
         if getattr(args, field) is not None
     ]

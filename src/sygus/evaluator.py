@@ -3,8 +3,9 @@
 Arithmetic is exact: arbitrary-precision integers, ``Fraction`` for reals,
 and modular arithmetic for bit-vectors.  Uninterpreted functions are
 evaluated against finite sampled models: a model is a pure function of
-(declarations, seed), derived per query from a keyed blake2 digest, so the
-same tuple always maps to the same value regardless of query order or
+(declarations, seed), derived at the first query of each point from a keyed
+blake2 digest and kept in one memo per declaration (``UFModel.memo``), so
+the same tuple always maps to the same value regardless of query order or
 process.
 
 A value is a ``Value`` object, which carries its sort, or a bare payload
@@ -34,18 +35,22 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
   reference that the other two are tested against.
 - ``compile_term`` resolves every application once, from the sorts of the
   checked term, and returns one column function per node: it maps a batch
-  of rows, each an assignment with its own sampled model, to the node's
-  payloads at every row, with one list operation per node.  Operators are
-  mapped over their argument columns, so ``+`` on Int is ``operator.add``
-  mapped over two lists of ints in C; an uninterpreted function looks
-  each row up in its model's memo by payloads; macro and candidate bodies
-  are compiled once per environment and take their argument columns as
-  variables; an application bound by ``EvalEnv.set_values`` maps its
-  function over the argument columns.  Compiling costs more than one
-  walk, but each later batch skips the walk, the dispatch and the operator
-  lookup, and pays each node's call once per batch rather than once per
-  row.  The solver runs every constraint
-  evaluation this way: ``verify`` on chunks of its grid, the screens on
+  of rows to the node's payloads at every row, with one list operation per
+  node.  A batch is each variable's column of payloads and its ``Rows``:
+  the row count and the runs of rows that share a sampled model.
+  Operators are mapped over their argument columns, so ``+`` on Int is
+  ``operator.add`` mapped over two lists of ints in C; an uninterpreted
+  function streams its rows' memo keys in C and maps the memo of its
+  declaration in each run's model over the run's keys (``_uf_query``), so
+  only a model's first query of a point steps into Python; macro and
+  candidate bodies are compiled once per environment and take their
+  argument columns as variables; an application bound by
+  ``EvalEnv.set_values`` maps its function over the argument columns.
+  Compiling costs more than one walk, but each later batch skips the walk,
+  the dispatch and the operator lookup, and pays each node's call once per
+  batch rather than once per row.  The solver runs every constraint
+  evaluation this way: ``verify`` on chunks of its grid, each one run,
+  and of its stored and random rows, each a run of one row; the screens on
   the stored counterexamples.  The compiler keeps its work on an explicit
   stack, so a deep term costs it no interpreter stack; a compiled term
   then nests about one call per level.
@@ -65,8 +70,8 @@ from _blake2 import blake2b  # hashlib.blake2b itself; hashlib loads OpenSSL too
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from typing import Callable, Mapping, Optional, Sequence, Union
+from itertools import islice, repeat
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .checker import (
     CheckedProblem,
@@ -239,19 +244,31 @@ def _encode(sort: ResolvedSort, p: Payload) -> bytes:
     raise AssertionError(f"unhashable sort {sort}")
 
 
-def stable_u64(*parts: Union[int, str, bytes]) -> int:
-    """Order- and process-independent 64-bit digest of the parts."""
-    h = blake2b(digest_size=8)
-    for p in parts:
-        if isinstance(p, int):
-            chunk = str(p).encode()
-        elif isinstance(p, str):
-            chunk = p.encode()
-        else:
-            chunk = p
+def _absorb(h: blake2b, chunks: Iterable[bytes]) -> None:
+    """Feed each of ``chunks`` to ``h``, after its length."""
+    for chunk in chunks:
         h.update(len(chunk).to_bytes(4, "big"))
         h.update(chunk)
-    return int.from_bytes(h.digest(), "big")
+
+
+def _bytes(part: Union[int, str, bytes]) -> bytes:
+    if isinstance(part, int):
+        return str(part).encode()
+    if isinstance(part, str):
+        return part.encode()
+    return part
+
+
+def _digest(*parts: Union[int, str, bytes]) -> blake2b:
+    """The digest state after ``parts`` (see ``stable_u64``)."""
+    h = blake2b(digest_size=8)
+    _absorb(h, map(_bytes, parts))
+    return h
+
+
+def stable_u64(*parts: Union[int, str, bytes]) -> int:
+    """Order- and process-independent 64-bit digest of the parts."""
+    return int.from_bytes(_digest(*parts).digest(), "big")
 
 
 def _payload_for_sort(sort: ResolvedSort, u: int) -> Payload:
@@ -266,52 +283,80 @@ def _payload_for_sort(sort: ResolvedSort, u: int) -> Payload:
     raise AssertionError(f"no sampled values for sort {sort}")
 
 
+class _Memo(dict):
+    """The memo of one declaration in one model: argument key -> result
+    payload.  A missing key derives its result (``__missing__``) from the
+    digest of the seed, the name and the encoded arguments, and records it,
+    so a lookup mapped in C over many keys steps into Python only at the
+    keys it misses.  The seed and the name are hashed once, at the first
+    derivation; each key hashes a copy of that state."""
+
+    __slots__ = ("decl", "seed", "prefix")
+
+    def __init__(self, decl: FuncEntry, seed: int):
+        self.decl = decl
+        self.seed = seed
+        self.prefix: Optional[blake2b] = None
+
+    def __missing__(self, key: Hashable) -> Payload:
+        decl = self.decl
+        if self.prefix is None:
+            self.prefix = _digest(self.seed, decl.name)
+        h = self.prefix.copy()
+        _absorb(h, map(_encode, decl.arg_sorts, (key,) if len(decl.arg_sorts) == 1 else key))
+        result = self[key] = _payload_for_sort(decl.ret, int.from_bytes(h.digest(), "big"))
+        return result
+
+
 class UFModel:
     """Memoized finite model of the declared uninterpreted functions.
 
     ``decls`` are the functions' entries (``CheckedProblem.uf_decls``), each
     at its declaration ``index``.  Functionally consistent by construction:
     a result is a pure function of the seed, the entry's ``name``,
-    ``arg_sorts`` and ``ret``, and the argument tuple.  ``memo`` records
-    every queried point, keyed by payloads: the key of an application is
-    its declaration index followed by the argument payloads, and the entry
-    is the result's payload.  The index tells overloads apart, so payloads
+    ``arg_sorts`` and ``ret``, and the argument tuple, drawn from
+    ``stable_u64(seed, name, *encoded arguments)``.  ``memo`` records every
+    queried point, keyed by payloads: ``memo[index]`` is the memo of the
+    declaration at ``index``, keyed by the argument's payload for a unary
+    function and by the tuple of argument payloads otherwise, and an entry
+    is the result's payload; indexing a memo at a key it lacks derives the
+    entry.  One memo per declaration tells overloads apart, so payloads
     that are equal as Python objects but not as values (``1``, ``True`` and
-    a bit-vector ``1``) never share an entry.  A compiled term looks its
-    rows up in ``memo`` directly (see ``_uf_query``); ``query`` is the same
-    lookup with values at both ends.
+    a bit-vector ``1``) never share an entry, and a unary lookup builds no
+    tuple.  A compiled term maps a memo's ``__getitem__`` over a run of
+    rows (see ``_uf_query``); ``query`` is the same lookup of one point with
+    values at both ends.
     """
 
     def __init__(self, decls: tuple[FuncEntry, ...], seed: int):
         self.decls = decls
-        self.seed = seed
-        self.memo: dict[tuple, Payload] = {}
+        self.memo = [_Memo(d, seed) for d in decls]
 
     def query(self, index: int, args: tuple[Value, ...]) -> Value:
         """The value of the function declared at ``index`` at ``args``."""
-        key = (index, *[a.value for a in args])
-        result = self.memo.get(key)
-        if result is None:
-            result = self._derive(key)
-        return boxer(self.decls[index].ret)(result)
-
-    def _derive(self, key: tuple) -> Payload:
-        """The result at ``key``, a memo key that is not in ``memo`` yet,
-        drawn from the digest of the seed, the name and the arguments, and
-        recorded."""
-        decl = self.decls[key[0]]
-        u = stable_u64(self.seed, decl.name, *map(_encode, decl.arg_sorts, key[1:]))
-        result = self.memo[key] = _payload_for_sort(decl.ret, u)
-        return result
+        key = args[0].value if len(args) == 1 else tuple([a.value for a in args])
+        return boxer(self.decls[index].ret)(self.memo[index][key])
 
 
 #: A batch of rows: each variable's payloads, one per row.
-Columns = dict[Symbol, list[Payload]]
-#: Each row's sampled model; ``None`` where there are no uninterpreted
-#: functions.
-Models = Sequence[Optional[UFModel]]
+Columns = dict[Symbol, Sequence[Payload]]
+
+
+class Rows:
+    """What a batch holds besides its columns: the number of rows, and
+    their sampled models as runs of rows that share one, ``(model, row
+    count)`` pairs in row order.  A model is ``None`` where there are no
+    uninterpreted functions."""
+
+    __slots__ = ("count", "runs")
+
+    def __init__(self, runs: list[tuple[Optional[UFModel], int]]):
+        self.runs = runs
+        self.count = sum([n for _, n in runs])
+
+
 #: A compiled term: its payload at each row of a batch.
-Compiled = Callable[[Columns, Models], list[Payload]]
+Compiled = Callable[[Columns, Rows], Sequence[Payload]]
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +563,8 @@ _Part = tuple[Compiled, ResolvedSort]
 
 def columns(names: Sequence[Symbol], points: Sequence[tuple[Payload, ...]]) -> Columns:
     """The columns of a batch of ``points``, each a tuple of the payloads of
-    ``names``."""
-    return {n: [p[i] for p in points] for i, n in enumerate(names)}
+    ``names``, transposed in C."""
+    return dict(zip(names, zip(*points)))
 
 
 def compile_term(
@@ -529,8 +574,9 @@ def compile_term(
 
     A row is an assignment to ``variables`` and the sampled model that
     uninterpreted functions are evaluated in at that row.  The function
-    takes the batch's columns of payloads (see ``columns``) and its list of
-    models, one per row, and returns the term's payload at each row.  Every
+    takes the batch's columns of payloads (see ``columns``) and its
+    ``Rows``, the row count and the runs of rows that share a model, and
+    returns the term's payload at each row.  Every
     node's sort is resolved here, so the payloads of a column share one
     sort, which the caller knows from the term: ``boxer`` of it turns the
     column into values.  On a checked term whose free names are
@@ -558,11 +604,11 @@ def _compile(
         if step == _NODE:
             if isinstance(node, Lit):
                 payload, sort = _literal(node.value, env.enums)
-                done.append((lambda c, m, p=payload: [p] * len(m), sort))
+                done.append((lambda c, r, p=payload: [p] * r.count, sort))
             elif isinstance(node, Ref):
                 sort = scope.get(node.name)
                 if sort is not None:
-                    done.append((lambda c, m, n=node.name: c[n], sort))
+                    done.append((lambda c, r, n=node.name: c[n], sort))
                 else:
                     done.append(_call(node.name, [], env))
             elif isinstance(node, App):
@@ -627,18 +673,18 @@ def _compiled_body(entry: FuncEntry, body: Term, env: EvalEnv) -> Compiled:
 def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
     """``fn`` called at each row with the argument payloads."""
     if not fns:
-        return lambda c, m: [fn() for _ in m]
+        return lambda c, r: [fn() for _ in range(r.count)]
     if len(fns) == 1:
         [f0] = fns
-        return lambda c, m: list(map(fn, f0(c, m)))
+        return lambda c, r: list(map(fn, f0(c, r)))
     if len(fns) == 2:
         f0, f1 = fns
-        return lambda c, m: list(map(fn, f0(c, m), f1(c, m)))
+        return lambda c, r: list(map(fn, f0(c, r), f1(c, r)))
 
-    def call(c: Columns, m: Models) -> list[Payload]:
+    def call(c: Columns, r: Rows) -> list[Payload]:
         args = []
         for f in fns:
-            args.append(f(c, m))
+            args.append(f(c, r))
         return list(map(fn, *args))
 
     return call
@@ -647,19 +693,26 @@ def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
 def _uf_query(index: int, fns: list[Compiled]) -> Compiled:
     """A query of each row's model at the argument payloads, for the
     declaration at ``index`` (see ``UFModel``), which was resolved when the
-    term was compiled.  A row is one lookup of the key ``(index,
-    *payloads)`` in its model's memo, a tuple hash with no value built; only
-    a miss calls into the model, which derives the result from the digest
-    of the same bytes that ``UFModel.query`` hashes."""
+    term was compiled.  The rows' memo keys stream in C: a unary
+    function's key is its argument's payload, a wider one's the argument
+    columns zipped.  Each run of rows that share a model maps its memo's
+    ``__getitem__`` over the run's keys; only a miss steps into Python, to
+    derive the result from the digest of the same bytes that
+    ``UFModel.query`` hashes."""
 
-    def call(c: Columns, m: Models) -> list[Payload]:
+    def call(c: Columns, r: Rows) -> list[Payload]:
         args = []
         for f in fns:
-            args.append(f(c, m))
-        out = []
-        for model, key in zip(m, zip(repeat(index), *args)):
-            p = model.memo.get(key)
-            out.append(model._derive(key) if p is None else p)
+            args.append(f(c, r))
+        if len(args) == 1:
+            keys = iter(args[0])
+        elif args:
+            keys = zip(*args)
+        else:
+            keys = repeat((), r.count)
+        out: list[Payload] = []
+        for model, n in r.runs:
+            out += map(model.memo[index].__getitem__, islice(keys, n))
         return out
 
     return call
@@ -669,11 +722,11 @@ def _call_by_value(body: Compiled, params: tuple[Symbol, ...], fns: list[Compile
     """A call by value: the argument columns are the body's variables."""
     pairs = tuple(zip(params, fns))
 
-    def call(c: Columns, m: Models) -> list[Payload]:
+    def call(c: Columns, r: Rows) -> Sequence[Payload]:
         args = {}
         for p, f in pairs:
-            args[p] = f(c, m)
-        return body(args, m)
+            args[p] = f(c, r)
+        return body(args, r)
 
     return call
 
@@ -681,16 +734,20 @@ def _call_by_value(body: Compiled, params: tuple[Symbol, ...], fns: list[Compile
 def _parallel_let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> Compiled:
     pairs = tuple(zip(names, fns))
 
-    def let(c: Columns, m: Models) -> list[Payload]:
+    def let(c: Columns, r: Rows) -> Sequence[Payload]:
         # Every value is taken in the outer columns before any is bound.
         values = []
         for n, f in pairs:
-            values.append((n, f(c, m)))
+            values.append((n, f(c, r)))
         inner = dict(c)
         inner.update(values)
-        return body(inner, m)
+        return body(inner, r)
 
     return let
+
+
+#: The one row at which ``TermValues`` evaluates a compiled macro body.
+_ONE_ROW = Rows([(None, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -816,6 +873,6 @@ class TermValues:
             entry, macro = hit
             assert entry.kind == "macro", f"a grammar calls '{name}'"
             body, params, ret = _compiled_body(entry, macro, env), entry.params, entry.ret
-            op = lambda *args: body({p: [a] for p, a in zip(params, args)}, [None])[0]
+            op = lambda *args: body({p: (a,) for p, a in zip(params, args)}, _ONE_ROW)[0]
         hit = self._ops[signature] = (op, self._number(ret))
         return hit

@@ -46,12 +46,17 @@ that budget; it is a proof only when it is ``exhaustive``.
 Inside the solver a value is its payload (see ``evaluator``), and no
 compiled term boxes one.  Every constraint evaluation runs on the
 constraints compiled into column functions, which map a batch of rows,
-each an assignment of payloads with its own sampled model, to the
-payloads at every row: a constraint's column is a list of ``bool``, which
-``_first_false`` and the screens read as it is.  ``verify`` compiles them
-once per call with the candidate inlined and evaluates chunks of up to
-``CHUNK_CAP`` rows of the stored counterexamples, the grid and the random
-samples, whose values are drawn as payloads.  The tables and screens
+columns of payloads with the runs of rows that share a sampled model
+(``Rows``), to the payloads at every row: a constraint's column is a
+sequence of ``bool``, which ``_first_false`` and the screens read as it
+is.  ``verify`` compiles them once per call with the candidate inlined and
+evaluates chunks of up to ``CHUNK_CAP`` rows of the stored
+counterexamples, the grid and the random samples, whose values are drawn
+as payloads.  A grid chunk lies under one model, so it is one run: its
+points stream from ``itertools.product`` and are transposed to columns in
+C, and each uninterpreted-function application on it is one memo lookup
+mapped in C over its keys.  A stored or random row has a model of its
+own and is a run of one row.  The tables and screens
 evaluate each of many enumerated terms at the few invocation points, tuples
 of argument payloads, so they compile the constraints once per pass, with
 each synthesis function's applications bound to its ``TermValues``, and
@@ -75,8 +80,8 @@ import math
 import random
 import time
 from bisect import bisect_right
-from itertools import chain, count, islice, product, repeat
-from typing import Callable, Hashable, Iterator, Mapping, Optional, Union
+from itertools import count, islice, product, repeat
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, Union
 
 from .checker import (
     CheckedNT,
@@ -96,6 +101,7 @@ from .evaluator import (
     Compiled,
     EvalEnv,
     Payload,
+    Rows,
     TermValues,
     UFModel,
     boxer,
@@ -566,9 +572,14 @@ class Counterexample(Record):
 
 VerificationResult = Union[Valid, Counterexample]
 
-#: A row ``verify`` checks: the payloads of the universal variables, in
-#: declaration order, and a UF seed with its model.
-_Row = tuple[tuple[Payload, ...], int, Optional[UFModel]]
+#: A point: the payloads of the universal variables, in declaration order.
+_Point = tuple[Payload, ...]
+#: A row of ``verify`` with a model of its own: a point, and a UF seed with
+#: its model.
+_Row = tuple[_Point, int, Optional[UFModel]]
+#: A chunk of rows ``verify`` checks in one batch: their points, their UF
+#: seeds, and their ``Rows``.
+_Chunk = tuple[Sequence[_Point], Sequence[int], Rows]
 
 
 class Solved(Record):
@@ -695,13 +706,14 @@ def _whole_domain(sort: ResolvedSort, size: int) -> bool:
     return isinstance(sort, (RBool, REnum))
 
 
-def _first_false(checks: list[Compiled], names: list[Symbol], rows: list[_Row]) -> Optional[int]:
-    """The index of the first of ``rows`` at which some check is false."""
-    batch = columns(names, [point for point, _, _ in rows])
-    models = [model for _, _, model in rows]
+def _first_false(
+    checks: list[Compiled], names: list[Symbol], points: Sequence[_Point], rows: Rows
+) -> Optional[int]:
+    """The index of the first of ``points`` at which some check is false."""
+    batch = columns(names, points)
     first = None
     for check in checks:
-        flags = check(batch, models)
+        flags = check(batch, rows)
         if not all(flags):
             at = flags.index(False)
             first = at if first is None else min(first, at)
@@ -723,11 +735,18 @@ def verify(
     the grid model-major (every point of the capped grid under the first
     sampled model, then under the next), then the random samples, each
     with its own model.  The result is the first row at which a constraint
-    is false.  Each of the three streams is evaluated in chunks whose size
-    doubles from 1 up to ``CHUNK_CAP`` rows, and checking stops at the
-    first chunk with a false constraint, so a counterexample at the k-th
-    row of a stream costs fewer than ``min(2k, k + CHUNK_CAP)`` rows, and
-    only one chunk is live at a time.  The deadline is checked once per
+    is false.  Each of the three streams is evaluated in chunks of one row
+    more than the stream has checked so far, up to ``CHUNK_CAP`` rows, so
+    their sizes double from 1; a grid chunk also ends at its model's last
+    point, so it is one run of rows under one model, and the next model's
+    chunks start at the size reached.  Checking stops at the first chunk
+    with a false constraint.  No chunk is longer than the rows checked
+    before it plus one, nor than ``CHUNK_CAP``, so a counterexample at the
+    k-th row of a stream costs fewer than ``min(2k, k + CHUNK_CAP)`` rows,
+    and only one chunk is live at a time: the grid is never built whole.
+    On a grid chunk each node of a constraint costs a few list operations
+    in C and no Python step per row, except a model's first query of a
+    point, which derives its result.  The deadline is checked once per
     chunk.  The rows of that chunk after the first failing one are
     evaluated too, and this cannot be observed: evaluation is pure (the
     models and the sample generator belong to this call) and total
@@ -749,25 +768,44 @@ def verify(
     def model_for(seed: int) -> Optional[UFModel]:
         return UFModel(problem.uf_decls, seed) if has_ufs else None
 
-    def first_failure(rows: Iterator[_Row]) -> Optional[_Row]:
-        size = 1
-        while chunk := list(islice(rows, size)):
-            at = _first_false(checks, names, chunk)
+    def first_failure(chunks: Iterator[_Chunk]) -> Optional[tuple[_Point, int]]:
+        for points, seeds, rows in chunks:
+            at = _first_false(checks, names, points, rows)
             if at is not None:
-                return chunk[at]
+                return points[at], seeds[at]
             deadline.check()
-            size = min(2 * size, CHUNK_CAP)
         return None
 
-    def assignment(point: tuple[Payload, ...]) -> Assignment:
+    def one_model_each(rows: Iterator[_Row]) -> Iterator[_Chunk]:
+        """``rows`` in chunks; each row is a run of its own."""
+        done = 0
+        while chunk := list(islice(rows, min(done + 1, CHUNK_CAP))):
+            done += len(chunk)
+            points, seeds, models = zip(*chunk)
+            yield points, seeds, Rows(list(zip(models, repeat(1))))
+
+    def grid_chunks() -> Iterator[_Chunk]:
+        """The capped grid under each model in turn, in chunks that end at
+        each model's last point, so a chunk is one run.  Each seed and its
+        model are made when the stream reaches them, and the model is
+        dropped after its last chunk."""
+        done = 0
+        for seed in model_seeds:
+            model = model_for(seed)
+            points = islice(product(*[values for _, values in grid]), GRID_POINT_CAP)
+            while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
+                done += len(chunk)
+                yield chunk, (seed,) * len(chunk), Rows([(model, len(chunk))])
+
+    def assignment(point: _Point) -> Assignment:
         return {n: box(p) for n, box, p in zip(names, boxers, point)}
 
     stored = (
         (tuple([a[n].value for n in names]), seed, model_for(seed)) for a, seed in cex_store
     )
-    found = first_failure(stored)
+    found = first_failure(one_model_each(stored))
     if found is not None:
-        point, seed, _ = found
+        point, seed = found
         return Counterexample(assignment(point), seed)
 
     grid = _grid(list(variables.values()), cfg)
@@ -775,16 +813,6 @@ def verify(
         model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
         model_seeds = [cfg.seed]
-    # Each seed and its model are made when the stream reaches them, and the
-    # model is dropped after its last chunk.
-    grid_rows = chain.from_iterable(
-        zip(
-            islice(product(*[values for _, values in grid]), GRID_POINT_CAP),
-            repeat(seed),
-            repeat(model_for(seed)),
-        )
-        for seed in model_seeds
-    )
 
     def sample_rows() -> Iterator[_Row]:
         rng = random.Random(stable_u64(cfg.seed, "samples"))
@@ -793,9 +821,9 @@ def verify(
             seed = rng.getrandbits(64) if has_ufs else cfg.seed
             yield point, seed, model_for(seed)
 
-    found = first_failure(grid_rows) or first_failure(sample_rows())
+    found = first_failure(grid_chunks()) or first_failure(one_model_each(sample_rows()))
     if found is not None:
-        point, seed, _ = found
+        point, seed = found
         cex = assignment(point)
         cex_store.append((cex, seed))
         return Counterexample(cex, seed)
@@ -885,9 +913,9 @@ class _InvocationPoints:
         the last call or not at all."""
         new = store[self._done:]
         if new:
-            batch, models = _batch(self._names, new, self._model_for)
+            batch, rows = _batch(self._names, new, self._model_for)
             for check in self._checks:
-                check(batch, models)
+                check(batch, rows)
         self._done = len(store)
         return {name: list(seen) for name, seen in self._seen.items()}
 
@@ -896,10 +924,11 @@ def _batch(
     names: list[Symbol],
     rows: list[tuple[Assignment, int]],
     model_for: Callable[[int], Optional[UFModel]],
-) -> tuple[Columns, list[Optional[UFModel]]]:
-    """The columns and models of stored counterexamples."""
+) -> tuple[Columns, Rows]:
+    """The columns and ``Rows`` of stored counterexamples, each row a run
+    of its own."""
     points = [tuple([a[n].value for n in names]) for a, _ in rows]
-    return columns(names, points), [model_for(seed) for _, seed in rows]
+    return columns(names, points), Rows([(model_for(seed), 1) for _, seed in rows])
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
@@ -975,7 +1004,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
         joint_checks = [compile_term(c, env, variables) for c in joint]
         # Within a pass the store is fixed: one batch of its rows.
-        batch, batch_models = _batch(list(variables), cex_store, model_for)
+        batch, batch_rows = _batch(list(variables), cex_store, model_for)
 
         def holds(checks: list[Compiled], picks) -> bool:
             """Whether ``checks`` hold at every stored counterexample with
@@ -984,7 +1013,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 return True
             for tv, term in picks:
                 tv.term = term
-            return all(all(check(batch, batch_models)) for check in checks)
+            return all(all(check(batch, batch_rows)) for check in checks)
 
         # Each task's terms of a size that pass its own constraints; within
         # a pass the store is fixed, so a term is screened once.

@@ -555,9 +555,11 @@ def test_stable_digests_are_unchanged(parts, digest):
     assert stable_u64(*parts) == digest
 
 
-def opt_value_error(path, name, value):
+def opt_value_error(path, name, value, pos="0:0"):
+    """The diagnostic of an out-of-range value: at ``pos``, its
+    ``set-options`` command's position, or at 0:0 for a flag."""
     least = {"max-term-size": 1, "uf-model-count": 1}.get(name, 0)
-    return f"{path}:0:0: E-OPT-VALUE: option '{name}' needs a value >= {least}, got \"{value}\"\n"
+    return f"{path}:{pos}: E-OPT-VALUE: option '{name}' needs a value >= {least}, got \"{value}\"\n"
 
 
 @pytest.mark.parametrize(
@@ -584,15 +586,41 @@ def test_out_of_range_flag_is_rejected(tmp_path, name, value):
     [("max-term-size", "0"), ("uf-model-count", "0"), ("timeout-seconds", "nan")],
 )
 def test_out_of_range_set_option_is_rejected(tmp_path, name, value):
+    # The set-options command is the second line of the file.
     path = spec_path(tmp_path, f'(set-options (({name} "{value}")))\n')
     got = run_cli("solve", path)
-    assert got == (EXIT_STATIC, "", opt_value_error(path, name, value))
+    assert got == (EXIT_STATIC, "", opt_value_error(path, name, value, "2:1"))
 
 
 def test_unconvertible_option_is_rejected(tmp_path):
-    code, out, err = run_cli("solve", "--seed", "x", spec_path(tmp_path))
-    assert (code, out) == (EXIT_STATIC, "")
-    assert err.endswith("E-OPT-VALUE: option 'seed' needs a int value, got \"x\"\n")
+    path = spec_path(tmp_path)
+    got = run_cli("solve", "--seed", "x", path)
+    assert got == (
+        EXIT_STATIC, "", f"{path}:0:0: E-OPT-VALUE: option 'seed' needs an int value, got \"x\"\n"
+    )
+
+
+def test_a_bad_set_option_is_reported_at_its_command(tmp_path):
+    # Two set-options commands; the bad value is the second pair of the
+    # second, which starts at column 3 of line 3.
+    options = (
+        '(set-options ((grid-radius "2")))\n'
+        '  (set-options ((max-term-size "3") (seed "x")))\n'
+    )
+    path = spec_path(tmp_path, options)
+    got = run_cli("solve", path)
+    assert got == (
+        EXIT_STATIC, "", f"{path}:3:3: E-OPT-VALUE: option 'seed' needs an int value, got \"x\"\n"
+    )
+    # The file's values are read before the flags, so a flag for the same
+    # option does not hide the file's bad value.
+    got = run_cli("solve", "--seed", "y", path)
+    assert got == (
+        EXIT_STATIC, "", f"{path}:3:3: E-OPT-VALUE: option 'seed' needs an int value, got \"x\"\n"
+    )
+    # A flag's bad value has no position.
+    got = run_cli("solve", "--max-term-size", "0", spec_path(tmp_path, options.replace("x", "1")))
+    assert got == (EXIT_STATIC, "", opt_value_error(path, "max-term-size", "0"))
 
 
 def test_flag_wins_over_the_file(tmp_path):

@@ -3,11 +3,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sygus import solver
@@ -15,6 +15,7 @@ from sygus.checker import R_BOOL, R_INT, FuncEntry, RBitVec, REnum
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
+    Rows,
     TermValues,
     UFModel,
     UF_INT_HI,
@@ -24,14 +25,23 @@ from sygus.evaluator import (
     VEnum,
     VInt,
     VReal,
+    _encode,
+    _payload_for_sort,
     boxer,
     columns,
     compile_term,
     eval_term,
+    stable_u64,
 )
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
-from sygus.solver import Counterexample, SolverConfig, enumerate_terms, expand_shorthands
+from sygus.solver import (
+    GRID_POINT_CAP,
+    Counterexample,
+    SolverConfig,
+    enumerate_terms,
+    expand_shorthands,
+)
 
 from conftest import (
     FIXTURES,
@@ -145,8 +155,9 @@ def test_model_query_is_memoized_and_consistent():
     m = UFModel(UF_DECLS, 7)
     first = m.query(0, (VInt(3),))
     assert m.query(0, (VInt(3),)) == first
-    # Keyed by the declaration's index and the argument payloads.
-    assert m.memo == {(0, 3): first.value}
+    # One memo per declaration index; a unary function's is keyed by the
+    # bare argument payload.
+    assert m.memo == [{3: first.value}]
 
 
 def test_model_results_stay_in_range():
@@ -231,6 +242,43 @@ def test_functional_consistency_in_terms(uf_pair_problem):
             assert eval_term(t, {"x": VInt(x)}, env) == VBool(True)
 
 
+# Every sampled sort, a nullary and a wide function: each result must be the
+# digest of the seed, the name and the encoded arguments.
+COLOR = REnum("Color", ("Red", "Green", "Blue"))
+DIGEST_DECLS = (
+    FuncEntry("u", "uf", (R_INT,), R_INT, index=0),
+    FuncEntry("u", "uf", (R_BOOL,), R_BOOL, index=1),
+    FuncEntry("h", "uf", (R_INT, RBitVec(4)), RBitVec(4), index=2),
+    FuncEntry("paint", "uf", (COLOR,), COLOR, index=3),
+    FuncEntry("k", "uf", (), R_INT, index=4),
+    FuncEntry("wide", "uf", (RBitVec(70), R_BOOL, R_INT), RBitVec(70), index=5),
+)
+
+
+def payloads(sort):
+    if sort == R_INT:
+        return st.integers()
+    if sort == R_BOOL:
+        return st.booleans()
+    if isinstance(sort, RBitVec):
+        return st.integers(0, (1 << sort.width) - 1)
+    return st.sampled_from(sort.constructors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_model_results_are_the_digests_of_their_arguments(seed, data):
+    # One model answers every query, so each derivation copies a digest
+    # state that earlier derivations copied too.
+    model = UFModel(DIGEST_DECLS, seed)
+    for _ in range(data.draw(st.integers(1, 12))):
+        decl = data.draw(st.sampled_from(DIGEST_DECLS))
+        args = tuple(data.draw(payloads(s)) for s in decl.arg_sorts)
+        u = stable_u64(seed, decl.name, *map(_encode, decl.arg_sorts, args))
+        boxed = tuple(boxer(s)(a) for s, a in zip(decl.arg_sorts, args))
+        assert model.query(decl.index, boxed) == boxer(decl.ret)(_payload_for_sort(decl.ret, u))
+
+
 # -- macros -------------------------------------------------------------------
 
 MACRO_PROBLEM = load_problem(
@@ -308,13 +356,13 @@ def test_a_macro_and_a_synthesis_function_share_a_name():
     assert [eval_term(both, p, walker) for p in points] == list(map(VInt, expected))
     variables = dict(problem.universal_vars)
     cols = columns(list(variables), [tuple(p[n].value for n in variables) for p in points])
-    models = [None] * len(points)
-    assert compile_term(both, EvalEnv(problem, {"g": body}), variables)(cols, models) == expected
+    rows = Rows([(None, len(points))])
+    assert compile_term(both, EvalEnv(problem, {"g": body}), variables)(cols, rows) == expected
     env = EvalEnv(problem)
     values = TermValues(task, env)
     values.term = body
     env.set_values("g", values)
-    assert compile_term(both, env, variables)(cols, models) == expected
+    assert compile_term(both, env, variables)(cols, rows) == expected
 
 
 # -- the compiled evaluator against the walker ----------------------------------
@@ -328,17 +376,17 @@ def interleaved(points, seeds):
 
 def column_values(fns, sorts, names, rows, models, batch):
     """Per row, the values of the column functions ``fns``, taken in
-    batches of ``batch`` rows; a row is a point and the seed of its model.
-    Each column of payloads is boxed with its function's static sort, from
-    ``sorts``."""
+    batches of ``batch`` rows; a row is a point and the seed of its model,
+    and neighbouring rows with one seed form a run.  Each column of payloads
+    is boxed with its function's static sort, from ``sorts``."""
     out = []
     for start in range(0, len(rows), batch):
         chunk = rows[start:start + batch]
         cols = columns(names, [tuple(point[n].value for n in names) for point, _ in chunk])
-        values = [
-            list(map(boxer(sort), f(cols, [models[seed] for _, seed in chunk])))
-            for f, sort in zip(fns, sorts)
-        ]
+        runs = Rows([
+            (models[seed], len(list(run))) for seed, run in groupby(seed for _, seed in chunk)
+        ])
+        values = [list(map(boxer(sort), f(cols, runs))) for f, sort in zip(fns, sorts)]
         out.extend(map(list, zip(*values)))
     return out
 
@@ -450,14 +498,15 @@ def test_verify_agrees_with_plain_verify(name):
         assert store == plain_store
 
 
-def uf_sum_wrong_under_the_second_model(indices):
+def uf_sum_wrong_under_the_second_model(indices, cfg=VERIFY_CFG):
     """A uf_sum candidate that is wrong at the grid points of ``indices``
-    under the second sampled model only: at each it adds to ``(+ a b)`` an
-    amount that the first model maps to the same value and the second does
-    not."""
+    under the second sampled model of ``cfg`` only: at each it adds to
+    ``(+ a b)`` an amount that the first model maps to the same value and
+    the second does not."""
     problem = load_problem(UF_SUM)
-    points = grid_points(problem, VERIFY_CFG)
-    models = fresh_models(problem, (0, 1))
+    points = grid_points(problem, cfg)
+    first, second = cfg.seed, cfg.seed + 1
+    models = fresh_models(problem, (first, second))
 
     def agrees(seed, m, n):
         return models[seed].query(0, (VInt(m),)) == models[seed].query(0, (VInt(n),))
@@ -468,7 +517,7 @@ def uf_sum_wrong_under_the_second_model(indices):
         total = point["a"].value + point["b"].value
         delta = next(
             d for d in range(1, 10_000)
-            if agrees(0, total, total + d) and not agrees(1, total, total + d)
+            if agrees(first, total, total + d) and not agrees(second, total, total + d)
         )
         at = " ".join(f"(= {n} {v.value})" for n, v in point.items())
         body = f"(ite (and {at}) (+ (+ a b) {delta}) {body})"
@@ -477,9 +526,12 @@ def uf_sum_wrong_under_the_second_model(indices):
 
 def test_verify_reports_the_first_failure_under_a_later_model():
     # Under the second model, grid points 300 and 350 are rows 925 and 975 of
-    # the grid's stream (625 points per model).  Chunks double from one row
-    # to solver.CHUNK_CAP (256), so both lie inside the chunk of rows
-    # 767-1022, off its boundaries.
+    # the grid's stream (625 points per model).  A chunk holds one more row
+    # than the stream has checked, up to solver.CHUNK_CAP (256), and ends at
+    # each model's last point: the first model's rows are chunks of 1, 2,
+    # 4, ..., 256 and 114 rows, the second's three chunks from row 625, 881
+    # and 1137.  So both lie inside the chunk of rows 881-1136, off its
+    # boundaries.
     assert solver.CHUNK_CAP == 256
     problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
     store, plain_store = [], []
@@ -487,6 +539,27 @@ def test_verify_reports_the_first_failure_under_a_later_model():
     assert got == plain_verify(candidate, problem, VERIFY_CFG, plain_store)
     assert got == Counterexample(points[300], 1)
     assert store == plain_store == [(points[300], 1)]
+
+
+# The grid of radius 5 over four variables has 11 ** 4 points, past
+# GRID_POINT_CAP: a model's chunks end at its 10,000th.
+CAPPED_CFG = SolverConfig(grid_radius=5, uf_model_count=3, random_samples=16)
+
+
+@pytest.mark.parametrize(
+    "cfg, index",
+    [(VERIFY_CFG, 0), (CAPPED_CFG, 0), (CAPPED_CFG, GRID_POINT_CAP - 1)],
+    ids=["first-point", "first-point-capped", "last-capped-point"],
+)
+def test_verify_reports_a_failure_at_the_edge_of_a_model(cfg, index):
+    # Wrong under the second model only, at the point that starts its first
+    # chunk or ends its last.
+    problem, candidate, points = uf_sum_wrong_under_the_second_model([index], cfg)
+    store, plain_store = [], []
+    got = solver.verify(candidate, problem, cfg, store)
+    assert got == plain_verify(candidate, problem, cfg, plain_store)
+    assert got == Counterexample(points[index], cfg.seed + 1)
+    assert store == plain_store
 
 
 TWO_BOUNDS = """
@@ -684,6 +757,61 @@ def test_compiled_terms_agree_with_the_walker(sort_and_text, points, seed, batch
         problem, CANDIDATE, [generated], [RESOLVED[sort]], points, (seed, seed + 1), (1, batch)
     )
     assert by_columns == [walked, walked]
+
+
+# Unary and binary functions, and one name at Int, Bool and (BitVec 4): the
+# payloads 1, true and #x1 are equal as Python objects, so a memo shared by
+# the overloads would answer them alike.
+UF_APPLICATIONS = load_problem(
+    """
+(declare-fun u (Int) Int)
+(declare-fun u (Bool) Int)
+(declare-fun u ((BitVec 4)) Int)
+(declare-fun w (Int (BitVec 4)) Bool)
+(declare-var x Int)
+(declare-var p Bool)
+(declare-var v (BitVec 4))
+(constraint (w (+ (u x) (u p)) v))
+(check-synth)
+"""
+)
+UF_TERMS = [
+    term("(u x)"), term("(u p)"), term("(u v)"), term("(w x v)"),
+    term("(u (w (u x) v))"), term("(w (+ (u p) (u v)) (bvadd v #x1))"),
+]
+UF_TERM_SORTS = [R_INT, R_INT, R_INT, R_BOOL, R_INT, R_BOOL]
+
+
+@settings(max_examples=150, deadline=None)
+@example(rows=[(1, True, 1, 0)] * 3, one_model=True, seed=0, batch=3)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-2, 2), st.booleans(), st.integers(0, 15), st.integers(0, 2)),
+        min_size=1, max_size=20,
+    ),
+    one_model=st.booleans(),
+    seed=st.integers(0, 2**64 - 3),
+    batch=st.integers(1, 8),
+)
+def test_compiled_uf_applications_agree_with_queries(rows, one_model, seed, batch):
+    # A row's model is the seed plus its drawn offset, or the seed alone when
+    # every row shares one model.  ``column_values`` makes neighbouring rows
+    # with one model a run: one run per batch when they all share it, runs
+    # of mixed lengths otherwise.
+    rows = [
+        ({"x": VInt(x), "p": VBool(p), "v": VBV(4, v)}, seed + (0 if one_model else k))
+        for x, p, v, k in rows
+    ]
+    seeds = sorted({s for _, s in rows})
+    variables = dict(UF_APPLICATIONS.universal_vars)
+    env = EvalEnv(UF_APPLICATIONS)
+    fns = [compile_term(t, env, variables) for t in UF_TERMS]
+    models = fresh_models(UF_APPLICATIONS, seeds)
+    got = column_values(fns, UF_TERM_SORTS, list(variables), rows, models, batch)
+    walker_models = fresh_models(UF_APPLICATIONS, seeds)
+    assert got == walked_values(UF_TERMS, rows, EvalEnv(UF_APPLICATIONS), walker_models)
+    # Each model records the points that the walker's queries record.
+    assert tables(models, seeds) == tables(walker_models, seeds)
 
 
 def test_a_call_with_no_candidate_fails_in_both_evaluators():
