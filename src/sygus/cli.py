@@ -296,17 +296,15 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     from .checker import CheckError
 
-    flags = [
-        (name, getattr(args, field), NO_POS)
+    flags = {
+        name: (name, getattr(args, field), NO_POS)
         for name, (field, *_) in _OPTIONS.items()
         if getattr(args, field) is not None
-    ]
+    }
+    # A flag wins over the file: it replaces the file's pairs of its option.
+    options = [o for o in problem.options if o[0] not in flags] + list(flags.values())
     try:
-        cfg = apply_set_options(
-            problem.options, SolverConfig(), verbose_out=err if args.verbose else None
-        )
-        # CLI flags win over set-options from the file.
-        cfg = apply_set_options(flags, cfg)
+        cfg = apply_set_options(options, SolverConfig(), verbose_out=err if args.verbose else None)
     except CheckError as e:
         d = e.diagnostic
         err.write(_diag_line(args.input, d.pos, d.code, d.message))

@@ -16,14 +16,14 @@ the public edge takes and gives: ``eval_term``, ``Assignment``,
 ``UFModel.query``, and the solver's counterexamples.  Everything inside
 computes with payloads: ``compile_term`` resolves every node's sort once,
 so a column holds payloads of one sort, and a compiled term never boxes;
-a function bound by ``EvalEnv.set_values`` and ``TermValues`` take and
-give payloads too.  ``boxer`` turns a payload of a known sort into its
-value where one leaves for the public edge.
+a function bound by ``EvalEnv.set_values`` takes and gives payloads too.
+``boxer`` turns a payload of a known sort into its value where one leaves
+for the public edge.
 
-A term can be evaluated three ways, with one semantics: ``THEORY_OPS`` holds
+A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator as a function of payloads,
-``EvalEnv.resolve`` decides what an application calls, and every
-evaluator is call-by-value, so they make the same uninterpreted-function
+``EvalEnv.resolve`` decides what an application calls, and both
+evaluators are call-by-value, so they make the same uninterpreted-function
 queries.  ``resolve`` looks the application's name and argument sorts up
 in the checker's table of declared functions (``CheckedProblem.funcs``),
 where a synthesis function calls its one binding in the environment: a
@@ -32,7 +32,8 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
 - ``eval_term`` walks the term at every evaluation and resolves each
   application by the sorts of its argument values; it unboxes the
   arguments of each built-in operator and boxes its result.  It is the
-  reference that the other two are tested against.
+  reference that ``compile_term`` is tested against, and the search does
+  not call it.
 - ``compile_term`` resolves every application once, from the sorts of the
   checked term, and returns one column function per node: it maps a batch
   of rows to the node's payloads at every row, with one list operation per
@@ -48,19 +49,14 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
   ``EvalEnv.set_values`` maps its function over the argument columns.
   Compiling costs more than one walk, but each later batch skips the walk,
   the dispatch and the operator lookup, and pays each node's call once per
-  batch rather than once per row.  The solver runs every constraint
-  evaluation this way: ``verify`` on chunks of its grid, each one run,
-  and of its stored and random rows, each a run of one row; the screens on
-  the stored counterexamples.  The compiler keeps its work on an explicit
-  stack, so a deep term costs it no interpreter stack; a compiled term
-  then nests about one call per level.
-- ``TermValues`` evaluates the enumerated bodies of a synthesis function
-  bound into compiled constraints (``EvalEnv.set_values``).  It memoizes
-  each node's payload per binding of the function's parameters, so a
-  hash-consed term is computed from its subterms' stored payloads, which
-  suits many terms built from shared subterms and evaluated at a few
-  points: the solver keys its term tables by these payloads and screens
-  its enumerated terms this way.
+  batch rather than once per row.  The solver runs every evaluation this
+  way: ``verify`` on chunks of its grid, each one run, and of its stored
+  and random rows, each a run of one row; the screens on the stored
+  counterexamples; and the term tables on the invocation points, where a
+  production compiled with its holes as variables gives a new term's
+  column from its children's columns (see ``solver.TermTable``).  The
+  compiler keeps its work on an explicit stack, so a deep term costs it no
+  interpreter stack; a compiled term then nests about one call per level.
 """
 
 from __future__ import annotations
@@ -85,7 +81,6 @@ from .checker import (
     R_INT,
     R_REAL,
     ResolvedSort,
-    SynthTask,
     TheorySignature,
 )
 from .syntax import (
@@ -393,7 +388,12 @@ class EvalEnv:
     def set_values(self, name: Symbol, fn: Callable[..., Payload]) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
         in place of a candidate body: ``fn`` takes the argument payloads
-        and returns the result's payload."""
+        and returns the result's payload.  A term compiled afterwards maps
+        ``fn`` over the argument columns, one call per row.  The solver's
+        screens bind each task to its current term this way: to a lookup
+        of the term's column in its table by the index of the argument
+        tuple among the invocation points, or, where calls nest, to the
+        term compiled on its own and evaluated at one row."""
         self._bound[name] = fn
 
     def resolve(
@@ -563,8 +563,8 @@ _Part = tuple[Compiled, ResolvedSort]
 
 def columns(names: Sequence[Symbol], points: Sequence[tuple[Payload, ...]]) -> Columns:
     """The columns of a batch of ``points``, each a tuple of the payloads of
-    ``names``, transposed in C."""
-    return dict(zip(names, zip(*points)))
+    ``names``, transposed in C; with no points, each column is empty."""
+    return dict(zip(names, zip(*points) if points else repeat(())))
 
 
 def compile_term(
@@ -744,135 +744,3 @@ def _parallel_let(names: list[Symbol], fns: list[Compiled], body: Compiled) -> C
         return body(inner, r)
 
     return let
-
-
-#: The one row at which ``TermValues`` evaluates a compiled macro body.
-_ONE_ROW = Rows([(None, 1)])
-
-
-# ---------------------------------------------------------------------------
-# Values of enumerated terms
-
-
-class TermValues:
-    """One synthesis function's enumerated terms as the function that its
-    applications call (see ``EvalEnv.set_values``), memoized per node.
-
-    ``term`` is the body an application evaluates; it is set before each
-    evaluation.  ``__call__`` takes the argument payloads and gives the
-    result's payload, and ``at`` takes tuples of argument payloads; no
-    value is boxed.  A node's payload, and its sort as a number, are kept
-    by the node's identity.  A binding (the parameters' payloads, extended
-    inside a let body with the let-bound names' payloads) keys a memo from
-    ``id(node)`` to the node's payload.  A node missing from it is computed
-    from its children's memoized payloads by the rules ``eval_term``
-    applies, so a term whose subterms were evaluated before costs one
-    application per new binding.
-    What an application computes is resolved once per head and tuple of
-    argument sorts; a tuple of sort numbers hashes in C.  A binding needs
-    no sampled model as part of its key, because grammars and macros may
-    not call uninterpreted functions.
-
-    The terms must come from a hash-consed ``TermTable`` that outlives this
-    memo, so that no identity is reused.
-    """
-
-    def __init__(self, task: SynthTask, env: EvalEnv):
-        self.term: Optional[Term] = None
-        self._env = env
-        named = list(task.params) + list(task.lets)
-        #: A binding is a tuple of payloads, one slot per name; a let-bound
-        #: name outside its let body holds ``None``.
-        self._slots = {n: i for i, (n, _) in enumerate(named)}
-        self._unbound = (None,) * len(task.lets)
-        self._memos: dict[tuple, dict[int, Payload]] = {}
-        #: The sorts met so far, by number.
-        self._sorts: list[ResolvedSort] = []
-        self._numbers: dict[ResolvedSort, int] = {}
-        self._slot_sorts = [self._number(s) for _, s in named]
-        #: Each evaluated node's sort number, by identity.
-        self._sort_of: dict[int, int] = {}
-        #: What an application computes from its argument payloads, and
-        #: its sort number, by its head and its arguments' sort numbers.
-        self._ops: dict[tuple, tuple[Callable[..., Payload], int]] = {}
-
-    def __call__(self, *args: Payload) -> Payload:
-        return self._value(self.term, *self._memo(args + self._unbound))
-
-    def at(self, points: list[tuple[Payload, ...]]) -> Callable[[Term], tuple[Payload, ...]]:
-        """The function from a term with no free let-bound name to its
-        payloads at each argument tuple of ``points``: a class key.  Terms
-        of one sort have equal keys exactly when they have equal values,
-        and the key's payloads hash in C."""
-        memos = [self._memo(args + self._unbound) for args in points]
-        value = self._value
-        return lambda t: tuple([value(t, binding, memo) for binding, memo in memos])
-
-    def _number(self, sort: ResolvedSort) -> int:
-        number = self._numbers.get(sort)
-        if number is None:
-            number = self._numbers[sort] = len(self._sorts)
-            self._sorts.append(sort)
-        return number
-
-    def _memo(self, binding: tuple) -> tuple[tuple, dict[int, Payload]]:
-        memo = self._memos.get(binding)
-        if memo is None:
-            memo = self._memos[binding] = {}
-        return binding, memo
-
-    def _value(self, t: Term, binding: tuple, memo: dict[int, Payload]) -> Payload:
-        key = id(t)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        sort_of = self._sort_of
-        if isinstance(t, App):
-            args = [memo.get(id(a)) for a in t.args]
-            if None in args:
-                args = [self._value(a, binding, memo) for a in t.args]
-            signature = (t.head, *[sort_of[id(a)] for a in t.args])
-            op, number = self._ops.get(signature) or self._op(signature)
-            v = op(*args)
-        elif isinstance(t, Ref):
-            slot = self._slots.get(t.name)
-            v = None if slot is None else binding[slot]
-            if v is None:
-                op, number = self._ops.get((t.name,)) or self._op((t.name,))
-                v = op()
-            else:
-                number = self._slot_sorts[slot]
-        elif isinstance(t, Lit):
-            v, sort = _literal(t.value, self._env.enums)
-            number = self._number(sort)
-        else:
-            assert isinstance(t, Let)
-            # Parallel semantics: every value is taken in the outer binding.
-            inner = list(binding)
-            for b in t.bindings:
-                inner[self._slots[b.name]] = self._value(b.value, binding, memo)
-            v = self._value(t.body, *self._memo(tuple(inner)))
-            number = sort_of[id(t.body)]
-        # One key object serves both tables.
-        sort_of[key] = number
-        memo[key] = v
-        return v
-
-    def _op(self, signature: tuple) -> tuple[Callable[..., Payload], int]:
-        """What an application of ``signature[0]`` to arguments of the sort
-        numbers ``signature[1:]`` computes from their payloads, and its
-        sort number, resolved and kept in ``_ops``: a built-in, or a
-        macro's body compiled once per environment.  Grammars call nothing
-        else."""
-        name, sorts = signature[0], tuple(self._sorts[n] for n in signature[1:])
-        env = self._env
-        hit = env.resolve(name, sorts)
-        if hit is None:
-            op, ret = _builtin(name, sorts)
-        else:
-            entry, macro = hit
-            assert entry.kind == "macro", f"a grammar calls '{name}'"
-            body, params, ret = _compiled_body(entry, macro, env), entry.params, entry.ret
-            op = lambda *args: body({p: (a,) for p, a in zip(params, args)}, _ONE_ROW)[0]
-        hit = self._ops[signature] = (op, self._number(ret))
-        return hit

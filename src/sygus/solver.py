@@ -12,10 +12,13 @@ the pruning of the classic enumerative SyGuS solvers (Alur et al.,
 - **Class key.**  An *invocation point* of a synthesis function is the
   argument tuple of one of its applications in the constraints, evaluated
   at one stored counterexample (an assignment and a UF seed).  The class
-  key of a term with no free let-bound name is the tuple of its values at
-  the function's invocation points, as payloads (the terms a non-terminal
-  lists share its sort), so each non-terminal of a ``TermTable`` lists
-  only the first term in canonical order with each tuple.
+  key of a term with no free let-bound name is its *column*: the tuple of
+  its payloads at the function's invocation points (the terms a
+  non-terminal lists share its sort), so each non-terminal of a
+  ``TermTable`` lists only the first term in canonical order with each
+  column.  The table computes a candidate's column from its children's
+  with its production compiled once, and builds the term only if the
+  column is new.
 - **Rebuild on a counterexample.**  The keys hold for one state of the
   store.  Each time ``verify`` stores a new counterexample, ``solve``
   builds its tables afresh and walks the rounds again from the first; every
@@ -44,28 +47,28 @@ means "no counterexample found within the configured budget", and it records
 that budget; it is a proof only when it is ``exhaustive``.
 
 Inside the solver a value is its payload (see ``evaluator``), and no
-compiled term boxes one.  Every constraint evaluation runs on the
-constraints compiled into column functions, which map a batch of rows,
-columns of payloads with the runs of rows that share a sampled model
-(``Rows``), to the payloads at every row: a constraint's column is a
-sequence of ``bool``, which ``_first_false`` and the screens read as it
-is.  ``verify`` compiles them once per call with the candidate inlined and
-evaluates chunks of up to ``CHUNK_CAP`` rows of the stored
-counterexamples, the grid and the random samples, whose values are drawn
-as payloads.  A grid chunk lies under one model, so it is one run: its
-points stream from ``itertools.product`` and are transposed to columns in
-C, and each uninterpreted-function application on it is one memo lookup
-mapped in C over its keys.  A stored or random row has a model of its
-own and is a run of one row.  The tables and screens
-evaluate each of many enumerated terms at the few invocation points, tuples
-of argument payloads, so they compile the constraints once per pass, with
-each synthesis function's applications bound to its ``TermValues``, and
-evaluate them on one batch: the store's rows.  A term's payload at a
-binding of its parameters comes from its subterms' memoized payloads, so a
-hash-consed term costs one operator application per new node and point.
-Values appear only at the public edge: a ``Counterexample`` and the rows
-of ``verify``'s ``cex_store`` hold an ``Assignment``, boxed from the
-failing row and unboxed once per pass into the store's batch.
+compiled term boxes one.  Every evaluation runs on terms compiled into
+column functions, which map a batch of rows, columns of payloads with the
+runs of rows that share a sampled model (``Rows``), to the payloads at
+every row: a constraint's column is a sequence of ``bool``, which
+``_first_false`` and the screens read as it is.  ``verify`` compiles the
+constraints once per call with the candidate inlined and evaluates chunks
+of up to ``CHUNK_CAP`` rows of the stored counterexamples, the grid and
+the random samples, whose values are drawn as payloads.  A grid chunk lies
+under one model, so it is one run: its points stream from
+``itertools.product`` and are transposed to columns in C, and each
+uninterpreted-function application on it is one memo lookup mapped in C
+over its keys.  A stored or random row has a model of its own and is a
+run of one row.  The screens compile the constraints once per pass, with
+each synthesis function's applications bound to its current term
+(``EvalEnv.set_values``), and evaluate them on one batch: the store's
+rows.  An application reads the term's column at the index of its
+argument tuple among the invocation points, so a screen evaluates no
+enumerated term; where calls nest, it evaluates the term, compiled once
+per table term, at its arguments.  Values appear only at the public edge:
+a ``Counterexample`` and the rows of ``verify``'s ``cex_store`` hold an
+``Assignment``, boxed from the failing row and unboxed once per pass into
+the store's batch.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -102,7 +105,6 @@ from .evaluator import (
     EvalEnv,
     Payload,
     Rows,
-    TermValues,
     UFModel,
     boxer,
     columns,
@@ -304,38 +306,102 @@ class _Deadline:
 
 
 class _Prod(Record):
-    __slots__ = ("template", "holes", "own_size")
+    """A production of a ``TermTable``: its template, the non-terminals of
+    its holes in fill order, its size without them, the let-bound names
+    bound around each hole, the template's own free let-bound names, and,
+    in a table with invocation points, its column as a function of its
+    holes' columns (``None`` where the template itself is open)."""
+
+    __slots__ = ("template", "holes", "own_size", "bound", "free", "column")
     template: GTerm
     holes: tuple[Symbol, ...]
     own_size: int
+    bound: tuple[frozenset[Symbol], ...]
+    free: frozenset[Symbol]
+    column: Optional[Callable[[list], Sequence[Payload]]]
 
-    def __init__(self, template: GTerm, holes: tuple[Symbol, ...], own_size: int) -> None:
+    def __init__(
+        self,
+        template: GTerm,
+        holes: tuple[Symbol, ...],
+        own_size: int,
+        bound: tuple[frozenset[Symbol], ...],
+        free: frozenset[Symbol],
+        column: Optional[Callable[[list], Sequence[Payload]]],
+    ) -> None:
         set_field(self, "template", template)
         set_field(self, "holes", holes)
         set_field(self, "own_size", own_size)
+        set_field(self, "bound", bound)
+        set_field(self, "free", free)
+        set_field(self, "column", column)
 
     @property
     def is_unit(self) -> bool:
         return self.own_size == 0
 
 
-def _find_holes(template: GTerm, nt_names: frozenset[Symbol]) -> tuple[Symbol, ...]:
-    out: list[Symbol] = []
+def _shape(
+    template: GTerm, nt_names: frozenset[Symbol], let_names: frozenset[Symbol]
+) -> tuple[tuple[Symbol, ...], tuple[frozenset[Symbol], ...], frozenset[Symbol]]:
+    """The holes of ``template`` in fill order, the let-bound names bound
+    around each, and the let-bound names free in the template itself."""
+    holes: list[Symbol] = []
+    bound: list[frozenset[Symbol]] = []
+    free: set[Symbol] = set()
 
-    def walk(node: GTerm) -> None:
+    def walk(node: GTerm, scope: frozenset[Symbol]) -> None:
         if isinstance(node, Ref):
             if node.name in nt_names:
-                out.append(node.name)
+                holes.append(node.name)
+                bound.append(scope)
+            elif node.name in let_names and node.name not in scope:
+                free.add(node.name)
         elif isinstance(node, App):
             for a in node.args:
-                walk(a)
+                walk(a, scope)
         elif isinstance(node, Let):
+            # Parallel bindings: the values are outside the names' scope.
             for b in node.bindings:
-                walk(b.value)
-            walk(node.body)
+                walk(b.value, scope)
+            walk(node.body, scope | {b.name for b in node.bindings})
 
-    walk(template)
-    return tuple(out)
+    walk(template, frozenset())
+    return tuple(holes), tuple(bound), frozenset(free)
+
+
+def _fill(
+    template: GTerm, fills: Iterator[Term], nt_names: frozenset[Symbol], interned: dict
+) -> Term:
+    """``template`` with its holes replaced by ``fills`` in order, each node
+    interned in ``interned`` under its head (or, for a leaf, its value) plus
+    the identities of its children; given an empty dict, a term built
+    afresh."""
+    if isinstance(template, Ref) and template.name in nt_names:
+        return next(fills)
+    if isinstance(template, App):
+        args = tuple([_fill(a, fills, nt_names, interned) for a in template.args])
+        key = (template.head, *map(id, args))
+        term = interned.get(key)
+        if term is None:
+            term = interned[key] = App(template.head, args, template.pos)
+        return term
+    if isinstance(template, Let):
+        bindings = tuple([
+            Binding(b.name, b.sort, _fill(b.value, fills, nt_names, interned))
+            for b in template.bindings
+        ])
+        body = _fill(template.body, fills, nt_names, interned)
+        key = [Let, id(body)]
+        for b in bindings:
+            key += (b.name, b.sort, id(b.value))
+        key = tuple(key)
+        term = interned.get(key)
+        if term is None:
+            term = interned[key] = Let(bindings, body, template.pos)
+        return term
+    # A leaf is its own key; hashing one does not recurse.
+    return interned.setdefault(template, template)
 
 
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -360,49 +426,86 @@ class TermTable:
     productions of each size level.  A non-terminal lists a term only if it
     lists no earlier term, of any size, with the same *class key*:
 
-    - ``key(term)`` for a term with no free let-bound name, when a ``key``
-      function is given.  The solver gives the term's values at the
-      invocation points, as payloads (see ``solve``), so two terms that
-      agree on them are one class: observational equivalence;
+    - in a table given invocation ``points``, the *column* of a term with
+      no free let-bound name: its payloads at the argument tuples of
+      ``points``, a tuple (an empty one when there are no points).  Two
+      terms that agree on it are one class: observational equivalence.
+      Each production is compiled once with ``compile_term`` in ``env``,
+      with the task's ``params`` as variables, whose columns are the
+      points', and its holes as variables of their non-terminals' sorts.
+      A term whose children are all closed gets its column from one call
+      on the children's columns; a closed term over an open child, such as
+      a grammar ``let`` whose body uses the bound name, from its own
+      compiled function;
     - otherwise the term's identity, so every distinct term is listed once.
       A term with a free let-bound name is open: its value depends on the
-      let that binds the name, so it is never merged with another.
+      let that binds the name, so it is never merged with another.  A table
+      without points, as ``enumerate_terms`` and problems with nested calls
+      use, keys every term so.
 
-    Every node the table builds is interned under its head (or, for a
-    leaf, its value) plus the identities of its children, so structurally
-    equal terms are one object: ``is`` decides equality, and a memo may be
-    keyed by ``id(term)`` while the table is alive.  Each interned node
-    that has free let-bound names has them recorded, computed from its
-    children's when it is built.
+    A column is computed before its term is built, and the term is built
+    only if its non-terminal lists no term of that column, so the table
+    holds no node outside its listed terms.  Every node the table builds is
+    interned under its head (or, for a leaf, its value) plus the identities
+    of its children, so structurally equal terms are one object: ``is``
+    decides equality, and a memo may be keyed by ``id(term)`` while the
+    table is alive.  Each listed term that has free let-bound names has
+    them recorded, computed from its children's.
     """
 
     def __init__(
         self,
         g: ExpandedGrammar,
         deadline: Optional[_Deadline] = None,
-        key: Optional[Callable[[Term], Hashable]] = None,
+        env: Optional[EvalEnv] = None,
+        params: Sequence[tuple[Symbol, ResolvedSort]] = (),
+        points: Optional[Sequence[tuple[Payload, ...]]] = None,
     ):
         self.g = g
         self._nt_names = frozenset(g.nts)
         self._deadline = deadline if deadline is not None else _Deadline(None)
-        self._key = key
         self._interned: dict[object, Term] = {}
-        #: The free let-bound names of each interned node that has any, by
+        #: The free let-bound names of each listed term that has any, by
         #: identity; equal name sets are one object.
         self._free: dict[int, frozenset[Symbol]] = {}
         self._name_sets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         #: The class keys of the terms each non-terminal lists.
         self._classes: dict[Symbol, set[Hashable]] = {name: set() for name in g.order}
+        #: The column of each listed closed term, by identity.
+        self._columns: dict[int, tuple[Payload, ...]] = {}
+        self._env = env
+        self._params = dict(params)
+        #: Whether closed terms are keyed by their columns: an
+        #: observational-equivalence (OE) table.
+        self._oe = points is not None
+        if self._oe:
+            self._batch = columns(list(self._params), points)
+            self._rows = Rows([(None, len(points))])
         self.prods: dict[Symbol, list[_Prod]] = {}
         for name in g.order:
-            compiled = []
-            for template in g.nts[name].productions:
-                holes = _find_holes(template, self._nt_names)
-                compiled.append(_Prod(template, holes, term_size(template) - len(holes)))
-            self.prods[name] = compiled
+            self.prods[name] = [self._prod(t) for t in g.nts[name].productions]
         self.tables: dict[tuple[Symbol, int], list[Term]] = {}
         self._built = 0
         self._closed: dict[tuple[Symbol, int], list[Term]] = {}
+
+    def _prod(self, template: GTerm) -> _Prod:
+        holes, bound, free = _shape(template, self._nt_names, self.g.let_names)
+        column = None
+        if self._oe and not free:
+            # Hole i is the variable "(hole i)", which no symbol spells.
+            names = [f"(hole {i})" for i in range(len(holes))]
+            variables = dict(self._params)
+            variables.update((n, self.g.nts[h].sort) for n, h in zip(names, holes))
+            body = _fill(template, map(Ref, names), self._nt_names, {})
+            compiled = compile_term(body, self._env, variables)
+            batch, rows = self._batch, self._rows
+
+            def column(cols: list[tuple[Payload, ...]]) -> Sequence[Payload]:
+                batch.update(zip(names, cols))
+                return compiled(batch, rows)
+
+        own_size = term_size(template) - len(holes)
+        return _Prod(template, holes, own_size, bound, free, column)
 
     def exact(self, nt: Symbol, size: int) -> list[Term]:
         while self._built < size:
@@ -424,66 +527,43 @@ class TermTable:
             self._closed[key] = kept
         return self._closed[key]
 
-    def _new(self, key: object, term: Term) -> Term:
-        """Intern ``term`` under ``key`` and record its free let-bound
-        names, which its children's give."""
-        self._interned[key] = term
-        if isinstance(term, App):
-            free = self._free_in(term.args)
-        elif isinstance(term, Let):
-            # Parallel bindings: the values are outside the names' scope.
-            bound = frozenset(b.name for b in term.bindings)
-            free = self._free_in([b.value for b in term.bindings])
-            free |= self._free_in([term.body]) - bound
-        elif isinstance(term, Ref) and term.name in self.g.let_names:
-            free = frozenset((term.name,))
-        else:
-            return term
-        if free:
-            self._free[id(term)] = self._name_sets.setdefault(free, free)
-        return term
+    def column(self, term: Term) -> tuple[Payload, ...]:
+        """The column of ``term``, a listed closed term of a table with
+        invocation points."""
+        return self._columns[id(term)]
 
-    def _free_in(self, terms: list[Term]) -> frozenset[Symbol]:
-        free = self._free
-        if not free:
-            return frozenset()
-        return frozenset().union(*[free.get(id(t), ()) for t in terms])
-
-    def _fill(self, template: GTerm, fills: Iterator[Term]) -> Term:
-        """Intern ``template`` with its holes replaced by ``fills`` in order."""
-        if isinstance(template, Ref) and template.name in self._nt_names:
-            return next(fills)
-        if isinstance(template, App):
-            args = tuple([self._fill(a, fills) for a in template.args])
-            key = (template.head, *map(id, args))
-            term = self._interned.get(key)
-            return term or self._new(key, App(template.head, args, template.pos))
-        if isinstance(template, Let):
-            bindings = tuple(
-                Binding(b.name, b.sort, self._fill(b.value, fills))
-                for b in template.bindings
-            )
-            body = self._fill(template.body, fills)
-            key = [Let, id(body)]
-            for b in bindings:
-                key += (b.name, b.sort, id(b.value))
-            key = tuple(key)
-            return self._interned.get(key) or self._new(key, Let(bindings, body, template.pos))
-        # A leaf is its own key; hashing one does not recurse.
-        return self._interned.get(template) or self._new(template, template)
-
-    def _list(self, nt: Symbol, out: list[Term], term: Term) -> bool:
-        """Append ``term`` to ``out`` unless ``nt`` lists its class."""
-        if self._key is None or id(term) in self._free:
-            key: Hashable = id(term)
-        else:
-            key = self._key(term)
+    def _offer(self, nt: Symbol, out: list[Term], prod: _Prod, picks: tuple[Term, ...]) -> None:
+        """List the term of ``prod`` with ``picks`` in its holes in ``nt``,
+        unless ``nt`` lists its class; build it only then."""
+        free, over_open = prod.free, False
+        if self._free:
+            for p, bound in zip(picks, prod.bound):
+                names = self._free.get(id(p))
+                if names:
+                    over_open = True
+                    free = free | (names - bound)
         classes = self._classes[nt]
-        if key in classes:
-            return False
+        if free or not self._oe:
+            term = _fill(prod.template, iter(picks), self._nt_names, self._interned)
+            key: Hashable = id(term)
+            if key in classes:
+                return
+            if free:
+                self._free[key] = self._name_sets.setdefault(free, free)
+        else:
+            if over_open:
+                whole = _fill(prod.template, iter(picks), self._nt_names, {})
+                column = compile_term(whole, self._env, self._params)(self._batch, self._rows)
+            else:
+                cols = self._columns
+                column = prod.column([cols[id(p)] for p in picks])
+            key = tuple(column)
+            if key in classes:
+                return
+            term = _fill(prod.template, iter(picks), self._nt_names, self._interned)
+            self._columns[id(term)] = key
         classes.add(key)
         out.append(term)
-        return True
 
     def _build_level(self, size: int) -> None:
         tick = self._deadline.tick
@@ -497,19 +577,25 @@ class TermTable:
                     pools = [self.tables[(h, c)] for h, c in zip(prod.holes, comp)]
                     for picks in product(*pools):
                         tick()
-                        self._list(name, out, self._fill(prod.template, iter(picks)))
-        # Close unit productions at this level until stable.
+                        self._offer(name, out, prod, picks)
+        # Close unit productions at this level until stable: a listed term
+        # keeps its class key in every non-terminal.
         changed = True
         while changed:
             changed = False
             for name in self.g.order:
                 out = self.tables[(name, size)]
+                classes = self._classes[name]
                 for prod in self.prods[name]:
                     if not prod.is_unit:
                         continue
                     for t in list(self.tables[(prod.holes[0], size)]):
                         tick()
-                        changed |= self._list(name, out, t)
+                        key = self._columns.get(id(t), id(t))
+                        if key not in classes:
+                            classes.add(key)
+                            out.append(t)
+                            changed = True
         self._built = size
 
 
@@ -931,12 +1017,57 @@ def _batch(
     return columns(names, points), Rows([(model_for(seed), 1) for _, seed in rows])
 
 
+class _ByColumn:
+    """A synthesis function bound to the current term of its table with
+    invocation points: an application at an argument tuple reads the
+    term's column at the index of that tuple among the points."""
+
+    def __init__(self, table: TermTable, points: list[tuple[Payload, ...]]):
+        self._table = table
+        self._index = {args: i for i, args in enumerate(points)}
+        self._column: tuple[Payload, ...] = ()
+
+    def set(self, term: Term) -> None:
+        self._column = self._table.column(term)
+
+    def __call__(self, *args: Payload) -> Payload:
+        return self._column[self._index[args]]
+
+
+#: One row with no sampled model: grammar terms call no uninterpreted
+#: function.
+_ONE_ROW = Rows([(None, 1)])
+
+
+class _ByTerm:
+    """A synthesis function bound to the current term of its plain table,
+    where calls nest and so its argument tuples depend on the candidate: an
+    application evaluates the term at its arguments.  Each term is compiled
+    once, over the task's parameters; the terms must be those of a table
+    that outlives this binding, so that no identity is reused."""
+
+    def __init__(self, task: SynthTask, env: EvalEnv):
+        self._env = env
+        self._params = dict(task.params)
+        self._compiled: dict[int, Compiled] = {}
+        self._term: Optional[Compiled] = None
+
+    def set(self, term: Term) -> None:
+        compiled = self._compiled.get(id(term))
+        if compiled is None:
+            compiled = self._compiled[id(term)] = compile_term(term, self._env, self._params)
+        self._term = compiled
+
+    def __call__(self, *args: Payload) -> Payload:
+        return self._term(dict(zip(self._params, zip(args))), _ONE_ROW)[0]
+
+
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     """Search candidate tuples in budget rounds; deterministic for a fixed
     problem and configuration.
 
     The search runs in passes, one per state of the counterexample store.
-    A pass builds the term tables afresh, keyed by the values at the
+    A pass builds the term tables afresh, keyed by the columns at the
     store's invocation points (tables keyed by identity are built once),
     and walks the rounds from the first until ``verify`` either passes a
     tuple or stores a new counterexample.  Every tuple walked before it
@@ -976,31 +1107,32 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         return models[seed]
 
     variables = problem.universal_vars
+    # The tables compile their productions, and the screens the constraints,
+    # in one environment; each pass binds the tasks anew.
+    env = EvalEnv(problem)
     points = plain = None
     if _nested_calls(problem.constraints, name_set):
-        # Identity keys do not depend on the store: one table serves every
-        # pass.
+        # Identity keys do not depend on the store: one table, and one
+        # binding of compiled terms, serves every pass.
         plain = [TermTable(g, deadline) for g in grammars]
+        by_term = [_ByTerm(t, env) for t in tasks]
     else:
         points = _InvocationPoints(problem, cfg, model_for)
 
     def search() -> Optional[Solved]:
         """One pass: a solution, or ``None`` once the store has grown or
         every tuple is walked."""
-        # One environment binds every task to its term values, whose memos
-        # the screens share and which die with the pass's tables.
-        env = EvalEnv(problem)
-        values = [TermValues(t, env) for t in tasks]
-        for t, tv in zip(tasks, values):
-            env.set_values(t.name, tv)
         if plain is not None:
-            tables = plain
+            tables, bound = plain, by_term
         else:
             at = points.at(cex_store)
             tables = [
-                TermTable(g, deadline, tv.at(at[t.name]))
-                for g, t, tv in zip(grammars, tasks, values)
+                TermTable(g, deadline, env, t.params, at[t.name])
+                for g, t in zip(grammars, tasks)
             ]
+            bound = [_ByColumn(table, at[t.name]) for table, t in zip(tables, tasks)]
+        for t, b in zip(tasks, bound):
+            env.set_values(t.name, b)
         solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
         joint_checks = [compile_term(c, env, variables) for c in joint]
         # Within a pass the store is fixed: one batch of its rows.
@@ -1011,8 +1143,8 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
             each task of ``picks`` bound to its term."""
             if not cex_store:
                 return True
-            for tv, term in picks:
-                tv.term = term
+            for b, term in picks:
+                b.set(term)
             return all(all(check(batch, batch_rows)) for check in checks)
 
         # Each task's terms of a size that pass its own constraints; within
@@ -1024,7 +1156,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 kept = []
                 for term in tables[i].closed("Start", size):
                     deadline.tick()
-                    if holds(solo_checks[i], [(values[i], term)]):
+                    if holds(solo_checks[i], [(bound[i], term)]):
                         kept.append(term)
                 pools[(i, size)] = kept
             return pools[(i, size)]
@@ -1046,7 +1178,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                     continue
                 for picks in product(*row):
                     deadline.tick()
-                    if joint_checks and not holds(joint_checks, zip(values, picks)):
+                    if joint_checks and not holds(joint_checks, zip(bound, picks)):
                         continue
                     terms = dict(zip(names, picks))
                     result = verify(terms, problem, cfg, cex_store, _deadline=deadline)

@@ -600,7 +600,7 @@ def test_unconvertible_option_is_rejected(tmp_path):
     )
 
 
-def test_a_bad_set_option_is_reported_at_its_command(tmp_path):
+def test_a_bad_set_option_is_reported_at_its_command(tmp_path, monkeypatch):
     # Two set-options commands; the bad value is the second pair of the
     # second, which starts at column 3 of line 3.
     options = (
@@ -612,12 +612,16 @@ def test_a_bad_set_option_is_reported_at_its_command(tmp_path):
     assert got == (
         EXIT_STATIC, "", f"{path}:3:3: E-OPT-VALUE: option 'seed' needs an int value, got \"x\"\n"
     )
-    # The file's values are read before the flags, so a flag for the same
-    # option does not hide the file's bad value.
-    got = run_cli("solve", "--seed", "y", path)
-    assert got == (
-        EXIT_STATIC, "", f"{path}:3:3: E-OPT-VALUE: option 'seed' needs an int value, got \"x\"\n"
-    )
+    # A flag wins over the file: the file's bad value of the same option is
+    # never read, and the solve runs with the flag's value and the file's
+    # other values.
+    configs = []
+    original = cli.solve
+    monkeypatch.setattr(cli, "solve", lambda p, cfg: configs.append(cfg) or original(p, cfg))
+    got = run_cli("solve", "--seed", "3", path)
+    assert got == (EXIT_OK, "(define-fun f ((x Int)) Int x)\n", "")
+    assert [(c.seed, c.grid_radius, c.max_term_size) for c in configs] == [(3, 2, 3)]
+    monkeypatch.undo()
     # A flag's bad value has no position.
     got = run_cli("solve", "--max-term-size", "0", spec_path(tmp_path, options.replace("x", "1")))
     assert got == (EXIT_STATIC, "", opt_value_error(path, "max-term-size", "0"))

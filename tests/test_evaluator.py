@@ -16,7 +16,6 @@ from sygus.evaluator import (
     EvalEnv,
     EvalError,
     Rows,
-    TermValues,
     UFModel,
     UF_INT_HI,
     UF_INT_LO,
@@ -39,6 +38,7 @@ from sygus.solver import (
     GRID_POINT_CAP,
     Counterexample,
     SolverConfig,
+    TermTable,
     enumerate_terms,
     expand_shorthands,
 )
@@ -358,11 +358,17 @@ def test_a_macro_and_a_synthesis_function_share_a_name():
     cols = columns(list(variables), [tuple(p[n].value for n in variables) for p in points])
     rows = Rows([(None, len(points))])
     assert compile_term(both, EvalEnv(problem, {"g": body}), variables)(cols, rows) == expected
+    # The screens' bindings of g to its current term: its column in a table
+    # at the invocation points, and the term compiled on its own.
     env = EvalEnv(problem)
-    values = TermValues(task, env)
-    values.term = body
-    env.set_values("g", values)
-    assert compile_term(both, env, variables)(cols, rows) == expected
+    at = [(x,) for x in (-1, 3)]
+    table = TermTable(expand_shorthands(task, problem, SolverConfig()), None, env, task.params, at)
+    [listed] = [t for t in table.closed("Start", 4) if t == body]
+    assert table.column(listed) == (1, 5)
+    for binding in (solver._ByColumn(table, at), solver._ByTerm(task, env)):
+        binding.set(listed)
+        env.set_values("g", binding)
+        assert compile_term(both, env, variables)(cols, rows) == expected
 
 
 # -- the compiled evaluator against the walker ----------------------------------
@@ -460,12 +466,14 @@ DIFFERENTIAL_PROBLEMS = {
 }
 
 
-def candidate_tuples(problem, cfg):
-    """Every term up to size 4 of every task, the pools cycled together."""
-    pools = {
-        t.name: list(enumerate_terms(expand_shorthands(t, problem, cfg), "Start", 4))
-        for t in problem.synth_tasks
-    }
+def candidate_tuples(problem, cfg, pools=None):
+    """Every term of ``pools``, by default every term up to size 4 of every
+    task, the pools cycled together."""
+    if pools is None:
+        pools = {
+            t.name: list(enumerate_terms(expand_shorthands(t, problem, cfg), "Start", 4))
+            for t in problem.synth_tasks
+        }
     for i in range(max(map(len, pools.values()))):
         yield {n: pool[i % len(pool)] for n, pool in pools.items()}
 
@@ -618,21 +626,45 @@ TERM_VALUE_PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(TERM_VALUE_PROBLEMS))
 def test_acceptance_c6_term_values_agree_with_the_walker(name):
+    """The values the search gives its terms, against the walker: each
+    listed closed term's column in a table at the invocation points of the
+    store (and at none), and the constraints with every task bound as the
+    screens bind it to its current term."""
     problem = load_problem(TERM_VALUE_PROBLEMS[name])
     cfg = SolverConfig(grid_radius=2)
     rows = interleaved(grid_points(problem, cfg), (0, 1))
+    at = solver._InvocationPoints(problem, cfg, fresh_models(problem, (0, 1)).get).at(rows)
     env = EvalEnv(problem)
-    # One memo per task for the whole run, as in a solve.
-    values = {t.name: TermValues(t, env) for t in problem.synth_tasks}
-    for task, tv in values.items():
-        env.set_values(task, tv)
+    tables, pools = {}, {}
+    for task in problem.synth_tasks:
+        g = expand_shorthands(task, problem, cfg)
+        for points in ([], at[task.name]):
+            table = tables[task.name] = TermTable(g, None, env, task.params, points)
+            boxers = [boxer(s) for _, s in task.params]
+            bindings = [
+                {n: box(p) for (n, _), box, p in zip(task.params, boxers, point)}
+                for point in points
+            ]
+            for nt, size in product(g.order, range(1, 5)):
+                for t in table.closed(nt, size):
+                    assert table.column(t) == tuple(eval_term(t, b, env).value for b in bindings)
+        pools[task.name] = [t for size in range(1, 5) for t in table.closed("Start", size)]
+    if solver._nested_calls(problem.constraints, frozenset(tables)):
+        # The arguments depend on the candidate: each term is evaluated.
+        bound = {t.name: solver._ByTerm(t, env) for t in problem.synth_tasks}
+        candidates = candidate_tuples(problem, cfg)
+    else:
+        bound = {n: solver._ByColumn(tables[n], at[n]) for n in tables}
+        candidates = candidate_tuples(problem, cfg, pools)
+    for task, binding in bound.items():
+        env.set_values(task, binding)
     variables = dict(problem.universal_vars)
     checks = [compile_term(c, env, variables) for c in problem.constraints]
     sorts = [R_BOOL] * len(checks)
-    for candidates in candidate_tuples(problem, cfg):
-        walker = EvalEnv(problem, candidates)
-        for task, body in candidates.items():
-            values[task].term = body
+    for candidate in candidates:
+        walker = EvalEnv(problem, candidate)
+        for task, body in candidate.items():
+            bound[task].set(body)
         walker_models = fresh_models(problem, (0, 1))
         walked = walked_values(problem.constraints, rows, walker, walker_models)
         for batch in (1, 96):

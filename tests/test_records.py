@@ -131,7 +131,7 @@ FIELDS = {
     },
     solver: {
         "ExpandedGrammar": ("nts", "order", "let_names"),
-        "_Prod": ("template", "holes", "own_size"),
+        "_Prod": ("template", "holes", "own_size", "bound", "free", "column"),
         "Valid": ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive"),
         "Counterexample": ("assignment", "uf_seed"),
         "Solved": ("terms", "evidence"),
@@ -207,7 +207,10 @@ SAMPLES = [
     VBV(4, 9),
     VEnum("Color", "Red"),
     ExpandedGrammar({"Start": CHECKED_START}, ("Start",), frozenset({"z"})),
-    _Prod(App("+", (Ref("Start"), Ref("Start"))), ("Start", "Start"), 1),
+    _Prod(
+        App("+", (Ref("Start"), Ref("Start"))), ("Start", "Start"), 1,
+        (frozenset(), frozenset()), frozenset(), None,
+    ),
     VALID,
     Counterexample({"x": VInt(2)}, 7),
     Solved({"f": X}, VALID),
@@ -374,7 +377,8 @@ def test_repr(record, text):
 def test_properties_and_checks_kept():
     assert BVConst(4, 5).bits == "0101"
     assert VEnum("Color", "Red").value == "Red"
-    assert _Prod(Ref("x"), (), 0).is_unit and not _Prod(Ref("S"), ("S",), 1).is_unit
+    unit = _Prod(Ref("x"), (), 0, (), frozenset(), None)
+    assert unit.is_unit and not _Prod(Ref("S"), ("S",), 1, (frozenset(),), frozenset(), None).is_unit
     assert Valid(5, 9, 0, 0, False).truncated and not VALID.truncated
     assert RReal() == RReal() and str(RBool()) == "Bool"
     with pytest.raises(ValueError):

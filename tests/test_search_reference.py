@@ -82,16 +82,9 @@ NESTED_THROUGH_LET = """
 (check-synth)
 """
 
-# A let grammar with a solution that needs the let: (let ((z (+ x y))) (+ z z)).
-LET_DOUBLE_SUM = """
-(set-logic LIA)
-(synth-fun f ((x Int) (y Int)) Int
-   ((Start Int (x y z (+ Start Start) (let ((z Int Start)) Start)))))
-(declare-var x Int)
-(declare-var y Int)
-(constraint (= (f x y) (+ (+ x y) (+ x y))))
-(check-synth)
-"""
+# A let grammar whose search lists closed terms over terms with a free z,
+# such as (let ((z Int (+ x y))) (+ z z)).
+LET_DOUBLE_SUM = (FIXTURES / "let_double_sum.sl").read_text()
 
 
 @pytest.mark.parametrize(
@@ -124,9 +117,12 @@ def test_nested_calls_are_detected():
 
 # Small LIA grammars over x and y: a Start and an Other Int non-terminal
 # that may reach each other by unit productions, and a Bool non-terminal.
-# Start always has a leaf and two other productions, in any order.
+# Start always has a leaf and two other productions, in any order; it may
+# apply the macro inc, and may have a let with its bound name as a leaf.
 LEAVES = ["x", "y", "0", "1"]
-START = ["(+ Start Start)", "(- Start Start)", "(ite B Start Start)", "Other", "(+ Other 1)"]
+START = ["(+ Start Start)", "(- Start Start)", "(ite B Start Start)", "Other", "(+ Other 1)",
+         "(inc Start)"]
+LET = ["z", "(let ((z Int Start)) Start)"]
 OTHER = ["x", "y", "1", "Start", "(- Other x)", "(ite B Other x)"]
 BOOL = ["(<= Start Start)", "(not B)", "(and B B)", "(= Other Start)", "true"]
 
@@ -138,6 +134,8 @@ def productions(choices, min_size=1):
 @st.composite
 def grammar(draw, name):
     start = draw(productions(LEAVES)) + draw(productions(START, min_size=2))
+    if draw(st.booleans()):
+        start += LET
     start = " ".join(draw(st.permutations(start)))
     other, bool_ = (" ".join(draw(productions(p))) for p in (OTHER, BOOL))
     return (
@@ -149,7 +147,8 @@ def grammar(draw, name):
 
 
 def spec(synth_funs: list[str], constraints: list[str]) -> str:
-    lines = ["(set-logic LIA)", *synth_funs, "(declare-var x Int)", "(declare-var y Int)"]
+    lines = ["(set-logic LIA)", "(define-fun inc ((n Int)) Int (+ n 1))", *synth_funs]
+    lines += ["(declare-var x Int)", "(declare-var y Int)"]
     lines += [f"(constraint {c})" for c in constraints]
     return "\n".join(lines + ["(check-synth)"])
 

@@ -333,6 +333,27 @@ def test_tables_keep_one_term_per_value_vector(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec, max_size", [(LIA_ITE_UNSOLVABLE, 8), (MAX3, 6)], ids=["lia_ite", "max3"]
+)
+def test_an_oe_table_holds_only_nodes_of_listed_terms(monkeypatch, spec, max_size):
+    """A table keyed by columns builds a term only once its column is new:
+    every node it interns is a subterm of a term it lists."""
+    made = []
+
+    class Recorded(TermTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "TermTable", Recorded)
+    assert solve(load_problem(spec), SolverConfig(max_term_size=max_size)) == Fail("exhausted")
+    assert len(made) >= 2
+    for table in made:
+        listed = {id(n) for terms in table.tables.values() for t in terms for n in subterms(t)}
+        assert {id(n) for n in table._interned.values()} <= listed
+
+
+@pytest.mark.parametrize(
     "spec, max_size", [(MAX3, 12), (LET_SUM_UNSOLVABLE, 13)]
 )
 def test_timeout_is_honoured_while_tables_grow(spec, max_size):
