@@ -5,7 +5,11 @@ Importing the package loads the lexer, parser, printer and
 ...) load ``sygus.checker`` on first use (PEP 562), and the solver's
 (``solve``, ``verify``, ``Solved``, ...) load ``sygus.solver`` and its
 evaluator, so a program that only parses or prints never pays for the
-checker, and one that only checks never pays for the solver.
+checker, and one that only checks never pays for the solver.  No
+subcommand loads ``dataclasses`` (and the ``inspect`` it imports): the
+records register with it when something reads their fields (see
+``syntax.Record``).  ``fractions`` loads at the first real literal, and
+``decimal`` only for an integer too long for ``str``.
 """
 
 from .config import SolverConfig

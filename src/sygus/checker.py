@@ -433,12 +433,16 @@ class CheckedProblem(Record):
     ``universal_vars`` maps each universal variable to its sort, in
     declaration order.  ``enums`` maps each defined sort name that resolves
     to an enum to that enum.  ``options`` holds each ``set-options`` pair in
-    source order, with the position of its command."""
+    source order, with the position of its command.  ``logic_pos`` is the
+    position of the ``set-logic`` command in force (``NO_POS`` if none), and
+    ``var_pos`` maps each universal variable to the position of its
+    ``declare-var``; like every position, neither takes part in ``==``."""
 
     __slots__ = (
         "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
-        "options", "sort_defs", "funcs", "enums",
+        "options", "sort_defs", "funcs", "enums", "logic_pos", "var_pos",
     )
+    _uncompared = ("logic_pos", "var_pos")
     sig: TheorySignature
     universal_vars: dict[Symbol, ResolvedSort]
     uf_decls: tuple[FuncEntry, ...]
@@ -448,6 +452,8 @@ class CheckedProblem(Record):
     sort_defs: dict[Symbol, SortExpr]
     funcs: dict[Symbol, tuple[FuncEntry, ...]]
     enums: dict[Symbol, REnum]
+    logic_pos: Pos
+    var_pos: dict[Symbol, Pos]
 
     def __init__(
         self,
@@ -460,6 +466,8 @@ class CheckedProblem(Record):
         sort_defs: dict[Symbol, SortExpr],
         funcs: dict[Symbol, tuple[FuncEntry, ...]],
         enums: dict[Symbol, REnum],
+        logic_pos: Pos,
+        var_pos: dict[Symbol, Pos],
     ) -> None:
         set_field(self, "sig", sig)
         set_field(self, "universal_vars", universal_vars)
@@ -470,6 +478,8 @@ class CheckedProblem(Record):
         set_field(self, "sort_defs", sort_defs)
         set_field(self, "funcs", funcs)
         set_field(self, "enums", enums)
+        set_field(self, "logic_pos", logic_pos)
+        set_field(self, "var_pos", var_pos)
 
     def resolve(self, sort: SortExpr) -> ResolvedSort:
         return resolve_sort(sort, self.sort_defs)
@@ -638,9 +648,11 @@ def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
 class _Session:
     def __init__(self) -> None:
         self.sig = TheorySignature(None)
+        self.logic_pos = NO_POS
         self.sort_defs: dict[Symbol, SortExpr] = {}
         self.enums: dict[Symbol, REnum] = {}
         self.vars: dict[Symbol, ResolvedSort] = {}
+        self.var_pos: dict[Symbol, Pos] = {}
         self.funcs: dict[Symbol, list[FuncEntry]] = {}
         self.ufs: list[FuncEntry] = []
         self.tasks: list[SynthTask] = []
@@ -811,6 +823,7 @@ def check_program(program: Program) -> CheckedProblem:
             if cmd.logic not in KNOWN_LOGICS:
                 _err("E-LOGIC-UNKNOWN", cmd.pos, f"unknown logic '{cmd.logic}'")
             session.sig = TheorySignature(cmd.logic)
+            session.logic_pos = cmd.pos
         elif isinstance(cmd, DefineSort):
             if cmd.name in session.sort_defs:
                 _err("E-SORT-REDEF", cmd.pos, f"sort '{cmd.name}' is already defined")
@@ -833,6 +846,7 @@ def check_program(program: Program) -> CheckedProblem:
                     f"variable '{cmd.name}' clashes with a 0-arity function",
                 )
             session.vars[cmd.name] = sort
+            session.var_pos[cmd.name] = cmd.pos
         elif isinstance(cmd, DeclareFun):
             arg_sorts = tuple(
                 resolve_sort(s, session.sort_defs) for s in cmd.arg_sorts
@@ -911,6 +925,8 @@ def check_program(program: Program) -> CheckedProblem:
                 sort_defs=dict(session.sort_defs),
                 funcs={name: tuple(es) for name, es in session.funcs.items()},
                 enums=dict(session.enums),
+                logic_pos=session.logic_pos,
+                var_pos=session.var_pos,
             )
         elif isinstance(cmd, SetOptions):
             session.options.extend((name, raw, cmd.pos) for name, raw in cmd.opts)

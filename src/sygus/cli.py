@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
 from .config import SolverConfig
@@ -148,7 +147,7 @@ def apply_set_options(
         # ``not >=`` also rejects NaN.
         if least is not None and not value >= least:
             _bad_option(pos, f"option '{name}' needs a value >= {least}, got \"{raw}\"")
-        cfg = replace(cfg, **{fieldname: value})
+        cfg = cfg.replace(**{fieldname: value})
     return cfg
 
 

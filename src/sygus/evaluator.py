@@ -63,11 +63,9 @@ from __future__ import annotations
 
 import operator
 from _blake2 import blake2b  # hashlib.blake2b itself; hashlib loads OpenSSL too
-from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .checker import (
     CheckedProblem,
@@ -99,6 +97,9 @@ from .syntax import (
     set_field,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # Sampled uninterpreted-function results: integers are drawn uniformly from
 # this small window so collisions (and hence counterexamples) show up fast.
 UF_INT_LO = -8
@@ -116,7 +117,7 @@ class EvalError(Exception):
 #: bit-vector, a ``bool`` for Bool, a ``Fraction`` for Real, and the
 #: constructor name for an enum.  The sort is known statically, so the
 #: payload alone determines the value.
-Payload = Union[int, bool, Fraction, Symbol]
+Payload = Union[int, bool, "Fraction", Symbol]
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +219,13 @@ def boxer(sort: ResolvedSort) -> Callable[[Payload], Value]:
 def _decimal(n: int) -> str:
     """The decimal numeral of ``n``.  ``str`` refuses an int past the
     interpreter's digit limit (4,300 by default), which arithmetic on long
-    numerals can reach; ``Decimal`` converts it exactly, with no limit."""
+    numerals can reach; ``Decimal`` converts it exactly, with no limit,
+    and is imported only then."""
     try:
         return str(n)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(n))
 
 

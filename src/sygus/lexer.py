@@ -32,8 +32,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Keywords that may never be used as identifiers.
 RESERVED_WORDS = frozenset(
@@ -76,7 +78,7 @@ class TokKind(Enum):
     ENUM = auto()
 
 
-TokValue = Union[None, str, int, bool, Fraction, tuple]
+TokValue = Union[None, str, int, bool, "Fraction", tuple]
 
 
 class Token(NamedTuple):
@@ -195,6 +197,10 @@ def _other_token(m: re.Match, kind: str, text: str, line: int, line_start: int) 
         whole, fraction = m["whole"], m["fraction"][1:]
         if not fraction:
             raise LexError(line, col, "expected digits after decimal point")
+        # Imported here, so that a file without a real literal never loads
+        # ``fractions`` and the ``decimal`` it imports.
+        from fractions import Fraction
+
         value = Fraction(_int(whole + fraction, line, col), 10 ** len(fraction))
         return Token(TokKind.REAL, -value if text[start] == "-" else value, line, col)
     if kind == "bv":

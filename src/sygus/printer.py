@@ -9,7 +9,6 @@ decimal expansion.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .syntax import (
@@ -50,6 +49,8 @@ from .syntax import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .checker import SynthTask
 
 

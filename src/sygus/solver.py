@@ -695,10 +695,15 @@ def _theory_gate(problem: CheckedProblem) -> None:
     evaluate every sort and literal of ``problem``."""
     gate = "E-THEORY-UNSUPPORTED"
     if problem.sig.logic in ("Reals", "Arrays"):
-        raise SolveError(gate, f"solving over the {problem.sig.logic} theory is not supported")
+        raise SolveError(
+            gate, f"solving over the {problem.sig.logic} theory is not supported", problem.logic_pos
+        )
     for name, sort in problem.universal_vars.items():
         if unsupported_sort(sort):
-            raise SolveError(gate, f"universal variable '{name}' has unsupported sort {sort}")
+            raise SolveError(
+                gate, f"universal variable '{name}' has unsupported sort {sort}",
+                problem.var_pos[name],
+            )
     # The declared functions in source order; ``funcs`` groups overloads by
     # name.
     entries = sorted(

@@ -9,10 +9,11 @@ let-bound names are compared literally, there is no alpha-equivalence).
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Symbol = str
 
@@ -23,8 +24,26 @@ Symbol = str
 #: Stores one field in a record's ``__init__``, past ``Record.__setattr__``.
 set_field = object.__setattr__
 
-#: Registers a record class with ``dataclasses`` and generates no method.
-_register = dataclass(init=False, repr=False, eq=False)
+
+class _Unregistered:
+    """The ``__dataclass_fields__`` of a record class not yet registered
+    with ``dataclasses``.  The first read registers the class, which puts
+    the real field table in the class's ``__dict__`` in place of this
+    descriptor, and returns that table."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+
+    def __get__(self, instance: object, owner: type) -> dict:
+        from dataclasses import dataclass
+
+        cls = self.cls
+        # Registering generates no method.  It reads the field tables of
+        # the bases first, which registers them in turn.
+        dataclass(init=False, repr=False, eq=False)(cls)
+        return cls.__dict__["__dataclass_fields__"]
 
 
 class Record:
@@ -42,12 +61,19 @@ class Record:
       the class's ``_uncompared``, and ``hash`` is the hash of the tuple of
       those fields;
     - the repr is ``Name(field=value, ...)`` over every field;
-    - assigning or deleting a field raises ``FrozenInstanceError``;
+    - assigning or deleting a field raises ``dataclasses``'
+      ``FrozenInstanceError``;
     - ``copy`` and ``pickle`` rebuild a record by calling its class with
-      its fields.
+      its fields;
+    - ``__match_args__`` lists the fields.
 
-    Each class is registered with ``dataclasses``, which generates nothing
-    for it here, so ``dataclasses.fields`` lists its fields.
+    Each class is registered with ``dataclasses`` on first use, which
+    generates nothing for it here: ``dataclasses.fields``,
+    ``dataclasses.is_dataclass`` and everything else that reads a class's
+    ``__dataclass_fields__`` registers it.  So a program that never asks
+    does not load ``dataclasses`` (nor the ``inspect`` it imports).  Each
+    class has that descriptor in its own ``__dict__``: a base's
+    registration must not hide the descriptor of its subclasses.
     """
 
     __slots__ = ()
@@ -67,10 +93,12 @@ class Record:
         #: The tuple of compared fields of a record of this class.
         cls._key = staticmethod(key)
         if cls.__doc__ is None:
-            # Else ``dataclasses`` writes one from ``inspect.signature``,
-            # which costs more than the rest of the registration.
+            # Else ``dataclasses`` writes one from ``inspect.signature`` when
+            # it registers the class, which costs more than the rest of the
+            # registration.
             cls.__doc__ = f"{cls.__name__}({', '.join(cls.__slots__)})"
-        _register(cls)
+        cls.__match_args__ = cls.__slots__
+        cls.__dataclass_fields__ = _Unregistered(cls)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -88,9 +116,13 @@ class Record:
         return type(self), tuple([getattr(self, f) for f in self.__slots__])
 
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,16 @@ from sygus.checker import check_program
 from sygus.parser import parse_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child(*args):
+    """The stdout lines of ``python -c *args`` in a fresh interpreter."""
+    p = subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60, check=True,
+    )
+    return p.stdout.splitlines()
 
 # What ``print_solution`` prints: one line per define-fun.
 EXPECTED_MAX2_MIN2 = """\

@@ -20,6 +20,7 @@ from conftest import (
     FIXTURES,
     LIA_ITE_UNSOLVABLE,
     UF_SUM,
+    child,
 )
 
 
@@ -234,17 +235,19 @@ def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
 
 
 # One program per branch of the solver's theory gate, its message, and the
-# position it is reported at: a function at its declaring command, a literal
-# where it stands.  The checked problem keeps no position of a universal
-# variable or of the logic.  Literals in macro bodies are found in the order
-# the macros are declared, whatever their names.
+# position it is reported at: the logic at its set-logic command, a
+# universal variable or a function at its declaring command, a literal where
+# it stands.  Literals in macro bodies are found in the order the macros are
+# declared, whatever their names.
 @pytest.mark.parametrize(
     "text, message, pos",
     [
-        ("(set-logic Reals)\n(declare-var x Real)\n(constraint (= x x))\n(check-synth)\n",
-         "solving over the Reals theory is not supported", "0:0"),
-        ("(declare-var a (Array Int Int))\n(constraint (= a a))\n(check-synth)\n",
-         "universal variable 'a' has unsupported sort (Array Int Int)", "0:0"),
+        ("; reals\n  (set-logic Reals)\n(declare-var x Real)\n(constraint (= x x))\n"
+         "(check-synth)\n",
+         "solving over the Reals theory is not supported", "2:3"),
+        ("(declare-var x Int)\n  (declare-var a (Array Int Int))\n(constraint (= a a))\n"
+         "(check-synth)\n",
+         "universal variable 'a' has unsupported sort (Array Int Int)", "2:3"),
         ("(declare-fun r (Real) Int)\n(constraint (= (r 1.5) (r 1.5)))\n(check-synth)\n",
          "uninterpreted function 'r' has an unsupported sort", "1:1"),
         ("(synth-fun f ((x Real)) Int ((Start Int (0))))\n(constraint (= (f 1.0) 0))\n"
@@ -328,17 +331,20 @@ def test_overlong_numeral_is_a_lex_error(tmp_path):
     assert err == f"{path}:3:18: E-LEX: numeral of 5000 digits is too long\n"
 
 
+LONG_NUMERAL_UF_QUERY = (
+    "(set-logic LIA)\n(declare-fun uf (Int) Int)\n"
+    "(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))\n"
+    f"(declare-var x Int)\n(constraint (= (uf (* 10 {'7' * 4300})) (uf (f x))))\n"
+    "(check-synth)\n"
+)
+
+
 def test_uf_query_past_the_int_string_limit_is_answered(tmp_path):
     # A 4,300-digit numeral lexes; ten times it has 4,301 digits, which the
     # interpreter will not convert with str().  The sampled model hashes it
     # all the same, and the search runs to its size cap.
     path = tmp_path / "long.sl"
-    path.write_text(
-        "(set-logic LIA)\n(declare-fun uf (Int) Int)\n"
-        "(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))\n"
-        f"(declare-var x Int)\n(constraint (= (uf (* 10 {'7' * 4300})) (uf (f x))))\n"
-        "(check-synth)\n"
-    )
+    path.write_text(LONG_NUMERAL_UF_QUERY)
     assert run_cli("solve", "--max-term-size", "5", str(path)) == (
         EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 5\n"
     )
@@ -423,33 +429,36 @@ def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand
         assert p.stdout.count("(App not ") == 480
 
 
-# Runs one CLI call, its output discarded, and prints its exit code and then
-# the modules the interpreter holds.
-MODULES_AFTER_RUN = """
+# Runs CLI calls one after the other, each argument the words of one call
+# joined by newlines, and prints the repr of the list of their (exit code,
+# stdout, stderr) and then the modules the interpreter holds.
+CALLS_THEN_MODULES = """
 import io, sys
 from sygus.cli import run
-print(run(sys.argv[1:], io.StringIO(), io.StringIO()))
+results = []
+for call in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    results.append((run(call.split("\\n"), out, err), out.getvalue(), err.getvalue()))
+print(repr(results))
 print(*sys.modules)
 """
 
 
-def child(*args):
-    """The stdout lines of ``python -c *args`` in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    p = subprocess.run(
-        [sys.executable, "-c", *args], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True,
-    )
-    return p.stdout.splitlines()
+def calls_in_child(*calls):
+    """The (exit code, stdout, stderr) of each of ``calls``, argument lists
+    of the CLI, made one after the other in one fresh interpreter, and the
+    modules they loaded beyond those of a bare interpreter, whose site hooks
+    may load modules of their own."""
+    results, loaded = child(CALLS_THEN_MODULES, *["\n".join(map(str, c)) for c in calls])
+    [bare] = child("import sys; print(*sys.modules)")
+    return ast.literal_eval(results), set(loaded.split()) - set(bare.split())
 
 
 def modules_loaded_by(*argv):
     """The exit code of one CLI call in a fresh interpreter, and the modules
-    it loaded beyond those of a bare interpreter, whose site hooks may load
-    modules of their own."""
-    code, loaded = child(MODULES_AFTER_RUN, *argv)
-    [bare] = child("import sys; print(*sys.modules)")
-    return int(code), set(loaded.split()) - set(bare.split())
+    it loaded (see ``calls_in_child``)."""
+    [(code, _, _)], loaded = calls_in_child(argv)
+    return code, loaded
 
 
 @pytest.mark.parametrize("subcommand", ["check", "fmt", "parse"])
@@ -469,12 +478,64 @@ def test_solve_loads_no_openssl():
     assert "_hashlib" not in loaded
 
 
+#: Standard-library modules that no subcommand loads for an input without
+#: real literals: ``dataclasses`` (which loads ``inspect``, ``ast`` and
+#: ``dis``), and ``fractions`` with ``decimal``.
+NOT_AT_START_UP = {"dataclasses", "inspect", "fractions", "decimal"}
+
+
+def test_subcommands_load_no_dataclasses_inspect_fractions_or_decimal():
+    path = FIXTURES / "max2_min2.sl"
+    results, loaded = calls_in_child(*[(sub, path) for sub in ("parse", "fmt", "check", "solve")])
+    assert [code for code, _, _ in results] == [EXIT_OK] * 4
+    assert results[3][1] == FIXTURE_SOLUTIONS["max2_min2"]
+    assert "sygus.solver" in loaded
+    assert not loaded & NOT_AT_START_UP
+
+
+REAL_LITERALS = """(set-logic Reals)
+(declare-var x Real)
+(constraint (< -1.50 x))
+(constraint (=> (> x 0.0) (< (* 2.0 x) 12.125)))
+(constraint (distinct x (- 0.0 -0.05)))
+(check-synth)
+"""
+
+
+def test_real_literals_load_fractions_on_first_use(tmp_path):
+    # A fresh interpreter, since this one has loaded ``fractions`` already:
+    # the lexer imports it at the first real literal.
+    path = tmp_path / "reals.sl"
+    path.write_text(REAL_LITERALS)
+    (fmt, parse), loaded = calls_in_child(("fmt", path), ("parse", path))
+    assert fmt == (EXIT_OK, REAL_LITERALS.replace("-1.50", "-1.5"), "")
+    assert parse == (EXIT_OK, (
+        "(SetLogic Reals)\n"
+        "(DeclareVar x Real)\n"
+        "(Constraint (App < (Lit -1.5) (Ref x)))\n"
+        "(Constraint (App => (App > (Ref x) (Lit 0.0)) "
+        "(App < (App * (Lit 2.0) (Ref x)) (Lit 12.125))))\n"
+        "(Constraint (App distinct (Ref x) (App - (Lit 0.0) (Lit -0.05))))\n"
+        "(CheckSynth)\n"
+    ), "")
+    assert "fractions" in loaded
+
+
+def test_uf_query_past_the_int_string_limit_loads_decimal_on_first_use(tmp_path):
+    # As test_uf_query_past_the_int_string_limit_is_answered, in a fresh
+    # interpreter: the sampled model imports ``decimal`` to write the
+    # numeral of 4,301 digits.
+    path = tmp_path / "long.sl"
+    path.write_text(LONG_NUMERAL_UF_QUERY)
+    [result], loaded = calls_in_child(("solve", "--max-term-size", "5", path))
+    assert result == (EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 5\n")
+    assert "decimal" in loaded
+
+
 # Prints, for ``import sygus.cli`` and then for importing the checker and
 # the solver, each exec of generated source (code compiled from "<string>")
 # that defines functions: the module whose body made it, and the names of
-# the functions.  Python 3.13's dataclasses compiles one empty function for
-# every class it registers, even when it generates no method; that defines
-# nothing of the class and is not listed.
+# the functions.
 GENERATED_AT_IMPORT = """
 import sys
 
@@ -489,7 +550,7 @@ found = []
 
 def hook(event, args):
     if event == "exec" and getattr(args[0], "co_filename", None) == "<string>":
-        names = defined(args[0]) - {"__create_fn__"}
+        names = defined(args[0])
         frame = sys._getframe(1)
         while frame.f_code.co_name != "<module>":
             frame = frame.f_back
@@ -516,10 +577,10 @@ def test_no_generated_code_at_import():
         else:
             # Standard-library named tuples: one ``__new__`` each.
             assert names == ["<lambda>"], module
-    # What is left in the package: the ``SolverConfig`` dataclass, and the
-    # ``NamedTuple``s ``Token`` and ``Binding``.
+    # What is left in the package: the ``NamedTuple``s ``Token`` and
+    # ``Binding``.  No record is registered with ``dataclasses`` at import,
+    # so no Python version runs its code here.
     assert ours == {
-        "sygus.config": {"__init__", "__repr__", "__eq__"},
         "sygus.lexer": {"<lambda>"},
         "sygus.syntax": {"<lambda>"},
     }

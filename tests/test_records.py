@@ -1,8 +1,10 @@
-"""The immutable records of ``syntax``, ``checker``, ``evaluator`` and
-``solver`` behave as frozen dataclasses do: fields in declaration order,
-frozen, ``==`` and ``hash`` over the compared fields, the dataclass repr,
-and working ``copy`` and ``pickle``; and they have no ``__dict__``."""
+"""The immutable records of ``syntax``, ``checker``, ``evaluator``,
+``solver`` and ``config`` behave as frozen dataclasses do: fields in
+declaration order, frozen, ``==`` and ``hash`` over the compared fields, the
+dataclass repr, and working ``copy`` and ``pickle``; and they have no
+``__dict__``.  Each registers with ``dataclasses`` on first use."""
 
+import ast
 import copy
 import dataclasses
 import pickle
@@ -10,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from sygus import checker, evaluator, solver, syntax
+from sygus import checker, config, evaluator, solver, syntax
+from sygus.config import SolverConfig
 from sygus.checker import (
     R_BOOL,
     R_INT,
@@ -66,7 +69,7 @@ from sygus.syntax import (
     VariableOf,
 )
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ROOT, child
 
 # The fields of every record, in declaration order.
 FIELDS = {
@@ -118,7 +121,7 @@ FIELDS = {
         ),
         "CheckedProblem": (
             "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
-            "options", "sort_defs", "funcs", "enums",
+            "options", "sort_defs", "funcs", "enums", "logic_pos", "var_pos",
         ),
         "FuncEntry": ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos"),
     },
@@ -136,6 +139,12 @@ FIELDS = {
         "Counterexample": ("assignment", "uf_seed"),
         "Solved": ("terms", "evidence"),
         "Fail": ("reason",),
+    },
+    config: {
+        "SolverConfig": (
+            "max_term_size", "grid_radius", "random_samples", "uf_model_count", "seed",
+            "constant_pool", "timeout_seconds",
+        ),
     },
 }
 
@@ -198,7 +207,7 @@ SAMPLES = [
     CheckedProblem(
         None, {"x": R_INT}, (UF,), (TASK,), (X,), (("seed", "1"),), {},
         {"f": (FuncEntry("f", "synth", (R_INT,), R_INT, ("x",), pos=P),), "u": (UF,)},
-        {"Color": REnum("Color", ("Red",))},
+        {"Color": REnum("Color", ("Red",))}, P, {"x": P},
     ),
     FuncEntry("h", "macro", (R_INT,), R_BOOL, ("a",), X, pos=P),
     VInt(-3),
@@ -215,6 +224,7 @@ SAMPLES = [
     Counterexample({"x": VInt(2)}, 7),
     Solved({"f": X}, VALID),
     Fail("timeout"),
+    SolverConfig(),
 ]
 SAMPLE_IDS = [type(r).__name__ for r in SAMPLES]
 
@@ -231,10 +241,12 @@ def record_classes(module):
 
 def uncompared(record):
     """The fields ``==`` and ``hash`` leave out: the position of every
-    syntax node, non-terminal and declared function, and an enum sort's
-    constructors."""
+    syntax node, non-terminal, declared function, logic and universal
+    variable, and an enum sort's constructors."""
     if isinstance(record, REnum):
         return {"constructors"}
+    if isinstance(record, CheckedProblem):
+        return {"logic_pos", "var_pos"}
     if isinstance(record, (CheckedNT, FuncEntry)):
         return {"pos"}
     if type(record).__module__ == syntax.__name__ and "pos" in type(record).__slots__:
@@ -279,6 +291,72 @@ def test_fields_in_declaration_order(module):
         names = tuple(f.name for f in dataclasses.fields(cls))
         assert names == FIELDS[module][name]
         assert cls.__slots__ == names
+
+
+def bases_then_records_backwards():
+    """``module.Name`` of every base class of records, then of every record
+    class, the last declared first."""
+    bases, records = [], []
+    for module in FIELDS:
+        for name, cls in vars(module).items():
+            if (
+                isinstance(cls, type) and issubclass(cls, Record) and cls is not Record
+                and cls.__module__ == module.__name__
+            ):
+                (bases if cls.__subclasses__() else records).append(f"{module.__name__}.{name}")
+    return bases + records[::-1]
+
+
+# Prints the field names ``dataclasses.fields`` gives for each class named in
+# the arguments (``module.Name``), asked in that order.
+FIELDS_IN_ORDER = """
+import dataclasses, importlib, sys
+for arg in sys.argv[1:]:
+    module, name = arg.rsplit(".", 1)
+    cls = getattr(importlib.import_module(module), name)
+    print(repr(tuple(f.name for f in dataclasses.fields(cls))))
+"""
+
+
+def test_registration_on_first_use_in_any_order():
+    # A fresh interpreter, where no record is registered yet.  Registering a
+    # base first must not hide the fields of the records below it.
+    names = bases_then_records_backwards()
+    assert names[0] == "sygus.syntax.Literal" and "sygus.syntax.Term" in names
+    got = dict(zip(names, map(ast.literal_eval, child(FIELDS_IN_ORDER, *names))))
+    for module, fields in FIELDS.items():
+        for name in fields:
+            assert got.pop(f"{module.__name__}.{name}") == fields[name], name
+    # What is left are the bases, which have no fields.
+    assert set(got.values()) == {()}
+
+
+# Registers ``Term`` alone, then counts the nodes of a parsed file as the
+# benchmark's tracer does, through ``dataclasses.is_dataclass`` and
+# ``fields`` on the nodes.
+COUNT_NODES_AFTER_A_BASE = """
+import dataclasses, sys
+sys.path.insert(0, sys.argv[1])
+from tracing import count_nodes
+from sygus.parser import parse_text
+from sygus.syntax import Term
+assert dataclasses.fields(Term) == ()
+print(count_nodes(parse_text(open(sys.argv[2]).read())))
+"""
+
+
+@pytest.mark.parametrize("name, count", [("max2_min2", 106), ("uf_pair", 52), ("let_grammar", 28)])
+def test_tracer_counts_nodes_after_a_base_is_registered(name, count):
+    [got] = child(COUNT_NODES_AFTER_A_BASE, str(ROOT / "perfbench"), str(FIXTURES / f"{name}.sl"))
+    assert int(got) == count
+
+
+def test_config_replace():
+    cfg = SolverConfig(seed=4)
+    assert cfg.replace(seed=5, max_term_size=3) == SolverConfig(max_term_size=3, seed=5)
+    assert cfg.replace() == cfg and cfg.seed == 4
+    with pytest.raises(TypeError):
+        cfg.replace(no_such_field=1)
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
@@ -366,6 +444,11 @@ REPRS = [
     ),
     (VEnum("Color", "Red"), "VEnum(identity='Color', constructor='Red')"),
     (Fail("timeout"), "Fail(reason='timeout')"),
+    (
+        SolverConfig(),
+        "SolverConfig(max_term_size=12, grid_radius=5, random_samples=256, uf_model_count=32, "
+        "seed=0, constant_pool=(0, 1, -1, 2), timeout_seconds=None)",
+    ),
 ]
 
 
