@@ -583,7 +583,12 @@ def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
                 return entry.ret
         _err("E-UNBOUND", t.pos, f"'{t.name}' is not in scope")
     if isinstance(t, App):
-        args = tuple(type_of_term(a, scope) for a in t.args)
+        # A loop rather than a generator, which would spend a frame of its
+        # own per level.
+        sorts = []
+        for a in t.args:
+            sorts.append(type_of_term(a, scope))
+        args = tuple(sorts)
         for entry in scope.overloads(t.head):
             if entry.arg_sorts == args:
                 _check_func_use(entry, t.head, t.pos, scope)

@@ -195,7 +195,8 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Solved | Fail:
 def _evidence(v: Valid) -> str:
     """What a ``Valid`` verdict rests on, in one line."""
     if v.exhaustive:
-        return f"valid at all {v.grid_size} points of a finite domain: proved"
+        points = "the only point" if v.grid_size == 1 else f"all {v.grid_size} points"
+        return f"valid at {points} of a finite domain: proved"
     cut = " (truncated)" if v.truncated else ""
     models = f" under each of {v.uf_models} sampled UF models" if v.uf_models else ""
     return (

@@ -8,17 +8,17 @@ blake2 digest and kept in one memo per declaration (``UFModel.memo``), so
 the same tuple always maps to the same value regardless of query order or
 process.
 
-A value is a ``Value`` object, which carries its sort, or a bare payload
-(see ``Payload``): an ``int`` for Int and for a bit-vector, a ``bool``, a
-``Fraction`` for Real, or an enum's constructor name.  A payload means a
-value only together with a sort known from elsewhere.  Values are what
-the public edge takes and gives: ``eval_term``, ``Assignment``,
-``UFModel.query``, and the solver's counterexamples.  Everything inside
-computes with payloads: ``compile_term`` resolves every node's sort once,
-so a column holds payloads of one sort, and a compiled term never boxes;
-a function bound by ``EvalEnv.set_values`` takes and gives payloads too.
-``boxer`` turns a payload of a known sort into its value where one leaves
-for the public edge.
+A value is a ``Value(sort, value)``: a resolved sort and a payload (see
+``Payload``), which is an ``int`` for Int and for a bit-vector, a
+``bool``, a ``Fraction`` for Real, or an enum's constructor name.  A
+payload means a value only together with a sort known from elsewhere.
+Values are what the public edge takes and gives: ``eval_term``,
+``Assignment``, ``UFModel.query``, and the solver's counterexamples.
+Everything inside computes with payloads: ``compile_term`` resolves every
+node's sort once, so a column holds payloads of one sort, and a compiled
+term never boxes; a function bound by ``EvalEnv.set_values`` takes and
+gives payloads too.  A payload that leaves for the public edge is boxed
+with the sort it was computed at.
 
 A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator as a function of payloads,
@@ -50,9 +50,9 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
   Compiling costs more than one walk, but each later batch skips the walk,
   the dispatch and the operator lookup, and pays each node's call once per
   batch rather than once per row.  The solver runs every evaluation this
-  way: ``verify`` on chunks of its grid, each one run, and of its stored
-  and random rows, each a run of one row; the screens on the stored
-  counterexamples; and the term tables on the invocation points, where a
+  way: ``verify`` on chunks of its grid, each one run, and of its random
+  rows, each a run of one row; the screens on the stored counterexamples;
+  and the term tables on the invocation points, where a
   production compiled with its holes as variables gives a new term's
   column from its children's columns (see ``solver.TermTable``).  The
   compiler keeps its work on an explicit stack, so a deep term costs it no
@@ -74,7 +74,6 @@ from .checker import (
     REnum,
     RInt,
     RBool,
-    RReal,
     R_BOOL,
     R_INT,
     R_REAL,
@@ -125,91 +124,18 @@ Payload = Union[int, bool, "Fraction", Symbol]
 
 
 class Value(Record):
-    """A theory value.  Every value class has a ``value``: its payload."""
+    """A theory value: its resolved sort and its payload (see ``Payload``)."""
 
-    __slots__ = ()
+    __slots__ = ("sort", "value")
+    sort: ResolvedSort
+    value: Payload
 
-
-class VInt(Value):
-    __slots__ = ("value",)
-    value: int
-
-    def __init__(self, value: int) -> None:
+    def __init__(self, sort: ResolvedSort, value: Payload) -> None:
+        set_field(self, "sort", sort)
         set_field(self, "value", value)
-
-
-class VBool(Value):
-    __slots__ = ("value",)
-    value: bool
-
-    def __init__(self, value: bool) -> None:
-        set_field(self, "value", value)
-
-
-class VReal(Value):
-    __slots__ = ("value",)
-    value: Fraction
-
-    def __init__(self, value: Fraction) -> None:
-        set_field(self, "value", value)
-
-
-class VBV(Value):
-    __slots__ = ("width", "value")
-    width: int
-    value: int
-
-    def __init__(self, width: int, value: int) -> None:
-        set_field(self, "width", width)
-        set_field(self, "value", value)
-
-
-class VEnum(Value):
-    __slots__ = ("identity", "constructor")
-    identity: str
-    constructor: Symbol
-
-    def __init__(self, identity: str, constructor: Symbol) -> None:
-        set_field(self, "identity", identity)
-        set_field(self, "constructor", constructor)
-
-    @property
-    def value(self) -> Symbol:
-        return self.constructor
 
 
 Assignment = dict[Symbol, Value]
-
-#: The two Bool values; boxing a Bool payload returns one of these rather
-#: than build a new one, which is safe because values are immutable.
-_TRUTH = (VBool(False), VBool(True))
-
-
-def sort_of_value(v: Value) -> ResolvedSort:
-    if isinstance(v, VInt):
-        return R_INT
-    if isinstance(v, VBool):
-        return R_BOOL
-    if isinstance(v, VReal):
-        return R_REAL
-    if isinstance(v, VBV):
-        return RBitVec(v.width)
-    assert isinstance(v, VEnum)
-    return REnum(v.identity, ())
-
-
-def boxer(sort: ResolvedSort) -> Callable[[Payload], Value]:
-    """The function from a payload of ``sort`` to its value."""
-    if isinstance(sort, RInt):
-        return VInt
-    if isinstance(sort, RBool):
-        return _TRUTH.__getitem__
-    if isinstance(sort, RReal):
-        return VReal
-    if isinstance(sort, RBitVec):
-        return partial(VBV, sort.width)
-    assert isinstance(sort, REnum), f"no values of sort {sort}"
-    return partial(VEnum, sort.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +260,7 @@ class UFModel:
     def query(self, index: int, args: tuple[Value, ...]) -> Value:
         """The value of the function declared at ``index`` at ``args``."""
         key = args[0].value if len(args) == 1 else tuple([a.value for a in args])
-        return boxer(self.decls[index].ret)(self.memo[index][key])
+        return Value(self.decls[index].ret, self.memo[index][key])
 
 
 #: A batch of rows: each variable's payloads, one per row.
@@ -439,7 +365,7 @@ def eval_term(t: Term, assignment: Assignment, env: EvalEnv) -> Value:
     """Call-by-value evaluation of a checked term."""
     if isinstance(t, Lit):
         payload, sort = _literal(t.value, env.enums)
-        return boxer(sort)(payload)
+        return Value(sort, payload)
     if isinstance(t, Ref):
         v = assignment.get(t.name)
         if v is not None:
@@ -458,17 +384,17 @@ def eval_term(t: Term, assignment: Assignment, env: EvalEnv) -> Value:
 
 
 def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
-    sorts = tuple(map(sort_of_value, args))
+    sorts = tuple([a.sort for a in args])
     hit = env.resolve(name, sorts)
     if hit is None:
         op, ret = _builtin(name, sorts)
-        return boxer(ret)(op(*[a.value for a in args]))
+        return Value(ret, op(*[a.value for a in args]))
     entry, body = hit
     if entry.kind == "uf":
         assert env.model is not None, "uninterpreted function without a model"
         return env.model.query(entry.index, args)
     if not isinstance(body, Term):
-        return boxer(entry.ret)(body(*[a.value for a in args]))
+        return Value(entry.ret, body(*[a.value for a in args]))
     return eval_term(body, dict(zip(entry.params, args)), env)
 
 
@@ -582,8 +508,8 @@ def compile_term(
     ``Rows``, the row count and the runs of rows that share a model, and
     returns the term's payload at each row.  Every
     node's sort is resolved here, so the payloads of a column share one
-    sort, which the caller knows from the term: ``boxer`` of it turns the
-    column into values.  On a checked term whose free names are
+    sort, which the caller knows from the term and boxes a payload with.
+    On a checked term whose free names are
     ``variables``, with their sorts, the value at a row is what
     ``eval_term`` gives at the row's assignment with ``env.model`` set to
     the row's model, and each model is queried at the points ``eval_term``

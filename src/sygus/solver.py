@@ -20,10 +20,10 @@ the pruning of the classic enumerative SyGuS solvers (Alur et al.,
   with its production compiled once, and builds the term only if the
   column is new.
 - **Rebuild on a counterexample.**  The keys hold for one state of the
-  store.  Each time ``verify`` stores a new counterexample, ``solve``
-  builds its tables afresh and walks the rounds again from the first; every
-  tuple walked before fails at a stored counterexample, so the walk goes on
-  from the same tuple as before.
+  store.  Each time ``verify`` returns a new counterexample, ``solve``
+  stores it, builds its tables afresh and walks the rounds again from the
+  first; every tuple walked before fails at a stored counterexample, so the
+  walk goes on from the same tuple as before.
 - **Why the output is unchanged.**  Evaluation is strict, so every
   application is evaluated at every counterexample, and a term's screens
   depend on it only through its values at the invocation points.  A term's
@@ -53,22 +53,23 @@ runs of rows that share a sampled model (``Rows``), to the payloads at
 every row: a constraint's column is a sequence of ``bool``, which
 ``_first_false`` and the screens read as it is.  ``verify`` compiles the
 constraints once per call with the candidate inlined and evaluates chunks
-of up to ``CHUNK_CAP`` rows of the stored counterexamples, the grid and
-the random samples, whose values are drawn as payloads.  A grid chunk lies
-under one model, so it is one run: its points stream from
-``itertools.product`` and are transposed to columns in C, and each
-uninterpreted-function application on it is one memo lookup mapped in C
-over its keys.  A stored or random row has a model of its own and is a
-run of one row.  The screens compile the constraints once per pass, with
-each synthesis function's applications bound to its current term
-(``EvalEnv.set_values``), and evaluate them on one batch: the store's
-rows.  An application reads the term's column at the index of its
+of up to ``CHUNK_CAP`` rows of two streams, the grid and the random
+samples, whose values are drawn as payloads.  A grid chunk lies under one
+model, so it is one run: its points stream from ``itertools.product`` and
+are transposed to columns in C, and each uninterpreted-function
+application on it is one memo lookup mapped in C over its keys.  A random
+row has a model of its own and is a run of one row.  The screens compile
+the constraints once per pass, with each synthesis function's
+applications bound to its current term (``EvalEnv.set_values``), and
+evaluate them on one batch: the store's rows, each a point of payloads and
+a UF seed.  An application reads the term's column at the index of its
 argument tuple among the invocation points, so a screen evaluates no
 enumerated term; where calls nest, it evaluates the term, compiled once
-per table term, at its arguments.  Values appear only at the public edge:
-a ``Counterexample`` and the rows of ``verify``'s ``cex_store`` hold an
-``Assignment``, boxed from the failing row and unboxed once per pass into
-the store's batch.
+per table term, at its arguments.  ``verify`` does not check the store:
+each constraint belongs to one screen, and a tuple reaches ``verify`` only
+once its screens hold at every stored row.  Values appear only at the
+public edge: a ``Counterexample`` holds an ``Assignment``, boxed from the
+failing row, and ``solve`` unboxes it once into a row of the store.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -83,7 +84,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from itertools import count, islice, product, repeat
+from itertools import count, islice, product
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, Union
 
 from .checker import (
@@ -106,7 +107,7 @@ from .evaluator import (
     Payload,
     Rows,
     UFModel,
-    boxer,
+    Value,
     columns,
     compile_term,
     eval_term,  # not called here: the benchmark's tracer counts calls by this name
@@ -173,16 +174,12 @@ class SolveError(Exception):
 class ExpandedGrammar(Record):
     """A grammar whose productions hold no shorthands."""
 
-    __slots__ = ("nts", "order", "let_names")
+    __slots__ = ("nts", "let_names")
     nts: dict[Symbol, CheckedNT]
-    order: tuple[Symbol, ...]
     let_names: frozenset[Symbol]
 
-    def __init__(
-        self, nts: dict[Symbol, CheckedNT], order: tuple[Symbol, ...], let_names: frozenset[Symbol]
-    ) -> None:
+    def __init__(self, nts: dict[Symbol, CheckedNT], let_names: frozenset[Symbol]) -> None:
         set_field(self, "nts", nts)
-        set_field(self, "order", order)
         set_field(self, "let_names", let_names)
 
 
@@ -273,7 +270,7 @@ def expand_shorthands(
             )
         nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
     nts.update(fresh)
-    return ExpandedGrammar(nts, tuple(nts), frozenset(n for n, _ in task.lets))
+    return ExpandedGrammar(nts, frozenset(n for n, _ in task.lets))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +467,7 @@ class TermTable:
         self._free: dict[int, frozenset[Symbol]] = {}
         self._name_sets: dict[frozenset[Symbol], frozenset[Symbol]] = {}
         #: The class keys of the terms each non-terminal lists.
-        self._classes: dict[Symbol, set[Hashable]] = {name: set() for name in g.order}
+        self._classes: dict[Symbol, set[Hashable]] = {name: set() for name in g.nts}
         #: The column of each listed closed term, by identity.
         self._columns: dict[int, tuple[Payload, ...]] = {}
         self._env = env
@@ -482,7 +479,7 @@ class TermTable:
             self._batch = columns(list(self._params), points)
             self._rows = Rows([(None, len(points))])
         self.prods: dict[Symbol, list[_Prod]] = {}
-        for name in g.order:
+        for name in g.nts:
             self.prods[name] = [self._prod(t) for t in g.nts[name].productions]
         self.tables: dict[tuple[Symbol, int], list[Term]] = {}
         self._built = 0
@@ -567,7 +564,7 @@ class TermTable:
 
     def _build_level(self, size: int) -> None:
         tick = self._deadline.tick
-        for name in self.g.order:
+        for name in self.g.nts:
             out = self.tables[(name, size)] = []
             for prod in self.prods[name]:
                 k = len(prod.holes)
@@ -583,7 +580,7 @@ class TermTable:
         changed = True
         while changed:
             changed = False
-            for name in self.g.order:
+            for name in self.g.nts:
                 out = self.tables[(name, size)]
                 classes = self._classes[name]
                 for prod in self.prods[name]:
@@ -660,9 +657,8 @@ VerificationResult = Union[Valid, Counterexample]
 
 #: A point: the payloads of the universal variables, in declaration order.
 _Point = tuple[Payload, ...]
-#: A row of ``verify`` with a model of its own: a point, and a UF seed with
-#: its model.
-_Row = tuple[_Point, int, Optional[UFModel]]
+#: A stored counterexample: its point and its UF seed.
+_Row = tuple[_Point, int]
 #: A chunk of rows ``verify`` checks in one batch: their points, their UF
 #: seeds, and their ``Rows``.
 _Chunk = tuple[Sequence[_Point], Sequence[int], Rows]
@@ -815,44 +811,41 @@ def verify(
     candidate: Mapping[Symbol, Term],
     problem: CheckedProblem,
     cfg: SolverConfig,
-    cex_store: Optional[list[tuple[Assignment, int]]] = None,
     _deadline: Optional[_Deadline] = None,
 ) -> VerificationResult:
     """Check a candidate, given as a body per synthesis function name,
-    against stored counterexamples, the grid, and random samples; a novel
-    counterexample is appended to ``cex_store``.
+    against the grid and random samples.
 
-    Rows are checked in a fixed order: the stored counterexamples, then
-    the grid model-major (every point of the capped grid under the first
-    sampled model, then under the next), then the random samples, each
-    with its own model.  The result is the first row at which a constraint
-    is false.  Each of the three streams is evaluated in chunks of one row
-    more than the stream has checked so far, up to ``CHUNK_CAP`` rows, so
-    their sizes double from 1; a grid chunk also ends at its model's last
-    point, so it is one run of rows under one model, and the next model's
-    chunks start at the size reached.  Checking stops at the first chunk
-    with a false constraint.  No chunk is longer than the rows checked
-    before it plus one, nor than ``CHUNK_CAP``, so a counterexample at the
-    k-th row of a stream costs fewer than ``min(2k, k + CHUNK_CAP)`` rows,
-    and only one chunk is live at a time: the grid is never built whole.
-    On a grid chunk each node of a constraint costs a few list operations
-    in C and no Python step per row, except a model's first query of a
-    point, which derives its result.  The deadline is checked once per
-    chunk.  The rows of that chunk after the first failing one are
-    evaluated too, and this cannot be observed: evaluation is pure (the
-    models and the sample generator belong to this call) and total
-    (``_theory_gate`` admits no real division, and a model encodes every
-    value it is queried at), so those rows change no result and raise
-    nothing.
+    Rows are checked in a fixed order: the grid model-major (every point of
+    the capped grid under the first sampled model, then under the next),
+    then the random samples, each with its own model.  The result is the
+    first row at which a constraint is false.  Each of the two streams is
+    evaluated in chunks of one row more than the stream has checked so far,
+    up to ``CHUNK_CAP`` rows, so their sizes double from 1; a grid chunk
+    also ends at its model's last point, so it is one run of rows under one
+    model, and the next model's chunks start at the size reached.  Checking
+    stops at the first chunk with a false constraint.  No chunk is longer
+    than the rows checked before it plus one, nor than ``CHUNK_CAP``, so a
+    counterexample at the k-th row of a stream costs fewer than
+    ``min(2k, k + CHUNK_CAP)`` rows, and only one chunk is live at a time:
+    the grid is never built whole.  On a grid chunk each node of a
+    constraint costs a few list operations in C and no Python step per row,
+    except a model's first query of a point, which derives its result.  The
+    deadline is checked once per chunk.  The rows of that chunk after the
+    first failing one are evaluated too, and this cannot be observed:
+    evaluation is pure (the models and the sample generator belong to this
+    call) and total (``_theory_gate`` admits no real division, and a model
+    encodes every value it is queried at), so those rows change no result
+    and raise nothing.
+
+    The counterexamples of earlier calls are not checked again: ``solve``
+    passes a tuple on only once its screens hold at every one of them.
     """
     _theory_gate(problem)
-    if cex_store is None:
-        cex_store = []
     deadline = _deadline if _deadline is not None else _Deadline(None)
     env = EvalEnv(problem, candidate)
     variables = problem.universal_vars
     names = list(variables)
-    boxers = [boxer(s) for s in variables.values()]
     checks = [compile_term(c, env, variables) for c in problem.constraints]
     has_ufs = bool(problem.uf_decls)
 
@@ -867,13 +860,11 @@ def verify(
             deadline.check()
         return None
 
-    def one_model_each(rows: Iterator[_Row]) -> Iterator[_Chunk]:
-        """``rows`` in chunks; each row is a run of its own."""
-        done = 0
-        while chunk := list(islice(rows, min(done + 1, CHUNK_CAP))):
-            done += len(chunk)
-            points, seeds, models = zip(*chunk)
-            yield points, seeds, Rows(list(zip(models, repeat(1))))
+    grid = _grid(list(variables.values()), cfg)
+    if has_ufs:
+        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
+    else:
+        model_seeds = [cfg.seed]
 
     def grid_chunks() -> Iterator[_Chunk]:
         """The capped grid under each model in turn, in chunks that end at
@@ -888,36 +879,28 @@ def verify(
                 done += len(chunk)
                 yield chunk, (seed,) * len(chunk), Rows([(model, len(chunk))])
 
-    def assignment(point: _Point) -> Assignment:
-        return {n: box(p) for n, box, p in zip(names, boxers, point)}
-
-    stored = (
-        (tuple([a[n].value for n in names]), seed, model_for(seed)) for a, seed in cex_store
-    )
-    found = first_failure(one_model_each(stored))
-    if found is not None:
-        point, seed = found
-        return Counterexample(assignment(point), seed)
-
-    grid = _grid(list(variables.values()), cfg)
-    if has_ufs:
-        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
-    else:
-        model_seeds = [cfg.seed]
-
-    def sample_rows() -> Iterator[_Row]:
+    def sample_chunks() -> Iterator[_Chunk]:
+        """The random samples in chunks; each sample has a model of its
+        own, so each row is a run of its own."""
         rng = random.Random(stable_u64(cfg.seed, "samples"))
-        for _ in range(cfg.random_samples):
-            point = tuple([_random_value(s, rng) for s in variables.values()])
-            seed = rng.getrandbits(64) if has_ufs else cfg.seed
-            yield point, seed, model_for(seed)
 
-    found = first_failure(grid_chunks()) or first_failure(one_model_each(sample_rows()))
+        def sample() -> tuple[_Point, int]:
+            point = tuple([_random_value(s, rng) for s in variables.values()])
+            return point, rng.getrandbits(64) if has_ufs else cfg.seed
+
+        samples = (sample() for _ in range(cfg.random_samples))
+        done = 0
+        while chunk := list(islice(samples, min(done + 1, CHUNK_CAP))):
+            done += len(chunk)
+            points, seeds = zip(*chunk)
+            yield points, seeds, Rows([(model_for(seed), 1) for seed in seeds])
+
+    found = first_failure(grid_chunks()) or first_failure(sample_chunks())
     if found is not None:
         point, seed = found
-        cex = assignment(point)
-        cex_store.append((cex, seed))
-        return Counterexample(cex, seed)
+        return Counterexample(
+            {n: Value(s, p) for (n, s), p in zip(variables.items(), point)}, seed
+        )
 
     grid_size = math.prod(size for size, _ in grid)
     whole = all(
@@ -953,14 +936,20 @@ def _nested_calls(constraints: tuple[Term, ...], task_names: frozenset[Symbol]) 
         nonlocal nested
         if isinstance(t, Ref):
             return t.name in tainted
+        # Loops rather than comprehensions, which would spend a frame of
+        # their own per level.
         if isinstance(t, App):
-            inner = [calls(a, tainted) for a in t.args]
+            inner = False
+            for a in t.args:
+                inner = calls(a, tainted) or inner
             if t.head in task_names:
-                nested = nested or any(inner)
+                nested = nested or inner
                 return True
-            return any(inner)
+            return inner
         if isinstance(t, Let):
-            carried = [calls(b.value, tainted) for b in t.bindings]
+            carried = []
+            for b in t.bindings:
+                carried.append(calls(b.value, tainted))
             bound = frozenset(b.name for b in t.bindings)
             inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
             return calls(t.body, inner) or any(carried)
@@ -999,7 +988,7 @@ class _InvocationPoints:
         self._model_for = model_for
         self._done = 0
 
-    def at(self, store: list[tuple[Assignment, int]]) -> dict[Symbol, list[tuple[Payload, ...]]]:
+    def at(self, store: list[_Row]) -> dict[Symbol, list[tuple[Payload, ...]]]:
         """Each task's invocation points at ``store``, which has grown since
         the last call or not at all."""
         new = store[self._done:]
@@ -1012,13 +1001,11 @@ class _InvocationPoints:
 
 
 def _batch(
-    names: list[Symbol],
-    rows: list[tuple[Assignment, int]],
-    model_for: Callable[[int], Optional[UFModel]],
+    names: list[Symbol], rows: list[_Row], model_for: Callable[[int], Optional[UFModel]]
 ) -> tuple[Columns, Rows]:
     """The columns and ``Rows`` of stored counterexamples, each row a run
     of its own."""
-    points = [tuple([a[n].value for n in names]) for a, _ in rows]
+    points = [point for point, _ in rows]
     return columns(names, points), Rows([(model_for(seed), 1) for _, seed in rows])
 
 
@@ -1071,21 +1058,24 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     """Search candidate tuples in budget rounds; deterministic for a fixed
     problem and configuration.
 
-    The search runs in passes, one per state of the counterexample store.
-    A pass builds the term tables afresh, keyed by the columns at the
-    store's invocation points (tables keyed by identity are built once),
-    and walks the rounds from the first until ``verify`` either passes a
-    tuple or stores a new counterexample.  Every tuple walked before it
-    then fails at a stored counterexample, so the next pass reaches the
-    same next tuple that walking on would.
+    The search runs in passes, one per state of the counterexample store,
+    which holds each counterexample as a payload row: its point and its UF
+    seed.  A pass builds the term tables afresh, keyed by the columns at
+    the store's invocation points (tables keyed by identity are built
+    once), and walks the rounds from the first.  Each tuple whose screens
+    hold at every stored row goes to ``verify``, until ``verify`` either
+    passes one or returns a new counterexample, which is unboxed into the
+    store.  Every tuple walked before it then fails at a stored
+    counterexample, so the next pass reaches the same next tuple that
+    walking on would.  Each constraint is evaluated by exactly one screen:
+    the solo screen of the one task it mentions, or else the joint one.
     """
     _theory_gate(problem)
     tasks = problem.synth_tasks
-    cex_store: list[tuple[Assignment, int]] = []
     deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:
         try:
-            result = verify({}, problem, cfg, cex_store, _deadline=deadline)
+            result = verify({}, problem, cfg, _deadline=deadline)
         except _Timeout:
             return Fail("timeout")
         return Solved({}, result) if isinstance(result, Valid) else Fail("exhausted")
@@ -1112,6 +1102,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         return models[seed]
 
     variables = problem.universal_vars
+    store: list[_Row] = []
     # The tables compile their productions, and the screens the constraints,
     # in one environment; each pass binds the tasks anew.
     env = EvalEnv(problem)
@@ -1124,13 +1115,13 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     else:
         points = _InvocationPoints(problem, cfg, model_for)
 
-    def search() -> Optional[Solved]:
-        """One pass: a solution, or ``None`` once the store has grown or
-        every tuple is walked."""
+    def search() -> Union[Solved, Fail, None]:
+        """One pass: a solution, ``Fail("exhausted")`` once every tuple is
+        walked, or ``None`` once the store has grown."""
         if plain is not None:
             tables, bound = plain, by_term
         else:
-            at = points.at(cex_store)
+            at = points.at(store)
             tables = [
                 TermTable(g, deadline, env, t.params, at[t.name])
                 for g, t in zip(grammars, tasks)
@@ -1141,12 +1132,12 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
         joint_checks = [compile_term(c, env, variables) for c in joint]
         # Within a pass the store is fixed: one batch of its rows.
-        batch, batch_rows = _batch(list(variables), cex_store, model_for)
+        batch, batch_rows = _batch(list(variables), store, model_for)
 
         def holds(checks: list[Compiled], picks) -> bool:
             """Whether ``checks`` hold at every stored counterexample with
             each task of ``picks`` bound to its term."""
-            if not cex_store:
+            if not store:
                 return True
             for b, term in picks:
                 b.set(term)
@@ -1166,7 +1157,6 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                 pools[(i, size)] = kept
             return pools[(i, size)]
 
-        stored = len(cex_store)
         for budget in range(1, cfg.max_term_size + 1):
             deadline.check()
             vectors = sorted(
@@ -1186,20 +1176,18 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
                     if joint_checks and not holds(joint_checks, zip(bound, picks)):
                         continue
                     terms = dict(zip(names, picks))
-                    result = verify(terms, problem, cfg, cex_store, _deadline=deadline)
+                    result = verify(terms, problem, cfg, _deadline=deadline)
                     if isinstance(result, Valid):
                         return Solved(terms, result)
-                    if len(cex_store) > stored:
-                        return None
-        return None
+                    cex = result.assignment
+                    store.append((tuple([cex[n].value for n in variables]), result.uf_seed))
+                    return None
+        return Fail("exhausted")
 
     try:
         while True:
-            stored = len(cex_store)
-            found = search()
-            if found is not None:
-                return found
-            if len(cex_store) == stored:
-                return Fail("exhausted")
+            result = search()
+            if result is not None:
+                return result
     except _Timeout:
         return Fail("timeout")

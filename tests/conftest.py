@@ -30,6 +30,7 @@ FIXTURE_SOLUTIONS = {
     "max2_min2": EXPECTED_MAX2_MIN2,
     "uf_pair": "(define-fun f ((x Int) (y Int)) Bool true)\n",
     "let_grammar": "(define-fun f ((x Int) (y Int)) Int x)\n",
+    "nested_call": "(define-fun f ((x Int)) Int (+ x 1))\n",
 }
 
 # No term of this grammar equals x + 100 on the grid, so the search runs to
@@ -157,6 +158,11 @@ def let_grammar_text() -> str:
 
 
 @pytest.fixture(scope="session")
+def nested_call_text() -> str:
+    return (FIXTURES / "nested_call.sl").read_text()
+
+
+@pytest.fixture(scope="session")
 def max2_min2_problem(max2_min2_text):
     return load_problem(max2_min2_text)
 
@@ -169,6 +175,11 @@ def uf_pair_problem(uf_pair_text):
 @pytest.fixture(scope="session")
 def let_grammar_problem(let_grammar_text):
     return load_problem(let_grammar_text)
+
+
+@pytest.fixture(scope="session")
+def nested_call_problem(nested_call_text):
+    return load_problem(nested_call_text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ into production templates until nothing new appears under the size bound.
 the plain tables of ``enumerate_terms``, every candidate tuple in lockstep
 order, screens by the tree-walking ``eval_term``.
 
-``plain_verify`` is ``verify`` one point at a time on ``eval_term``.
+``plain_verify`` is ``verify`` one point at a time on ``eval_term``, and
+``holds_at`` the screens' test of a candidate at stored counterexamples.
 
 ``reference_tokenize`` is a scanner with one ``match`` per blank run,
 comment and token, each token class tested in turn; ``sygus.lexer.tokenize``
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from sygus import solver
-from sygus.evaluator import EvalEnv, UFModel, boxer, eval_term, stable_u64
+from sygus.evaluator import EvalEnv, UFModel, Value, eval_term, stable_u64
 from sygus.lexer import LexError, TokKind, Token
 from sygus.solver import (
     GRID_POINT_CAP,
@@ -43,7 +44,7 @@ def oracle_terms(g: ExpandedGrammar, from_nt: str, max_size: int) -> set[Term]:
     changed = True
     while changed:
         changed = False
-        for name in g.order:
+        for name in g.nts:
             for template in g.nts[name].productions:
                 for t in _instances(template, g, sets, max_size):
                     if t not in sets[name]:
@@ -107,7 +108,8 @@ def _free_names(t: Term, bound: frozenset) -> set[str]:
 def plain_solve(problem, cfg):
     """A CEGIS loop over the plain tables: each tuple that holds at every
     stored counterexample goes to ``solver.verify``, looked up at each call
-    so that a test can record the calls."""
+    so that a test can record the calls, and each counterexample it returns
+    is stored."""
     tasks = problem.synth_tasks
     pools = []
     for task in tasks:
@@ -124,15 +126,18 @@ def plain_solve(problem, cfg):
         for vec in sorted(vectors, key=lambda v: (sum(v), v)):
             for picks in product(*[p[s] for p, s in zip(pools, vec)]):
                 candidate = {t.name: term for t, term in zip(tasks, picks)}
-                if not _holds_at(store, candidate, problem):
+                if not holds_at(store, candidate, problem):
                     continue
-                result = solver.verify(candidate, problem, cfg, store)
+                result = solver.verify(candidate, problem, cfg)
                 if isinstance(result, Valid):
                     return Solved(candidate, result)
+                store.append((result.assignment, result.uf_seed))
     return Fail("exhausted")
 
 
-def _holds_at(store, candidate, problem) -> bool:
+def holds_at(store, candidate, problem) -> bool:
+    """Whether every constraint holds at each ``(assignment, uf_seed)`` of
+    ``store`` with ``candidate``'s bodies, by ``eval_term``."""
     env = EvalEnv(problem, candidates=candidate)
     for assignment, uf_seed in store:
         env.model = UFModel(problem.uf_decls, uf_seed) if problem.uf_decls else None
@@ -141,10 +146,10 @@ def _holds_at(store, candidate, problem) -> bool:
     return True
 
 
-def plain_verify(candidate, problem, cfg, store):
-    """``solver.verify`` as a loop over single points: the stored
-    counterexamples, the grid model-major, then the random samples, each
-    point evaluated by ``eval_term`` and the first failing one reported."""
+def plain_verify(candidate, problem, cfg):
+    """``solver.verify`` as a loop over single points: the grid
+    model-major, then the random samples, each point evaluated by
+    ``eval_term`` and the first failing one reported."""
     env = EvalEnv(problem, candidates=dict(candidate))
     has_ufs = bool(problem.uf_decls)
 
@@ -155,13 +160,10 @@ def plain_verify(candidate, problem, cfg, store):
         env.model = model
         return not all(eval_term(c, assignment, env).value for c in problem.constraints)
 
-    for assignment, seed in store:
-        if falsified(assignment, model_for(seed)):
-            return Counterexample(assignment, seed)
     names = list(problem.universal_vars)
     sorts = list(problem.universal_vars.values())
     grid = solver._grid(sorts, cfg)
-    domains = [list(map(boxer(s), values)) for s, (_, values) in zip(sorts, grid)]
+    domains = [[Value(s, v) for v in values] for s, (_, values) in zip(sorts, grid)]
     seeds = [cfg.seed]
     if has_ufs:
         seeds = [(cfg.seed + m) % 2**64 for m in range(cfg.uf_model_count)]
@@ -170,16 +172,14 @@ def plain_verify(candidate, problem, cfg, store):
         for point in islice(product(*domains), GRID_POINT_CAP):
             assignment = dict(zip(names, point))
             if falsified(assignment, model):
-                store.append((assignment, seed))
                 return Counterexample(assignment, seed)
     rng = random.Random(stable_u64(cfg.seed, "samples"))
     for _ in range(cfg.random_samples):
         assignment = {
-            n: boxer(s)(solver._random_value(s, rng)) for n, s in problem.universal_vars.items()
+            n: Value(s, solver._random_value(s, rng)) for n, s in problem.universal_vars.items()
         }
         seed = rng.getrandbits(64) if has_ufs else cfg.seed
         if falsified(assignment, model_for(seed)):
-            store.append((assignment, seed))
             return Counterexample(assignment, seed)
     grid_size = math.prod(size for size, _ in grid)
     whole = all(

@@ -15,7 +15,7 @@ from sygus.checker import (
     resolve_sort,
     type_of_term,
 )
-from sygus.evaluator import EvalEnv, UFModel, VBool, VInt, eval_term
+from sygus.evaluator import EvalEnv, UFModel, Value, eval_term
 from sygus.lexer import tokenize
 from sygus.parser import parse_term, parse_text
 from sygus.syntax import BitVecSort, EnumSort, IntSort, NamedSort, Pos
@@ -223,7 +223,7 @@ def test_checked_constraints_never_raise_sort_errors(uf_pair_problem, max2_min2_
         env = EvalEnv(problem, candidates=candidates)
         for _ in range(300):
             assignment = {
-                n: VInt(rng.randint(-50, 50)) for n in problem.universal_vars
+                n: Value(R_INT, rng.randint(-50, 50)) for n in problem.universal_vars
             }
             env.model = (
                 UFModel(problem.uf_decls, rng.getrandbits(64))
@@ -231,4 +231,5 @@ def test_checked_constraints_never_raise_sort_errors(uf_pair_problem, max2_min2_
                 else None
             )
             for c in problem.constraints:
-                assert isinstance(eval_term(c, assignment, env), VBool)
+                got = eval_term(c, assignment, env)
+                assert got.sort == R_BOOL and isinstance(got.value, bool)

@@ -96,6 +96,23 @@ def test_a_huge_model_count_keeps_memory_bounded():
 
 
 
+# Grids of one point: the empty assignment, and the one value of an enum.
+NO_VARIABLES = """\
+(set-logic LIA)
+(synth-fun f () Int ((Start Int (0 1 (+ Start Start)))))
+(constraint (= f 2))
+(check-synth)
+"""
+
+ONE_CONSTRUCTOR = """\
+(define-sort Unit (Enum (only)))
+(synth-fun f ((u Unit)) Int ((Start Int (0 1 (+ Start Start)))))
+(declare-var u Unit)
+(constraint (= (f u) 2))
+(check-synth)
+"""
+
+
 @pytest.mark.parametrize(
     "spec, flags, note",
     [
@@ -106,8 +123,10 @@ def test_a_huge_model_count_keeps_memory_bounded():
          "no counterexample at 10000 of 14641 grid points (truncated) under "
          "each of 2 sampled UF models, nor at 256 random samples: tested, not proved"),
         (BOOL_BV4, [], "valid at all 32 points of a finite domain: proved"),
+        (NO_VARIABLES, [], "valid at the only point of a finite domain: proved"),
+        (ONE_CONSTRUCTOR, [], "valid at the only point of a finite domain: proved"),
     ],
-    ids=["uf_pair", "uf_sum", "bool_bv4"],
+    ids=["uf_pair", "uf_sum", "bool_bv4", "no_variables", "one_constructor"],
 )
 def test_verbose_solve_notes_the_evidence(tmp_path, spec, flags, note):
     path = spec
@@ -397,9 +416,11 @@ def run_in_child(subcommand, path):
 
 
 def test_solve_handles_480_levels_of_nesting(tmp_path):
-    # A child process solves up to about 490 levels on Python 3.10 and 3.11.
+    # A child process solves up to about 980 levels on Python 3.11: the
+    # checker and the solver's walks spend one frame per level, as the
+    # parser does.  900 levels leave room for other Python versions.
     path = tmp_path / "chain.sl"
-    path.write_text(sum_chain_spec(480))
+    path.write_text(sum_chain_spec(900))
     p = run_in_child("solve", path)
     assert (p.returncode, p.stdout, p.stderr) == (
         EXIT_OK, "(define-fun f ((x Int)) Int x)\n", ""
@@ -416,9 +437,11 @@ def test_solve_on_a_far_deeper_chain_is_a_diagnostic(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["parse", "fmt", "check"])
 def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand):
-    # The printers walk with an explicit stack, so parse and fmt reach as
-    # deep as check, about 490 levels on Python 3.10 and 3.11.
-    chain = "(not " * 480 + "true" + ")" * 480
+    # The printers walk with an explicit stack, and the checker spends one
+    # frame per level, as the parser does: parse, fmt and check all reach
+    # about 980 levels on Python 3.11.  900 levels leave room for other
+    # Python versions.
+    chain = "(not " * 900 + "true" + ")" * 900
     path = tmp_path / "deep.sl"
     path.write_text(f"(declare-var x Int)\n(constraint {chain})\n(check-synth)\n")
     p = run_in_child(subcommand, path)
@@ -426,7 +449,7 @@ def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand
     if subcommand == "fmt":
         assert p.stdout == f"(declare-var x Int)\n(constraint {chain})\n(check-synth)\n"
     if subcommand == "parse":
-        assert p.stdout.count("(App not ") == 480
+        assert p.stdout.count("(App not ") == 900
 
 
 # Runs CLI calls one after the other, each argument the words of one call

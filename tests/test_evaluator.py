@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sygus import solver
-from sygus.checker import R_BOOL, R_INT, FuncEntry, RBitVec, REnum
+from sygus.checker import R_BOOL, R_INT, R_REAL, FuncEntry, RBitVec, REnum
 from sygus.evaluator import (
     EvalEnv,
     EvalError,
@@ -19,14 +19,9 @@ from sygus.evaluator import (
     UFModel,
     UF_INT_HI,
     UF_INT_LO,
-    VBool,
-    VBV,
-    VEnum,
-    VInt,
-    VReal,
+    Value,
     _encode,
     _payload_for_sort,
-    boxer,
     columns,
     compile_term,
     eval_term,
@@ -51,7 +46,7 @@ from conftest import (
     UF_SUM,
     load_problem,
 )
-from oracle import plain_verify
+from oracle import holds_at, plain_verify
 
 
 def term(text):
@@ -69,31 +64,31 @@ def ev(text, assignment=None, env=None):
 
 
 def test_let_shadows_outer_binding():
-    assert ev("(let ((x Int 1)) x)", {"x": VInt(5)}) == VInt(1)
+    assert ev("(let ((x Int 1)) x)", {"x": Value(R_INT, 5)}) == Value(R_INT, 1)
 
 
 def test_parallel_let_swaps():
     # Both binding values are read from the outer environment: a=7, b=3.
-    got = ev("(let ((a Int b) (b Int a)) (- a b))", {"a": VInt(3), "b": VInt(7)})
-    assert got == VInt(4)
+    got = ev("(let ((a Int b) (b Int a)) (- a b))", {"a": Value(R_INT, 3), "b": Value(R_INT, 7)})
+    assert got == Value(R_INT, 4)
 
 
 def test_conditional_picks_larger():
-    got = ev("(ite (<= x y) y x)", {"x": VInt(3), "y": VInt(9)})
-    assert got == VInt(9)
+    got = ev("(ite (<= x y) y x)", {"x": Value(R_INT, 3), "y": Value(R_INT, 9)})
+    assert got == Value(R_INT, 9)
 
 
 def test_boolean_connectives():
-    assert ev("(=> false true)") == VBool(True)
-    assert ev("(xor true true)") == VBool(False)
-    assert ev("(or false)") == VBool(False)
-    assert ev("(and true true true)") == VBool(True)
-    assert ev("(distinct 1 2)") == VBool(True)
+    assert ev("(=> false true)") == Value(R_BOOL, True)
+    assert ev("(xor true true)") == Value(R_BOOL, False)
+    assert ev("(or false)") == Value(R_BOOL, False)
+    assert ev("(and true true true)") == Value(R_BOOL, True)
+    assert ev("(distinct 1 2)") == Value(R_BOOL, True)
 
 
 def test_real_arithmetic_is_exact():
-    assert ev("(+ 0.1 0.2)") == VReal(Fraction(3, 10))
-    assert ev("(/ 1.0 8.0)") == VReal(Fraction(1, 8))
+    assert ev("(+ 0.1 0.2)") == Value(R_REAL, Fraction(3, 10))
+    assert ev("(/ 1.0 8.0)") == Value(R_REAL, Fraction(1, 8))
 
 
 def test_real_division_by_zero():
@@ -103,20 +98,20 @@ def test_real_division_by_zero():
 
 
 def test_bv_arithmetic_wraps():
-    assert ev("(bvadd #b1111 #b0001)") == VBV(4, 0)
-    assert ev("(bvsub #b0000 #b0001)") == VBV(4, 0b1111)
+    assert ev("(bvadd #b1111 #b0001)") == Value(RBitVec(4), 0)
+    assert ev("(bvsub #b0000 #b0001)") == Value(RBitVec(4), 0b1111)
 
 
 def test_bv_shift_beyond_width_is_zero():
-    assert ev("(bvshl #b0001 #b0100)") == VBV(4, 0)
-    assert ev("(bvlshr #b1000 #b0110)") == VBV(4, 0)
+    assert ev("(bvshl #b0001 #b0100)") == Value(RBitVec(4), 0)
+    assert ev("(bvlshr #b1000 #b0110)") == Value(RBitVec(4), 0)
 
 
 def test_bvadd_bvneg_cancels_exhaustively_at_width_8():
     env = EvalEnv(EMPTY)
     t = term("(bvadd v (bvneg v))")
     for a in range(256):
-        assert eval_term(t, {"v": VBV(8, a)}, env) == VBV(8, 0)
+        assert eval_term(t, {"v": Value(RBitVec(8), a)}, env) == Value(RBitVec(8), 0)
 
 
 def test_shadowing_law_fuzzed():
@@ -124,8 +119,8 @@ def test_shadowing_law_fuzzed():
     t = term("(let ((x Int c)) x)")
     env = EvalEnv(EMPTY)
     for _ in range(1000):
-        outer = VInt(rng.randint(-999, 999))
-        c = VInt(rng.randint(-999, 999))
+        outer = Value(R_INT, rng.randint(-999, 999))
+        c = Value(R_INT, rng.randint(-999, 999))
         assert eval_term(t, {"x": outer, "c": c}, env) == c
 
 
@@ -135,8 +130,8 @@ def test_parallel_let_law_fuzzed():
     env = EvalEnv(EMPTY)
     for _ in range(300):
         x, y = rng.randint(-99, 99), rng.randint(-99, 99)
-        got = eval_term(lhs, {"x": VInt(x), "y": VInt(y)}, env)
-        assert got == VInt((x + 1) - (y - 1))
+        got = eval_term(lhs, {"x": Value(R_INT, x), "y": Value(R_INT, y)}, env)
+        assert got == Value(R_INT, (x + 1) - (y - 1))
 
 
 # -- uninterpreted-function models --------------------------------------------
@@ -147,14 +142,14 @@ UF_DECLS = (FuncEntry("uf", "uf", (R_INT,), R_INT, index=0),)
 def test_model_is_deterministic():
     a = UFModel(UF_DECLS, 42)
     b = UFModel(UF_DECLS, 42)
-    points = [(VInt(i),) for i in range(-10, 11)]
+    points = [(Value(R_INT, i),) for i in range(-10, 11)]
     assert [a.query(0, p) for p in points] == [b.query(0, p) for p in points]
 
 
 def test_model_query_is_memoized_and_consistent():
     m = UFModel(UF_DECLS, 7)
-    first = m.query(0, (VInt(3),))
-    assert m.query(0, (VInt(3),)) == first
+    first = m.query(0, (Value(R_INT, 3),))
+    assert m.query(0, (Value(R_INT, 3),)) == first
     # One memo per declaration index; a unary function's is keyed by the
     # bare argument payload.
     assert m.memo == [{3: first.value}]
@@ -163,7 +158,7 @@ def test_model_query_is_memoized_and_consistent():
 def test_model_results_stay_in_range():
     m = UFModel(UF_DECLS, 99)
     for i in range(-20, 21):
-        v = m.query(0, (VInt(i),))
+        v = m.query(0, (Value(R_INT, i),))
         assert UF_INT_LO <= v.value <= UF_INT_HI
 
 
@@ -174,7 +169,7 @@ def test_models_across_seeds_disagree_with_any_constant():
     for seed in range(100):
         m = UFModel(UF_DECLS, seed)
         for x in range(-5, 6):
-            if m.query(0, (VInt(x),)) != VInt(5):
+            if m.query(0, (Value(R_INT, x),)) != Value(R_INT, 5):
                 found = True
                 break
         if found:
@@ -186,7 +181,7 @@ def test_models_across_seeds_disagree_with_any_constant():
 # in this process and in a fresh one.
 C3_SETUP = """
 from sygus.checker import R_BOOL, R_INT, FuncEntry, RBitVec, REnum
-from sygus.evaluator import UFModel, VBool, VBV, VEnum, VInt
+from sygus.evaluator import UFModel, Value
 COLOR = REnum("Color", ("Red", "Green", "Blue"))
 DECLS = (
     FuncEntry("u", "uf", (R_INT,), R_INT, index=0),
@@ -196,10 +191,10 @@ DECLS = (
 )
 # Queries by declaration index: the two overloads of u are 0 and 1.
 QUERIES = (
-    [(0, (VInt(i),)) for i in range(-6, 7)]
-    + [(1, (VBool(b),)) for b in (False, True)]
-    + [(2, (VInt(i), VBV(4, w))) for i in (-1, 0, 3) for w in (0, 5, 15)]
-    + [(3, (VEnum("Color", k),)) for k in COLOR.constructors]
+    [(0, (Value(R_INT, i),)) for i in range(-6, 7)]
+    + [(1, (Value(R_BOOL, b),)) for b in (False, True)]
+    + [(2, (Value(R_INT, i), Value(RBitVec(4), w))) for i in (-1, 0, 3) for w in (0, 5, 15)]
+    + [(3, (Value(COLOR, k),)) for k in COLOR.constructors]
 )
 SEEDS = (0, 7, 2**64 - 1)
 
@@ -239,7 +234,7 @@ def test_functional_consistency_in_terms(uf_pair_problem):
     for seed in range(50):
         env.model = UFModel(uf_pair_problem.uf_decls, seed)
         for x in range(-8, 9):
-            assert eval_term(t, {"x": VInt(x)}, env) == VBool(True)
+            assert eval_term(t, {"x": Value(R_INT, x)}, env) == Value(R_BOOL, True)
 
 
 # Every sampled sort, a nullary and a wide function: each result must be the
@@ -275,8 +270,8 @@ def test_model_results_are_the_digests_of_their_arguments(seed, data):
         decl = data.draw(st.sampled_from(DIGEST_DECLS))
         args = tuple(data.draw(payloads(s)) for s in decl.arg_sorts)
         u = stable_u64(seed, decl.name, *map(_encode, decl.arg_sorts, args))
-        boxed = tuple(boxer(s)(a) for s, a in zip(decl.arg_sorts, args))
-        assert model.query(decl.index, boxed) == boxer(decl.ret)(_payload_for_sort(decl.ret, u))
+        boxed = tuple(Value(s, a) for s, a in zip(decl.arg_sorts, args))
+        assert model.query(decl.index, boxed) == Value(decl.ret, _payload_for_sort(decl.ret, u))
 
 
 # -- macros -------------------------------------------------------------------
@@ -294,12 +289,12 @@ MACRO_PROBLEM = load_problem(
 
 def test_macro_application():
     env = EvalEnv(MACRO_PROBLEM)
-    assert eval_term(term("(double 21)"), {}, env) == VInt(42)
+    assert eval_term(term("(double 21)"), {}, env) == Value(R_INT, 42)
 
 
 def test_macro_calling_macro():
     env = EvalEnv(MACRO_PROBLEM)
-    assert eval_term(term("(compose y)"), {"y": VInt(3)}, env) == VInt(12)
+    assert eval_term(term("(compose y)"), {"y": Value(R_INT, 3)}, env) == Value(R_INT, 12)
 
 
 def test_macro_let_does_not_capture_the_argument():
@@ -313,7 +308,7 @@ def test_macro_let_does_not_capture_the_argument():
     )
     env = EvalEnv(problem)
     # With capture, the caller's y would read as 2 and the result would be 4.
-    assert eval_term(term("(shifty y)"), {"y": VInt(10)}, env) == VInt(12)
+    assert eval_term(term("(shifty y)"), {"y": Value(R_INT, 10)}, env) == Value(R_INT, 12)
 
 
 def test_enum_values_compare_by_sort_identity():
@@ -328,7 +323,7 @@ def test_enum_values_compare_by_sort_identity():
     )
     env = EvalEnv(problem)
     got = eval_term(term("(= Color::Red Paint::Red)"), {}, env)
-    assert got == VBool(True)
+    assert got == Value(R_BOOL, True)
 
 
 # A macro and a synthesis function named g, at (Color) and at (Int), and
@@ -350,10 +345,10 @@ def test_a_macro_and_a_synthesis_function_share_a_name():
     [task] = problem.synth_tasks
     body = term("(+ x (g Paint::Green))")
     both = term("(+ (g x) (g c))")
-    points = [{"x": VInt(x), "c": VEnum("Color", c)} for x in (-1, 3) for c in ("Red", "Green")]
+    points = [{"x": Value(R_INT, x), "c": Value(COLOR, c)} for x in (-1, 3) for c in ("Red", "Green")]
     expected = [p["x"].value + 2 + (1 if p["c"].value == "Red" else 2) for p in points]
     walker = EvalEnv(problem, {"g": body})
-    assert [eval_term(both, p, walker) for p in points] == list(map(VInt, expected))
+    assert [eval_term(both, p, walker) for p in points] == [Value(R_INT, e) for e in expected]
     variables = dict(problem.universal_vars)
     cols = columns(list(variables), [tuple(p[n].value for n in variables) for p in points])
     rows = Rows([(None, len(points))])
@@ -392,7 +387,7 @@ def column_values(fns, sorts, names, rows, models, batch):
         runs = Rows([
             (models[seed], len(list(run))) for seed, run in groupby(seed for _, seed in chunk)
         ])
-        values = [list(map(boxer(sort), f(cols, runs))) for f, sort in zip(fns, sorts)]
+        values = [[Value(sort, p) for p in f(cols, runs)] for f, sort in zip(fns, sorts)]
         out.extend(map(list, zip(*values)))
     return out
 
@@ -435,7 +430,7 @@ def tables(models, seeds):
 def grid_points(problem, cfg):
     names = list(problem.universal_vars)
     domains = [
-        list(map(boxer(s), solver._grid_values(s, cfg)[1]))
+        [Value(s, v) for v in solver._grid_values(s, cfg)[1]]
         for s in problem.universal_vars.values()
     ]
     return [dict(zip(names, p)) for p in product(*domains)]
@@ -498,12 +493,9 @@ VERIFY_CFG = SolverConfig(grid_radius=2, uf_model_count=3, random_samples=16)
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
 def test_verify_agrees_with_plain_verify(name):
     problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
-    # Each side keeps its own store across the candidates, as a solve does.
-    store, plain_store = [], []
     for candidates in candidate_tuples(problem, VERIFY_CFG):
-        got = solver.verify(candidates, problem, VERIFY_CFG, store)
-        assert got == plain_verify(candidates, problem, VERIFY_CFG, plain_store)
-        assert store == plain_store
+        got = solver.verify(candidates, problem, VERIFY_CFG)
+        assert got == plain_verify(candidates, problem, VERIFY_CFG)
 
 
 def uf_sum_wrong_under_the_second_model(indices, cfg=VERIFY_CFG):
@@ -517,7 +509,7 @@ def uf_sum_wrong_under_the_second_model(indices, cfg=VERIFY_CFG):
     models = fresh_models(problem, (first, second))
 
     def agrees(seed, m, n):
-        return models[seed].query(0, (VInt(m),)) == models[seed].query(0, (VInt(n),))
+        return models[seed].query(0, (Value(R_INT, m),)) == models[seed].query(0, (Value(R_INT, n),))
 
     body = "(+ a b)"
     for index in indices:
@@ -542,11 +534,9 @@ def test_verify_reports_the_first_failure_under_a_later_model():
     # boundaries.
     assert solver.CHUNK_CAP == 256
     problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
-    store, plain_store = [], []
-    got = solver.verify(candidate, problem, VERIFY_CFG, store)
-    assert got == plain_verify(candidate, problem, VERIFY_CFG, plain_store)
+    got = solver.verify(candidate, problem, VERIFY_CFG)
+    assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[300], 1)
-    assert store == plain_store == [(points[300], 1)]
 
 
 # The grid of radius 5 over four variables has 11 ** 4 points, past
@@ -563,11 +553,9 @@ def test_verify_reports_a_failure_at_the_edge_of_a_model(cfg, index):
     # Wrong under the second model only, at the point that starts its first
     # chunk or ends its last.
     problem, candidate, points = uf_sum_wrong_under_the_second_model([index], cfg)
-    store, plain_store = [], []
-    got = solver.verify(candidate, problem, cfg, store)
-    assert got == plain_verify(candidate, problem, cfg, plain_store)
+    got = solver.verify(candidate, problem, cfg)
+    assert got == plain_verify(candidate, problem, cfg)
     assert got == Counterexample(points[index], cfg.seed + 1)
-    assert store == plain_store
 
 
 TWO_BOUNDS = """
@@ -587,8 +575,8 @@ def test_verify_reports_the_first_row_over_all_constraints():
     problem = load_problem(TWO_BOUNDS)
     candidate = {"f": term("(ite (= x 1) 10 (ite (= x -1) -10 0))")}
     got = solver.verify(candidate, problem, SolverConfig())
-    assert got == plain_verify(candidate, problem, SolverConfig(), [])
-    assert got == Counterexample({"x": VInt(-1)}, 0)
+    assert got == plain_verify(candidate, problem, SolverConfig())
+    assert got == Counterexample({"x": Value(R_INT, -1)}, 0)
 
 
 def test_verify_reports_a_random_sample_like_plain_verify(max2_min2_problem):
@@ -597,11 +585,9 @@ def test_verify_reports_a_random_sample_like_plain_verify(max2_min2_problem):
         "max2": term("(ite (<= x 2) (ite (<= x y) y x) (- x 1))"),
         "min2": term("(ite (<= x y) x y)"),
     }
-    store, plain_store = [], []
-    got = solver.verify(candidate, max2_min2_problem, VERIFY_CFG, store)
-    assert got == plain_verify(candidate, max2_min2_problem, VERIFY_CFG, plain_store)
+    got = solver.verify(candidate, max2_min2_problem, VERIFY_CFG)
+    assert got == plain_verify(candidate, max2_min2_problem, VERIFY_CFG)
     assert isinstance(got, Counterexample) and got.assignment["x"].value > 2
-    assert store == plain_store
 
 
 # A nested call, a macro and a 0-ary macro in the grammar, and a let
@@ -633,19 +619,19 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
     problem = load_problem(TERM_VALUE_PROBLEMS[name])
     cfg = SolverConfig(grid_radius=2)
     rows = interleaved(grid_points(problem, cfg), (0, 1))
-    at = solver._InvocationPoints(problem, cfg, fresh_models(problem, (0, 1)).get).at(rows)
+    # The store's rows are payloads.
+    store = [(tuple(p[n].value for n in problem.universal_vars), seed) for p, seed in rows]
+    at = solver._InvocationPoints(problem, cfg, fresh_models(problem, (0, 1)).get).at(store)
     env = EvalEnv(problem)
     tables, pools = {}, {}
     for task in problem.synth_tasks:
         g = expand_shorthands(task, problem, cfg)
         for points in ([], at[task.name]):
             table = tables[task.name] = TermTable(g, None, env, task.params, points)
-            boxers = [boxer(s) for _, s in task.params]
             bindings = [
-                {n: box(p) for (n, _), box, p in zip(task.params, boxers, point)}
-                for point in points
+                {n: Value(s, p) for (n, s), p in zip(task.params, point)} for point in points
             ]
-            for nt, size in product(g.order, range(1, 5)):
+            for nt, size in product(g.nts, range(1, 5)):
                 for t in table.closed(nt, size):
                     assert table.column(t) == tuple(eval_term(t, b, env).value for b in bindings)
         pools[task.name] = [t for size in range(1, 5) for t in table.closed("Start", size)]
@@ -673,6 +659,37 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
             assert got == walked
             for seed in (0, 1):
                 assert models[seed].memo == walker_models[seed].memo
+
+
+# Every fixture, and the problems of the term-value test: the tables keyed
+# by columns, a let grammar, and calls that nest (plain tables).
+SCREENED_PROBLEMS = {
+    **TERM_VALUE_PROBLEMS,
+    "let_double_sum": (FIXTURES / "let_double_sum.sl").read_text(),
+    "nested_call": (FIXTURES / "nested_call.sl").read_text(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED_PROBLEMS))
+def test_each_verified_tuple_holds_at_every_earlier_counterexample(name, monkeypatch):
+    """What lets ``verify`` skip the counterexamples of earlier calls: in a
+    solve, each tuple that reaches it holds, by the walker, at every
+    counterexample it returned before."""
+    problem = load_problem(SCREENED_PROBLEMS[name])
+    found, verified = [], []
+    original = solver.verify
+
+    def screened(candidate, problem, cfg, **kwargs):
+        assert holds_at(found, candidate, problem)
+        verified.append(len(found))
+        result = original(candidate, problem, cfg, **kwargs)
+        if isinstance(result, Counterexample):
+            found.append((result.assignment, result.uf_seed))
+        return result
+
+    monkeypatch.setattr(solver, "verify", screened)
+    solver.solve(problem, SolverConfig(max_term_size=7))
+    assert verified
 
 
 GENERATED = """
@@ -762,11 +779,11 @@ def term_text(draw, sort, depth=4, scope=None):
 def assignments(draw):
     color = draw(st.sampled_from(["Red", "Green", "Blue"]))
     return {
-        "x": VInt(draw(st.integers(-6, 6))),
-        "y": VInt(draw(st.integers(-6, 6))),
-        "p": VBool(draw(st.booleans())),
-        "v": VBV(4, draw(st.integers(0, 15))),
-        "c": VEnum("Color", color),
+        "x": Value(R_INT, draw(st.integers(-6, 6))),
+        "y": Value(R_INT, draw(st.integers(-6, 6))),
+        "p": Value(R_BOOL, draw(st.booleans())),
+        "v": Value(RBitVec(4), draw(st.integers(0, 15))),
+        "c": Value(COLOR, color),
     }
 
 
@@ -831,7 +848,7 @@ def test_compiled_uf_applications_agree_with_queries(rows, one_model, seed, batc
     # with one model a run: one run per batch when they all share it, runs
     # of mixed lengths otherwise.
     rows = [
-        ({"x": VInt(x), "p": VBool(p), "v": VBV(4, v)}, seed + (0 if one_model else k))
+        ({"x": Value(R_INT, x), "p": Value(R_BOOL, p), "v": Value(RBitVec(4), v)}, seed + (0 if one_model else k))
         for x, p, v, k in rows
     ]
     seeds = sorted({s for _, s in rows})
@@ -849,7 +866,7 @@ def test_compiled_uf_applications_agree_with_queries(rows, one_model, seed, batc
 def test_a_call_with_no_candidate_fails_in_both_evaluators():
     problem = load_problem(GENERATED.format(constraint="(= (f x p) 0)"))
     call = problem.constraints[0].args[0]
-    point = {"x": VInt(1), "p": VBool(True)}
+    point = {"x": Value(R_INT, 1), "p": Value(R_BOOL, True)}
     with pytest.raises(AssertionError, match="no semantics for 'f'"):
         eval_term(call, point, EvalEnv(problem))
     # Payloads need every sort at compile time, so the compiler fails there.

@@ -29,7 +29,7 @@ from sygus.checker import (
     RReal,
     SynthTask,
 )
-from sygus.evaluator import VBV, VBool, VEnum, VInt, VReal
+from sygus.evaluator import Value
 from sygus.parser import parse_text
 from sygus.solver import Counterexample, ExpandedGrammar, Fail, Solved, Valid, _Prod
 from sygus.syntax import (
@@ -126,14 +126,10 @@ FIELDS = {
         "FuncEntry": ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos"),
     },
     evaluator: {
-        "VInt": ("value",),
-        "VBool": ("value",),
-        "VReal": ("value",),
-        "VBV": ("width", "value"),
-        "VEnum": ("identity", "constructor"),
+        "Value": ("sort", "value"),
     },
     solver: {
-        "ExpandedGrammar": ("nts", "order", "let_names"),
+        "ExpandedGrammar": ("nts", "let_names"),
         "_Prod": ("template", "holes", "own_size", "bound", "free", "column"),
         "Valid": ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive"),
         "Counterexample": ("assignment", "uf_seed"),
@@ -210,23 +206,27 @@ SAMPLES = [
         {"Color": REnum("Color", ("Red",))}, P, {"x": P},
     ),
     FuncEntry("h", "macro", (R_INT,), R_BOOL, ("a",), X, pos=P),
-    VInt(-3),
-    VBool(False),
-    VReal(Fraction(5, 2)),
-    VBV(4, 9),
-    VEnum("Color", "Red"),
-    ExpandedGrammar({"Start": CHECKED_START}, ("Start",), frozenset({"z"})),
+    Value(R_INT, -3),
+    Value(RBool(), False),
+    Value(RReal(), Fraction(5, 2)),
+    Value(RBitVec(4), 9),
+    Value(REnum("Color", ("Red", "Green")), "Red"),
+    ExpandedGrammar({"Start": CHECKED_START}, frozenset({"z"})),
     _Prod(
         App("+", (Ref("Start"), Ref("Start"))), ("Start", "Start"), 1,
         (frozenset(), frozenset()), frozenset(), None,
     ),
     VALID,
-    Counterexample({"x": VInt(2)}, 7),
+    Counterexample({"x": Value(R_INT, 2)}, 7),
     Solved({"f": X}, VALID),
     Fail("timeout"),
     SolverConfig(),
 ]
-SAMPLE_IDS = [type(r).__name__ for r in SAMPLES]
+# A value is named by its sort: ``Value-Int`` and so on.
+SAMPLE_IDS = [
+    f"Value-{type(r.sort).__name__[1:]}" if isinstance(r, Value) else type(r).__name__
+    for r in SAMPLES
+]
 
 
 def record_classes(module):
@@ -282,7 +282,12 @@ def with_field(record, name, value):
 def test_samples_cover_every_record_class():
     for module, fields in FIELDS.items():
         assert set(record_classes(module)) == set(fields), module.__name__
-    assert sorted(SAMPLE_IDS) == sorted(n for fields in FIELDS.values() for n in fields)
+    # One sample of each class but ``Value``, which has one of each sort.
+    classes = [type(r).__name__ for r in SAMPLES if not isinstance(r, Value)] + ["Value"]
+    assert sorted(classes) == sorted(n for fields in FIELDS.values() for n in fields)
+    assert sorted(type(r.sort).__name__ for r in SAMPLES if isinstance(r, Value)) == [
+        "RBitVec", "RBool", "REnum", "RInt", "RReal"
+    ]
 
 
 @pytest.mark.parametrize("module", list(FIELDS), ids=lambda m: m.__name__)
@@ -442,7 +447,10 @@ REPRS = [
         "Valid(grid_points=121, grid_size=121, uf_models=0, random_samples=256, "
         "exhaustive=False)",
     ),
-    (VEnum("Color", "Red"), "VEnum(identity='Color', constructor='Red')"),
+    (
+        Value(REnum("Color", ("Red",)), "Red"),
+        "Value(sort=REnum(identity='Color', constructors=('Red',)), value='Red')",
+    ),
     (Fail("timeout"), "Fail(reason='timeout')"),
     (
         SolverConfig(),
@@ -459,7 +467,6 @@ def test_repr(record, text):
 
 def test_properties_and_checks_kept():
     assert BVConst(4, 5).bits == "0101"
-    assert VEnum("Color", "Red").value == "Red"
     unit = _Prod(Ref("x"), (), 0, (), frozenset(), None)
     assert unit.is_unit and not _Prod(Ref("S"), ("S",), 1, (frozenset(),), frozenset(), None).is_unit
     assert Valid(5, 9, 0, 0, False).truncated and not VALID.truncated

@@ -20,7 +20,7 @@ from sygus.solver import (
     solve,
     verify,
 )
-from sygus.evaluator import EvalEnv, VBV, VInt, eval_term
+from sygus.evaluator import EvalEnv, Value, eval_term
 from sygus.syntax import subterms
 
 from conftest import (
@@ -104,7 +104,7 @@ def test_max2_min2_verify_stream(max2_min2_problem, monkeypatch):
 
 def cex(a, b, c, d, uf_seed):
     values = dict(a=a, b=b, c=c, d=d)
-    return {n: VInt(v) for n, v in values.items()}, uf_seed
+    return {n: Value(R_INT, v) for n, v in values.items()}, uf_seed
 
 
 # Each verify call of the benchmark's verify_uf problems (8 sampled models):
@@ -172,6 +172,9 @@ def test_valid_on_a_whole_finite_grid(spec, evidence):
     assert not result.evidence.truncated
 
 
+BV2, BV4, BV8, BV12 = RBitVec(2), RBitVec(4), RBitVec(8), RBitVec(12)
+
+
 # Right everywhere but at #x99, which is not among the eleven sampled values
 # of an 8-bit sort.
 BV8_ONE_POINT = """
@@ -188,7 +191,7 @@ BV8_ONE_POINT = """
 def test_a_bit_vector_grid_under_the_cap_is_checked_whole():
     problem = load_problem(BV8_ONE_POINT)
     cfg = SolverConfig()
-    assert verify(bodies(f="x"), problem, cfg) == Counterexample({"x": VBV(8, 0x99)}, 0)
+    assert verify(bodies(f="x"), problem, cfg) == Counterexample({"x": Value(BV8, 0x99)}, 0)
     assert verify(bodies(f="(ite (= x #x99) #x00 x)"), problem, cfg) == Valid(
         256, 256, uf_models=0, random_samples=256, exhaustive=True
     )
@@ -214,15 +217,12 @@ def test_bit_vector_variables_get_the_room_under_the_cap():
     problem = load_problem(BV12_ONE_POINT)
     cfg = SolverConfig()
     assert verify(bodies(f="x"), problem, cfg) == Counterexample(
-        {"x": VBV(12, 0x2A), "y": VBV(12, 0)}, 0
+        {"x": Value(BV12, 0x2A), "y": Value(BV12, 0)}, 0
     )
     assert verify(bodies(f="(ite (= x #x02a) #x000 x)"), problem, cfg) == Valid(
         10_000, 10_000, uf_models=0, random_samples=256, exhaustive=False
     )
     assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
-
-
-BV2, BV4, BV8, BV12 = RBitVec(2), RBitVec(4), RBitVec(8), RBitVec(12)
 
 
 @pytest.mark.parametrize(
@@ -308,19 +308,18 @@ def test_tables_keep_one_term_per_value_vector(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(solver, "TermTable", Recorded)
-    with_points = []
+    results = []
     original = solver.verify
 
-    def recording(candidate, problem, cfg, cex_store, **kwargs):
-        result = original(candidate, problem, cfg, cex_store, **kwargs)
-        with_points.append(list(cex_store))
-        return result
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(solver, "verify", recording)
     assert solve(problem, SolverConfig(max_term_size=8)) == Fail("exhausted")
     # One table per state of the store: empty, then one counterexample.
-    assert len(made) == 2 and [len(s) for s in with_points] == [1]
-    table, store = made[-1], with_points[-1]
+    assert len(made) == 2 and [type(r) for r in results] == [Counterexample]
+    table, store = made[-1], [(r.assignment, r.uf_seed) for r in results]
     env = EvalEnv(problem)
     for nt in ("Start", "B"):
         terms = [t for s in range(1, 9) for t in table.closed(nt, s)]
@@ -417,4 +416,4 @@ def test_first_counterexample_is_the_last_capped_grid_point(max2_min2_problem):
     # with y = -6000 .. 3999, and this max2 is wrong only from y = 3999 on.
     candidate = bodies(max2="(ite (<= y 3998) (ite (<= x y) y x) x)", min2=MIN2)
     result = verify(candidate, max2_min2_problem, SolverConfig(grid_radius=6000))
-    assert result == Counterexample({"x": VInt(-6000), "y": VInt(3999)}, 0)
+    assert result == Counterexample({"x": Value(R_INT, -6000), "y": Value(R_INT, 3999)}, 0)
