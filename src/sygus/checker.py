@@ -137,10 +137,6 @@ class REnum(ResolvedSort):
     identity: str
     constructors: tuple[Symbol, ...]
 
-    def __init__(self, identity: str, constructors: tuple[Symbol, ...]) -> None:
-        set_field(self, "identity", identity)
-        set_field(self, "constructors", constructors)
-
     def __str__(self) -> str:
         return self.identity
 
@@ -149,10 +145,6 @@ class RArray(ResolvedSort):
     __slots__ = ("domain", "codomain")
     domain: ResolvedSort
     codomain: ResolvedSort
-
-    def __init__(self, domain: ResolvedSort, codomain: ResolvedSort) -> None:
-        set_field(self, "domain", domain)
-        set_field(self, "codomain", codomain)
 
     def __str__(self) -> str:
         return f"(Array {self.domain} {self.codomain})"
@@ -180,11 +172,6 @@ class Diagnostic(Record):
     code: str
     pos: Pos
     message: str
-
-    def __init__(self, code: str, pos: Pos, message: str) -> None:
-        set_field(self, "code", code)
-        set_field(self, "pos", pos)
-        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"{self.pos}: {self.code}: {self.message}"
@@ -339,18 +326,11 @@ class CheckedNT(Record):
 
     __slots__ = ("name", "sort", "productions", "pos")
     _uncompared = ("pos",)
+    _defaults = {"pos": NO_POS}
     name: Symbol
     sort: ResolvedSort
     productions: tuple[GTerm, ...]
     pos: Pos
-
-    def __init__(
-        self, name: Symbol, sort: ResolvedSort, productions: tuple[GTerm, ...], pos: Pos = NO_POS
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "sort", sort)
-        set_field(self, "productions", productions)
-        set_field(self, "pos", pos)
 
 
 class SynthTask(Record):
@@ -365,24 +345,6 @@ class SynthTask(Record):
     #: order; a name is bound at one sort throughout.
     lets: tuple[tuple[Symbol, ResolvedSort], ...]
 
-    def __init__(
-        self,
-        name: Symbol,
-        params: tuple[tuple[Symbol, ResolvedSort], ...],
-        ret: ResolvedSort,
-        grammar: tuple[CheckedNT, ...],
-        surface_params: tuple[tuple[Symbol, SortExpr], ...],
-        surface_ret: SortExpr,
-        lets: tuple[tuple[Symbol, ResolvedSort], ...],
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "ret", ret)
-        set_field(self, "grammar", grammar)
-        set_field(self, "surface_params", surface_params)
-        set_field(self, "surface_ret", surface_ret)
-        set_field(self, "lets", lets)
-
 
 class FuncEntry(Record):
     """A declared function, the one record of it that the checker and the
@@ -393,6 +355,7 @@ class FuncEntry(Record):
 
     __slots__ = ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos")
     _uncompared = ("pos",)
+    _defaults = {"params": (), "body": None, "index": None, "pos": NO_POS}
     name: Symbol
     kind: str  # "macro" | "uf" | "synth"
     arg_sorts: tuple[ResolvedSort, ...]
@@ -401,26 +364,6 @@ class FuncEntry(Record):
     body: Optional[Term]
     index: Optional[int]
     pos: Pos
-
-    def __init__(
-        self,
-        name: Symbol,
-        kind: str,
-        arg_sorts: tuple[ResolvedSort, ...],
-        ret: ResolvedSort,
-        params: tuple[Symbol, ...] = (),
-        body: Optional[Term] = None,
-        index: Optional[int] = None,
-        pos: Pos = NO_POS,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "kind", kind)
-        set_field(self, "arg_sorts", arg_sorts)
-        set_field(self, "ret", ret)
-        set_field(self, "params", params)
-        set_field(self, "body", body)
-        set_field(self, "index", index)
-        set_field(self, "pos", pos)
 
 
 class CheckedProblem(Record):
@@ -454,32 +397,6 @@ class CheckedProblem(Record):
     enums: dict[Symbol, REnum]
     logic_pos: Pos
     var_pos: dict[Symbol, Pos]
-
-    def __init__(
-        self,
-        sig: TheorySignature,
-        universal_vars: dict[Symbol, ResolvedSort],
-        uf_decls: tuple[FuncEntry, ...],
-        synth_tasks: tuple[SynthTask, ...],
-        constraints: tuple[Term, ...],
-        options: tuple[tuple[Symbol, str, Pos], ...],
-        sort_defs: dict[Symbol, SortExpr],
-        funcs: dict[Symbol, tuple[FuncEntry, ...]],
-        enums: dict[Symbol, REnum],
-        logic_pos: Pos,
-        var_pos: dict[Symbol, Pos],
-    ) -> None:
-        set_field(self, "sig", sig)
-        set_field(self, "universal_vars", universal_vars)
-        set_field(self, "uf_decls", uf_decls)
-        set_field(self, "synth_tasks", synth_tasks)
-        set_field(self, "constraints", constraints)
-        set_field(self, "options", options)
-        set_field(self, "sort_defs", sort_defs)
-        set_field(self, "funcs", funcs)
-        set_field(self, "enums", enums)
-        set_field(self, "logic_pos", logic_pos)
-        set_field(self, "var_pos", var_pos)
 
     def resolve(self, sort: SortExpr) -> ResolvedSort:
         return resolve_sort(sort, self.sort_defs)

@@ -197,10 +197,13 @@ def _evidence(v: Valid) -> str:
     if v.exhaustive:
         points = "the only point" if v.grid_size == 1 else f"all {v.grid_size} points"
         return f"valid at {points} of a finite domain: proved"
+    grid = f"{v.grid_points} of {v.grid_size} grid points"
+    if v.grid_size == 1:
+        grid = "the only grid point"
     cut = " (truncated)" if v.truncated else ""
     models = f" under each of {v.uf_models} sampled UF models" if v.uf_models else ""
     return (
-        f"no counterexample at {v.grid_points} of {v.grid_size} grid points{cut}"
+        f"no counterexample at {grid}{cut}"
         f"{models}, nor at {v.random_samples} random samples: tested, not proved"
     )
 

@@ -1,13 +1,13 @@
 """The solver's budgets, apart from the solver so that the CLI can read
 their defaults without loading it.  ``SolverConfig`` is a record (see
-``syntax.Record``): immutable, with its defaults in the signature of its
-``__init__``, and ``replace`` gives a copy with some fields changed."""
+``syntax.Record``): immutable, with its defaults in its ``_defaults``,
+and ``replace`` gives a copy with some fields changed."""
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .syntax import Record, set_field
+from .syntax import Record
 
 
 class SolverConfig(Record):
@@ -27,6 +27,10 @@ class SolverConfig(Record):
         "max_term_size", "grid_radius", "random_samples", "uf_model_count", "seed",
         "constant_pool", "timeout_seconds",
     )
+    _defaults = {
+        "max_term_size": 12, "grid_radius": 5, "random_samples": 256, "uf_model_count": 32,
+        "seed": 0, "constant_pool": (0, 1, -1, 2), "timeout_seconds": None,
+    }
     max_term_size: int
     grid_radius: int
     random_samples: int
@@ -34,24 +38,6 @@ class SolverConfig(Record):
     seed: int
     constant_pool: tuple[int, ...]
     timeout_seconds: Optional[float]
-
-    def __init__(
-        self,
-        max_term_size: int = 12,
-        grid_radius: int = 5,
-        random_samples: int = 256,
-        uf_model_count: int = 32,
-        seed: int = 0,
-        constant_pool: tuple[int, ...] = (0, 1, -1, 2),
-        timeout_seconds: Optional[float] = None,
-    ) -> None:
-        set_field(self, "max_term_size", max_term_size)
-        set_field(self, "grid_radius", grid_radius)
-        set_field(self, "random_samples", random_samples)
-        set_field(self, "uf_model_count", uf_model_count)
-        set_field(self, "seed", seed)
-        set_field(self, "constant_pool", constant_pool)
-        set_field(self, "timeout_seconds", timeout_seconds)
 
     def replace(self, **changes: object) -> SolverConfig:
         """This config with the fields named in ``changes`` set to their

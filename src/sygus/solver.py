@@ -139,7 +139,6 @@ from .syntax import (
     VariableOf,
     app_heads,
     free_refs,
-    set_field,
     subterms,
     term_size,
 )
@@ -177,10 +176,6 @@ class ExpandedGrammar(Record):
     __slots__ = ("nts", "let_names")
     nts: dict[Symbol, CheckedNT]
     let_names: frozenset[Symbol]
-
-    def __init__(self, nts: dict[Symbol, CheckedNT], let_names: frozenset[Symbol]) -> None:
-        set_field(self, "nts", nts)
-        set_field(self, "let_names", let_names)
 
 
 def _bv_values(width: int, seed: int, tag: str) -> list[int]:
@@ -316,22 +311,6 @@ class _Prod(Record):
     bound: tuple[frozenset[Symbol], ...]
     free: frozenset[Symbol]
     column: Optional[Callable[[list], Sequence[Payload]]]
-
-    def __init__(
-        self,
-        template: GTerm,
-        holes: tuple[Symbol, ...],
-        own_size: int,
-        bound: tuple[frozenset[Symbol], ...],
-        free: frozenset[Symbol],
-        column: Optional[Callable[[list], Sequence[Payload]]],
-    ) -> None:
-        set_field(self, "template", template)
-        set_field(self, "holes", holes)
-        set_field(self, "own_size", own_size)
-        set_field(self, "bound", bound)
-        set_field(self, "free", free)
-        set_field(self, "column", column)
 
     @property
     def is_unit(self) -> bool:
@@ -619,24 +598,11 @@ class Valid(Record):
     grid_size: int
     #: Sampled models of the uninterpreted functions; 0 when there are none.
     uf_models: int
+    #: Random points checked; 0 when the grid is exhaustive.
     random_samples: int
     #: Every universal sort is finite and its whole domain was checked, and
     #: there are no uninterpreted functions: the verdict is a proof.
     exhaustive: bool
-
-    def __init__(
-        self,
-        grid_points: int,
-        grid_size: int,
-        uf_models: int,
-        random_samples: int,
-        exhaustive: bool,
-    ) -> None:
-        set_field(self, "grid_points", grid_points)
-        set_field(self, "grid_size", grid_size)
-        set_field(self, "uf_models", uf_models)
-        set_field(self, "random_samples", random_samples)
-        set_field(self, "exhaustive", exhaustive)
 
     @property
     def truncated(self) -> bool:
@@ -647,10 +613,6 @@ class Counterexample(Record):
     __slots__ = ("assignment", "uf_seed")
     assignment: Assignment
     uf_seed: int
-
-    def __init__(self, assignment: Assignment, uf_seed: int) -> None:
-        set_field(self, "assignment", assignment)
-        set_field(self, "uf_seed", uf_seed)
 
 
 VerificationResult = Union[Valid, Counterexample]
@@ -673,17 +635,10 @@ class Solved(Record):
     terms: dict[Symbol, Term]
     evidence: Valid
 
-    def __init__(self, terms: dict[Symbol, Term], evidence: Valid) -> None:
-        set_field(self, "terms", terms)
-        set_field(self, "evidence", evidence)
-
 
 class Fail(Record):
     __slots__ = ("reason",)
     reason: str  # "exhausted" or "timeout"
-
-    def __init__(self, reason: str) -> None:
-        set_field(self, "reason", reason)
 
 
 def _theory_gate(problem: CheckedProblem) -> None:
@@ -839,7 +794,9 @@ def verify(
     and raise nothing.
 
     The counterexamples of earlier calls are not checked again: ``solve``
-    passes a tuple on only once its screens hold at every one of them.
+    passes a tuple on only once its screens hold at every one of them.  No
+    random sample is drawn after an exhaustive grid: it could only repeat a
+    grid point.
     """
     _theory_gate(problem)
     deadline = _deadline if _deadline is not None else _Deadline(None)
@@ -861,6 +818,11 @@ def verify(
         return None
 
     grid = _grid(list(variables.values()), cfg)
+    grid_size = math.prod(size for size, _ in grid)
+    exhaustive = not has_ufs and grid_size <= GRID_POINT_CAP and all(
+        _whole_domain(s, size) for s, (size, _) in zip(variables.values(), grid)
+    )
+    sample_count = 0 if exhaustive else cfg.random_samples
     if has_ufs:
         model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
@@ -888,7 +850,7 @@ def verify(
             point = tuple([_random_value(s, rng) for s in variables.values()])
             return point, rng.getrandbits(64) if has_ufs else cfg.seed
 
-        samples = (sample() for _ in range(cfg.random_samples))
+        samples = (sample() for _ in range(sample_count))
         done = 0
         while chunk := list(islice(samples, min(done + 1, CHUNK_CAP))):
             done += len(chunk)
@@ -902,16 +864,12 @@ def verify(
             {n: Value(s, p) for (n, s), p in zip(variables.items(), point)}, seed
         )
 
-    grid_size = math.prod(size for size, _ in grid)
-    whole = all(
-        _whole_domain(s, size) for s, (size, _) in zip(variables.values(), grid)
-    )
     return Valid(
         grid_points=min(grid_size, GRID_POINT_CAP),
         grid_size=grid_size,
         uf_models=cfg.uf_model_count if has_ufs else 0,
-        random_samples=cfg.random_samples,
-        exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
+        random_samples=sample_count,
+        exhaustive=exhaustive,
     )
 
 

@@ -50,12 +50,15 @@ class Record:
     """An immutable record with named fields, built with no generated code.
 
     A record class lists its fields in ``__slots__`` and annotates them in
-    the same order; its ``__init__`` takes them in that order and stores
-    each with ``set_field``.  A default goes in the signature of
-    ``__init__``, since a class attribute would clash with the slot.  A
-    record class is not subclassed: the classes between it and ``Record``,
-    such as ``Term``, have no fields.  The base then gives what a frozen
-    dataclass has:
+    the same order.  The inherited constructor takes them in that order, by
+    position or by keyword, fills one left out from the class's
+    ``_defaults`` (a class attribute named after the field would clash with
+    its slot), and raises ``TypeError`` where a signature would.  Only a
+    record that validates its fields, or that is built once per parsed node
+    or value, where the inherited one would cost twice as much, writes its
+    own.  A record class is not subclassed: the classes between it and
+    ``Record``, such as ``Term``, have no fields.  The base then gives what
+    a frozen dataclass has:
 
     - ``==`` between records of one class compares the fields not named in
       the class's ``_uncompared``, and ``hash`` is the hash of the tuple of
@@ -79,6 +82,26 @@ class Record:
     __slots__ = ()
     #: Fields that ``==`` and ``hash`` leave out.
     _uncompared = ()
+    #: Values of the fields a caller may leave out, by field name.
+    _defaults = {}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(args)}")
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                set_field(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                set_field(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            what = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{type(self).__name__}() got {what} argument {name!r}")
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
@@ -227,30 +250,22 @@ class SortExpr(Record):
 
     __slots__ = ()
     _uncompared = ("pos",)
+    _defaults = {"pos": NO_POS}
 
 
 class IntSort(SortExpr):
     __slots__ = ("pos",)
     pos: Pos
 
-    def __init__(self, pos: Pos = NO_POS) -> None:
-        set_field(self, "pos", pos)
-
 
 class BoolSort(SortExpr):
     __slots__ = ("pos",)
     pos: Pos
 
-    def __init__(self, pos: Pos = NO_POS) -> None:
-        set_field(self, "pos", pos)
-
 
 class RealSort(SortExpr):
     __slots__ = ("pos",)
     pos: Pos
-
-    def __init__(self, pos: Pos = NO_POS) -> None:
-        set_field(self, "pos", pos)
 
 
 class BitVecSort(SortExpr):
@@ -258,19 +273,11 @@ class BitVecSort(SortExpr):
     width: int
     pos: Pos
 
-    def __init__(self, width: int, pos: Pos = NO_POS) -> None:
-        set_field(self, "width", width)
-        set_field(self, "pos", pos)
-
 
 class EnumSort(SortExpr):
     __slots__ = ("constructors", "pos")
     constructors: tuple[Symbol, ...]
     pos: Pos
-
-    def __init__(self, constructors: tuple[Symbol, ...], pos: Pos = NO_POS) -> None:
-        set_field(self, "constructors", constructors)
-        set_field(self, "pos", pos)
 
 
 class ArraySort(SortExpr):
@@ -279,20 +286,11 @@ class ArraySort(SortExpr):
     codomain: SortExpr
     pos: Pos
 
-    def __init__(self, domain: SortExpr, codomain: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "domain", domain)
-        set_field(self, "codomain", codomain)
-        set_field(self, "pos", pos)
-
 
 class NamedSort(SortExpr):
     __slots__ = ("name", "pos")
     name: Symbol
     pos: Pos
-
-    def __init__(self, name: Symbol, pos: Pos = NO_POS) -> None:
-        set_field(self, "name", name)
-        set_field(self, "pos", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +305,7 @@ class Term(Record):
 
     __slots__ = ()
     _uncompared = ("pos",)
+    _defaults = {"pos": NO_POS}
 
 
 GTerm = Term
@@ -367,19 +366,11 @@ class ConstantOf(Term):
     sort: SortExpr
     pos: Pos
 
-    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "pos", pos)
-
 
 class VariableOf(Term):
     __slots__ = ("sort", "pos")
     sort: SortExpr
     pos: Pos
-
-    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "pos", pos)
 
 
 class InputVariableOf(Term):
@@ -387,19 +378,11 @@ class InputVariableOf(Term):
     sort: SortExpr
     pos: Pos
 
-    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "pos", pos)
-
 
 class LocalVariableOf(Term):
     __slots__ = ("sort", "pos")
     sort: SortExpr
     pos: Pos
-
-    def __init__(self, sort: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "sort", sort)
-        set_field(self, "pos", pos)
 
 
 SHORTHANDS = (ConstantOf, VariableOf, InputVariableOf, LocalVariableOf)
@@ -414,18 +397,11 @@ class NTDef(Record):
 
     __slots__ = ("name", "sort", "productions", "pos")
     _uncompared = ("pos",)
+    _defaults = {"pos": NO_POS}
     name: Symbol
     sort: SortExpr
     productions: tuple[GTerm, ...]
     pos: Pos
-
-    def __init__(
-        self, name: Symbol, sort: SortExpr, productions: tuple[GTerm, ...], pos: Pos = NO_POS
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "sort", sort)
-        set_field(self, "productions", productions)
-        set_field(self, "pos", pos)
 
 
 class Command(Record):
@@ -433,16 +409,13 @@ class Command(Record):
 
     __slots__ = ()
     _uncompared = ("pos",)
+    _defaults = {"pos": NO_POS}
 
 
 class SetLogic(Command):
     __slots__ = ("logic", "pos")
     logic: Symbol
     pos: Pos
-
-    def __init__(self, logic: Symbol, pos: Pos = NO_POS) -> None:
-        set_field(self, "logic", logic)
-        set_field(self, "pos", pos)
 
 
 class DefineSort(Command):
@@ -451,22 +424,12 @@ class DefineSort(Command):
     body: SortExpr
     pos: Pos
 
-    def __init__(self, name: Symbol, body: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "name", name)
-        set_field(self, "body", body)
-        set_field(self, "pos", pos)
-
 
 class DeclareVar(Command):
     __slots__ = ("name", "sort", "pos")
     name: Symbol
     sort: SortExpr
     pos: Pos
-
-    def __init__(self, name: Symbol, sort: SortExpr, pos: Pos = NO_POS) -> None:
-        set_field(self, "name", name)
-        set_field(self, "sort", sort)
-        set_field(self, "pos", pos)
 
 
 class DeclareFun(Command):
@@ -475,14 +438,6 @@ class DeclareFun(Command):
     arg_sorts: tuple[SortExpr, ...]
     ret: SortExpr
     pos: Pos
-
-    def __init__(
-        self, name: Symbol, arg_sorts: tuple[SortExpr, ...], ret: SortExpr, pos: Pos = NO_POS
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "arg_sorts", arg_sorts)
-        set_field(self, "ret", ret)
-        set_field(self, "pos", pos)
 
 
 class DefineFun(Command):
@@ -493,20 +448,6 @@ class DefineFun(Command):
     body: Term
     pos: Pos
 
-    def __init__(
-        self,
-        name: Symbol,
-        params: tuple[tuple[Symbol, SortExpr], ...],
-        ret: SortExpr,
-        body: Term,
-        pos: Pos = NO_POS,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "ret", ret)
-        set_field(self, "body", body)
-        set_field(self, "pos", pos)
-
 
 class SynthFun(Command):
     __slots__ = ("name", "params", "ret", "grammar", "pos")
@@ -516,37 +457,16 @@ class SynthFun(Command):
     grammar: tuple[NTDef, ...]
     pos: Pos
 
-    def __init__(
-        self,
-        name: Symbol,
-        params: tuple[tuple[Symbol, SortExpr], ...],
-        ret: SortExpr,
-        grammar: tuple[NTDef, ...],
-        pos: Pos = NO_POS,
-    ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "params", params)
-        set_field(self, "ret", ret)
-        set_field(self, "grammar", grammar)
-        set_field(self, "pos", pos)
-
 
 class Constraint(Command):
     __slots__ = ("body", "pos")
     body: Term
     pos: Pos
 
-    def __init__(self, body: Term, pos: Pos = NO_POS) -> None:
-        set_field(self, "body", body)
-        set_field(self, "pos", pos)
-
 
 class CheckSynth(Command):
     __slots__ = ("pos",)
     pos: Pos
-
-    def __init__(self, pos: Pos = NO_POS) -> None:
-        set_field(self, "pos", pos)
 
 
 class SetOptions(Command):
@@ -554,17 +474,10 @@ class SetOptions(Command):
     opts: tuple[tuple[Symbol, str], ...]
     pos: Pos
 
-    def __init__(self, opts: tuple[tuple[Symbol, str], ...], pos: Pos = NO_POS) -> None:
-        set_field(self, "opts", opts)
-        set_field(self, "pos", pos)
-
 
 class Program(Record):
     __slots__ = ("commands",)
     commands: tuple[Command, ...]
-
-    def __init__(self, commands: tuple[Command, ...]) -> None:
-        set_field(self, "commands", commands)
 
 
 # ---------------------------------------------------------------------------

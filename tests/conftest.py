@@ -186,7 +186,7 @@ def nested_call_problem(nested_call_text):
 # Acceptance reporting: one pass/fail line per criterion after the run.
 
 _CRITERIA = {
-    "c1": "golden parse of the max2/min2 specification",
+    "c1": "golden parse of every fixture",
     "c2": "end-to-end synthesis of max2/min2",
     "c3": "uninterpreted-function model semantics",
     "c4": "static-rule mutation suite",

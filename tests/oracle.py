@@ -148,8 +148,9 @@ def holds_at(store, candidate, problem) -> bool:
 
 def plain_verify(candidate, problem, cfg):
     """``solver.verify`` as a loop over single points: the grid
-    model-major, then the random samples, each point evaluated by
-    ``eval_term`` and the first failing one reported."""
+    model-major, then the random samples unless the grid is exhaustive,
+    each point evaluated by ``eval_term`` and the first failing one
+    reported."""
     env = EvalEnv(problem, candidates=dict(candidate))
     has_ufs = bool(problem.uf_decls)
 
@@ -173,24 +174,27 @@ def plain_verify(candidate, problem, cfg):
             assignment = dict(zip(names, point))
             if falsified(assignment, model):
                 return Counterexample(assignment, seed)
+    grid_size = math.prod(size for size, _ in grid)
+    whole = all(
+        solver._whole_domain(s, size) for s, (size, _) in zip(sorts, grid)
+    )
+    exhaustive = whole and grid_size <= GRID_POINT_CAP and not has_ufs
+    # Random samples after a whole domain can only repeat grid points.
+    samples = 0 if exhaustive else cfg.random_samples
     rng = random.Random(stable_u64(cfg.seed, "samples"))
-    for _ in range(cfg.random_samples):
+    for _ in range(samples):
         assignment = {
             n: Value(s, solver._random_value(s, rng)) for n, s in problem.universal_vars.items()
         }
         seed = rng.getrandbits(64) if has_ufs else cfg.seed
         if falsified(assignment, model_for(seed)):
             return Counterexample(assignment, seed)
-    grid_size = math.prod(size for size, _ in grid)
-    whole = all(
-        solver._whole_domain(s, size) for s, (size, _) in zip(sorts, grid)
-    )
     return Valid(
         grid_points=min(grid_size, GRID_POINT_CAP),
         grid_size=grid_size,
         uf_models=cfg.uf_model_count if has_ufs else 0,
-        random_samples=cfg.random_samples,
-        exhaustive=whole and grid_size <= GRID_POINT_CAP and not has_ufs,
+        random_samples=samples,
+        exhaustive=exhaustive,
     )
 
 

@@ -112,6 +112,24 @@ ONE_CONSTRUCTOR = """\
 (check-synth)
 """
 
+# Grids of one point that prove nothing: a sampled uninterpreted function,
+# and an Int variable at grid radius 0.
+NO_VARIABLES_UF = """\
+(set-logic LIA)
+(declare-fun u (Int) Int)
+(synth-fun f () Int ((Start Int (0 1 (+ Start Start)))))
+(constraint (= (+ f (u 0)) (u 0)))
+(check-synth)
+"""
+
+ONE_INT = """\
+(set-logic LIA)
+(synth-fun f ((x Int)) Int ((Start Int (x 0 1 (+ Start Start)))))
+(declare-var x Int)
+(constraint (= (f x) x))
+(check-synth)
+"""
+
 
 @pytest.mark.parametrize(
     "spec, flags, note",
@@ -125,8 +143,17 @@ ONE_CONSTRUCTOR = """\
         (BOOL_BV4, [], "valid at all 32 points of a finite domain: proved"),
         (NO_VARIABLES, [], "valid at the only point of a finite domain: proved"),
         (ONE_CONSTRUCTOR, [], "valid at the only point of a finite domain: proved"),
+        (NO_VARIABLES_UF, [],
+         "no counterexample at the only grid point under each of 32 sampled UF "
+         "models, nor at 256 random samples: tested, not proved"),
+        (ONE_INT, ["--grid-radius", "0"],
+         "no counterexample at the only grid point, nor at 256 random samples: "
+         "tested, not proved"),
     ],
-    ids=["uf_pair", "uf_sum", "bool_bv4", "no_variables", "one_constructor"],
+    ids=[
+        "uf_pair", "uf_sum", "bool_bv4", "no_variables", "one_constructor", "no_variables_uf",
+        "one_int_radius_0",
+    ],
 )
 def test_verbose_solve_notes_the_evidence(tmp_path, spec, flags, note):
     path = spec

@@ -52,34 +52,11 @@ from sygus.syntax import (
 
 from conftest import FIXTURES
 
-GOLDEN_DUMPS = {
-    "max2_min2": """\
-(SetLogic LIA)
-(SynthFun max2 ((x Int) (y Int)) Int ((Start Int ((Lit 0) (Lit 1) (Ref x) (Ref y) (App + (Ref Start) (Ref Start)) (App - (Ref Start) (Ref Start)) (App ite (Ref StartBool) (Ref Start) (Ref Start)))) (StartBool Bool ((App and (Ref StartBool) (Ref StartBool)) (App not (Ref StartBool)) (App <= (Ref Start) (Ref Start))))))
-(SynthFun min2 ((x Int) (y Int)) Int ((Start Int ((Constant Int) (Variable Int) (App + (Ref Start) (Ref Start)) (App - (Ref Start) (Ref Start)) (App ite (Ref StartBool) (Ref Start) (Ref Start)))) (StartBool Bool ((App and (Ref StartBool) (Ref StartBool)) (App not (Ref StartBool)) (App <= (Ref Start) (Ref Start))))))
-(DeclareVar x Int)
-(DeclareVar y Int)
-(Constraint (App >= (App max2 (Ref x) (Ref y)) (Ref x)))
-(Constraint (App >= (App max2 (Ref x) (Ref y)) (Ref y)))
-(Constraint (App or (App = (Ref x) (App max2 (Ref x) (Ref y))) (App or (App = (Ref y) (App max2 (Ref x) (Ref y))))))
-(Constraint (App = (App + (App max2 (Ref x) (Ref y)) (App min2 (Ref x) (Ref y))) (App + (Ref x) (Ref y))))
-(CheckSynth)
-""",
-    "uf_pair": """\
-(SetLogic LIA)
-(DeclareFun uf (Int) Int)
-(SynthFun f ((x Int) (y Int)) Bool ((Start Bool ((Lit true) (Lit false) (App <= (Ref IntExpr) (Ref IntExpr)) (App = (Ref IntExpr) (Ref IntExpr)) (App and (Ref Start) (Ref Start)) (App or (Ref Start) (Ref Start)) (App not (Ref Start)))) (IntExpr Int ((Lit 0) (Lit 1) (Ref x) (Ref y) (App + (Ref IntExpr) (Ref IntExpr)) (App - (Ref IntExpr) (Ref IntExpr))))))
-(DeclareVar x Int)
-(Constraint (App f (App uf (Ref x)) (App uf (Ref x))))
-(CheckSynth)
-""",
-    "let_grammar": """\
-(SynthFun f ((x Int) (y Int)) Int ((Start Int ((Ref x) (Ref y) (Ref z) (App + (Ref Start) (Ref Start)) (Let ((z Int (Ref Start))) (Ref Start))))))
-(DeclareVar a Int)
-(Constraint (App = (App f (Ref a) (Ref a)) (App f (Ref a) (Ref a))))
-(CheckSynth)
-""",
-}
+# The ``sygus parse`` and ``sygus fmt`` output of each fixture, in
+# ``tests/golden/<name>.parse`` and ``<name>.fmt``.  A field stored under the
+# wrong name in any syntax record shows as a byte difference in the dump.
+GOLDEN = FIXTURES.parent / "golden"
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.sl"))
 
 # Every command, every shorthand, a let with two bindings, a nullary
 # application, enum, bit-vector and real literals, and a command after
@@ -144,10 +121,23 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_every_fixture_has_golden_files():
+    assert len(FIXTURE_NAMES) == 5
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(
+        f"{name}.{command}" for name in FIXTURE_NAMES for command in ("fmt", "parse")
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_acceptance_c1_golden_parse_dump(name):
-    code, out, err = run_cli("parse", str(FIXTURES / f"{name}.sl"))
-    assert (code, out, err) == (EXIT_OK, GOLDEN_DUMPS[name], "")
+    golden = (GOLDEN / f"{name}.parse").read_text()
+    assert run_cli("parse", str(FIXTURES / f"{name}.sl")) == (EXIT_OK, golden, "")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_golden_fmt(name):
+    golden = (GOLDEN / f"{name}.fmt").read_text()
+    assert run_cli("fmt", str(FIXTURES / f"{name}.sl")) == (EXIT_OK, golden, "")
 
 
 def test_parse_dump_of_every_command(tmp_path):
@@ -162,7 +152,7 @@ def test_fmt_of_every_command(tmp_path):
     assert run_cli("fmt", str(path)) == (EXIT_OK, EVERY_COMMAND_FMT, "")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_acceptance_c7_print_parse_round_trip(name):
     program = parse_text((FIXTURES / f"{name}.sl").read_text())
     assert parse_text(print_program(program)) == program

@@ -356,6 +356,77 @@ def test_tracer_counts_nodes_after_a_base_is_registered(name, count):
     assert int(got) == count
 
 
+# The records that write their own ``__init__``: two validate their fields,
+# the rest are built once per parsed node or value, where the inherited
+# constructor would cost about twice as much.
+OWN_INIT = {
+    "RealConst", "BVConst", "Pos", "App", "Ref", "Lit", "Let", "IntConst", "BoolConst",
+    "EnumConst", "Value", "RBitVec",
+}
+
+
+def all_record_classes():
+    """Every class below ``Record`` that the modules define, bases too."""
+    return [
+        cls for module in FIELDS for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record
+        and cls.__module__ == module.__name__
+    ]
+
+
+def test_own_constructors_take_exactly_the_slots():
+    own = set()
+    for cls in all_record_classes():
+        assert set(cls._defaults) <= set(cls.__slots__) or not cls.__slots__, cls.__name__
+        if "__init__" not in cls.__dict__:
+            continue
+        own.add(cls.__name__)
+        code = cls.__init__.__code__
+        assert code.co_varnames[1:code.co_argcount] == cls.__slots__, cls.__name__
+        assert code.co_kwonlyargcount == 0 and code.co_flags & 0x0C == 0, cls.__name__
+        # A default in the signature is the one ``_defaults`` gives.
+        defaults = cls.__init__.__defaults__ or ()
+        assert dict(zip(cls.__slots__[len(cls.__slots__) - len(defaults):], defaults)) == {
+            name: value for name, value in cls._defaults.items() if name in cls.__slots__
+        }, cls.__name__
+    assert own == OWN_INIT
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
+def test_built_by_position_and_by_keyword(record):
+    cls = type(record)
+    values = [getattr(record, f) for f in cls.__slots__]
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(cls.__slots__, values)))
+    assert by_position == by_keyword == record
+    assert repr(by_position) == repr(by_keyword) == repr(record)
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=SAMPLE_IDS)
+def test_a_bad_call_raises_type_error(record):
+    cls = type(record)
+    fields = dict(zip(cls.__slots__, [getattr(record, f) for f in cls.__slots__]))
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 0)
+    with pytest.raises(TypeError):
+        cls(**fields, no_such_field=0)
+    for name in fields:
+        with pytest.raises(TypeError):
+            cls(*fields.values(), **{name: fields[name]})
+        if name not in cls._defaults:
+            with pytest.raises(TypeError):
+                cls(**{f: v for f, v in fields.items() if f != name})
+
+
+def test_an_omitted_field_takes_its_default():
+    assert IntSort() == IntSort(Pos(0, 0)) and IntSort().pos == syntax.NO_POS
+    assert DeclareVar("x", IntSort()).pos is syntax.NO_POS
+    assert CheckedNT("S", R_INT, ()).pos is syntax.NO_POS
+    entry = FuncEntry("u", "uf", (R_INT,), R_INT, index=0)
+    assert (entry.params, entry.body, entry.index, entry.pos) == ((), None, 0, syntax.NO_POS)
+    assert SolverConfig(seed=3) == SolverConfig(12, 5, 256, 32, 3, (0, 1, -1, 2), None)
+
+
 def test_config_replace():
     cfg = SolverConfig(seed=4)
     assert cfg.replace(seed=5, max_term_size=3) == SolverConfig(max_term_size=3, seed=5)

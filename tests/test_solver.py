@@ -161,7 +161,7 @@ BOOL_UF = """
 @pytest.mark.parametrize(
     "spec, evidence",
     [
-        (BOOL_BV4, Valid(32, 32, uf_models=0, random_samples=256, exhaustive=True)),
+        (BOOL_BV4, Valid(32, 32, uf_models=0, random_samples=0, exhaustive=True)),
         (BOOL_UF, Valid(2, 2, uf_models=32, random_samples=256, exhaustive=False)),
     ],
     ids=["bool_bv4", "bool_uf"],
@@ -193,7 +193,7 @@ def test_a_bit_vector_grid_under_the_cap_is_checked_whole():
     cfg = SolverConfig()
     assert verify(bodies(f="x"), problem, cfg) == Counterexample({"x": Value(BV8, 0x99)}, 0)
     assert verify(bodies(f="(ite (= x #x99) #x00 x)"), problem, cfg) == Valid(
-        256, 256, uf_models=0, random_samples=256, exhaustive=True
+        256, 256, uf_models=0, random_samples=0, exhaustive=True
     )
     assert solve(problem, SolverConfig(max_term_size=4)) == Fail("exhausted")
 
