@@ -10,11 +10,24 @@ Each subcommand loads only what it runs.  ``check_program`` below imports
 ``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
 so ``parse`` and ``fmt`` load the lexer, parser and printer alone, ``check``
 adds the checker, and only ``solve`` loads the solver.
+
+``run`` pauses Python's cyclic garbage collector once the arguments are
+parsed, through the lexer, parser, checker and printer; it turns the
+collector back on just before ``solve`` if the caller had it on, and
+restores the caller's setting on every way out.  Tokens, syntax records,
+checker tables and printed text hold no reference cycles, since a record
+refers only to its children (see ``Record``), so reference counting frees
+all of them, and a collection during the front end would only scan, again
+and again, objects it cannot free.  The search is not held to that
+invariant: it builds closures, compiled terms and tables that could refer
+to one another, so ``solve`` runs with the collector as the caller set it.
+Library calls such as ``parse_text`` leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
@@ -264,16 +277,24 @@ def run(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     args = build_arg_parser().parse_args(_join_dashed_values(argv))
+    # Paused after argparse, which leaves cyclic garbage of its own.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return _run(args, out, err)
+        return _run(args, out, err, collecting)
     except RecursionError:
         # The parser, checker and evaluator recurse once per level of term
         # nesting.
         err.write(_diag_line(args.input, NO_POS, "E-DEPTH", "input nests too deeply"))
         return EXIT_STATIC
+    finally:
+        if collecting:
+            gc.enable()
 
 
-def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -> int:
+    """One invocation with the collector paused; ``collecting`` says
+    whether to turn it back on for ``solve``."""
     try:
         data = _read_input(args.input)
     except OSError as e:
@@ -315,6 +336,8 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
     from .solver import Fail, Solved, SolveError
 
+    if collecting:
+        gc.enable()
     try:
         result = solve(problem, cfg)
     except SolveError as e:

@@ -137,9 +137,14 @@ _LPAREN, _RPAREN, _SYMBOL_K, _BOOL, _INT = (
 
 
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text``, raising ``LexError`` on any malformed input."""
+    """Tokenize ``text``, raising ``LexError`` on any malformed input.
+
+    Equal symbols are one string object: the tokens, and the trees built
+    from them, share each name instead of holding a copy per occurrence."""
     out: list[Token] = []
     append = out.append
+    names: dict[str, str] = {}
+    intern = names.setdefault
     # The body of ``Token.__new__``, without its Python-level call.
     new = tuple.__new__
     line, line_start = 1, 0
@@ -155,7 +160,7 @@ def tokenize(text: str) -> list[Token]:
             if word == "true" or word == "false":
                 append(new(Token, (_BOOL, word == "true", line, col)))
             else:
-                append(new(Token, (_SYMBOL_K, word, line, col)))
+                append(new(Token, (_SYMBOL_K, intern(word, word), line, col)))
         elif group == _NEWLINE_G:
             line += 1
             line_start = end

@@ -220,43 +220,26 @@ def expand_shorthands(
     printed form (``(Constant Int)``, which no symbol can spell) and listed
     after the grammar's own."""
 
-    def expand(prod: GTerm) -> list[GTerm]:
-        if not isinstance(prod, SHORTHANDS):
-            return [nested(prod)]
-        want = problem.resolve(prod.sort)
-        if isinstance(prod, ConstantOf):
-            return _constant_alternatives(want, prod.sort, cfg)
+    def alternatives(shorthand: GTerm) -> list[GTerm]:
+        want = problem.resolve(shorthand.sort)
+        if isinstance(shorthand, ConstantOf):
+            return _constant_alternatives(want, shorthand.sort, cfg)
         out: list[GTerm] = []
-        if isinstance(prod, (InputVariableOf, VariableOf)):
+        if isinstance(shorthand, (InputVariableOf, VariableOf)):
             out += [Ref(p) for p, s in task.params if s == want]
-        if isinstance(prod, (LocalVariableOf, VariableOf)):
+        if isinstance(shorthand, (LocalVariableOf, VariableOf)):
             out += [Ref(n) for n, s in task.lets if s == want]
         return out
-
-    def nested(t: GTerm) -> GTerm:
-        """``t`` with each shorthand inside it replaced by a reference."""
-        if isinstance(t, SHORTHANDS):
-            name = print_term(t)
-            if name not in fresh:
-                productions = expand(t)
-                if not productions:
-                    message = f"shorthand '{name}' expanded to nothing"
-                    raise SolveError("E-EMPTY-EXPANSION", message, t.pos)
-                fresh[name] = CheckedNT(name, problem.resolve(t.sort), tuple(productions))
-            return Ref(name, t.pos)
-        if isinstance(t, App):
-            return App(t.head, tuple(map(nested, t.args)), t.pos)
-        if isinstance(t, Let):
-            bindings = tuple(Binding(b.name, b.sort, nested(b.value)) for b in t.bindings)
-            return Let(bindings, nested(t.body), t.pos)
-        return t
 
     nts: dict[Symbol, CheckedNT] = {}
     fresh: dict[Symbol, CheckedNT] = {}
     for nt in task.grammar:
         productions: list[GTerm] = []
         for prod in nt.productions:
-            productions.extend(expand(prod))
+            if isinstance(prod, SHORTHANDS):
+                productions.extend(alternatives(prod))
+            else:
+                productions.append(_nested(prod, alternatives, fresh, problem))
         if not productions:
             raise SolveError(
                 "E-EMPTY-EXPANSION",
@@ -266,6 +249,36 @@ def expand_shorthands(
         nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
     nts.update(fresh)
     return ExpandedGrammar(nts, frozenset(n for n, _ in task.lets))
+
+
+def _nested(
+    t: GTerm,
+    alternatives: Callable[[GTerm], list[GTerm]],
+    fresh: dict[Symbol, CheckedNT],
+    problem: CheckedProblem,
+) -> GTerm:
+    """``t`` with each shorthand inside it replaced by a reference to the
+    non-terminal of its ``alternatives``, which is added to ``fresh`` on
+    the shorthand's first occurrence."""
+    if isinstance(t, SHORTHANDS):
+        name = print_term(t)
+        if name not in fresh:
+            productions = alternatives(t)
+            if not productions:
+                message = f"shorthand '{name}' expanded to nothing"
+                raise SolveError("E-EMPTY-EXPANSION", message, t.pos)
+            fresh[name] = CheckedNT(name, problem.resolve(t.sort), tuple(productions))
+        return Ref(name, t.pos)
+    if isinstance(t, App):
+        args = tuple([_nested(a, alternatives, fresh, problem) for a in t.args])
+        return App(t.head, args, t.pos)
+    if isinstance(t, Let):
+        bindings = tuple([
+            Binding(b.name, b.sort, _nested(b.value, alternatives, fresh, problem))
+            for b in t.bindings
+        ])
+        return Let(bindings, _nested(t.body, alternatives, fresh, problem), t.pos)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +338,11 @@ def _shape(
     holes: list[Symbol] = []
     bound: list[frozenset[Symbol]] = []
     free: set[Symbol] = set()
-
-    def walk(node: GTerm, scope: frozenset[Symbol]) -> None:
+    # Nodes in pre-order, each with the names bound around it; children are
+    # pushed last first.
+    todo: list[tuple[GTerm, frozenset[Symbol]]] = [(template, frozenset())]
+    while todo:
+        node, scope = todo.pop()
         if isinstance(node, Ref):
             if node.name in nt_names:
                 holes.append(node.name)
@@ -334,15 +350,11 @@ def _shape(
             elif node.name in let_names and node.name not in scope:
                 free.add(node.name)
         elif isinstance(node, App):
-            for a in node.args:
-                walk(a, scope)
+            todo.extend((a, scope) for a in reversed(node.args))
         elif isinstance(node, Let):
             # Parallel bindings: the values are outside the names' scope.
-            for b in node.bindings:
-                walk(b.value, scope)
-            walk(node.body, scope | {b.name for b in node.bindings})
-
-    walk(template, frozenset())
+            todo.append((node.body, scope | {b.name for b in node.bindings}))
+            todo.extend((b.value, scope) for b in reversed(node.bindings))
     return tuple(holes), tuple(bound), frozenset(free)
 
 
@@ -886,36 +898,39 @@ def _nested_calls(constraints: tuple[Term, ...], task_names: frozenset[Symbol]) 
     of one, directly or through a let of the constraints that binds its
     value.  A ``Ref`` to a task's name is a 0-ary application unless a let
     binds the name."""
-    nested = False
-
-    def calls(t: Term, tainted: frozenset[Symbol]) -> bool:
-        """Whether ``t``'s value depends on a synthesis function; a name in
-        ``tainted`` stands for such a value."""
-        nonlocal nested
-        if isinstance(t, Ref):
-            return t.name in tainted
-        # Loops rather than comprehensions, which would spend a frame of
-        # their own per level.
-        if isinstance(t, App):
-            inner = False
-            for a in t.args:
-                inner = calls(a, tainted) or inner
-            if t.head in task_names:
-                nested = nested or inner
-                return True
-            return inner
-        if isinstance(t, Let):
-            carried = []
-            for b in t.bindings:
-                carried.append(calls(b.value, tainted))
-            bound = frozenset(b.name for b in t.bindings)
-            inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
-            return calls(t.body, inner) or any(carried)
-        return False
-
+    nested: list[App] = []
     for c in constraints:
-        calls(c, task_names)
-    return nested
+        _calls(c, task_names, task_names, nested)
+    return bool(nested)
+
+
+def _calls(
+    t: Term, tainted: frozenset[Symbol], task_names: frozenset[Symbol], nested: list[App]
+) -> bool:
+    """Whether ``t``'s value depends on a synthesis function; a name in
+    ``tainted`` stands for such a value.  Each application of one in ``t``
+    whose arguments depend on one is added to ``nested``."""
+    if isinstance(t, Ref):
+        return t.name in tainted
+    # Loops rather than comprehensions, which would spend a frame of their
+    # own per level.
+    if isinstance(t, App):
+        inner = False
+        for a in t.args:
+            inner = _calls(a, tainted, task_names, nested) or inner
+        if t.head in task_names:
+            if inner:
+                nested.append(t)
+            return True
+        return inner
+    if isinstance(t, Let):
+        carried = []
+        for b in t.bindings:
+            carried.append(_calls(b.value, tainted, task_names, nested))
+        bound = frozenset(b.name for b in t.bindings)
+        inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
+        return _calls(t.body, inner, task_names, nested) or any(carried)
+    return False
 
 
 class _InvocationPoints:
@@ -973,12 +988,14 @@ class _ByColumn:
     term's column at the index of that tuple among the points."""
 
     def __init__(self, table: TermTable, points: list[tuple[Payload, ...]]):
-        self._table = table
+        # The columns, not the table, which refers to the environment that
+        # this binding is bound in: no cycle keeps a pass's tables alive.
+        self._columns = table._columns
         self._index = {args: i for i, args in enumerate(points)}
         self._column: tuple[Payload, ...] = ()
 
     def set(self, term: Term) -> None:
-        self._column = self._table.column(term)
+        self._column = self._columns[id(term)]
 
     def __call__(self, *args: Payload) -> Payload:
         return self._column[self._index[args]]
@@ -994,10 +1011,13 @@ class _ByTerm:
     where calls nest and so its argument tuples depend on the candidate: an
     application evaluates the term at its arguments.  Each term is compiled
     once, over the task's parameters; the terms must be those of a table
-    that outlives this binding, so that no identity is reused."""
+    that outlives this binding, so that no identity is reused.  A grammar
+    term applies no synthesis function, so the terms are compiled in an
+    environment of their own with nothing bound, not in the one this
+    binding is bound in, which would then refer back to it."""
 
-    def __init__(self, task: SynthTask, env: EvalEnv):
-        self._env = env
+    def __init__(self, task: SynthTask, problem: CheckedProblem):
+        self._env = EvalEnv(problem)
         self._params = dict(task.params)
         self._compiled: dict[int, Compiled] = {}
         self._term: Optional[Compiled] = None
@@ -1069,7 +1089,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
         # Identity keys do not depend on the store: one table, and one
         # binding of compiled terms, serves every pass.
         plain = [TermTable(g, deadline) for g in grammars]
-        by_term = [_ByTerm(t, env) for t in tasks]
+        by_term = [_ByTerm(t, problem) for t in tasks]
     else:
         points = _InvocationPoints(problem, cfg, model_for)
 

@@ -70,6 +70,12 @@ class Record:
       its fields;
     - ``__match_args__`` lists the fields.
 
+    A record refers only to its children, never to a parent or to itself,
+    so records, like the tokens they are built from, form no reference
+    cycle: reference counting frees every one of them, which is why
+    ``sygus.cli.run`` pauses the cyclic garbage collector while it builds
+    and prints them.
+
     Each class is registered with ``dataclasses`` on first use, which
     generates nothing for it here: ``dataclasses.fields``,
     ``dataclasses.is_dataclass`` and everything else that reads a class's

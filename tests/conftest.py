@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,22 @@ def child(*args):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60, check=True,
     )
     return p.stdout.splitlines()
+
+
+@contextmanager
+def collector_paused():
+    """Python's cyclic garbage collector off, after a collection that
+    clears the garbage of earlier tests, so that ``gc.collect()`` counts
+    only the cyclic garbage made inside; on exit, on again if it was."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
 
 # What ``print_solution`` prints: one line per define-fun.
 EXPECTED_MAX2_MIN2 = """\

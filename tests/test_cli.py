@@ -1,4 +1,5 @@
 import ast
+import gc
 import io
 import os
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 
 import sygus
 from sygus import checker, cli, solver
-from sygus.cli import EXIT_FAIL, EXIT_OK, EXIT_STATIC, EXIT_UNSUPPORTED, run
+from sygus.cli import EXIT_FAIL, EXIT_IO, EXIT_OK, EXIT_STATIC, EXIT_UNSUPPORTED, dump_program, run
+from sygus.lexer import tokenize
+from sygus.parser import parse_program
+from sygus.printer import print_program
 from sygus.evaluator import stable_u64
 
 from conftest import (
@@ -21,6 +25,7 @@ from conftest import (
     LIA_ITE_UNSOLVABLE,
     UF_SUM,
     child,
+    collector_paused,
 )
 
 
@@ -410,14 +415,16 @@ def test_ascii_stdin_is_read(monkeypatch):
     assert run_cli("solve", "-") == (EXIT_OK, "(define-fun f ((x Int)) Int x)\n", "")
 
 
+DEEP_NOT = (
+    "(declare-var x Int)\n(constraint " + "(not " * 3000 + "true" + ")" * 3000
+    + ")\n(check-synth)\n"
+)
+
+
 @pytest.mark.parametrize("subcommand", ["parse", "check", "fmt", "solve"])
 def test_deep_nesting_is_a_diagnostic(tmp_path, subcommand):
     path = tmp_path / "deep.sl"
-    path.write_text(
-        "(declare-var x Int)\n(constraint "
-        + "(not " * 3000 + "true" + ")" * 3000
-        + ")\n(check-synth)\n"
-    )
+    path.write_text(DEEP_NOT)
     code, out, err = run_cli(subcommand, str(path))
     assert (code, out) == (EXIT_STATIC, "")
     assert err == f"{path}:0:0: E-DEPTH: input nests too deeply\n"
@@ -772,3 +779,151 @@ def test_solve_help_states_each_default(capsys, monkeypatch):
         "                        integer constants for (Constant Int) expansions "
         "(default: 0,1,-1,2)",
     ]
+
+
+# -- the collector policy of run ----------------------------------------------
+
+REALS = "(set-logic Reals)\n(declare-var x Real)\n(constraint (= x x))\n(check-synth)\n"
+
+# One invocation per way out of run: the arguments before the input path,
+# the file's text (None: no file), the exit code, a piece of stderr that
+# names the path taken, and the wrapped functions of cli it calls in order.
+FRONT_END = ("tokenize",)
+CHECKED = ("tokenize", "check_program")
+SOLVED = ("tokenize", "check_program", "solve")
+EXIT_PATHS = {
+    "parse": (["parse"], ONE_LINER.format(options=""), EXIT_OK, "", FRONT_END),
+    "fmt": (["fmt"], ONE_LINER.format(options=""), EXIT_OK, "", FRONT_END),
+    "check": (["check"], ONE_LINER.format(options=""), EXIT_OK, "", CHECKED),
+    "solve": (["solve"], ONE_LINER.format(options=""), EXIT_OK, "", SOLVED),
+    "lex_error": (["check"], "(set-logic LIA)\n@\n", EXIT_STATIC, "E-LEX", FRONT_END),
+    "parse_error": (["check"], "(set-logic LIA", EXIT_STATIC, "E-PARSE", FRONT_END),
+    "check_error": (["check"], "(constraint (= y 1))\n(check-synth)\n", EXIT_STATIC,
+                    "E-UNBOUND", CHECKED),
+    "depth": (["parse"], DEEP_NOT, EXIT_STATIC, "E-DEPTH", FRONT_END),
+    "unreadable": (["check"], None, EXIT_IO, "cannot read", ()),
+    "option_value": (["solve", "--max-term-size", "0"], ONE_LINER.format(options=""),
+                     EXIT_STATIC, "E-OPT-VALUE", CHECKED),
+    "solve_error": (["solve"], REALS, EXIT_UNSUPPORTED, "E-THEORY-UNSUPPORTED", SOLVED),
+    "fail": (["solve", "--max-term-size", "4"], LIA_ITE_UNSOLVABLE, EXIT_FAIL,
+             "search exhausted", SOLVED),
+}
+
+
+@pytest.fixture
+def collector_watch(monkeypatch):
+    """Whether the collector was on at each call of the wrapped ``cli``
+    functions, as (name, on) pairs in call order."""
+    seen = []
+
+    def watch(name):
+        fn = getattr(cli, name)
+
+        def wrapped(*args):
+            seen.append((name, gc.isenabled()))
+            return fn(*args)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    for name in SOLVED:
+        watch(name)
+    return seen
+
+
+def run_with_collector(collecting, *argv):
+    """``run_cli(*argv)``, or the ``SystemExit`` it raised, with the
+    collector set to ``collecting`` first, and whether the collector was
+    on afterwards; the test's own setting is restored."""
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        try:
+            got = run_cli(*argv)
+        except SystemExit as e:
+            got = e
+        return got, gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize("way", sorted(EXIT_PATHS))
+def test_run_pauses_the_collector_for_the_front_end_alone(
+    tmp_path, collector_watch, way, collecting
+):
+    # The front end runs with the collector paused, solve with it as the
+    # caller had it, and the caller gets its setting back on every way out.
+    args, text, code, said, calls = EXIT_PATHS[way]
+    path = tmp_path / "spec.sl"
+    if text is not None:
+        path.write_text(text)
+    (got_code, _, err), after = run_with_collector(collecting, *args, str(path))
+    assert (got_code, after) == (code, collecting)
+    assert said in err
+    assert collector_watch == [(name, collecting and name == "solve") for name in calls]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector_on", "collector_off"])
+def test_run_restores_the_collector_when_arguments_are_rejected(capsys, collecting):
+    got, after = run_with_collector(collecting, "solve", "--no-such-flag", "spec.sl")
+    assert (type(got), got.code, after) == (SystemExit, EXIT_STATIC, collecting)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def large_spec():
+    """A large problem over most of the language: a PBE spec of 2,000
+    examples, a macro nested 300 deep, and 40 grammars with lets and
+    shorthands, plus bit vectors, an enum sort, a UF and a real literal."""
+    examples, depth, grammars = 2000, 300, 40
+    body = "x"
+    for i in range(depth):
+        body = f"(ite (< x {i}) {body} (+ x {i}))"
+    lines = [
+        '(set-options ((grid-radius "3")))',
+        "(define-sort Color (Enum (red green blue)))",
+        "(declare-fun uf (Int) Int)",
+        f"(define-fun deep ((x Int)) Int {body})",
+        "(define-fun pick ((c Color) (v (BitVec 8))) (BitVec 8)"
+        " (ite (= c Color::red) (bvadd v #x01) #b00000000))",
+    ]
+    for g in range(grammars):
+        lines.append(
+            f"(synth-fun f{g} ((x Int) (y Int)) Int ((Start Int (x y z (Constant Int)"
+            " (Variable Int) (+ Start Start) (let ((z Int Start)) Start) (ite B Start Start)))"
+            " (B Bool ((<= Start Start) (and B B) (not B)))))"
+        )
+    lines += [
+        "(synth-fun h ((c Color) (v (BitVec 8))) (BitVec 8)"
+        " ((Start (BitVec 8) (v #x00 (pick c Start) (bvand Start Start)))))",
+        "(declare-var a Int)",
+        "(declare-var c Color)",
+        "(declare-var v (BitVec 8))",
+    ]
+    lines += [
+        f"(constraint (= (f{i % grammars} {i} {-i}) (deep {i % 50})))" for i in range(examples)
+    ]
+    lines += [
+        "(constraint (= (h c v) (pick c v)))",
+        "(constraint (or (>= (uf a) 0) (< 0.5 2.5)))",
+        "(check-synth)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", [*sorted(p.stem for p in FIXTURES.glob("*.sl")), "large"])
+def test_front_end_leaves_no_cyclic_garbage(name):
+    # What run's policy rests on: tokens, records, the checker's tables and
+    # printed text form no reference cycle, so reference counting frees
+    # them all and a paused collector misses nothing.
+    text = large_spec() if name == "large" else (FIXTURES / f"{name}.sl").read_text()
+    with collector_paused():
+        tokens = tokenize(text)
+        assert gc.collect() == 0
+        program = parse_program(tokens)
+        del tokens
+        problem = checker.check_program(program)
+        printed, dumped = print_program(program), dump_program(program)
+        assert gc.collect() == 0
+        assert problem.constraints and printed and dumped
+        del program, problem, printed, dumped
+        assert gc.collect() == 0

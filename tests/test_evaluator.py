@@ -360,7 +360,7 @@ def test_a_macro_and_a_synthesis_function_share_a_name():
     table = TermTable(expand_shorthands(task, problem, SolverConfig()), None, env, task.params, at)
     [listed] = [t for t in table.closed("Start", 4) if t == body]
     assert table.column(listed) == (1, 5)
-    for binding in (solver._ByColumn(table, at), solver._ByTerm(task, env)):
+    for binding in (solver._ByColumn(table, at), solver._ByTerm(task, problem)):
         binding.set(listed)
         env.set_values("g", binding)
         assert compile_term(both, env, variables)(cols, rows) == expected
@@ -637,7 +637,7 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
         pools[task.name] = [t for size in range(1, 5) for t in table.closed("Start", size)]
     if solver._nested_calls(problem.constraints, frozenset(tables)):
         # The arguments depend on the candidate: each term is evaluated.
-        bound = {t.name: solver._ByTerm(t, env) for t in problem.synth_tasks}
+        bound = {t.name: solver._ByTerm(t, problem) for t in problem.synth_tasks}
         candidates = candidate_tuples(problem, cfg)
     else:
         bound = {n: solver._ByColumn(tables[n], at[n]) for n in tables}

@@ -277,3 +277,15 @@ def outcome(scan, text):
 )
 def test_tokenize_agrees_with_the_reference_scanner(text):
     assert outcome(tokenize, text) == outcome(reference_tokenize, text)
+
+
+def test_repeated_symbols_are_one_string():
+    # Names of more than one character, which the interpreter does not
+    # share on its own, sliced from different places of the text.
+    text = "(define-fun max2 ((x_1 Int)) Int (max2 x_1))\n(max2 x_1 Int)"
+    toks = tokenize(text)
+    by_name = {}
+    for t in toks:
+        if t.kind is TokKind.SYMBOL:
+            assert by_name.setdefault(t.value, t.value) is t.value
+    assert sorted(by_name) == ["Int", "define-fun", "max2", "x_1"]

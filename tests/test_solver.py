@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -29,9 +30,11 @@ from conftest import (
     FIXTURES,
     LET_SUM_UNSOLVABLE,
     LIA_ITE_UNSOLVABLE,
+    MAX2_MIN2_BASE,
     MAX3,
     UF_DIFF,
     UF_SUM,
+    collector_paused,
     load_problem,
 )
 from oracle import oracle_terms
@@ -362,6 +365,39 @@ def test_timeout_is_honoured_while_tables_grow(spec, max_size):
     result = solve(problem, cfg)
     assert result == Fail("timeout")
     assert time.monotonic() - start < 4.0
+
+
+# Every problem of conftest.py and of the fixtures, under a size cap that
+# ends the unsolvable ones soon, and max3 once more, stopped by its deadline.
+FREED_BY_REFCOUNT = {
+    **{p.stem: p.read_text() for p in sorted(FIXTURES.glob("*.sl"))},
+    "bool_bv4": BOOL_BV4,
+    "let_sum": LET_SUM_UNSOLVABLE,
+    "lia_ite": LIA_ITE_UNSOLVABLE,
+    "max2_min2_base": MAX2_MIN2_BASE,
+    "max3": MAX3,
+    "uf_sum": UF_SUM,
+    "uf_diff": UF_DIFF,
+}
+
+
+@pytest.mark.parametrize(
+    "spec, cfg",
+    [
+        *[(spec, SolverConfig(max_term_size=6)) for spec in FREED_BY_REFCOUNT.values()],
+        (MAX3, SolverConfig(max_term_size=20, timeout_seconds=0.5)),
+    ],
+    ids=[*FREED_BY_REFCOUNT, "max3_timeout"],
+)
+def test_solve_leaves_no_cyclic_garbage(spec, cfg):
+    # The last pass's tables, bindings and compiled terms form no cycle, so
+    # they are freed as solve returns, collector or not.
+    problem = load_problem(spec)
+    with collector_paused():
+        result = solve(problem, cfg)
+        assert gc.collect() == 0
+    if cfg.timeout_seconds is not None:
+        assert result == Fail("timeout")
 
 
 def test_closed_filter_checks_the_deadline():
