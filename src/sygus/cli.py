@@ -27,6 +27,7 @@ Library calls such as ``parse_text`` leave the collector alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
@@ -78,6 +79,15 @@ _OPTIONS = {
 _METAVARS = {int: "N", float: "T", _int_list: "C1,C2,..."}
 #: What a value that does not convert is said to need.
 _VALUE_NAMES = {int: "an int", float: "a float", _int_list: "a comma-separated int"}
+
+
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """``build_arg_parser()``, built once per process, on first use:
+    argparse leaves cyclic garbage as it builds a parser (each argument's
+    help formatter refers back to it), and parsing with a built one leaves
+    none."""
+    return build_arg_parser()
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -276,8 +286,9 @@ def run(
     """Execute one CLI invocation and return its exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = build_arg_parser().parse_args(_join_dashed_values(argv))
-    # Paused after argparse, which leaves cyclic garbage of its own.
+    args = _arg_parser().parse_args(_join_dashed_values(argv))
+    # Paused after argparse, whose first call builds the parser and leaves
+    # cyclic garbage.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -38,25 +38,34 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
   checked term, and returns one column function per node: it maps a batch
   of rows to the node's payloads at every row, with one list operation per
   node.  A batch is each variable's column of payloads and its ``Rows``:
-  the row count and the runs of rows that share a sampled model.
-  Operators are mapped over their argument columns, so ``+`` on Int is
-  ``operator.add`` mapped over two lists of ints in C; an uninterpreted
-  function streams its rows' memo keys in C and maps the memo of its
-  declaration in each run's model over the run's keys (``_uf_query``), so
-  only a model's first query of a point steps into Python; macro and
-  candidate bodies are compiled once per environment and take their
-  argument columns as variables; an application bound by
-  ``EvalEnv.set_values`` maps its function over the argument columns.
-  Compiling costs more than one walk, but each later batch skips the walk,
-  the dispatch and the operator lookup, and pays each node's call once per
-  batch rather than once per row.  The solver runs every evaluation this
-  way: ``verify`` on chunks of its grid, each one run, and of its random
-  rows, each a run of one row; the screens on the stored counterexamples;
-  and the term tables on the invocation points, where a
-  production compiled with its holes as variables gives a new term's
-  column from its children's columns (see ``solver.TermTable``).  The
-  compiler keeps its work on an explicit stack, so a deep term costs it no
-  interpreter stack; a compiled term then nests about one call per level.
+  the row count, the runs of rows that share a sampled model, and how many
+  times the batch repeats its columns, once per model.  Operators are
+  mapped over their argument columns, so ``+`` on Int is ``operator.add``
+  mapped over two lists of ints in C; an uninterpreted function builds its
+  rows' memo keys in C and maps the memo of its declaration in each run's
+  model over the run's keys (``_uf_query``), so only a model's first query
+  of a point steps into Python; macro and candidate bodies are compiled
+  once per environment and take their argument columns as variables; an
+  application bound by ``EvalEnv.set_values`` maps its function over the
+  argument columns.  Compiling costs more than one walk, but each later
+  batch skips the walk, the dispatch and the operator lookup, and pays
+  each node's call once per batch rather than once per row.
+- The compiler marks each node that depends on the model: one under which
+  an uninterpreted function is applied.  On a batch that repeats its
+  columns k times, one copy per model, every other node is computed once
+  per point, its column repeated only where a node that depends on the
+  model reads it, and an uninterpreted function whose arguments do not
+  depend on the model builds its keys once for all k models.  The result
+  is that of the k models one after another.
+- The solver runs every evaluation compiled: ``verify`` on chunks of its
+  grid, each under a window of models at once, and on its random rows,
+  each a run of one row; the screens on the stored counterexamples; and
+  the term tables on the invocation points, where a production compiled
+  with its holes as variables gives a new term's column from its
+  children's columns (see ``solver.TermTable``).  Only ``verify``'s grid
+  repeats its columns.  The compiler keeps its work on an explicit stack,
+  so a deep term costs it no interpreter stack; a compiled term then nests
+  about one call per level.
 """
 
 from __future__ import annotations
@@ -268,16 +277,29 @@ Columns = dict[Symbol, Sequence[Payload]]
 
 
 class Rows:
-    """What a batch holds besides its columns: the number of rows, and
-    their sampled models as runs of rows that share one, ``(model, row
-    count)`` pairs in row order.  A model is ``None`` where there are no
-    uninterpreted functions."""
+    """What a batch holds besides its columns: the number of rows, their
+    sampled models as runs of rows that share one, ``(model, row count)``
+    pairs in row order, and how many times the batch repeats its columns.
+    A model is ``None`` where there are no uninterpreted functions.
 
-    __slots__ = ("count", "runs")
+    With ``repeat`` 1, each column holds a payload per row.  With
+    ``repeat`` k > 1, the batch is the columns' ``points`` rows under each
+    of k models in turn: ``runs`` is k runs of ``points`` rows, one per
+    model, and a column holds one payload per point, the same under every
+    model.  A compiled term then computes a part under which no
+    uninterpreted function is applied once per point, and only the others
+    once per row (see ``compile_term``).  Only a batch of a problem with
+    uninterpreted functions repeats: without them there is one model,
+    ``None``."""
 
-    def __init__(self, runs: list[tuple[Optional[UFModel], int]]):
+    __slots__ = ("count", "runs", "repeat", "points")
+
+    def __init__(self, runs: list[tuple[Optional[UFModel], int]], repeat: int = 1):
         self.runs = runs
         self.count = sum([n for _, n in runs])
+        self.repeat = repeat
+        #: The length of a column: the rows of one model's copy.
+        self.points = self.count // repeat
 
 
 #: A compiled term: its payload at each row of a batch.
@@ -308,6 +330,7 @@ class EvalEnv:
         #: functions in; compiled terms take a model per row instead.
         self.model: Optional[UFModel] = None
         self.funcs = problem.funcs
+        self.has_ufs = bool(problem.uf_decls)
         self.enums = problem.enums
         #: What each synthesis function is bound to: a body or a function.
         self._bound: dict[Symbol, Union[Term, Callable[..., Payload]]] = dict(candidates or ())
@@ -484,7 +507,14 @@ def _builtin(
 # Steps of the compiler's explicit stack.
 _NODE, _APP, _LET_BODY, _LET = range(4)
 
-_Part = tuple[Compiled, ResolvedSort]
+#: A compiled node: its column function, its sort, and whether it depends on
+#: the model, which it does when an uninterpreted function is applied under
+#: it.  Under a ``Rows`` with ``repeat`` k, a part that depends on the model
+#: gives a payload per row, and any other part one per point.
+_Part = tuple[Compiled, ResolvedSort, bool]
+
+#: No let-bound name whose value depends on the model.
+_MODEL_FREE: frozenset[Symbol] = frozenset()
 
 # A column function calls its children from its own frame, in a loop rather
 # than a comprehension, which would be a frame of its own: a compiled term
@@ -505,8 +535,8 @@ def compile_term(
     A row is an assignment to ``variables`` and the sampled model that
     uninterpreted functions are evaluated in at that row.  The function
     takes the batch's columns of payloads (see ``columns``) and its
-    ``Rows``, the row count and the runs of rows that share a model, and
-    returns the term's payload at each row.  Every
+    ``Rows``: the row count, the runs of rows that share a model, and the
+    repeat count, and returns the term's payload at each row.  Every
     node's sort is resolved here, so the payloads of a column share one
     sort, which the caller knows from the term and boxes a payload with.
     On a checked term whose free names are
@@ -517,39 +547,53 @@ def compile_term(
     ``env`` holds now; one with no meaning at the sorts of its arguments,
     such as a synthesis function with no candidate, raises the
     ``AssertionError`` that ``eval_term`` raises when it reaches it.
+
+    A node depends on the model only if an uninterpreted function is
+    applied under it.  On a batch that repeats its columns k times (one
+    copy per model, see ``Rows``), a node that does not is computed once
+    per point, and its column is repeated k times (``col * k``) only
+    where a node that depends on the model reads it; an uninterpreted
+    function whose arguments do not depend on the model builds its memo
+    keys once and maps each model's memo over them.  So on k models the
+    result is that of k batches of one model each, one after the other,
+    and the work that no model touches is done once.  A term that applies
+    no uninterpreted function gives its column repeated k times.
     """
-    return _compile(t, env, variables)[0]
+    fn, _, dep = _compile(t, env, variables)
+    # Without uninterpreted functions no batch repeats: there is one model.
+    return fn if dep or not env.has_ufs else _repeated(fn)
 
 
 def _compile(
     root: Term, env: EvalEnv, variables: Mapping[Symbol, ResolvedSort]
 ) -> _Part:
-    """The column function of ``root`` and its sort.  Nodes are compiled in
-    post-order from an explicit stack; ``done`` holds the compiled children
-    waiting for their parent."""
+    """The part of ``root``.  Nodes are compiled in post-order from an
+    explicit stack; ``done`` holds the compiled children waiting for their
+    parent.  Each step carries the scope's sorts and the let-bound names in
+    it whose values depend on the model."""
     done: list[_Part] = []
-    todo: list[tuple] = [(_NODE, root, variables)]
+    todo: list[tuple] = [(_NODE, root, variables, _MODEL_FREE)]
     while todo:
-        step, node, scope = todo.pop()
+        step, node, scope, dependent = todo.pop()
         if step == _NODE:
             if isinstance(node, Lit):
                 payload, sort = _literal(node.value, env.enums)
-                done.append((lambda c, r, p=payload: [p] * r.count, sort))
+                done.append((lambda c, r, p=payload: [p] * r.points, sort, False))
             elif isinstance(node, Ref):
                 sort = scope.get(node.name)
                 if sort is not None:
-                    done.append((lambda c, r, n=node.name: c[n], sort))
+                    done.append((lambda c, r, n=node.name: c[n], sort, node.name in dependent))
                 else:
-                    done.append(_call(node.name, [], env))
+                    done.append(_call(node.name, (), env))
             elif isinstance(node, App):
-                todo.append((_APP, node, scope))
-                todo.extend((_NODE, a, scope) for a in reversed(node.args))
+                todo.append((_APP, node, scope, dependent))
+                todo.extend((_NODE, a, scope, dependent) for a in reversed(node.args))
             else:
                 assert isinstance(node, Let)
                 # Parallel semantics: the values are compiled in the outer
                 # scope, the body in the scope they extend.
-                todo.append((_LET_BODY, node, scope))
-                todo.extend((_NODE, b.value, scope) for b in reversed(node.bindings))
+                todo.append((_LET_BODY, node, scope, dependent))
+                todo.extend((_NODE, b.value, scope, dependent) for b in reversed(node.bindings))
         elif step == _APP:
             cut = len(done) - len(node.args)
             parts = done[cut:]
@@ -559,51 +603,76 @@ def _compile(
             cut = len(done) - len(node.bindings)
             parts = done[cut:]
             del done[cut:]
-            inner = dict(scope)
-            inner.update((b.name, sort) for b, (_, sort) in zip(node.bindings, parts))
+            fns, sorts, deps = zip(*parts)
             names = [b.name for b in node.bindings]
-            todo.append((_LET, (names, [f for f, _ in parts]), None))
-            todo.append((_NODE, node.body, inner))
+            inner = dict(scope)
+            inner.update(zip(names, sorts))
+            if dependent or True in deps:
+                dependent = dependent.difference(names).union(
+                    [n for n, dep in zip(names, deps) if dep]
+                )
+            todo.append((_LET, (names, fns), None, None))
+            todo.append((_NODE, node.body, inner, dependent))
         else:
             names, fns = node
-            body, sort = done.pop()
-            done.append((_parallel_let(names, fns, body), sort))
+            body, sort, dep = done.pop()
+            done.append((_parallel_let(names, fns, body), sort, dep))
     [result] = done
     return result
 
 
-def _call(head: Symbol, parts: list[_Part], env: EvalEnv) -> _Part:
+def _call(head: Symbol, parts: Sequence[_Part], env: EvalEnv) -> _Part:
     """An application of ``head`` to compiled arguments, resolved now by
-    the rule ``eval_term`` applies at every call: ``EvalEnv.resolve``."""
-    fns = [f for f, _ in parts]
-    sorts = tuple(s for _, s in parts)
+    the rule ``eval_term`` applies at every call: ``EvalEnv.resolve``.
+    Where some arguments depend on the model and some do not, the others
+    are repeated, so that each argument column has a payload per row."""
+    fns, sorts, deps = zip(*parts) if parts else ((), (), ())
+    dep = True in deps
+    if dep and False in deps:
+        fns = [f if d else _repeated(f) for f, d in zip(fns, deps)]
     hit = env.resolve(head, sorts)
     if hit is None:
         op, ret = _builtin(head, sorts)
-        return _map_call(op, fns), ret
+        return _map_call(op, fns), ret, dep
     entry, body = hit
     if entry.kind == "uf":
-        return _uf_query(entry.index, fns), entry.ret
+        return _uf_query(entry.index, fns, dep), entry.ret, True
     if not isinstance(body, Term):
-        return _map_call(body, fns), entry.ret
-    return _call_by_value(_compiled_body(entry, body, env), entry.params, fns), entry.ret
+        return _map_call(body, fns), entry.ret, dep
+    compiled, inner = _compiled_body(entry, body, env)
+    return _call_by_value(compiled, entry.params, fns, dep), entry.ret, dep or inner
 
 
-def _compiled_body(entry: FuncEntry, body: Term, env: EvalEnv) -> Compiled:
+def _compiled_body(entry: FuncEntry, body: Term, env: EvalEnv) -> tuple[Compiled, bool]:
     """``body``, that of a macro or a candidate for ``entry``, compiled once
-    per environment."""
+    per environment with parameters that do not depend on the model, and
+    whether it depends on the model."""
     key = (id(entry), id(body))
     hit = env._compiled.get(key)
     if hit is None:
         scope = dict(zip(entry.params, entry.arg_sorts))
-        hit = env._compiled[key] = (entry, body, _compile(body, env, scope)[0])
-    return hit[2]
+        fn, _, dep = _compile(body, env, scope)
+        hit = env._compiled[key] = (entry, body, fn, dep)
+    return hit[2], hit[3]
 
 
-def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
-    """``fn`` called at each row with the argument payloads."""
+def _repeated(f: Compiled) -> Compiled:
+    """``f``, the function of a part that does not depend on the model,
+    read where a part that does reads it: its column once per model of a
+    batch that repeats its columns."""
+
+    def call(c: Columns, r: Rows) -> Sequence[Payload]:
+        col = f(c, r)
+        return col if r.repeat == 1 else col * r.repeat
+
+    return call
+
+
+def _map_call(fn: Callable[..., Payload], fns: Sequence[Compiled]) -> Compiled:
+    """``fn`` called at each row with the argument payloads; with no
+    arguments, once per point."""
     if not fns:
-        return lambda c, r: [fn() for _ in range(r.count)]
+        return lambda c, r: [fn() for _ in range(r.points)]
     if len(fns) == 1:
         [f0] = fns
         return lambda c, r: list(map(fn, f0(c, r)))
@@ -620,14 +689,17 @@ def _map_call(fn: Callable[..., Payload], fns: list[Compiled]) -> Compiled:
     return call
 
 
-def _uf_query(index: int, fns: list[Compiled]) -> Compiled:
+def _uf_query(index: int, fns: Sequence[Compiled], dep: bool) -> Compiled:
     """A query of each row's model at the argument payloads, for the
     declaration at ``index`` (see ``UFModel``), which was resolved when the
-    term was compiled.  The rows' memo keys stream in C: a unary
-    function's key is its argument's payload, a wider one's the argument
-    columns zipped.  Each run of rows that share a model maps its memo's
-    ``__getitem__`` over the run's keys; only a miss steps into Python, to
-    derive the result from the digest of the same bytes that
+    term was compiled.  A unary function's memo key is its argument's
+    payload, a wider one's the argument columns zipped.  Where an argument
+    depends on the model (``dep``), the rows' keys stream in C and each run
+    of rows that share a model maps its memo's ``__getitem__`` over the
+    run's keys.  Where none does, the keys are the same under every model
+    of a batch that repeats its columns, so they are built once and each
+    model's memo is mapped over all of them.  Only a miss steps into
+    Python, to derive the result from the digest of the same bytes that
     ``UFModel.query`` hashes."""
 
     def call(c: Columns, r: Rows) -> list[Payload]:
@@ -635,27 +707,42 @@ def _uf_query(index: int, fns: list[Compiled]) -> Compiled:
         for f in fns:
             args.append(f(c, r))
         if len(args) == 1:
-            keys = iter(args[0])
+            keys = args[0]
         elif args:
             keys = zip(*args)
         else:
-            keys = repeat((), r.count)
+            keys = repeat((), r.points)
         out: list[Payload] = []
-        for model, n in r.runs:
-            out += map(model.memo[index].__getitem__, islice(keys, n))
+        if r.repeat == 1 or dep:
+            keys = iter(keys)
+            for model, n in r.runs:
+                out += map(model.memo[index].__getitem__, islice(keys, n))
+        else:
+            if len(args) != 1:
+                keys = list(keys)
+            for model, _ in r.runs:
+                out += map(model.memo[index].__getitem__, keys)
         return out
 
     return call
 
 
-def _call_by_value(body: Compiled, params: tuple[Symbol, ...], fns: list[Compiled]) -> Compiled:
-    """A call by value: the argument columns are the body's variables."""
+def _call_by_value(
+    body: Compiled, params: tuple[Symbol, ...], fns: Sequence[Compiled], dep: bool
+) -> Compiled:
+    """A call by value: the argument columns are the body's variables.  The
+    body was compiled with parameters that do not depend on the model, so
+    where an argument does (``dep``), the body takes the batch's rows one
+    model after another, not as repeats, each argument column a payload
+    per row."""
     pairs = tuple(zip(params, fns))
 
     def call(c: Columns, r: Rows) -> Sequence[Payload]:
         args = {}
         for p, f in pairs:
             args[p] = f(c, r)
+        if dep and r.repeat > 1:
+            r = Rows(r.runs)
         return body(args, r)
 
     return call

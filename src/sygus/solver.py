@@ -53,12 +53,15 @@ runs of rows that share a sampled model (``Rows``), to the payloads at
 every row: a constraint's column is a sequence of ``bool``, which
 ``_first_false`` and the screens read as it is.  ``verify`` compiles the
 constraints once per call with the candidate inlined and evaluates chunks
-of up to ``CHUNK_CAP`` rows of two streams, the grid and the random
-samples, whose values are drawn as payloads.  A grid chunk lies under one
-model, so it is one run: its points stream from ``itertools.product`` and
-are transposed to columns in C, and each uninterpreted-function
-application on it is one memo lookup mapped in C over its keys.  A random
-row has a model of its own and is a run of one row.  The screens compile
+of up to ``CHUNK_CAP`` points of two streams, the grid and the random
+samples, whose values are drawn as payloads.  A grid chunk is checked under
+a window of up to ``MODEL_WINDOW`` models at once, one run per model: its
+points stream from ``itertools.product`` and are transposed to columns in
+C once for the window, the parts of a constraint that apply no
+uninterpreted function are computed once for the window too, and each
+uninterpreted-function application on it is one memo lookup per model
+mapped in C over its keys.  A random row has a model of its own and is a
+run of one row.  The screens compile
 the constraints once per pass, with each synthesis function's
 applications bound to its current term (``EvalEnv.set_values``), and
 evaluate them on one batch: the store's rows, each a point of payloads and
@@ -147,8 +150,11 @@ _MASK64 = (1 << 64) - 1
 
 #: Grid points checked per sampled model; the grid is cut beyond this.
 GRID_POINT_CAP = 10_000
-#: Most rows ``verify`` evaluates in one batch.
+#: Most points ``verify`` evaluates in one batch: grid points, each under
+#: every live model of a window, or random samples.
 CHUNK_CAP = 256
+#: Most sampled models ``verify`` checks a grid chunk under in one batch.
+MODEL_WINDOW = 8
 #: Random Int samples are drawn from [-SAMPLE_RANGE, SAMPLE_RANGE].
 SAMPLE_RANGE = 1 << 16
 #: Seeded draws added to 0, 1 and all-ones for bit-vectors wider than 4.
@@ -633,9 +639,6 @@ VerificationResult = Union[Valid, Counterexample]
 _Point = tuple[Payload, ...]
 #: A stored counterexample: its point and its UF seed.
 _Row = tuple[_Point, int]
-#: A chunk of rows ``verify`` checks in one batch: their points, their UF
-#: seeds, and their ``Rows``.
-_Chunk = tuple[Sequence[_Point], Sequence[int], Rows]
 
 
 class Solved(Record):
@@ -763,7 +766,8 @@ def _whole_domain(sort: ResolvedSort, size: int) -> bool:
 def _first_false(
     checks: list[Compiled], names: list[Symbol], points: Sequence[_Point], rows: Rows
 ) -> Optional[int]:
-    """The index of the first of ``points`` at which some check is false."""
+    """The index of the first row of the batch of ``points`` and ``rows``
+    at which some check is false."""
     batch = columns(names, points)
     first = None
     for check in checks:
@@ -783,27 +787,56 @@ def verify(
     """Check a candidate, given as a body per synthesis function name,
     against the grid and random samples.
 
-    Rows are checked in a fixed order: the grid model-major (every point of
-    the capped grid under the first sampled model, then under the next),
-    then the random samples, each with its own model.  The result is the
-    first row at which a constraint is false.  Each of the two streams is
-    evaluated in chunks of one row more than the stream has checked so far,
-    up to ``CHUNK_CAP`` rows, so their sizes double from 1; a grid chunk
-    also ends at its model's last point, so it is one run of rows under one
-    model, and the next model's chunks start at the size reached.  Checking
-    stops at the first chunk with a false constraint.  No chunk is longer
-    than the rows checked before it plus one, nor than ``CHUNK_CAP``, so a
-    counterexample at the k-th row of a stream costs fewer than
-    ``min(2k, k + CHUNK_CAP)`` rows, and only one chunk is live at a time:
-    the grid is never built whole.  On a grid chunk each node of a
-    constraint costs a few list operations in C and no Python step per row,
-    except a model's first query of a point, which derives its result.  The
-    deadline is checked once per chunk.  The rows of that chunk after the
-    first failing one are evaluated too, and this cannot be observed:
-    evaluation is pure (the models and the sample generator belong to this
-    call) and total (``_theory_gate`` admits no real division, and a model
-    encodes every value it is queried at), so those rows change no result
-    and raise nothing.
+    The result is the first row, in a fixed order, at which a constraint
+    is false.  The order is the grid model-major (every point of the capped
+    grid under the first sampled model, then under the next), then the
+    random samples, each with its own model.
+
+    The grid is evaluated in another order: point-major over windows of up
+    to ``MODEL_WINDOW`` consecutive models.  Each chunk of points is checked
+    under every live model of the window in one batch, whose ``Rows``
+    repeat the chunk's columns once per model.  So the work that no model
+    touches is done once per chunk, not once per model: the points and
+    their columns, each part of a constraint under which no uninterpreted
+    function is applied (the candidate's, often), and the memo keys of an
+    application whose arguments are such parts (see ``compile_term``).
+    The first failing row of a chunk, in model-major order, is the first
+    failing point of its model, whose earlier chunks passed.  The models
+    after that one are dropped, since each of their rows comes after it in
+    the result's order, and the models before it go on to the end of the
+    grid.  So a window's result is the failure of its first model that
+    fails; a window with none passes on to the next.  A window's models are
+    made when the stream reaches it, so at most ``MODEL_WINDOW`` are live.
+
+    Each of the two streams is evaluated in chunks of one point more than
+    the stream has checked so far, up to ``CHUNK_CAP`` points, so their
+    sizes double from 1.  A grid chunk also ends at the capped grid's last
+    point; a point counts once per window, whatever the number of models
+    it is checked under, and the next window's chunks start at the size
+    reached.  A random sample has a model of its own, so it is a run of one
+    row, and a counterexample at the k-th sample costs fewer than
+    ``min(2k, k + CHUNK_CAP)`` rows.  Only one chunk is live at a time: the
+    grid is never built whole.  On a grid chunk each node of a constraint
+    costs a few list operations in C and no Python step per row, except a
+    model's first query of a point, which derives its result.  The
+    deadline is checked once per chunk.
+
+    The cost of a window of ``w`` models whose result is the p-th point of
+    its i-th model: the whole capped grid under each of the ``i - 1``
+    models before that one, as in model-major order, and fewer than
+    ``min(2p, p + CHUNK_CAP)`` points under each of the other ``w - i + 1``
+    (fewer than ``p + CHUNK_CAP`` after the first window).  Model-major
+    order checks about p points under the i-th model alone, so a window
+    checks up to ``w - i`` times as many rows more, and does its shared
+    work once.  A window that passes checks the capped grid under each of
+    its models.
+
+    The rows that a chunk evaluates past the result, those after the
+    failing point and those of the models after the failing one, cannot be
+    observed: evaluation is pure (the models and the sample generator
+    belong to this call) and total (``_theory_gate`` admits no real
+    division, and a model encodes every value it is queried at), so those
+    rows change no result and raise nothing.
 
     The counterexamples of earlier calls are not checked again: ``solve``
     passes a tuple on only once its screens hold at every one of them.  No
@@ -821,14 +854,6 @@ def verify(
     def model_for(seed: int) -> Optional[UFModel]:
         return UFModel(problem.uf_decls, seed) if has_ufs else None
 
-    def first_failure(chunks: Iterator[_Chunk]) -> Optional[tuple[_Point, int]]:
-        for points, seeds, rows in chunks:
-            at = _first_false(checks, names, points, rows)
-            if at is not None:
-                return points[at], seeds[at]
-            deadline.check()
-        return None
-
     grid = _grid(list(variables.values()), cfg)
     grid_size = math.prod(size for size, _ in grid)
     exhaustive = not has_ufs and grid_size <= GRID_POINT_CAP and all(
@@ -838,27 +863,36 @@ def verify(
     if has_ufs:
         model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
     else:
-        model_seeds = [cfg.seed]
+        model_seeds = iter([cfg.seed])
 
-    def grid_chunks() -> Iterator[_Chunk]:
-        """The capped grid under each model in turn, in chunks that end at
-        each model's last point, so a chunk is one run.  Each seed and its
-        model are made when the stream reaches them, and the model is
-        dropped after its last chunk."""
+    def grid_failure() -> Optional[_Row]:
+        """The first failing row of the capped grid, in model-major order,
+        checked point-major over each window of models in turn."""
         done = 0
-        for seed in model_seeds:
-            model = model_for(seed)
+        while window := list(islice(model_seeds, MODEL_WINDOW)):
+            live = [(seed, model_for(seed)) for seed in window]
+            found = None
             points = islice(product(*[values for _, values in grid]), GRID_POINT_CAP)
             while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
                 done += len(chunk)
-                yield chunk, (seed,) * len(chunk), Rows([(model, len(chunk))])
+                rows = Rows([(model, len(chunk)) for _, model in live], len(live))
+                at = _first_false(checks, names, chunk, rows)
+                if at is not None:
+                    first, point = divmod(at, len(chunk))
+                    found = chunk[point], live[first][0]
+                    if first == 0:
+                        return found
+                    del live[first:]
+                deadline.check()
+            if found is not None:
+                return found
+        return None
 
-    def sample_chunks() -> Iterator[_Chunk]:
-        """The random samples in chunks; each sample has a model of its
-        own, so each row is a run of its own."""
+    def sample_failure() -> Optional[_Row]:
+        """The first failing random sample; each has a model of its own."""
         rng = random.Random(stable_u64(cfg.seed, "samples"))
 
-        def sample() -> tuple[_Point, int]:
+        def sample() -> _Row:
             point = tuple([_random_value(s, rng) for s in variables.values()])
             return point, rng.getrandbits(64) if has_ufs else cfg.seed
 
@@ -867,9 +901,13 @@ def verify(
         while chunk := list(islice(samples, min(done + 1, CHUNK_CAP))):
             done += len(chunk)
             points, seeds = zip(*chunk)
-            yield points, seeds, Rows([(model_for(seed), 1) for seed in seeds])
+            at = _first_false(checks, names, points, Rows([(model_for(s), 1) for s in seeds]))
+            if at is not None:
+                return chunk[at]
+            deadline.check()
+        return None
 
-    found = first_failure(grid_chunks()) or first_failure(sample_chunks())
+    found = grid_failure() or sample_failure()
     if found is not None:
         point, seed = found
         return Counterexample(

@@ -49,6 +49,7 @@ FIXTURE_SOLUTIONS = {
     "uf_pair": "(define-fun f ((x Int) (y Int)) Bool true)\n",
     "let_grammar": "(define-fun f ((x Int) (y Int)) Int x)\n",
     "nested_call": "(define-fun f ((x Int)) Int (+ x 1))\n",
+    "uf_binary": "(define-fun f ((a Int) (b Int) (c Int) (d Int)) Int (- a c))\n",
 }
 
 # No term of this grammar equals x + 100 on the grid, so the search runs to
@@ -198,6 +199,11 @@ def let_grammar_problem(let_grammar_text):
 @pytest.fixture(scope="session")
 def nested_call_problem(nested_call_text):
     return load_problem(nested_call_text)
+
+
+@pytest.fixture(scope="session")
+def uf_binary_problem():
+    return load_problem((FIXTURES / "uf_binary.sl").read_text())
 
 
 # ---------------------------------------------------------------------------

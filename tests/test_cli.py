@@ -870,6 +870,38 @@ def test_run_restores_the_collector_when_arguments_are_rejected(capsys, collecti
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["parse", "check", "fmt", "solve"])
+def test_a_second_run_leaves_no_cyclic_garbage(subcommand):
+    # Building the argument parser leaves cyclic garbage, so run builds it
+    # once per process; the first run here may be the one that builds it.
+    argv = (subcommand, str(FIXTURES / "uf_pair.sl"))
+    assert run_cli(*argv)[0] == EXIT_OK
+    with collector_paused():
+        assert run_cli(*argv)[0] == EXIT_OK
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--help"], ["--help"], ["solve", "--no-such-flag", "spec.sl"],
+     ["solve", "--seed"], ["no-such-subcommand"], []],
+    ids=["solve_help", "help", "unknown_flag", "missing_value", "unknown_subcommand", "empty"],
+)
+def test_the_parser_built_once_prints_what_a_fresh_one_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def printed(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        out = capsys.readouterr()
+        return stop.value.code, out.out, out.err
+
+    fresh = printed(cli.build_arg_parser().parse_args)
+    assert fresh[1] or fresh[2]
+    for _ in range(2):
+        assert printed(lambda a: run_cli(*a)) == fresh
+
+
 def large_spec():
     """A large problem over most of the language: a PBE spec of 2,000
     examples, a macro nested 300 deep, and 40 grammars with lets and

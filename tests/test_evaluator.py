@@ -525,13 +525,12 @@ def uf_sum_wrong_under_the_second_model(indices, cfg=VERIFY_CFG):
 
 
 def test_verify_reports_the_first_failure_under_a_later_model():
-    # Under the second model, grid points 300 and 350 are rows 925 and 975 of
-    # the grid's stream (625 points per model).  A chunk holds one more row
-    # than the stream has checked, up to solver.CHUNK_CAP (256), and ends at
-    # each model's last point: the first model's rows are chunks of 1, 2,
-    # 4, ..., 256 and 114 rows, the second's three chunks from row 625, 881
-    # and 1137.  So both lie inside the chunk of rows 881-1136, off its
-    # boundaries.
+    # The three models are one window.  A chunk holds one more point than
+    # the stream has checked, up to solver.CHUNK_CAP (256), and ends at the
+    # grid's last point (625 points): chunks of 1, 2, 4, ..., 256 and 114
+    # points, each checked under the three models at once.  So points 300
+    # and 350 both lie inside the chunk of points 255-510, off its
+    # boundaries, where the second model fails at both.
     assert solver.CHUNK_CAP == 256
     problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
     got = solver.verify(candidate, problem, VERIFY_CFG)
@@ -540,7 +539,7 @@ def test_verify_reports_the_first_failure_under_a_later_model():
 
 
 # The grid of radius 5 over four variables has 11 ** 4 points, past
-# GRID_POINT_CAP: a model's chunks end at its 10,000th.
+# GRID_POINT_CAP: a window's chunks end at its 10,000th.
 CAPPED_CFG = SolverConfig(grid_radius=5, uf_model_count=3, random_samples=16)
 
 
@@ -556,6 +555,96 @@ def test_verify_reports_a_failure_at_the_edge_of_a_model(cfg, index):
     got = solver.verify(candidate, problem, cfg)
     assert got == plain_verify(candidate, problem, cfg)
     assert got == Counterexample(points[index], cfg.seed + 1)
+
+
+def uf_sum_wrong_at(rows, cfg):
+    """A uf_sum candidate that is wrong at exactly ``rows``: pairs of a
+    sampled model's place among the models of ``cfg`` (0 for the first)
+    and the index of a grid point.  The candidate is ``(+ a b)``, except at
+    each of those points when uf's values at a few probe arguments are
+    those of that model, which no other model of ``cfg`` shares: there it
+    adds to ``(+ a b)`` an amount that the model maps to another value.
+    So the candidate applies uf itself, and depends on the model."""
+    problem = load_problem(UF_SUM)
+    points = grid_points(problem, cfg)
+    seeds = [cfg.seed + m for m in range(cfg.uf_model_count)]
+    models = fresh_models(problem, seeds)
+
+    def uf(seed, n):
+        return models[seed].query(0, (Value(R_INT, n),)).value
+
+    body = "(+ a b)"
+    for place, index in rows:
+        seed = seeds[place]
+        probes = []
+        while any(all(uf(s, n) == uf(seed, n) for n in probes) for s in seeds if s != seed):
+            probes.append(1000 + len(probes))
+        point = points[index]
+        total = point["a"].value + point["b"].value
+        delta = next(d for d in range(1, 10_000) if uf(seed, total + d) != uf(seed, total))
+        at = [f"(= {n} {v.value})" for n, v in point.items()]
+        at += [f"(= (uf {n}) {uf(seed, n)})" for n in probes]
+        body = f"(ite (and {' '.join(at)}) (+ (+ a b) {delta}) {body})"
+    return problem, {"f": term(body)}, points
+
+
+def test_verify_reports_the_first_models_late_failure_over_a_later_models_early_one():
+    # One window of three models: the first chunk, point 0, fails under the
+    # second model only, and the first model fails only at point 600, in
+    # the window's last chunk.  Model-major order puts the first model's
+    # rows first.
+    problem, candidate, points = uf_sum_wrong_at([(0, 600), (1, 0)], VERIFY_CFG)
+    got = solver.verify(candidate, problem, VERIFY_CFG)
+    assert got == plain_verify(candidate, problem, VERIFY_CFG)
+    assert got == Counterexample(points[600], VERIFY_CFG.seed)
+
+
+@pytest.mark.parametrize(
+    "second, third", [(500, 3), (3, 500)], ids=["third-fails-earlier", "third-fails-later"]
+)
+def test_verify_reports_the_earlier_of_two_failing_models(second, third):
+    # Right under the first model, wrong under the second and the third at
+    # one point each, in different chunks: whichever fails first, the
+    # second model's failure is the result.
+    rows = [(1, second), (2, third)]
+    problem, candidate, points = uf_sum_wrong_at(rows, VERIFY_CFG)
+    got = solver.verify(candidate, problem, VERIFY_CFG)
+    assert got == plain_verify(candidate, problem, VERIFY_CFG)
+    assert got == Counterexample(points[second], VERIFY_CFG.seed + 1)
+
+
+# Two full windows of models and one model more.
+WINDOWS_CFG = SolverConfig(
+    grid_radius=2, uf_model_count=2 * solver.MODEL_WINDOW + 1, random_samples=16
+)
+
+
+@pytest.mark.parametrize("index", [0, 400, 624], ids=["first-point", "inside", "last-point"])
+def test_verify_reports_a_failure_in_the_last_window(index):
+    last = WINDOWS_CFG.uf_model_count - 1
+    problem, candidate, points = uf_sum_wrong_at([(last, index)], WINDOWS_CFG)
+    got = solver.verify(candidate, problem, WINDOWS_CFG)
+    assert got == plain_verify(candidate, problem, WINDOWS_CFG)
+    assert got == Counterexample(points[index], WINDOWS_CFG.seed + last)
+
+
+def test_a_failure_under_the_first_model_makes_one_window_of_models(monkeypatch):
+    # At the default 32 models, wrong under the first at the last point of
+    # the capped grid: no model past the first window is made.
+    cfg = SolverConfig(grid_radius=5, random_samples=16)
+    assert cfg.uf_model_count == 32
+    problem, candidate, points = uf_sum_wrong_at([(0, GRID_POINT_CAP - 1)], cfg)
+    made = []
+
+    class Counted(UFModel):
+        def __init__(self, decls, seed):
+            made.append(seed)
+            super().__init__(decls, seed)
+
+    monkeypatch.setattr(solver, "UFModel", Counted)
+    got = solver.verify(candidate, problem, cfg)
+    assert got == Counterexample(points[GRID_POINT_CAP - 1], cfg.seed)
+    assert 0 < len(made) <= solver.MODEL_WINDOW == 8
 
 
 TWO_BOUNDS = """
@@ -861,6 +950,63 @@ def test_compiled_uf_applications_agree_with_queries(rows, one_model, seed, batc
     assert got == walked_values(UF_TERMS, rows, EvalEnv(UF_APPLICATIONS), walker_models)
     # Each model records the points that the walker's queries record.
     assert tables(models, seeds) == tables(walker_models, seeds)
+
+
+# Points for the examples below: two rows, so that a column repeated per
+# model is told apart from one computed per row.
+WINDOW_POINTS = [
+    {"x": Value(R_INT, 1), "y": Value(R_INT, -2), "p": Value(R_BOOL, True),
+     "v": Value(RBitVec(4), 3), "c": Value(COLOR, "Green")},
+    {"x": Value(R_INT, -3), "y": Value(R_INT, 0), "p": Value(R_BOOL, False),
+     "v": Value(RBitVec(4), 12), "c": Value(COLOR, "Red")},
+]
+
+
+@settings(max_examples=200, deadline=None)
+# A root that applies no uninterpreted function; one applied to arguments
+# that apply none; a column that applies none read by a part that does; a
+# let that binds a value that depends on the model next to one that does
+# not; a macro and the candidate called on arguments that depend on it.
+@example(sort_and_text=("Int", "(+ x (* 2 (twice y)))"), points=WINDOW_POINTS, seed=5, k=3)
+@example(sort_and_text=("Int", "(u (+ x 1))"), points=WINDOW_POINTS, seed=5, k=3)
+@example(sort_and_text=("Bool", "(h (twice y) (<= (u x) y))"), points=WINDOW_POINTS, seed=5, k=3)
+@example(
+    sort_and_text=("Int", "(let ((t Int (u x)) (s Int (+ y 1))) (+ (* 2 t) (k (+ s x))))"),
+    points=WINDOW_POINTS, seed=5, k=3,
+)
+@example(sort_and_text=("Int", "(shift (u x) p)"), points=WINDOW_POINTS, seed=5, k=3)
+@example(sort_and_text=("Int", "(f (k v) (h x p))"), points=WINDOW_POINTS, seed=5, k=3)
+@example(
+    sort_and_text=("Color", "(paint (ite (h x p) c Color::Red))"), points=WINDOW_POINTS, seed=5, k=3
+)
+@given(
+    sort_and_text=st.sampled_from(sorted(SURFACE)).flatmap(
+        lambda sort: term_text(sort).map(lambda text: (sort, text))
+    ),
+    points=st.lists(assignments(), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+    k=st.integers(1, 4),
+)
+def test_a_batch_over_k_models_is_k_batches_of_one_model(sort_and_text, points, seed, k):
+    # What verify's windows rest on: one batch whose Rows repeat its
+    # columns once for each of k models gives what k batches of one model
+    # each give, one after the other, and queries each model at the same
+    # points.
+    sort, text = sort_and_text
+    problem = load_problem(GENERATED.format(constraint=f"(= {text} {text})"))
+    generated = problem.constraints[0].args[0]
+    variables = dict(problem.universal_vars)
+    fn = compile_term(generated, EvalEnv(problem, CANDIDATE), variables)
+    names = list(variables)
+    cols = columns(names, [tuple(p[n].value for n in names) for p in points])
+    seeds = [seed + i for i in range(k)]
+    window, alone = fresh_models(problem, seeds), fresh_models(problem, seeds)
+    got = fn(cols, Rows([(window[s], len(points)) for s in seeds], k))
+    expected = []
+    for s in seeds:
+        expected += fn(cols, Rows([(alone[s], len(points))]))
+    assert list(got) == expected
+    assert tables(window, seeds) == tables(alone, seeds)
 
 
 def test_a_call_with_no_candidate_fails_in_both_evaluators():

@@ -122,7 +122,7 @@ def run_cli(*argv):
 
 
 def test_every_fixture_has_golden_files():
-    assert len(FIXTURE_NAMES) == 5
+    assert len(FIXTURE_NAMES) == 6
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(
         f"{name}.{command}" for name in FIXTURE_NAMES for command in ("fmt", "parse")
     )

@@ -110,26 +110,33 @@ def cex(a, b, c, d, uf_seed):
     return {n: Value(R_INT, v) for n, v in values.items()}, uf_seed
 
 
-# Each verify call of the benchmark's verify_uf problems (8 sampled models):
-# the candidate, the result type, and a counterexample's point and UF seed.
-# The Valid verdict rests on a grid cut at 10,000 of its 11**4 points.
+# Each verify call of the benchmark's verify_uf problems (8 sampled models)
+# and of uf_binary.sl, a binary UF like uf_diff's, at the default 32 models,
+# four full windows of solver.MODEL_WINDOW: the candidate, the result type,
+# and a counterexample's point and UF seed.  The Valid verdict rests on a
+# grid cut at 10,000 of its 11**4 points.
 @pytest.mark.parametrize(
-    "spec, expected",
+    "spec, models, expected",
     [
-        (UF_SUM, [
+        (UF_SUM, 8, [
             ("a", Counterexample, cex(-5, -5, -5, -5, 0)),
             ("(+ a a)", Counterexample, cex(-5, -4, -5, -5, 0)),
             ("(+ a b)", Valid, None),
         ]),
-        (UF_DIFF, [
+        (UF_DIFF, 8, [
+            ("a", Counterexample, cex(-5, -5, -5, -4, 0)),
+            ("(- a a)", Counterexample, cex(-5, -5, -4, -5, 0)),
+            ("(- a c)", Valid, None),
+        ]),
+        ((FIXTURES / "uf_binary.sl").read_text(), 32, [
             ("a", Counterexample, cex(-5, -5, -5, -4, 0)),
             ("(- a a)", Counterexample, cex(-5, -5, -4, -5, 0)),
             ("(- a c)", Valid, None),
         ]),
     ],
-    ids=["uf_sum", "uf_diff"],
+    ids=["uf_sum", "uf_diff", "uf_binary"],
 )
-def test_verify_uf_verify_stream(spec, expected, monkeypatch):
+def test_verify_uf_verify_stream(spec, models, expected, monkeypatch):
     calls = []
     original = solver.verify
 
@@ -142,10 +149,10 @@ def test_verify_uf_verify_stream(spec, expected, monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "verify", recording)
-    result = solve(load_problem(spec), SolverConfig(uf_model_count=8))
+    result = solve(load_problem(spec), SolverConfig(uf_model_count=models))
     assert calls == expected
     assert result.evidence == Valid(
-        grid_points=10_000, grid_size=11**4, uf_models=8, random_samples=256,
+        grid_points=10_000, grid_size=11**4, uf_models=models, random_samples=256,
         exhaustive=False,
     )
     assert result.evidence.truncated
