@@ -6,6 +6,21 @@ process (``E-DEPTH``), 3 unsupported theory, 4 I/O errors.  Input is read as
 bytes and must be ASCII.  Results (AST dumps, formatted programs, solutions,
 ``(fail)``) go to stdout; diagnostics and progress notes go to stderr.
 
+The front end reads a file a block of lines at a time.  The input's bytes
+are freed once decoded (a byte outside ASCII is the first error reported);
+``sygus.lexer.blocks`` cuts the text into blocks of about 64 KB, each ending
+just after a newline, ``tokenize`` lexes one block per call, and
+``parse_program`` reads the chained tokens as they come.  So the parser
+holds the tokens of one block beside the tree it builds, not those of the
+whole file, which outweigh the tree.  Diagnostics are those of lexing the
+whole text first: a lexical error later in the text is reported instead of
+a parse error or of input nested too deeply (see ``parse_program`` and
+``_front_end``).  The lexer stays one call of the module global
+``tokenize`` per block, returning a list, rather than a generator feeding
+the parser token by token, so that a caller wrapping ``tokenize`` (as
+``perfbench/tracing.py`` does) still sees the lexer as a layer of its own,
+and counts its tokens.
+
 Each subcommand loads only what it runs.  ``check_program`` below imports
 ``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
 so ``parse`` and ``fmt`` load the lexer, parser and printer alone, ``check``
@@ -30,10 +45,12 @@ import argparse
 import functools
 import gc
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence, TextIO
 
+from . import lexer
 from .config import SolverConfig
-from .lexer import LexError, tokenize
+from .lexer import LexError, blocks, tokenize
 from .parser import ParseError, parse_program
 from .printer import (
     print_command,
@@ -253,11 +270,29 @@ def _diag_line(path: str, pos: Pos, code: str, message: str) -> str:
     return f"{shown}:{pos.line}:{pos.col}: {code}: {message}\n"
 
 
-def _front_end(path: str, data: bytes, stderr: TextIO) -> Optional[Program]:
+def _lex_diag(path: str, e: LexError) -> str:
+    return _diag_line(path, Pos(e.line, e.col), "E-LEX", e.message)
+
+
+def _front_end(path: str, text: str, stderr: TextIO) -> Optional[Program]:
+    """The program ``text`` holds, parsed a block at a time (see the module
+    docstring), or ``None`` once its first error is reported."""
+    names: dict[str, str] = {}
+    tokens = chain.from_iterable(tokenize(block, line, names) for block, line in blocks(text))
     try:
-        return parse_program(tokenize(_ascii(data)))
+        try:
+            return parse_program(tokens)
+        except RecursionError:
+            # Lexing a block deep in the parse can overflow the stack too,
+            # which ends the stream there; lex every block again, near the
+            # top of the stack, for a lexical error to win all the same.
+            # ``lexer.tokenize``, not the global: this pass is no lexer
+            # layer of the parse.
+            for block, line in blocks(text):
+                lexer.tokenize(block, line)
+            raise
     except LexError as e:
-        stderr.write(_diag_line(path, Pos(e.line, e.col), "E-LEX", e.message))
+        stderr.write(_lex_diag(path, e))
     except ParseError as e:
         stderr.write(
             _diag_line(
@@ -307,12 +342,18 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -
     """One invocation with the collector paused; ``collecting`` says
     whether to turn it back on for ``solve``."""
     try:
-        data = _read_input(args.input)
+        # The bytes are freed once decoded.
+        text = _ascii(_read_input(args.input))
     except OSError as e:
         err.write(f"error: cannot read {args.input}: {e.strerror}\n")
         return EXIT_IO
+    except LexError as e:
+        err.write(_lex_diag(args.input, e))
+        return EXIT_STATIC
 
-    program = _front_end(args.input, data, err)
+    program = _front_end(args.input, text, err)
+    # Nor is the text held through the checker, the printer and the solver.
+    del text
     if program is None:
         return EXIT_STATIC
 

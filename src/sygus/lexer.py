@@ -26,13 +26,19 @@ starts no token matches the one-character ``bad`` alternative, and the end
 of the text matches ``end``.  A decimal numeral longer than the
 interpreter converts (4,300 digits by default) is an error too; bit-vector
 constants have no such limit.
+
+``blocks`` cuts a text into blocks of whole lines, about ``BLOCK_SIZE``
+characters each, and ``tokenize(block, line, names)`` lexes one of them:
+since no token spans a newline, the tokens of the blocks, in order, are
+those of the whole text.  A caller that parses each block's tokens as they
+come holds the tokens of one block at a time, not those of the text.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -136,18 +142,23 @@ _LPAREN, _RPAREN, _SYMBOL_K, _BOOL, _INT = (
 )
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, line: int = 1, names: dict[str, str] | None = None) -> list[Token]:
     """Tokenize ``text``, raising ``LexError`` on any malformed input.
 
+    ``text`` starts at the beginning of line ``line``: the tokens of a
+    block that ``blocks`` cut from a longer text are those of the whole
+    text, positions included, since no token spans a newline.
+
     Equal symbols are one string object: the tokens, and the trees built
-    from them, share each name instead of holding a copy per occurrence."""
+    from them, share each name instead of holding a copy per occurrence.
+    ``names`` maps each name to that object; pass one dict to the calls
+    for every block of a text to share the names across blocks."""
     out: list[Token] = []
     append = out.append
-    names: dict[str, str] = {}
-    intern = names.setdefault
+    intern = (names if names is not None else {}).setdefault
     # The body of ``Token.__new__``, without its Python-level call.
     new = tuple.__new__
-    line, line_start = 1, 0
+    line_start = 0
     for m in _TOKEN.finditer(text):
         group, end = m.lastindex, m.end()
         if group == _LPAREN_G:
@@ -173,6 +184,27 @@ def tokenize(text: str) -> list[Token]:
         else:
             append(_other_token(m, m.lastgroup, text, line, line_start))
     return out
+
+
+#: The length, in characters, past which ``blocks`` cuts a text.
+BLOCK_SIZE = 1 << 16
+
+
+def blocks(text: str) -> Iterator[tuple[str, int]]:
+    """``text`` cut into blocks of whole lines, each with the number of its
+    first line: a block takes ``BLOCK_SIZE`` characters and the rest of the
+    line the last of them is on, or runs to the end of the text.  An empty
+    text is one empty block."""
+    size = BLOCK_SIZE
+    start, line, end = 0, 1, len(text)
+    while True:
+        cut = text.find("\n", start + size - 1) + 1 or end
+        block = text[start:cut]
+        yield block, line
+        if cut == end:
+            return
+        line += block.count("\n")
+        start = cut
 
 
 def _int(digits: str, line: int, col: int) -> int:

@@ -3,9 +3,16 @@
 The first deviation from the command grammars aborts parsing with a
 ``ParseError``; there is no error recovery.  Reserved words are rejected
 wherever a user identifier is required.
+
+The parser reads its tokens from any iterable, once and in order, one token
+ahead of what it has parsed; it never indexes them, so a stream made as it
+is read, such as the tokens of a text's blocks chained together, is parsed
+without being held whole.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .lexer import RESERVED_WORDS, TokKind, Token, tokenize
 from .syntax import (
@@ -116,39 +123,43 @@ def _describe(tok: Token | None) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
+    """One pass over a token stream, one token ahead of what it has parsed.
+
+    ``tok`` is the lookahead, the first token not yet consumed, or ``None``
+    past the end of the stream, and ``last`` is then the final token, where
+    an error at the end of input is reported."""
+
+    def __init__(self, tokens: Iterable[Token]):
+        self.it = iter(tokens)
+        self.last: Token | None = None
+        self.tok: Token | None = next(self.it, None)
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def advance(self) -> None:
+        """Consume the lookahead."""
+        self.last = self.tok
+        self.tok = next(self.it, None)
 
     def pos(self) -> Pos:
-        tok = self.peek()
-        if tok is not None:
-            return Pos(tok.line, tok.col)
-        if self.tokens:
-            last = self.tokens[-1]
-            return Pos(last.line, last.col)
-        return Pos(1, 1)
+        tok = self.tok if self.tok is not None else self.last
+        return Pos(tok.line, tok.col) if tok is not None else Pos(1, 1)
 
     def fail(self, expected: str, tok: Token | None = None):
         if tok is None:
-            tok = self.peek()
+            tok = self.tok
         pos = Pos(tok.line, tok.col) if tok is not None else self.pos()
         raise ParseError(pos, expected, _describe(tok))
 
     def take(self, kind: TokKind, expected: str) -> Token:
-        i, tokens = self.i, self.tokens
-        if i < len(tokens) and tokens[i][0] is kind:
-            self.i = i + 1
-            return tokens[i]
+        tok = self.tok
+        if tok is not None and tok[0] is kind:
+            self.advance()
+            return tok
         self.fail(expected)
 
     def identifier(self, what: str) -> tuple[Symbol, Pos]:
-        tok = self.peek()
+        tok = self.tok
         if tok is None or tok.kind is not TokKind.SYMBOL:
             self.fail(what, tok)
         if tok.value in RESERVED_WORDS:
@@ -157,11 +168,11 @@ class _Parser:
                 what,
                 f"reserved word '{tok.value}'",
             )
-        self.i += 1
+        self.advance()
         return tok.value, Pos(tok.line, tok.col)
 
     def done(self) -> bool:
-        return self.i >= len(self.tokens)
+        return self.tok is None
 
     # -- grammar ------------------------------------------------------------
 
@@ -181,11 +192,11 @@ class _Parser:
     def command(self) -> Command:
         open_tok = self.take(TokKind.LPAREN, "'(' starting a command")
         pos = Pos(open_tok.line, open_tok.col)
-        tok = self.peek()
+        tok = self.tok
         if tok is None or tok.kind is not TokKind.SYMBOL or tok.value not in _COMMAND_KEYWORDS:
             self.fail("a command keyword", tok)
         keyword = tok.value
-        self.i += 1
+        self.advance()
         if keyword == "set-logic":
             name, _ = self.identifier("a logic name")
             cmd: Command = SetLogic(name, pos)
@@ -272,44 +283,44 @@ class _Parser:
         return tuple(opts)
 
     def _at_rparen(self) -> bool:
-        tok = self.peek()
+        tok = self.tok
         return tok is not None and tok.kind is TokKind.RPAREN
 
     def sort_expr(self) -> SortExpr:
-        tok = self.peek()
+        tok = self.tok
         if tok is None:
             self.fail("a sort expression", tok)
         pos = Pos(tok.line, tok.col)
         if tok.kind is TokKind.SYMBOL:
             if tok.value == "Int":
-                self.i += 1
+                self.advance()
                 return IntSort(pos)
             if tok.value == "Bool":
-                self.i += 1
+                self.advance()
                 return BoolSort(pos)
             if tok.value == "Real":
-                self.i += 1
+                self.advance()
                 return RealSort(pos)
             if tok.value in RESERVED_WORDS:
                 self.fail("a sort expression", tok)
-            self.i += 1
+            self.advance()
             return NamedSort(tok.value, pos)
         if tok.kind is not TokKind.LPAREN:
             self.fail("a sort expression", tok)
-        self.i += 1
-        head = self.peek()
+        self.advance()
+        head = self.tok
         if head is None or head.kind is not TokKind.SYMBOL:
             self.fail("'BitVec', 'Enum', or 'Array'", head)
         if head.value == "BitVec":
-            self.i += 1
-            width = self.peek()
+            self.advance()
+            width = self.tok
             if width is None or width.kind is not TokKind.INT or width.value < 1:
                 self.fail("a positive bit width", width)
-            self.i += 1
+            self.advance()
             self.take(TokKind.RPAREN, "')'")
             return BitVecSort(width.value, pos)
         if head.value == "Enum":
-            self.i += 1
+            self.advance()
             self.take(TokKind.LPAREN, "'(' starting the constructor list")
             ctors: list[Symbol] = []
             while not self._at_rparen():
@@ -321,7 +332,7 @@ class _Parser:
             self.take(TokKind.RPAREN, "')'")
             return EnumSort(tuple(ctors), pos)
         if head.value == "Array":
-            self.i += 1
+            self.advance()
             domain = self.sort_expr()
             codomain = self.sort_expr()
             self.take(TokKind.RPAREN, "')'")
@@ -335,26 +346,34 @@ class _Parser:
         return self._term(allow_shorthands=True)
 
     def _term(self, allow_shorthands: bool) -> Term:
-        # The hot path: tokens are read by index, and the leaves of an
-        # application's arguments are built in its loop, not by a call.
-        tokens = self.tokens
-        i = self.i
-        if i == len(tokens):
+        """The term at the lookahead; the token after it becomes the
+        lookahead."""
+        if self.tok is None:
             self.fail("a term")
-        tok = tokens[i]
+        node = self._term_here(allow_shorthands)
+        self.advance()
+        return node
+
+    def _term_here(self, allow_shorthands: bool) -> Term:
+        """The term that starts at ``tok``, which is consumed.  On return
+        ``tok`` is the term's last token, consumed too, and no token past
+        it has been read, so that an application's loop reads on from the
+        stream.  The hot path: the leaves of an application's arguments are
+        built in its loop, not by a call."""
+        tok = self.tok
         kind, value, line, col = tok
         if kind is not _LPAREN:
             node = _leaf(kind, value, line, col)
             if node is None:
                 self.fail("a term", tok)
-            self.i = i + 1
             return node
         pos = Pos(line, col)
-        i += 1
-        self.i = i
-        if i == len(tokens):
+        it = self.it
+        head = next(it, None)
+        if head is None:
+            self.last, self.tok = tok, None
             self.fail("an operator symbol")
-        head = tokens[i]
+        self.tok = head
         kind, name = head[0], head[1]
         if kind is not _SYMBOL:
             if kind is _RPAREN:
@@ -362,7 +381,7 @@ class _Parser:
             self.fail("an operator symbol", head)
         if name in RESERVED_WORDS:
             if name == "let":
-                self.i = i + 1
+                self.advance()
                 return self._let_tail(pos, allow_shorthands)
             shorthand = _SHORTHAND_KEYWORDS.get(name)
             if shorthand is None:
@@ -373,32 +392,36 @@ class _Parser:
                     "a term",
                     f"grammar shorthand '{name}' (only allowed in grammars)",
                 )
-            self.i = i + 1
+            self.advance()
             node = shorthand(self.sort_expr(), pos)
-            self.take(_RPAREN, "')'")
+            self._closing("')'")
             return node
         args: list[Term] = []
         append = args.append
-        n = len(tokens)
-        i += 1
-        while i < n:
-            kind, value, line, col = tokens[i]
+        tok = head
+        for tok in it:
+            kind, value, line, col = tok
             # ``_leaf``'s two most frequent cases, inline.
             if kind is _SYMBOL and value not in RESERVED_WORDS:
                 append(Ref(value, Pos(line, col)))
             elif kind is _INT:
                 append(Lit(IntConst(value), Pos(line, col)))
             elif kind is _RPAREN:
-                self.i = i + 1
+                self.tok = tok
                 return App(name, tuple(args), pos)
             else:
-                self.i = i
-                append(self._term(allow_shorthands))
-                i = self.i
-                continue
-            i += 1
-        self.i = i
+                self.tok = tok
+                append(self._term_here(allow_shorthands))
+                # The argument's last token, should the stream end here.
+                tok = self.tok
+        self.last, self.tok = tok, None
         self.fail("a term")
+
+    def _closing(self, expected: str) -> None:
+        """Fail unless the lookahead is the ')' that ends a term, which
+        ``_term_here`` leaves unread past."""
+        if self.tok is None or self.tok[0] is not _RPAREN:
+            self.fail(expected)
 
     def _let_tail(self, pos: Pos, allow_shorthands: bool) -> Let:
         self.take(TokKind.LPAREN, "'(' starting the binding list")
@@ -420,13 +443,27 @@ class _Parser:
             self.fail("at least one binding")
         self.take(TokKind.RPAREN, "')'")
         body = self._term(allow_shorthands)
-        self.take(TokKind.RPAREN, "')' closing the let")
+        self._closing("')' closing the let")
         return Let(tuple(bindings), body, pos)
 
 
-def parse_program(tokens: list[Token]) -> Program:
-    """Parse a complete token stream into a program."""
-    return _Parser(tokens).program()
+def parse_program(tokens: Iterable[Token]) -> Program:
+    """Parse a complete token stream into a program.
+
+    ``tokens`` is any iterable of tokens, such as ``tokenize``'s list or
+    the tokens of a text's ``blocks`` chained together; it is read once,
+    one token ahead of the parse, so a token the parser has passed can be
+    freed.  If the parse fails, with a ``ParseError`` or a
+    ``RecursionError`` on input nested too deeply, the rest of the stream
+    is read before the error is raised again: a ``LexError`` later in the
+    text is raised instead, as it is when the whole text is lexed first."""
+    p = _Parser(tokens)
+    try:
+        return p.program()
+    except (ParseError, RecursionError):
+        for _ in p.it:
+            pass
+        raise
 
 
 def parse_text(text: str) -> Program:
@@ -434,7 +471,7 @@ def parse_text(text: str) -> Program:
     return parse_program(tokenize(text))
 
 
-def _parse_whole(tokens: list[Token], method: str):
+def _parse_whole(tokens: Iterable[Token], method: str):
     p = _Parser(tokens)
     node = getattr(p, method)()
     if not p.done():
@@ -442,16 +479,16 @@ def _parse_whole(tokens: list[Token], method: str):
     return node
 
 
-def parse_sort_expr(tokens: list[Token]) -> SortExpr:
+def parse_sort_expr(tokens: Iterable[Token]) -> SortExpr:
     """Parse a token stream holding exactly one sort expression."""
     return _parse_whole(tokens, "sort_expr")
 
 
-def parse_term(tokens: list[Token]) -> Term:
+def parse_term(tokens: Iterable[Token]) -> Term:
     """Parse a token stream holding exactly one constraint term."""
     return _parse_whole(tokens, "term")
 
 
-def parse_gterm(tokens: list[Token]) -> GTerm:
+def parse_gterm(tokens: Iterable[Token]) -> GTerm:
     """Parse a token stream holding exactly one grammar term."""
     return _parse_whole(tokens, "gterm")
