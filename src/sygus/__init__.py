@@ -9,16 +9,18 @@ checker, and one that only checks never pays for the solver.  No
 subcommand loads ``dataclasses`` (and the ``inspect`` it imports): the
 records register with it when something reads their fields (see
 ``syntax.Record``).  ``fractions`` loads at the first real literal, and
-``decimal`` only for an integer too long for ``str``.
+``decimal`` only for an integer too long for ``str``.  Every error about
+the input is a ``SygusError``: a code, a position and a message.
 """
 
 from .config import SolverConfig
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program, parse_text
 from .printer import print_fail, print_program, print_solution, print_term
+from .syntax import SygusError
 
 
-_CHECKER_NAMES = frozenset({"CheckedProblem", "CheckError", "Diagnostic", "check_program"})
+_CHECKER_NAMES = frozenset({"CheckedProblem", "CheckError", "check_program"})
 
 
 def __getattr__(name: str):
@@ -37,13 +39,13 @@ __all__ = [
     "CheckedProblem",
     "CheckError",
     "Counterexample",
-    "Diagnostic",
     "Fail",
     "LexError",
     "ParseError",
     "Solved",
     "SolveError",
     "SolverConfig",
+    "SygusError",
     "Valid",
     "check_program",
     "enumerate_terms",

@@ -2,10 +2,10 @@
 
 ``check_program`` walks the command list in order, threading symbol tables,
 and either produces a ``CheckedProblem`` (the state visible at the first
-check-synth command) or raises ``CheckError`` carrying a ``Diagnostic``.
-Checking stops at the first error.
+check-synth command) or raises ``CheckError``, a ``SygusError`` with one of
+the codes below.  Checking stops at the first error.
 
-Diagnostic codes:
+Error codes:
 
 ======================  =====================================================
 E-LOGIC-UNKNOWN         set-logic names a logic other than LIA/BV/Reals/Arrays
@@ -77,6 +77,7 @@ from .syntax import (
     SortExpr,
     subterms,
     Symbol,
+    SygusError,
     SynthFun,
     Term,
     set_field,
@@ -162,29 +163,15 @@ def unsupported_sort(sort: ResolvedSort) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics
+# Errors
 
 
-class Diagnostic(Record):
-    """A checking error; unlike a syntax node's, its ``pos`` is compared."""
-
-    __slots__ = ("code", "pos", "message")
-    code: str
-    pos: Pos
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.pos}: {self.code}: {self.message}"
-
-
-class CheckError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
+class CheckError(SygusError):
+    """A static-checking error, one of the codes above."""
 
 
 def _err(code: str, pos: Pos, message: str):
-    raise CheckError(Diagnostic(code, pos, message))
+    raise CheckError(code, pos, message)
 
 
 # ---------------------------------------------------------------------------

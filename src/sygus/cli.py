@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 synthesis failure (``(fail)``), 2 lex/parse/check
 errors, bad option values (``E-OPT-VALUE``) and input nested too deeply to
 process (``E-DEPTH``), 3 unsupported theory, 4 I/O errors.  Input is read as
 bytes and must be ASCII.  Results (AST dumps, formatted programs, solutions,
-``(fail)``) go to stdout; diagnostics and progress notes go to stderr.
+``(fail)``) go to stdout; diagnostics go to stderr, each as
+``path:line:col: CODE: message``, and so do progress notes.  Every error in
+the input, from decoding to solving, is a ``sygus.syntax.SygusError``, which
+one handler in ``_run`` reports; ``run`` reports ``E-DEPTH``.
 
 The front end reads a file a block of lines at a time.  The input's bytes
 are freed once decoded (a byte outside ASCII is the first error reported);
@@ -14,12 +17,12 @@ just after a newline, ``tokenize`` lexes one block per call, and
 holds the tokens of one block beside the tree it builds, not those of the
 whole file, which outweigh the tree.  Diagnostics are those of lexing the
 whole text first: a lexical error later in the text is reported instead of
-a parse error or of input nested too deeply (see ``parse_program`` and
-``_front_end``).  The lexer stays one call of the module global
-``tokenize`` per block, returning a list, rather than a generator feeding
-the parser token by token, so that a caller wrapping ``tokenize`` (as
-``perfbench/tracing.py`` does) still sees the lexer as a layer of its own,
-and counts its tokens.
+a parse error or of input nested too deeply.  ``_front_end`` alone decides
+that, by lexing the rest of the text when the parse fails.  The lexer stays
+one call of the module global ``tokenize`` per block, returning a list,
+rather than a generator feeding the parser token by token, so that a
+caller wrapping ``tokenize`` (as ``perfbench/tracing.py`` does) still sees
+the lexer as a layer of its own, and counts its tokens.
 
 Each subcommand loads only what it runs.  ``check_program`` below imports
 ``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
@@ -60,7 +63,7 @@ from .printer import (
     print_term,
     render_term,
 )
-from .syntax import Lit, NO_POS, Pos, Program, Ref, Term
+from .syntax import Lit, NO_POS, Pos, Program, Ref, SygusError, Term
 
 if TYPE_CHECKING:
     from .checker import CheckedProblem
@@ -158,19 +161,13 @@ def _join_dashed_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _bad_option(pos: Pos, message: str):
-    from .checker import CheckError, Diagnostic
-
-    raise CheckError(Diagnostic("E-OPT-VALUE", pos, message))
-
-
 def apply_set_options(
     options: Sequence[tuple[str, str, Pos]],
     cfg: SolverConfig,
     verbose_out: Optional[TextIO] = None,
 ) -> SolverConfig:
     """Fold recognized option values into the configuration; a value that
-    does not convert or is out of range raises ``CheckError`` at the
+    does not convert or is out of range raises ``E-OPT-VALUE`` at the
     position given with it: its ``set-options`` command's, or ``NO_POS``
     for a flag."""
     for name, raw, pos in options:
@@ -183,10 +180,12 @@ def apply_set_options(
         try:
             value = kind(raw)
         except ValueError:
-            _bad_option(pos, f"option '{name}' needs {_VALUE_NAMES[kind]} value, got \"{raw}\"")
+            message = f"option '{name}' needs {_VALUE_NAMES[kind]} value, got \"{raw}\""
+            raise SygusError("E-OPT-VALUE", pos, message) from None
         # ``not >=`` also rejects NaN.
         if least is not None and not value >= least:
-            _bad_option(pos, f"option '{name}' needs a value >= {least}, got \"{raw}\"")
+            message = f"option '{name}' needs a value >= {least}, got \"{raw}\""
+            raise SygusError("E-OPT-VALUE", pos, message)
         cfg = cfg.replace(**{fieldname: value})
     return cfg
 
@@ -215,7 +214,7 @@ def dump_program(p: Program) -> str:
 
 def check_program(program: Program) -> CheckedProblem:
     """``sygus.checker.check_program``, importing the checker on the first
-    call.  A module global that ``_checked`` calls by name, so that a caller
+    call.  A module global that ``_run`` calls by name, so that a caller
     can wrap it as ``perfbench/tracing.py`` does.  Importing the checker
     before the file is parsed instead makes ``check`` peak higher."""
     from . import checker
@@ -270,47 +269,26 @@ def _diag_line(path: str, pos: Pos, code: str, message: str) -> str:
     return f"{shown}:{pos.line}:{pos.col}: {code}: {message}\n"
 
 
-def _lex_diag(path: str, e: LexError) -> str:
-    return _diag_line(path, Pos(e.line, e.col), "E-LEX", e.message)
-
-
-def _front_end(path: str, text: str, stderr: TextIO) -> Optional[Program]:
+def _front_end(text: str) -> Program:
     """The program ``text`` holds, parsed a block at a time (see the module
-    docstring), or ``None`` once its first error is reported."""
+    docstring).  If the parse fails, with a ``ParseError`` or on input
+    nested too deeply, a ``LexError`` later in the text wins instead."""
     names: dict[str, str] = {}
     tokens = chain.from_iterable(tokenize(block, line, names) for block, line in blocks(text))
     try:
-        try:
-            return parse_program(tokens)
-        except RecursionError:
-            # Lexing a block deep in the parse can overflow the stack too,
-            # which ends the stream there; lex every block again, near the
-            # top of the stack, for a lexical error to win all the same.
-            # ``lexer.tokenize``, not the global: this pass is no lexer
-            # layer of the parse.
-            for block, line in blocks(text):
-                lexer.tokenize(block, line)
-            raise
-    except LexError as e:
-        stderr.write(_lex_diag(path, e))
-    except ParseError as e:
-        stderr.write(
-            _diag_line(
-                path, e.pos, "E-PARSE", f"expected {e.expected}, found {e.found}"
-            )
-        )
-    return None
-
-
-def _checked(path: str, program: Program, stderr: TextIO) -> Optional[CheckedProblem]:
-    from .checker import CheckError
-
-    try:
-        return check_program(program)
-    except CheckError as e:
-        d = e.diagnostic
-        stderr.write(_diag_line(path, d.pos, d.code, d.message))
-        return None
+        return parse_program(tokens)
+    except ParseError:
+        # Lex the blocks the parse did not reach.
+        for _ in tokens:
+            pass
+        raise
+    except RecursionError:
+        # Lexing deep in the parse can overflow the stack too, which ends the
+        # stream there: lex every block again up here, with ``lexer.tokenize``
+        # (this pass is no lexer layer of the parse).
+        for block, line in blocks(text):
+            lexer.tokenize(block, line)
+        raise
 
 
 def run(
@@ -342,59 +320,44 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -
     """One invocation with the collector paused; ``collecting`` says
     whether to turn it back on for ``solve``."""
     try:
-        # The bytes are freed once decoded.
-        text = _ascii(_read_input(args.input))
+        data = _read_input(args.input)
     except OSError as e:
         err.write(f"error: cannot read {args.input}: {e.strerror}\n")
         return EXIT_IO
-    except LexError as e:
-        err.write(_lex_diag(args.input, e))
-        return EXIT_STATIC
-
-    program = _front_end(args.input, text, err)
-    # Nor is the text held through the checker, the printer and the solver.
-    del text
-    if program is None:
-        return EXIT_STATIC
-
-    if args.subcommand == "parse":
-        out.write(dump_program(program))
-        return EXIT_OK
-    if args.subcommand == "fmt":
-        out.write(print_program(program))
-        return EXIT_OK
-
-    problem = _checked(args.input, program, err)
-    if problem is None:
-        return EXIT_STATIC
-    if args.subcommand == "check":
-        return EXIT_OK
-
-    from .checker import CheckError
-
-    flags = {
-        name: (name, getattr(args, field), NO_POS)
-        for name, (field, *_) in _OPTIONS.items()
-        if getattr(args, field) is not None
-    }
-    # A flag wins over the file: it replaces the file's pairs of its option.
-    options = [o for o in problem.options if o[0] not in flags] + list(flags.values())
     try:
-        cfg = apply_set_options(options, SolverConfig(), verbose_out=err if args.verbose else None)
-    except CheckError as e:
-        d = e.diagnostic
-        err.write(_diag_line(args.input, d.pos, d.code, d.message))
-        return EXIT_STATIC
+        # The bytes are freed once decoded, and the text once parsed: neither
+        # is held through the checker, the printer and the solver.
+        text = _ascii(data)
+        del data
+        program = _front_end(text)
+        del text
+        if args.subcommand == "parse":
+            out.write(dump_program(program))
+            return EXIT_OK
+        if args.subcommand == "fmt":
+            out.write(print_program(program))
+            return EXIT_OK
 
-    from .solver import Fail, Solved, SolveError
+        problem = check_program(program)
+        if args.subcommand == "check":
+            return EXIT_OK
 
-    if collecting:
-        gc.enable()
-    try:
+        flags = {
+            name: (name, getattr(args, field), NO_POS)
+            for name, (field, *_) in _OPTIONS.items()
+            if getattr(args, field) is not None
+        }
+        # A flag wins over the file: it replaces the file's pairs of its option.
+        options = [o for o in problem.options if o[0] not in flags] + list(flags.values())
+        cfg = apply_set_options(options, SolverConfig(), err if args.verbose else None)
+        if collecting:
+            gc.enable()
         result = solve(problem, cfg)
-    except SolveError as e:
+    except SygusError as e:
         err.write(_diag_line(args.input, e.pos, e.code, e.message))
         return EXIT_UNSUPPORTED if e.code == "E-THEORY-UNSUPPORTED" else EXIT_STATIC
+
+    from .solver import Fail, Solved
 
     if isinstance(result, Solved):
         out.write(print_solution(result.terms, problem.synth_tasks))

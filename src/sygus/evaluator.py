@@ -97,9 +97,11 @@ from .syntax import (
     IntConst,
     Let,
     Lit,
+    NO_POS,
     RealConst,
     Record,
     Ref,
+    SygusError,
     Symbol,
     Term,
     set_field,
@@ -114,11 +116,8 @@ UF_INT_LO = -8
 UF_INT_HI = 8
 
 
-class EvalError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
+class EvalError(SygusError):
+    """An error evaluating a term, such as ``E-DIV-ZERO``."""
 
 
 #: What a compiled term carries for a value: an ``int`` for Int and for a
@@ -427,7 +426,7 @@ def _ite(cond: bool, then: Payload, other: Payload) -> Payload:
 
 def _div(a: Fraction, b: Fraction) -> Fraction:
     if b == 0:
-        raise EvalError("E-DIV-ZERO", "division by zero")
+        raise EvalError("E-DIV-ZERO", NO_POS, "division by zero")
     return a / b
 
 

@@ -40,6 +40,8 @@ import re
 from enum import Enum, auto
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
+from .syntax import Pos, SygusError
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -94,12 +96,12 @@ class Token(NamedTuple):
     col: int
 
 
-class LexError(Exception):
+class LexError(SygusError):
+    """``E-LEX`` at ``Pos(line, col)``."""
+
     def __init__(self, line: int, col: int, message: str):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-        self.message = message
+        super().__init__("E-LEX", Pos(line, col), message)
+        self.line, self.col = line, col
 
 
 _SYMBOL_REST = r"[A-Za-z0-9_+\-*&|!~<>=/%?.$^]*"

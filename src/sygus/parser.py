@@ -51,6 +51,7 @@ from .syntax import (
     SetOptions,
     SortExpr,
     Symbol,
+    SygusError,
     SynthFun,
     Term,
     VariableOf,
@@ -96,12 +97,11 @@ def _leaf(kind: TokKind, value, line: int, col: int) -> Term | None:
     return None
 
 
-class ParseError(Exception):
+class ParseError(SygusError):
+    """``E-PARSE`` at ``pos``: what was ``expected`` there and ``found``."""
+
     def __init__(self, pos: Pos, expected: str, found: str):
-        super().__init__(f"{pos}: expected {expected}, found {found}")
-        self.pos = pos
-        self.expected = expected
-        self.found = found
+        super().__init__("E-PARSE", pos, f"expected {expected}, found {found}")
 
 
 def _describe(tok: Token | None) -> str:
@@ -453,17 +453,10 @@ def parse_program(tokens: Iterable[Token]) -> Program:
     ``tokens`` is any iterable of tokens, such as ``tokenize``'s list or
     the tokens of a text's ``blocks`` chained together; it is read once,
     one token ahead of the parse, so a token the parser has passed can be
-    freed.  If the parse fails, with a ``ParseError`` or a
-    ``RecursionError`` on input nested too deeply, the rest of the stream
-    is read before the error is raised again: a ``LexError`` later in the
-    text is raised instead, as it is when the whole text is lexed first."""
-    p = _Parser(tokens)
-    try:
-        return p.program()
-    except (ParseError, RecursionError):
-        for _ in p.it:
-            pass
-        raise
+    freed.  The parse stops at its first error and reads no further, so a
+    ``ParseError`` is raised even where a later part of the stream holds a
+    lexical error (``sygus.cli`` reports that one instead)."""
+    return _Parser(tokens).program()
 
 
 def parse_text(text: str) -> Program:

@@ -36,6 +36,7 @@ from .syntax import (
     Literal,
     LocalVariableOf,
     NamedSort,
+    NO_POS,
     Program,
     RealConst,
     RealSort,
@@ -43,6 +44,7 @@ from .syntax import (
     SetLogic,
     SetOptions,
     SortExpr,
+    SygusError,
     SynthFun,
     Term,
     VariableOf,
@@ -54,11 +56,8 @@ if TYPE_CHECKING:
     from .checker import SynthTask
 
 
-class PrintError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
+class PrintError(SygusError):
+    """A candidate that cannot be printed, such as ``E-INCOMPLETE-CANDIDATE``."""
 
 
 def decimal_str(value: Fraction) -> str:
@@ -216,7 +215,7 @@ def print_solution(candidate: dict[str, Term], tasks: tuple[SynthTask, ...]) -> 
         body = candidate.get(task.name)
         if body is None:
             raise PrintError(
-                "E-INCOMPLETE-CANDIDATE", f"no body for synthesis function '{task.name}'"
+                "E-INCOMPLETE-CANDIDATE", NO_POS, f"no body for synthesis function '{task.name}'"
             )
         lines.append(
             f"(define-fun {task.name} {_print_params(task.surface_params)} "

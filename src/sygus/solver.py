@@ -131,12 +131,11 @@ from .syntax import (
     Lit,
     LocalVariableOf,
     NamedSort,
-    NO_POS,
-    Pos,
     RealConst,
     Record,
     Ref,
     SHORTHANDS,
+    SygusError,
     Symbol,
     Term,
     VariableOf,
@@ -161,15 +160,9 @@ SAMPLE_RANGE = 1 << 16
 BV_SAMPLE_COUNT = 8
 
 
-class SolveError(Exception):
-    """A checked problem the solver cannot take.  ``pos`` is the place in the
-    input at fault, or ``NO_POS`` where the checked problem keeps none."""
-
-    def __init__(self, code: str, message: str, pos: Pos = NO_POS):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
-        self.pos = pos
+class SolveError(SygusError):
+    """A checked problem the solver cannot take, such as
+    ``E-THEORY-UNSUPPORTED`` or ``E-EMPTY-EXPANSION``."""
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +242,8 @@ def expand_shorthands(
         if not productions:
             raise SolveError(
                 "E-EMPTY-EXPANSION",
-                f"every production of non-terminal '{nt.name}' expanded to nothing",
                 nt.pos,
+                f"every production of non-terminal '{nt.name}' expanded to nothing",
             )
         nts[nt.name] = CheckedNT(nt.name, nt.sort, tuple(productions))
     nts.update(fresh)
@@ -272,7 +265,7 @@ def _nested(
             productions = alternatives(t)
             if not productions:
                 message = f"shorthand '{name}' expanded to nothing"
-                raise SolveError("E-EMPTY-EXPANSION", message, t.pos)
+                raise SolveError("E-EMPTY-EXPANSION", t.pos, message)
             fresh[name] = CheckedNT(name, problem.resolve(t.sort), tuple(productions))
         return Ref(name, t.pos)
     if isinstance(t, App):
@@ -662,14 +655,12 @@ def _theory_gate(problem: CheckedProblem) -> None:
     gate = "E-THEORY-UNSUPPORTED"
     if problem.sig.logic in ("Reals", "Arrays"):
         raise SolveError(
-            gate, f"solving over the {problem.sig.logic} theory is not supported", problem.logic_pos
+            gate, problem.logic_pos, f"solving over the {problem.sig.logic} theory is not supported"
         )
     for name, sort in problem.universal_vars.items():
         if unsupported_sort(sort):
-            raise SolveError(
-                gate, f"universal variable '{name}' has unsupported sort {sort}",
-                problem.var_pos[name],
-            )
+            message = f"universal variable '{name}' has unsupported sort {sort}"
+            raise SolveError(gate, problem.var_pos[name], message)
     # The declared functions in source order; ``funcs`` groups overloads by
     # name.
     entries = sorted(
@@ -678,11 +669,11 @@ def _theory_gate(problem: CheckedProblem) -> None:
     for kind, what in (("uf", "uninterpreted function"), ("synth", "synthesis function")):
         for e in entries:
             if e.kind == kind and any(map(unsupported_sort, e.arg_sorts + (e.ret,))):
-                raise SolveError(gate, f"{what} '{e.name}' has an unsupported sort", e.pos)
+                raise SolveError(gate, e.pos, f"{what} '{e.name}' has an unsupported sort")
     for term in problem.constraints + tuple(e.body for e in entries if e.kind == "macro"):
         for n in subterms(term):
             if isinstance(n, Lit) and isinstance(n.value, RealConst):
-                raise SolveError(gate, "real-valued terms cannot be verified by this solver", n.pos)
+                raise SolveError(gate, n.pos, "real-valued terms cannot be verified by this solver")
 
 
 def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Payload]]]:

@@ -173,6 +173,18 @@ class Pos(Record):
 NO_POS = Pos(0, 0)
 
 
+class SygusError(Exception):
+    """An error in the input, from the lexer's to the solver's: a ``code``
+    such as ``E-LEX``, the ``pos`` at fault (``NO_POS`` where none is known)
+    and a ``message``.  Each layer raises a subclass of its own."""
+
+    def __init__(self, code: str, pos: Pos, message: str):
+        super().__init__(f"{pos}: {code}: {message}")
+        self.code = code
+        self.pos = pos
+        self.message = message
+
+
 # ---------------------------------------------------------------------------
 # Literals
 

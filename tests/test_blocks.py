@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from sygus import cli, lexer
 from sygus.cli import EXIT_OK, EXIT_STATIC
 from sygus.lexer import LexError, blocks, tokenize
+from sygus.parser import ParseError, parse_program
+from sygus.syntax import Pos
 
 from conftest import FIXTURES, collector_paused
 from test_front_end_errors import SEEDS, ascii_text, edited_program
@@ -182,6 +184,32 @@ def test_a_bad_character_in_a_later_block_wins_over_a_parse_error(spec_path):
     )
 
 
+def test_the_parser_stops_at_a_parse_error_before_a_later_bad_character(monkeypatch):
+    # The library half of the rule above: ``parse_program`` reads no block
+    # past its first error, and the CLI's front end lexes the rest, each
+    # block once.
+    text = "(set-logic LIA\n" + FILLER + "  @\n"
+    lexed_blocks = []
+
+    def lex(block, line, names):
+        lexed_blocks.append(line)
+        return tokenize(block, line, names)
+
+    names = {}
+    tokens = chain.from_iterable(lex(b, line, names) for b, line in blocks(text))
+    with pytest.raises(ParseError) as info:
+        parse_program(tokens)
+    assert (info.value.code, info.value.pos) == ("E-PARSE", Pos(2, 1))
+    assert info.value.message == "expected ')' closing the command, found '('"
+    assert lexed_blocks == [1]
+    lexed_blocks.clear()
+    monkeypatch.setattr(cli, "tokenize", lex)
+    with pytest.raises(LexError) as info:
+        cli._front_end(text)
+    assert (info.value.line, info.value.col) == (line_of(text, "@"), 3)
+    assert lexed_blocks == [line for _, line in blocks(text)]
+
+
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
 def test_a_bad_character_in_a_later_block_wins_over_depth(spec_path, subcommand):
     deep = "(constraint " + "(not " * 3000 + "true" + ")" * 3000 + ")\n"
@@ -216,7 +244,7 @@ def test_a_non_ascii_byte_anywhere_is_the_first_diagnostic(spec_path, before, af
 def test_a_name_is_one_string_across_blocks():
     text = "(declare-var wide Int)\n" + FILLER + "(constraint (= wide 0))\n"
     assert block_of(text, "(constraint (= wide") > 0
-    program = cli._front_end("spec.sl", text, io.StringIO())
+    program = cli._front_end(text)
     declared, used = program.commands[0].name, program.commands[-1].body.args[0].name
     assert declared == used == "wide"
     assert declared is used

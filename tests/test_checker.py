@@ -26,7 +26,7 @@ from conftest import load_problem
 def code_of(text: str) -> str:
     with pytest.raises(CheckError) as exc:
         check_program(parse_text(text))
-    return exc.value.diagnostic.code
+    return exc.value.code
 
 
 # -- sort resolution ----------------------------------------------------------
@@ -44,7 +44,7 @@ def test_resolve_defined_alias():
 def test_resolve_undefined_sort():
     with pytest.raises(CheckError) as exc:
         resolve_sort(NamedSort("Unknown"), {})
-    assert exc.value.diagnostic.code == "E-SORT-UNDEF"
+    assert exc.value.code == "E-SORT-UNDEF"
 
 
 def test_enum_identity_is_the_defining_name():
@@ -65,7 +65,7 @@ def test_inline_enums_at_distinct_sites_differ():
 def test_enum_duplicate_constructor():
     with pytest.raises(CheckError) as exc:
         resolve_sort(EnumSort(("A", "A")), {})
-    assert exc.value.diagnostic.code == "E-ENUM-DUP"
+    assert exc.value.code == "E-ENUM-DUP"
 
 
 # -- whole-program checks -----------------------------------------------------
@@ -184,19 +184,19 @@ def test_type_of_conditional():
 def test_type_error_on_bad_signature():
     with pytest.raises(CheckError) as exc:
         type_of_term(term("(and x 1)"), _lia_scope(x="Bool"))
-    assert exc.value.diagnostic.code == "E-APP-SIG"
+    assert exc.value.code == "E-APP-SIG"
 
 
 def test_unbound_name():
     with pytest.raises(CheckError) as exc:
         type_of_term(term("(+ x nope)"), _lia_scope(x="Int"))
-    assert exc.value.diagnostic.code == "E-UNBOUND"
+    assert exc.value.code == "E-UNBOUND"
 
 
 def test_let_binding_sort_mismatch():
     with pytest.raises(CheckError) as exc:
         type_of_term(term("(let ((z Bool 1)) z)"), _lia_scope())
-    assert exc.value.diagnostic.code == "E-LET-SORT"
+    assert exc.value.code == "E-LET-SORT"
 
 
 def test_same_sort_shadowing_is_fine():

@@ -528,6 +528,26 @@ def test_front_end_subcommands_load_no_solver(subcommand):
     assert ("sygus.checker" in loaded) == (subcommand == "check")
 
 
+BAD_OPTION_THEN_MODULES = """
+import sys
+from sygus.cli import apply_set_options
+from sygus.config import SolverConfig
+from sygus.syntax import Pos, SygusError
+try:
+    apply_set_options([("seed", "x", Pos(3, 3))], SolverConfig())
+except SygusError as e:
+    print(e.code, e.pos)
+print(*sys.modules)
+"""
+
+
+def test_an_option_error_loads_no_checker():
+    raised, loaded = child(BAD_OPTION_THEN_MODULES)
+    assert raised == "E-OPT-VALUE 3:3"
+    assert "sygus.cli" in loaded.split()
+    assert "sygus.checker" not in loaded.split()
+
+
 def test_solve_loads_no_openssl():
     code, loaded = modules_loaded_by("solve", str(FIXTURES / "max2_min2.sl"))
     assert code == EXIT_OK

@@ -19,7 +19,6 @@ from sygus.checker import (
     R_INT,
     CheckedNT,
     CheckedProblem,
-    Diagnostic,
     FuncEntry,
     RArray,
     RBitVec,
@@ -114,7 +113,6 @@ FIELDS = {
         "RBitVec": ("width",),
         "REnum": ("identity", "constructors"),
         "RArray": ("domain", "codomain"),
-        "Diagnostic": ("code", "pos", "message"),
         "CheckedNT": ("name", "sort", "productions", "pos"),
         "SynthTask": (
             "name", "params", "ret", "grammar", "surface_params", "surface_ret", "lets",
@@ -197,7 +195,6 @@ SAMPLES = [
     RBitVec(8),
     REnum("Color", ("Red", "Green")),
     RArray(R_INT, R_BOOL),
-    Diagnostic("E-UNBOUND", P, "unbound name 'y'"),
     CHECKED_START,
     TASK,
     CheckedProblem(
@@ -509,10 +506,6 @@ REPRS = [
     (Program((CheckSynth(),)), "Program(commands=(CheckSynth(pos=Pos(line=0, col=0)),))"),
     (REnum("Color", ("Red", "Green")), "REnum(identity='Color', constructors=('Red', 'Green'))"),
     (RArray(RInt(), RBitVec(4)), "RArray(domain=RInt(), codomain=RBitVec(width=4))"),
-    (
-        Diagnostic("E-UNBOUND", Pos(3, 4), "unbound name 'y'"),
-        "Diagnostic(code='E-UNBOUND', pos=Pos(line=3, col=4), message=\"unbound name 'y'\")",
-    ),
     (
         Valid(121, 121, 0, 256, False),
         "Valid(grid_points=121, grid_size=121, uf_models=0, random_samples=256, "
