@@ -1,4 +1,5 @@
 import ast
+import errno
 import gc
 import io
 import os
@@ -23,6 +24,7 @@ from conftest import (
     FIXTURE_SOLUTIONS,
     FIXTURES,
     LIA_ITE_UNSOLVABLE,
+    ROOT,
     UF_SUM,
     child,
     collector_paused,
@@ -438,14 +440,14 @@ def sum_chain_spec(levels):
     return ONE_LINER.format(options="").replace("(= (f x) x)", f"(> {body} x)")
 
 
-def run_in_child(subcommand, path):
-    """``python -m sygus``, so that the test runner's own frames do not
-    count against the interpreter's recursion limit."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+def run_in_child(*argv, text=True, stdout=subprocess.PIPE, env=None):
+    """``python -m sygus *argv``: the console script's way out, and the test
+    runner's own frames do not count against the interpreter's recursion
+    limit.  ``env`` replaces the test runner's environment."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "sygus", subcommand, str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "sygus", *map(str, argv)],
+        stdout=stdout, stderr=subprocess.PIPE, text=text, env=env, timeout=60,
     )
 
 
@@ -979,3 +981,243 @@ def test_front_end_leaves_no_cyclic_garbage(name):
         assert problem.constraints and printed and dumped
         del program, problem, printed, dumped
         assert gc.collect() == 0
+
+
+# -- how a console call ends --------------------------------------------------
+
+NO_SPACE = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+class FullDisk(io.StringIO):
+    """A stream on a full disk: each write and flush fails or, when
+    ``buffered``, only the flush."""
+
+    def __init__(self, buffered=False):
+        super().__init__()
+        self.buffered = buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# A call per write of a result to stdout, before the path of its input.
+WRITES = {
+    "parse": ["parse"],
+    "fmt": ["fmt"],
+    "solved": ["solve", "--verbose"],
+    "fail": ["solve", "--max-term-size", "4"],
+}
+
+
+@pytest.mark.parametrize("name", WRITES)
+def test_a_failed_output_write_is_an_io_error(name, unsolvable_path):
+    # One line on stderr and no note: the result was not given.
+    path = unsolvable_path if name == "fail" else FIXTURES / "max2_min2.sl"
+    err = StringIO()
+    assert run([*WRITES[name], str(path)], FullDisk(), err) == EXIT_IO
+    assert err.getvalue() == NO_SPACE
+
+
+def test_a_failed_output_write_exits_4_where_stderr_fails_too():
+    assert run(["fmt", str(FIXTURES / "max2_min2.sl")], FullDisk(), FullDisk()) == EXIT_IO
+
+
+class Exited(BaseException):
+    """What ``os._exit`` raises in ``main_exit``: the process ends here."""
+
+
+@pytest.fixture
+def main_exit(monkeypatch):
+    """``cli.main`` on some arguments, returning the code it ends the
+    process with, and the order in which it flushed stdout and stderr;
+    ``monkeypatch`` may replace those streams first."""
+    def _exit(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(os, "_exit", _exit)
+
+    def main(*argv):
+        flushes = []
+        for name in ("stdout", "stderr"):
+            stream = getattr(sys, name)
+            monkeypatch.setattr(stream, "flush", lambda name=name, flush=stream.flush: (
+                flushes.append(name), flush()
+            ))
+        monkeypatch.setattr(sys, "argv", ["sygus", *map(str, argv)])
+        with pytest.raises(Exited) as e:
+            cli.main()
+        return e.value.args[0], flushes
+
+    return main
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["fmt", FIXTURES / "max2_min2.sl"], EXIT_OK, id="fmt"),
+    pytest.param(["check", FIXTURES / "missing.sl"], EXIT_IO, id="missing"),
+    # argparse's exits, a usage error and --help, end the same way.
+    pytest.param(["solve"], EXIT_STATIC, id="usage_error"),
+    pytest.param(["solve", "--help"], EXIT_OK, id="help"),
+])
+def test_main_flushes_stdout_then_stderr_and_exits(main_exit, monkeypatch, argv, code):
+    out, err = StringIO(), StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main_exit(*argv) == (code, ["stdout", "stderr"])
+    if argv[0] == "fmt":
+        assert out.getvalue() == (ROOT / "tests/golden/max2_min2.fmt").read_text()
+    else:
+        assert bool(out.getvalue()) == ("--help" in argv)
+        assert bool(err.getvalue()) != ("--help" in argv)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_main_reports_one_output_error(main_exit, monkeypatch, buffered):
+    # Buffered, the error shows at main's flush; unbuffered, at run's write,
+    # and the flush fails again.  Either way it is reported once.
+    err = StringIO()
+    monkeypatch.setattr(sys, "stdout", FullDisk(buffered))
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main_exit("fmt", FIXTURES / "max2_min2.sl") == (EXIT_IO, ["stdout", "stderr"])
+    assert err.getvalue() == NO_SPACE
+
+
+def test_main_exits_4_where_stderr_fails_too(main_exit, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", FullDisk(buffered=True))
+    monkeypatch.setattr(sys, "stderr", FullDisk())
+    assert main_exit("fmt", FIXTURES / "max2_min2.sl") == (EXIT_IO, ["stdout", "stderr"])
+
+
+def test_a_bug_escaping_run_keeps_its_traceback(main_exit, monkeypatch):
+    # main does not catch it: the interpreter prints it and exits 1.
+    def broken(argv):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "run", broken)
+    monkeypatch.setattr(sys, "argv", ["sygus", "check", "x.sl"])
+    with pytest.raises(RuntimeError, match="bug"):
+        cli.main()
+
+
+def stdio_env(buffered):
+    """The test runner's environment, with Python's stdout buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else dict(env, PYTHONUNBUFFERED="1")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("subcommand, size, buffered", [
+    # A solution fits in the buffer, so buffered it fails at main's flush.
+    pytest.param("solve", "small", True, id="solve-buffered"),
+    pytest.param("solve", "small", False, id="solve-unbuffered"),
+    pytest.param("parse", "large", True, id="parse_large-buffered"),
+])
+def test_output_to_a_full_disk_exits_4(tmp_path, subcommand, size, buffered):
+    path = FIXTURES / "max2_min2.sl"
+    if size == "large":
+        path = tmp_path / "large.sl"
+        path.write_text(large_spec())
+    with open("/dev/full", "w") as full:
+        p = run_in_child(subcommand, path, stdout=full, env=stdio_env(buffered))
+    assert (p.returncode, p.stderr) == (EXIT_IO, NO_SPACE)
+
+
+def test_output_to_a_closed_pipe_exits_4(tmp_path):
+    # The dump is far larger than a pipe holds, so the child is still
+    # writing when its reader goes.
+    path = tmp_path / "large.sl"
+    path.write_text(large_spec())
+    env = dict(stdio_env(buffered=True), PYTHONPATH=str(ROOT / "src"))
+    p = subprocess.Popen(
+        [sys.executable, "-m", "sygus", "parse", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert p.stdout.read(1) == "("
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert (p.wait(timeout=60), err) == (
+        EXIT_IO, f"error: cannot write output: {os.strerror(errno.EPIPE)}\n"
+    )
+
+
+def test_check_runs_with_stdout_and_stderr_closed():
+    # Python then holds no stdout and no stderr object, and main has none
+    # to flush; check writes to neither.
+    p = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m sygus check "$1" >&- 2>&-', sys.executable,
+         str(FIXTURES / "max2_min2.sl")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60,
+    )
+    assert p.returncode == EXIT_OK
+
+
+def in_process(argv, capsys):
+    """``run`` on ``argv``, as the console script would: the exit code, and
+    what it wrote to stdout and stderr."""
+    try:
+        code = run(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# Calls of the console script: the arguments before the input path, and the
+# input's text (None: no such file, or no input argument at all).
+PARITY = {
+    **{
+        f"{argv[0]}-{path.stem}": (argv, path.read_text())
+        for path in sorted(FIXTURES.glob("*.sl"))
+        for argv in (["solve", "--verbose"], ["fmt"])
+    },
+    "lex_error": (["check"], "(set-logic LIA)\n@\n"),
+    "reals": (["solve"], REALS),
+    "missing": (["check"], None),
+    "usage_error": (["solve", "--max-term-size"], None),
+    "help": (["solve", "--help"], None),
+}
+
+
+@pytest.mark.parametrize("name", PARITY)
+def test_the_console_script_prints_what_run_prints(name, tmp_path, capsys, monkeypatch):
+    # main flushes and ends the process itself: nothing it wrote may be lost,
+    # so the child's stdout and stderr are buffered, as outside a test.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
+    argv, text = PARITY[name]
+    if name not in ("usage_error", "help"):
+        path = tmp_path / "spec.sl"
+        if text is not None:
+            path.write_text(text)
+        argv = [*argv, str(path)]
+    code, out, err = in_process(argv, capsys)
+    p = run_in_child(*argv, text=False, env=stdio_env(buffered=True))
+    assert (p.returncode, p.stdout, p.stderr.decode()) == (code, out.encode(), err)
+    assert (code, bool(out)) == {
+        "lex_error": (EXIT_STATIC, False),
+        "reals": (EXIT_UNSUPPORTED, False),
+        "missing": (EXIT_IO, False),
+        "usage_error": (EXIT_STATIC, False),
+    }.get(name, (EXIT_OK, True))
+
+
+# Makes CLI calls on one file, then prints how many exit hooks are registered.
+EXIT_HOOKS_AFTER_CALLS = """
+import atexit, io, sys
+from sygus.cli import run
+for subcommand in ("check", "solve"):
+    assert run([subcommand, sys.argv[1]], io.StringIO(), io.StringIO()) == 0
+print(atexit._ncallbacks())
+"""
+
+
+def test_cli_calls_register_no_exit_hook():
+    # main ends the process with os._exit, which runs no exit hook: one that
+    # a later import registered would be skipped without notice.
+    [hooks] = child(EXIT_HOOKS_AFTER_CALLS, str(FIXTURES / "uf_pair.sl"))
+    [bare] = child("import atexit; print(atexit._ncallbacks())")
+    assert hooks == bare
