@@ -387,9 +387,20 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -
 
 def _put(out: TextIO, err: TextIO, text: str, code: int, note: str = "") -> int:
     """Write ``text`` to ``out``, then ``note`` to ``err``, and return
-    ``code``; a failed write to ``out`` is reported instead."""
+    ``code``; a failed write to ``out`` is reported instead.  A stream over
+    a binary buffer is flushed and gets the encoded text through the
+    buffer, written until all of it is taken: unbuffered, the buffer is
+    the raw file, whose write may take only part of the text, as a pipe
+    does, and the text layer would drop the rest without an error."""
     try:
-        out.write(text)
+        buffer = getattr(out, "buffer", None)
+        if buffer is None:
+            out.write(text)
+        else:
+            out.flush()
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[buffer.write(data):]
     except OSError as e:
         return _output_error(err, e)
     if note:

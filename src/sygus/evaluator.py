@@ -16,9 +16,9 @@ Values are what the public edge takes and gives: ``eval_term``,
 ``Assignment``, ``UFModel.query``, and the solver's counterexamples.
 Everything inside computes with payloads: ``compile_term`` resolves every
 node's sort once, so a column holds payloads of one sort, and a compiled
-term never boxes; a function bound by ``EvalEnv.set_values`` takes and
-gives payloads too.  A payload that leaves for the public edge is boxed
-with the sort it was computed at.
+term never boxes; a column function bound by ``EvalEnv.bind`` takes and
+gives columns of payloads too.  A payload that leaves for the public edge
+is boxed with the sort it was computed at.
 
 A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
 the meaning of every built-in operator as a function of payloads,
@@ -27,7 +27,8 @@ evaluators are call-by-value, so they make the same uninterpreted-function
 queries.  ``resolve`` looks the application's name and argument sorts up
 in the checker's table of declared functions (``CheckedProblem.funcs``),
 where a synthesis function calls its one binding in the environment: a
-candidate body, or a function of payloads (``EvalEnv.set_values``).
+candidate body, or a column function of its parameters' columns
+(``EvalEnv.bind``), which only compiled terms call.
 
 - ``eval_term`` walks the term at every evaluation and resolves each
   application by the sorts of its argument values; it unboxes the
@@ -45,11 +46,11 @@ candidate body, or a function of payloads (``EvalEnv.set_values``).
   rows' memo keys in C and maps the memo of its declaration in each run's
   model over the run's keys (``_uf_query``), so only a model's first query
   of a point steps into Python; macro and candidate bodies are compiled
-  once per environment and take their argument columns as variables; an
-  application bound by ``EvalEnv.set_values`` maps its function over the
-  argument columns.  Compiling costs more than one walk, but each later
-  batch skips the walk, the dispatch and the operator lookup, and pays
-  each node's call once per batch rather than once per row.
+  once per environment, and they and a bound column function are called
+  by value, with the argument columns as the parameters' columns.
+  Compiling costs more than one walk, but each later batch skips the walk,
+  the dispatch and the operator lookup, and pays each node's call once per
+  batch rather than once per row.
 - The compiler marks each node that depends on the model: one under which
   an uninterpreted function is applied.  On a batch that repeats its
   columns k times, one copy per model, every other node is computed once
@@ -315,9 +316,10 @@ class EvalEnv:
     The function table is the checker's (``CheckedProblem.funcs``), and so
     are the enums that literals name (``CheckedProblem.enums``).  Each
     synthesis function has one binding: a candidate body, given to the
-    constructor, or a function of payloads, which ``set_values`` swaps in.
-    So one environment can screen many candidates without rebuilding
-    anything.
+    constructor, or a column function, which ``bind`` swaps in.  Both are
+    called by value.  A column function can answer for any candidate, so
+    one environment, and the terms compiled in it, can screen many
+    candidates.
     """
 
     def __init__(
@@ -331,26 +333,25 @@ class EvalEnv:
         self.funcs = problem.funcs
         self.has_ufs = bool(problem.uf_decls)
         self.enums = problem.enums
-        #: What each synthesis function is bound to: a body or a function.
-        self._bound: dict[Symbol, Union[Term, Callable[..., Payload]]] = dict(candidates or ())
+        #: What each synthesis function is bound to: a body or a column
+        #: function.
+        self._bound: dict[Symbol, Union[Term, Compiled]] = dict(candidates or ())
         #: Compiled macro and candidate bodies, by the identities of the
         #: entry and the body, which the value keeps alive.
         self._compiled: dict[tuple[int, int], tuple[FuncEntry, Term, Compiled]] = {}
 
-    def set_values(self, name: Symbol, fn: Callable[..., Payload]) -> None:
+    def bind(self, name: Symbol, fn: Compiled) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
-        in place of a candidate body: ``fn`` takes the argument payloads
-        and returns the result's payload.  A term compiled afterwards maps
-        ``fn`` over the argument columns, one call per row.  The solver's
-        screens bind each task to its current term this way: to a lookup
-        of the term's column in its table by the index of the argument
-        tuple among the invocation points, or, where calls nest, to the
-        term compiled on its own and evaluated at one row."""
+        in place of a candidate body.  ``fn`` is a column function of the
+        parameters' columns, as a compiled body is: it takes the argument
+        columns, by parameter name, and the batch's ``Rows``, and gives
+        the result's payload at each row.  Terms compiled afterwards call
+        it once per batch; ``eval_term`` cannot call it."""
         self._bound[name] = fn
 
     def resolve(
         self, name: Symbol, arg_sorts: tuple[ResolvedSort, ...]
-    ) -> Optional[tuple[FuncEntry, Union[Term, Callable[..., Payload], None]]]:
+    ) -> Optional[tuple[FuncEntry, Union[Term, Compiled, None]]]:
         """What an application of ``name`` at ``arg_sorts`` calls: the
         function of that signature, with a macro's body, a synthesis
         function's binding, or ``None`` for an uninterpreted function.
@@ -415,8 +416,6 @@ def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
     if entry.kind == "uf":
         assert env.model is not None, "uninterpreted function without a model"
         return env.model.query(entry.index, args)
-    if not isinstance(body, Term):
-        return Value(entry.ret, body(*[a.value for a in args]))
     return eval_term(body, dict(zip(entry.params, args)), env)
 
 
@@ -636,10 +635,10 @@ def _call(head: Symbol, parts: Sequence[_Part], env: EvalEnv) -> _Part:
     entry, body = hit
     if entry.kind == "uf":
         return _uf_query(entry.index, fns, dep), entry.ret, True
-    if not isinstance(body, Term):
-        return _map_call(body, fns), entry.ret, dep
-    compiled, inner = _compiled_body(entry, body, env)
-    return _call_by_value(compiled, entry.params, fns, dep), entry.ret, dep or inner
+    inner = False
+    if isinstance(body, Term):
+        body, inner = _compiled_body(entry, body, env)
+    return _call_by_value(body, entry.params, fns, dep), entry.ret, dep or inner
 
 
 def _compiled_body(entry: FuncEntry, body: Term, env: EvalEnv) -> tuple[Compiled, bool]:
@@ -668,10 +667,7 @@ def _repeated(f: Compiled) -> Compiled:
 
 
 def _map_call(fn: Callable[..., Payload], fns: Sequence[Compiled]) -> Compiled:
-    """``fn`` called at each row with the argument payloads; with no
-    arguments, once per point."""
-    if not fns:
-        return lambda c, r: [fn() for _ in range(r.points)]
+    """``fn`` called at each row with the argument payloads."""
     if len(fns) == 1:
         [f0] = fns
         return lambda c, r: list(map(fn, f0(c, r)))
@@ -729,11 +725,11 @@ def _uf_query(index: int, fns: Sequence[Compiled], dep: bool) -> Compiled:
 def _call_by_value(
     body: Compiled, params: tuple[Symbol, ...], fns: Sequence[Compiled], dep: bool
 ) -> Compiled:
-    """A call by value: the argument columns are the body's variables.  The
-    body was compiled with parameters that do not depend on the model, so
-    where an argument does (``dep``), the body takes the batch's rows one
-    model after another, not as repeats, each argument column a payload
-    per row."""
+    """A call by value of ``body``, a compiled body or a bound column
+    function: the argument columns are its parameters' columns.  It takes
+    parameters that do not depend on the model, so where an argument does
+    (``dep``), it takes the batch's rows one model after another, not as
+    repeats, each argument column a payload per row."""
     pairs = tuple(zip(params, fns))
 
     def call(c: Columns, r: Rows) -> Sequence[Payload]:

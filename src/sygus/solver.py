@@ -61,18 +61,19 @@ C once for the window, the parts of a constraint that apply no
 uninterpreted function are computed once for the window too, and each
 uninterpreted-function application on it is one memo lookup per model
 mapped in C over its keys.  A random row has a model of its own and is a
-run of one row.  The screens compile
-the constraints once per pass, with each synthesis function's
-applications bound to its current term (``EvalEnv.set_values``), and
-evaluate them on one batch: the store's rows, each a point of payloads and
-a UF seed.  An application reads the term's column at the index of its
-argument tuple among the invocation points, so a screen evaluates no
-enumerated term; where calls nest, it evaluates the term, compiled once
-per table term, at its arguments.  ``verify`` does not check the store:
-each constraint belongs to one screen, and a tuple reaches ``verify`` only
-once its screens hold at every stored row.  Values appear only at the
-public edge: a ``Counterexample`` holds an ``Assignment``, boxed from the
-failing row, and ``solve`` unboxes it once into a row of the store.
+run of one row.  ``solve`` binds each synthesis function once, to a column
+function (``EvalEnv.bind``), compiles each constraint once, and evaluates
+the constraints on one batch: the store's rows, each a point of payloads
+and a UF seed.  Where no calls nest, the binding is a ``_Calls``, which
+records the invocation points at new rows while no term is set, and with
+a term reads the term's column at the positions of its argument tuples
+among them, so a screen evaluates no enumerated term; where calls nest,
+it evaluates the term, compiled once per table term, on its argument
+columns.  ``verify`` does not check the store: each constraint belongs to
+one screen, and a tuple reaches ``verify`` only once its screens hold at
+every stored row.  Values appear only at the public edge: a
+``Counterexample`` holds an ``Assignment``, boxed from the failing row, and
+``solve`` unboxes it once into a row of the store.
 
 Multi-function search runs in lockstep budget rounds: round ``b`` visits
 every candidate tuple whose largest component has size exactly ``b`` (all
@@ -87,7 +88,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from itertools import count, islice, product
+from itertools import count, islice, product, repeat
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, Union
 
 from .checker import (
@@ -139,8 +140,6 @@ from .syntax import (
     Symbol,
     Term,
     VariableOf,
-    app_heads,
-    free_refs,
     subterms,
     term_size,
 )
@@ -918,88 +917,41 @@ def verify(
 # Search
 
 
-def _mentioned_tasks(term: Term, task_names: frozenset[Symbol]) -> frozenset[Symbol]:
-    return (app_heads(term) | free_refs(term)) & task_names
+_NO_TASKS: frozenset[Symbol] = frozenset()
 
 
-def _nested_calls(constraints: tuple[Term, ...], task_names: frozenset[Symbol]) -> bool:
-    """Whether an application of a synthesis function sits in the arguments
-    of one, directly or through a let of the constraints that binds its
-    value.  A ``Ref`` to a task's name is a 0-ary application unless a let
-    binds the name."""
-    nested: list[App] = []
-    for c in constraints:
-        _calls(c, task_names, task_names, nested)
-    return bool(nested)
-
-
-def _calls(
-    t: Term, tainted: frozenset[Symbol], task_names: frozenset[Symbol], nested: list[App]
-) -> bool:
-    """Whether ``t``'s value depends on a synthesis function; a name in
-    ``tainted`` stands for such a value.  Each application of one in ``t``
-    whose arguments depend on one is added to ``nested``."""
+def _tasks_of(
+    t: Term,
+    tainted: Mapping[Symbol, frozenset[Symbol]],
+    task_names: frozenset[Symbol],
+    nested: list[App],
+) -> frozenset[Symbol]:
+    """The synthesis functions whose results ``t``'s value depends on: a
+    name in ``tainted`` stands for a value that depends on the tasks it maps
+    to, and a free ``Ref`` to a task's name is a 0-ary application.  A let
+    maps each bound name to its value's set, and counts its unused bindings
+    too.  Each application of a task in ``t`` whose arguments depend on
+    one, directly or through a let, is added to ``nested``."""
     if isinstance(t, Ref):
-        return t.name in tainted
+        return tainted.get(t.name, _NO_TASKS)
     # Loops rather than comprehensions, which would spend a frame of their
     # own per level.
+    out = _NO_TASKS
     if isinstance(t, App):
-        inner = False
         for a in t.args:
-            inner = _calls(a, tainted, task_names, nested) or inner
+            out = out | _tasks_of(a, tainted, task_names, nested)
         if t.head in task_names:
-            if inner:
+            if out:
                 nested.append(t)
-            return True
-        return inner
-    if isinstance(t, Let):
-        carried = []
+            out = out | {t.head}
+    elif isinstance(t, Let):
+        # Parallel bindings: the values see the outer names.
+        inner = dict(tainted)
         for b in t.bindings:
-            carried.append(_calls(b.value, tainted, task_names, nested))
-        bound = frozenset(b.name for b in t.bindings)
-        inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
-        return _calls(t.body, inner, task_names, nested) or any(carried)
-    return False
-
-
-class _InvocationPoints:
-    """The argument tuples each synthesis function is applied to when the
-    constraints are evaluated at the stored counterexamples.
-
-    Each application is bound to a recorder that keys its argument payloads
-    as a tuple and returns the payload of an arbitrary value of the
-    function's sort.  Evaluation is strict, so every application is
-    evaluated at every counterexample, and when no application sits in the
-    arguments of another (see ``_nested_calls``) no argument depends on the
-    recorders' results.  A task has one signature, so equal payload tuples
-    are equal argument tuples.
-    """
-
-    def __init__(self, problem: CheckedProblem, cfg: SolverConfig, model_for):
-        env = EvalEnv(problem)
-        #: Per task, the argument tuples in first-seen order.
-        self._seen: dict[Symbol, dict[tuple[Payload, ...], Payload]] = {}
-        for t in problem.synth_tasks:
-            seen = self._seen[t.name] = {}
-            # Any value of the sort will do.
-            anything = _grid_values(t.ret, cfg)[1][0]
-            env.set_values(t.name, lambda *args, seen=seen, v=anything: seen.setdefault(args, v))
-        variables = problem.universal_vars
-        self._names = list(variables)
-        self._checks = [compile_term(c, env, variables) for c in problem.constraints]
-        self._model_for = model_for
-        self._done = 0
-
-    def at(self, store: list[_Row]) -> dict[Symbol, list[tuple[Payload, ...]]]:
-        """Each task's invocation points at ``store``, which has grown since
-        the last call or not at all."""
-        new = store[self._done:]
-        if new:
-            batch, rows = _batch(self._names, new, self._model_for)
-            for check in self._checks:
-                check(batch, rows)
-        self._done = len(store)
-        return {name: list(seen) for name, seen in self._seen.items()}
+            inner[b.name] = value = _tasks_of(b.value, tainted, task_names, nested)
+            out = out | value
+        out = out | _tasks_of(t.body, inner, task_names, nested)
+    return out
 
 
 def _batch(
@@ -1011,38 +963,48 @@ def _batch(
     return columns(names, points), Rows([(model_for(seed), 1) for _, seed in rows])
 
 
-class _ByColumn:
-    """A synthesis function bound to the current term of its table with
-    invocation points: an application at an argument tuple reads the
-    term's column at the index of that tuple among the points."""
+class _Calls:
+    """The column function a synthesis function is bound to for a whole
+    solve where no calls nest, so that no argument tuple depends on the
+    candidate.
 
-    def __init__(self, table: TermTable, points: list[tuple[Payload, ...]]):
-        # The columns, not the table, which refers to the environment that
-        # this binding is bound in: no cycle keeps a pass's tables alive.
-        self._columns = table._columns
-        self._index = {args: i for i, args in enumerate(points)}
-        self._column: tuple[Payload, ...] = ()
+    With no term (``column`` is ``None``), a call records its argument
+    tuples in ``index``, each at its position in first-seen order: the
+    task's invocation points.  Its result is ``anything`` at every row; no
+    argument depends on it.  With a term, a call maps the term's column at
+    those points over the positions of its argument tuples, in C.  A task
+    has one signature, so equal payload tuples are equal arguments."""
+
+    def __init__(self, task: SynthTask, anything: Payload):
+        self.params = [p for p, _ in task.params]
+        self.anything = anything
+        self.index: dict[tuple[Payload, ...], int] = {}
+        #: The listed closed terms' columns of the pass's table, by identity
+        #: (``TermTable.column``), and the current term's column.
+        self.columns: dict[int, tuple[Payload, ...]] = {}
+        self.column: Optional[tuple[Payload, ...]] = None
 
     def set(self, term: Term) -> None:
-        self._column = self._columns[id(term)]
+        self.column = self.columns[id(term)]
 
-    def __call__(self, *args: Payload) -> Payload:
-        return self._column[self._index[args]]
-
-
-#: One row with no sampled model: grammar terms call no uninterpreted
-#: function.
-_ONE_ROW = Rows([(None, 1)])
+    def __call__(self, c: Columns, r: Rows) -> Sequence[Payload]:
+        args = zip(*map(c.__getitem__, self.params)) if self.params else repeat((), r.points)
+        if self.column is None:
+            record = self.index.setdefault
+            for a in args:
+                record(a, len(self.index))
+            return [self.anything] * r.points
+        return list(map(self.column.__getitem__, map(self.index.__getitem__, args)))
 
 
 class _ByTerm:
     """A synthesis function bound to the current term of its plain table,
     where calls nest and so its argument tuples depend on the candidate: an
-    application evaluates the term at its arguments.  Each term is compiled
-    once, over the task's parameters; the terms must be those of a table
-    that outlives this binding, so that no identity is reused.  A grammar
-    term applies no synthesis function, so the terms are compiled in an
-    environment of their own with nothing bound, not in the one this
+    application evaluates the term at its argument columns.  Each term is
+    compiled once, over the task's parameters; the terms must be those of a
+    table that outlives this binding, so that no identity is reused.  A
+    grammar term applies no synthesis function, so the terms are compiled
+    in an environment of their own with nothing bound, not in the one this
     binding is bound in, which would then refer back to it."""
 
     def __init__(self, task: SynthTask, problem: CheckedProblem):
@@ -1057,25 +1019,29 @@ class _ByTerm:
             compiled = self._compiled[id(term)] = compile_term(term, self._env, self._params)
         self._term = compiled
 
-    def __call__(self, *args: Payload) -> Payload:
-        return self._term(dict(zip(self._params, zip(args))), _ONE_ROW)[0]
+    def __call__(self, c: Columns, r: Rows) -> Sequence[Payload]:
+        return self._term(c, r)
 
 
 def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     """Search candidate tuples in budget rounds; deterministic for a fixed
     problem and configuration.
 
-    The search runs in passes, one per state of the counterexample store,
-    which holds each counterexample as a payload row: its point and its UF
-    seed.  A pass builds the term tables afresh, keyed by the columns at
-    the store's invocation points (tables keyed by identity are built
-    once), and walks the rounds from the first.  Each tuple whose screens
-    hold at every stored row goes to ``verify``, until ``verify`` either
-    passes one or returns a new counterexample, which is unboxed into the
-    store.  Every tuple walked before it then fails at a stored
-    counterexample, so the next pass reaches the same next tuple that
-    walking on would.  Each constraint is evaluated by exactly one screen:
-    the solo screen of the one task it mentions, or else the joint one.
+    Each task is bound once, to a ``_Calls`` or, where calls nest, a
+    ``_ByTerm``, and each constraint is compiled once, in one environment.
+    It belongs to one screen: the solo screen of the one task it depends
+    on (``_tasks_of``), or else the joint one.  The search runs in passes,
+    one per state of the counterexample store, which holds each
+    counterexample as a payload row: its point and its UF seed.  A pass
+    first evaluates the constraints, with no term bound, at the rows stored
+    since the last pass, which records the new invocation points.  It then
+    builds the term tables afresh, keyed by the columns at the invocation
+    points (tables keyed by identity are built once), and walks the rounds
+    from the first.  Each tuple whose screens hold at every stored row goes
+    to ``verify``, until ``verify`` either passes one or returns a new
+    counterexample, which is unboxed into the store.  Every tuple walked
+    before it then fails at a stored counterexample, so the next pass
+    reaches the same next tuple that walking on would.
     """
     _theory_gate(problem)
     tasks = problem.synth_tasks
@@ -1089,16 +1055,9 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
 
     grammars = [expand_shorthands(t, problem, cfg) for t in tasks]
     names = [t.name for t in tasks]
-    name_set = frozenset(names)
-
-    solo: dict[Symbol, list[Term]] = {n: [] for n in names}
-    joint: list[Term] = []
-    for c in problem.constraints:
-        mentioned = _mentioned_tasks(c, name_set)
-        if len(mentioned) == 1:
-            solo[next(iter(mentioned))].append(c)
-        else:
-            joint.append(c)
+    nested: list[App] = []
+    tainted = {n: frozenset((n,)) for n in names}
+    mentioned = [_tasks_of(c, tainted, frozenset(names), nested) for c in problem.constraints]
 
     has_ufs = bool(problem.uf_decls)
     models: dict[int, Optional[UFModel]] = {}
@@ -1111,36 +1070,44 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     variables = problem.universal_vars
     store: list[_Row] = []
     # The tables compile their productions, and the screens the constraints,
-    # in one environment; each pass binds the tasks anew.
+    # in one environment.
     env = EvalEnv(problem)
-    points = plain = None
-    if _nested_calls(problem.constraints, name_set):
-        # Identity keys do not depend on the store: one table, and one
-        # binding of compiled terms, serves every pass.
+    if nested:
+        # Identity keys do not depend on the store: one table serves every
+        # pass.
         plain = [TermTable(g, deadline) for g in grammars]
-        by_term = [_ByTerm(t, problem) for t in tasks]
+        bound: list[Union[_Calls, _ByTerm]] = [_ByTerm(t, problem) for t in tasks]
     else:
-        points = _InvocationPoints(problem, cfg, model_for)
+        bound = [_Calls(t, _grid_values(t.ret, cfg)[1][0]) for t in tasks]
+    for t, b in zip(tasks, bound):
+        # The bound method: a call through the object's type slot would
+        # count one more recursion level.
+        env.bind(t.name, b.__call__)
+    checks = [compile_term(c, env, variables) for c in problem.constraints]
+    solo_checks = [[ch for ch, m in zip(checks, mentioned) if m == {n}] for n in names]
+    joint_checks = [ch for ch, m in zip(checks, mentioned) if len(m) != 1]
+    recorded = 0
 
     def search() -> Union[Solved, Fail, None]:
         """One pass: a solution, ``Fail("exhausted")`` once every tuple is
         walked, or ``None`` once the store has grown."""
-        if plain is not None:
-            tables, bound = plain, by_term
+        nonlocal recorded
+        if nested:
+            tables = plain
         else:
-            at = points.at(store)
-            tables = [
-                TermTable(g, deadline, env, t.params, at[t.name])
-                for g, t in zip(grammars, tasks)
-            ]
-            bound = [_ByColumn(table, at[t.name]) for table, t in zip(tables, tasks)]
-        for t, b in zip(tasks, bound):
-            env.set_values(t.name, b)
-        solo_checks = [[compile_term(c, env, variables) for c in solo[n]] for n in names]
-        joint_checks = [compile_term(c, env, variables) for c in joint]
+            for b in bound:
+                b.column = None
+            new_batch, new_rows = _batch(list(variables), store[recorded:], model_for)
+            for check in checks:
+                check(new_batch, new_rows)
+            recorded = len(store)
+            tables = []
+            for g, t, b in zip(grammars, tasks, bound):
+                table = TermTable(g, deadline, env, t.params, list(b.index))
+                tables.append(table)
+                b.columns = table._columns
         # Within a pass the store is fixed: one batch of its rows.
         batch, batch_rows = _batch(list(variables), store, model_for)
-
         def holds(checks: list[Compiled], picks) -> bool:
             """Whether ``checks`` hold at every stored counterexample with
             each task of ``picks`` bound to its term."""

@@ -525,34 +525,3 @@ def subterms(t: Term) -> Iterator[Term]:
         for b in t.bindings:
             yield from subterms(b.value)
         yield from subterms(t.body)
-
-
-def free_refs(t: Term) -> frozenset[Symbol]:
-    """Names referenced by ``Ref`` nodes and not bound by an enclosing let.
-
-    Application heads are not included; they live in the function namespace.
-    """
-    if isinstance(t, Ref):
-        return frozenset((t.name,))
-    if isinstance(t, App):
-        out: frozenset[Symbol] = frozenset()
-        for a in t.args:
-            out |= free_refs(a)
-        return out
-    if isinstance(t, Let):
-        # Parallel bindings: values are evaluated outside the new scope.
-        out = frozenset()
-        for b in t.bindings:
-            out |= free_refs(b.value)
-        bound = frozenset(b.name for b in t.bindings)
-        return out | (free_refs(t.body) - bound)
-    return frozenset()
-
-
-def app_heads(t: Term) -> frozenset[Symbol]:
-    """All application heads occurring anywhere in the term."""
-    heads: set[Symbol] = set()
-    for s in subterms(t):
-        if isinstance(s, App):
-            heads.add(s.head)
-    return frozenset(heads)

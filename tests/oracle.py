@@ -12,6 +12,10 @@ order, screens by the tree-walking ``eval_term``.
 ``plain_verify`` is ``verify`` one point at a time on ``eval_term``, and
 ``holds_at`` the screens' test of a candidate at stored counterexamples.
 
+``free_refs``, ``app_heads`` and ``calls`` are the three walks that
+``solver._tasks_of`` replaced: which tasks a constraint mentions, and
+whether an application of one sits in the arguments of one.
+
 ``reference_tokenize`` is a scanner with one ``match`` per blank run,
 comment and token, each token class tested in turn; ``sygus.lexer.tokenize``
 must agree with it on every text, tokens and errors alike.
@@ -36,7 +40,7 @@ from sygus.solver import (
     enumerate_terms,
     expand_shorthands,
 )
-from sygus.syntax import App, Binding, Let, Lit, Ref, Term, term_size
+from sygus.syntax import App, Binding, Let, Lit, Ref, Term, subterms, term_size
 
 
 def oracle_terms(g: ExpandedGrammar, from_nt: str, max_size: int) -> set[Term]:
@@ -103,6 +107,39 @@ def _free_names(t: Term, bound: frozenset) -> set[str]:
         inner = bound | {b.name for b in t.bindings}
         return out | _free_names(t.body, inner)
     return set()
+
+
+def free_refs(t: Term) -> frozenset:
+    """Names referenced by ``Ref`` nodes and not bound by an enclosing let."""
+    return frozenset(_free_names(t, frozenset()))
+
+
+def app_heads(t: Term) -> frozenset:
+    """All application heads occurring anywhere in the term."""
+    return frozenset(s.head for s in subterms(t) if isinstance(s, App))
+
+
+def calls(t: Term, tainted: frozenset, task_names: frozenset, nested: list) -> bool:
+    """Whether ``t``'s value depends on a synthesis function; a name in
+    ``tainted`` stands for such a value.  Each application of one in ``t``
+    whose arguments depend on one is added to ``nested``."""
+    if isinstance(t, Ref):
+        return t.name in tainted
+    if isinstance(t, App):
+        inner = False
+        for a in t.args:
+            inner = calls(a, tainted, task_names, nested) or inner
+        if t.head in task_names:
+            if inner:
+                nested.append(t)
+            return True
+        return inner
+    if isinstance(t, Let):
+        carried = [calls(b.value, tainted, task_names, nested) for b in t.bindings]
+        bound = frozenset(b.name for b in t.bindings)
+        inner = (tainted - bound) | {b.name for b, c in zip(t.bindings, carried) if c}
+        return calls(t.body, inner, task_names, nested) or any(carried)
+    return False
 
 
 def plain_solve(problem, cfg):

@@ -1126,12 +1126,14 @@ def test_output_to_a_full_disk_exits_4(tmp_path, subcommand, size, buffered):
     assert (p.returncode, p.stderr) == (EXIT_IO, NO_SPACE)
 
 
-def test_output_to_a_closed_pipe_exits_4(tmp_path):
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_output_to_a_closed_pipe_exits_4(tmp_path, buffered):
     # The dump is far larger than a pipe holds, so the child is still
-    # writing when its reader goes.
+    # writing when its reader goes.  Unbuffered, a write to the pipe may
+    # take part of the text; the rest must still be written, and fail.
     path = tmp_path / "large.sl"
     path.write_text(large_spec())
-    env = dict(stdio_env(buffered=True), PYTHONPATH=str(ROOT / "src"))
+    env = dict(stdio_env(buffered), PYTHONPATH=str(ROOT / "src"))
     p = subprocess.Popen(
         [sys.executable, "-m", "sygus", "parse", str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,

@@ -353,16 +353,22 @@ def test_a_macro_and_a_synthesis_function_share_a_name():
     cols = columns(list(variables), [tuple(p[n].value for n in variables) for p in points])
     rows = Rows([(None, len(points))])
     assert compile_term(both, EvalEnv(problem, {"g": body}), variables)(cols, rows) == expected
-    # The screens' bindings of g to its current term: its column in a table
-    # at the invocation points, and the term compiled on its own.
+    # The screens' bindings of g: a _Calls, which records the invocation
+    # points with no term set and then reads its term's column in a table
+    # at them, and the term compiled on its own.
     env = EvalEnv(problem)
-    at = [(x,) for x in (-1, 3)]
+    calls = solver._Calls(task, 0)
+    env.bind("g", calls.__call__)
+    compile_term(both, env, variables)(cols, rows)
+    at = list(calls.index)
+    assert at == [(-1,), (3,)]
     table = TermTable(expand_shorthands(task, problem, SolverConfig()), None, env, task.params, at)
     [listed] = [t for t in table.closed("Start", 4) if t == body]
     assert table.column(listed) == (1, 5)
-    for binding in (solver._ByColumn(table, at), solver._ByTerm(task, problem)):
+    calls.columns = table._columns
+    for binding in (calls, solver._ByTerm(task, problem)):
         binding.set(listed)
-        env.set_values("g", binding)
+        env.bind("g", binding.__call__)
         assert compile_term(both, env, variables)(cols, rows) == expected
 
 
@@ -710,8 +716,19 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
     rows = interleaved(grid_points(problem, cfg), (0, 1))
     # The store's rows are payloads.
     store = [(tuple(p[n].value for n in problem.universal_vars), seed) for p, seed in rows]
-    at = solver._InvocationPoints(problem, cfg, fresh_models(problem, (0, 1)).get).at(store)
+    # The invocation points, recorded as solve records them: each task
+    # bound to a _Calls with no term, the constraints evaluated at the store.
     env = EvalEnv(problem)
+    calls = {t.name: solver._Calls(t, solver._grid_values(t.ret, cfg)[1][0])
+             for t in problem.synth_tasks}
+    for task, binding in calls.items():
+        env.bind(task, binding.__call__)
+    variables = dict(problem.universal_vars)
+    checks = [compile_term(c, env, variables) for c in problem.constraints]
+    batch, batch_rows = solver._batch(list(variables), store, fresh_models(problem, (0, 1)).get)
+    for check in checks:
+        check(batch, batch_rows)
+    at = {n: list(b.index) for n, b in calls.items()}
     tables, pools = {}, {}
     for task in problem.synth_tasks:
         g = expand_shorthands(task, problem, cfg)
@@ -724,17 +741,23 @@ def test_acceptance_c6_term_values_agree_with_the_walker(name):
                 for t in table.closed(nt, size):
                     assert table.column(t) == tuple(eval_term(t, b, env).value for b in bindings)
         pools[task.name] = [t for size in range(1, 5) for t in table.closed("Start", size)]
-    if solver._nested_calls(problem.constraints, frozenset(tables)):
+    names = frozenset(tables)
+    nested = []
+    for c in problem.constraints:
+        solver._tasks_of(c, {n: frozenset((n,)) for n in names}, names, nested)
+    if nested:
         # The arguments depend on the candidate: each term is evaluated.
         bound = {t.name: solver._ByTerm(t, problem) for t in problem.synth_tasks}
         candidates = candidate_tuples(problem, cfg)
+        for task, binding in bound.items():
+            env.bind(task, binding.__call__)
+        checks = [compile_term(c, env, variables) for c in problem.constraints]
     else:
-        bound = {n: solver._ByColumn(tables[n], at[n]) for n in tables}
+        # The checks that recorded the points read the terms' columns now.
+        bound = calls
+        for n, b in calls.items():
+            b.columns = tables[n]._columns
         candidates = candidate_tuples(problem, cfg, pools)
-    for task, binding in bound.items():
-        env.set_values(task, binding)
-    variables = dict(problem.universal_vars)
-    checks = [compile_term(c, env, variables) for c in problem.constraints]
     sorts = [R_BOOL] * len(checks)
     for candidate in candidates:
         walker = EvalEnv(problem, candidate)

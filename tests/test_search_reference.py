@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sygus import solver
 from sygus.printer import print_term
 from sygus.solver import SolverConfig, enumerate_terms, expand_shorthands, solve
-from sygus.syntax import term_size
+from sygus.syntax import App, Binding, IntConst, IntSort, Let, Lit, Ref, term_size
 
 from conftest import FIXTURES, LET_SUM_UNSOLVABLE, load_problem
-from oracle import plain_solve
+from oracle import app_heads, calls, free_refs, plain_solve
 
 
 @contextmanager
@@ -111,8 +111,66 @@ def test_nested_calls_are_detected():
     nested = [NESTED.format(target="x"), NESTED_THROUGH_LET]
     flat = [COMMUTATIVE, LET_DOUBLE_SUM]
     for text in nested + flat:
-        constraints = load_problem(text).constraints
-        assert solver._nested_calls(constraints, names) == (text in nested)
+        found = []
+        for c in load_problem(text).constraints:
+            solver._tasks_of(c, {"f": names}, names, found)
+        assert bool(found) == (text in nested)
+
+
+# Untyped constraint terms for the walk that sorts constraints into screens:
+# the tasks f and g, built-ins and a UF as heads; universal variables, 0-ary
+# task names and literals as leaves; lets whose names shadow the tasks and
+# each other, and lets whose unused binding applies f.
+TASKS = frozenset({"f", "g"})
+LEAF_TERMS = st.one_of(
+    st.sampled_from(["x", "y", "f", "g", "a"]).map(Ref),
+    st.integers(0, 2).map(lambda v: Lit(IntConst(v))),
+)
+
+
+def _app(head, args):
+    return App(head, tuple(args))
+
+
+def _let(bindings, body):
+    return Let(tuple(Binding(n, IntSort(), v) for n, v in bindings), body)
+
+
+CONSTRAINT_TERMS = st.recursive(
+    LEAF_TERMS,
+    lambda sub: st.one_of(
+        st.builds(_app, st.sampled_from(["f", "g", "+", "and", "uf"]),
+                  st.lists(sub, min_size=1, max_size=3)),
+        st.builds(_let, st.lists(st.tuples(st.sampled_from(["f", "g", "a"]), sub),
+                                 min_size=1, max_size=2, unique_by=lambda b: b[0]), sub),
+        st.builds(lambda arg, body: _let([("unused", App("f", (arg,)))], body), sub, sub),
+    ),
+    max_leaves=12,
+)
+
+
+def tasks_of(t, names=TASKS):
+    nested = []
+    found = solver._tasks_of(t, {n: frozenset((n,)) for n in names}, names, nested)
+    return found, nested
+
+
+@given(CONSTRAINT_TERMS)
+@settings(max_examples=300, deadline=None)
+def test_tasks_of_agrees_with_the_three_walks_it_replaced(t):
+    found, nested = tasks_of(t)
+    assert found == (app_heads(t) | free_refs(t)) & TASKS
+    old = []
+    calls(t, TASKS, TASKS, old)
+    assert nested == old
+
+
+def test_a_let_value_sees_the_outer_name():
+    t = _let([("z", Ref("z"))], App("+", (Ref("z"), Ref("w"))))
+    assert tasks_of(t, frozenset({"z", "w"})) == ({"z", "w"}, [])
+    # So (f z) in the body applies f to the value of the task z.
+    t = _let([("z", App("+", (Ref("z"), Ref("x"))))], App("f", (Ref("z"),)))
+    assert tasks_of(t, frozenset({"z", "f"})) == ({"z", "f"}, [t.body])
 
 
 # Small LIA grammars over x and y: a Start and an Other Int non-terminal

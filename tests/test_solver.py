@@ -105,6 +105,30 @@ def test_max2_min2_verify_stream(max2_min2_problem, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("fixture", ["max2_min2.sl", "nested_call.sl"])
+def test_each_constraint_compiles_once_per_solve(fixture, monkeypatch):
+    # solve compiles each constraint once; verify once per call.
+    problem = load_problem((FIXTURES / fixture).read_text())
+    constraints = {id(c) for c in problem.constraints}
+    counts = {"compiles": 0, "verifies": 0}
+    compile_term, verify = solver.compile_term, solver.verify
+
+    def compiling(t, *args):
+        counts["compiles"] += id(t) in constraints
+        return compile_term(t, *args)
+
+    def verifying(*args, **kwargs):
+        counts["verifies"] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "compile_term", compiling)
+    monkeypatch.setattr(solver, "verify", verifying)
+    assert isinstance(solve(problem, SolverConfig()), Solved)
+    if fixture == "max2_min2.sl":
+        assert counts["verifies"] == 5  # so five passes
+    assert counts["compiles"] == len(problem.constraints) * (1 + counts["verifies"])
+
+
 def cex(a, b, c, d, uf_seed):
     values = dict(a=a, b=b, c=c, d=d)
     return {n: Value(R_INT, v) for n, v in values.items()}, uf_seed

@@ -14,7 +14,6 @@ from sygus.syntax import (
     Pos,
     RealConst,
     Ref,
-    free_refs,
     subterms,
     term_size,
 )
@@ -99,14 +98,6 @@ def test_term_size_exceeds_children():
         for child in subterms(t):
             if child is not t:
                 assert term_size(t) > term_size(child)
-
-
-def test_free_refs_let_scoping():
-    t = Let(
-        (Binding("z", IntSort(), Ref("z")),),  # value sees the outer z
-        App("+", (Ref("z"), Ref("w"))),
-    )
-    assert free_refs(t) == {"z", "w"}
 
 
 def test_bv_const_validation():
