@@ -265,14 +265,17 @@ class TheorySignature:
 
 def resolve_sort(
     sort: SortExpr,
-    table: dict[Symbol, SortExpr],
+    table: dict[Symbol, ResolvedSort],
     define_name: Optional[Symbol] = None,
 ) -> ResolvedSort:
     """Expand sort aliases and validate well-formedness.
 
-    ``table`` maps previously define-sort'd names to their surface bodies.
-    ``define_name`` is set when resolving the body of a define-sort, so an
-    enum defined there takes the new name as its identity.
+    ``table`` maps previously define-sort'd names to the sorts they resolved
+    to (``CheckedProblem.sort_defs``), so a name is looked up, never
+    resolved again.  ``define_name`` is set when resolving the body of a
+    define-sort, so an enum written there takes the new name as its
+    identity; an alias of a defined enum is that enum, so the innermost
+    defining name is the identity.
     """
     if isinstance(sort, IntSort):
         return R_INT
@@ -295,13 +298,10 @@ def resolve_sort(
             resolve_sort(sort.domain, table), resolve_sort(sort.codomain, table)
         )
     assert isinstance(sort, NamedSort)
-    body = table.get(sort.name)
-    if body is None:
+    resolved = table.get(sort.name)
+    if resolved is None:
         _err("E-SORT-UNDEF", sort.pos, f"sort '{sort.name}' is not defined")
-    if isinstance(body, EnumSort):
-        # The innermost defining name is the enum's identity.
-        return resolve_sort(body, table, define_name=sort.name)
-    return resolve_sort(body, table)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +361,18 @@ class CheckedProblem(Record):
     function has one ``FuncEntry``: ``uf_decls`` holds the entries of the
     uninterpreted functions themselves, in the order of their ``index``.
     ``universal_vars`` maps each universal variable to its sort, in
-    declaration order.  ``enums`` maps each defined sort name that resolves
-    to an enum to that enum.  ``options`` holds each ``set-options`` pair in
-    source order, with the position of its command.  ``logic_pos`` is the
-    position of the ``set-logic`` command in force (``NO_POS`` if none), and
-    ``var_pos`` maps each universal variable to the position of its
-    ``declare-var``; like every position, neither takes part in ``==``."""
+    declaration order.  ``sort_defs`` is the one table of sort names: it
+    maps each defined sort name to the sort it resolved to at its
+    ``define-sort``, which the checker and the evaluator look names up in.
+    ``options`` holds each ``set-options`` pair in source order, with the
+    position of its command.  ``logic_pos`` is the position of the
+    ``set-logic`` command in force (``NO_POS`` if none), and ``var_pos``
+    maps each universal variable to the position of its ``declare-var``;
+    like every position, neither takes part in ``==``."""
 
     __slots__ = (
         "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
-        "options", "sort_defs", "funcs", "enums", "logic_pos", "var_pos",
+        "options", "sort_defs", "funcs", "logic_pos", "var_pos",
     )
     _uncompared = ("logic_pos", "var_pos")
     sig: TheorySignature
@@ -379,9 +381,8 @@ class CheckedProblem(Record):
     synth_tasks: tuple[SynthTask, ...]
     constraints: tuple[Term, ...]
     options: tuple[tuple[Symbol, str, Pos], ...]
-    sort_defs: dict[Symbol, SortExpr]
+    sort_defs: dict[Symbol, ResolvedSort]
     funcs: dict[Symbol, tuple[FuncEntry, ...]]
-    enums: dict[Symbol, REnum]
     logic_pos: Pos
     var_pos: dict[Symbol, Pos]
 
@@ -403,7 +404,7 @@ class TermScope:
     def __init__(
         self,
         sig: TheorySignature,
-        sort_defs: dict[Symbol, SortExpr],
+        sort_defs: dict[Symbol, ResolvedSort],
         variables: dict[Symbol, ResolvedSort],
         funcs: dict[Symbol, list[FuncEntry]],
         context: str,
@@ -426,7 +427,9 @@ class TermScope:
         return self.funcs.get(name, [])
 
 
-def _literal_sort(lit, sort_defs: dict[Symbol, SortExpr], pos: Pos) -> ResolvedSort:
+def literal_sort(lit, sort_defs: dict[Symbol, ResolvedSort], pos: Pos) -> ResolvedSort:
+    """The sort of a literal; an enum literal's is the sort its name has in
+    ``sort_defs``."""
     if isinstance(lit, IntConst):
         return R_INT
     if isinstance(lit, RealConst):
@@ -436,10 +439,9 @@ def _literal_sort(lit, sort_defs: dict[Symbol, SortExpr], pos: Pos) -> ResolvedS
     if isinstance(lit, BVConst):
         return RBitVec(lit.width)
     assert isinstance(lit, EnumConst)
-    body = sort_defs.get(lit.sort_name)
-    if body is None:
+    resolved = sort_defs.get(lit.sort_name)
+    if resolved is None:
         _err("E-ENUM-CONST", pos, f"'{lit.sort_name}' is not a defined sort")
-    resolved = resolve_sort(NamedSort(lit.sort_name, pos), sort_defs)
     if not isinstance(resolved, REnum):
         _err("E-ENUM-CONST", pos, f"'{lit.sort_name}' is not an enum sort")
     if lit.constructor not in resolved.constructors:
@@ -476,7 +478,7 @@ def _check_func_use(entry: FuncEntry, name: Symbol, pos: Pos, scope: TermScope) 
 def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
     """Bottom-up sort computation; raises ``CheckError`` on any violation."""
     if isinstance(t, Lit):
-        return _literal_sort(t.value, scope.sort_defs, t.pos)
+        return literal_sort(t.value, scope.sort_defs, t.pos)
     if isinstance(t, Ref):
         sort = scope.lookup_var(t.name)
         if sort is not None:
@@ -558,8 +560,7 @@ class _Session:
     def __init__(self) -> None:
         self.sig = TheorySignature(None)
         self.logic_pos = NO_POS
-        self.sort_defs: dict[Symbol, SortExpr] = {}
-        self.enums: dict[Symbol, REnum] = {}
+        self.sort_defs: dict[Symbol, ResolvedSort] = {}
         self.vars: dict[Symbol, ResolvedSort] = {}
         self.var_pos: dict[Symbol, Pos] = {}
         self.funcs: dict[Symbol, list[FuncEntry]] = {}
@@ -577,7 +578,7 @@ class _Session:
 
 def _resolve_params(
     params: tuple[tuple[Symbol, SortExpr], ...],
-    sort_defs: dict[Symbol, SortExpr],
+    sort_defs: dict[Symbol, ResolvedSort],
     pos: Pos,
 ) -> tuple[tuple[Symbol, ResolvedSort], ...]:
     seen: set[Symbol] = set()
@@ -617,7 +618,7 @@ def _check_function_clashes(
 
 def _let_table(
     nts: tuple[NTDef, ...],
-    sort_defs: dict[Symbol, SortExpr],
+    sort_defs: dict[Symbol, ResolvedSort],
     arg_names: frozenset[Symbol],
 ) -> dict[Symbol, ResolvedSort]:
     """Sorts of the let-bound names of a grammar, in first-occurrence order."""
@@ -646,12 +647,14 @@ def _let_table(
 
 
 def check_grammar(
-    sf: SynthFun, session: _Session
+    sf: SynthFun,
+    params: tuple[tuple[Symbol, ResolvedSort], ...],
+    ret: ResolvedSort,
+    session: _Session,
 ) -> tuple[tuple[CheckedNT, ...], dict[Symbol, ResolvedSort]]:
-    """Validate the grammar of a synth-fun; resolve the sorts of its
-    non-terminals and of its let-bound names."""
-    params = _resolve_params(sf.params, session.sort_defs, sf.pos)
-    ret = resolve_sort(sf.ret, session.sort_defs)
+    """Validate the grammar of a synth-fun, whose ``params`` and ``ret``
+    are resolved already; resolve the sorts of its non-terminals and of its
+    let-bound names."""
     arg_names = frozenset(p for p, _ in params)
 
     nt_sorts: dict[Symbol, ResolvedSort] = {}
@@ -736,10 +739,9 @@ def check_program(program: Program) -> CheckedProblem:
         elif isinstance(cmd, DefineSort):
             if cmd.name in session.sort_defs:
                 _err("E-SORT-REDEF", cmd.pos, f"sort '{cmd.name}' is already defined")
-            resolved = resolve_sort(cmd.body, session.sort_defs, define_name=cmd.name)
-            if isinstance(resolved, REnum):
-                session.enums[cmd.name] = resolved
-            session.sort_defs[cmd.name] = cmd.body
+            session.sort_defs[cmd.name] = resolve_sort(
+                cmd.body, session.sort_defs, define_name=cmd.name
+            )
         elif isinstance(cmd, DeclareVar):
             sort = resolve_sort(cmd.sort, session.sort_defs)
             if cmd.name in session.vars:
@@ -797,7 +799,7 @@ def check_program(program: Program) -> CheckedProblem:
             # A solution defines each synthesis function once, by its name.
             if any(t.name == cmd.name for t in session.tasks):
                 _err("E-CLASH-FUN", cmd.pos, f"'{cmd.name}' is already a synthesis function")
-            grammar, lets = check_grammar(cmd, session)
+            grammar, lets = check_grammar(cmd, params, ret, session)
             names = tuple(p for p, _ in params)
             session.add_func(FuncEntry(cmd.name, "synth", arg_sorts, ret, names, pos=cmd.pos))
             session.tasks.append(
@@ -831,9 +833,8 @@ def check_program(program: Program) -> CheckedProblem:
                 synth_tasks=tuple(session.tasks),
                 constraints=tuple(session.constraints),
                 options=tuple(session.options),
-                sort_defs=dict(session.sort_defs),
+                sort_defs=session.sort_defs,
                 funcs={name: tuple(es) for name, es in session.funcs.items()},
-                enums=dict(session.enums),
                 logic_pos=session.logic_pos,
                 var_pos=session.var_pos,
             )

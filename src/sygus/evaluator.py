@@ -84,22 +84,16 @@ from .checker import (
     REnum,
     RInt,
     RBool,
-    R_BOOL,
-    R_INT,
-    R_REAL,
     ResolvedSort,
     TheorySignature,
+    literal_sort,
 )
 from .syntax import (
     App,
-    BoolConst,
-    BVConst,
     EnumConst,
-    IntConst,
     Let,
     Lit,
     NO_POS,
-    RealConst,
     Record,
     Ref,
     SygusError,
@@ -172,7 +166,7 @@ def _encode(sort: ResolvedSort, p: Payload) -> bytes:
     if isinstance(sort, RBool):
         return b"b1" if p else b"b0"
     if isinstance(sort, RBitVec):
-        return b"v" + f"{sort.width}:{p}".encode()
+        return b"v" + f"{sort.width}:{_decimal(p)}".encode()
     if isinstance(sort, REnum):
         return b"e" + f"{sort.identity}::{p}".encode()
     raise AssertionError(f"unhashable sort {sort}")
@@ -292,14 +286,13 @@ class Rows:
     uninterpreted functions repeats: without them there is one model,
     ``None``."""
 
-    __slots__ = ("count", "runs", "repeat", "points")
+    __slots__ = ("runs", "repeat", "points")
 
     def __init__(self, runs: list[tuple[Optional[UFModel], int]], repeat: int = 1):
         self.runs = runs
-        self.count = sum([n for _, n in runs])
         self.repeat = repeat
         #: The length of a column: the rows of one model's copy.
-        self.points = self.count // repeat
+        self.points = sum([n for _, n in runs]) // repeat
 
 
 #: A compiled term: its payload at each row of a batch.
@@ -314,12 +307,12 @@ class EvalEnv:
     """What the applications of a checked problem call.
 
     The function table is the checker's (``CheckedProblem.funcs``), and so
-    are the enums that literals name (``CheckedProblem.enums``).  Each
-    synthesis function has one binding: a candidate body, given to the
-    constructor, or a column function, which ``bind`` swaps in.  Both are
-    called by value.  A column function can answer for any candidate, so
-    one environment, and the terms compiled in it, can screen many
-    candidates.
+    is the table of sort names that enum literals name
+    (``CheckedProblem.sort_defs``).  Each synthesis function has one
+    binding: a candidate body, given to the constructor, or a column
+    function, which ``bind`` swaps in.  Both are called by value.  A column
+    function can answer for any candidate, so one environment, and the
+    terms compiled in it, can screen many candidates.
     """
 
     def __init__(
@@ -332,13 +325,14 @@ class EvalEnv:
         self.model: Optional[UFModel] = None
         self.funcs = problem.funcs
         self.has_ufs = bool(problem.uf_decls)
-        self.enums = problem.enums
+        self.sort_defs = problem.sort_defs
         #: What each synthesis function is bound to: a body or a column
         #: function.
         self._bound: dict[Symbol, Union[Term, Compiled]] = dict(candidates or ())
         #: Compiled macro and candidate bodies, by the identities of the
-        #: entry and the body, which the value keeps alive.
-        self._compiled: dict[tuple[int, int], tuple[FuncEntry, Term, Compiled]] = {}
+        #: entry and the body, which the value keeps alive, with whether
+        #: each depends on the model.
+        self._compiled: dict[tuple[int, int], tuple[FuncEntry, Term, Compiled, bool]] = {}
 
     def bind(self, name: Symbol, fn: Compiled) -> None:
         """Make an application of synthesis function ``name`` call ``fn``
@@ -370,24 +364,17 @@ class EvalEnv:
 # Term evaluation
 
 
-def _literal(lit, enums: dict[Symbol, REnum]) -> tuple[Payload, ResolvedSort]:
-    """The payload and the sort of a literal."""
-    if isinstance(lit, IntConst):
-        return lit.value, R_INT
-    if isinstance(lit, RealConst):
-        return lit.value, R_REAL
-    if isinstance(lit, BoolConst):
-        return lit.value, R_BOOL
-    if isinstance(lit, BVConst):
-        return lit.value, RBitVec(lit.width)
-    assert isinstance(lit, EnumConst)
-    return lit.constructor, enums[lit.sort_name]
+def _literal(lit, env: EvalEnv) -> tuple[Payload, ResolvedSort]:
+    """The payload and the sort of a literal, the sort the checker gives
+    it."""
+    payload = lit.constructor if isinstance(lit, EnumConst) else lit.value
+    return payload, literal_sort(lit, env.sort_defs, NO_POS)
 
 
 def eval_term(t: Term, assignment: Assignment, env: EvalEnv) -> Value:
     """Call-by-value evaluation of a checked term."""
     if isinstance(t, Lit):
-        payload, sort = _literal(t.value, env.enums)
+        payload, sort = _literal(t.value, env)
         return Value(sort, payload)
     if isinstance(t, Ref):
         v = assignment.get(t.name)
@@ -575,7 +562,7 @@ def _compile(
         step, node, scope, dependent = todo.pop()
         if step == _NODE:
             if isinstance(node, Lit):
-                payload, sort = _literal(node.value, env.enums)
+                payload, sort = _literal(node.value, env)
                 done.append((lambda c, r, p=payload: [p] * r.points, sort, False))
             elif isinstance(node, Ref):
                 sort = scope.get(node.name)

@@ -18,7 +18,7 @@ from sygus.checker import (
 from sygus.evaluator import EvalEnv, UFModel, Value, eval_term
 from sygus.lexer import tokenize
 from sygus.parser import parse_term, parse_text
-from sygus.syntax import BitVecSort, EnumSort, IntSort, NamedSort, Pos
+from sygus.syntax import EnumSort, IntSort, NamedSort, Pos
 
 from conftest import load_problem
 
@@ -37,7 +37,7 @@ def test_resolve_base_sort():
 
 
 def test_resolve_defined_alias():
-    table = {"W": BitVecSort(8)}
+    table = {"W": RBitVec(8)}
     assert resolve_sort(NamedSort("W"), table) == RBitVec(8)
 
 
@@ -48,8 +48,10 @@ def test_resolve_undefined_sort():
 
 
 def test_enum_identity_is_the_defining_name():
-    table = {"E": EnumSort(("A", "B"), Pos(1, 1))}
-    table["F"] = NamedSort("E")
+    # The table holds resolved sorts, filled as check_program fills it.
+    table = {}
+    table["E"] = resolve_sort(EnumSort(("A", "B"), Pos(1, 1)), table, define_name="E")
+    table["F"] = resolve_sort(NamedSort("E"), table, define_name="F")
     e = resolve_sort(NamedSort("E"), table)
     f = resolve_sort(NamedSort("F"), table)
     assert isinstance(e, REnum) and e.identity == "E"

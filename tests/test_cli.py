@@ -287,6 +287,49 @@ def test_synth_fun_may_share_a_name_with_a_uf_of_another_signature(tmp_path):
     assert result == (EXIT_OK, "(define-fun f ((x Int)) Int (+ x 1))\n", "")
 
 
+# An enum behind two levels of alias: each alias names the one enum, so
+# constants written through any of its names compare equal, and the
+# grammar's (Constant Hue) gives the constants by the name Hue.
+ENUM_ALIAS_CHAIN = """\
+(set-logic LIA)
+(define-sort Color (Enum (Red Green Blue)))
+(define-sort Paint Color)
+(define-sort Hue Paint)
+(synth-fun f ((c Hue)) Hue
+  ((Start Hue ((Constant Hue) c (ite B Start Start)))
+   (B Bool ((= Start Start)))))
+(declare-var c Hue)
+(constraint (= (f c) (ite (= c Color::Red) Hue::Green Paint::Red)))
+(check-synth)
+"""
+
+
+def test_enum_alias_chain_is_solved(tmp_path):
+    result, _ = solve_text(tmp_path, ENUM_ALIAS_CHAIN, "--verbose")
+    assert result == (
+        EXIT_OK,
+        "(define-fun f ((c Hue)) Hue (ite (= Hue::Red c) Hue::Green Hue::Red))\n",
+        "note: valid at all 3 points of a finite domain: proved\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(define-sort W (BitVec 4))\n(declare-var x W)\n(constraint (= x W::a))\n"
+         "(check-synth)\n",
+         "3:18: E-ENUM-CONST: 'W' is not an enum sort"),
+        ("(define-sort A (Array Int Nope))\n(check-synth)\n",
+         "1:27: E-SORT-UNDEF: sort 'Nope' is not defined"),
+    ],
+    ids=["alias-of-a-bit-vector", "undefined-in-an-array"],
+)
+def test_sort_errors_are_reported_where_the_name_stands(tmp_path, text, message):
+    result, path = solve_text(tmp_path, text)
+    assert result == (EXIT_STATIC, "", f"{path}:{message}\n")
+    assert run_cli("check", path) == result
+
+
 # One program per branch of the solver's theory gate, its message, and the
 # position it is reported at: the logic at its set-logic command, a
 # universal variable or a function at its declaring command, a literal where
@@ -400,6 +443,21 @@ def test_uf_query_past_the_int_string_limit_is_answered(tmp_path):
     path.write_text(LONG_NUMERAL_UF_QUERY)
     assert run_cli("solve", "--max-term-size", "5", str(path)) == (
         EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 5\n"
+    )
+
+
+def test_uf_over_a_bit_vector_past_the_int_string_limit_is_solved(tmp_path):
+    # The model hashes the numeral of each 14,400-bit argument, which has
+    # more digits than str() will write.
+    bv = "(BitVec 14400)"
+    path = tmp_path / "wide.sl"
+    path.write_text(
+        f"(set-logic BV)\n(declare-fun u ({bv}) {bv})\n"
+        f"(synth-fun f ((x {bv})) {bv} ((Start {bv} (x (bvnot Start)))))\n"
+        f"(declare-var x {bv})\n(constraint (= (u (f x)) (u x)))\n(check-synth)\n"
+    )
+    assert run_cli("solve", "--uf-model-count", "1", str(path)) == (
+        EXIT_OK, f"(define-fun f ((x {bv})) {bv} x)\n", ""
     )
 
 

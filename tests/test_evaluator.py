@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby, product
 from pathlib import Path
@@ -160,6 +161,16 @@ def test_model_results_stay_in_range():
     for i in range(-20, 21):
         v = m.query(0, (Value(R_INT, i),))
         assert UF_INT_LO <= v.value <= UF_INT_HI
+
+
+def test_model_query_at_a_bit_vector_past_the_int_string_limit():
+    # The numeral of 2**20000 - 1 has 6,021 digits, past what str() will
+    # write; the digest takes the same bytes as at any narrower value.
+    wide = RBitVec(20000)
+    ones = (1 << 20000) - 1
+    model = UFModel((FuncEntry("u", "uf", (wide,), wide, index=0),), 3)
+    u = stable_u64(3, "u", b"v20000:" + str(Decimal(ones)).encode())
+    assert model.query(0, (Value(wide, ones),)) == Value(wide, u)
 
 
 def test_models_across_seeds_disagree_with_any_constant():

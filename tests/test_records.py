@@ -119,7 +119,7 @@ FIELDS = {
         ),
         "CheckedProblem": (
             "sig", "universal_vars", "uf_decls", "synth_tasks", "constraints",
-            "options", "sort_defs", "funcs", "enums", "logic_pos", "var_pos",
+            "options", "sort_defs", "funcs", "logic_pos", "var_pos",
         ),
         "FuncEntry": ("name", "kind", "arg_sorts", "ret", "params", "body", "index", "pos"),
     },
@@ -198,9 +198,10 @@ SAMPLES = [
     CHECKED_START,
     TASK,
     CheckedProblem(
-        None, {"x": R_INT}, (UF,), (TASK,), (X,), (("seed", "1"),), {},
+        None, {"x": R_INT}, (UF,), (TASK,), (X,), (("seed", "1"),),
+        {"Color": REnum("Color", ("Red",))},
         {"f": (FuncEntry("f", "synth", (R_INT,), R_INT, ("x",), pos=P),), "u": (UF,)},
-        {"Color": REnum("Color", ("Red",))}, P, {"x": P},
+        P, {"x": P},
     ),
     FuncEntry("h", "macro", (R_INT,), R_BOOL, ("a",), X, pos=P),
     Value(R_INT, -3),

@@ -105,6 +105,40 @@ def test_max2_min2_verify_stream(max2_min2_problem, monkeypatch):
     ]
 
 
+def int_cex(**values):
+    return Counterexample({n: Value(R_INT, v) for n, v in values.items()}, 0)
+
+
+# The let path of the term tables, and the plain tables where a call of f
+# sits in the arguments of another.
+@pytest.mark.parametrize(
+    "fixture, stream",
+    [
+        ("let_double_sum.sl", [
+            ("x", int_cex(x=-5, y=-5)),
+            ("(+ x (+ x (+ x x)))", int_cex(x=-5, y=-4)),
+            ("(+ x (+ x (+ y y)))", Valid(121, 121, 0, 256, False)),
+        ]),
+        ("nested_call.sl", [
+            ("x", int_cex(y=-5)),
+            ("(+ x 1)", Valid(11, 11, 0, 256, False)),
+        ]),
+    ],
+)
+def test_one_function_verify_stream(fixture, stream, monkeypatch):
+    calls = []
+    original = solver.verify
+
+    def recording(candidate, *args, **kwargs):
+        result = original(candidate, *args, **kwargs)
+        calls.append((print_term(candidate["f"]), result))
+        return result
+
+    monkeypatch.setattr(solver, "verify", recording)
+    solve(load_problem((FIXTURES / fixture).read_text()), SolverConfig())
+    assert calls == stream
+
+
 @pytest.mark.parametrize("fixture", ["max2_min2.sl", "nested_call.sl"])
 def test_each_constraint_compiles_once_per_solve(fixture, monkeypatch):
     # solve compiles each constraint once; verify once per call.
