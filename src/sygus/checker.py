@@ -5,6 +5,12 @@ and either produces a ``CheckedProblem`` (the state visible at the first
 check-synth command) or raises ``CheckError``, a ``SygusError`` with one of
 the codes below.  Checking stops at the first error.
 
+The built-in operators are defined in one table, ``OPERATORS``: a row per
+operator holds its semantics on payloads and its signatures, one per family
+that declares it.  ``TheorySignature`` keeps the rows of the families a
+logic loads; the checker types applications by it, and the evaluator
+computes them by the same rows with every family loaded.
+
 Error codes:
 
 ======================  =====================================================
@@ -40,7 +46,8 @@ E-NONLINEAR             integer multiplication without a literal operand
 
 from __future__ import annotations
 
-from typing import Optional
+import operator
+from typing import Callable, Optional
 
 from .syntax import (
     App,
@@ -82,9 +89,6 @@ from .syntax import (
     Term,
     set_field,
 )
-
-KNOWN_LOGICS = ("LIA", "BV", "Reals", "Arrays")
-
 
 # ---------------------------------------------------------------------------
 # Resolved (alias-free) sorts
@@ -175,88 +179,138 @@ def _err(code: str, pos: Pos, message: str):
 
 
 # ---------------------------------------------------------------------------
-# Theory signatures
+# Built-in operators
 
-_CORE_OPS = ("=", "distinct", "ite", "and", "or", "not", "=>", "xor")
-_COMPARISONS = ("<=", "<", ">=", ">")
-_LIA_ARITH = ("+", "-", "*")
-_REAL_ARITH = ("+", "-", "*", "/")
-_BV_BINOPS = ("bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvshl", "bvlshr")
-_BV_UNOPS = ("bvnot", "bvneg")
-_BV_PREDS = ("bvult", "bvule")
-_ARRAY_OPS = ("select", "store")
 
-#: The operator names of each logic-gated family.
-_FAMILIES = {
-    "LIA": _LIA_ARITH + _COMPARISONS,
-    "Reals": _REAL_ARITH + _COMPARISONS,
-    "BV": _BV_BINOPS + _BV_UNOPS + _BV_PREDS,
-    "Arrays": _ARRAY_OPS,
-}
+class ByWidth:
+    """Semantics that depend on the width: ``fn`` takes the operands' mask,
+    ``(1 << width) - 1``, before the payloads."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable[..., int]):
+        self.fn = fn
+
+
+def _div(a, b):
+    if b == 0:
+        # Only the evaluator computes payloads, so it is loaded by now.
+        from .evaluator import EvalError
+
+        raise EvalError("E-DIV-ZERO", NO_POS, "division by zero")
+    return a / b
+
+
+def _bvshl(mask: int, a: int, b: int) -> int:
+    # Shift amounts at or beyond the width yield the zero vector.
+    return 0 if b >= mask.bit_length() else (a << b) & mask
+
+
+def _fit(pattern: str, args: tuple[ResolvedSort, ...]) -> Optional[ResolvedSort]:
+    """The sort that polymorphic ``pattern`` stands for at operand sorts
+    ``args``, or ``None`` if they do not fit it.  ``A`` is any sort and
+    ``W`` a bit-vector sort, each standing for itself; the array patterns
+    stand for ``C`` where they take an index and for the array where they
+    take a value too."""
+    n, a = len(args), args[0] if args else None
+    if pattern == "A A" or (pattern == "W W" and isinstance(a, RBitVec)):
+        return a if n == 2 and args[1] == a else None
+    if pattern == "Bool A A":
+        return args[1] if n == 3 and a == R_BOOL and args[1] == args[2] else None
+    if pattern == "Bool+":
+        return R_BOOL if n and all(s == R_BOOL for s in args) else None
+    if pattern == "W":
+        return a if n == 1 and isinstance(a, RBitVec) else None
+    if isinstance(a, RArray):
+        if pattern == "(Array D C) D" and args[1:] == (a.domain,):
+            return a.codomain
+        if pattern == "(Array D C) D C" and args[1:] == (a.domain, a.codomain):
+            return a
+    return None
+
+
+_INTS, _REALS, _BOOLS = (R_INT, R_INT), (R_REAL, R_REAL), (R_BOOL, R_BOOL)
+
+#: The built-in operators, one row each: the name, the semantics on operand
+#: payloads (``None`` where the evaluator has none), and a signature per
+#: family that declares it: the family (``core``, loaded under every logic,
+#: or a logic), the operands, and the result.  The operands are a tuple of
+#: sorts or a polymorphic pattern (see ``_fit``); a result of ``None`` is
+#: the sort the pattern stands for.  Int and Real arithmetic keeps the
+#: payload class of its operands.
+OPERATORS: tuple[tuple, ...] = (
+    ("=", operator.eq, ("core", "A A", R_BOOL)),
+    ("distinct", operator.ne, ("core", "A A", R_BOOL)),
+    ("ite", lambda c, a, b: a if c else b, ("core", "Bool A A", None)),
+    ("and", lambda *args: all(args), ("core", "Bool+", R_BOOL)),
+    ("or", lambda *args: any(args), ("core", "Bool+", R_BOOL)),
+    ("not", operator.not_, ("core", (R_BOOL,), R_BOOL)),
+    ("=>", lambda a, b: not a or b, ("core", _BOOLS, R_BOOL)),
+    ("xor", operator.ne, ("core", _BOOLS, R_BOOL)),
+    ("+", operator.add, ("LIA", _INTS, R_INT), ("Reals", _REALS, R_REAL)),
+    ("-", operator.sub, ("LIA", _INTS, R_INT), ("Reals", _REALS, R_REAL)),
+    ("*", operator.mul, ("LIA", _INTS, R_INT), ("Reals", _REALS, R_REAL)),
+    ("/", _div, ("Reals", _REALS, R_REAL)),
+    ("<=", operator.le, ("LIA", _INTS, R_BOOL), ("Reals", _REALS, R_BOOL)),
+    ("<", operator.lt, ("LIA", _INTS, R_BOOL), ("Reals", _REALS, R_BOOL)),
+    (">=", operator.ge, ("LIA", _INTS, R_BOOL), ("Reals", _REALS, R_BOOL)),
+    (">", operator.gt, ("LIA", _INTS, R_BOOL), ("Reals", _REALS, R_BOOL)),
+    ("bvnot", ByWidth(lambda mask, a: ~a & mask), ("BV", "W", None)),
+    ("bvneg", ByWidth(lambda mask, a: -a & mask), ("BV", "W", None)),
+    ("bvadd", ByWidth(lambda mask, a, b: (a + b) & mask), ("BV", "W W", None)),
+    ("bvsub", ByWidth(lambda mask, a, b: (a - b) & mask), ("BV", "W W", None)),
+    ("bvand", operator.and_, ("BV", "W W", None)),
+    ("bvor", operator.or_, ("BV", "W W", None)),
+    ("bvxor", operator.xor, ("BV", "W W", None)),
+    ("bvshl", ByWidth(_bvshl), ("BV", "W W", None)),
+    # The operand is below 2**width, so a shift at or beyond the width
+    # yields the zero vector here too.
+    ("bvlshr", operator.rshift, ("BV", "W W", None)),
+    ("bvult", operator.lt, ("BV", "W W", R_BOOL)),
+    ("bvule", operator.le, ("BV", "W W", R_BOOL)),
+    ("select", None, ("Arrays", "(Array D C) D", None)),
+    ("store", None, ("Arrays", "(Array D C) D C", None)),
+)
+
+#: The logics that ``set-logic`` may name: every family but ``core``.
+KNOWN_LOGICS = frozenset(f for _, _, *sigs in OPERATORS for f, _, _ in sigs) - {"core"}
 
 
 class TheorySignature:
-    """Result sorts for the built-in function symbols of a logic.
-
-    The core operators (``=``, ``distinct``, ``ite`` and the boolean
-    connectives) are loaded for every logic, SMT-LIB style; the arithmetic,
-    bit-vector, real, and array families are gated on the logic name.
-    When no set-logic command is present all families are loaded.
-    """
+    """The built-in operators of a logic: the core operators (``=``,
+    ``distinct``, ``ite`` and the boolean connectives) under every logic,
+    SMT-LIB style, and the arithmetic, bit-vector, real and array families
+    gated on the logic name.  With no set-logic command (``None``) every
+    family is loaded.  ``ops`` maps each loaded operator to its loaded
+    signatures, each with the row's semantics."""
 
     def __init__(self, logic: Optional[str] = None):
         self.logic = logic
+        self.ops: dict[Symbol, list[tuple]] = {}
+        for name, semantics, *sigs in OPERATORS:
+            for family, args, result in sigs:
+                if family == "core" or logic in (None, family):
+                    self.ops.setdefault(name, []).append((args, result, semantics))
 
-    def _loaded(self, family: str) -> bool:
-        return self.logic is None or self.logic == family
-
-    def lookup(self, name: Symbol, args: tuple[ResolvedSort, ...]) -> Optional[ResolvedSort]:
-        n = len(args)
-        if name in ("=", "distinct"):
-            return R_BOOL if n == 2 and args[0] == args[1] else None
-        if name == "ite":
-            if n == 3 and args[0] == R_BOOL and args[1] == args[2]:
-                return args[1]
-            return None
-        if name in ("and", "or"):
-            return R_BOOL if n >= 1 and all(a == R_BOOL for a in args) else None
-        if name == "not":
-            return R_BOOL if args == (R_BOOL,) else None
-        if name in ("=>", "xor"):
-            return R_BOOL if args == (R_BOOL, R_BOOL) else None
-        if self._loaded("LIA"):
-            if name in _LIA_ARITH and args == (R_INT, R_INT):
-                return R_INT
-            if name in _COMPARISONS and args == (R_INT, R_INT):
-                return R_BOOL
-        if self._loaded("Reals"):
-            if name in _REAL_ARITH and args == (R_REAL, R_REAL):
-                return R_REAL
-            if name in _COMPARISONS and args == (R_REAL, R_REAL):
-                return R_BOOL
-        if self._loaded("BV") and n >= 1 and isinstance(args[0], RBitVec):
-            w = args[0]
-            if name in _BV_BINOPS and args == (w, w):
-                return w
-            if name in _BV_UNOPS and n == 1:
-                return w
-            if name in _BV_PREDS and args == (w, w):
-                return R_BOOL
-        if self._loaded("Arrays"):
-            if name == "select" and n == 2 and isinstance(args[0], RArray):
-                if args[1] == args[0].domain:
-                    return args[0].codomain
-            if name == "store" and n == 3 and isinstance(args[0], RArray):
-                if args[1] == args[0].domain and args[2] == args[0].codomain:
-                    return args[0]
+    def builtin(
+        self, name: Symbol, args: tuple[ResolvedSort, ...]
+    ) -> Optional[tuple[ResolvedSort, object]]:
+        """The result sort and the semantics of built-in ``name`` at operand
+        sorts ``args``, or ``None`` if no loaded signature fits them."""
+        for pattern, result, semantics in self.ops.get(name, ()):
+            if type(pattern) is tuple:
+                if pattern == args:
+                    return result, semantics
+            else:
+                sort = _fit(pattern, args)
+                if sort is not None:
+                    return (sort if result is None else result), semantics
         return None
 
     def knows(self, name: Symbol) -> bool:
         """Whether ``name`` is a built-in under the active logic (at any
         signature); used to distinguish E-APP-SIG from E-UNBOUND."""
-        return name in _CORE_OPS or any(
-            name in ops and self._loaded(family) for family, ops in _FAMILIES.items()
-        )
+        return name in self.ops
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +553,8 @@ def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
             if entry.arg_sorts == args:
                 _check_func_use(entry, t.head, t.pos, scope)
                 return entry.ret
-        ret = scope.sig.lookup(t.head, args)
-        if ret is not None:
+        hit = scope.sig.builtin(t.head, args)
+        if hit is not None:
             if t.head == "*" and args == (R_INT, R_INT):
                 # Linear arithmetic only: one factor must be a literal.
                 if not any(
@@ -512,7 +566,7 @@ def type_of_term(t: Term, scope: TermScope) -> ResolvedSort:
                         t.pos,
                         "integer multiplication requires a literal operand",
                     )
-            return ret
+            return hit[0]
         if scope.overloads(t.head) or scope.sig.knows(t.head):
             shown = ", ".join(str(a) for a in args)
             _err("E-APP-SIG", t.pos, f"no signature for '{t.head}' at ({shown})")

@@ -249,11 +249,14 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Solved | Fail:
 
 
 def _evidence(v: Valid) -> str:
-    """What a ``Valid`` verdict rests on, in one line."""
+    """What a ``Valid`` verdict rests on, in one line.  The grid's size can
+    be longer than ``str`` writes (a huge ``--grid-radius``)."""
+    from .evaluator import _decimal
+
     if v.exhaustive:
         points = "the only point" if v.grid_size == 1 else f"all {v.grid_size} points"
         return f"valid at {points} of a finite domain: proved"
-    grid = f"{v.grid_points} of {v.grid_size} grid points"
+    grid = f"{v.grid_points} of {_decimal(v.grid_size)} grid points"
     if v.grid_size == 1:
         grid = "the only grid point"
     cut = " (truncated)" if v.truncated else ""

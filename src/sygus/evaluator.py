@@ -20,8 +20,9 @@ term never boxes; a column function bound by ``EvalEnv.bind`` takes and
 gives columns of payloads too.  A payload that leaves for the public edge
 is boxed with the sort it was computed at.
 
-A term can be evaluated two ways, with one semantics: ``THEORY_OPS`` holds
-the meaning of every built-in operator as a function of payloads,
+A term can be evaluated two ways, with one semantics: the row of each
+built-in operator in the checker's table (``checker.OPERATORS``) holds its
+meaning as a function of payloads, read here with every family loaded,
 ``EvalEnv.resolve`` decides what an application calls, and both
 evaluators are call-by-value, so they make the same uninterpreted-function
 queries.  ``resolve`` looks the application's name and argument sorts up
@@ -71,13 +72,13 @@ candidate body, or a column function of its parameters' columns
 
 from __future__ import annotations
 
-import operator
 from _blake2 import blake2b  # hashlib.blake2b itself; hashlib loads OpenSSL too
 from functools import partial
 from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .checker import (
+    ByWidth,
     CheckedProblem,
     FuncEntry,
     RBitVec,
@@ -406,82 +407,22 @@ def _apply(name: Symbol, args: tuple[Value, ...], env: EvalEnv) -> Value:
     return eval_term(body, dict(zip(entry.params, args)), env)
 
 
-def _ite(cond: bool, then: Payload, other: Payload) -> Payload:
-    return then if cond else other
-
-
-def _div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise EvalError("E-DIV-ZERO", NO_POS, "division by zero")
-    return a / b
-
-
-class _ByWidth:
-    """A bit-vector operator whose payload function takes the operands'
-    mask, ``(1 << width) - 1``, before the payloads."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[..., int]):
-        self.fn = fn
-
-
-def _bvshl(mask: int, a: int, b: int) -> int:
-    # Shift amounts at or beyond the width yield the zero vector.
-    return 0 if b >= mask.bit_length() else (a << b) & mask
-
-
-#: The semantics of every built-in operator, as a function of the operand
-#: payloads (see ``Payload``).  Int and Real arithmetic keeps the payload
-#: class of its operands.  An operator whose meaning depends on the width
-#: is a ``_ByWidth``, given its operands' mask when it is resolved.
-THEORY_OPS: dict[Symbol, Union[Callable[..., Payload], _ByWidth]] = {
-    "=": operator.eq,
-    "distinct": operator.ne,
-    "ite": _ite,
-    "and": lambda *args: all(args),
-    "or": lambda *args: any(args),
-    "not": operator.not_,
-    "=>": lambda a, b: not a or b,
-    "xor": operator.ne,
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": _div,
-    "<=": operator.le,
-    "<": operator.lt,
-    ">=": operator.ge,
-    ">": operator.gt,
-    "bvnot": _ByWidth(lambda mask, a: ~a & mask),
-    "bvneg": _ByWidth(lambda mask, a: -a & mask),
-    "bvadd": _ByWidth(lambda mask, a, b: (a + b) & mask),
-    "bvsub": _ByWidth(lambda mask, a, b: (a - b) & mask),
-    "bvand": operator.and_,
-    "bvor": operator.or_,
-    "bvxor": operator.xor,
-    "bvshl": _ByWidth(_bvshl),
-    # The operand is below 2**width, so a shift at or beyond the width
-    # yields the zero vector here too.
-    "bvlshr": operator.rshift,
-    "bvult": operator.lt,
-    "bvule": operator.le,
-}
-
-#: Result sorts of the built-in operators.  Every family is loaded, because
-#: evaluation, unlike checking, is not gated on the logic.
-_THEORY = TheorySignature()
+#: Every built-in operator, whatever the logic: evaluation, unlike checking,
+#: is not gated on it.
+_BUILTINS = TheorySignature()
 
 
 def _builtin(
     name: Symbol, sorts: tuple[ResolvedSort, ...]
 ) -> tuple[Callable[..., Payload], ResolvedSort]:
     """The payload function and the result sort of built-in operator
-    ``name`` at operand sorts ``sorts``."""
-    op = THEORY_OPS.get(name)
-    ret = _THEORY.lookup(name, sorts)
-    if op is None or ret is None:
+    ``name`` at operand sorts ``sorts``: its row of ``checker.OPERATORS``,
+    a ``ByWidth`` given the operands' mask."""
+    hit = _BUILTINS.builtin(name, sorts)
+    if hit is None or hit[1] is None:
         raise AssertionError(f"no semantics for '{name}' at ({' '.join(map(str, sorts))})")
-    if isinstance(op, _ByWidth):
+    ret, op = hit
+    if isinstance(op, ByWidth):
         op = partial(op.fn, (1 << sorts[0].width) - 1)
     return op, ret
 

@@ -19,6 +19,11 @@ whether an application of one sits in the arguments of one.
 ``reference_tokenize`` is a scanner with one ``match`` per blank run,
 comment and token, each token class tested in turn; ``sygus.lexer.tokenize``
 must agree with it on every text, tokens and errors alike.
+
+``reference_lookup`` and ``reference_knows`` are the signatures of the
+built-in operators as an if-chain over name lists per family, the shape
+they had before the checker's table of operators (``checker.OPERATORS``);
+``TheorySignature`` must agree with them under every logic.
 """
 
 import math
@@ -28,6 +33,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from sygus import solver
+from sygus.checker import R_BOOL, R_INT, R_REAL, RArray, RBitVec
 from sygus.evaluator import EvalEnv, UFModel, Value, eval_term, stable_u64
 from sygus.lexer import LexError, TokKind, Token
 from sygus.solver import (
@@ -319,3 +325,79 @@ def reference_tokenize(text: str) -> list[Token]:
                 raise LexError(line, col, "quoted literal must not be empty")
             out.append(Token(TokKind.QUOTED, m["chars"], line, col))
     return out
+
+
+_CORE_OPS = ("=", "distinct", "ite", "and", "or", "not", "=>", "xor")
+_COMPARISONS = ("<=", "<", ">=", ">")
+_LIA_ARITH = ("+", "-", "*")
+_REAL_ARITH = ("+", "-", "*", "/")
+_BV_BINOPS = ("bvadd", "bvsub", "bvand", "bvor", "bvxor", "bvshl", "bvlshr")
+_BV_UNOPS = ("bvnot", "bvneg")
+_BV_PREDS = ("bvult", "bvule")
+_ARRAY_OPS = ("select", "store")
+
+#: The operator names of each logic-gated family.
+_FAMILIES = {
+    "LIA": _LIA_ARITH + _COMPARISONS,
+    "Reals": _REAL_ARITH + _COMPARISONS,
+    "BV": _BV_BINOPS + _BV_UNOPS + _BV_PREDS,
+    "Arrays": _ARRAY_OPS,
+}
+
+#: Every built-in operator name, core ones first.
+REFERENCE_OPERATORS = tuple(dict.fromkeys(_CORE_OPS + sum(_FAMILIES.values(), ())))
+
+
+def _loaded(logic, family: str) -> bool:
+    return logic is None or logic == family
+
+
+def reference_lookup(logic, name, args):
+    """The result sort of built-in ``name`` at operand sorts ``args`` under
+    ``logic`` (``None``: every family), or ``None``."""
+    n = len(args)
+    if name in ("=", "distinct"):
+        return R_BOOL if n == 2 and args[0] == args[1] else None
+    if name == "ite":
+        if n == 3 and args[0] == R_BOOL and args[1] == args[2]:
+            return args[1]
+        return None
+    if name in ("and", "or"):
+        return R_BOOL if n >= 1 and all(a == R_BOOL for a in args) else None
+    if name == "not":
+        return R_BOOL if args == (R_BOOL,) else None
+    if name in ("=>", "xor"):
+        return R_BOOL if args == (R_BOOL, R_BOOL) else None
+    if _loaded(logic, "LIA"):
+        if name in _LIA_ARITH and args == (R_INT, R_INT):
+            return R_INT
+        if name in _COMPARISONS and args == (R_INT, R_INT):
+            return R_BOOL
+    if _loaded(logic, "Reals"):
+        if name in _REAL_ARITH and args == (R_REAL, R_REAL):
+            return R_REAL
+        if name in _COMPARISONS and args == (R_REAL, R_REAL):
+            return R_BOOL
+    if _loaded(logic, "BV") and n >= 1 and isinstance(args[0], RBitVec):
+        w = args[0]
+        if name in _BV_BINOPS and args == (w, w):
+            return w
+        if name in _BV_UNOPS and n == 1:
+            return w
+        if name in _BV_PREDS and args == (w, w):
+            return R_BOOL
+    if _loaded(logic, "Arrays"):
+        if name == "select" and n == 2 and isinstance(args[0], RArray):
+            if args[1] == args[0].domain:
+                return args[0].codomain
+        if name == "store" and n == 3 and isinstance(args[0], RArray):
+            if args[1] == args[0].domain and args[2] == args[0].codomain:
+                return args[0]
+    return None
+
+
+def reference_knows(logic, name) -> bool:
+    """Whether ``name`` is a built-in under ``logic`` at any signature."""
+    return name in _CORE_OPS or any(
+        name in ops and _loaded(logic, family) for family, ops in _FAMILIES.items()
+    )

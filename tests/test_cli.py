@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from io import StringIO
 from pathlib import Path
 
@@ -408,6 +409,55 @@ def test_a_grid_radius_past_the_machine_word_is_counted(tmp_path):
     assert err == (
         f"note: no counterexample at 10000 of {2 * radius + 1} grid points (truncated) under "
         "each of 32 sampled UF models, nor at 256 random samples: tested, not proved\n"
+    )
+
+
+TWO_INTS = """\
+(set-logic LIA)
+(synth-fun f ((x Int) (y Int)) Int ((Start Int (x y))))
+(declare-var x Int)
+(declare-var y Int)
+(constraint (= (f x y) x))
+(check-synth)
+"""
+
+
+def test_a_grid_longer_than_str_writes_is_counted(tmp_path):
+    # At radius 10**4000 - 1 the grid of two Int variables has about 8,000
+    # digits, past the 4,300 that str() writes.
+    radius = 10**4000 - 1
+    path = tmp_path / "spec.sl"
+    path.write_text(TWO_INTS)
+    code, out, err = run_cli("solve", "--verbose", "--grid-radius", "9" * 4000, str(path))
+    assert (code, out) == (EXIT_OK, "(define-fun f ((x Int) (y Int)) Int x)\n")
+    size = str(Decimal((2 * radius + 1) ** 2))
+    assert len(size) == 8001
+    assert err == (
+        f"note: no counterexample at 10000 of {size} grid points (truncated), "
+        "nor at 256 random samples: tested, not proved\n"
+    )
+
+
+# Every bit-vector operator but the two predicates, each computed by its row
+# of the checker's table of operators.
+BV_OPERATORS = """\
+(set-logic BV)
+(synth-fun f ((x (BitVec 4)) (y (BitVec 4))) (BitVec 4)
+  ((Start (BitVec 4) (x y #x1 (bvnot Start) (bvneg Start) (bvadd Start Start) (bvsub Start Start) (bvand Start Start) (bvor Start Start) (bvxor Start Start) (bvshl Start Start) (bvlshr Start Start)))))
+(declare-var x (BitVec 4))
+(declare-var y (BitVec 4))
+(constraint (= (f x y) (bvxor (bvneg x) (bvlshr y #x1))))
+(check-synth)
+"""
+
+
+def test_a_grammar_over_every_bv_operator_solves(tmp_path):
+    result, _ = solve_text(tmp_path, BV_OPERATORS, "--verbose")
+    assert result == (
+        EXIT_OK,
+        "(define-fun f ((x (BitVec 4)) (y (BitVec 4))) (BitVec 4) "
+        "(bvxor (bvneg x) (bvlshr y #b0001)))\n",
+        "note: valid at all 256 points of a finite domain: proved\n",
     )
 
 
