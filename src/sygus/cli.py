@@ -43,7 +43,10 @@ the lexer as a layer of its own, and counts its tokens.
 Each subcommand loads only what it runs.  ``check_program`` below imports
 ``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
 so ``parse`` and ``fmt`` load the lexer, parser and printer alone, ``check``
-adds the checker, and only ``solve`` loads the solver.
+adds the checker, and only ``solve`` loads the solver.  The solver imports
+``sygus.prover`` at the first proof that ``verify`` attempts, so only a
+``solve`` of a linear problem with more than ``solver.GRID_POINT_CAP`` rows
+to test loads it.
 
 ``run`` pauses Python's cyclic garbage collector once the arguments are
 parsed, through the lexer, parser, checker and printer; it turns the
@@ -253,6 +256,9 @@ def _evidence(v: Valid) -> str:
     be longer than ``str`` writes (a huge ``--grid-radius``)."""
     from .evaluator import _decimal
 
+    if v.proved:
+        ufs = " and every interpretation of the uninterpreted functions" if v.uf_models else ""
+        return f"valid for every value of the variables{ufs}: proved"
     if v.exhaustive:
         points = "the only point" if v.grid_size == 1 else f"all {v.grid_size} points"
         return f"valid at {points} of a finite domain: proved"

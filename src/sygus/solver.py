@@ -40,11 +40,21 @@ the pruning of the classic enumerative SyGuS solvers (Alur et al.,
   directly or through a let of the constraints, where the arguments depend
   on the candidate.
 
-Verification is testing, not proof: candidates are checked on a finite grid
-over the universal variables, a batch of sampled models for uninterpreted
-functions, and a batch of random assignments.  A ``Valid`` verdict therefore
-means "no counterexample found within the configured budget", and it records
-that budget; it is a proof only when it is ``exhaustive``.
+Verification proves where it can and tests otherwise.  Testing checks a
+candidate on a finite grid over the universal variables under a batch of
+sampled models for uninterpreted functions, then on a batch of random
+assignments; a verdict it passes means "no counterexample found within the
+configured budget", a proof only where the grid is ``exhaustive``.  On a
+linear problem (Int and Bool, with or without uninterpreted functions),
+``verify`` first tests the grid's first chunk and, where more than
+``GRID_POINT_CAP`` rows would be left to test, asks ``sygus.prover`` for a
+proof over linear normal forms and congruence, which holds for every value
+and every interpretation; it tests the rest only if the prover gives up.
+A proof is never a counterexample and stands only where testing would pass
+the candidate too, so the counterexamples and the output are those of
+testing alone.  A ``Valid`` says which of the three ways it was reached
+(``proved``, ``exhaustive``, or neither: tested) and counts the rows
+tested.
 
 Inside the solver a value is its payload (see ``evaluator``), and no
 compiled term boxes one.  Every evaluation runs on terms compiled into
@@ -598,21 +608,33 @@ def enumerate_terms(g: ExpandedGrammar, from_nt: Symbol, max_size: int) -> Itera
 
 
 class Valid(Record):
-    """No counterexample was found; the fields say where none was looked
-    for."""
+    """No counterexample was found, one of three ways: the prover
+    ``proved`` the candidate from linear normal forms, or the grid was
+    ``exhaustive``, which is a proof too, or neither, and the candidate
+    was tested on the rows counted here.  The fields count only the rows
+    that were tested."""
 
-    __slots__ = ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive")
-    #: Grid points checked under each model, and the points of the whole
-    #: grid; ``GRID_POINT_CAP`` cuts the first.
+    __slots__ = (
+        "grid_points", "grid_size", "uf_models", "random_samples", "exhaustive", "proved",
+    )
+    _defaults = {"proved": False}
+    #: Grid points tested under each model, and the points of the whole
+    #: grid; ``GRID_POINT_CAP`` cuts the first, and so does a proof.
     grid_points: int
     grid_size: int
-    #: Sampled models of the uninterpreted functions; 0 when there are none.
+    #: Sampled models of the uninterpreted functions the grid points were
+    #: tested under; 0 when there are none.
     uf_models: int
-    #: Random points checked; 0 when the grid is exhaustive.
+    #: Random points tested; 0 when the grid is exhaustive or a proof
+    #: came first.
     random_samples: int
     #: Every universal sort is finite and its whole domain was checked, and
     #: there are no uninterpreted functions: the verdict is a proof.
     exhaustive: bool
+    #: ``sygus.prover`` proved the candidate for every value of the
+    #: variables and every interpretation of the uninterpreted functions,
+    #: after the first grid chunk passed.
+    proved: bool
 
     @property
     def truncated(self) -> bool:
@@ -768,16 +790,85 @@ def _first_false(
     return first
 
 
+def _linear(problem: CheckedProblem) -> bool:
+    """Whether every universal variable, uninterpreted function and
+    synthesis function of ``problem`` is over Int and Bool alone: the
+    problems ``sygus.prover`` takes."""
+    sorts = list(problem.universal_vars.values())
+    for e in problem.uf_decls:
+        sorts += e.arg_sorts + (e.ret,)
+    for task in problem.synth_tasks:
+        sorts += [s for _, s in task.params] + [task.ret]
+    return all(isinstance(s, (RInt, RBool)) for s in sorts)
+
+
 def verify(
     candidate: Mapping[Symbol, Term],
     problem: CheckedProblem,
     cfg: SolverConfig,
     _deadline: Optional[_Deadline] = None,
 ) -> VerificationResult:
-    """Check a candidate, given as a body per synthesis function name,
-    against the grid and random samples.
+    """Check a candidate, given as a body per synthesis function name: prove
+    it where that is cheaper than testing and the prover can, and test it
+    (``verify_by_testing``) otherwise.
 
-    The result is the first row, in a fixed order, at which a constraint
+    The proof is attempted only on a linear problem (``_linear``: Int and
+    Bool variables and functions, with or without uninterpreted ones; so
+    no bit-vector or enum problem loads ``sygus.prover``), only once the
+    candidate passes the first chunk of the grid (its first point under the
+    first window of models), and only where more than ``GRID_POINT_CAP``
+    rows of the grid and the samples are still left to test.  A proved
+    candidate gets a ``Valid`` marked proved, whose fields count the rows
+    of that chunk.  Otherwise the candidate is tested from the first chunk
+    on: the prover never reports a counterexample.
+
+    Why the result is the one testing gives: a proved candidate satisfies
+    every constraint at every point under every interpretation of the
+    uninterpreted functions, so it has no counterexample, and testing would
+    have passed it too.  So a proof changes only the ``Valid``'s fields,
+    never a counterexample or whether the candidate passes.  A proof
+    attempt reads the deadline as the grid does (see ``sygus.prover``).
+    """
+    _theory_gate(problem)
+    testing = _Testing(candidate, problem, cfg, _deadline)
+    window = list(islice(testing.model_seeds(), MODEL_WINDOW))
+    if (
+        testing.rows() - len(window) > GRID_POINT_CAP
+        and _linear(problem)
+        and testing.first_chunk_passes(window)
+    ):
+        from .prover import proves
+
+        if proves(candidate, problem, testing.deadline):
+            return Valid(
+                grid_points=1,
+                grid_size=testing.grid_size,
+                uf_models=len(window) if testing.has_ufs else 0,
+                random_samples=0,
+                exhaustive=False,
+                proved=True,
+            )
+    return testing.verdict()
+
+
+def verify_by_testing(
+    candidate: Mapping[Symbol, Term],
+    problem: CheckedProblem,
+    cfg: SolverConfig,
+    _deadline: Optional[_Deadline] = None,
+) -> VerificationResult:
+    """``verify`` without the proof: the candidate tested on the grid and
+    the random samples (see ``_Testing``)."""
+    _theory_gate(problem)
+    return _Testing(candidate, problem, cfg, _deadline).verdict()
+
+
+class _Testing:
+    """The testing half of ``verify`` for one candidate: its constraints,
+    compiled once with the candidate inlined, the capped grid, the sampled
+    models and the random samples.
+
+    ``verdict`` is the first row, in a fixed order, at which a constraint
     is false.  The order is the grid model-major (every point of the capped
     grid under the first sampled model, then under the next), then the
     random samples, each with its own model.
@@ -833,36 +924,65 @@ def verify(
     random sample is drawn after an exhaustive grid: it could only repeat a
     grid point.
     """
-    _theory_gate(problem)
-    deadline = _deadline if _deadline is not None else _Deadline(None)
-    env = EvalEnv(problem, candidate)
-    variables = problem.universal_vars
-    names = list(variables)
-    checks = [compile_term(c, env, variables) for c in problem.constraints]
-    has_ufs = bool(problem.uf_decls)
 
-    def model_for(seed: int) -> Optional[UFModel]:
-        return UFModel(problem.uf_decls, seed) if has_ufs else None
+    def __init__(
+        self,
+        candidate: Mapping[Symbol, Term],
+        problem: CheckedProblem,
+        cfg: SolverConfig,
+        deadline: Optional[_Deadline],
+    ):
+        self.cfg = cfg
+        self.deadline = deadline if deadline is not None else _Deadline(None)
+        env = EvalEnv(problem, candidate)
+        self.variables = problem.universal_vars
+        self.names = list(self.variables)
+        self.checks = [compile_term(c, env, self.variables) for c in problem.constraints]
+        self.uf_decls = problem.uf_decls
+        self.has_ufs = bool(problem.uf_decls)
+        self.grid = _grid(list(self.variables.values()), cfg)
+        self.grid_size = math.prod(size for size, _ in self.grid)
+        self.exhaustive = not self.has_ufs and self.grid_size <= GRID_POINT_CAP and all(
+            _whole_domain(s, size) for s, (size, _) in zip(self.variables.values(), self.grid)
+        )
+        self.sample_count = 0 if self.exhaustive else cfg.random_samples
 
-    grid = _grid(list(variables.values()), cfg)
-    grid_size = math.prod(size for size, _ in grid)
-    exhaustive = not has_ufs and grid_size <= GRID_POINT_CAP and all(
-        _whole_domain(s, size) for s, (size, _) in zip(variables.values(), grid)
-    )
-    sample_count = 0 if exhaustive else cfg.random_samples
-    if has_ufs:
-        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
-    else:
-        model_seeds = iter([cfg.seed])
+    def model_for(self, seed: int) -> Optional[UFModel]:
+        return UFModel(self.uf_decls, seed) if self.has_ufs else None
 
-    def grid_failure() -> Optional[_Row]:
+    def model_seeds(self) -> Iterator[int]:
+        """The seed of each model the grid is tested under, in order."""
+        cfg = self.cfg
+        if self.has_ufs:
+            return ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
+        return iter([cfg.seed])
+
+    def rows(self) -> int:
+        """The rows of the whole test: the capped grid under each model, and
+        the random samples."""
+        models = self.cfg.uf_model_count if self.has_ufs else 1
+        return min(self.grid_size, GRID_POINT_CAP) * models + self.sample_count
+
+    def points(self) -> Iterator[_Point]:
+        """The capped grid's points in order."""
+        return islice(product(*[values for _, values in self.grid]), GRID_POINT_CAP)
+
+    def first_chunk_passes(self, window: list[int]) -> bool:
+        """Whether every constraint holds at the grid's first point under
+        each model of ``window``, the seeds of the first window."""
+        rows = Rows([(self.model_for(seed), 1) for seed in window], len(window))
+        return _first_false(self.checks, self.names, [next(self.points())], rows) is None
+
+    def grid_failure(self) -> Optional[_Row]:
         """The first failing row of the capped grid, in model-major order,
         checked point-major over each window of models in turn."""
+        checks, names, deadline = self.checks, self.names, self.deadline
+        seeds = self.model_seeds()
         done = 0
-        while window := list(islice(model_seeds, MODEL_WINDOW)):
-            live = [(seed, model_for(seed)) for seed in window]
+        while window := list(islice(seeds, MODEL_WINDOW)):
+            live = [(seed, self.model_for(seed)) for seed in window]
             found = None
-            points = islice(product(*[values for _, values in grid]), GRID_POINT_CAP)
+            points = self.points()
             while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
                 done += len(chunk)
                 rows = Rows([(model, len(chunk)) for _, model in live], len(live))
@@ -878,39 +998,41 @@ def verify(
                 return found
         return None
 
-    def sample_failure() -> Optional[_Row]:
+    def sample_failure(self) -> Optional[_Row]:
         """The first failing random sample; each has a model of its own."""
+        cfg, sorts, has_ufs = self.cfg, list(self.variables.values()), self.has_ufs
         rng = random.Random(stable_u64(cfg.seed, "samples"))
 
         def sample() -> _Row:
-            point = tuple([_random_value(s, rng) for s in variables.values()])
+            point = tuple([_random_value(s, rng) for s in sorts])
             return point, rng.getrandbits(64) if has_ufs else cfg.seed
 
-        samples = (sample() for _ in range(sample_count))
+        samples = (sample() for _ in range(self.sample_count))
         done = 0
         while chunk := list(islice(samples, min(done + 1, CHUNK_CAP))):
             done += len(chunk)
             points, seeds = zip(*chunk)
-            at = _first_false(checks, names, points, Rows([(model_for(s), 1) for s in seeds]))
+            rows = Rows([(self.model_for(s), 1) for s in seeds])
+            at = _first_false(self.checks, self.names, points, rows)
             if at is not None:
                 return chunk[at]
-            deadline.check()
+            self.deadline.check()
         return None
 
-    found = grid_failure() or sample_failure()
-    if found is not None:
-        point, seed = found
-        return Counterexample(
-            {n: Value(s, p) for (n, s), p in zip(variables.items(), point)}, seed
+    def verdict(self) -> VerificationResult:
+        found = self.grid_failure() or self.sample_failure()
+        if found is not None:
+            point, seed = found
+            return Counterexample(
+                {n: Value(s, p) for (n, s), p in zip(self.variables.items(), point)}, seed
+            )
+        return Valid(
+            grid_points=min(self.grid_size, GRID_POINT_CAP),
+            grid_size=self.grid_size,
+            uf_models=self.cfg.uf_model_count if self.has_ufs else 0,
+            random_samples=self.sample_count,
+            exhaustive=self.exhaustive,
         )
-
-    return Valid(
-        grid_points=min(grid_size, GRID_POINT_CAP),
-        grid_size=grid_size,
-        uf_models=cfg.uf_model_count if has_ufs else 0,
-        random_samples=sample_count,
-        exhaustive=exhaustive,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,9 @@ MAX3 = """
 (check-synth)
 """
 
+# A solution of MAX3, with 16 nodes.
+MAX3_SOLUTION = "(ite (<= x y) (ite (<= y z) z y) (ite (<= x z) z x))"
+
 
 # The base problems of the benchmark's solver workloads with fixed names.
 # Uninterpreted functions keep the benchmark's names, because a sampled
@@ -141,6 +144,22 @@ UF_DIFF = """
 (declare-var c Int)
 (declare-var d Int)
 (constraint (= (g (f a b c d) d) (g (- a c) d)))
+(check-synth)
+"""
+
+# UF_SUM at a + c where c = d.  The prover does not rewrite an
+# application's arguments by a fact, so it cannot prove that the solution
+# (+ a c) gives uf (+ a d) where c = d, and verify tests it.
+UF_GUARDED = """
+(set-logic LIA)
+(declare-fun uf (Int) Int)
+(synth-fun f ((a Int) (b Int) (c Int) (d Int)) Int
+   ((Start Int (a b c d (+ Start Start)))))
+(declare-var a Int)
+(declare-var b Int)
+(declare-var c Int)
+(declare-var d Int)
+(constraint (=> (= c d) (= (uf (f a b c d)) (uf (+ a d)))))
 (check-synth)
 """
 

@@ -26,6 +26,7 @@ from conftest import (
     FIXTURES,
     LIA_ITE_UNSOLVABLE,
     ROOT,
+    UF_GUARDED,
     UF_SUM,
     child,
     collector_paused,
@@ -64,10 +65,11 @@ def test_solve_timed_out(unsolvable_path):
 
 
 def test_timeout_is_honoured_while_verifying(tmp_path):
-    # A thousand models of 10,000 grid points each: verify checks the
-    # deadline once per chunk of the grid.
-    path = tmp_path / "uf_sum.sl"
-    path.write_text(UF_SUM)
+    # A thousand models of 10,000 grid points each, under which verify tests
+    # a solution that the prover cannot prove: it checks the deadline once
+    # per chunk of the grid.
+    path = tmp_path / "uf_guarded.sl"
+    path.write_text(UF_GUARDED)
     start = time.monotonic()
     code, out, err = run_cli(
         "solve", "--uf-model-count", "1000", "--timeout-seconds", "1", str(path)
@@ -88,14 +90,17 @@ with open("/proc/self/status") as status:
 """
 
 
-def test_a_huge_model_count_keeps_memory_bounded():
-    # Five million sampled models: their seeds are made as verify reaches
-    # them, not listed up front, which would take about 200 MB before the
-    # deadline is first checked.  A run at the default count peaks near 20 MB.
+def test_a_huge_model_count_keeps_memory_bounded(tmp_path):
+    # Five million sampled models, under which verify tests a solution that
+    # the prover cannot prove: their seeds are made as verify reaches them,
+    # not listed up front, which would take about 200 MB before the deadline
+    # is first checked.  A run at the default count peaks near 20 MB.
+    path = tmp_path / "uf_guarded.sl"
+    path.write_text(UF_GUARDED)
     src = str(Path(__file__).resolve().parent.parent / "src")
     p = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_CHILD, "solve", "--uf-model-count", "5000000",
-         "--timeout-seconds", "1", str(FIXTURES / "uf_pair.sl")],
+         "--timeout-seconds", "1", str(path)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     note, peak_kb = p.stderr.splitlines()
@@ -146,8 +151,8 @@ ONE_INT = """\
          "no counterexample at 11 of 11 grid points under each of 32 sampled "
          "UF models, nor at 256 random samples: tested, not proved"),
         (UF_SUM, ["--uf-model-count", "2"],
-         "no counterexample at 10000 of 14641 grid points (truncated) under "
-         "each of 2 sampled UF models, nor at 256 random samples: tested, not proved"),
+         "valid for every value of the variables and every interpretation of the "
+         "uninterpreted functions: proved"),
         (BOOL_BV4, [], "valid at all 32 points of a finite domain: proved"),
         (NO_VARIABLES, [], "valid at the only point of a finite domain: proved"),
         (ONE_CONSTRUCTOR, [], "valid at the only point of a finite domain: proved"),
@@ -401,14 +406,17 @@ def test_constant_pool_is_a_set_options_key(tmp_path):
 
 def test_a_grid_radius_past_the_machine_word_is_counted(tmp_path):
     # The Int grid has 2 * r + 1 values, more than a range's len can count.
+    # One model and no samples leave no more than 10,000 rows to test, so
+    # verify tests the solution rather than prove it.
     radius = 10**20
     code, out, err = run_cli(
-        "solve", "--verbose", "--grid-radius", str(radius), str(FIXTURES / "uf_pair.sl")
+        "solve", "--verbose", "--grid-radius", str(radius), "--uf-model-count", "1",
+        "--random-samples", "0", str(FIXTURES / "uf_pair.sl"),
     )
     assert (code, out) == (EXIT_OK, "(define-fun f ((x Int) (y Int)) Bool true)\n")
     assert err == (
         f"note: no counterexample at 10000 of {2 * radius + 1} grid points (truncated) under "
-        "each of 32 sampled UF models, nor at 256 random samples: tested, not proved\n"
+        "each of 1 sampled UF models, nor at 0 random samples: tested, not proved\n"
     )
 
 
@@ -424,17 +432,21 @@ TWO_INTS = """\
 
 def test_a_grid_longer_than_str_writes_is_counted(tmp_path):
     # At radius 10**4000 - 1 the grid of two Int variables has about 8,000
-    # digits, past the 4,300 that str() writes.
+    # digits, past the 4,300 that str() writes.  With no samples, no more
+    # than 10,000 rows are left to test, so verify tests the solution rather
+    # than prove it.
     radius = 10**4000 - 1
     path = tmp_path / "spec.sl"
     path.write_text(TWO_INTS)
-    code, out, err = run_cli("solve", "--verbose", "--grid-radius", "9" * 4000, str(path))
+    code, out, err = run_cli(
+        "solve", "--verbose", "--grid-radius", "9" * 4000, "--random-samples", "0", str(path)
+    )
     assert (code, out) == (EXIT_OK, "(define-fun f ((x Int) (y Int)) Int x)\n")
     size = str(Decimal((2 * radius + 1) ** 2))
     assert len(size) == 8001
     assert err == (
         f"note: no counterexample at 10000 of {size} grid points (truncated), "
-        "nor at 256 random samples: tested, not proved\n"
+        "nor at 0 random samples: tested, not proved\n"
     )
 
 
@@ -677,6 +689,25 @@ def test_subcommands_load_no_dataclasses_inspect_fractions_or_decimal():
     assert [code for code, _, _ in results] == [EXIT_OK] * 4
     assert results[3][1] == FIXTURE_SOLUTIONS["max2_min2"]
     assert "sygus.solver" in loaded
+    assert not loaded & NOT_AT_START_UP
+
+
+def test_only_a_proof_loads_the_prover(tmp_path):
+    # check runs no solver, and the benchmark's lia_ite solve tries no
+    # proof: its grid and samples are 377 rows.  uf_binary.sl's solution is
+    # proved after the first grid chunk, with no dataclasses, inspect,
+    # fractions or decimal.
+    path = tmp_path / "lia_ite.sl"
+    path.write_text(LIA_ITE_UNSOLVABLE)
+    results, loaded = calls_in_child(("check", path), ("solve", "--max-term-size", "8", path))
+    assert results == [
+        (EXIT_OK, "", ""), (EXIT_FAIL, "(fail)\n", "note: search exhausted at max term size 8\n")
+    ]
+    assert "sygus.solver" in loaded and "sygus.prover" not in loaded
+    [result], loaded = calls_in_child(("solve", "--verbose", FIXTURES / "uf_binary.sl"))
+    assert result[:2] == (EXIT_OK, FIXTURE_SOLUTIONS["uf_binary"])
+    assert result[2].endswith(": proved\n")
+    assert "sygus.prover" in loaded
     assert not loaded & NOT_AT_START_UP
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sygus import solver
+from sygus import prover, solver
 from sygus.checker import R_BOOL, R_INT, R_REAL, FuncEntry, RBitVec, REnum
 from sygus.evaluator import (
     EvalEnv,
@@ -35,6 +35,7 @@ from sygus.solver import (
     Counterexample,
     SolverConfig,
     TermTable,
+    Valid,
     enumerate_terms,
     expand_shorthands,
 )
@@ -43,6 +44,8 @@ from conftest import (
     FIXTURES,
     LET_SUM_UNSOLVABLE,
     MAX2_MIN2_BASE,
+    MAX3,
+    MAX3_SOLUTION,
     UF_DIFF,
     UF_SUM,
     load_problem,
@@ -506,13 +509,37 @@ def test_compiled_constraints_agree_with_the_walker(name):
 # random samples.
 VERIFY_CFG = SolverConfig(grid_radius=2, uf_model_count=3, random_samples=16)
 
+# The tests below check the testing half of verify, which a proof would
+# skip, against plain_verify.
+
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
 def test_verify_agrees_with_plain_verify(name):
     problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
     for candidates in candidate_tuples(problem, VERIFY_CFG):
-        got = solver.verify(candidates, problem, VERIFY_CFG)
+        got = solver.verify_by_testing(candidates, problem, VERIFY_CFG)
         assert got == plain_verify(candidates, problem, VERIFY_CFG)
+
+
+def test_verify_tests_what_the_prover_cannot_prove(monkeypatch):
+    # At radius 11 the grid of three Int variables is cut at 10,000 of its
+    # 23 ** 3 points, so over 10,000 rows are left after the first chunk and
+    # verify tries a proof.  The case y > x, z > y needs z > x, a sum of two
+    # facts: the prover gives up, and verify tests the candidate.
+    real, attempts = prover.proves, []
+
+    def recording(*args):
+        attempts.append(real(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(prover, "proves", recording)
+    problem = load_problem(MAX3)
+    candidate = {"f": term(MAX3_SOLUTION)}
+    cfg = SolverConfig(grid_radius=11)
+    got = solver.verify(candidate, problem, cfg)
+    assert attempts == [False]
+    assert got == plain_verify(candidate, problem, cfg)
+    assert got == Valid(10_000, 23**3, 0, 256, False)
 
 
 def uf_sum_wrong_under_the_second_model(indices, cfg=VERIFY_CFG):
@@ -550,7 +577,7 @@ def test_verify_reports_the_first_failure_under_a_later_model():
     # boundaries, where the second model fails at both.
     assert solver.CHUNK_CAP == 256
     problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
-    got = solver.verify(candidate, problem, VERIFY_CFG)
+    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[300], 1)
 
@@ -569,7 +596,7 @@ def test_verify_reports_a_failure_at_the_edge_of_a_model(cfg, index):
     # Wrong under the second model only, at the point that starts its first
     # chunk or ends its last.
     problem, candidate, points = uf_sum_wrong_under_the_second_model([index], cfg)
-    got = solver.verify(candidate, problem, cfg)
+    got = solver.verify_by_testing(candidate, problem, cfg)
     assert got == plain_verify(candidate, problem, cfg)
     assert got == Counterexample(points[index], cfg.seed + 1)
 
@@ -611,7 +638,7 @@ def test_verify_reports_the_first_models_late_failure_over_a_later_models_early_
     # the window's last chunk.  Model-major order puts the first model's
     # rows first.
     problem, candidate, points = uf_sum_wrong_at([(0, 600), (1, 0)], VERIFY_CFG)
-    got = solver.verify(candidate, problem, VERIFY_CFG)
+    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[600], VERIFY_CFG.seed)
 
@@ -625,7 +652,7 @@ def test_verify_reports_the_earlier_of_two_failing_models(second, third):
     # second model's failure is the result.
     rows = [(1, second), (2, third)]
     problem, candidate, points = uf_sum_wrong_at(rows, VERIFY_CFG)
-    got = solver.verify(candidate, problem, VERIFY_CFG)
+    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[second], VERIFY_CFG.seed + 1)
 
@@ -640,7 +667,7 @@ WINDOWS_CFG = SolverConfig(
 def test_verify_reports_a_failure_in_the_last_window(index):
     last = WINDOWS_CFG.uf_model_count - 1
     problem, candidate, points = uf_sum_wrong_at([(last, index)], WINDOWS_CFG)
-    got = solver.verify(candidate, problem, WINDOWS_CFG)
+    got = solver.verify_by_testing(candidate, problem, WINDOWS_CFG)
     assert got == plain_verify(candidate, problem, WINDOWS_CFG)
     assert got == Counterexample(points[index], WINDOWS_CFG.seed + last)
 
@@ -659,7 +686,7 @@ def test_a_failure_under_the_first_model_makes_one_window_of_models(monkeypatch)
             super().__init__(decls, seed)
 
     monkeypatch.setattr(solver, "UFModel", Counted)
-    got = solver.verify(candidate, problem, cfg)
+    got = solver.verify_by_testing(candidate, problem, cfg)
     assert got == Counterexample(points[GRID_POINT_CAP - 1], cfg.seed)
     assert 0 < len(made) <= solver.MODEL_WINDOW == 8
 
@@ -680,7 +707,7 @@ def test_verify_reports_the_first_row_over_all_constraints():
     # both lie in the chunk x = -2..1.
     problem = load_problem(TWO_BOUNDS)
     candidate = {"f": term("(ite (= x 1) 10 (ite (= x -1) -10 0))")}
-    got = solver.verify(candidate, problem, SolverConfig())
+    got = solver.verify_by_testing(candidate, problem, SolverConfig())
     assert got == plain_verify(candidate, problem, SolverConfig())
     assert got == Counterexample({"x": Value(R_INT, -1)}, 0)
 
@@ -691,7 +718,7 @@ def test_verify_reports_a_random_sample_like_plain_verify(max2_min2_problem):
         "max2": term("(ite (<= x 2) (ite (<= x y) y x) (- x 1))"),
         "min2": term("(ite (<= x y) x y)"),
     }
-    got = solver.verify(candidate, max2_min2_problem, VERIFY_CFG)
+    got = solver.verify_by_testing(candidate, max2_min2_problem, VERIFY_CFG)
     assert got == plain_verify(candidate, max2_min2_problem, VERIFY_CFG)
     assert isinstance(got, Counterexample) and got.assignment["x"].value > 2
 

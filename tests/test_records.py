@@ -129,7 +129,9 @@ FIELDS = {
     solver: {
         "ExpandedGrammar": ("nts", "let_names"),
         "_Prod": ("template", "holes", "own_size", "bound", "free", "column"),
-        "Valid": ("grid_points", "grid_size", "uf_models", "random_samples", "exhaustive"),
+        "Valid": (
+            "grid_points", "grid_size", "uf_models", "random_samples", "exhaustive", "proved",
+        ),
         "Counterexample": ("assignment", "uf_seed"),
         "Solved": ("terms", "evidence"),
         "Fail": ("reason",),
@@ -510,7 +512,7 @@ REPRS = [
     (
         Valid(121, 121, 0, 256, False),
         "Valid(grid_points=121, grid_size=121, uf_models=0, random_samples=256, "
-        "exhaustive=False)",
+        "exhaustive=False, proved=False)",
     ),
     (
         Value(REnum("Color", ("Red",)), "Red"),

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from sygus import solver
+from sygus import prover, solver
 from sygus.checker import R_BOOL, R_INT, RBitVec
 from sygus.lexer import tokenize
 from sygus.parser import parse_term
@@ -171,8 +171,9 @@ def cex(a, b, c, d, uf_seed):
 # Each verify call of the benchmark's verify_uf problems (8 sampled models)
 # and of uf_binary.sl, a binary UF like uf_diff's, at the default 32 models,
 # four full windows of solver.MODEL_WINDOW: the candidate, the result type,
-# and a counterexample's point and UF seed.  The Valid verdict rests on a
-# grid cut at 10,000 of its 11**4 points.
+# and a counterexample's point and UF seed.  More than 10,000 rows are left
+# after the first grid chunk, its first point under the first window of
+# models, so the Valid verdict is a proof, which rests on that chunk alone.
 @pytest.mark.parametrize(
     "spec, models, expected",
     [
@@ -210,8 +211,8 @@ def test_verify_uf_verify_stream(spec, models, expected, monkeypatch):
     result = solve(load_problem(spec), SolverConfig(uf_model_count=models))
     assert calls == expected
     assert result.evidence == Valid(
-        grid_points=10_000, grid_size=11**4, uf_models=models, random_samples=256,
-        exhaustive=False,
+        grid_points=1, grid_size=11**4, uf_models=solver.MODEL_WINDOW, random_samples=0,
+        exhaustive=False, proved=True,
     )
     assert result.evidence.truncated
 
@@ -487,7 +488,10 @@ NO_SYNTH_FUNS = """
     "spec", [(FIXTURES / "max2_min2.sl").read_text(), NO_SYNTH_FUNS],
     ids=["max2_min2", "no_synth_funs"],
 )
-def test_timeout_is_honoured_while_sampling(spec):
+def test_timeout_is_honoured_while_sampling(spec, monkeypatch):
+    # Where the prover gives up, ten million random samples outlast the
+    # limit.
+    monkeypatch.setattr(prover, "proves", lambda *args, **kwargs: False)
     cfg = SolverConfig(random_samples=10**7, timeout_seconds=1.0)
     start = time.monotonic()
     assert solve(load_problem(spec), cfg) == Fail("timeout")
@@ -502,13 +506,20 @@ MIN2 = "(ite (<= x y) x y)"
 
 
 def test_verify_builds_only_the_capped_grid(max2_min2_problem):
+    # Testing alone: verify proves this candidate after its first point.
     candidate = bodies(max2="(ite (<= x y) y x)", min2=MIN2)
+    cfg = SolverConfig(grid_radius=10**9)
     start = time.monotonic()
-    result = verify(candidate, max2_min2_problem, SolverConfig(grid_radius=10**9))
+    result = solver.verify_by_testing(candidate, max2_min2_problem, cfg)
     assert time.monotonic() - start < 1.0
+    grid_size = (2 * 10**9 + 1) ** 2
     assert result == Valid(
-        grid_points=10_000, grid_size=(2 * 10**9 + 1) ** 2, uf_models=0,
+        grid_points=10_000, grid_size=grid_size, uf_models=0,
         random_samples=256, exhaustive=False,
+    )
+    assert verify(candidate, max2_min2_problem, cfg) == Valid(
+        grid_points=1, grid_size=grid_size, uf_models=0, random_samples=0, exhaustive=False,
+        proved=True,
     )
 
 
