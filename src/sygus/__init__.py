@@ -1,32 +1,37 @@
 """SyGuS language front-end and baseline enumerative solver.
 
-Importing the package loads the lexer, parser, printer and
-``SolverConfig``.  The checker's names (``check_program``, ``CheckError``,
-...) load ``sygus.checker`` on first use (PEP 562), and the solver's
-(``solve``, ``verify``, ``Solved``, ...) load ``sygus.solver`` and its
-evaluator, so a program that only parses or prints never pays for the
-checker, and one that only checks never pays for the solver.  No
-subcommand loads ``dataclasses`` (and the ``inspect`` it imports): the
-records register with it when something reads their fields (see
-``syntax.Record``).  ``fractions`` loads at the first real literal, and
-``decimal`` only for an integer too long for ``str``.  Every error about
-the input is a ``SygusError``: a code, a position and a message.
+Importing the package loads the lexer and the parser alone.  The other
+names load their modules on first use (PEP 562): the printer's
+(``print_program``, ``print_term``, ...) load ``sygus.printer``,
+``SolverConfig`` loads ``sygus.config``, the checker's (``check_program``,
+``CheckError``, ...) ``sygus.checker``, and the solver's (``solve``,
+``verify``, ``Solved``, ...) ``sygus.solver`` and its evaluator.  So a
+program that only parses never pays for the printer, one that only checks
+never pays for the solver, and the CLI's ``check`` never loads the printer
+or ``SolverConfig``.  No subcommand loads ``dataclasses`` (and the
+``inspect`` it imports): the records register with it when something reads
+their fields (see ``syntax.Record``).  ``fractions`` loads at the first
+real literal, and ``decimal`` only for an integer too long for ``str``.
+Every error about the input is a ``SygusError``: a code, a position and a
+message.
 """
 
-from .config import SolverConfig
 from .lexer import LexError, tokenize
 from .parser import ParseError, parse_program, parse_text
-from .printer import print_fail, print_program, print_solution, print_term
 from .syntax import SygusError
 
 
+_PRINTER_NAMES = frozenset({"print_fail", "print_program", "print_solution", "print_term"})
 _CHECKER_NAMES = frozenset({"CheckedProblem", "CheckError", "check_program"})
 
 
 def __getattr__(name: str):
-    # Only the names not imported above get here: the checker's and the
-    # solver's.
-    if name in _CHECKER_NAMES:
+    # Only the names not imported above get here.
+    if name in _PRINTER_NAMES:
+        from . import printer as module
+    elif name == "SolverConfig":
+        from . import config as module
+    elif name in _CHECKER_NAMES:
         from . import checker as module
     elif name in __all__:
         from . import solver as module

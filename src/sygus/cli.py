@@ -41,12 +41,39 @@ caller wrapping ``tokenize`` (as ``perfbench/tracing.py`` does) still sees
 the lexer as a layer of its own, and counts its tokens.
 
 Each subcommand loads only what it runs.  ``check_program`` below imports
-``sygus.checker`` on its first call, and ``solve`` imports ``sygus.solver``,
-so ``parse`` and ``fmt`` load the lexer, parser and printer alone, ``check``
-adds the checker, and only ``solve`` loads the solver.  The solver imports
-``sygus.prover`` at the first proof that ``verify`` attempts, so only a
-``solve`` of a linear problem with more than ``solver.GRID_POINT_CAP`` rows
-to test loads it.
+``sygus.checker`` on its first call, ``solve`` imports ``sygus.solver``,
+and ``print_program``, ``print_solution``, ``print_fail`` and
+``dump_program`` import ``sygus.printer``; ``SolverConfig`` is imported
+where ``solve``'s options are read.  So ``check`` loads the lexer, parser
+and checker alone, ``parse`` and ``fmt`` the lexer, parser and printer,
+and only ``solve`` loads ``sygus.config``, the solver and its evaluator.
+The solver imports ``sygus.prover`` at the first proof that ``verify``
+attempts, so only a ``solve`` of a linear problem with more than
+``solver.GRID_POINT_CAP`` rows to test loads it.
+
+argparse runs only for help and usage errors, and for the argv forms that
+only it reads: importing it, with the ``gettext`` it imports, and building
+the parser take several milliseconds of each call.  ``run`` first
+tries ``_plain_args``, which takes a plain argv alone:
+
+    argv   := subcommand word*         (the words in any order)
+    word   := "--verbose"
+            | "--" NAME VALUE          (solve only; the last one given wins)
+            | INPUT                    (exactly one)
+    NAME   := a key of ``_OPTIONS``, written out in full
+    VALUE  := any word that does not start with "-"
+    INPUT  := "-" | any word that does not start with "-"
+
+and makes of it the namespace that argparse would make.  Any other argv
+(``-h``, ``--help``, an abbreviated flag, ``--name=value``, ``--``, a
+value that starts with a dash, a missing or a second input, an unknown
+flag or subcommand) goes to argparse, which writes help and every usage
+error.  The grammar is a strict subset of argparse's: every word is one
+that argparse reads the same way in that place (a dash-free word is a
+positional or a flag's value, an exact flag is never taken for an
+abbreviation), so where ``_plain_args`` accepts an argv, argparse would
+accept it with the same namespace; a test checks that on generated argv
+lists, exit codes and output included.
 
 ``run`` pauses Python's cyclic garbage collector once the arguments are
 parsed, through the lexer, parser, checker and printer; it turns the
@@ -63,30 +90,24 @@ Library calls such as ``parse_text`` leave the collector alone.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence, TextIO
 
 from . import lexer
-from .config import SolverConfig
 from .lexer import LexError, blocks, tokenize
 from .parser import ParseError, parse_program
-from .printer import (
-    print_command,
-    print_fail,
-    print_program,
-    print_solution,
-    print_term,
-    render_term,
-)
 from .syntax import Lit, NO_POS, Pos, Program, Ref, SygusError, Term
 
 if TYPE_CHECKING:
-    from .checker import CheckedProblem
+    import argparse
+
+    from .checker import CheckedProblem, SynthTask
+    from .config import SolverConfig
     from .solver import Fail, Solved, Valid
 
 EXIT_OK = 0
@@ -131,6 +152,10 @@ def _arg_parser() -> argparse.ArgumentParser:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    from .config import SolverConfig
+
     parser = argparse.ArgumentParser(
         prog="sygus",
         description="Front-end and baseline solver for SyGuS problem files.",
@@ -165,6 +190,39 @@ def build_arg_parser() -> argparse.ArgumentParser:
             f"--{name}", metavar=_METAVARS[kind], help=f"{about} (default: {default})"
         )
     return parser
+
+
+#: Each flag of ``solve`` that takes a value, and the attribute it sets.
+_FLAG_FIELDS = {f"--{name}": field for name, (field, *_) in _OPTIONS.items()}
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace that ``_arg_parser()`` makes of ``argv``, made without
+    argparse if ``argv`` is plain (see the module docstring); ``None`` if it
+    is not."""
+    if not argv or argv[0] not in ("parse", "check", "fmt", "solve"):
+        return None
+    args = {"subcommand": argv[0], "verbose": False}
+    flags = _FLAG_FIELDS if argv[0] == "solve" else {}
+    args.update(dict.fromkeys(flags.values()))
+    inputs = []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--verbose":
+            args["verbose"] = True
+        elif word in flags:
+            # A missing value reads as "-", which is declined.
+            value = next(words, "-")
+            if value[:1] == "-":
+                return None
+            args[flags[word]] = value
+        elif word == "-" or word[:1] != "-":
+            inputs.append(word)
+        else:
+            return None
+    if len(inputs) != 1:
+        return None
+    return SimpleNamespace(input=inputs[0], **args)
 
 
 def _join_dashed_values(argv: Sequence[str]) -> list[str]:
@@ -210,26 +268,55 @@ def apply_set_options(
     return cfg
 
 
-def _dump_leaf(t: Term) -> str:
-    if isinstance(t, Lit):
-        return f"(Lit {print_term(t)})"
-    if isinstance(t, Ref):
-        return f"(Ref {t.name})"
-    # The four grammar shorthands dump as they print.
-    return print_term(t)
-
-
-def _dump_term(t: Term) -> str:
-    return render_term(t, _dump_leaf, "(App ", "(Let (")
-
-
 def dump_program(p: Program) -> str:
     """Structural AST dump, one command per line: the printer's layout with
     class names for keywords and every term node tagged with its kind."""
+    from .printer import print_command, print_term, render_term
+
+    def leaf(t: Term) -> str:
+        if isinstance(t, Lit):
+            return f"(Lit {print_term(t)})"
+        if isinstance(t, Ref):
+            return f"(Ref {t.name})"
+        # The four grammar shorthands dump as they print.
+        return print_term(t)
+
+    def term(t: Term) -> str:
+        return render_term(t, leaf, "(App ", "(Let (")
+
     return "".join(
-        print_command(c, _dump_term, lambda cmd: type(cmd).__name__) + "\n"
-        for c in p.commands
+        print_command(c, term, lambda cmd: type(cmd).__name__) + "\n" for c in p.commands
     )
+
+
+# The printer's three entry points that ``_run`` calls, each importing the
+# printer on its first call and, like ``check_program``, a module global
+# that a caller can wrap (``perfbench/tracing.py`` does), so ``check`` never
+# loads the printer.
+
+
+def print_program(p: Program) -> str:
+    """``sygus.printer.print_program``, importing the printer on the first
+    call."""
+    from . import printer
+
+    return printer.print_program(p)
+
+
+def print_solution(candidate: dict[str, Term], tasks: tuple[SynthTask, ...]) -> str:
+    """``sygus.printer.print_solution``, importing the printer on the first
+    call."""
+    from . import printer
+
+    return printer.print_solution(candidate, tasks)
+
+
+def print_fail() -> str:
+    """``sygus.printer.print_fail``, importing the printer on the first
+    call."""
+    from . import printer
+
+    return printer.print_fail()
 
 
 def check_program(program: Program) -> CheckedProblem:
@@ -325,7 +412,10 @@ def run(
     """Execute one CLI invocation and return its exit code."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    args = _arg_parser().parse_args(_join_dashed_values(argv))
+    args = _plain_args(argv)
+    if args is None:
+        # Help, a usage error or an argv that only argparse reads right.
+        args = _arg_parser().parse_args(_join_dashed_values(argv))
     # Paused after argparse, whose first call builds the parser and leaves
     # cyclic garbage.
     collecting = gc.isenabled()
@@ -342,7 +432,9 @@ def run(
             gc.enable()
 
 
-def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -> int:
+def _run(
+    args: SimpleNamespace | argparse.Namespace, out: TextIO, err: TextIO, collecting: bool
+) -> int:
     """One invocation with the collector paused; ``collecting`` says
     whether to turn it back on for ``solve``."""
     try:
@@ -373,6 +465,8 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO, collecting: bool) -
         }
         # A flag wins over the file: it replaces the file's pairs of its option.
         options = [o for o in problem.options if o[0] not in flags] + list(flags.values())
+        from .config import SolverConfig
+
         cfg = apply_set_options(options, SolverConfig(), err if args.verbose else None)
         if collecting:
             gc.enable()

@@ -819,8 +819,9 @@ def verify(
     first window of models), and only where more than ``GRID_POINT_CAP``
     rows of the grid and the samples are still left to test.  A proved
     candidate gets a ``Valid`` marked proved, whose fields count the rows
-    of that chunk.  Otherwise the candidate is tested from the first chunk
-    on: the prover never reports a counterexample.
+    of that chunk.  Otherwise the candidate is tested, and the grid walk
+    goes on from the second point with the first window's models and the
+    outcome at the first point: the prover never reports a counterexample.
 
     Why the result is the one testing gives: a proved candidate satisfies
     every constraint at every point under every interpretation of the
@@ -946,6 +947,9 @@ class _Testing:
             _whole_domain(s, size) for s, (size, _) in zip(self.variables.values(), self.grid)
         )
         self.sample_count = 0 if self.exhaustive else cfg.random_samples
+        #: The first window's ``(seed, model)`` pairs and the first failing
+        #: row of its first chunk, once ``first_chunk_passes`` has checked it.
+        self.first_chunk = None
 
     def model_for(self, seed: int) -> Optional[UFModel]:
         return UFModel(self.uf_decls, seed) if self.has_ufs else None
@@ -969,24 +973,38 @@ class _Testing:
 
     def first_chunk_passes(self, window: list[int]) -> bool:
         """Whether every constraint holds at the grid's first point under
-        each model of ``window``, the seeds of the first window."""
-        rows = Rows([(self.model_for(seed), 1) for seed in window], len(window))
-        return _first_false(self.checks, self.names, [next(self.points())], rows) is None
+        each model of ``window``, the seeds of the first window.  The
+        window's models and the outcome are kept for ``grid_failure``,
+        which goes on from the second point."""
+        live = [(seed, self.model_for(seed)) for seed in window]
+        rows = Rows([(model, 1) for _, model in live], len(live))
+        at = _first_false(self.checks, self.names, [next(self.points())], rows)
+        self.first_chunk = live, at
+        return at is None
 
     def grid_failure(self) -> Optional[_Row]:
         """The first failing row of the capped grid, in model-major order,
         checked point-major over each window of models in turn."""
         checks, names, deadline = self.checks, self.names, self.deadline
         seeds = self.model_seeds()
+        # The first window's first chunk, if ``first_chunk_passes`` checked
+        # it: one point, the first chunk's size.
+        first_chunk = self.first_chunk
         done = 0
         while window := list(islice(seeds, MODEL_WINDOW)):
-            live = [(seed, self.model_for(seed)) for seed in window]
+            if first_chunk is None:
+                live = [(seed, self.model_for(seed)) for seed in window]
+            else:
+                live = first_chunk[0]
             found = None
             points = self.points()
             while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
                 done += len(chunk)
-                rows = Rows([(model, len(chunk)) for _, model in live], len(live))
-                at = _first_false(checks, names, chunk, rows)
+                if first_chunk is None:
+                    rows = Rows([(model, len(chunk)) for _, model in live], len(live))
+                    at = _first_false(checks, names, chunk, rows)
+                else:
+                    at, first_chunk = first_chunk[1], None
                 if at is not None:
                     first, point = divmod(at, len(chunk))
                     found = chunk[point], live[first][0]

@@ -6,11 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import sygus
 from sygus import checker, cli, solver
@@ -610,14 +613,21 @@ def test_front_end_subcommands_handle_480_levels_of_nesting(tmp_path, subcommand
 
 # Runs CLI calls one after the other, each argument the words of one call
 # joined by newlines, and prints the repr of the list of their (exit code,
-# stdout, stderr) and then the modules the interpreter holds.
+# stdout, stderr), argparse's help and usage errors included, and then the
+# modules the interpreter holds.
 CALLS_THEN_MODULES = """
 import io, sys
 from sygus.cli import run
 results = []
 for call in sys.argv[1:]:
     out, err = io.StringIO(), io.StringIO()
-    results.append((run(call.split("\\n"), out, err), out.getvalue(), err.getvalue()))
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = run(call.split("\\n"), out, err)
+    except SystemExit as e:
+        code = e.code
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    results.append((code, out.getvalue(), err.getvalue()))
 print(repr(results))
 print(*sys.modules)
 """
@@ -646,8 +656,39 @@ def test_front_end_subcommands_load_no_solver(subcommand):
     assert code == EXIT_OK
     assert "sygus.parser" in loaded
     assert not loaded & {"sygus.solver", "sygus.evaluator", "_hashlib"}
-    # Only check runs the checker.
+    # Only check runs the checker, and it prints nothing.  A plain argv is
+    # read without argparse, and no front-end call reads a solver option.
     assert ("sygus.checker" in loaded) == (subcommand == "check")
+    assert ("sygus.printer" in loaded) == (subcommand != "check")
+    assert not loaded & {"argparse", "gettext", "sygus.config"}
+    if subcommand == "check":
+        ours = {m for m in loaded if m.split(".")[0] == "sygus"}
+        assert ours == {
+            "sygus", "sygus.syntax", "sygus.lexer", "sygus.parser", "sygus.cli", "sygus.checker"
+        }
+
+
+@pytest.mark.parametrize(
+    "argv, code, reads_argparse",
+    [
+        (("solve", "FILE"), EXIT_OK, False),
+        (("solve", "FILE", "--verbose", "--max-term-size", "8", "--constant-pool", "0,1"),
+         EXIT_OK, False),
+        (("solve", "--max-term", "8", "FILE"), EXIT_OK, True),
+        (("solve", "--constant-pool", "-1,2", "FILE"), EXIT_OK, True),
+        (("solve", "--help"), EXIT_OK, True),
+        (("solve",), EXIT_STATIC, True),
+        (("check", "--seed", "3", "FILE"), EXIT_STATIC, True),
+    ],
+    ids=["solve", "solve_flags", "abbreviation", "dash_value", "help", "no_input", "bad_flag"],
+)
+def test_only_help_and_usage_errors_load_argparse(argv, code, reads_argparse):
+    path = str(FIXTURES / "max2_min2.sl")
+    [(got, out, err)], loaded = calls_in_child([path if a == "FILE" else a for a in argv])
+    assert got == code
+    assert ("argparse" in loaded) == ("gettext" in loaded) == reads_argparse
+    if code == EXIT_STATIC:
+        assert err.startswith("usage: sygus ")
 
 
 BAD_OPTION_THEN_MODULES = """
@@ -816,6 +857,41 @@ def test_package_names_resolve():
     assert callable(cli.check_program)
     with pytest.raises(AttributeError):
         sygus.no_such_name
+
+
+# Runs check, fmt and solve of one file under the benchmark's tracer, and
+# prints their (exit code, stdout) pairs and then the tracer's counts.
+TRACED_CALLS = """
+import importlib.util, io, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from sygus.cli import run
+tracer = tracing.Tracer()
+results = []
+with tracing.installed(tracer):
+    for subcommand in ("check", "fmt", "solve"):
+        out = io.StringIO()
+        results.append((run([subcommand, sys.argv[2]], out, io.StringIO()), out.getvalue()))
+print(repr(results))
+print(repr(dict(tracer.counts)))
+"""
+
+
+def test_the_tracer_counts_every_layer_that_the_cli_calls():
+    # perfbench/tracing.py wraps the lexer, the parser and the printer at
+    # the names sygus.cli calls them by: the printer's entry points must stay
+    # module globals of the CLI, or fmt and solve would print untraced.
+    path = str(FIXTURES / "let_grammar.sl")
+    results, counts = map(
+        ast.literal_eval, child(TRACED_CALLS, str(ROOT / "perfbench" / "tracing.py"), path)
+    )
+    formatted = (ROOT / "tests" / "golden" / "let_grammar.fmt").read_text()
+    assert results == [
+        (EXIT_OK, ""), (EXIT_OK, formatted), (EXIT_OK, FIXTURE_SOLUTIONS["let_grammar"])
+    ]
+    assert counts["lexer.tokens"] > 0 and counts["parser.nodes"] > 0
+    assert counts["printer.bytes"] == len(results[1][1]) + len(results[2][1])
 
 
 @pytest.mark.parametrize(
@@ -1061,6 +1137,77 @@ def test_the_parser_built_once_prints_what_a_fresh_one_prints(capsys, monkeypatc
     assert fresh[1] or fresh[2]
     for _ in range(2):
         assert printed(lambda a: run_cli(*a)) == fresh
+
+
+def outcome(argv, stdin=b""):
+    """The exit code, stdout and stderr of ``run(argv)``, argparse's usage
+    errors and help included, with ``stdin`` as standard input."""
+    out, err = StringIO(), StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(list(argv), out, err)
+            except SystemExit as e:
+                code = e.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Pieces of argv lists: the subcommands, every flag of solve and a prefix
+#: of each, help, forms that only argparse reads (``--name=value``, ``--``,
+#: a value that starts with a dash), and inputs, one of them a missing file.
+SUBCOMMANDS = ["parse", "check", "fmt", "solve"]
+FLAGS = [f"--{name}" for name in cli._OPTIONS]
+PREFIXES = [f"--{name[:max(2, len(name) // 2)]}" for name in cli._OPTIONS]
+INPUTS = ["-", str(FIXTURES / "uf_pair.sl"), str(FIXTURES / "no_such_file.sl"), "check"]
+ARGV_PIECES = [
+    *SUBCOMMANDS, "--verbose", *FLAGS, *PREFIXES, "-h", "--help", "--seed=3", "--",
+    "5", "-1", "-1,2", "", *INPUTS,
+]
+PIECES = st.sampled_from(ARGV_PIECES)
+#: An option of a plain argv of solve.
+OPTIONS = st.one_of(
+    st.just(["--verbose"]), st.tuples(st.sampled_from(FLAGS), st.sampled_from(["5", ""])).map(list)
+)
+
+
+@st.composite
+def argv_lists(draw):
+    """Any words of ``ARGV_PIECES``, or a plain argv of solve (a subcommand,
+    options and an input) with now and then a piece put in or for a word."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(st.lists(PIECES, max_size=6))
+    words = [w for option in draw(st.lists(OPTIONS, max_size=3)) for w in option]
+    words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(INPUTS)))
+    words.insert(0, "solve")
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(words)))
+        words[at:at + draw(st.integers(0, 1))] = [draw(PIECES)]
+    return words
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_lists())
+@example(["solve", str(FIXTURES / "uf_pair.sl"), "--uf-model-count", "5", "--verbose"])
+@example(["solve", "--seed", "5", "--seed", "", "-"])
+@example(["check", "--verbose", "check"])
+@example(["fmt", "-"])
+def test_the_plain_argv_parse_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    event("plain" if plain is not None else "argparse")
+    if plain is not None:
+        assert vars(plain) == vars(cli.build_arg_parser().parse_args(cli._join_dashed_values(argv)))
+    stdin = (FIXTURES / "uf_pair.sl").read_bytes()
+    got = outcome(argv, stdin)
+    real = cli._plain_args
+    cli._plain_args = lambda argv: None
+    try:
+        assert got == outcome(argv, stdin)
+    finally:
+        cli._plain_args = real
 
 
 def large_spec():

@@ -33,6 +33,7 @@ from conftest import (
     MAX2_MIN2_BASE,
     MAX3,
     UF_DIFF,
+    UF_GUARDED,
     UF_SUM,
     collector_paused,
     load_problem,
@@ -215,6 +216,35 @@ def test_verify_uf_verify_stream(spec, models, expected, monkeypatch):
         exhaustive=False, proved=True,
     )
     assert result.evidence.truncated
+
+
+@pytest.mark.parametrize("candidate, verdict", [("(+ a c)", Valid), ("(+ a a)", Counterexample)])
+def test_an_unproved_verify_tests_each_row_once(candidate, verdict, monkeypatch):
+    # The first grid point passes under the first window of models, and the
+    # prover cannot prove either candidate (the valid one needs the fact
+    # c = d): the grid walk goes on from the second point, so each point is
+    # checked once per model, and the first failing row is the one testing
+    # alone finds.
+    rows = []
+    original = solver._first_false
+
+    def counting(checks, names, points, batch):
+        rows.append(sum(n for _, n in batch.runs))
+        return original(checks, names, points, batch)
+
+    monkeypatch.setattr(solver, "_first_false", counting)
+    problem = load_problem(UF_GUARDED)
+    body = {"f": parse_term(tokenize(candidate))}
+    cfg = SolverConfig(uf_model_count=8)
+    result = verify(body, problem, cfg)
+    assert isinstance(result, verdict)
+    assert not prover.proves(body, problem, solver._Deadline(None))
+    tested = sum(rows)
+    rows.clear()
+    assert result == solver.verify_by_testing(body, problem, cfg)
+    assert tested == sum(rows)
+    if verdict is Valid:
+        assert tested == 8 * result.grid_points + result.random_samples == 80_256
 
 
 # A whole finite grid, but models of an uninterpreted function are samples.
