@@ -48,8 +48,10 @@ where ``solve``'s options are read.  So ``check`` loads the lexer, parser
 and checker alone, ``parse`` and ``fmt`` the lexer, parser and printer,
 and only ``solve`` loads ``sygus.config``, the solver and its evaluator.
 The solver imports ``sygus.prover`` at the first proof that ``verify``
-attempts, so only a ``solve`` of a linear problem with more than
-``solver.GRID_POINT_CAP`` rows to test loads it.
+attempts, a step of its grid walk once a candidate passes the first grid
+chunk, so only a ``solve`` of a linear problem with more than
+``solver.GRID_POINT_CAP`` rows to test, one of whose candidates passes
+that chunk, loads it.
 
 argparse runs only for help and usage errors, and for the argv forms that
 only it reads: importing it, with the ``gettext`` it imports, and building

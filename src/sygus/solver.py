@@ -40,21 +40,21 @@ the pruning of the classic enumerative SyGuS solvers (Alur et al.,
   directly or through a let of the constraints, where the arguments depend
   on the candidate.
 
-Verification proves where it can and tests otherwise.  Testing checks a
-candidate on a finite grid over the universal variables under a batch of
-sampled models for uninterpreted functions, then on a batch of random
-assignments; a verdict it passes means "no counterexample found within the
-configured budget", a proof only where the grid is ``exhaustive``.  On a
-linear problem (Int and Bool, with or without uninterpreted functions),
-``verify`` first tests the grid's first chunk and, where more than
-``GRID_POINT_CAP`` rows would be left to test, asks ``sygus.prover`` for a
-proof over linear normal forms and congruence, which holds for every value
-and every interpretation; it tests the rest only if the prover gives up.
-A proof is never a counterexample and stands only where testing would pass
-the candidate too, so the counterexamples and the output are those of
-testing alone.  A ``Valid`` says which of the three ways it was reached
-(``proved``, ``exhaustive``, or neither: tested) and counts the rows
-tested.
+Verification tests, and proves where it can.  Testing checks a candidate
+on a finite grid over the universal variables under a batch of sampled
+models for uninterpreted functions, then on a batch of random assignments;
+a verdict it passes means "no counterexample found within the configured
+budget", a proof only where the grid is ``exhaustive``.  The proof is one
+step of that walk: on a linear problem (Int and Bool, with or without
+uninterpreted functions), once the candidate passes the grid's first
+chunk and more than ``GRID_POINT_CAP`` rows are left to test, ``verify``
+asks ``sygus.prover`` for a proof over linear normal forms and congruence,
+which holds for every value and every interpretation, and the walk goes
+on only if the prover gives up.  A proof is never a counterexample and
+stands only where testing would pass the candidate too, so the
+counterexamples and the output are those of testing alone.  A ``Valid``
+says which of the three ways it was reached (``proved``, ``exhaustive``,
+or neither: tested) and counts the rows tested.
 
 Inside the solver a value is its payload (see ``evaluator``), and no
 compiled term boxes one.  Every evaluation runs on terms compiled into
@@ -670,18 +670,22 @@ class Fail(Record):
     reason: str  # "exhausted" or "timeout"
 
 
+_GATE = "E-THEORY-UNSUPPORTED"
+_REAL_TERMS = "real-valued terms cannot be verified by this solver"
+
+
 def _theory_gate(problem: CheckedProblem) -> None:
     """Raise ``E-THEORY-UNSUPPORTED`` unless the solver can sample and
-    evaluate every sort and literal of ``problem``."""
-    gate = "E-THEORY-UNSUPPORTED"
+    evaluate every sort and literal of ``problem`` outside its grammars
+    (see ``_grammar_gate``)."""
     if problem.sig.logic in ("Reals", "Arrays"):
         raise SolveError(
-            gate, problem.logic_pos, f"solving over the {problem.sig.logic} theory is not supported"
+            _GATE, problem.logic_pos, f"solving over the {problem.sig.logic} theory is not supported"
         )
     for name, sort in problem.universal_vars.items():
         if unsupported_sort(sort):
             message = f"universal variable '{name}' has unsupported sort {sort}"
-            raise SolveError(gate, problem.var_pos[name], message)
+            raise SolveError(_GATE, problem.var_pos[name], message)
     # The declared functions in source order; ``funcs`` groups overloads by
     # name.
     entries = sorted(
@@ -690,11 +694,34 @@ def _theory_gate(problem: CheckedProblem) -> None:
     for kind, what in (("uf", "uninterpreted function"), ("synth", "synthesis function")):
         for e in entries:
             if e.kind == kind and any(map(unsupported_sort, e.arg_sorts + (e.ret,))):
-                raise SolveError(gate, e.pos, f"{what} '{e.name}' has an unsupported sort")
+                raise SolveError(_GATE, e.pos, f"{what} '{e.name}' has an unsupported sort")
     for term in problem.constraints + tuple(e.body for e in entries if e.kind == "macro"):
         for n in subterms(term):
             if isinstance(n, Lit) and isinstance(n.value, RealConst):
-                raise SolveError(gate, n.pos, "real-valued terms cannot be verified by this solver")
+                raise SolveError(_GATE, n.pos, _REAL_TERMS)
+
+
+def _grammar_gate(problem: CheckedProblem) -> None:
+    """Raise ``E-THEORY-UNSUPPORTED`` at the first non-terminal, grammar
+    ``let`` binding, shorthand or real literal of ``problem``'s grammars,
+    in source order, whose sort the solver cannot enumerate or evaluate."""
+    for task in problem.synth_tasks:
+        for nt in task.grammar:
+            if unsupported_sort(nt.sort):
+                message = f"non-terminal '{nt.name}' has unsupported sort {nt.sort}"
+                raise SolveError(_GATE, nt.pos, message)
+            for n in (n for prod in nt.productions for n in subterms(prod)):
+                if isinstance(n, Lit) and isinstance(n.value, RealConst):
+                    raise SolveError(_GATE, n.pos, _REAL_TERMS)
+                if isinstance(n, SHORTHANDS) and unsupported_sort(problem.resolve(n.sort)):
+                    message = f"shorthand '{print_term(n)}' has an unsupported sort"
+                    raise SolveError(_GATE, n.pos, message)
+                if isinstance(n, Let):
+                    for b in n.bindings:
+                        sort = problem.resolve(b.sort)
+                        if unsupported_sort(sort):
+                            message = f"let binding '{b.name}' has unsupported sort {sort}"
+                            raise SolveError(_GATE, n.pos, message)
 
 
 def _grid(sorts: list[ResolvedSort], cfg: SolverConfig) -> list[tuple[int, list[Payload]]]:
@@ -808,68 +835,11 @@ def verify(
     cfg: SolverConfig,
     _deadline: Optional[_Deadline] = None,
 ) -> VerificationResult:
-    """Check a candidate, given as a body per synthesis function name: prove
-    it where that is cheaper than testing and the prover can, and test it
-    (``verify_by_testing``) otherwise.
+    """Check a candidate, given as a body per synthesis function name,
+    against the grid and random samples, and prove it where that is cheaper
+    than testing and the prover can.
 
-    The proof is attempted only on a linear problem (``_linear``: Int and
-    Bool variables and functions, with or without uninterpreted ones; so
-    no bit-vector or enum problem loads ``sygus.prover``), only once the
-    candidate passes the first chunk of the grid (its first point under the
-    first window of models), and only where more than ``GRID_POINT_CAP``
-    rows of the grid and the samples are still left to test.  A proved
-    candidate gets a ``Valid`` marked proved, whose fields count the rows
-    of that chunk.  Otherwise the candidate is tested, and the grid walk
-    goes on from the second point with the first window's models and the
-    outcome at the first point: the prover never reports a counterexample.
-
-    Why the result is the one testing gives: a proved candidate satisfies
-    every constraint at every point under every interpretation of the
-    uninterpreted functions, so it has no counterexample, and testing would
-    have passed it too.  So a proof changes only the ``Valid``'s fields,
-    never a counterexample or whether the candidate passes.  A proof
-    attempt reads the deadline as the grid does (see ``sygus.prover``).
-    """
-    _theory_gate(problem)
-    testing = _Testing(candidate, problem, cfg, _deadline)
-    window = list(islice(testing.model_seeds(), MODEL_WINDOW))
-    if (
-        testing.rows() - len(window) > GRID_POINT_CAP
-        and _linear(problem)
-        and testing.first_chunk_passes(window)
-    ):
-        from .prover import proves
-
-        if proves(candidate, problem, testing.deadline):
-            return Valid(
-                grid_points=1,
-                grid_size=testing.grid_size,
-                uf_models=len(window) if testing.has_ufs else 0,
-                random_samples=0,
-                exhaustive=False,
-                proved=True,
-            )
-    return testing.verdict()
-
-
-def verify_by_testing(
-    candidate: Mapping[Symbol, Term],
-    problem: CheckedProblem,
-    cfg: SolverConfig,
-    _deadline: Optional[_Deadline] = None,
-) -> VerificationResult:
-    """``verify`` without the proof: the candidate tested on the grid and
-    the random samples (see ``_Testing``)."""
-    _theory_gate(problem)
-    return _Testing(candidate, problem, cfg, _deadline).verdict()
-
-
-class _Testing:
-    """The testing half of ``verify`` for one candidate: its constraints,
-    compiled once with the candidate inlined, the capped grid, the sampled
-    models and the random samples.
-
-    ``verdict`` is the first row, in a fixed order, at which a constraint
+    The result is the first row, in a fixed order, at which a constraint
     is false.  The order is the grid model-major (every point of the capped
     grid under the first sampled model, then under the next), then the
     random samples, each with its own model.
@@ -888,7 +858,7 @@ class _Testing:
     the result's order, and the models before it go on to the end of the
     grid.  So a window's result is the failure of its first model that
     fails; a window with none passes on to the next.  A window's models are
-    made when the stream reaches it, so at most ``MODEL_WINDOW`` are live.
+    made when the walk reaches it, so at most ``MODEL_WINDOW`` are live.
 
     Each of the two streams is evaluated in chunks of one point more than
     the stream has checked so far, up to ``CHUNK_CAP`` points, so their
@@ -917,140 +887,109 @@ class _Testing:
     failing point and those of the models after the failing one, cannot be
     observed: evaluation is pure (the models and the sample generator
     belong to this call) and total (``_theory_gate`` admits no real
-    division, and a model encodes every value it is queried at), so those
-    rows change no result and raise nothing.
+    division in the problem, nor ``_grammar_gate`` in the candidates
+    ``solve`` builds, and a model encodes every value it is queried at), so
+    those rows change no result and raise nothing.
+
+    The proof is one step of the grid walk.  Once the first chunk (the
+    first point under the first window of models) passes, on a linear
+    problem (``_linear``: Int and Bool variables and functions, with or
+    without uninterpreted ones; so no bit-vector or enum problem loads
+    ``sygus.prover``) where more than ``GRID_POINT_CAP`` rows of the grid
+    and the samples are left to test, ``sygus.prover`` is asked for a
+    proof.  A proved candidate gets a ``Valid`` marked proved, whose fields
+    count the rows of that chunk; otherwise the walk goes on from the
+    second point.  A proved candidate satisfies every constraint at every
+    point under every interpretation of the uninterpreted functions, so
+    testing would have passed it too, and the prover never reports a
+    counterexample: a proof changes only the ``Valid``'s fields.  A proof
+    attempt reads the deadline as the grid does (see ``sygus.prover``).
 
     The counterexamples of earlier calls are not checked again: ``solve``
     passes a tuple on only once its screens hold at every one of them.  No
     random sample is drawn after an exhaustive grid: it could only repeat a
     grid point.
     """
+    _theory_gate(problem)
+    deadline = _deadline if _deadline is not None else _Deadline(None)
+    env = EvalEnv(problem, candidate)
+    variables = problem.universal_vars
+    names = list(variables)
+    checks = [compile_term(c, env, variables) for c in problem.constraints]
+    has_ufs = bool(problem.uf_decls)
 
-    def __init__(
-        self,
-        candidate: Mapping[Symbol, Term],
-        problem: CheckedProblem,
-        cfg: SolverConfig,
-        deadline: Optional[_Deadline],
-    ):
-        self.cfg = cfg
-        self.deadline = deadline if deadline is not None else _Deadline(None)
-        env = EvalEnv(problem, candidate)
-        self.variables = problem.universal_vars
-        self.names = list(self.variables)
-        self.checks = [compile_term(c, env, self.variables) for c in problem.constraints]
-        self.uf_decls = problem.uf_decls
-        self.has_ufs = bool(problem.uf_decls)
-        self.grid = _grid(list(self.variables.values()), cfg)
-        self.grid_size = math.prod(size for size, _ in self.grid)
-        self.exhaustive = not self.has_ufs and self.grid_size <= GRID_POINT_CAP and all(
-            _whole_domain(s, size) for s, (size, _) in zip(self.variables.values(), self.grid)
-        )
-        self.sample_count = 0 if self.exhaustive else cfg.random_samples
-        #: The first window's ``(seed, model)`` pairs and the first failing
-        #: row of its first chunk, once ``first_chunk_passes`` has checked it.
-        self.first_chunk = None
+    def model_for(seed: int) -> Optional[UFModel]:
+        return UFModel(problem.uf_decls, seed) if has_ufs else None
 
-    def model_for(self, seed: int) -> Optional[UFModel]:
-        return UFModel(self.uf_decls, seed) if self.has_ufs else None
+    grid = _grid(list(variables.values()), cfg)
+    grid_size = math.prod(size for size, _ in grid)
+    exhaustive = not has_ufs and grid_size <= GRID_POINT_CAP and all(
+        _whole_domain(s, size) for s, (size, _) in zip(variables.values(), grid)
+    )
+    sample_count = 0 if exhaustive else cfg.random_samples
+    if has_ufs:
+        model_seeds = ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
+    else:
+        model_seeds = iter([cfg.seed])
+    models = cfg.uf_model_count if has_ufs else 1
+    # The rows of the whole test: the capped grid under each model, and the
+    # random samples.
+    test_rows = min(grid_size, GRID_POINT_CAP) * models + sample_count
 
-    def model_seeds(self) -> Iterator[int]:
-        """The seed of each model the grid is tested under, in order."""
-        cfg = self.cfg
-        if self.has_ufs:
-            return ((cfg.seed + m) & _MASK64 for m in range(cfg.uf_model_count))
-        return iter([cfg.seed])
+    found: Optional[_Row] = None
+    done = 0
+    while found is None and (window := list(islice(model_seeds, MODEL_WINDOW))):
+        live = [(seed, model_for(seed)) for seed in window]
+        points = islice(product(*[values for _, values in grid]), GRID_POINT_CAP)
+        while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
+            done += len(chunk)
+            rows = Rows([(model, len(chunk)) for _, model in live], len(live))
+            at = _first_false(checks, names, chunk, rows)
+            if at is not None:
+                first, point = divmod(at, len(chunk))
+                found = chunk[point], live[first][0]
+                if first == 0:
+                    break
+                del live[first:]
+            elif done == 1 and test_rows - len(live) > GRID_POINT_CAP and _linear(problem):
+                # The first chunk passed, and a proof saves testing the rest.
+                from .prover import proves
 
-    def rows(self) -> int:
-        """The rows of the whole test: the capped grid under each model, and
-        the random samples."""
-        models = self.cfg.uf_model_count if self.has_ufs else 1
-        return min(self.grid_size, GRID_POINT_CAP) * models + self.sample_count
+                if proves(candidate, problem, deadline):
+                    uf_models = len(live) if has_ufs else 0
+                    return Valid(1, grid_size, uf_models, 0, False, proved=True)
+            deadline.check()
 
-    def points(self) -> Iterator[_Point]:
-        """The capped grid's points in order."""
-        return islice(product(*[values for _, values in self.grid]), GRID_POINT_CAP)
-
-    def first_chunk_passes(self, window: list[int]) -> bool:
-        """Whether every constraint holds at the grid's first point under
-        each model of ``window``, the seeds of the first window.  The
-        window's models and the outcome are kept for ``grid_failure``,
-        which goes on from the second point."""
-        live = [(seed, self.model_for(seed)) for seed in window]
-        rows = Rows([(model, 1) for _, model in live], len(live))
-        at = _first_false(self.checks, self.names, [next(self.points())], rows)
-        self.first_chunk = live, at
-        return at is None
-
-    def grid_failure(self) -> Optional[_Row]:
-        """The first failing row of the capped grid, in model-major order,
-        checked point-major over each window of models in turn."""
-        checks, names, deadline = self.checks, self.names, self.deadline
-        seeds = self.model_seeds()
-        # The first window's first chunk, if ``first_chunk_passes`` checked
-        # it: one point, the first chunk's size.
-        first_chunk = self.first_chunk
-        done = 0
-        while window := list(islice(seeds, MODEL_WINDOW)):
-            if first_chunk is None:
-                live = [(seed, self.model_for(seed)) for seed in window]
-            else:
-                live = first_chunk[0]
-            found = None
-            points = self.points()
-            while chunk := list(islice(points, min(done + 1, CHUNK_CAP))):
-                done += len(chunk)
-                if first_chunk is None:
-                    rows = Rows([(model, len(chunk)) for _, model in live], len(live))
-                    at = _first_false(checks, names, chunk, rows)
-                else:
-                    at, first_chunk = first_chunk[1], None
-                if at is not None:
-                    first, point = divmod(at, len(chunk))
-                    found = chunk[point], live[first][0]
-                    if first == 0:
-                        return found
-                    del live[first:]
-                deadline.check()
-            if found is not None:
-                return found
-        return None
-
-    def sample_failure(self) -> Optional[_Row]:
-        """The first failing random sample; each has a model of its own."""
-        cfg, sorts, has_ufs = self.cfg, list(self.variables.values()), self.has_ufs
+    if found is None:
         rng = random.Random(stable_u64(cfg.seed, "samples"))
 
         def sample() -> _Row:
-            point = tuple([_random_value(s, rng) for s in sorts])
+            point = tuple([_random_value(s, rng) for s in variables.values()])
             return point, rng.getrandbits(64) if has_ufs else cfg.seed
 
-        samples = (sample() for _ in range(self.sample_count))
+        samples = (sample() for _ in range(sample_count))
         done = 0
         while chunk := list(islice(samples, min(done + 1, CHUNK_CAP))):
             done += len(chunk)
             points, seeds = zip(*chunk)
-            rows = Rows([(self.model_for(s), 1) for s in seeds])
-            at = _first_false(self.checks, self.names, points, rows)
+            at = _first_false(checks, names, points, Rows([(model_for(s), 1) for s in seeds]))
             if at is not None:
-                return chunk[at]
-            self.deadline.check()
-        return None
+                found = chunk[at]
+                break
+            deadline.check()
 
-    def verdict(self) -> VerificationResult:
-        found = self.grid_failure() or self.sample_failure()
-        if found is not None:
-            point, seed = found
-            return Counterexample(
-                {n: Value(s, p) for (n, s), p in zip(self.variables.items(), point)}, seed
-            )
-        return Valid(
-            grid_points=min(self.grid_size, GRID_POINT_CAP),
-            grid_size=self.grid_size,
-            uf_models=self.cfg.uf_model_count if self.has_ufs else 0,
-            random_samples=self.sample_count,
-            exhaustive=self.exhaustive,
+    if found is not None:
+        point, seed = found
+        return Counterexample(
+            {n: Value(s, p) for (n, s), p in zip(variables.items(), point)}, seed
         )
+    return Valid(
+        grid_points=min(grid_size, GRID_POINT_CAP),
+        grid_size=grid_size,
+        uf_models=cfg.uf_model_count if has_ufs else 0,
+        random_samples=sample_count,
+        exhaustive=exhaustive,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1184,6 +1123,7 @@ def solve(problem: CheckedProblem, cfg: SolverConfig) -> Union[Solved, Fail]:
     reaches the same next tuple that walking on would.
     """
     _theory_gate(problem)
+    _grammar_gate(problem)
     tasks = problem.synth_tasks
     deadline = _Deadline(cfg.timeout_seconds)
     if not tasks:

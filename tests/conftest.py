@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sygus import prover, solver
 from sygus.checker import check_program
 from sygus.parser import parse_text
 
@@ -178,6 +179,14 @@ BOOL_BV4 = """
 
 def load_problem(text: str):
     return check_program(parse_text(text))
+
+
+def verify_unproved(candidate, problem, cfg):
+    """``solver.verify`` with the prover giving up on every candidate: the
+    candidate tested on the grid and the random samples alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prover, "proves", lambda *args: False)
+        return solver.verify(candidate, problem, cfg)
 
 
 @pytest.fixture(scope="session")

@@ -339,11 +339,16 @@ def test_sort_errors_are_reported_where_the_name_stands(tmp_path, text, message)
     assert run_cli("check", path) == result
 
 
-# One program per branch of the solver's theory gate, its message, and the
+# One program per branch of the solver's theory gates, its message, and the
 # position it is reported at: the logic at its set-logic command, a
 # universal variable or a function at its declaring command, a literal where
 # it stands.  Literals in macro bodies are found in the order the macros are
-# declared, whatever their names.
+# declared, whatever their names.  Grammars go through the gate too, each
+# part where it stands: a non-terminal of an Array sort, whose store no
+# evaluator computes; a Real one, whose division meets 0.0 once a
+# counterexample is stored; a grammar let of a Real sort; and a Real
+# shorthand nested in a production.  The whole of stderr is compared, so
+# none ends in a traceback or a division by zero.
 @pytest.mark.parametrize(
     "text, message, pos",
     [
@@ -364,10 +369,26 @@ def test_sort_errors_are_reported_where_the_name_stands(tmp_path, text, message)
          "(define-fun g ((a Int)) Bool (= 3.5 4.5))\n(define-fun f ((a Bool)) Bool (= 0.5 0.25))\n"
          "(constraint true)\n(check-synth)\n",
          "real-valued terms cannot be verified by this solver", "3:33"),
+        ("(synth-fun f ((x Int)) Bool ((Start Bool ((= A A)))"
+         " (A (Array Int Bool) ((store A x true)))))\n(declare-var x Int)\n"
+         "(constraint (f x))\n(check-synth)\n",
+         "non-terminal 'A' has unsupported sort (Array Int Bool)", "1:53"),
+        ("(synth-fun f ((x Int)) Bool ((Start Bool ((= R R) (< R R)))"
+         " (R Real (0.0 (/ R R)))))\n(declare-var x Int)\n(constraint (not (f x)))\n"
+         "(check-synth)\n",
+         "non-terminal 'R' has unsupported sort Real", "1:61"),
+        ("(synth-fun f ((x Int)) Int ((Start Int (x (let ((r Real 0.5)) x)))))\n"
+         "(declare-var x Int)\n(constraint (= (f x) x))\n(check-synth)\n",
+         "let binding 'r' has unsupported sort Real", "1:43"),
+        ("(synth-fun f ((x Int)) Bool\n"
+         "  ((Start Bool ((< (+ x 1) 2) (< (+ (Constant Real) 1.0) 2.0)))))\n"
+         "(declare-var x Int)\n(constraint (f x))\n(check-synth)\n",
+         "shorthand '(Constant Real)' has an unsupported sort", "2:37"),
     ],
     ids=[
         "reals-logic", "array-variable", "real-uf", "real-synth-fun", "real-literal",
-        "macro-order",
+        "macro-order", "array-non-terminal", "real-division", "real-let",
+        "nested-real-shorthand",
     ],
 )
 def test_unsupported_theory_exits_3(tmp_path, text, message, pos):

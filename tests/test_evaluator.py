@@ -49,6 +49,7 @@ from conftest import (
     UF_DIFF,
     UF_SUM,
     load_problem,
+    verify_unproved,
 )
 from oracle import holds_at, plain_verify
 
@@ -509,15 +510,15 @@ def test_compiled_constraints_agree_with_the_walker(name):
 # random samples.
 VERIFY_CFG = SolverConfig(grid_radius=2, uf_model_count=3, random_samples=16)
 
-# The tests below check the testing half of verify, which a proof would
-# skip, against plain_verify.
+# The tests below check verify's testing, which a proof would skip, against
+# plain_verify, with the prover giving up (verify_unproved).
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PROBLEMS))
 def test_verify_agrees_with_plain_verify(name):
     problem = load_problem(DIFFERENTIAL_PROBLEMS[name])
     for candidates in candidate_tuples(problem, VERIFY_CFG):
-        got = solver.verify_by_testing(candidates, problem, VERIFY_CFG)
+        got = verify_unproved(candidates, problem, VERIFY_CFG)
         assert got == plain_verify(candidates, problem, VERIFY_CFG)
 
 
@@ -577,7 +578,7 @@ def test_verify_reports_the_first_failure_under_a_later_model():
     # boundaries, where the second model fails at both.
     assert solver.CHUNK_CAP == 256
     problem, candidate, points = uf_sum_wrong_under_the_second_model([350, 300])
-    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
+    got = verify_unproved(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[300], 1)
 
@@ -596,7 +597,7 @@ def test_verify_reports_a_failure_at_the_edge_of_a_model(cfg, index):
     # Wrong under the second model only, at the point that starts its first
     # chunk or ends its last.
     problem, candidate, points = uf_sum_wrong_under_the_second_model([index], cfg)
-    got = solver.verify_by_testing(candidate, problem, cfg)
+    got = verify_unproved(candidate, problem, cfg)
     assert got == plain_verify(candidate, problem, cfg)
     assert got == Counterexample(points[index], cfg.seed + 1)
 
@@ -638,7 +639,7 @@ def test_verify_reports_the_first_models_late_failure_over_a_later_models_early_
     # the window's last chunk.  Model-major order puts the first model's
     # rows first.
     problem, candidate, points = uf_sum_wrong_at([(0, 600), (1, 0)], VERIFY_CFG)
-    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
+    got = verify_unproved(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[600], VERIFY_CFG.seed)
 
@@ -652,7 +653,7 @@ def test_verify_reports_the_earlier_of_two_failing_models(second, third):
     # second model's failure is the result.
     rows = [(1, second), (2, third)]
     problem, candidate, points = uf_sum_wrong_at(rows, VERIFY_CFG)
-    got = solver.verify_by_testing(candidate, problem, VERIFY_CFG)
+    got = verify_unproved(candidate, problem, VERIFY_CFG)
     assert got == plain_verify(candidate, problem, VERIFY_CFG)
     assert got == Counterexample(points[second], VERIFY_CFG.seed + 1)
 
@@ -667,7 +668,7 @@ WINDOWS_CFG = SolverConfig(
 def test_verify_reports_a_failure_in_the_last_window(index):
     last = WINDOWS_CFG.uf_model_count - 1
     problem, candidate, points = uf_sum_wrong_at([(last, index)], WINDOWS_CFG)
-    got = solver.verify_by_testing(candidate, problem, WINDOWS_CFG)
+    got = verify_unproved(candidate, problem, WINDOWS_CFG)
     assert got == plain_verify(candidate, problem, WINDOWS_CFG)
     assert got == Counterexample(points[index], WINDOWS_CFG.seed + last)
 
@@ -686,7 +687,7 @@ def test_a_failure_under_the_first_model_makes_one_window_of_models(monkeypatch)
             super().__init__(decls, seed)
 
     monkeypatch.setattr(solver, "UFModel", Counted)
-    got = solver.verify_by_testing(candidate, problem, cfg)
+    got = verify_unproved(candidate, problem, cfg)
     assert got == Counterexample(points[GRID_POINT_CAP - 1], cfg.seed)
     assert 0 < len(made) <= solver.MODEL_WINDOW == 8
 
@@ -707,7 +708,7 @@ def test_verify_reports_the_first_row_over_all_constraints():
     # both lie in the chunk x = -2..1.
     problem = load_problem(TWO_BOUNDS)
     candidate = {"f": term("(ite (= x 1) 10 (ite (= x -1) -10 0))")}
-    got = solver.verify_by_testing(candidate, problem, SolverConfig())
+    got = verify_unproved(candidate, problem, SolverConfig())
     assert got == plain_verify(candidate, problem, SolverConfig())
     assert got == Counterexample({"x": Value(R_INT, -1)}, 0)
 
@@ -718,7 +719,7 @@ def test_verify_reports_a_random_sample_like_plain_verify(max2_min2_problem):
         "max2": term("(ite (<= x 2) (ite (<= x y) y x) (- x 1))"),
         "min2": term("(ite (<= x y) x y)"),
     }
-    got = solver.verify_by_testing(candidate, max2_min2_problem, VERIFY_CFG)
+    got = verify_unproved(candidate, max2_min2_problem, VERIFY_CFG)
     assert got == plain_verify(candidate, max2_min2_problem, VERIFY_CFG)
     assert isinstance(got, Counterexample) and got.assignment["x"].value > 2
 

@@ -37,6 +37,7 @@ from conftest import (
     UF_SUM,
     collector_paused,
     load_problem,
+    verify_unproved,
 )
 from oracle import oracle_terms
 
@@ -218,6 +219,31 @@ def test_verify_uf_verify_stream(spec, models, expected, monkeypatch):
     assert result.evidence.truncated
 
 
+# verify asks the prover once for each candidate whose first grid chunk
+# passes, where more than GRID_POINT_CAP rows are left to test.  uf_sum's
+# first candidate, a, fails at the first point (test_verify_uf_verify_stream):
+# no attempt; its other two pass it.  max2_min2's grid of 121 points and
+# 256 samples leave fewer rows: no attempt at all.
+@pytest.mark.parametrize(
+    "spec, cfg, attempted",
+    [
+        (UF_SUM, SolverConfig(uf_model_count=8), ["(+ a a)", "(+ a b)"]),
+        ((FIXTURES / "max2_min2.sl").read_text(), SolverConfig(), []),
+    ],
+    ids=["uf_sum", "max2_min2"],
+)
+def test_verify_tries_a_proof_once_the_first_point_passes(spec, cfg, attempted, monkeypatch):
+    real, attempts = prover.proves, []
+
+    def recording(candidate, *args):
+        attempts.append(" ".join(map(print_term, candidate.values())))
+        return real(candidate, *args)
+
+    monkeypatch.setattr(prover, "proves", recording)
+    assert isinstance(solve(load_problem(spec), cfg), Solved)
+    assert attempts == attempted
+
+
 @pytest.mark.parametrize("candidate, verdict", [("(+ a c)", Valid), ("(+ a a)", Counterexample)])
 def test_an_unproved_verify_tests_each_row_once(candidate, verdict, monkeypatch):
     # The first grid point passes under the first window of models, and the
@@ -241,7 +267,7 @@ def test_an_unproved_verify_tests_each_row_once(candidate, verdict, monkeypatch)
     assert not prover.proves(body, problem, solver._Deadline(None))
     tested = sum(rows)
     rows.clear()
-    assert result == solver.verify_by_testing(body, problem, cfg)
+    assert result == verify_unproved(body, problem, cfg)
     assert tested == sum(rows)
     if verdict is Valid:
         assert tested == 8 * result.grid_points + result.random_samples == 80_256
@@ -540,7 +566,7 @@ def test_verify_builds_only_the_capped_grid(max2_min2_problem):
     candidate = bodies(max2="(ite (<= x y) y x)", min2=MIN2)
     cfg = SolverConfig(grid_radius=10**9)
     start = time.monotonic()
-    result = solver.verify_by_testing(candidate, max2_min2_problem, cfg)
+    result = verify_unproved(candidate, max2_min2_problem, cfg)
     assert time.monotonic() - start < 1.0
     grid_size = (2 * 10**9 + 1) ** 2
     assert result == Valid(
